@@ -2,15 +2,18 @@
 
 Two shapes from the paper's read-heavy workloads:
 
-* the Figure 10 SP query run as a full table scan, where every tuple's
-  summary set is decoded from ``R_SummaryStorage`` (cache off) or served
-  from the epoch-checked cache (warm), and
+* the Figure 10 SP query run as a full table scan: the predicate's label
+  count is read off the raw ``R_SummaryStorage`` bytes and only the
+  passing tuples' summary sets are ever decoded, so there is next to
+  nothing left for the cache to save — the gate is only that a warm
+  cache never costs *more* buffer-pool requests than running without, and
 * a Figure 12-style point-read sweep (the propagation/zoom-in hot loop):
-  ``storage.get(oid)`` for every tuple, repeated.
+  ``storage.get(oid)`` for every tuple, repeated, where the warm cache
+  does strictly fewer buffer-pool requests than the cold run because the
+  summary heap is never touched.
 
-The wall-clock ratio lands in EXPERIMENTS.md; the deterministic claim —
-the warm cache does strictly fewer buffer-pool requests than the cold
-run because the summary heap is never touched — is asserted here.
+The wall-clock ratios land in EXPERIMENTS.md; the page-count claims are
+asserted here.
 
 The shared ``cached_database`` lease is safe to use: the cache is resized
 inside try/finally and fully cleared on restore, and its fingerprint
@@ -45,13 +48,15 @@ def summary_cache(db, capacity: int):
         cache.resize(previous)
 
 
-def _assert_warm_cheaper(bench: str, density: int) -> None:
+def _assert_warm_cheaper(
+    bench: str, density: int, allow_equal: bool = False
+) -> None:
     cold = _PAGES.get((bench, density, "cache-off"))
     warm = _PAGES.get((bench, density, "cache-warm"))
     if cold is not None and warm is not None:
-        assert warm < cold, (
+        assert warm < cold or (allow_equal and warm == cold), (
             f"{bench} d={density}: warm cache did {warm} page requests, "
-            f"cold did {cold} — the summary heap was not skipped"
+            f"cold did {cold}"
         )
 
 
@@ -94,12 +99,12 @@ def test_sp_query_cache(benchmark, case, mode, density, preset, figure_writer):
     )
     pages.add(mode, preset.label(density), m.pages)
     _PAGES[("sp", density, mode)] = m.pages
-    _assert_warm_cheaper("sp", density)
+    _assert_warm_cheaper("sp", density, allow_equal=True)
     run_densities = [d for d in DENSITIES if d in preset.densities]
     if len(table.cells) == len(MODES) * len(run_densities):
         table.note_ratio(
             "cache-off", "cache-warm",
-            "warm cache skips every summary decode (>= 2x expected)",
+            "only passing tuples are decoded either way (about 1x)",
         )
 
 

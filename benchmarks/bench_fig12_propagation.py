@@ -7,9 +7,11 @@ R_SummaryStorage).  That makes it ≈7× slower than the Summary-BTree
 scheme, which propagates straight from the de-normalized heap.
 """
 
+import functools
+
 import pytest
 
-from repro.bench import FigureTable, cached_database
+from repro.bench import FigureTable, fresh_database
 from repro.bench.queries import range_bounds, two_predicate_query
 
 CASES = {
@@ -19,17 +21,26 @@ CASES = {
 }
 
 
+@functools.cache
+def replicated_database(num_birds: int, density: int):
+    """One database per density, owned by this bench: building the
+    normalized replicas grows the disk, which a ``cached_database`` lease
+    shared with other benches forbids."""
+    db = fresh_database(
+        num_birds=num_birds, annotations_per_tuple=density,
+        indexes="both", cell_fraction=0.0,
+    )
+    db.create_normalized_replicas("birds")
+    return db
+
+
 @pytest.mark.benchmark(group="fig12-propagation")
 @pytest.mark.parametrize("label", list(CASES))
 @pytest.mark.parametrize("density", [10, 25, 50, 100, 200])
 def test_propagation(benchmark, case, label, density, preset, figure_writer):
     if density not in preset.densities:
         pytest.skip(f"density {density} not in preset {preset.name}")
-    db = cached_database(
-        num_birds=preset.num_birds, annotations_per_tuple=density,
-        indexes="both", cell_fraction=0.0,
-    )
-    db.create_normalized_replicas("birds")  # no-op when already built
+    db = replicated_database(preset.num_birds, density)
     lo, hi = range_bounds(db, "Anatomy", 0.05)
     query = two_predicate_query(lo, hi, "experiment", "wikipedia")
     scheme, normalized = CASES[label]

@@ -1,7 +1,7 @@
-"""Column-batch carriers for the vectorized executor.
+"""Column-batch carriers for the executor.
 
-A :class:`Batch` is the unit of work flowing between physical operators in
-batch mode (``Database(batch_exec=True)`` / ``REPRO_BATCH_EXEC``): the same
+A :class:`Batch` is the unit of work flowing between physical operators
+(:meth:`~repro.query.physical.base.PhysicalOperator.batches`): the same
 qualified column names a :class:`~repro.query.tuples.QTuple` carries, but
 with the values held column-major, plus per-row summary-set and provenance
 slots. Batches produced by the scans keep their summary slots *lazy* — the
@@ -15,8 +15,7 @@ so filtered-out rows never pay object construction.
 
 Batches are sized to the resilience layer's checkpoint cadence
 (:data:`~repro.resilience.context.BATCH_ROWS`): one deadline/cancellation
-check per batch preserves the "within one batch" overrun bound of tuple
-mode.
+check per batch gives the "within one batch" overrun bound.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ class LazyScanSummaries:
     through :meth:`SummaryManager.summary_set_for`, then apply the retained
     column projection (annotation-effect elimination) — and memoizes the
     result so every row view of the batch shares one set, just as a single
-    QTuple would in tuple mode.
+    QTuple flowing through the plan would.
     """
 
     __slots__ = ("ctx", "table", "alias", "oids", "with_summaries",
@@ -109,7 +108,7 @@ class LazyScanSummaries:
         when the chain doesn't match the fast-path shape. Rows the storage
         layer can't answer raw (non-classifier objects, rollup labels)
         fall back to full per-row evaluation — identical semantics,
-        tuple-mode cost.
+        full-decode cost.
         """
         if expr.alias is not None and expr.alias != self.alias:
             return None

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.catalog.catalog import Catalog
+from repro.query.batch import Batch, rows_from_batches
 from repro.query.eval import EvalContext
 from repro.query.tuples import QTuple
 from repro.summaries.maintenance import SummaryManager
@@ -51,9 +52,10 @@ class ExecContext:
 
 
 class PhysicalOperator:
-    """Base class: every operator is an iterator of QTuples.
+    """Base class: every operator is an iterator of column batches.
 
-    Subclasses implement :meth:`_produce`; consumers call :meth:`rows`,
+    Subclasses implement :meth:`_produce_batches`; consumers pull
+    :class:`~repro.query.batch.Batch` chunks through :meth:`batches`,
     which transparently instruments the iterator when an
     :class:`~repro.obs.profile.PlanProfiler` is attached (EXPLAIN ANALYZE)
     and/or checkpoints it when an
@@ -61,11 +63,8 @@ class PhysicalOperator:
     (deadlines, cooperative cancellation). The indirection keeps the
     operators themselves free of counting and checkpoint logic.
 
-    Batch mode runs the same plan through :meth:`batches` instead: chunks
-    of :class:`~repro.query.batch.Batch` flow between operators, with the
-    same two instrumentation wrappers applied per batch. Operators without
-    a native :meth:`_produce_batches` fall back to chunking their row
-    iterator, so every plan runs in either mode.
+    :meth:`rows` (and iteration) is a plain tuple view over
+    :meth:`batches` for consumers that want one QTuple at a time.
     """
 
     #: Set per-instance by PlanProfiler.attach(); None = unprofiled run.
@@ -79,32 +78,18 @@ class PhysicalOperator:
     #: sum-to-run-totals invariant) and covered by deadline checkpoints.
     materialize_output = False
 
-    def _produce(self) -> Iterator[QTuple]:
+    def _produce_batches(self) -> Iterator[Batch]:
         raise NotImplementedError
 
-    def rows(self) -> Iterator[QTuple]:
-        inner = self._produce()
-        if self.profiler is not None:
-            inner = self.profiler.wrap(self, inner)
-        if self.runtime is not None:
-            # Runtime checks go outermost so a checkpoint covers the
-            # profiler's bookkeeping too.
-            inner = self.runtime.wrap(self, inner)
-        return inner
-
-    def _produce_batches(self):
-        """Default batch production: chunk the operator's own row logic."""
-        from repro.query.batch import batches_from_rows
-
-        yield from batches_from_rows(self._produce())
-
-    def batches(self):
+    def batches(self) -> Iterator[Batch]:
         inner = self._produce_batches()
         if self.materialize_output:
             inner = self._materialized(inner)
         if self.profiler is not None:
             inner = self.profiler.wrap_batches(self, inner)
         if self.runtime is not None:
+            # Runtime checks go outermost so a checkpoint covers the
+            # profiler's bookkeeping too.
             inner = self.runtime.wrap_batches(self, inner)
         return inner
 
@@ -113,6 +98,9 @@ class PhysicalOperator:
         for batch in inner:
             batch.to_rows()
             yield batch
+
+    def rows(self) -> Iterator[QTuple]:
+        return rows_from_batches(self.batches())
 
     def __iter__(self) -> Iterator[QTuple]:
         return self.rows()

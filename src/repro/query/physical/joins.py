@@ -53,9 +53,6 @@ class NestedLoopJoin(PhysicalOperator):
     def children(self):
         return [self.left, self.right]
 
-    def _produce(self) -> Iterator[QTuple]:
-        return self._joined(self.left.rows(), list(self.right.rows()))
-
     def _produce_batches(self) -> Iterator[Batch]:
         # Pairwise condition evaluation is row-at-a-time; the batch win is
         # upstream (vectorized scans/filters feeding both sides).
@@ -117,9 +114,6 @@ class IndexNestedLoopJoin(PhysicalOperator):
     @property
     def children(self):
         return [self.left]
-
-    def _produce(self) -> Iterator[QTuple]:
-        return self._joined(self.left.rows())
 
     def _produce_batches(self) -> Iterator[Batch]:
         return batches_from_rows(
@@ -213,9 +207,6 @@ class SummaryIndexNestedLoopJoin(PhysicalOperator):
         if self.op == ">":   # outer > inner  ->  inner < key
             return None, key, True, False
         return None, key, True, True  # ">="
-
-    def _produce(self) -> Iterator[QTuple]:
-        return self._joined(self.left.rows())
 
     def _produce_batches(self) -> Iterator[Batch]:
         return batches_from_rows(

@@ -23,6 +23,7 @@ from repro.query.batch import (
     Batch,
     LazyScanSummaries,
     ScanProvenance,
+    batches_from_rows,
 )
 from repro.query.physical.base import ExecContext, PhysicalOperator
 from repro.query.tuples import QTuple
@@ -132,13 +133,6 @@ class SeqScan(PhysicalOperator):
         self.with_summaries = with_summaries
         self.retained = retained
 
-    def _produce(self) -> Iterator[QTuple]:
-        for oid, values in self.ctx.catalog.table(self.table).scan():
-            yield _make_tuple(
-                self.ctx, self.table, self.alias, oid, values,
-                self.with_summaries, self.retained,
-            )
-
     def _produce_batches(self) -> Iterator[Batch]:
         columns = _scan_columns(self.ctx, self.table, self.alias)
         table = self.ctx.catalog.table(self.table)
@@ -177,16 +171,6 @@ class IndexScan(PhysicalOperator):
         self.lo_inclusive, self.hi_inclusive = lo_inclusive, hi_inclusive
         self.with_summaries = with_summaries
         self.retained = retained
-
-    def _produce(self) -> Iterator[QTuple]:
-        table = self.ctx.catalog.table(self.table)
-        for oid in table.index_range(
-            self.column, self.lo, self.hi, self.lo_inclusive, self.hi_inclusive
-        ):
-            yield _make_tuple(
-                self.ctx, self.table, self.alias, oid, table.read(oid),
-                self.with_summaries, self.retained,
-            )
 
     def _produce_batches(self) -> Iterator[Batch]:
         table = self.ctx.catalog.table(self.table)
@@ -239,7 +223,12 @@ class SummaryIndexScan(PhysicalOperator):
         self.retained = retained
         self.direction = direction
 
-    def _produce(self) -> Iterator[QTuple]:
+    def _produce_batches(self) -> Iterator[Batch]:
+        # Each hit carries its own pointer hop (and, with conventional
+        # pointers, an already-decoded summary row): row-at-a-time.
+        return batches_from_rows(self._probed())
+
+    def _probed(self) -> Iterator[QTuple]:
         index = self.ctx.summary_index(self.table, self.instance)
         if index is None:
             raise PlanError(
@@ -322,7 +311,12 @@ class BaselineIndexScan(PhysicalOperator):
         self.direction = direction
         self.normalized_propagation = normalized_propagation
 
-    def _produce(self) -> Iterator[QTuple]:
+    def _produce_batches(self) -> Iterator[Batch]:
+        # Normalized propagation re-assembles a summary set per hit:
+        # row-at-a-time.
+        return batches_from_rows(self._probed())
+
+    def _probed(self) -> Iterator[QTuple]:
         index = self.ctx.baseline_index(self.table, self.instance)
         if index is None:
             raise PlanError(f"no baseline index on {self.table}/{self.instance}")
@@ -410,25 +404,6 @@ class KeywordIndexScan(PhysicalOperator):
 
         self.with_summaries = with_summaries
         self.retained = retained
-
-    def _produce(self) -> Iterator[QTuple]:
-        index = self.ctx.keyword_index(self.table, self.instance)
-        if index is None:
-            raise PlanError(
-                f"no keyword index on {self.table}/{self.instance}"
-            )
-        table = self.ctx.catalog.table(self.table)
-        candidates = index.candidates(list(self.keywords))
-        if candidates is None:
-            raise PlanError(
-                "keyword index unusable for keywords "
-                f"{self.keywords!r} (shorter than one trigram)"
-            )
-        for oid in sorted(candidates):
-            yield _make_tuple(
-                self.ctx, self.table, self.alias, oid, table.read(oid),
-                self.with_summaries, self.retained,
-            )
 
     def _produce_batches(self) -> Iterator[Batch]:
         index = self.ctx.keyword_index(self.table, self.instance)

@@ -1,5 +1,4 @@
-"""Tuple-at-a-time transform operators: σ, S, F, π, sort/O, group, distinct,
-limit."""
+"""Transform operators: σ, S, F, π, sort/O, group, distinct, limit."""
 
 from __future__ import annotations
 
@@ -64,11 +63,6 @@ class FilterOp(PhysicalOperator):
     def children(self):
         return [self.child]
 
-    def _produce(self) -> Iterator[QTuple]:
-        for row in self.child.rows():
-            if evaluate(self.predicate, row, self.ctx.eval_ctx):
-                yield row
-
     def _produce_batches(self) -> Iterator[Batch]:
         for batch in self.child.batches():
             mask = batch_predicate_mask(
@@ -103,9 +97,6 @@ class SummaryFilterOp(PhysicalOperator):
     @property
     def children(self):
         return [self.child]
-
-    def _produce(self) -> Iterator[QTuple]:
-        return self._filtered(self.child.rows())
 
     def _produce_batches(self) -> Iterator[Batch]:
         # F rewrites every row's summary sets: inherently row-at-a-time.
@@ -147,30 +138,6 @@ class ProjectOp(PhysicalOperator):
     def children(self):
         return [self.child]
 
-    def _produce(self) -> Iterator[QTuple]:
-        for row in self.child.rows():
-            columns: list[str] = []
-            values: list[object] = []
-            for item in self.items:
-                if isinstance(item, Star):
-                    for i, column in enumerate(row.columns):
-                        alias = column.split(".", 1)[0]
-                        if item.alias is None or alias == item.alias:
-                            columns.append(column)
-                            values.append(row.values[i])
-                    continue
-                assert isinstance(item, SelectItem)
-                name = item.alias or str(item.expr)
-                columns.append(name)
-                values.append(self._value(item.expr, row))
-            yield QTuple(columns, values, row.summary_sets, row.provenance)
-
-    def _value(self, expr: Expr, row: QTuple) -> object:
-        if isinstance(expr, AggCall):
-            # Aggregates were computed by the Group operator below us.
-            return row.get(str(expr))
-        return evaluate(expr, row, self.ctx.eval_ctx)
-
     def _produce_batches(self) -> Iterator[Batch]:
         for batch in self.child.batches():
             n = len(batch)
@@ -193,6 +160,7 @@ class ProjectOp(PhysicalOperator):
         """One select item's output column; whole-column moves for the
         shapes that allow it, per-row evaluation otherwise."""
         if isinstance(expr, AggCall):
+            # Aggregates were computed by the Group operator below us.
             return batch.column_values(str(expr))
         if isinstance(expr, ColumnRef):
             name = f"{expr.alias}.{expr.column}" if expr.alias \
@@ -245,12 +213,9 @@ class SortOp(PhysicalOperator):
                   for expr, _ in self.keys]
         return _SortKey(values, [d for _, d in self.keys])
 
-    def _produce(self) -> Iterator[QTuple]:
-        return self._sorted(self.child.rows())
-
     def _produce_batches(self) -> Iterator[Batch]:
-        # Sorting is a full pipeline breaker either way; reuse the row
-        # comparator over the child's batches and re-chunk the output.
+        # Sorting is a full pipeline breaker: run the row comparator over
+        # the child's batches and re-chunk the output.
         return batches_from_rows(
             self._sorted(rows_from_batches(self.child.batches()))
         )
@@ -364,9 +329,6 @@ class GroupOp(PhysicalOperator):
     def children(self):
         return [self.child]
 
-    def _produce(self) -> Iterator[QTuple]:
-        return self._grouped(self.child.rows())
-
     def _produce_batches(self) -> Iterator[Batch]:
         # Grouping is a pipeline breaker; group over the child's batches
         # as rows and re-chunk the aggregated output.
@@ -468,9 +430,6 @@ class DistinctOp(PhysicalOperator):
     def children(self):
         return [self.child]
 
-    def _produce(self) -> Iterator[QTuple]:
-        return self._distinct(self.child.rows())
-
     def _produce_batches(self) -> Iterator[Batch]:
         return batches_from_rows(
             self._distinct(rows_from_batches(self.child.batches()))
@@ -504,12 +463,6 @@ class LimitOp(PhysicalOperator):
     @property
     def children(self):
         return [self.child]
-
-    def _produce(self) -> Iterator[QTuple]:
-        for i, row in enumerate(self.child.rows()):
-            if i >= self.limit:
-                return
-            yield row
 
     def _produce_batches(self) -> Iterator[Batch]:
         remaining = self.limit

@@ -3,8 +3,8 @@
 An :class:`ExecutionContext` carries one statement's deadline and cancel
 flag. :meth:`attach` hooks it into a physical plan exactly like the
 profiler (``op.runtime = ctx``, see
-:meth:`repro.query.physical.base.PhysicalOperator.rows`): every operator's
-iterator is wrapped so a check runs at each batch boundary
+:meth:`repro.query.physical.base.PhysicalOperator.batches`): every
+operator's iterator is wrapped so a check runs at each batch boundary
 (:data:`BATCH_ROWS` rows) plus once at iterator start and end. Because
 every leaf row is pulled from inside some ancestor's ``next()``, a plan
 that is producing rows anywhere hits a checkpoint at least every
@@ -78,7 +78,7 @@ class ExecutionContext:
                 partial=progress,
             )
 
-    # -- plan wiring (mirrors PlanProfiler.attach/wrap) ------------------------
+    # -- plan wiring (mirrors PlanProfiler.attach/wrap_batches) --------------
 
     def attach(self, root) -> "ExecutionContext":
         """Register every operator of ``root``'s tree with this context."""
@@ -89,22 +89,10 @@ class ExecutionContext:
             stack.extend(op.children)
         return self
 
-    def wrap(self, op, inner):
-        """Checkpointing pass-through over one operator's row iterator."""
-        self.check()
-        count = 0
-        for row in inner:
-            count += 1
-            self.rows_seen += 1
-            if count % BATCH_ROWS == 0:
-                self.check()
-            yield row
-        self.check()
-
     def wrap_batches(self, op, inner):
-        """Batch-mode counterpart of :meth:`wrap`: batches are sized to
-        :data:`BATCH_ROWS`, so one check per batch keeps the same
-        "within one batch" overrun bound as tuple mode."""
+        """Checkpointing pass-through over one operator's batch iterator:
+        batches are sized to :data:`BATCH_ROWS`, so one check per batch
+        gives the "within one batch" overrun bound."""
         self.check()
         for batch in inner:
             self.rows_seen += len(batch)

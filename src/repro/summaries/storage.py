@@ -37,6 +37,23 @@ def _parsed_label_count(payload: list, instance: str, label: str) -> tuple:
     return "ok", None
 
 
+def _cached_label_count(
+    value: dict | None, instance: str, label: str
+) -> tuple:
+    """``label_count`` resolution over a cached (already decoded) set."""
+    if value is None:
+        return "ok", None
+    obj = value.get(instance)
+    if obj is None:
+        return "ok", None
+    if not isinstance(obj, ClassifierObject):
+        return "fallback", None
+    members = obj.label_elements.get(label)
+    if members is None:
+        return "fallback", None
+    return "ok", len(members)
+
+
 def _raw_label_count(data: bytes, instance: str, label: str) -> tuple:
     """Count one classifier label straight off the serialized row bytes.
 
@@ -185,18 +202,12 @@ class SummaryStorage:
         if cache is not None and cache.enabled:
             hit, value = cache.lookup(self.table_name, oid)
             if hit:
-                if value is None:
-                    return "ok", None
-                obj = value.get(instance)
-                if obj is None:
-                    return "ok", None
-                if not isinstance(obj, ClassifierObject):
-                    return "fallback", None
-                members = obj.label_elements.get(label)
-                if members is None:
-                    return "fallback", None
-                return "ok", len(members)
-        rid = self._rid_for(oid)
+                return _cached_label_count(value, instance, label)
+        return self._stored_label_count(self._rid_for(oid), instance, label)
+
+    def _stored_label_count(
+        self, rid: RID | None, instance: str, label: str
+    ) -> tuple:
         if rid is None:
             return "ok", None
         return _raw_label_count(self.heap.read(rid), instance, label)
@@ -206,37 +217,43 @@ class SummaryStorage:
     ) -> list[tuple]:
         """:meth:`label_count` for a whole batch of OIDs at once.
 
-        When the OIDs span a dense range (a scan batch, or the survivors
-        of one), all their RIDs resolve in a single OID-index range scan
-        instead of one B-Tree descent per tuple. Sparse OID sets — where
-        the range pass would visit mostly unwanted entries — fall back to
-        per-OID probes, as does a hot cache.
+        Cached sets answer first. When the remaining OIDs span a dense
+        range (a scan batch, or the survivors of one), all their RIDs
+        resolve in a single OID-index range scan instead of one B-Tree
+        descent per tuple. Sparse OID sets — where the range pass would
+        visit mostly unwanted entries — fall back to per-OID probes.
         """
+        answers: dict[int, tuple] = {}
+        misses = oids
         cache = self.cache
-        if not oids or (cache is not None and cache.enabled):
-            return [self.label_count(o, instance, label) for o in oids]
-        lo, hi = min(oids), max(oids)
-        wanted = set(oids)
-        if hi - lo + 1 > 4 * len(wanted):
-            return [self.label_count(o, instance, label) for o in oids]
-        rids: dict[int, RID] = {}
-        for key, value in self.oid_index.range_scan(
-            encode_int(lo), encode_int(hi)
-        ):
-            oid = decode_int(key)
-            if oid in wanted:
-                page_no, slot = struct.unpack("<IH", value)
-                rids[oid] = RID(page_no, slot)
-        out: list[tuple] = []
-        for oid in oids:
-            rid = rids.get(oid)
-            if rid is None:
-                out.append(("ok", None))
+        if cache is not None and cache.enabled:
+            misses = []
+            for oid in oids:
+                hit, value = cache.lookup(self.table_name, oid)
+                if hit:
+                    answers[oid] = _cached_label_count(value, instance, label)
+                else:
+                    misses.append(oid)
+        if misses:
+            lo, hi = min(misses), max(misses)
+            wanted = set(misses)
+            if hi - lo + 1 > 4 * len(wanted):
+                rid_of = self._rid_for
             else:
-                out.append(
-                    _raw_label_count(self.heap.read(rid), instance, label)
+                rids: dict[int, RID] = {}
+                for key, value in self.oid_index.range_scan(
+                    encode_int(lo), encode_int(hi)
+                ):
+                    oid = decode_int(key)
+                    if oid in wanted:
+                        page_no, slot = struct.unpack("<IH", value)
+                        rids[oid] = RID(page_no, slot)
+                rid_of = rids.get
+            for oid in misses:
+                answers[oid] = self._stored_label_count(
+                    rid_of(oid), instance, label
                 )
-        return out
+        return [answers[oid] for oid in oids]
 
     def put(self, oid: int, objects: dict[str, SummaryObject]) -> bool:
         """Insert or replace the summary row of ``oid``.

@@ -1,10 +1,11 @@
-"""Vectorized batch execution (DESIGN.md §5f).
+"""The executor (DESIGN.md §5f): column batches are the only pull path.
 
-The acceptance property: batch mode (``Database(batch_exec=True)`` /
-``REPRO_BATCH_EXEC``) is observably identical to tuple mode — same rows
-in the same order, same propagated summaries, same EXPLAIN ANALYZE
-per-operator row counts — across every operator shape and access path,
-while deadlines and cancellation keep firing at batch boundaries.
+The acceptance property is executor-independent: every operator shape
+answers the same rows and propagated summaries through every access path
+as the ``index_scheme="none"`` heap oracle, EXPLAIN ANALYZE's root row
+count is the result's length, and ``rows()`` is a faithful tuple view of
+``batches()``. Deadlines and cancellation through the same pull path are
+covered by ``tests/test_resilience.py::TestDeadlinesAndCancellation``.
 
 Also unit-covers the :mod:`repro.query.batch` carriers and the storage
 layer's raw ``label_count`` fast path against its full-parse oracle.
@@ -13,42 +14,17 @@ layer's raw ``label_count`` fast path against its full-parse oracle.
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
-from repro.errors import QueryCancelledError, QueryError, QueryTimeoutError
+from repro.errors import QueryError
 from repro.query.batch import Batch, batches_from_rows, rows_from_batches
 from repro.query.parser import parse_sql
 from repro.query.tuples import QTuple
-from repro.resilience import ExecutionContext
 from repro.summaries.storage import _parsed_label_count, _raw_label_count
 from repro.workload.generator import WorkloadConfig, build_database
-
-SP_QUERY = (
-    "Select common_name From birds r Where "
-    "r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') > 0"
-)
-
-# One query per operator shape (mirrors test_resilience.OPERATOR_QUERIES):
-# seq scan, data filter, summary predicates (>, =), summary order-by,
-# group/aggregate, distinct, limit, data join, join + summary predicate.
-OPERATOR_QUERIES = [
-    "Select common_name From birds r",
-    "Select common_name From birds r Where r.aou_id > 10005",
-    SP_QUERY,
-    ("Select common_name From birds r Where "
-     "r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 3"),
-    ("Select common_name From birds r Order By "
-     "r.$.getSummaryObject('ClassBird1').getLabelValue('Disease')"),
-    "Select family, count(*) From birds Group By family",
-    "Select Distinct family From birds",
-    "Select common_name From birds Limit 5",
-    ("Select r.common_name, s.synonym From birds r, synonyms s "
-     "Where r.oid = s.bird_id"),
-    ("Select r.common_name From birds r, synonyms s "
-     "Where r.oid = s.bird_id And "
-     "r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') > 0"),
-]
+from tests.test_resilience import OPERATOR_QUERIES, SP_QUERY, heap_oracle
 
 MODES = {
     "noindex": ("none", False),
@@ -69,139 +45,102 @@ def db():
 
 
 @pytest.fixture(autouse=True)
-def _tuple_mode(db):
-    """Every test starts and ends in tuple mode with default options."""
-    db.batch_exec = False
+def _default_options(db):
+    """Every test starts and ends with default planner options."""
     yield
-    db.batch_exec = False
     db.options.force_access = None
     db.options.index_scheme = "summary_btree"
     db.options.normalized_propagation = False
 
 
-def snapshot(result):
+def snapshot(tuples, columns):
     """Order-sensitive observable output: values + summary displays."""
     return [
         (
-            tuple(result.columns),
+            tuple(columns),
             tuple(str(v) for v in t.values),
             json.dumps(t.merged_summary_set().to_display(),
                        sort_keys=True, default=str),
         )
-        for t in result.tuples
+        for t in tuples
     ]
 
 
-def run_mode(db, sql, batch: bool):
-    db.batch_exec = batch
-    try:
-        return snapshot(db.sql(sql))
-    finally:
-        db.batch_exec = False
+def result_snapshot(db, sql):
+    result = db.sql(sql)
+    return snapshot(result.tuples, result.columns)
+
+
+def sorted_snapshot(db, sql):
+    return sorted(result_snapshot(db, sql))
+
+
+def use_access_path(db, mode: str) -> None:
+    scheme, normalized = MODES[mode]
+    db.options.index_scheme = scheme
+    db.options.normalized_propagation = normalized
+    db.options.force_access = "index" if scheme != "none" else None
 
 
 class TestModeEquivalence:
     @pytest.mark.parametrize("sql", OPERATOR_QUERIES)
     def test_rows_and_summaries_identical(self, db, sql):
-        assert run_mode(db, sql, True) == run_mode(db, sql, False)
+        """``rows()`` — the tuple view DML and tests iterate — yields what
+        the materialized batch drain behind ``db.sql`` yields."""
+        physical, _logical, _cost = db.planner.plan(parse_sql(sql))
+        result = db.sql(sql)
+        assert snapshot(physical.rows(), result.columns) == \
+            snapshot(result.tuples, result.columns)
 
     @pytest.mark.parametrize("sql", OPERATOR_QUERIES)
     def test_explain_analyze_row_counts_identical(self, db, sql):
-        def counts(batch):
-            db.batch_exec = batch
-            try:
-                report = db.sql(f"Explain Analyze {sql}")
-            finally:
-                db.batch_exec = False
-            return [
-                (op["label"], op["rows"])
-                for op in report.execution["operators"]
-            ]
-
-        got, expected = counts(True), counts(False)
-        if "Limit" in sql:
-            # Below a Limit, batch mode legitimately over-produces: the
-            # scan emits a whole batch where tuple mode pulls row-by-row.
-            # The plan's output (the pre-order root) must still agree.
-            assert got[0] == expected[0]
-        else:
-            assert got == expected
+        for mode in MODES:
+            use_access_path(db, mode)
+            result = db.sql(sql)
+            report = db.sql(f"Explain Analyze {sql}")
+            root = report.execution["operators"][0]
+            assert root["rows"] == len(result), (mode, root["label"])
 
     @pytest.mark.parametrize("mode", list(MODES))
     def test_access_paths_agree_under_batch_mode(self, db, mode):
-        scheme, normalized = MODES[mode]
-        baseline = run_mode(db, SP_QUERY, False)
-        db.options.index_scheme = scheme
-        db.options.normalized_propagation = normalized
-        db.options.force_access = "index" if scheme != "none" else None
-        got = run_mode(db, SP_QUERY, True)
-        assert sorted(got) == sorted(baseline)
+        expected = {
+            sql: heap_oracle(db, sql, run=sorted_snapshot)
+            for sql in OPERATOR_QUERIES
+        }
+        use_access_path(db, mode)
+        for sql in OPERATOR_QUERIES:
+            assert sorted_snapshot(db, sql) == expected[sql], sql
 
     def test_dml_equivalent_in_batch_mode(self):
-        def run(batch: bool) -> list:
-            database = build_database(WorkloadConfig(
-                num_birds=12, annotations_per_tuple=5, indexes="both",
-                cell_fraction=0.0, seed=9,
-            ))
-            database.batch_exec = batch
-            updated = database.sql(
-                "Update birds Set family = 'X' Where aou_id > 10005"
-            )
-            deleted = database.sql("Delete From birds Where aou_id <= 10002")
-            rows = snapshot(database.sql(
-                "Select aou_id, family From birds Order By aou_id"
-            ))
-            return [updated, deleted, rows]
+        database = build_database(WorkloadConfig(
+            num_birds=12, annotations_per_tuple=5, indexes="both",
+            cell_fraction=0.0, seed=9,
+        ))
+        assert database.sql(
+            "Update birds Set family = 'X' Where aou_id > 10005"
+        ) == 6
+        assert database.sql(
+            "Delete From birds Where aou_id <= 10002"
+        ) == 3
+        result = database.sql(
+            "Select aou_id, family From birds Order By aou_id"
+        )
+        assert [tuple(t.values) for t in result.tuples] == [
+            (10003, "Corvidae"), (10004, "Laridae"), (10005, "Turdidae"),
+        ] + [(aou_id, "X") for aou_id in range(10006, 10012)]
 
-        assert run(True) == run(False)
 
-
-class TestBatchModeResilience:
-    @pytest.mark.parametrize("sql", OPERATOR_QUERIES)
-    def test_zero_timeout_trips_first_checkpoint(self, db, sql):
-        db.batch_exec = True
-        with pytest.raises(QueryTimeoutError) as err:
-            db.execute(sql, timeout=0)
-        assert err.value.partial["checks"] >= 1
-
-    @pytest.mark.parametrize("sql", OPERATOR_QUERIES)
-    def test_pre_cancelled_context_stops_every_plan(self, db, sql):
-        physical, _logical, _cost = db.planner.plan(parse_sql(sql))
-        ctx = ExecutionContext()
-        ctx.attach(physical)
-        ctx.cancel()
-        with pytest.raises(QueryCancelledError):
-            list(physical.batches())
-
-    def test_deadline_fires_at_batch_boundary(self, db):
-        class FakeClock:
-            def __init__(self):
-                self.now = 0.0
-
-            def __call__(self):
-                return self.now
-
-        clock = FakeClock()
-        physical, _logical, _cost = db.planner.plan(parse_sql(SP_QUERY))
-        ctx = ExecutionContext(timeout=10.0, clock=clock)
-        ctx.attach(physical)
-        batches = physical.batches()
-        first = next(batches)
-        assert len(first) >= 1
-        clock.now = 11.0
-        with pytest.raises(QueryTimeoutError) as err:
-            list(batches)
-        assert err.value.partial["rows"] >= 1
-
-    def test_cancel_mid_stream(self, db):
-        physical, _logical, _cost = db.planner.plan(parse_sql(SP_QUERY))
-        ctx = ExecutionContext()
-        ctx.attach(physical)
-        batches = physical.batches()
-        next(batches)
-        ctx.cancel()
-        with pytest.raises(QueryCancelledError):
-            list(batches)
+def test_image_with_batch_exec_entry_loads(db):
+    """Images and replication snapshots written while the tuple executor
+    existed carry its mode switch in their pickled state."""
+    db.batch_exec = False
+    try:
+        image = pickle.dumps(db)
+    finally:
+        del db.batch_exec
+    loaded = pickle.loads(image)
+    assert not hasattr(loaded, "batch_exec")
+    assert result_snapshot(loaded, SP_QUERY) == result_snapshot(db, SP_QUERY)
 
 
 class TestLabelCountFastPath:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.core.database import Database
 from repro.errors import QueryError
 from repro.query.ast import ColumnRef
+from repro.query.batch import Batch, batches_from_rows
 from repro.query.eval import EvalContext
 from repro.query.physical.base import PhysicalOperator
 from repro.query.physical.transforms import (
@@ -48,8 +49,8 @@ class ListSource(PhysicalOperator):
     def children(self):
         return []
 
-    def _produce(self) -> Iterator[QTuple]:
-        return iter(self.data)
+    def _produce_batches(self) -> Iterator[Batch]:
+        return batches_from_rows(self.data)
 
     def label(self) -> str:
         return f"ListSource({len(self.data)})"

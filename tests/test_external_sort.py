@@ -11,20 +11,7 @@ from repro.query.physical.base import ExecContext
 from repro.query.physical.transforms import SortOp
 from repro.query.ast import ColumnRef
 from repro.query.tuples import QTuple
-
-
-class ListSource:
-    """A physical operator that replays a fixed tuple list."""
-
-    def __init__(self, rows):
-        self._rows = rows
-
-    @property
-    def children(self):
-        return []
-
-    def rows(self):
-        return iter(self._rows)
+from tests.test_executor_bugfixes import ListSource
 
 
 def make_ctx() -> ExecContext:

@@ -431,8 +431,9 @@ class TestDeadlinesAndCancellation:
 # -- degraded-mode planning ---------------------------------------------------
 
 
-def heap_oracle(db, sql):
-    """Reference result through the pure heap path (no index schemes)."""
+def heap_oracle(db, sql, run=run):
+    """Reference result through the pure heap path (no index schemes);
+    ``run`` picks what of the result is compared."""
     saved = db.options.index_scheme
     db.options.index_scheme = "none"
     try:
