@@ -295,10 +295,10 @@ class CacheInvalidator:
         self.table = table
 
     # consolidated per-storage-write events ("*" channel)
-    def on_objects_write(self, oid: int, objects: dict) -> None:
+    def on_objects_write(self, oid: int, objects: dict, previous=None) -> None:
         self.cache.invalidate(self.table, oid)
 
-    def on_objects_delete(self, oid: int) -> None:
+    def on_objects_delete(self, oid: int, previous=None) -> None:
         self.cache.invalidate(self.table, oid)
 
     # classifier-channel events (SummaryObserver protocol)

@@ -35,6 +35,12 @@ def unpack_rid(data: bytes) -> RID:
 class Table:
     """A user relation: schema, heap file, OID index, secondary indexes."""
 
+    #: Bumped by every row insert/update/delete (and by ``reindex``, which
+    #: may salvage rows away).  Scan-built consumers — the optimizer's
+    #: column statistics — compare it with the version they scanned at.
+    #: Class-level so tables from older images start at 0.
+    data_version = 0
+
     def __init__(self, name: str, schema: Schema, pool: BufferPool):
         self.name = name
         self.schema = schema
@@ -86,6 +92,7 @@ class Table:
         if oid is None:
             oid = self._next_oid
         self._next_oid = max(self._next_oid, oid + 1)
+        self.data_version += 1
         rid = self.heap.insert(self._codec.encode(values))
         self.oid_index.insert(encode_int(oid), pack_rid(rid))
         for col_name, index in self.secondary_indexes.items():
@@ -165,6 +172,7 @@ class Table:
             values[self.schema.index_of(name)] = value
         self.schema.validate_row(values)
         old_rid = self.disk_tuple_loc(oid)
+        self.data_version += 1
         new_rid = self.heap.update(old_rid, self._codec.encode(values))
         if new_rid != old_rid:
             self.oid_index.delete(encode_int(oid), pack_rid(old_rid))
@@ -180,6 +188,7 @@ class Table:
         """Delete tuple ``oid`` and all its index entries."""
         values = self.read(oid)
         rid = self.disk_tuple_loc(oid)
+        self.data_version += 1
         self.heap.delete(rid)
         self.oid_index.delete(encode_int(oid), pack_rid(rid))
         for col_name, index in self.secondary_indexes.items():
@@ -243,6 +252,7 @@ class Table:
 
         Returns counters: ``kept``, ``pruned``, ``salvaged``.
         """
+        self.data_version += 1
         # Best-effort read of the existing OID mapping; an unreadable index
         # contributes nothing (its records will be salvaged, not orphaned
         # under invented OIDs).

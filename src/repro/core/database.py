@@ -15,6 +15,7 @@ the summary-aware planner — and exposes the end-user surface:
 from __future__ import annotations
 
 import functools
+import io
 import os
 import pickle
 import struct
@@ -245,6 +246,24 @@ class QueryReport:
                     f"writes={ex.get('io_writes', 0)}"
                 )
         return text
+
+
+class _ImageUnpickler(pickle.Unpickler):
+    """Reads images written by older engines: a class retired since then
+    resolves to the class that took over its pickled state."""
+
+    _SUCCESSORS = {
+        # The statistics subscribed once per linked instance; the
+        # per-table subscription that replaced it keeps the same state,
+        # and StatisticsCatalog.resubscribe() re-homes it.
+        ("repro.optimizer.statistics", "_StalenessObserver"):
+            ("repro.optimizer.statistics", "_TableObserver"),
+    }
+
+    def find_class(self, module: str, name: str):
+        return super().find_class(
+            *self._SUCCESSORS.get((module, name), (module, name))
+        )
 
 
 class Database:
@@ -562,6 +581,7 @@ class Database:
         self.__dict__.update(state)
         self._init_concurrency()
         self.manager.async_mode = self.summary_async
+        self.statistics.resubscribe()
         if "health" not in state:
             self.health = AccessPathHealth(metrics=self.metrics)
         if "guard" not in state:
@@ -594,7 +614,9 @@ class Database:
     def create_table(self, name: str, columns: list[Column] | Schema):
         """Create a user relation."""
         schema = columns if isinstance(columns, Schema) else Schema(list(columns))
-        return self.catalog.create_table(name, schema)
+        table = self.catalog.create_table(name, schema)
+        self.statistics.attach(name)
+        return table
 
     @_logged_ddl
     def create_index(self, table: str, column: str) -> None:
@@ -639,9 +661,6 @@ class Database:
         if not self.catalog.has_table(table):
             raise CatalogError(f"no table named {table!r}")
         self.manager.link(table, instance)
-        self.manager.add_observer(
-            table, instance, self.statistics.observer_for(table)
-        )
         if indexable:
             self.create_summary_index(table, instance)
 
@@ -651,11 +670,9 @@ class Database:
         self.manager.unlink(table, instance)
         self.summary_indexes.pop((table.lower(), instance), None)
         self.baseline_indexes.pop((table.lower(), instance), None)
-        # Detach everything link_summary_instance/create_summary_index
-        # registered on this channel — the popped index and the statistics
-        # observer must stop receiving events (a detached-but-subscribed
-        # index keeps mutating as a zombie, and re-ADD would then register
-        # a duplicate statistics observer).
+        # Detach everything create_summary_index and friends registered
+        # on this channel: a detached-but-subscribed index keeps mutating
+        # as a zombie.
         self.manager.clear_observers(table, instance)
 
     @_logged_ddl
@@ -1030,7 +1047,7 @@ class Database:
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
             raise CorruptImageError(f"{source}: payload CRC32 mismatch")
         try:
-            db = pickle.loads(payload)
+            db = _ImageUnpickler(io.BytesIO(payload)).load()
         except Exception as exc:
             raise CorruptImageError(
                 f"{source}: payload does not unpickle: {exc}"
@@ -1310,8 +1327,6 @@ class Database:
                         {"table": stmt.table, "oid": oid, "values": assigned},
                     )
                 table.update(oid, assigned)
-        if updates:
-            self.statistics.mark_stale(stmt.table)
         return len(updates)
 
     def explain(self, query: str, analyze: bool = False) -> QueryReport:

@@ -75,14 +75,14 @@ class TrigramKeywordIndex:
             self.reverse.delete(key_oid, gram)
 
     def on_objects_write(
-        self, oid: int, objects: dict[str, SummaryObject]
+        self, oid: int, objects: dict[str, SummaryObject], previous=None
     ) -> None:
         self._delete_rows(oid)
         text = self._snippet_text(objects)
         if text is not None:
             self._insert_rows(oid, text)
 
-    def on_objects_delete(self, oid: int) -> None:
+    def on_objects_delete(self, oid: int, previous=None) -> None:
         self._delete_rows(oid)
 
     def bulk_build(self, storage) -> int:

@@ -98,7 +98,7 @@ class NormalizedSnippetReplica:
                 table.delete(norm_oid)
 
     def on_objects_write(
-        self, oid: int, objects: dict[str, SummaryObject]
+        self, oid: int, objects: dict[str, SummaryObject], previous=None
     ) -> None:
         """Generic storage-write event: re-normalize this tuple's rows."""
         self._delete_rows(oid)
@@ -106,7 +106,7 @@ class NormalizedSnippetReplica:
         if isinstance(obj, SnippetObject):
             self._write_rows(oid, obj)
 
-    def on_objects_delete(self, oid: int) -> None:
+    def on_objects_delete(self, oid: int, previous=None) -> None:
         self._delete_rows(oid)
 
     def bulk_build(self, storage) -> int:

@@ -168,7 +168,9 @@ class CluStream:
             raise SummaryError(f"member {member_id} is not clustered")
         cluster.remove(member_id)
         if cluster.size == 0:
-            self.clusters.remove(cluster)
+            # By identity: list.remove compares with ==, and comparing
+            # two micro-clusters' CF vectors has no truth value.
+            self.clusters = [c for c in self.clusters if c is not cluster]
 
     def cluster_of(self, member_id: int) -> MicroCluster | None:
         return self._member_cluster.get(member_id)

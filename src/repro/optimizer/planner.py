@@ -87,7 +87,7 @@ from repro.optimizer.cost import (
     summary_read_discount,
 )
 from repro.optimizer.rules import apply_rules
-from repro.optimizer.statistics import StatisticsCatalog
+from repro.optimizer.statistics import ColumnStats, StatisticsCatalog
 
 
 @dataclass
@@ -903,12 +903,9 @@ class _LowerState:
                 residual = conjuncts[:i] + conjuncts[i + 1:] + right_preds
                 with_summaries = self._needs_summaries(right.alias)
                 stats = self._table_stats(right.table)
+                col_stats = stats.columns.get(probe_side.column, ColumnStats(1))
                 matches_per_row = max(
-                    stats.row_count
-                    / max(stats.columns.get(probe_side.column,
-                                            type("x", (), {"ndistinct": 1})
-                                            ).ndistinct, 1),
-                    1.0,
+                    stats.row_count / max(col_stats.ndistinct, 1), 1.0
                 )
                 op = IndexNestedLoopJoin(
                     self.ctx, left.op, right.table, right.alias,

@@ -311,6 +311,12 @@ class QueryServer:
             "summary_async": getattr(db, "summary_async", "off"),
             "maint_backlog": db.manager.pending_count(),
             "maint_lag_seconds": db.manager.pending_lag_seconds(),
+            # A full_analyze that keeps climbing under annotation traffic
+            # means statistics fell back to rescans.
+            "stats_full_analyze": db.metrics.get("stats.full_analyze"),
+            "stats_incremental_deltas": db.metrics.get(
+                "stats.incremental_deltas"
+            ),
         }
 
     def _current_lsn(self) -> int:

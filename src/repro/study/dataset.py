@@ -81,9 +81,6 @@ def build_study_database(config: StudyConfig | None = None) -> Database:
     for table in ("birds", "birds_v2"):
         db.create_table(table, STUDY_COLUMNS)
         db.manager.link(table, "ClassBird1")
-        db.manager.add_observer(
-            table, "ClassBird1", db.statistics.observer_for(table)
-        )
         db.manager.link(table, "TextSummary1")
 
     # Tuple-level annotations only: AKN-style field notes describe the

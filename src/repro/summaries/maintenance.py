@@ -12,9 +12,11 @@ annotation store. Every annotation mutation flows through it:
   so a Summary-BTree can delete+re-insert only the modified keys.
 * **Deleting an annotation / a tuple** reverses those effects.
 
-Index structures and optimizer statistics both subscribe through the same
-observer interface, matching the paper's "statistics are maintained whenever
-a summary object is updated" (§5.2).
+Index structures subscribe per ``(table, instance)`` to classifier-count
+events; the optimizer statistics, the cache and the text indexes subscribe
+per table (the ``"*"`` channel) to storage-row events that carry the row's
+previous :func:`row_footprint` — the paper's "statistics are maintained
+whenever a summary object is updated" (§5.2).
 
 **Maintenance modes.**  ``async_mode`` selects how much of that work rides
 the write path (set by the owning :class:`~repro.core.database.Database`
@@ -85,6 +87,43 @@ class SummaryObserver(Protocol):
 
     def on_tuple_delete(self, oid: int, counts: dict[str, int]) -> None:
         """The tuple (and its summary row) was deleted."""
+
+
+#: instance name -> (stored object size, classifier label counts or None)
+RowFootprint = dict[str, tuple[int, "dict[str, int] | None"]]
+
+
+class StorageRowObserver(Protocol):
+    """Observer on a table's ``"*"`` channel: one event per storage-row
+    write or delete, whatever the summary types involved.  ``previous`` is
+    the :func:`row_footprint` of the row being replaced or dropped (None
+    when the write created the row)."""
+
+    def on_objects_write(
+        self, oid: int, objects: dict[str, SummaryObject],
+        previous: RowFootprint | None,
+    ) -> None:
+        """The row of ``oid`` now holds ``objects``."""
+
+    def on_objects_delete(self, oid: int, previous: RowFootprint) -> None:
+        """The row of ``oid`` was dropped."""
+
+
+def row_footprint(objects: dict[str, SummaryObject]) -> RowFootprint:
+    """What one stored row contributes to the Figure 6 statistics.
+
+    Taken from objects fresh out of (or just written to) storage, whose
+    ``stored_size`` the storage layer measured on the row's own bytes; the
+    maintenance paths take it *before* mutating the objects so observers
+    can retract exactly what the old row contributed.
+    """
+    return {
+        name: (
+            obj.stored_size,
+            dict(obj.rep()) if isinstance(obj, ClassifierObject) else None,
+        )
+        for name, obj in objects.items()
+    }
 
 
 class SummaryManager:
@@ -306,11 +345,9 @@ class SummaryManager:
     def clear_observers(self, table: str, instance_name: str) -> None:
         """Detach *every* observer on one ``(table, instance)`` channel.
 
-        The DROP path needs this rather than identity-based removal:
-        ``StatisticsCatalog.observer_for`` returns a fresh observer object
-        per registration, so the exact instance registered at ADD time is
-        not recoverable — and a dropped link must leave nothing behind
-        that keeps mutating a zombie index or statistics entry."""
+        The DROP path uses this rather than identity-based removal: a
+        dropped link must leave nothing behind that keeps mutating a
+        zombie index, whoever registered it."""
         self._observers.pop((table.lower(), instance_name), None)
 
     def _notify(self, table: str, instance_name: str, method: str, *args) -> None:
@@ -407,6 +444,7 @@ class SummaryManager:
         storage = self.storage_for(table)
         objects = storage.get(oid)
         created_row = objects is None
+        previous = None if created_row else row_footprint(objects)
         if objects is None:
             objects = {}
         old_counts: dict[str, dict[str, int] | None] = {}
@@ -444,18 +482,18 @@ class SummaryManager:
                         objects[instance.name], clusterer  # type: ignore[arg-type]
                     )
         storage.put(oid, objects)
-        self._notify(table, "*", "on_objects_write", oid, objects)
+        self._notify(table, "*", "on_objects_write", oid, objects, previous)
         for instance in instances:
             if not isinstance(instance, ClassifierInstance):
                 continue
             obj = objects[instance.name]
             assert isinstance(obj, ClassifierObject)
-            previous = old_counts.get(instance.name)
-            if created_row or previous is None:
+            before = old_counts.get(instance.name)
+            if created_row or before is None:
                 self._notify(table, instance.name, "on_summary_insert", oid, obj)
             else:
                 self._notify(
-                    table, instance.name, "on_summary_update", oid, previous,
+                    table, instance.name, "on_summary_update", oid, before,
                     dict(obj.rep()),
                 )
 
@@ -486,13 +524,21 @@ class SummaryManager:
         objects = storage.get(oid)
         if objects is None:
             return
+        self._drop_row(table, oid, objects, row_footprint(objects))
+
+    def _drop_row(
+        self, table: str, oid: int, objects: dict[str, SummaryObject],
+        previous: RowFootprint,
+    ) -> None:
+        """Drop the storage row of ``oid`` (``objects``: what indexes
+        currently hold for it) with the tuple-delete event sequence."""
         for name, obj in objects.items():
             if isinstance(obj, ClassifierObject):
                 self._notify(table, name, "on_tuple_delete", oid,
                              dict(obj.rep()))
             self._clusterers.pop((table, oid, name), None)
-        storage.delete(oid)
-        self._notify(table, "*", "on_objects_delete", oid)
+        self._storages[table].delete(oid)
+        self._notify(table, "*", "on_objects_delete", oid, previous)
 
     # -- reads -------------------------------------------------------------------------
 
@@ -722,6 +768,7 @@ class SummaryManager:
         table = table.lower()
         storage = self.storage_for(table)
         old = storage.get(oid)
+        previous = None if old is None else row_footprint(old)
         ann_ids = sorted(self._ensure_targets_index().get((table, oid), ()))
         exists = self.tuple_exists is None or self.tuple_exists(table, oid)
         instances = self.instances_for(table) if exists else []
@@ -784,26 +831,20 @@ class SummaryManager:
             not obj.all_annotation_ids() for obj in objects.values()
         ):
             if old is not None:
-                for name, obj in old.items():
-                    if isinstance(obj, ClassifierObject):
-                        self._notify(table, name, "on_tuple_delete", oid,
-                                     dict(obj.rep()))
-                    self._clusterers.pop((table, oid, name), None)
-                storage.delete(oid)
-                self._notify(table, "*", "on_objects_delete", oid)
+                self._drop_row(table, oid, old, previous)
             return
         storage.put(oid, objects)
-        self._notify(table, "*", "on_objects_write", oid, objects)
+        self._notify(table, "*", "on_objects_write", oid, objects, previous)
         for instance in instances:
             if not isinstance(instance, ClassifierInstance):
                 continue
             obj = objects.get(instance.name)
             if not isinstance(obj, ClassifierObject):
                 continue
-            previous = old.get(instance.name) if old else None
-            if isinstance(previous, ClassifierObject):
+            before = old.get(instance.name) if old else None
+            if isinstance(before, ClassifierObject):
                 self._notify(table, instance.name, "on_summary_update", oid,
-                             dict(previous.rep()), dict(obj.rep()))
+                             dict(before.rep()), dict(obj.rep()))
             else:
                 self._notify(table, instance.name, "on_summary_insert", oid,
                              obj)
@@ -815,6 +856,7 @@ class SummaryManager:
         storage = self.storage_for(table)
         objects = storage.get(oid)
         created_row = objects is None
+        previous = None if created_row else row_footprint(objects)
         if objects is None:
             objects = {}
         columns = annotation.columns_on(table, oid)
@@ -843,7 +885,7 @@ class SummaryManager:
                 self._rebuild_cluster_object(obj, clusterer)  # type: ignore[arg-type]
                 obj.ann_targets[annotation.ann_id] = columns
         storage.put(oid, objects)
-        self._notify(table, "*", "on_objects_write", oid, objects)
+        self._notify(table, "*", "on_objects_write", oid, objects, previous)
         for name, old_counts, obj in updates:
             if created_row or old_counts is None:
                 self._notify(table, name, "on_summary_insert", oid, obj)
@@ -858,6 +900,7 @@ class SummaryManager:
         objects = storage.get(oid)
         if objects is None:
             return
+        previous = row_footprint(objects)
         ann_id = annotation.ann_id
         for name, obj in objects.items():
             if isinstance(obj, ClassifierObject):
@@ -886,16 +929,10 @@ class SummaryManager:
             # Drop it with the same event sequence as a tuple delete (the
             # classifier channel already saw the update to zero counts, so
             # on_tuple_delete's zero-count keys match what is indexed).
-            for name, obj in objects.items():
-                if isinstance(obj, ClassifierObject):
-                    self._notify(table, name, "on_tuple_delete", oid,
-                                 dict(obj.rep()))
-                self._clusterers.pop((table, oid, name), None)
-            storage.delete(oid)
-            self._notify(table, "*", "on_objects_delete", oid)
+            self._drop_row(table, oid, objects, previous)
             return
         storage.put(oid, objects)
-        self._notify(table, "*", "on_objects_write", oid, objects)
+        self._notify(table, "*", "on_objects_write", oid, objects, previous)
 
     def _clusterer_for(
         self,

@@ -57,6 +57,13 @@ class SummaryObject:
     #: ann_id -> columns covered on this tuple (empty tuple = row-level)
     ann_targets: AnnTargets = field(default_factory=dict)
 
+    #: ``len(to_bytes())`` as of the storage row this object was last read
+    #: from or written to (None: never stored).  SummaryStorage measures it
+    #: while the row's bytes are in hand, so Figure 6's AvgObjectSize is
+    #: kept without serializing anything twice.  Deliberately not a
+    #: dataclass field: it describes the stored row, not the value.
+    stored_size = None
+
     # -- interface common to all types (paper §3.1) -----------------------------
 
     @property

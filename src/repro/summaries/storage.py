@@ -23,6 +23,8 @@ from repro.storage.heapfile import HeapFile, RID
 from repro.storage.page import SlottedPage
 from repro.summaries.objects import ClassifierObject, SummaryObject
 
+_JSON = json.JSONDecoder()
+
 
 def _parsed_label_count(payload: list, instance: str, label: str) -> tuple:
     """``label_count`` resolution over a fully parsed storage payload."""
@@ -138,13 +140,47 @@ class SummaryStorage:
 
     @staticmethod
     def _encode(objects: dict[str, SummaryObject]) -> bytes:
-        payload = [obj.to_dict() for obj in objects.values()]
-        return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        """The row: a JSON array of the objects' own serializations, each
+        object's ``stored_size`` set from the bytes just produced."""
+        parts = []
+        for obj in objects.values():
+            part = obj.to_bytes()
+            obj.stored_size = len(part)
+            parts.append(part)
+        return b"[" + b",".join(parts) + b"]"
 
     @staticmethod
     def _decode(data: bytes) -> dict[str, SummaryObject]:
-        objects = [SummaryObject.from_dict(d) for d in json.loads(data)]
-        return {obj.instance_name: obj for obj in objects}
+        """Inverse of :meth:`_encode`, element by element so that every
+        object learns its ``stored_size`` (the writer emits ASCII, so
+        characters are bytes).  Anything but our own framing is a
+        ``ValueError``, as it was under ``json.loads``."""
+        text = data.decode("utf-8")
+        if text[:1] != "[":
+            raise ValueError("summary row is not a JSON array")
+        objects: dict[str, SummaryObject] = {}
+        pos = 1
+        while text[pos:pos + 1] != "]":
+            payload, end = _JSON.raw_decode(text, pos)
+            obj = SummaryObject.from_dict(payload)
+            obj.stored_size = end - pos
+            objects[obj.instance_name] = obj
+            pos = end + 1 if text[end:end + 1] == "," else end
+        if pos != len(text) - 1:
+            raise ValueError("trailing bytes after summary row")
+        return objects
+
+    @staticmethod
+    def _private_copies(
+        objects: dict[str, SummaryObject]
+    ) -> dict[str, SummaryObject]:
+        """Deep copies for the cache boundary, still knowing the size
+        they have in the stored row."""
+        copies = {}
+        for name, obj in objects.items():
+            copies[name] = copy = obj.copy()
+            copy.stored_size = obj.stored_size
+        return copies
 
     # -- operations ----------------------------------------------------------------
 
@@ -172,7 +208,7 @@ class SummaryStorage:
         if hit:
             if value is None:
                 return None
-            return {name: obj.copy() for name, obj in value.items()}
+            return self._private_copies(value)
         rid = self._rid_for(oid)
         if rid is None:
             cache.store(self.table_name, oid, None, 0)
@@ -180,8 +216,7 @@ class SummaryStorage:
         data = self.heap.read(rid)
         objects = self._decode(data)
         cache.store(
-            self.table_name, oid,
-            {name: obj.copy() for name, obj in objects.items()}, len(data),
+            self.table_name, oid, self._private_copies(objects), len(data)
         )
         return objects
 

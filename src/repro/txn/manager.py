@@ -48,8 +48,7 @@ class Transaction:
     """One open transaction's buffered state."""
 
     __slots__ = (
-        "txn_id", "ops", "insert_counts", "ann_adds", "deleted",
-        "written_tables", "status",
+        "txn_id", "ops", "insert_counts", "ann_adds", "deleted", "status",
     )
 
     def __init__(self, txn_id: int):
@@ -64,8 +63,6 @@ class Transaction:
         #: later statements must not buffer ops against them (the commit
         #: apply would fail on the missing row).
         self.deleted: set[tuple[str, int]] = set()
-        #: tables with buffered writes (statistics staleness at commit).
-        self.written_tables: set[str] = set()
         self.status = "active"  # active | committed | aborted
 
     def add_op(self, rtype: int, payload: dict) -> None:
@@ -164,8 +161,6 @@ class TransactionManager:
                 self._retire(txn, "aborted")
                 db.metrics.inc("txn.commit_failures")
                 raise
-        for table in txn.written_tables:
-            db.statistics.mark_stale(table)
         if getattr(db, "summary_async", "off") == "coherent":
             # Commit is a statement boundary: fold the group's deferred
             # summary work in before the caller can observe the commit.

@@ -266,7 +266,6 @@ class Session:
                 WALRecordType.INSERT,
                 {"table": tbl.name, "oid": oid, "values": values},
             )
-        txn.written_tables.add(tbl.name.lower())
         return None
 
     def _buffer_update(self, stmt: UpdateStmt):
@@ -282,8 +281,6 @@ class Session:
                 WALRecordType.UPDATE,
                 {"table": stmt.table, "oid": oid, "values": assigned},
             )
-        if updates:
-            txn.written_tables.add(key)
         return len(updates)
 
     def _buffer_delete(self, stmt: DeleteStmt):
@@ -297,8 +294,6 @@ class Session:
         for oid in oids:
             txn.add_op(WALRecordType.DELETE, {"table": stmt.table, "oid": oid})
             txn.deleted.add((key, oid))
-        if oids:
-            txn.written_tables.add(key)
         return len(oids)
 
     def _buffer_annotate(self, stmt: AnnotateStmt):
@@ -312,5 +307,4 @@ class Session:
             WALRecordType.ANN_ADD,
             {"text": stmt.text, "targets": targets, "ann_id": ann_id},
         )
-        txn.written_tables.add(stmt.table.lower())
         return ann_id

@@ -90,7 +90,6 @@ def apply_record(db, record: WALRecord) -> None:
         db.catalog.table(p["table"]).delete(p["oid"])
     elif rtype == WALRecordType.UPDATE:
         db.catalog.table(p["table"]).update(p["oid"], p["values"])
-        db.statistics.mark_stale(p["table"])
     elif rtype == WALRecordType.ANN_ADD:
         db.manager.add_annotation(p["text"], p["targets"], ann_id=p["ann_id"])
     elif rtype == WALRecordType.ANN_BULK:

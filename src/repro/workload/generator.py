@@ -151,9 +151,6 @@ def build_database(config: WorkloadConfig | None = None) -> Database:
         max_chars=config.snippet_max_chars,
     )
     db.manager.link("birds", "ClassBird1")
-    db.manager.add_observer(
-        "birds", "ClassBird1", db.statistics.observer_for("birds")
-    )
     db.manager.link("birds", "TextSummary1")
     if config.with_cluster_instance:
         db.create_cluster_instance("SimCluster")

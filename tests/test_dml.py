@@ -101,9 +101,14 @@ class TestUpdate:
         assert changed == 2
 
     def test_update_marks_statistics_stale(self, db):
+        from repro.optimizer.statistics import StatisticsCatalog
+
+        db.statistics.table_stats("t")
         db.sql("Update t Set v = 1000")
-        stats = db.statistics.table_stats("t")  # re-analyzes when stale
-        assert stats.columns["v"].max == 1000
+        stats = db.statistics.table_stats("t")
+        assert (stats.columns["v"].min, stats.columns["v"].max) == (1000, 1000)
+        assert stats.columns["v"].ndistinct == 1
+        assert stats == StatisticsCatalog(db.catalog, db.manager).analyze("t")
 
     def test_update_no_match(self, db):
         assert db.sql("Update t Set v = 1 Where v = 99") == 0

@@ -326,12 +326,15 @@ class TestHollowRowDropped:
             def __init__(self):
                 self.deleted = []
                 self.written = []
+                self.previous = []
 
-            def on_objects_write(self, oid, objects):
+            def on_objects_write(self, oid, objects, previous):
                 self.written.append(oid)
+                self.previous.append(previous)
 
-            def on_objects_delete(self, oid):
+            def on_objects_delete(self, oid, previous):
                 self.deleted.append(oid)
+                self.previous.append(previous)
 
         star = StarObserver()
         m.add_observer("birds", "*", star)
@@ -340,6 +343,12 @@ class TestHollowRowDropped:
         assert star.deleted == [7]
         # The hollow row was dropped, not written back.
         assert star.written == [7]  # only the insert wrote
+        # The insert created the row; the delete retracts what it stored.
+        created, dropped = star.previous
+        assert created is None
+        size, counts = dropped["ClassBird1"]
+        assert size > 0 and counts["Disease"] == 1
+        assert dropped["TextSummary1"][1] is None
 
     def test_partial_delete_keeps_row(self):
         m = make_manager()
@@ -394,17 +403,20 @@ class TestUnlinkDetachesObservers:
 
     def test_drop_detaches_whole_channel(self):
         db, _oid = self._database()
-        assert len(db.manager._observers[("birds", "C")]) == 2  # stats + index
+        # The index; statistics subscribe once per table, on "*".
+        assert len(db.manager._observers[("birds", "C")]) == 1
+        star_before = list(db.manager._observers[("birds", "*")])
         db.sql("Alter Table birds Drop C")
         assert ("birds", "C") not in db.manager._observers
+        assert db.manager._observers[("birds", "*")] == star_before
 
     def test_readd_registers_single_set_of_observers(self):
         db, oid = self._database()
         db.sql("Alter Table birds Drop C")
         db.sql("Alter Table birds Add Indexable C")
-        # Exactly one statistics observer + one index observer — the bug
-        # left the old pair subscribed, doubling every notification.
-        assert len(db.manager._observers[("birds", "C")]) == 2
+        # Exactly one index observer — the bug left the old one
+        # subscribed, doubling every notification.
+        assert len(db.manager._observers[("birds", "C")]) == 1
         index = db.summary_indexes[("birds", "C")]
         db.add_annotation("disease flu infection", table="birds", oid=oid)
         # One notification, one index entry for the tuple.

@@ -132,6 +132,17 @@ class TestCluStream:
         assert len(cs) == 0
         assert cs.member_count == 0
 
+    def test_remove_empties_a_later_cluster(self):
+        # Regression: dropping the emptied cluster compared micro-clusters
+        # with ==, which raises on their CF vectors whenever an earlier
+        # cluster had to be compared first.
+        cs = CluStream()
+        cs.insert(1, "observed severe avian influenza infection symptoms")
+        cs.insert(2, "wingspan measurement skeletal anatomy study specimen")
+        cs.remove(2)
+        assert len(cs) == 1
+        assert cs.cluster_of(1) is not None
+
     def test_remove_unknown_raises(self):
         cs = CluStream()
         with pytest.raises(SummaryError):

@@ -8,7 +8,9 @@ checks after every step that
 * ``db.sql`` returns exactly the oracle's rows (plain and summary-predicate
   queries, through whatever plan the optimizer picks), and
 * ``Database.check_integrity()`` holds — heap accounting, checksums,
-  B-Tree invariants, Summary-BTree backward pointers, the lot.
+  B-Tree invariants, Summary-BTree backward pointers, the lot — and
+* the optimizer statistics, kept current by accumulator deltas, equal a
+  from-scratch ``analyze``.
 
 Example counts honour the conftest Hypothesis profile; the scheduled CI job
 raises them via ``HYPOTHESIS_PROFILE=ci-slow`` and the env knobs below.
@@ -31,6 +33,7 @@ from hypothesis.stateful import (  # noqa: E402
 
 from repro.catalog.schema import Column  # noqa: E402
 from repro.core.database import Database  # noqa: E402
+from repro.optimizer.statistics import StatisticsCatalog  # noqa: E402
 from repro.storage.record import ValueType  # noqa: E402
 
 LABELS = ["alpha", "beta", "gamma"]
@@ -185,6 +188,13 @@ class DMLMachine(RuleBasedStateMachine):
             if objects and "C" in objects:
                 got.update(dict(objects["C"].rep()))
             assert got == expected, f"summary set of oid {oid} is stale"
+
+    @invariant()
+    def statistics_match_fresh_analyze(self):
+        """The incrementally maintained Figure 6 statistics equal a
+        from-scratch fold by a catalog that never saw a delta."""
+        fresh = StatisticsCatalog(self.db.catalog, self.db.manager)
+        assert self.db.statistics.table_stats("t") == fresh.analyze("t")
 
     @invariant()
     def integrity_holds(self):
