@@ -44,8 +44,8 @@ _RATES: dict[int, dict[str, float]] = {}
 _STATES: dict[int, dict[str, dict]] = {}
 
 
-def _build(mode: str, num_rows: int) -> Database:
-    db = Database(buffer_pages=512, summary_async=mode)
+def _build(deferred: bool, num_rows: int) -> Database:
+    db = Database(buffer_pages=512, summary_async=deferred)
     db.create_table("notes", [Column("name", ValueType.TEXT)])
     db.create_classifier_instance("C1", ["Disease", "Other"], SEED_EXAMPLES)
     db.create_classifier_instance("C2", ["Disease", "Other"], SEED_EXAMPLES)
@@ -87,7 +87,7 @@ def test_ingest_throughput(benchmark, mode, density, preset, figure_writer):
     num_rows = max(preset.num_birds // 2, 20)
     stream = _stream(num_rows, density)
 
-    db = _build("off" if mode == "sync" else "deferred", num_rows)
+    db = _build(mode == "deferred", num_rows)
     if mode == "deferred":
         # Measure the pure foreground admission cost; the drain runs (and
         # is timed) below instead of racing the ingest loop for the GIL.

@@ -53,6 +53,15 @@ def _fingerprint(db: Database) -> tuple:
     )
 
 
+def _build(config_kwargs: dict) -> Database:
+    """A workload database as the paper's engine would hold it: no
+    summary-set cache (capacity 0) — the paper has none, and a warm one
+    flattens the very page counts the figures compare."""
+    db = build_database(WorkloadConfig(**config_kwargs))
+    db.manager.cache.resize(0)
+    return db
+
+
 def cached_database(**config_kwargs) -> Database:
     """A fully built workload database, memoized on the config values.
 
@@ -65,7 +74,7 @@ def cached_database(**config_kwargs) -> Database:
     """
     key = tuple(sorted(config_kwargs.items()))
     if key not in _DB_CACHE:
-        db = build_database(WorkloadConfig(**config_kwargs))
+        db = _build(config_kwargs)
         _DB_CACHE[key] = db
         _DB_FINGERPRINTS[key] = _fingerprint(db)
         return db
@@ -83,7 +92,7 @@ def cached_database(**config_kwargs) -> Database:
 
 def fresh_database(**config_kwargs) -> Database:
     """An uncached build for benches that mutate the database."""
-    return build_database(WorkloadConfig(**config_kwargs))
+    return _build(config_kwargs)
 
 
 def clear_cache() -> None:

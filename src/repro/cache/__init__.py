@@ -1,9 +1,9 @@
 """Versioned in-memory cache over the de-normalized summary storage."""
 
 from repro.cache.summary_cache import (
+    DEFAULT_CACHE_BYTES,
     CacheInvalidator,
     SummaryCache,
-    default_cache_bytes,
 )
 
-__all__ = ["CacheInvalidator", "SummaryCache", "default_cache_bytes"]
+__all__ = ["DEFAULT_CACHE_BYTES", "CacheInvalidator", "SummaryCache"]

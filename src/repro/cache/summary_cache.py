@@ -26,8 +26,8 @@ Design, in the order the invariants matter:
   hands out copies on every hit; callers may mutate what they get back
   (``project_to_columns`` and ``merge`` do) without poisoning the cache.
 
-* **Bounds.**  Capacity is configured in bytes (``0`` disables the cache
-  entirely); entries carry a size estimate, eviction is LRU, and an
+* **Bounds.**  Capacity is configured in bytes (``0`` is a legal size that
+  stores nothing); entries carry a size estimate, eviction is LRU, and an
   admission guard rejects any single entry larger than
   ``max_entry_fraction`` of the capacity so one oversized summary set
   cannot wipe the working set.
@@ -44,15 +44,15 @@ wiring.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
 
-#: Environment variable holding the default capacity for new databases.
-CACHE_BYTES_ENV = "REPRO_CACHE_BYTES"
+#: Capacity of the cache every :class:`~repro.summaries.maintenance.
+#: SummaryManager` owns unless its creator passes another size.
+DEFAULT_CACHE_BYTES = 1 << 20
 
 #: Fixed per-entry bookkeeping charge added to every size estimate, so a
 #: flood of tiny (e.g. negative) entries still hits the byte bound.
@@ -60,18 +60,6 @@ ENTRY_OVERHEAD = 64
 
 #: No single entry may exceed this fraction of the capacity.
 MAX_ENTRY_FRACTION = 0.125
-
-
-def default_cache_bytes() -> int:
-    """Capacity for databases that don't pass one explicitly: the
-    ``REPRO_CACHE_BYTES`` environment variable, else 0 (disabled)."""
-    raw = os.environ.get(CACHE_BYTES_ENV, "").strip()
-    if not raw:
-        return 0
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        return 0
 
 
 class SummaryCache:
@@ -124,7 +112,7 @@ class SummaryCache:
 
     def resize(self, capacity_bytes: int) -> None:
         """Change the capacity; shrinking evicts LRU entries to fit and
-        resizing to 0 disables the cache (dropping everything)."""
+        resizing to 0 drops everything and stores nothing from then on."""
         with self._mutex:
             self.capacity_bytes = max(int(capacity_bytes), 0)
             if self.capacity_bytes == 0:

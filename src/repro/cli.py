@@ -152,9 +152,7 @@ def _execute_command(db: Database, command: str) -> str:
                 )
         return "\n".join(lines)
     if name == "cache":
-        cache = getattr(db.manager, "cache", None)
-        if cache is None:
-            return "no summary cache on this database"
+        cache = db.manager.cache
         if args and args[0] == "clear":
             cache.clear()
             return "cache cleared"
@@ -186,7 +184,7 @@ def _execute_command(db: Database, command: str) -> str:
             return f"drained {drained} stale summaries"
         if args:
             return "usage: \\maint [drain]"
-        mode = getattr(db, "summary_async", "off")
+        mode = "deferred" if db.summary_async else "off"
         worker = getattr(db, "_maint_worker", None)
         running = worker is not None and worker.running
         return (

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.annotations.annotation import AnnotationTarget
+from repro.cache import DEFAULT_CACHE_BYTES
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Column, Schema
 from repro.core.integrity import IntegrityChecker, IntegrityReport
@@ -38,6 +39,7 @@ from repro.errors import (
     IntegrityError,
     QueryError,
     ReadOnlyReplicaError,
+    RecordNotFoundError,
     ReproError,
     SummaryError,
 )
@@ -126,56 +128,6 @@ def _env_retry_policy() -> RetryPolicy:
 def _env_timeout() -> float | None:
     raw = os.environ.get("REPRO_STATEMENT_TIMEOUT", "").strip()
     return float(raw) if raw else None
-
-
-def _env_locks() -> bool:
-    """Whether the per-thread default session takes table locks
-    (``REPRO_LOCKS``; off unless truthy) — the whole-suite switch CI uses
-    to run tier-1 with the lock manager on every statement's path.
-    Explicit sessions (:meth:`Database.session`, the server) lock
-    regardless."""
-    raw = os.environ.get("REPRO_LOCKS", "").strip().lower()
-    return raw not in ("", "0", "false", "off", "no")
-
-
-def _env_summary_async() -> str:
-    """Summary-maintenance mode from ``REPRO_SUMMARY_ASYNC``.
-
-    ``"off"`` (default): classic synchronous incremental maintenance
-    inside every annotation write.  Any truthy value enables *deferred
-    writes*: the write path only appends the raw annotation and marks the
-    affected tuples stale.  A generic truthy value (``1``, CI's
-    whole-suite switch) selects ``"coherent"`` — stale tuples are
-    regenerated at every statement boundary, so reads are observably
-    identical to sync mode and the entire test suite doubles as an
-    equivalence proof of the regeneration path.  The explicit value
-    ``deferred`` selects the fully asynchronous mode: a background worker
-    drains staleness and reads serve the last-generated objects with
-    ``summary_status`` surfaced (what ``Database(summary_async=True)``
-    means).
-    """
-    raw = os.environ.get("REPRO_SUMMARY_ASYNC", "").strip().lower()
-    if raw in ("", "0", "false", "off", "no"):
-        return "off"
-    if raw == "deferred":
-        return "deferred"
-    return "coherent"
-
-
-def _normalize_summary_async(value) -> str:
-    """Map the ``summary_async`` constructor argument to a mode string."""
-    if value is None:
-        return _env_summary_async()
-    if value is True:
-        return "deferred"
-    if value is False:
-        return "off"
-    mode = str(value).strip().lower()
-    if mode not in ("off", "coherent", "deferred"):
-        raise ValueError(
-            f"summary_async must be off/coherent/deferred, got {value!r}"
-        )
-    return mode
 
 
 def _logged_ddl(fn):
@@ -274,8 +226,8 @@ class Database:
         buffer_pages: int = 4096,
         options: PlannerOptions | None = None,
         disk: DiskManager | None = None,
-        cache_bytes: int | None = None,
-        summary_async: bool | str | None = None,
+        cache_bytes: int = DEFAULT_CACHE_BYTES,
+        summary_async: bool = False,
     ):
         # Metrics first: the resilience layer and (under REPRO_FAULT_INJECT)
         # the fault-injecting disk both count through the registry.
@@ -294,8 +246,7 @@ class Database:
         )
         self.pool.guard = self.guard
         self.catalog = Catalog(self.pool)
-        #: ``cache_bytes`` sizes the summary-set cache (None reads the
-        #: REPRO_CACHE_BYTES env var; 0 disables it).
+        #: ``cache_bytes`` sizes the summary-set cache (0 stores nothing).
         self.manager = SummaryManager(
             self.pool, metrics=self.metrics, cache_bytes=cache_bytes
         )
@@ -322,12 +273,14 @@ class Database:
         #: seeded from REPRO_STATEMENT_TIMEOUT, overridable per call and
         #: from the REPL's ``\timeout`` command.
         self.statement_timeout = _env_timeout()
-        #: summary-maintenance mode: "off" (sync incremental), "coherent"
-        #: (defer + regenerate at statement boundaries) or "deferred"
-        #: (background worker + summary_status). None reads
-        #: REPRO_SUMMARY_ASYNC; True means "deferred".
-        self.summary_async = _normalize_summary_async(summary_async)
-        self.manager.async_mode = self.summary_async
+        #: summary-maintenance mode: False is sync incremental, True is
+        #: deferred (background worker + summary_status).
+        if not isinstance(summary_async, bool):
+            raise TypeError(
+                f"summary_async must be a bool, got {summary_async!r}"
+            )
+        self.summary_async = summary_async
+        self.manager.deferred = self.summary_async
         #: replicas set this: every mutating statement raises
         #: ReadOnlyReplicaError unless it arrives via the replication
         #: stream's replay path.
@@ -378,7 +331,7 @@ class Database:
     def _maint_wake(self) -> None:
         """Write-path hook: in deferred mode, make sure the worker thread
         exists and nudge it."""
-        if self.summary_async != "deferred":
+        if not self.summary_async:
             return
         worker = self._maint_worker
         if worker is None or not worker.running:
@@ -415,18 +368,16 @@ class Database:
 
     # -- sessions --------------------------------------------------------------------
 
-    def session(self, locking: bool = True) -> Session:
+    def session(self) -> Session:
         """A new session: its own lock owner and transaction scope (the
         unit one server connection, worker thread, or test actor holds)."""
-        return Session(self, locking=locking)
+        return Session(self)
 
     def _default_session(self) -> Session:
-        """The calling thread's implicit session, backing :meth:`sql`.
-        Lock acquisition follows ``REPRO_LOCKS`` so the classic
-        single-caller surface pays nothing unless CI flips it on."""
+        """The calling thread's implicit session, backing :meth:`sql`."""
         session = getattr(self._session_local, "session", None)
         if session is None:
-            session = Session(self, locking=_env_locks(), name="default")
+            session = Session(self, name="default")
             self._session_local.session = session
         return session
 
@@ -569,9 +520,12 @@ class Database:
         state.setdefault("_stmt_counter", 0)
         # … and images before the resilience era lack these.
         state.setdefault("statement_timeout", None)
-        # Pre-async images default the maintenance mode from the loading
-        # process's environment; newer images keep the mode they ran with.
-        state.setdefault("summary_async", _env_summary_async())
+        # Images from before PR 24 carry a mode string ("coherent" drained
+        # at every statement, which is what sync observes) or no mode.
+        mode = state.get("summary_async", "off")
+        legacy = not isinstance(mode, bool)
+        if legacy:
+            state["summary_async"] = mode == "deferred"
         state.setdefault("read_only", False)
         # Pre-concurrency images pickled a _exec_ctx slot; the attribute
         # is a property over thread-local state now. Images from the
@@ -580,7 +534,7 @@ class Database:
         state.pop("batch_exec", None)
         self.__dict__.update(state)
         self._init_concurrency()
-        self.manager.async_mode = self.summary_async
+        self.manager.deferred = self.summary_async
         self.statistics.resubscribe()
         if "health" not in state:
             self.health = AccessPathHealth(metrics=self.metrics)
@@ -591,6 +545,13 @@ class Database:
                 metrics=self.metrics,
             )
             self.pool.guard = self.guard
+        if legacy and not self.manager.cache.enabled:
+            # Those images recorded capacity 0 for every database whose
+            # creator set no size: it said nothing about this one.
+            self.manager.cache.resize(DEFAULT_CACHE_BYTES)
+        if not self.summary_async:
+            # Sync maintenance carries no staleness across a load.
+            self.manager.drain_pending()
 
     # -- planner --------------------------------------------------------------------
 
@@ -811,16 +772,27 @@ class Database:
                 raise SummaryError("add_annotation needs targets or table+oid")
             targets = [AnnotationTarget(table, oid, tuple(columns))]
         with self._wal_statement() as log:
+            for target in targets:
+                self._require_tuple(target.table, target.oid)
             if log:
                 self._wal_append(
                     WALRecordType.ANN_ADD,
                     {"text": text, "targets": list(targets),
                      "ann_id": self.manager.annotations.next_id},
                 )
-            annotation = self.manager.add_annotation(text, targets)
-            if self.summary_async == "coherent":
-                self.manager.drain_pending()
-            return annotation
+            return self.manager.add_annotation(text, targets)
+
+    def _require_tuple(self, table: str, oid: int) -> None:
+        """Raise :class:`~repro.errors.RecordNotFoundError` unless the
+        tuple exists, before an annotation on it is logged or stored.
+        O(1) for an OID never assigned and for a tuple that already
+        carries annotations; one OID-index probe for the first
+        annotation of a tuple."""
+        tbl = self.catalog.table(table)
+        if oid >= tbl.next_oid:
+            raise RecordNotFoundError(f"{tbl.name}: no tuple with OID {oid}")
+        if not self.manager.is_annotated(tbl.name, oid):
+            tbl.disk_tuple_loc(oid)
 
     def add_annotations_bulk(
         self, items: list[tuple[str, list[AnnotationTarget]]]
@@ -839,18 +811,13 @@ class Database:
                     {"items": [(text, list(targets)) for text, targets in items],
                      "first_id": self.manager.annotations.next_id},
                 )
-            annotations = self.manager.add_annotations_bulk(items)
-            if self.summary_async == "coherent":
-                self.manager.drain_pending()
-            return annotations
+            return self.manager.add_annotations_bulk(items)
 
     def delete_annotation(self, ann_id: int) -> None:
         with self._wal_statement() as log:
             if log:
                 self._wal_append(WALRecordType.ANN_DEL, {"ann_id": ann_id})
             self.manager.delete_annotation(ann_id)
-            if self.summary_async == "coherent":
-                self.manager.drain_pending()
 
     def zoom_in(self, table: str, oid: int, instance: str,
                 selector: str | int | None = None) -> list[str]:
@@ -862,7 +829,7 @@ class Database:
         the last-generated objects — graceful degradation, not blocking).
         """
         texts = self.manager.zoom_in(table, oid, instance, selector)
-        if self.summary_async == "deferred":
+        if self.summary_async:
             return ZoomResult(
                 texts, summary_status=self.manager.summary_status(table, oid)
             )
@@ -1057,11 +1024,9 @@ class Database:
         # The header's checkpoint LSN is authoritative (v2 images carry 0).
         db.checkpoint_lsn = checkpoint_lsn
         db._applied_lsn = max(db._applied_lsn, checkpoint_lsn)
-        cache = getattr(db.manager, "cache", None)
-        if cache is not None:
-            # Images deserialize cold by construction; the bump makes the
-            # fresh-epoch guarantee hold even if that ever changes.
-            cache.bump_all("load")
+        # Images deserialize cold by construction; the bump makes the
+        # fresh-epoch guarantee hold even if that ever changes.
+        db.manager.cache.bump_all("load")
         if verify:
             db.check_integrity(raise_on_error=True)
         return db
@@ -1108,14 +1073,13 @@ class Database:
             snap[f"index.keyword.{table}.{instance}.probes"] = getattr(
                 index, "probes", 0
             )
-        cache = getattr(self.manager, "cache", None)
-        if cache is not None:
-            # Event counters (cache.hits/misses/…) already live in the
-            # shared registry; add the occupancy gauges.
-            snap["cache.capacity_bytes"] = cache.capacity_bytes
-            snap["cache.used_bytes"] = cache.used_bytes
-            snap["cache.entries"] = len(cache)
-        if getattr(self, "summary_async", "off") != "off":
+        # Event counters (cache.hits/misses/…) already live in the shared
+        # registry; add the occupancy gauges.
+        cache = self.manager.cache
+        snap["cache.capacity_bytes"] = cache.capacity_bytes
+        snap["cache.used_bytes"] = cache.used_bytes
+        snap["cache.entries"] = len(cache)
+        if self.summary_async:
             # Live staleness gauges (the set_gauge values only move on
             # mark/drain; these report the instantaneous truth).
             snap["maint.backlog"] = self.manager.pending_count()
@@ -1218,17 +1182,14 @@ class Database:
         Statements route through the calling thread's default
         :class:`~repro.txn.session.Session`, which is what makes
         ``BEGIN``/``COMMIT``/``ABORT`` work from here and the REPL, and
-        (under ``REPRO_LOCKS``) takes table locks around every statement.
+        which takes table locks around every statement — calls from
+        several threads serialise like server connections do.
         """
         return self._default_session().execute_stmt(parse_sql(query))
 
     def _dispatch_stmt(self, stmt):
         """Session-free statement dispatch: the engine's raw execution
         surface, called by sessions after lock/transaction handling."""
-        if self.summary_async == "coherent":
-            # The coherence point: every statement starts from fully
-            # maintained summaries, so deferral is unobservable here.
-            self.manager.drain_pending()
         if isinstance(stmt, SelectStmt):
             return self._execute_select(stmt)
         if isinstance(stmt, ExplainStmt):
@@ -1447,7 +1408,7 @@ class Database:
         metrics_before: dict[str, float] | None = None
         if profile:
             profiler = PlanProfiler(
-                self.pool, self.disk, cache=getattr(self.manager, "cache", None)
+                self.pool, self.disk, self.manager.cache
             ).attach(physical)
             metrics_before = self.metrics_snapshot()
         io_before = self.disk.stats.snapshot()
@@ -1475,7 +1436,7 @@ class Database:
                 self.metrics_snapshot(), metrics_before or {}
             )
         summary_status = None
-        if self.summary_async == "deferred" and self.manager.has_pending():
+        if self.summary_async and self.manager.has_pending():
             # Per-row freshness: a row is stale when any tuple it was
             # built from has queued maintenance work (its summary objects
             # answer from the last generation).

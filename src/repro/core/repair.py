@@ -117,11 +117,9 @@ class RepairManager:
         self._repair_storages(report)
         self._rebuild_derived(report)
         self._refresh_statistics(report)
-        cache = getattr(self.db.manager, "cache", None)
-        if cache is not None:
-            # Repair rewrites storage rows directly (and may quarantine the
-            # pages under them): stale every cached summary set.
-            cache.bump_all("repair")
+        # Repair rewrites storage rows directly (and may quarantine the
+        # pages under them): stale every cached summary set.
+        self.db.manager.cache.bump_all("repair")
         report.after = IntegrityChecker(self.db).run()
         health = getattr(self.db, "health", None)
         if health is not None and report.converged:

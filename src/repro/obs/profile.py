@@ -53,11 +53,11 @@ class OperatorStats:
 class PlanProfiler:
     """Charges execution work to the physical operators of one plan."""
 
-    def __init__(self, pool, disk, cache=None) -> None:
+    def __init__(self, pool, disk, cache) -> None:
         self.pool = pool
         self.disk = disk
         #: summary cache whose hit/miss counters are attributed per
-        #: operator (None: the cache columns stay zero).
+        #: operator.
         self.cache = cache
         self.root = None
         self._stats: dict[int, OperatorStats] = {}
@@ -89,8 +89,7 @@ class PlanProfiler:
         while True:
             hits0, misses0 = pool.hits, pool.misses
             reads0, writes0 = io.reads, io.writes
-            chits0 = cache.hits if cache is not None else 0
-            cmisses0 = cache.misses if cache is not None else 0
+            chits0, cmisses0 = cache.hits, cache.misses
             started = time.perf_counter()
             try:
                 batch = next(inner)
@@ -111,8 +110,8 @@ class PlanProfiler:
         misses0: int,
         reads0: int,
         writes0: int,
-        chits0: int = 0,
-        cmisses0: int = 0,
+        chits0: int,
+        cmisses0: int,
     ) -> None:
         stats.wall_s += time.perf_counter() - started
         stats.next_calls += 1
@@ -120,9 +119,8 @@ class PlanProfiler:
         stats.pool_misses += self.pool.misses - misses0
         stats.disk_reads += self.disk.stats.reads - reads0
         stats.disk_writes += self.disk.stats.writes - writes0
-        if self.cache is not None:
-            stats.cache_hits += self.cache.hits - chits0
-            stats.cache_misses += self.cache.misses - cmisses0
+        stats.cache_hits += self.cache.hits - chits0
+        stats.cache_misses += self.cache.misses - cmisses0
 
     # -- reporting ------------------------------------------------------------
 

@@ -61,10 +61,10 @@ def summary_read_discount(cache) -> float:
     """Multiplier in [1 - CAP, 1] applied to summary-storage read I/O for
     access paths whose summary reads go through the cache.
 
-    1.0 (no discount) when the cache is absent, disabled, or has seen too
-    few lookups to trust its hit rate.
+    1.0 (no discount) when the cache has capacity 0 or has seen too few
+    lookups to trust its hit rate.
     """
-    if cache is None or not cache.enabled:
+    if not cache.enabled:
         return 1.0
     total = cache.hits + cache.misses
     if total < SUMMARY_CACHE_MIN_SAMPLE:

@@ -377,9 +377,7 @@ class _LowerState:
         :class:`~repro.cache.SummaryCache` makes repeat probes cheap.
         Applies only to reads that go through the cache (SummaryStorage
         reads via the manager) — direct heap reads keep full price."""
-        return summary_read_discount(
-            getattr(self.planner.manager, "cache", None)
-        )
+        return summary_read_discount(self.planner.manager.cache)
 
     def _retained(self, alias: str) -> set[str] | None:
         return self.info.retained_summary_columns.get(alias)

@@ -376,8 +376,6 @@ class StatisticsCatalog:
         the accumulators are cold or row DML outdated the column scan."""
         table = self.catalog.table(table_name)
         key = table_name.lower()
-        # Before the mutex: in coherent mode this drains, which takes the
-        # regeneration lock and re-enters through the observer.
         storage = self.manager.storage_for(key)
         with self._mutex:
             state = self._tables.get(key)

@@ -22,7 +22,7 @@ class ResultSet:
     stats: dict = field(default_factory=dict)
     #: Per-row summary freshness ("fresh" | "stale"), parallel to
     #: ``tuples``; only populated by deferred-maintenance databases (None
-    #: everywhere else — sync and coherent modes never serve staleness).
+    #: everywhere else — sync maintenance never serves staleness).
     summary_status: list[str] | None = None
 
     def __len__(self) -> int:

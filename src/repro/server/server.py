@@ -308,7 +308,7 @@ class QueryServer:
                 [list(key) for key in path_health.unhealthy()]
                 if path_health is not None else []
             ),
-            "summary_async": getattr(db, "summary_async", "off"),
+            "summary_async": "deferred" if db.summary_async else "off",
             "maint_backlog": db.manager.pending_count(),
             "maint_lag_seconds": db.manager.pending_lag_seconds(),
             # A full_analyze that keeps climbing under annotation traffic
@@ -422,7 +422,7 @@ class QueryServer:
             writer.close()
             return
         self.db.metrics.inc("server.connections")
-        conn = _Conn(self.db.session(locking=True), writer)
+        conn = _Conn(self.db.session(), writer)
         self._connections.add(conn)
         self.db.metrics.set_gauge(
             "server.active_connections", len(self._connections))

@@ -12,8 +12,8 @@ off the write path:
   epoch at enqueue time (the PR-4 epoch counters double as staleness
   markers).  The set pickles into the checkpoint image — minus process
   state like its lock and the monotonic timestamps — and is additionally
-  rebuilt for free by WAL replay: a replayed ``ANN_ADD``/``ANN_DEL`` in an
-  async-mode database re-marks its tuples pending, so a crash can delay
+  rebuilt for free by WAL replay: a replayed ``ANN_ADD``/``ANN_DEL`` in a
+  deferred-mode database re-marks its tuples pending, so a crash can delay
   maintenance work but never lose it.
 
 * :class:`MaintenanceWorker` — the engine-owned daemon thread that drains
@@ -28,7 +28,7 @@ off the write path:
   so shutdown and checkpoints never depend on worker scheduling.
 
 Freshness is surfaced, not hidden: while a tuple is pending, reads in
-``deferred`` mode answer from its last-generated objects and report
+deferred mode answer from its last-generated objects and report
 ``summary_status: "stale"`` (graceful degradation — never blocking);
 ``maint.backlog`` / ``maint.lag_seconds`` gauges and the server health
 frame expose the same signal to operators.
@@ -85,15 +85,11 @@ class PendingSummaryWork:
         with self._lock:
             return self._entries.pop((table.lower(), oid), None) is not None
 
-    def pop_next(
-        self, table: str | None = None
-    ) -> tuple[tuple[str, int], PendingEntry] | None:
-        """Claim the oldest pending tuple (optionally of one table)."""
+    def pop_next(self) -> tuple[tuple[str, int], PendingEntry] | None:
+        """Claim the oldest pending tuple."""
         with self._lock:
-            for key in self._entries:
-                if table is None or key[0] == table:
-                    return key, self._entries.pop(key)
-            return None
+            key = next(iter(self._entries), None)
+            return None if key is None else (key, self._entries.pop(key))
 
     def __len__(self) -> int:
         with self._lock:
@@ -102,12 +98,6 @@ class PendingSummaryWork:
     def __contains__(self, key: tuple[str, int]) -> bool:
         with self._lock:
             return key in self._entries
-
-    def has_table(self, table: str) -> bool:
-        """Any pending work for ``table``? (The coherent-mode read
-        barrier's cheap pre-check.)"""
-        with self._lock:
-            return any(key[0] == table for key in self._entries)
 
     def oldest_age(self, now: float | None = None) -> float:
         """Seconds the oldest entry has been waiting (0.0 when empty)."""
@@ -151,7 +141,7 @@ class PendingSummaryWork:
 
 
 class MaintenanceWorker:
-    """The background maintenance thread of one async-mode Database.
+    """The background maintenance thread of one deferred-mode Database.
 
     Owns no state of its own: every batch goes through
     ``manager.drain_pending(limit=batch_size)``, which takes the engine's

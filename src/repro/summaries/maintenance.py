@@ -18,23 +18,16 @@ per table (the ``"*"`` channel) to storage-row events that carry the row's
 previous :func:`row_footprint` — the paper's "statistics are maintained
 whenever a summary object is updated" (§5.2).
 
-**Maintenance modes.**  ``async_mode`` selects how much of that work rides
+**Maintenance modes.**  ``deferred`` selects how much of that work rides
 the write path (set by the owning :class:`~repro.core.database.Database`
-from ``REPRO_SUMMARY_ASYNC`` / ``Database(summary_async=)``; a bare
-manager always runs synchronously):
+from ``Database(summary_async=)``; a bare manager runs synchronously):
 
-* ``"off"`` — classic incremental maintenance inside the write.
-* ``"coherent"`` — writes only append the raw annotation and mark the
-  tuple stale in :class:`~repro.summaries.background.PendingSummaryWork`;
-  the owning Database drains at every statement boundary and
-  :meth:`storage_for` drains as a read barrier, so the mode is observably
-  identical to ``"off"`` while routing all maintenance through
-  :meth:`regenerate_tuple` (CI runs the whole suite this way as an
-  equivalence proof of the regeneration path).
-* ``"deferred"`` — fully asynchronous: a background
-  :class:`~repro.summaries.background.MaintenanceWorker` regenerates
-  stale tuples in batches; reads serve the last-generated objects and
-  surface ``summary_status: fresh|stale`` instead of blocking.
+* ``False`` — classic incremental maintenance inside the write.
+* ``True`` — writes only append the raw annotation and mark the tuple
+  stale in :class:`~repro.summaries.background.PendingSummaryWork`; a
+  background :class:`~repro.summaries.background.MaintenanceWorker`
+  regenerates stale tuples in batches; reads serve the last-generated
+  objects and surface ``summary_status: fresh|stale`` instead of blocking.
 
 Regeneration recomputes a tuple's summary objects from its raw
 annotations in ``ann_id`` order, which reproduces the incremental
@@ -51,7 +44,7 @@ from typing import Protocol
 
 from repro.annotations.annotation import Annotation, AnnotationTarget
 from repro.annotations.store import AnnotationStore
-from repro.cache import CacheInvalidator, SummaryCache, default_cache_bytes
+from repro.cache import DEFAULT_CACHE_BYTES, CacheInvalidator, SummaryCache
 from repro.errors import SummaryError, UnknownInstanceError
 from repro.summaries.background import PendingSummaryWork
 from repro.mining.clustream import CluStream
@@ -129,13 +122,6 @@ def row_footprint(objects: dict[str, SummaryObject]) -> RowFootprint:
 class SummaryManager:
     """The summary subsystem's single entry point."""
 
-    #: Class-level fallback for managers unpickled from pre-cache images.
-    cache: SummaryCache | None = None
-    #: Class-level fallbacks for managers unpickled from pre-async images.
-    #: ``async_mode`` is only ever set by the owning Database — a bare
-    #: manager (unit tests, tools) always maintains synchronously.
-    async_mode: str = "off"
-    pending: PendingSummaryWork | None = None
     #: (table, oid) -> live annotation ids attached there; None = lazily
     #: rebuilt from the annotation store on first use (old images).
     _targets_index: "dict[tuple[str, int], set[int]] | None" = None
@@ -149,19 +135,13 @@ class SummaryManager:
         self,
         pool: BufferPool,
         metrics: MetricsRegistry | None = None,
-        cache_bytes: int | None = None,
+        cache_bytes: int = DEFAULT_CACHE_BYTES,
     ):
         #: maintenance-event counters (``maint.*``); shared with the owning
         #: Database's registry so EXPLAIN ANALYZE can report deltas.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: shared summary-set cache in front of every SummaryStorage;
-        #: capacity defaults to the REPRO_CACHE_BYTES env var (0 = off).
-        self.cache = SummaryCache(
-            capacity_bytes=(
-                default_cache_bytes() if cache_bytes is None else cache_bytes
-            ),
-            metrics=self.metrics,
-        )
+        #: shared summary-set cache in front of every SummaryStorage.
+        self.cache = SummaryCache(cache_bytes, metrics=self.metrics)
         self._cell_annotated: set[str] = set()
         #: black-box summary-set UDFs (§3.2): name -> callable(SummarySet)
         self.udfs: dict[str, object] = {}
@@ -173,13 +153,15 @@ class SummaryManager:
         self._clusterers: dict[tuple[str, int, str], CluStream] = {}
         #: (table, instance) -> observers
         self._observers: dict[tuple[str, str], list[SummaryObserver]] = defaultdict(list)
-        #: staleness set for the async maintenance modes.
+        #: True defers summary work off the write path; only ever set by
+        #: the owning Database — a bare manager maintains synchronously.
+        self.deferred = False
+        #: staleness set of deferred maintenance.
         self.pending = PendingSummaryWork()
         self._targets_index = {}
         #: serializes regeneration against foreground writers; the owning
         #: Database replaces it with its commit mutex.
         self.regen_lock = threading.RLock()
-        self._regen_local = threading.local()
 
     # -- pickling ------------------------------------------------------------
 
@@ -187,18 +169,28 @@ class SummaryManager:
         # Locks, thread-locals, and the Database-installed callbacks are
         # process state, never image state.
         state = self.__dict__.copy()
-        for key in ("regen_lock", "_regen_local", "tuple_exists",
-                    "maint_wake"):
+        for key in ("regen_lock", "tuple_exists", "maint_wake"):
             state.pop(key, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
+        # Images from before PR 24 carry a mode string; the owning
+        # Database re-installs the mode it loads with.
+        state.pop("async_mode", None)
         self.__dict__.update(state)
+        self.__dict__.setdefault("deferred", False)
         self.__dict__.setdefault("pending", PendingSummaryWork())
         # None → rebuilt lazily from the annotation store on first use.
         self.__dict__.setdefault("_targets_index", None)
+        if "cache" not in state:
+            # Pre-cache image: give it the cache a new manager would own.
+            self.cache = SummaryCache(DEFAULT_CACHE_BYTES, self.metrics)
+            for table, storage in self._storages.items():
+                storage.cache = self.cache
+                self.add_observer(
+                    table, "*", CacheInvalidator(self.cache, table)
+                )
         self.regen_lock = threading.RLock()
-        self._regen_local = threading.local()
         self.tuple_exists = None
         self.maint_wake = None
 
@@ -301,23 +293,9 @@ class SummaryManager:
             self._storages[table] = SummaryStorage(
                 table, self.pool, cache=self.cache
             )
-            if self.cache is not None:
-                # Observer-driven invalidation: the "*" channel sees one
-                # event per storage write/delete for this table.
-                self.add_observer(
-                    table, "*", CacheInvalidator(self.cache, table)
-                )
-        if (
-            self.async_mode == "coherent"
-            and self.pending is not None
-            and not getattr(self._regen_local, "active", False)
-            and self.pending.has_table(table)
-        ):
-            # Coherent-mode read barrier: whoever is about to read this
-            # table's summary rows first converges them.  (Statement
-            # boundaries drain too; this catches direct storage access and
-            # pending work left over by WAL replay or an image load.)
-            self.drain_pending(table=table)
+            # Observer-driven invalidation: the "*" channel sees one
+            # event per storage write/delete for this table.
+            self.add_observer(table, "*", CacheInvalidator(self.cache, table))
         return self._storages[table]
 
     # -- observers ----------------------------------------------------------------
@@ -383,7 +361,7 @@ class SummaryManager:
         """Store a raw annotation and incrementally update every summary
         object it affects.  ``ann_id`` forces the assigned id (WAL replay).
 
-        In an async mode the summary work is deferred: the annotation is
+        In deferred mode the summary work is postponed: the annotation is
         appended, attachments are recorded, and each affected tuple is
         marked stale for :meth:`regenerate_tuple` to converge later."""
         self._record_targets(targets)
@@ -391,7 +369,7 @@ class SummaryManager:
         annotation = self.annotations.create(text, targets, ann_id=ann_id)
         affected = self._affected_tuples(annotation)
         self._attach_targets(annotation.ann_id, affected)
-        if self.async_mode != "off":
+        if self.deferred:
             for table, oid in affected:
                 self._mark_stale(table, oid)
             return annotation
@@ -427,7 +405,7 @@ class SummaryManager:
             self._attach_targets(annotation.ann_id, keys)
             for key in keys:
                 grouped.setdefault(key, []).append(annotation)
-        if self.async_mode != "off":
+        if self.deferred:
             for table, oid in grouped:
                 self._mark_stale(table, oid)
             return annotations
@@ -503,7 +481,7 @@ class SummaryManager:
         annotation = self.annotations.delete(ann_id)
         affected = self._affected_tuples(annotation)
         self._detach_targets(ann_id, affected)
-        if self.async_mode != "off":
+        if self.deferred:
             for table, oid in affected:
                 self._mark_stale(table, oid)
             return
@@ -518,8 +496,7 @@ class SummaryManager:
         # background worker.
         if self._targets_index is not None:
             self._targets_index.pop((table, oid), None)
-        if self.pending is not None:
-            self.pending.discard(table, oid)
+        self.pending.discard(table, oid)
         storage = self.storage_for(table)
         objects = storage.get(oid)
         if objects is None:
@@ -560,7 +537,7 @@ class SummaryManager:
         """
         table = table.lower()
         cache = self.cache
-        if cache is not None and cache.enabled:
+        if cache.enabled:
             hit, texts = cache.lookup(table, oid, kind="texts")
             if hit:
                 return list(texts)
@@ -572,7 +549,7 @@ class SummaryManager:
             for obj in objects.values():
                 ann_ids |= obj.all_annotation_ids()
             texts = self.annotations.texts(sorted(ann_ids))
-        if cache is not None and cache.enabled:
+        if cache.enabled:
             cache.store(
                 table, oid, tuple(texts),
                 sum(len(t) for t in texts), kind="texts",
@@ -646,6 +623,11 @@ class SummaryManager:
             self._targets_index = index
         return self._targets_index
 
+    def is_annotated(self, table: str, oid: int) -> bool:
+        """True when live annotations attach to the tuple — which also
+        proves the tuple exists: deleting it severs its attachments."""
+        return (table.lower(), oid) in self._ensure_targets_index()
+
     def _attach_targets(self, ann_id: int,
                         keys: list[tuple[str, int]]) -> None:
         index = self._ensure_targets_index()
@@ -663,30 +645,22 @@ class SummaryManager:
             if not members:
                 index.pop(key, None)
 
-    def _ensure_pending(self) -> PendingSummaryWork:
-        if self.pending is None:
-            self.pending = PendingSummaryWork()
-        return self.pending
-
     def _mark_stale(self, table: str, oid: int) -> None:
         """Async write path: record staleness instead of doing the work.
 
         Bumps the tuple's freshness marker (a precise cache invalidation —
         the PR-4 epoch machinery guarantees nothing stale outlives the
         regeneration that follows), publishes the backlog gauge, and
-        nudges the background worker.  Deliberately avoids
-        :meth:`storage_for`: the write path must never trip the coherent
-        read barrier it is creating work for."""
+        nudges the background worker."""
         if not self._links.get(table):
             return  # no linked instances: nothing will ever regenerate
-        pending = self._ensure_pending()
+        pending = self.pending
         storage = self._storages.get(table)
         generation = storage.generation(oid) if storage is not None else 0
-        epoch = self.cache.epoch(table) if self.cache is not None else 0
+        epoch = self.cache.epoch(table)
         if pending.mark(table, oid, generation=generation, epoch=epoch):
             self.metrics.inc("maint.deferred")
-        if self.cache is not None:
-            self.cache.invalidate(table, oid)
+        self.cache.invalidate(table, oid)
         self.metrics.set_gauge("maint.backlog", len(pending))
         wake = self.maint_wake
         if wake is not None:
@@ -695,55 +669,44 @@ class SummaryManager:
     def summary_status(self, table: str, oid: int) -> str:
         """``"stale"`` while the tuple has queued maintenance work, else
         ``"fresh"`` — what deferred-mode query results surface per row."""
-        pending = self.pending
-        if pending is not None and (table.lower(), oid) in pending:
-            return "stale"
-        return "fresh"
+        return "stale" if (table.lower(), oid) in self.pending else "fresh"
 
     def has_pending(self) -> bool:
-        return self.pending is not None and len(self.pending) > 0
+        return len(self.pending) > 0
 
     def pending_count(self) -> int:
-        return len(self.pending) if self.pending is not None else 0
+        return len(self.pending)
 
     def pending_lag_seconds(self) -> float:
-        return self.pending.oldest_age() if self.pending is not None else 0.0
+        return self.pending.oldest_age()
 
-    def drain_pending(self, table: str | None = None,
-                      limit: int | None = None) -> int:
-        """Regenerate stale tuples (optionally one table's, up to
-        ``limit``); returns how many were regenerated.
+    def drain_pending(self, limit: int | None = None) -> int:
+        """Regenerate stale tuples (up to ``limit``); returns how many
+        were regenerated.
 
         Serialized against foreground writers by ``regen_lock`` (the
         engine's commit mutex when a Database owns this manager) and safe
         to call from anywhere — checkpoints, server drain, the background
-        worker, the coherent read barrier — because it is idempotent over
-        an empty set.  A tuple whose regeneration raises is re-marked
-        before the error propagates, so no staleness is ever lost."""
+        worker — because it is idempotent over an empty set.  A tuple
+        whose regeneration raises is re-marked before the error
+        propagates, so no staleness is ever lost."""
         pending = self.pending
-        if pending is None or not len(pending):
+        if not len(pending):
             return 0
         drained = 0
         with self.regen_lock:
-            if getattr(self._regen_local, "active", False):
-                return 0  # re-entered from inside a regeneration
-            self._regen_local.active = True
-            try:
-                while limit is None or drained < limit:
-                    item = pending.pop_next(table)
-                    if item is None:
-                        break
-                    (item_table, oid), entry = item
-                    try:
-                        self.regenerate_tuple(item_table, oid)
-                    except BaseException:
-                        pending.mark(item_table, oid,
-                                     generation=entry.generation,
-                                     epoch=entry.epoch)
-                        raise
-                    drained += 1
-            finally:
-                self._regen_local.active = False
+            while limit is None or drained < limit:
+                item = pending.pop_next()
+                if item is None:
+                    break
+                (table, oid), entry = item
+                try:
+                    self.regenerate_tuple(table, oid)
+                except BaseException:
+                    pending.mark(table, oid, generation=entry.generation,
+                                 epoch=entry.epoch)
+                    raise
+                drained += 1
         if drained:
             self.metrics.inc("maint.regen", drained)
         self.metrics.set_gauge("maint.backlog", len(pending))

@@ -16,6 +16,7 @@ import struct
 from typing import Iterator
 
 from repro.btree import BTree
+from repro.cache import SummaryCache
 from repro.catalog.keys import decode_int, encode_int
 from repro.errors import RecordNotFoundError, ReproError
 from repro.storage.buffer import BufferPool
@@ -94,10 +95,6 @@ def _raw_label_count(data: bytes, instance: str, label: str) -> tuple:
 class SummaryStorage:
     """One table's ``R_SummaryStorage``: OID -> {instance -> SummaryObject}."""
 
-    #: Class-level fallback so instances unpickled from pre-cache images
-    #: simply run uncached; the owning SummaryManager attaches its shared
-    #: :class:`~repro.cache.SummaryCache` on construction.
-    cache = None
     #: Class-level fallback for pre-async images: per-row freshness
     #: generations, bumped on every put/delete.  Background maintenance
     #: records a row's generation when it goes stale, so tests (and any
@@ -105,13 +102,16 @@ class SummaryStorage:
     #: from "untouched".
     generations: dict[int, int] | None = None
 
-    def __init__(self, table_name: str, pool: BufferPool, cache=None):
+    def __init__(self, table_name: str, pool: BufferPool,
+                 cache: SummaryCache | None = None):
         self.table_name = table_name
         self.pool = pool
         self.heap = HeapFile(pool)
         #: OID -> heap RID of the tuple's summary row.
         self.oid_index = BTree(pool, unique=True)
-        self.cache = cache
+        #: the owning SummaryManager's shared cache; a storage built on
+        #: its own gets a private one of capacity 0 (stores nothing).
+        self.cache = cache if cache is not None else SummaryCache()
         self.generations = {}
 
     def bump_generation(self, oid: int) -> int:
@@ -199,7 +199,7 @@ class SummaryStorage:
         hit or miss — is the caller's to mutate freely.
         """
         cache = self.cache
-        if cache is None or not cache.enabled:
+        if not cache.enabled:
             rid = self._rid_for(oid)
             if rid is None:
                 return None
@@ -230,11 +230,11 @@ class SummaryStorage:
         summary chain nullifies). ``"fallback"`` means the caller must
         materialize and evaluate the row conventionally (non-classifier
         object, hierarchical rollup label, unusual serialization). Answers
-        come from the cache when one is attached and hot, otherwise from a
+        come from the cache when it is hot, otherwise from a
         raw scan of the serialized row — no SummaryObject construction.
         """
         cache = self.cache
-        if cache is not None and cache.enabled:
+        if cache.enabled:
             hit, value = cache.lookup(self.table_name, oid)
             if hit:
                 return _cached_label_count(value, instance, label)
@@ -261,7 +261,7 @@ class SummaryStorage:
         answers: dict[int, tuple] = {}
         misses = oids
         cache = self.cache
-        if cache is not None and cache.enabled:
+        if cache.enabled:
             misses = []
             for oid in oids:
                 hit, value = cache.lookup(self.table_name, oid)
@@ -298,8 +298,7 @@ class SummaryStorage:
         """
         # Belt-and-braces with the observer-driven invalidation: repair
         # writes storage rows directly, bypassing the SummaryManager.
-        if self.cache is not None:
-            self.cache.invalidate(self.table_name, oid)
+        self.cache.invalidate(self.table_name, oid)
         self.bump_generation(oid)
         record = self._encode(objects)
         rid = self._rid_for(oid)
@@ -321,8 +320,7 @@ class SummaryStorage:
 
     def delete(self, oid: int) -> None:
         """Drop the summary row of ``oid`` (tuple deletion, §4.1.2)."""
-        if self.cache is not None:
-            self.cache.invalidate(self.table_name, oid)
+        self.cache.invalidate(self.table_name, oid)
         self.bump_generation(oid)
         rid = self._rid_for(oid)
         if rid is None:
@@ -343,9 +341,8 @@ class SummaryStorage:
         empty, or duplicate an already-seen OID (first row wins) are
         salvage-deleted. Returns counters: ``kept``, ``salvaged``.
         """
-        if self.cache is not None:
-            # Any OID may remap or vanish: stale everything for this table.
-            self.cache.bump_epoch(self.table_name, "rebuild_oid_index")
+        # Any OID may remap or vanish: stale everything for this table.
+        self.cache.bump_epoch(self.table_name, "rebuild_oid_index")
         live: dict[int, RID] = {}
         drop: list[RID] = []
         for page_no in range(len(self.heap.page_ids)):

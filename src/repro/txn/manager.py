@@ -161,10 +161,6 @@ class TransactionManager:
                 self._retire(txn, "aborted")
                 db.metrics.inc("txn.commit_failures")
                 raise
-        if getattr(db, "summary_async", "off") == "coherent":
-            # Commit is a statement boundary: fold the group's deferred
-            # summary work in before the caller can observe the commit.
-            db.manager.drain_pending()
         self._retire(txn, "committed")
         db.metrics.inc("txn.commits")
         db.metrics.inc("txn.ops_committed", len(txn.ops))

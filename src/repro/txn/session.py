@@ -5,9 +5,7 @@ its table locks (the session object itself is the lock owner) and at most
 one open transaction — and dispatches parsed statements against the
 shared :class:`~repro.core.database.Database`.  Every path into the
 engine funnels through one: ``Database.sql`` routes through a per-thread
-default session (locking only when ``REPRO_LOCKS`` is set, so the
-single-caller surface stays zero-overhead), and each server connection
-gets its own locking session.
+default session, and each server connection gets its own.
 
 Concurrency protocol (strict two-phase locking at table granularity):
 
@@ -38,6 +36,7 @@ from repro.annotations.annotation import AnnotationTarget
 from repro.errors import (
     LockTimeoutError,
     ReadOnlyReplicaError,
+    RecordNotFoundError,
     TransactionError,
 )
 from repro.query.ast import (
@@ -65,11 +64,8 @@ _session_ids = count(1)
 class Session:
     """One caller's handle on the database: locks + transaction state."""
 
-    def __init__(self, db, locking: bool = True, name: str | None = None):
+    def __init__(self, db, name: str | None = None):
         self.db = db
-        #: when False, lock acquisition is skipped entirely — the
-        #: single-caller fast path (and the pre-concurrency behaviour).
-        self.locking = locking
         self.name = name or f"session-{next(_session_ids)}"
         self.txn = None
         #: ExecutionContext of the statement currently inside
@@ -131,7 +127,7 @@ class Session:
                 self.db.txn_manager.abort(txn)
             raise
         finally:
-            if self.txn is None and self.locking:
+            if self.txn is None:
                 self.db.lock_manager.release_all(self)
 
     def close(self) -> None:
@@ -142,14 +138,11 @@ class Session:
         if self.txn is not None:
             txn, self.txn = self.txn, None
             self.db.txn_manager.abort(txn)
-        if self.locking:
-            self.db.lock_manager.release_all(self)
+        self.db.lock_manager.release_all(self)
 
     # -- locking -------------------------------------------------------------
 
     def _lock(self, resources, exclusive: bool) -> None:
-        if not self.locking:
-            return
         lm = self.db.lock_manager
         ctx = self.db._exec_ctx
         acquire = lm.acquire_exclusive if exclusive else lm.acquire_shared
@@ -298,6 +291,16 @@ class Session:
 
     def _buffer_annotate(self, stmt: AnnotateStmt):
         db, txn = self.db, self.txn
+        tbl = db.catalog.table(stmt.table)
+        key = (tbl.name.lower(), stmt.oid)
+        if key in txn.deleted:
+            raise RecordNotFoundError(
+                f"{tbl.name}: OID {stmt.oid} was deleted in this transaction"
+            )
+        reserved = tbl.next_oid + txn.insert_counts.get(key[0], 0)
+        if not tbl.next_oid <= stmt.oid < reserved:
+            # Not a row this transaction inserted: it must be committed.
+            db._require_tuple(stmt.table, stmt.oid)
         targets = [AnnotationTarget(stmt.table, stmt.oid, tuple(stmt.columns))]
         # Pre-assign the annotation id: sound under the held exclusive
         # annotation-resource lock (same argument as OID reservation).

@@ -163,16 +163,9 @@ def replay(db, device) -> RecoveryReport:
     if scan.torn_bytes:
         device.discard_after(scan.end_lsn)
     db._applied_lsn = max(db._applied_lsn, scan.end_lsn)
-    cache = getattr(db.manager, "cache", None)
-    if cache is not None:
-        # Replay mutated state through every layer; nothing cached before
-        # (or during) recovery may be served after it.
-        cache.bump_all("recover")
-    if getattr(db, "summary_async", "off") == "coherent":
-        # Replayed annotation writes re-marked their tuples pending (the
-        # pending set's crash-rebuild path); coherent mode regenerates at
-        # statement boundaries, and recovery is one.
-        db.manager.drain_pending()
+    # Replay mutated state through every layer; nothing cached before
+    # (or during) recovery may be served after it.
+    db.manager.cache.bump_all("recover")
     db.metrics.inc("recovery.runs")
     db.metrics.inc("recovery.records_replayed", report.replayed)
     db.metrics.inc("recovery.records_skipped", report.skipped)

@@ -40,8 +40,8 @@ TEXTS = [
 ]
 
 
-def build_db(mode) -> Database:
-    db = Database(buffer_pages=256, summary_async=mode)
+def build_db(deferred: bool) -> Database:
+    db = Database(buffer_pages=256, summary_async=deferred)
     db.create_table("t", [Column("name", ValueType.TEXT)])
     db.create_classifier_instance("C", ["alpha", "beta"], SEED)
     db.create_snippet_instance("S", min_chars=60, max_chars=40)
@@ -90,9 +90,9 @@ class TestConvergence:
     @settings(max_examples=25, deadline=None)
     @given(program=st.lists(_STEP, min_size=1, max_size=14))
     def test_deferred_converges_to_sync(self, program):
-        sync_db = build_db("off")
+        sync_db = build_db(False)
         run_program(sync_db, program)
-        deferred_db = build_db("deferred")
+        deferred_db = build_db(True)
         try:
             run_program(deferred_db, program)
             deferred_db.drain_summaries()
@@ -111,8 +111,8 @@ class TestConvergence:
         """Clusters included (add-only: incremental removal is
         path-dependent, so regeneration defines the canonical grouping
         for deletes — adds must still match sync exactly)."""
-        def build(mode):
-            db = Database(buffer_pages=256, summary_async=mode)
+        def build(deferred):
+            db = Database(buffer_pages=256, summary_async=deferred)
             db.create_table("t", [Column("name", ValueType.TEXT)])
             db.create_classifier_instance("C", ["alpha", "beta"], SEED)
             db.create_cluster_instance("G")
@@ -122,9 +122,9 @@ class TestConvergence:
                 db.insert("t", {"name": f"r{i}"})
             return db
 
-        sync_db = build("off")
+        sync_db = build(False)
         run_program(sync_db, program)
-        deferred_db = build("deferred")
+        deferred_db = build(True)
         try:
             run_program(deferred_db, program)
             deferred_db.drain_summaries()
@@ -132,20 +132,9 @@ class TestConvergence:
         finally:
             deferred_db.stop_maintenance()
 
-    def test_coherent_mode_is_observably_sync(self):
-        sync_db = build_db("off")
-        coherent_db = build_db("coherent")
-        for db in (sync_db, coherent_db):
-            db.add_annotation(TEXTS[0], table="t", oid=1)
-            db.add_annotation(TEXTS[2], table="t", oid=1)
-            db.add_annotation(TEXTS[4], table="t", oid=2)
-        assert canonical_state(coherent_db) == canonical_state(sync_db)
-        # Coherent mode drains inside the statement: nothing pending after.
-        assert not coherent_db.manager.has_pending()
-
     def test_drain_order_does_not_matter(self):
-        one = build_db("deferred")
-        batched = build_db("deferred")
+        one = build_db(True)
+        batched = build_db(True)
         try:
             for db in (one, batched):
                 db.manager.maint_wake = None  # keep the worker out of it
@@ -163,7 +152,7 @@ class TestConvergence:
 
 class TestStalenessSurfacing:
     def test_results_carry_summary_status(self):
-        db = build_db("deferred")
+        db = build_db(True)
         try:
             db.manager.maint_wake = None  # deterministic staleness
             db.add_annotation(TEXTS[0], table="t", oid=1)
@@ -179,12 +168,12 @@ class TestStalenessSurfacing:
             db.stop_maintenance()
 
     def test_sync_mode_never_reports_status(self):
-        db = build_db("off")
+        db = build_db(False)
         db.add_annotation(TEXTS[0], table="t", oid=1)
         assert db.sql("Select name From t").summary_status is None
 
     def test_stale_rows_answer_from_last_generation(self):
-        db = build_db("deferred")
+        db = build_db(True)
         try:
             db.manager.maint_wake = None
             db.add_annotation(TEXTS[0], table="t", oid=1)
@@ -199,7 +188,7 @@ class TestStalenessSurfacing:
             db.stop_maintenance()
 
     def test_zoom_in_reports_freshness(self):
-        db = build_db("deferred")
+        db = build_db(True)
         try:
             db.manager.maint_wake = None
             db.add_annotation(TEXTS[0], table="t", oid=1)
@@ -217,7 +206,7 @@ class TestStalenessSurfacing:
             db.stop_maintenance()
 
     def test_backlog_gauges(self):
-        db = build_db("deferred")
+        db = build_db(True)
         try:
             db.manager.maint_wake = None
             db.add_annotation(TEXTS[0], table="t", oid=1)
@@ -237,7 +226,7 @@ class TestWorker:
     def test_worker_drains_in_background(self):
         import time
 
-        db = build_db("deferred")
+        db = build_db(True)
         try:
             db.add_annotation(TEXTS[0], table="t", oid=1)
             deadline = time.monotonic() + 5.0
@@ -251,14 +240,14 @@ class TestWorker:
             db.stop_maintenance()
 
     def test_stop_maintenance_drains_inline(self):
-        db = build_db("deferred")
+        db = build_db(True)
         db.manager.maint_wake = None
         db.add_annotation(TEXTS[0], table="t", oid=1)
         db.stop_maintenance()
         assert not db.manager.has_pending()
 
     def test_save_drains_first(self, tmp_path):
-        db = build_db("deferred")
+        db = build_db(True)
         try:
             db.manager.maint_wake = None
             db.add_annotation(TEXTS[0], table="t", oid=1)
@@ -277,49 +266,38 @@ class TestCrashRecovery:
         deferred-mode engine re-marks every affected tuple pending, and a
         drain converges to the sync oracle — no tuple is permanently
         stale."""
-        db = build_db("deferred")
+        db = build_db(True)
         device = db.attach_wal().device
         db.manager.maint_wake = None
         db.add_annotation(TEXTS[0], table="t", oid=1)
         db.add_annotation(TEXTS[2], table="t", oid=2)
         assert db.manager.pending_count() == 2  # crash strikes here
 
-        recovered = build_db("deferred")
+        recovered = build_db(True)
         recovered.manager.maint_wake = None
         replay(recovered, device)
         # Maintenance work survived the crash as replayed staleness...
         assert recovered.manager.pending_count() == 2
         recovered.drain_summaries()
         # ...and converges to exactly the sync-mode oracle.
-        oracle = build_db("off")
+        oracle = build_db(False)
         oracle.add_annotation(TEXTS[0], table="t", oid=1)
         oracle.add_annotation(TEXTS[2], table="t", oid=2)
         assert canonical_state(recovered) == canonical_state(oracle)
         assert not recovered.manager.has_pending()
 
-    def test_coherent_recovery_drains_at_replay_end(self):
-        db = build_db("coherent")
-        device = db.attach_wal().device
-        db.add_annotation(TEXTS[0], table="t", oid=1)
-
-        recovered = build_db("coherent")
-        replay(recovered, device)
-        assert not recovered.manager.has_pending()
-        sset = recovered.manager.summary_set_for("t", 1)
-        assert sset.get_summary_object("C").get_label_value("alpha") == 1
-
     def test_bulk_load_is_durable(self):
         """Satellite regression: bulk annotation loads emit a WAL record.
         Pre-fix, `manager.add_annotations_bulk` bypassed the log and a
         crash silently lost the whole batch."""
-        db = build_db("off")
+        db = build_db(False)
         device = db.attach_wal().device
         annotations = db.add_annotations_bulk([
             (TEXTS[0], [AnnotationTarget("t", 1)]),
             (TEXTS[2], [AnnotationTarget("t", 2)]),
         ])
 
-        recovered = build_db("off")
+        recovered = build_db(False)
         replay(recovered, device)
         for ann in annotations:
             got = recovered.manager.annotations.get(ann.ann_id)
@@ -328,7 +306,7 @@ class TestCrashRecovery:
         assert sset.get_summary_object("C").get_label_value("alpha") == 1
 
     def test_bulk_ids_sequential_across_replay(self):
-        db = build_db("off")
+        db = build_db(False)
         device = db.attach_wal().device
         db.add_annotation(TEXTS[0], table="t", oid=1)
         batch = db.add_annotations_bulk([
@@ -339,7 +317,7 @@ class TestCrashRecovery:
         assert [a.ann_id for a in batch] == [2, 3]
         assert after.ann_id == 4
 
-        recovered = build_db("off")
+        recovered = build_db(False)
         replay(recovered, device)
         assert recovered.manager.annotations.next_id == 5
 
@@ -364,13 +342,13 @@ class TestPendingSetSerialization:
         assert not pending.mark("t", 1)  # already pending: no-op
         assert pending.snapshot()[("t", 1)].enqueued_at == first
 
-    def test_fifo_pop_and_table_filter(self):
+    def test_fifo_pop(self):
         pending = PendingSummaryWork()
         pending.mark("a", 1)
         pending.mark("b", 2)
         pending.mark("a", 3)
-        assert pending.pop_next("b")[0] == ("b", 2)
         assert pending.pop_next()[0] == ("a", 1)
+        assert pending.pop_next()[0] == ("b", 2)
         assert pending.pop_next()[0] == ("a", 3)
         assert pending.pop_next() is None
 
@@ -378,7 +356,7 @@ class TestPendingSetSerialization:
         """save() drains, so images never carry staleness — but a
         pending set pickled mid-flight (e.g. inside a worker image)
         still round-trips."""
-        db = build_db("deferred")
+        db = build_db(True)
         try:
             db.manager.maint_wake = None
             db.add_annotation(TEXTS[0], table="t", oid=1)
@@ -397,7 +375,7 @@ class TestPendingSetSerialization:
 
 class TestTupleDeleteInteraction:
     def test_deleted_tuple_never_regenerated(self):
-        db = build_db("deferred")
+        db = build_db(True)
         try:
             db.manager.maint_wake = None
             db.add_annotation(TEXTS[0], table="t", oid=1)
@@ -412,7 +390,7 @@ class TestTupleDeleteInteraction:
         """Deferred writes then deletes leaving zero annotations: the
         drain must drop the row (satellite-3 semantics through the regen
         path)."""
-        db = build_db("deferred")
+        db = build_db(True)
         try:
             db.manager.maint_wake = None
             ann = db.add_annotation(TEXTS[0], table="t", oid=1)

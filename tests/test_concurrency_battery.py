@@ -499,7 +499,7 @@ def txn_script() -> list[list[str]]:
 
 
 def run_units(db: Database) -> None:
-    session = db.session(locking=False)
+    session = db.session()
     for unit in txn_script():
         if len(unit) == 1:
             session.execute(unit[0])
@@ -518,7 +518,7 @@ def crash_units(plan) -> tuple:
     acked = 0
     try:
         db = fresh_db(device)  # the logged DDL can crash too
-        session = db.session(locking=False)
+        session = db.session()
         for unit in txn_script():
             if len(unit) == 1:
                 session.execute(unit[0])
@@ -538,7 +538,7 @@ class TestTxnCrashMatrix:
     def setup_class(cls):
         # Oracle: logical state after each acked unit.
         db = fresh_db()
-        session = db.session(locking=False)
+        session = db.session()
         cls.oracle = [tuple(sorted(table_rows(db).items()))]
         for unit in txn_script():
             if len(unit) == 1:

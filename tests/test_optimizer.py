@@ -319,7 +319,7 @@ class TestIncrementalStatistics:
         import sys
         import threading
 
-        db = small_db(summary_async="deferred")
+        db = small_db(summary_async=True)
         db.statistics.table_stats("t")
         stop = threading.Event()
         errors = []
@@ -457,7 +457,7 @@ class _OracleRun:
         self.mode = mode
         self.path = tmp_path / "oracle.img"
         self.image = None  # path once a checkpoint exists
-        db = Database(buffer_pages=64, summary_async=mode)
+        db = Database(buffer_pages=64, summary_async=mode == "deferred")
         db.attach_wal()
         db.create_table("t", [Column("id", ValueType.INT),
                               Column("name", ValueType.TEXT)])
@@ -556,7 +556,7 @@ class _OracleRun:
         assert_exact(self.db)
 
 
-@pytest.mark.parametrize("mode", ["off", "coherent", "deferred"])
+@pytest.mark.parametrize("mode", ["off", "deferred"])
 def test_statistics_equal_fresh_analyze_after_every_op(mode, tmp_path_factory):
     hypothesis = pytest.importorskip("hypothesis")
 

@@ -54,9 +54,12 @@ TEXTS = [
 
 
 class DMLMachine(RuleBasedStateMachine):
+    #: extra ``Database`` arguments of a subclass's engine variant.
+    db_options: dict = {}
+
     def __init__(self):
         super().__init__()
-        self.db = Database(buffer_pages=32)
+        self.db = Database(buffer_pages=32, **self.db_options)
         self.db.create_table(
             "t", [Column("name", ValueType.TEXT), Column("v", ValueType.INT)]
         )
@@ -178,8 +181,8 @@ class DMLMachine(RuleBasedStateMachine):
 
     @invariant()
     def storage_reads_match_oracle(self):
-        """Summary sets read through the live path (and through the cache,
-        when one is enabled) agree with the oracle's label counts."""
+        """Summary sets read through the live path (and through the
+        cache) agree with the oracle's label counts."""
         storage = self.db.manager.storage_for("t")
         for oid in self.summarized:
             expected = self._label_counts(oid)
@@ -211,8 +214,8 @@ class DMLMachine(RuleBasedStateMachine):
 
 
 class CachedDMLMachine(DMLMachine):
-    """The same workload and oracle with a deliberately tiny summary cache
-    enabled, plus clear/resize churn rules: every invariant read now runs
+    """The same workload and oracle with a deliberately tiny summary
+    cache, plus clear/resize churn rules: every invariant read now runs
     through lookup / observer-invalidate / LRU-evict paths, so a single
     stale entry surfaces as an oracle divergence."""
 
@@ -226,14 +229,31 @@ class CachedDMLMachine(DMLMachine):
 
     @rule(capacity=st.sampled_from([0, 2048, 8192, 1 << 16]))
     def resize_cache(self, capacity):
-        # capacity 0 legitimately disables the cache for a while; a later
-        # resize re-enables it cold.
+        # capacity 0 stores nothing for a while; a later resize starts
+        # filling it again, cold.
         self.db.manager.cache.resize(capacity)
 
     @invariant()
     def cache_stays_bounded(self):
         cache = self.db.manager.cache
         assert cache.used_bytes <= max(cache.capacity_bytes, 0)
+
+
+class DeferredDMLMachine(DMLMachine):
+    """The same workload and oracle over deferred maintenance: every
+    annotation write only marks its tuple stale, and each step converges
+    through ``regenerate_tuple`` (Summary-BTree attached) before the
+    invariants compare against the oracle."""
+
+    db_options = {"summary_async": True}
+
+    def check_invariants(self, *args, **kwargs):
+        self.db.drain_summaries()
+        super().check_invariants(*args, **kwargs)
+
+    def teardown(self):
+        self.db.stop_maintenance()
+        super().teardown()
 
 
 _SETTINGS = settings(
@@ -246,3 +266,5 @@ TestDMLMachine = DMLMachine.TestCase
 TestDMLMachine.settings = _SETTINGS
 TestCachedDMLMachine = CachedDMLMachine.TestCase
 TestCachedDMLMachine.settings = _SETTINGS
+TestDeferredDMLMachine = DeferredDMLMachine.TestCase
+TestDeferredDMLMachine.settings = _SETTINGS

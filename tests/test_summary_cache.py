@@ -19,7 +19,7 @@ import pickle
 
 import pytest
 
-from repro.cache import SummaryCache
+from repro.cache import DEFAULT_CACHE_BYTES, CacheInvalidator, SummaryCache
 from repro.catalog.schema import Column
 from repro.cli import execute_line
 from repro.core.database import Database
@@ -330,9 +330,7 @@ class TestEpochBumps:
         assert db.manager.cache.epoch("t") > epoch0
         assert db.metrics.get("cache.epoch_bumps.repair") >= 1
 
-    def test_recover_bumps_epochs(self, monkeypatch):
-        # Recovery builds its database from the env default.
-        monkeypatch.setenv("REPRO_CACHE_BYTES", str(1 << 20))
+    def test_recover_bumps_epochs(self):
         db = Database(buffer_pages=64)
         db.attach_wal()
         db.create_table("t", [Column("name", ValueType.TEXT),
@@ -347,7 +345,8 @@ class TestEpochBumps:
         crashed = MemoryWALDevice.from_durable(db.wal.device.durable(), 0)
         recovered, _report = Database.recover(None, crashed, verify=True)
         assert recovered.metrics.get("recovery.runs") == 1
-        assert recovered.manager.cache.enabled
+        # Recovery without an image builds a default database.
+        assert recovered.manager.cache.capacity_bytes == DEFAULT_CACHE_BYTES
         # Replay leaves no live entries (every replayed write invalidates
         # what the read-modify-write just cached), so the bump can be a
         # no-op — but it must leave its trace counter: the hook ran.
@@ -379,6 +378,71 @@ class TestEpochBumps:
         clone.add_annotation(TEXTS["alpha"], table="t", oid=2)
         assert label_count(clone, 2, "alpha") == 2
         assert label_count(db, 2, "alpha") == 1
+
+
+def load_state(state: dict) -> Database:
+    clone = object.__new__(Database)
+    clone.__setstate__(pickle.loads(pickle.dumps(state)))
+    return clone
+
+
+class TestOlderImages:
+    """States shaped like the images earlier engines wrote load into the
+    one configuration: sync or deferred, cache on."""
+
+    def test_coherent_image_with_backlog_loads_sync_and_drained(self):
+        db = build_db(cache_bytes=0)  # what an unset env var recorded
+        db.manager.deferred = True
+        db.add_annotation(TEXTS["alpha"], table="t", oid=1)
+        assert db.manager.pending_count() == 1
+        del db.manager.deferred
+        db.manager.async_mode = "coherent"
+        state = db.__getstate__()
+        state["summary_async"] = "coherent"
+        loaded = load_state(state)
+        assert loaded.summary_async is False
+        assert loaded.manager.deferred is False
+        assert "async_mode" not in vars(loaded.manager)
+        assert not loaded.manager.has_pending()
+        assert label_count(loaded, 1, "alpha") == 1
+        cache = loaded.manager.cache
+        assert cache.capacity_bytes == DEFAULT_CACHE_BYTES
+        assert cache.hits == 0  # cold
+        assert loaded.check_integrity().ok
+
+    def test_old_image_keeps_an_explicit_capacity_and_deferred_mode(self):
+        db = build_db(cache_bytes=4096)
+        state = db.__getstate__()
+        state["summary_async"] = "deferred"
+        loaded = load_state(state)
+        try:
+            assert loaded.summary_async is True
+            assert loaded.manager.cache.capacity_bytes == 4096
+        finally:
+            loaded.stop_maintenance()
+
+    def test_new_image_keeps_capacity_zero(self):
+        loaded = load_state(build_db(cache_bytes=0).__getstate__())
+        assert loaded.manager.cache.capacity_bytes == 0
+
+    def test_pre_cache_manager_gets_a_default_cache(self):
+        db = build_db()
+        manager = db.manager
+        storage = manager.storage_for("t")
+        manager._observers[("t", "*")] = [
+            o for o in manager._observers[("t", "*")]
+            if not isinstance(o, CacheInvalidator)
+        ]
+        del manager.cache, storage.cache
+        loaded = load_state(db.__getstate__())
+        cache = loaded.manager.cache
+        assert cache.capacity_bytes == DEFAULT_CACHE_BYTES
+        assert loaded.manager.storage_for("t").cache is cache
+        assert label_count(loaded, 2, "alpha") == 1
+        assert label_count(loaded, 2, "alpha") == 1
+        assert cache.hits >= 1
+        loaded.add_annotation(TEXTS["alpha"], table="t", oid=2)
+        assert label_count(loaded, 2, "alpha") == 2
 
 
 class TestObservability:

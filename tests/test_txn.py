@@ -20,6 +20,7 @@ import threading
 
 import pytest
 
+from repro.annotations.annotation import AnnotationTarget
 from repro.catalog.schema import Column
 from repro.core.database import Database
 from repro.errors import (
@@ -31,17 +32,6 @@ from repro.storage.record import ValueType
 from repro.txn.locks import ANNOTATION_RESOURCE, StripedLockManager
 from repro.wal.device import MemoryWALDevice
 from repro.wal.record import WALRecordType, scan_records
-
-
-@pytest.fixture(autouse=True)
-def _pin_default_session_nonlocking(monkeypatch):
-    """This suite drives locking through *explicit* sessions and peeks
-    at committed state via ``db.sql`` as an oracle; a REPRO_LOCKS=1
-    environment (the CI lock leg) would turn that oracle into a second
-    locking session that rightly contends with the session under test.
-    Pin it off — the env path itself is covered by an explicit setenv
-    test below."""
-    monkeypatch.delenv("REPRO_LOCKS", raising=False)
 
 
 def make_db(wal: bool = False) -> Database:
@@ -56,7 +46,9 @@ def make_db(wal: bool = False) -> Database:
 
 
 def names(db: Database) -> list[str]:
-    return sorted(t.values[0] for t in db.sql("Select name From t"))
+    """Committed state, read off the catalog: ``db.sql`` is a locking
+    session and would contend with the session under test."""
+    return sorted(values[0] for _, values in db.catalog.table("t").scan())
 
 
 class TestTransactionSemantics:
@@ -221,6 +213,90 @@ class TestTransactionSemantics:
         assert snap["txn.ops_committed"] == 1
         assert snap["txn.open"] == 0
         s.close()
+
+
+class TestAnnotateMissingTuple:
+    """``Annotate`` on a tuple that is not there is a typed error at
+    statement time, with nothing logged, stored or counted."""
+
+    @staticmethod
+    def indexed_db() -> Database:
+        db = make_db(wal=True)
+        db.create_classifier_instance(
+            "C", ["alpha", "beta"],
+            [("apple alpha", "alpha"), ("bear beta", "beta")],
+        )
+        db.sql("Alter Table t Add Indexable C")
+        db.sql("Annotate t 2 'apple alpha'")
+        return db
+
+    @staticmethod
+    def footprint(db: Database) -> tuple:
+        return db.manager.annotations.next_id, db.wal.next_lsn
+
+    @pytest.mark.parametrize("oid, deleted_first", [
+        (99, False),  # never assigned
+        (4, True),    # deleted, never annotated
+        (2, True),    # deleted, was annotated
+    ])
+    def test_autocommit_rejects_and_leaves_no_trace(self, oid, deleted_first):
+        db = self.indexed_db()
+        if deleted_first:
+            db.sql(f"Delete From t r Where r.oid = {oid}")
+        before = self.footprint(db)
+        with pytest.raises(RecordNotFoundError):
+            db.sql(f"Annotate t {oid} 'apple alpha'")
+        assert self.footprint(db) == before
+        assert db.check_integrity().ok
+
+    def test_in_transaction_rejects_at_statement_time(self):
+        db = self.indexed_db()
+        before = self.footprint(db)
+        db.sql("BEGIN")
+        with pytest.raises(RecordNotFoundError):
+            db.sql("Annotate t 99 'apple alpha'")
+        db.sql("COMMIT")  # the transaction survives, and is empty
+        assert self.footprint(db) == before
+        assert db.check_integrity().ok
+
+    def test_deleted_in_this_transaction_rejects(self):
+        db = self.indexed_db()
+        db.sql("BEGIN")
+        db.sql("Delete From t r Where r.oid = 2")
+        with pytest.raises(RecordNotFoundError):
+            db.sql("Annotate t 2 'apple alpha'")
+        db.sql("COMMIT")
+        assert db.manager.annotations.next_id == 2
+        assert db.check_integrity().ok
+
+    def test_inserted_in_this_transaction_still_works(self):
+        db = self.indexed_db()
+        oid = db.catalog.table("t").next_oid
+        db.sql("BEGIN")
+        db.sql("Insert Into t Values ('new', 7)")
+        ann_id = db.sql(f"Annotate t {oid} 'bear beta'")
+        with pytest.raises(RecordNotFoundError):
+            db.sql(f"Annotate t {oid + 1} 'bear beta'")  # not reserved
+        db.sql("COMMIT")
+        assert db.zoom_in("t", oid, "C") == ["bear beta"]
+        assert db.manager.annotations.next_id == ann_id + 1
+        assert db.check_integrity().ok
+
+    def test_annotated_tuple_costs_no_extra_page_request(self):
+        """The existence check answers from the attachment map when the
+        tuple already has a summary row: same pool requests as the
+        manager's own write path."""
+        db = self.indexed_db()
+        db.detach_wal()
+        pool = db.pool
+        before = pool.hits + pool.misses
+        db.manager.add_annotation(
+            "apple alpha", [AnnotationTarget("t", 2)]
+        )
+        unchecked = pool.hits + pool.misses - before
+        before = pool.hits + pool.misses
+        db.add_annotation("apple alpha", table="t", oid=2)
+        assert pool.hits + pool.misses - before == unchecked
 
 
 class TestTransactionDurability:
@@ -414,21 +490,35 @@ class TestSessionLocking:
         a.close()
         b.close()
 
-    def test_non_locking_session_skips_the_lock_manager(self):
+    def test_default_session_locks(self, monkeypatch):
+        """``db.sql`` from another thread waits on a table an explicit
+        session's open transaction holds, like any other session."""
+        monkeypatch.setenv("REPRO_LOCK_TIMEOUT", "0.1")
         db = make_db()
-        s = db.session(locking=False)
-        s.execute("BEGIN")
-        s.execute("Insert Into t Values ('x', 1)")
-        assert len(db.lock_manager) == 0 or db.lock_manager.held_by(s) == set()
-        s.execute("COMMIT")
-        assert "x" in names(db)
-        s.close()
+        a = db.session()
+        a.execute("BEGIN")
+        a.execute("Insert Into t Values ('held', 1)")
+        outcomes = []
 
-    def test_database_sql_works_with_env_locks(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOCKS", "1")
-        db = make_db()
-        db.sql("Insert Into t Values ('locked-path', 1)")
-        assert "locked-path" in names(db)
+        def plain_insert():
+            try:
+                db.sql("Insert Into t Values ('plain', 2)")
+                outcomes.append("ok")
+            except LockTimeoutError:
+                outcomes.append("timeout")
+
+        def on_thread_b():
+            b = threading.Thread(target=plain_insert)
+            b.start()
+            b.join()
+
+        on_thread_b()
+        assert outcomes == ["timeout"] and "plain" not in names(db)
+        a.execute("COMMIT")
+        on_thread_b()
+        assert outcomes == ["timeout", "ok"]
+        assert names(db).count("plain") == 1 and "held" in names(db)
+        a.close()
 
     def test_explicit_txn_via_db_sql(self):
         db = make_db()
