@@ -14,6 +14,9 @@ from repro.storage.record import ValueType
 
 _NULL_TAG = b"\x00"
 _VALUE_TAG = b"\x01"
+#: Sorts after every NULL key and at or before every value key: the
+#: inclusive lower bound of "any non-NULL value".
+FIRST_VALUE_KEY = _VALUE_TAG
 
 _I64_BE = struct.Struct(">Q")
 _F64_BE = struct.Struct(">d")

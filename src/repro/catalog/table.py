@@ -12,7 +12,12 @@ import struct
 from typing import Iterator
 
 from repro.btree import BTree
-from repro.catalog.keys import decode_int, encode_int, encode_key
+from repro.catalog.keys import (
+    FIRST_VALUE_KEY,
+    decode_int,
+    encode_int,
+    encode_key,
+)
 from repro.catalog.schema import Schema
 from repro.errors import CatalogError, RecordNotFoundError, ReproError
 from repro.storage.buffer import BufferPool
@@ -352,12 +357,16 @@ class Table:
         lo_inclusive: bool = True,
         hi_inclusive: bool = True,
     ) -> Iterator[int]:
-        """OIDs with ``lo <= column <= hi``, in column order."""
+        """OIDs with ``lo <= column <= hi``, in column order. An open bound
+        (None) is unbounded on that side; NULLs satisfy no range."""
         index = self.secondary_indexes.get(column)
         if index is None:
             raise CatalogError(f"no index on {self.name}.{column}")
         ctype = self.schema.column(column).type
-        lo_key = None if lo is None else encode_key(lo, ctype)
+        if lo is None:
+            lo_key, lo_inclusive = FIRST_VALUE_KEY, True
+        else:
+            lo_key = encode_key(lo, ctype)
         hi_key = None if hi is None else encode_key(hi, ctype)
         for _, v in index.range_scan(lo_key, hi_key, lo_inclusive, hi_inclusive):
             yield decode_int(v)

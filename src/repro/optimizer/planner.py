@@ -497,6 +497,10 @@ class _LowerState:
                 matched = match_indexable_data_pred(pred)
                 if matched is None or (matched.alias or alias) != alias:
                     continue
+                if matched.constant is None:
+                    # Matches no row; as an index bound it would read as
+                    # "unbounded".
+                    continue
                 if not table_obj.has_index(matched.column):
                     continue
                 candidates.append(

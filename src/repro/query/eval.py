@@ -306,12 +306,20 @@ def _dispatch_object(
 # rows still undecided.
 
 
-def batch_predicate_mask(expr: Expr, batch, ctx: EvalContext | None = None):
-    """Boolean numpy mask of the rows of ``batch`` satisfying ``expr``."""
+def batch_predicate_mask(
+    expr: Expr, batch, ctx: EvalContext | None = None, active=None
+):
+    """Boolean numpy mask of the rows of ``batch`` satisfying ``expr``.
+
+    ``active`` restricts evaluation to the rows it marks (every row when
+    None); the other rows are False and ``expr`` is never evaluated on
+    them — a conjunct later in an ``And`` sees only earlier survivors.
+    """
     import numpy as np
 
     ctx = ctx or EvalContext()
-    active = np.ones(len(batch), dtype=bool)
+    if active is None:
+        active = np.ones(len(batch), dtype=bool)
     return _batch_mask(expr, batch, ctx, active)
 
 
@@ -379,6 +387,8 @@ _ORDER_OPS = {
     ">": lambda a, b: a > b,
     ">=": lambda a, b: a >= b,
 }
+#: ``a op b`` ⇔ ``b FLIPPED[op] a``
+_FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _batch_compare(expr, batch, ctx, active):
@@ -414,24 +424,27 @@ def _batch_compare(expr, batch, ctx, active):
                     like_match(str(value), str(pattern))
         return out
 
-    # Numeric column <op> numeric constant: one numpy comparison when the
-    # column is cleanly numeric (no Nones, no objects) — otherwise the
-    # elementwise loop below reproduces _compare exactly.
-    if (op in _ORDER_OPS or op in ("=", "<>")) and left[0] == "col" \
-            and right[0] == "scalar" \
-            and isinstance(right[1], (int, float)) \
-            and not isinstance(right[1], bool):
+    # Numeric column <op> numeric constant (either way round): one numpy
+    # comparison when the column is cleanly numeric (no Nones, no
+    # objects) — otherwise the elementwise loop below reproduces _compare
+    # exactly.
+    col, scalar, col_op = left, right, op
+    if left[0] == "scalar" and op in _FLIPPED:
+        col, scalar, col_op = right, left, _FLIPPED[op]
+    if col_op in _FLIPPED and col[0] == "col" and scalar[0] == "scalar" \
+            and isinstance(scalar[1], (int, float)) \
+            and not isinstance(scalar[1], bool):
         try:
-            arr = np.asarray(left[1])
+            arr = np.asarray(col[1])
         except (ValueError, TypeError):
             arr = None
         if arr is not None and arr.dtype.kind in "iuf":
-            if op == "=":
-                cmp = arr == right[1]
-            elif op == "<>":
-                cmp = arr != right[1]
+            if col_op == "=":
+                cmp = arr == scalar[1]
+            elif col_op == "<>":
+                cmp = arr != scalar[1]
             else:
-                cmp = _ORDER_OPS[op](arr, right[1])
+                cmp = _ORDER_OPS[col_op](arr, scalar[1])
             return active & cmp
 
     if op == "=":

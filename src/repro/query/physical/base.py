@@ -82,7 +82,7 @@ class PhysicalOperator:
         raise NotImplementedError
 
     def batches(self) -> Iterator[Batch]:
-        inner = self._produce_batches()
+        inner = self._started()
         if self.materialize_output:
             inner = self._materialized(inner)
         if self.profiler is not None:
@@ -92,6 +92,13 @@ class PhysicalOperator:
             # profiler's bookkeeping too.
             inner = self.runtime.wrap_batches(self, inner)
         return inner
+
+    def _started(self) -> Iterator[Batch]:
+        # The hook runs on the first pull, inside the wrappers: a producer
+        # that works before its first yield (or that is a plain function
+        # returning an iterator) is charged to itself and checkpointed,
+        # not booked to whichever consumer created the iterator.
+        yield from self._produce_batches()
 
     @staticmethod
     def _materialized(inner):

@@ -16,9 +16,10 @@
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
-from repro.errors import PlanError, ReproError
+from repro.errors import PlanError, QueryError, ReproError
 from repro.query.batch import (
     Batch,
     LazyScanSummaries,
@@ -28,6 +29,7 @@ from repro.query.batch import (
 from repro.query.physical.base import ExecContext, PhysicalOperator
 from repro.query.tuples import QTuple
 from repro.resilience.context import BATCH_ROWS
+from repro.storage.record import ValueType
 from repro.summaries.functions import SummarySet
 
 
@@ -116,6 +118,75 @@ def _oid_read_batches(
                           with_summaries, retained)
 
 
+_INT_MIN, _INT_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def orders_against(value: object, vtype: ValueType) -> bool:
+    """Whether Python orders ``value`` against a ``vtype`` column's values
+    (the heap path compares them; anything else never equals one and
+    raises on ``<``)."""
+    if vtype is ValueType.TEXT:
+        return isinstance(value, str)
+    return isinstance(value, (int, float))  # bool is an int, like in Python
+
+
+def _domain_bound(value, vtype: ValueType, upper: bool, inclusive: bool):
+    """One orderable bound restated in the indexed column's own domain.
+
+    ``(key, inclusive)``; ``(None, True)`` when every non-NULL value
+    satisfies it; None when none does. INT and BOOL columns are an
+    integer domain: a float bound tightens to the nearest integer inside
+    the range and every bound becomes inclusive.
+    """
+    if vtype is ValueType.TEXT:
+        return value, inclusive
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if vtype is ValueType.FLOAT:
+        try:
+            return float(value), inclusive
+        except OverflowError:  # an int beyond every float
+            return (None, True) if (value > 0) == upper else None
+    if isinstance(value, float):
+        if math.isinf(value):
+            return (None, True) if (value > 0) == upper else None
+        if not value.is_integer():
+            value = math.floor(value) if upper else math.ceil(value)
+            inclusive = True
+    value = int(value)
+    if not inclusive:
+        value += -1 if upper else 1
+    lo_limit, hi_limit = (0, 1) if vtype is ValueType.BOOL \
+        else (_INT_MIN, _INT_MAX)
+    if (value < lo_limit) if upper else (value > hi_limit):
+        return None
+    if (value >= hi_limit) if upper else (value <= lo_limit):
+        return None, True
+    return (bool(value) if vtype is ValueType.BOOL else value), True
+
+
+def probe_bounds(vtype: ValueType, lo, hi, lo_inclusive: bool,
+                 hi_inclusive: bool):
+    """``(lo, hi, lo_inclusive, hi_inclusive)`` for ``Table.index_range``
+    selecting exactly the rows the heap path's ``lo <(=) column <(=) hi``
+    selects, or None when no row can. Both bounds (when not None) must
+    satisfy :func:`orders_against`."""
+    bounds = []
+    for value, upper, inclusive in ((lo, False, lo_inclusive),
+                                    (hi, True, hi_inclusive)):
+        bound = (None, True) if value is None else \
+            _domain_bound(value, vtype, upper, inclusive)
+        if bound is None:
+            return None
+        bounds.append(bound)
+    (lo, lo_inclusive), (hi, hi_inclusive) = bounds
+    if lo is not None and hi is not None and (
+        lo > hi or (lo == hi and not (lo_inclusive and hi_inclusive))
+    ):
+        return None
+    return lo, hi, lo_inclusive, hi_inclusive
+
+
 class SeqScan(PhysicalOperator):
     """Full heap scan of a user relation."""
 
@@ -174,12 +245,28 @@ class IndexScan(PhysicalOperator):
 
     def _produce_batches(self) -> Iterator[Batch]:
         table = self.ctx.catalog.table(self.table)
+        vtype = table.schema.column(self.column).type
+        foreign = [b for b in (self.lo, self.hi)
+                   if b is not None and not orders_against(b, vtype)]
+        if foreign:
+            # The heap path's answer: `=` (planned as lo is hi) never
+            # holds, an order comparison raises once it meets a non-NULL
+            # value.
+            if self.lo is not self.hi and next(
+                table.index_range(self.column, None, None), None
+            ) is not None:
+                raise QueryError(
+                    f"cannot compare {self.table}.{self.column} "
+                    f"({vtype.value}) with {foreign[0]!r}"
+                )
+            return
+        bounds = probe_bounds(vtype, self.lo, self.hi, self.lo_inclusive,
+                              self.hi_inclusive)
+        if bounds is None:
+            return
         yield from _oid_read_batches(
             self.ctx, self.table, self.alias,
-            table.index_range(
-                self.column, self.lo, self.hi,
-                self.lo_inclusive, self.hi_inclusive,
-            ),
+            table.index_range(self.column, *bounds),
             self.with_summaries, self.retained,
         )
 

@@ -5,8 +5,11 @@ run's totals), index-probe counters, and maintenance-event counters."""
 import pytest
 
 from repro import Column, Database, ValueType
+from repro.bench.queries import example4_query
 from repro.core.database import QueryReport
 from repro.errors import QueryError
+from repro.workload.generator import WorkloadConfig, build_database
+from tests.test_resilience import OPERATOR_QUERIES
 
 SEEDS = [
     ("flu virus infection outbreak", "Disease"),
@@ -31,6 +34,14 @@ def build(buffer_pages: int = 64) -> Database:
             )
     db.analyze("t")
     return db
+
+
+@pytest.fixture(scope="module")
+def workload_db():
+    return build_database(WorkloadConfig(
+        num_birds=30, annotations_per_tuple=20, indexes="both",
+        cell_fraction=0.0, seed=6,
+    ))
 
 
 class TestExplain:
@@ -129,6 +140,42 @@ class TestExplainAnalyze:
         assert sum(op["self_pages"] for op in ops) == pages
         assert sum(op["self_reads"] for op in ops) == io.reads
         assert report.execution["rows"] == len(report.result)
+
+    @pytest.mark.parametrize("sql", OPERATOR_QUERIES + [example4_query(5)])
+    def test_work_is_charged_to_the_operator_that_does_it(
+        self, workload_db, sql
+    ):
+        # An operator that works before its first yield (the nested-loop
+        # join drains its inner side) must be charged for that work, not
+        # its consumer: no operator has negative self counters, and the
+        # self counters still sum to the run's pool and cache deltas.
+        db = workload_db
+        cache = db.manager.cache
+        pages_before = db.pool.hits + db.pool.misses
+        hits_before, misses_before = cache.hits, cache.misses
+        report = db.sql(f"Explain Analyze {sql}")
+        ops = report.execution["operators"]
+        for op in ops:
+            for key in ("self_pages", "self_hits", "self_misses",
+                        "self_cache_hits", "self_cache_misses"):
+                assert op[key] >= 0, (op["label"], key, op[key])
+        assert sum(op["self_pages"] for op in ops) == \
+            db.pool.hits + db.pool.misses - pages_before
+        assert sum(op["self_cache_hits"] for op in ops) == \
+            cache.hits - hits_before
+        assert sum(op["self_cache_misses"] for op in ops) == \
+            cache.misses - misses_before
+
+    def test_example4_inner_scan_traffic_stays_in_the_join(
+        self, workload_db
+    ):
+        report = workload_db.sql(f"Explain Analyze {example4_query(5)}")
+        ops = {op["label"].split("(")[0].split("[")[0]: op
+               for op in report.execution["operators"]}
+        assert "NestedLoopJoin" in ops
+        assert ops["Project"]["self_cache_hits"] == 0
+        assert ops["Project"]["self_cache_misses"] == 0
+        assert ops["Project"]["self_pages"] == 0
 
     def test_profiler_detaches_after_run(self):
         # A profiled run must not leave instrumentation behind: the next

@@ -1,0 +1,127 @@
+"""Data-index probes answer what the heap path answers, whatever the key's
+type.
+
+The heap path compares with Python semantics (``QueryError`` when Python
+cannot order the two values). A data B-Tree is keyed in its column's own
+encoding, so ``IndexScan`` and ``IndexNestedLoopJoin`` restate a foreign
+key first: an integral float probes as its int, a non-integral float
+tightens a range to the integers inside it (and never equals an int),
+a key Python never finds equal to a column value matches nothing, and an
+order comparison Python cannot make raises the heap path's ``QueryError``.
+NULL never matches, and an open lower bound never reaches NULL keys.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import Column, Database, ValueType
+from repro.errors import QueryError
+
+OPS = ["=", "<", "<=", ">", ">="]
+KEYS = ["3", "3.0", "3.5", "'3'", "197.5", "NULL"]
+COLUMNS = ["k", "g", "u", "b"]
+
+
+@pytest.fixture(scope="module")
+def db():
+    database = Database()
+    database.create_table("t", [
+        Column("k", ValueType.INT), Column("g", ValueType.FLOAT),
+        Column("u", ValueType.TEXT), Column("b", ValueType.BOOL),
+        Column("name", ValueType.TEXT),
+    ])
+    for i in range(200):
+        database.insert("t", {"k": i, "g": i * 0.75, "u": str(i % 12),
+                              "b": i % 2 == 0, "name": f"n{i}"})
+    database.insert("t", {"name": "null"})
+    for column in COLUMNS:
+        database.create_index("t", column)
+    database.analyze("t")
+    return database
+
+
+def outcome(db, sql, path):
+    db.options.enable_data_indexes = path == "index"
+    db.options.force_access = "index" if path == "index" else None
+    try:
+        plan = db.explain(sql).physical
+        try:
+            return plan, sorted(db.sql(sql).column("name"))
+        except QueryError:
+            return plan, QueryError
+    finally:
+        db.options.enable_data_indexes = True
+        db.options.force_access = None
+
+
+@pytest.mark.parametrize("key", KEYS)
+@pytest.mark.parametrize("op", OPS)
+@pytest.mark.parametrize("column", COLUMNS)
+def test_index_scan_matches_seq_scan(db, column, op, key):
+    sql = f"Select name From t r Where r.{column} {op} {key}"
+    heap_plan, expected = outcome(db, sql, "heap")
+    index_plan, got = outcome(db, sql, "index")
+    assert "IndexScan" not in heap_plan
+    # A NULL constant matches no row and is never an index bound.
+    assert ("IndexScan" in index_plan) == (key != "NULL"), index_plan
+    assert got == expected
+
+
+def test_examples_from_the_heap_path(db):
+    """The cases that raised untyped errors on the index path."""
+    assert outcome(db, "Select name From t r Where r.k = 3.0",
+                   "index")[1] == ["n3"]
+    assert outcome(db, "Select name From t r Where r.k > 197.5",
+                   "index")[1] == ["n198", "n199"]
+    assert outcome(db, "Select name From t r Where r.k = 3.5",
+                   "index")[1] == []
+    assert outcome(db, "Select name From t r Where r.k = '3'",
+                   "index")[1] == []
+    assert outcome(db, "Select name From t r Where r.k < '3'",
+                   "index")[1] is QueryError
+    # NULL keys sit below every value in the B-Tree: `<` must not reach them.
+    assert "null" not in outcome(
+        db, "Select name From t r Where r.k < 2", "index"
+    )[1]
+
+
+@pytest.fixture(scope="module")
+def join_db():
+    database = Database()
+    database.create_table("a", [
+        Column("i", ValueType.INT), Column("f", ValueType.FLOAT),
+        Column("s", ValueType.TEXT), Column("name", ValueType.TEXT),
+    ])
+    database.create_table("bt", [Column("k", ValueType.INT),
+                                 Column("name", ValueType.TEXT)])
+    outer = [(1, 1.0, "1"), (2, 2.5, "x"), (None, None, None),
+             (3, 3.0, "3"), (4, 4.5, "4.5")]
+    for n, (i, f, s) in enumerate(outer):
+        database.insert("a", {"i": i, "f": f, "s": s, "name": f"a{n}"})
+    for k in (0, 1, 1, 2, 3, 3, 4, None):
+        database.insert("bt", {"k": k, "name": f"b{k}"})
+    database.create_index("bt", "k")
+    database.analyze("a")
+    database.analyze("bt")
+    return database
+
+
+@pytest.mark.parametrize("outer_column", ["i", "f", "s"])
+def test_index_join_matches_nested_loop(join_db, outer_column):
+    sql = (f"Select x.name, y.name From a x, bt y "
+           f"Where x.{outer_column} = y.k")
+    results = {}
+    for join in ("index", "nloop"):
+        join_db.options.force_join = join
+        try:
+            plan = join_db.explain(sql).physical
+            assert ("IndexNestedLoopJoin" in plan) == (join == "index"), plan
+            results[join] = sorted(
+                tuple(t.values) for t in join_db.sql(sql).tuples
+            )
+        finally:
+            join_db.options.force_join = None
+    assert results["index"] == results["nloop"]
+    if outer_column != "s":
+        assert results["nloop"]  # the numeric keys do match

@@ -1,0 +1,328 @@
+"""The nested-loop join's pair loop (DESIGN.md §5f).
+
+``NestedLoopJoin`` binds each outer row into one mask per inner batch
+instead of evaluating its conditions on a pair view per (outer, inner)
+pair. The exactness oracle is the per-pair loop itself, kept here and
+only here: outer × inner order, ``evaluate`` of the condition and then
+the summary predicate on ``_pair_view``, ``QTuple.join`` of the pairs
+that pass. A Hypothesis property draws two small annotated tables and
+conditions mixing every conjunct class the operator distinguishes —
+bindable data and summary-label comparisons, outer-only and inner-only
+conjuncts, bare column references, ``Or``, ``LIKE``, cross joins with
+only a summary predicate — and requires the same rows, in the same order,
+with the same summary sets, or the same error type.
+
+Deterministic cases cover deadlines and cancellation on a join plan,
+outer-side expressions evaluated only for pairs that reach them, inner
+sides longer than one batch, and the identity of an inner row's summary
+set across outer rows.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
+
+from repro import Column, Database, ValueType
+from repro.errors import QueryCancelledError, QueryError, QueryTimeoutError
+from repro.query.ast import (
+    And,
+    ColumnRef,
+    Comparison,
+    FuncCall,
+    Literal,
+    Or,
+    SummaryExpr,
+    UdfCall,
+)
+from repro.query.eval import evaluate
+from repro.query.logical import conjoin
+from repro.query.parser import parse_sql
+from repro.query.physical import NestedLoopJoin, SeqScan, SortOp
+from repro.query.physical.joins import _pair_view
+from repro.query.tuples import QTuple
+from repro.resilience import ExecutionContext
+
+SEEDS = [
+    ("flu virus infection outbreak", "Disease"),
+    ("survey checklist volunteer", "Other"),
+]
+TEXTS = ["flu virus infection", "survey checklist", "outbreak of flu",
+         "volunteer survey count"]
+OUTER, INNER = "x", "y"
+OUTER_COLUMNS = ["i", "f", "t", "oid"]
+INNER_COLUMNS = ["k", "g", "u", "oid"]
+OPS = ["=", "<>", "<", "<=", ">", ">="]
+
+
+# -- the reference -------------------------------------------------------------
+
+
+def per_pair_join(op: NestedLoopJoin) -> list[QTuple]:
+    """Row-at-a-time nested loop: the semantics the operator must keep."""
+    eval_ctx = op.ctx.eval_ctx
+    inner = list(op.right.rows())
+    out = []
+    for left_row in op.left.rows():
+        for right_row in inner:
+            pair = _pair_view(left_row, right_row)
+            if op.condition is not None and not evaluate(
+                op.condition, pair, eval_ctx
+            ):
+                continue
+            if op.summary_predicate is not None and not evaluate(
+                op.summary_predicate, pair, eval_ctx
+            ):
+                continue
+            out.append(QTuple.join(left_row, right_row))
+    return out
+
+
+def observe(run):
+    """Rows with their order, values, provenance and summary sets — or
+    the type of the error raised instead."""
+    try:
+        rows = run()
+    except Exception as exc:  # noqa: BLE001 - the type is the observable
+        return ("error", type(exc).__name__)
+    return [
+        (
+            tuple(row.columns),
+            tuple(repr(v) for v in row.values),
+            tuple(sorted(row.provenance.items())),
+            len(row.distinct_summary_sets()),
+            json.dumps(row.merged_summary_set().to_display(),
+                       sort_keys=True, default=str),
+        )
+        for row in rows
+    ]
+
+
+# -- strategies ----------------------------------------------------------------
+
+ints = st.one_of(st.none(), st.integers(0, 4))
+floats = st.one_of(st.none(), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.5]))
+texts = st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b", "flu"]))
+annotations = st.lists(st.sampled_from(TEXTS), max_size=2)
+rows = st.lists(st.tuples(ints, floats, texts, annotations), min_size=1,
+                max_size=7)
+literals = st.sampled_from([None, 0, 1, 2.5, -1.0, "a", "ab"])
+
+
+def label(alias: str, name: str) -> SummaryExpr:
+    return SummaryExpr(alias, (
+        FuncCall("getSummaryObject", ("C",)),
+        FuncCall("getLabelValue", (name,)),
+    ))
+
+
+def operand(alias: str, columns: list[str]):
+    return st.one_of(
+        st.sampled_from(columns).map(lambda c: ColumnRef(alias, c)),
+        st.sampled_from(["Disease", "Other"]).map(
+            lambda name: label(alias, name)
+        ),
+    )
+
+
+def comparison(left, right):
+    """``left op right`` with either operand first."""
+    return st.builds(
+        lambda op, a, b, swap: Comparison(op, b, a) if swap
+        else Comparison(op, a, b),
+        st.sampled_from(OPS), left, right, st.booleans(),
+    )
+
+
+# "nosuch" is a QueryError on every pair that reaches it: outer sides are
+# evaluated only for pairs an earlier conjunct let through.
+outer_side = operand(OUTER, OUTER_COLUMNS + ["nosuch"])
+inner_side = operand(INNER, INNER_COLUMNS)
+bound_conjunct = comparison(outer_side, inner_side)
+summary_conjunct = comparison(
+    st.sampled_from(["Disease", "Other"]).map(lambda n: label(OUTER, n)),
+    st.sampled_from(["Disease", "Other"]).map(lambda n: label(INNER, n)),
+)
+one_side_conjunct = st.one_of(
+    comparison(outer_side, literals.map(Literal)),
+    comparison(inner_side, literals.map(Literal)),
+)
+bare_conjunct = comparison(
+    # "i" is unique to the outer table and "k" to the inner one; "oid" is
+    # on both sides, so a bare "oid" is an ambiguity error on every pair.
+    st.sampled_from(["i", "k", "oid"]).map(lambda c: ColumnRef(None, c)),
+    st.one_of(inner_side, outer_side, literals.map(Literal)),
+)
+like_conjunct = st.builds(
+    lambda a, b: Comparison("LIKE", a, b),
+    st.sampled_from([ColumnRef(OUTER, "t"), ColumnRef(INNER, "u")]),
+    st.sampled_from([ColumnRef(INNER, "u"), ColumnRef(OUTER, "t"),
+                     Literal("a%"), Literal("%b")]),
+)
+leaf_conjunct = st.one_of(bound_conjunct, summary_conjunct, one_side_conjunct,
+                          bare_conjunct, like_conjunct)
+conjunct = st.one_of(
+    leaf_conjunct,
+    st.lists(leaf_conjunct, min_size=2, max_size=2).map(
+        lambda items: Or(tuple(items))
+    ),
+)
+
+
+def build(outer_rows, inner_rows) -> Database:
+    db = Database()
+    db.create_table("a", [Column("i", ValueType.INT),
+                          Column("f", ValueType.FLOAT),
+                          Column("t", ValueType.TEXT)])
+    db.create_table("b", [Column("k", ValueType.INT),
+                          Column("g", ValueType.FLOAT),
+                          Column("u", ValueType.TEXT)])
+    db.create_classifier_instance("C", ["Disease", "Other"], SEEDS)
+    db.sql("Alter Table a Add C")
+    db.sql("Alter Table b Add C")
+    for table, names, data in (("a", ("i", "f", "t"), outer_rows),
+                               ("b", ("k", "g", "u"), inner_rows)):
+        for *values, texts_ in data:
+            oid = db.insert(table, dict(zip(names, values)))
+            for text in texts_:
+                db.add_annotation(text, table=table, oid=oid)
+    return db
+
+
+# -- the property --------------------------------------------------------------
+
+
+@given(
+    outer_rows=rows,
+    inner_rows=rows,
+    condition=st.lists(conjunct, max_size=3),
+    summary_predicate=st.lists(summary_conjunct, max_size=2),
+    sorted_inner=st.booleans(),
+)
+def test_pair_loop_equals_per_pair_evaluation(
+    outer_rows, inner_rows, condition, summary_predicate, sorted_inner
+):
+    db = build(outer_rows, inner_rows)
+    ctx = db.planner.exec_context()
+    inner = SeqScan(ctx, "b", INNER)
+    if sorted_inner:
+        # Row-backed inner batches (a pipeline breaker below the join).
+        inner = SortOp(ctx, inner, [(ColumnRef(INNER, "oid"), "DESC")])
+    op = NestedLoopJoin(ctx, SeqScan(ctx, "a", OUTER), inner,
+                        conjoin(condition), conjoin(summary_predicate))
+    expected = observe(lambda: per_pair_join(op))
+    event("error" if expected and expected[0] == "error"
+          else "rows" if expected else "empty")
+    assert observe(lambda: list(op.rows())) == expected
+
+
+# -- deterministic cases -------------------------------------------------------
+
+
+def joined_db() -> Database:
+    return build(
+        [(i, i / 2, "ab"[i % 2], TEXTS[: i % 3]) for i in range(5)],
+        [(i % 3, float(i), "a", TEXTS[i % 4: i % 4 + 1]) for i in range(9)],
+    )
+
+
+JOIN_SQL = "Select x.t, y.u From a x, b y Where x.i = y.k"
+
+
+def test_join_sql_is_planned_as_nested_loop():
+    db = joined_db()
+    physical, _logical, _cost = db.planner.plan(parse_sql(JOIN_SQL))
+    assert "NestedLoopJoin" in physical.explain()
+    assert len(db.sql(JOIN_SQL)) == 9
+
+
+def test_zero_timeout_trips_on_the_join_plan():
+    db = joined_db()
+    with pytest.raises(QueryTimeoutError) as err:
+        db.execute(JOIN_SQL, timeout=0)
+    assert err.value.partial["checks"] >= 1
+
+
+def test_pre_cancelled_context_stops_the_join_plan():
+    db = joined_db()
+    physical, _logical, _cost = db.planner.plan(parse_sql(JOIN_SQL))
+    runtime = ExecutionContext()
+    runtime.attach(physical)
+    runtime.cancel()
+    with pytest.raises(QueryCancelledError):
+        list(physical.rows())
+
+
+@pytest.mark.parametrize("alias, column, value, raises", [
+    (OUTER, "i", 99, False),   # outer-only: no outer row passes
+    (INNER, "k", 99, False),   # inner-only: every mask is empty
+    (OUTER, "i", 0, True),
+    (INNER, "k", 0, True),
+])
+def test_outer_side_is_evaluated_only_for_pairs_that_reach_it(
+    alias, column, value, raises
+):
+    # ``x.nosuch`` raises on any row (the binder would reject it in SQL):
+    # it may only be evaluated once some pair passed the first conjunct.
+    db = joined_db()
+    ctx = db.planner.exec_context()
+    condition = And((
+        Comparison(">=", ColumnRef(alias, column), Literal(value)),
+        Comparison("=", ColumnRef(OUTER, "nosuch"), ColumnRef(INNER, "k")),
+    ))
+    op = NestedLoopJoin(ctx, SeqScan(ctx, "a", OUTER),
+                        SeqScan(ctx, "b", INNER), condition)
+    if raises:
+        with pytest.raises(QueryError):
+            list(op.rows())
+    else:
+        assert list(op.rows()) == []
+
+
+def test_multi_batch_inner_matches_per_pair_evaluation():
+    db = build(
+        [(i % 4, i / 4, "ab"[i % 2], TEXTS[: i % 3]) for i in range(6)],
+        [(i % 5, (i % 7) / 2, "a" if i % 3 else None, TEXTS[i % 4: i % 5])
+         for i in range(150)],
+    )
+    ctx = db.planner.exec_context()
+    condition = And((
+        Comparison("=", ColumnRef(OUTER, "i"), ColumnRef(INNER, "k")),
+        Comparison("<=", label(INNER, "Other"), label(OUTER, "Disease")),
+        Comparison("LIKE", ColumnRef(INNER, "u"), ColumnRef(OUTER, "t")),
+    ))
+    op = NestedLoopJoin(ctx, SeqScan(ctx, "a", OUTER),
+                        SeqScan(ctx, "b", INNER), condition)
+    expected = observe(lambda: per_pair_join(op))
+    assert len(expected) >= 5  # rows, not an error
+    assert observe(lambda: list(op.rows())) == expected
+
+
+def test_inner_summary_sets_are_shared_across_outer_rows():
+    """Every outer row's pair view sees the *same* summary-set object for
+    one inner row (memoized row views), as when one tuple object was
+    joined against every outer row."""
+    db = joined_db()
+    ctx = db.planner.exec_context()
+    seen: dict[int, list] = {}
+
+    def record(right_set, oid):
+        seen.setdefault(oid, []).append(right_set)
+        return True
+
+    ctx.eval_ctx.udfs["record"] = record
+    op = NestedLoopJoin(
+        ctx, SeqScan(ctx, "a", OUTER), SeqScan(ctx, "b", INNER),
+        condition=Comparison(">=", ColumnRef(OUTER, "i"), Literal(0)),
+        summary_predicate=UdfCall("record", (
+            SummaryExpr(INNER, ()), ColumnRef(INNER, "oid"),
+        )),
+    )
+    assert len(list(op.rows())) == 5 * 9
+    assert len(seen) == 9
+    for sets in seen.values():
+        assert len(sets) == 5
+        assert all(s is sets[0] for s in sets)
