@@ -23,7 +23,7 @@ from repro.errors import CatalogError, RecordNotFoundError, ReproError
 from repro.storage.buffer import BufferPool
 from repro.storage.heapfile import HeapFile, RID
 from repro.storage.page import SlottedPage
-from repro.storage.record import LazyColumn
+from repro.storage.record import LazyColumn, RecordBlock
 
 _RID_CODEC = struct.Struct("<IH")
 
@@ -219,9 +219,10 @@ class Table:
     ) -> Iterator[tuple[list[int], list[LazyColumn]]]:
         """Yield ``(oids, columns)`` chunks of up to ``batch_rows`` live
         tuples in heap order — the batch executor's scan path. Each column
-        is a :class:`LazyColumn` over the chunk's raw record bytes: nothing
-        is decoded until an operator actually reads that column, so a
-        selective filter never pays for the columns (or rows) it drops."""
+        is a :class:`LazyColumn` over the chunk's one :class:`RecordBlock`:
+        nothing is decoded until an operator actually reads that column (or
+        row), so a selective filter never pays for the columns (or rows) it
+        drops."""
         rid_to_oid = {
             unpack_rid(v): decode_int(k)
             for k, v in self.oid_index.items()
@@ -229,7 +230,8 @@ class Table:
         width = len(self.schema.names)
 
         def lazy(records: list[bytes]) -> list[LazyColumn]:
-            return [LazyColumn(self._codec, records, j) for j in range(width)]
+            block = RecordBlock(self._codec, records)
+            return [LazyColumn(block, j) for j in range(width)]
 
         oids: list[int] = []
         records: list[bytes] = []

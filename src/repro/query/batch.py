@@ -8,10 +8,12 @@ slots. Batches produced by the scans keep their summary slots *lazy* — the
 SummaryStorage row of a tuple is only decoded into
 :class:`~repro.summaries.objects.SummaryObject` instances when some
 consumer actually asks for that row's sets (``row(i)`` / ``to_rows()``).
-Vectorized summary predicates answer ``getSummaryObject(I).getLabelValue(L)``
-chains straight from the storage layer's raw fast path
-(:meth:`~repro.summaries.storage.SummaryStorage.label_count`) instead,
-so filtered-out rows never pay object construction.
+Vectorized summary predicates read the summary slot alone
+(:meth:`Batch.summary_values`), never a row view, and answer
+``getSummaryObject(I).getLabelValue(L)`` chains straight from the storage
+layer's raw fast path
+(:meth:`~repro.summaries.storage.SummaryStorage.label_count`), so
+filtered-out rows never pay object construction or a data decode.
 
 Batches are sized to the resilience layer's checkpoint cadence
 (:data:`~repro.resilience.context.BATCH_ROWS`): one deadline/cancellation
@@ -42,8 +44,8 @@ class EagerSummaries:
     def take(self, indices) -> "EagerSummaries":
         return EagerSummaries([self.sets[i] for i in indices])
 
-    def label_values(self, expr, eval_ctx, active, row_fn):
-        return None  # no fast path: evaluate per row on the built sets
+    def label_values(self, expr, active, out):
+        return active  # no fast path: evaluate per row on the built sets
 
 
 class LazyScanSummaries:
@@ -101,41 +103,37 @@ class LazyScanSummaries:
             self.with_summaries, self.retained, memo, self._label_memo,
         )
 
-    def label_values(self, expr, eval_ctx, active, row_fn):
-        """Vectorized ``alias.$.getSummaryObject(I).getLabelValue(L)``.
+    def label_values(self, expr, active, out):
+        """Raw fast path for ``alias.$.getSummaryObject(I).getLabelValue(L)``.
 
-        Returns a per-row value list (non-active slots stay None) or None
-        when the chain doesn't match the fast-path shape. Rows the storage
-        layer can't answer raw (non-classifier objects, rollup labels)
-        fall back to full per-row evaluation — identical semantics,
-        full-decode cost.
+        Writes the value of each ``active`` row the storage layer answers
+        from its raw label counts into ``out`` and returns the rows it
+        could not answer — every active row when the chain is not of that
+        shape, only the non-classifier objects and rollup labels when it
+        is. Those rows are left to full evaluation on ``get(i)``.
         """
         if expr.alias is not None and expr.alias != self.alias:
-            return None
+            return active
         if (self.retained is not None
                 and self.ctx.manager.has_cell_annotations(self.table)):
             # Annotation-effect elimination can drop cell-targeted
             # annotations, so stored counts differ from projected ones —
             # the same side condition the planner's summary-index paths
             # check. Row-level-only tables project to a no-op.
-            return None
-        n = len(self.oids)
-        out: list[object] = [None] * n
-        if not self.with_summaries:
-            return out  # empty sets: the chain nullifies on every row
+            return active
         chain = expr.chain
         if len(chain) != 2:
-            return None
+            return active
         first, second = chain
         if (first.name != "getSummaryObject" or len(first.args) != 1
                 or not isinstance(first.args[0], str)):
-            return None
+            return active
         if (second.name != "getLabelValue" or len(second.args) != 1
                 or not isinstance(second.args[0], str)):
-            return None
+            return active
+        if not self.with_summaries:
+            return []  # empty sets: the chain nullifies on every row
         instance, label = first.args[0], second.args[0]
-        from repro.query.eval import evaluate_summary_expr
-
         storage = self.ctx.manager.storage_for(self.table)
         oids = self.oids
         memo = self._label_memo
@@ -147,13 +145,14 @@ class LazyScanSummaries:
             )
             for i, hit in zip(misses, hits):
                 memo[(oids[i], instance, label)] = hit
+        rest = []
         for i in active:
             status, value = memo[(oids[i], instance, label)]
             if status == "ok":
                 out[i] = value
             else:
-                out[i] = evaluate_summary_expr(expr, row_fn(i), eval_ctx)
-        return out
+                rest.append(i)
+        return rest
 
 
 class ScanProvenance:
@@ -270,10 +269,23 @@ class Batch:
             return self._rows
         return [self.row(i) for i in range(len(self))]
 
-    def label_values(self, expr, eval_ctx, active):
-        """Delegate a summary-chain column to the summary slot's fast path
-        (None when only per-row evaluation can answer it)."""
-        return self.summaries.label_values(expr, eval_ctx, active, self.row)
+    def summary_values(self, expr, eval_ctx, active: list[int]) -> list:
+        """``expr``'s value on each ``active`` row (other slots None).
+
+        A summary chain reads only its row's summary sets, so no data
+        value is decoded: the summary slot's raw label fast path answers
+        what it can, and the rest walk the chain on ``summaries.get(i)`` —
+        the memoized dict ``row(i)`` would carry, so set identity is the
+        same as on a row view.
+        """
+        from repro.query.eval import evaluate_summary_expr
+
+        out: list[object] = [None] * len(self)
+        for i in self.summaries.label_values(expr, active, out):
+            out[i] = evaluate_summary_expr(
+                expr, self.summaries.get(i), eval_ctx
+            )
+        return out
 
     # -- reshaping ------------------------------------------------------------------
 
@@ -283,9 +295,10 @@ class Batch:
         rows = None
         if self._rows is not None:
             rows = [self._rows[i] for i in indices]
+        blocks: dict = {}  # sibling lazy columns share one taken block
         taken = Batch(
             self.columns,
-            [col.take(indices) if isinstance(col, LazyColumn)
+            [col.take(indices, blocks) if isinstance(col, LazyColumn)
              else [col[i] for i in indices] for col in self.cols],
             self.summaries.take(indices),
             self.provenance.take(indices),

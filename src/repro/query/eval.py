@@ -27,7 +27,7 @@ from repro.query.ast import (
     Or,
     SummaryExpr,
 )
-from repro.query.tuples import QTuple
+from repro.query.tuples import QTuple, resolve_summary_set
 from repro.summaries.functions import SummarySet
 from repro.summaries.objects import (
     ClassifierObject,
@@ -99,7 +99,7 @@ def evaluate(expr: Expr, row: QTuple, ctx: EvalContext | None = None) -> object:
         name = f"{expr.alias}.{expr.column}" if expr.alias else expr.column
         return row.get(name)
     if isinstance(expr, SummaryExpr):
-        return evaluate_summary_expr(expr, row, ctx)
+        return evaluate_summary_expr(expr, row.summary_sets, ctx)
     if isinstance(expr, Comparison):
         return _compare(expr, row, ctx)
     if isinstance(expr, And):
@@ -220,9 +220,12 @@ def _rollup_value(
 
 
 def evaluate_summary_expr(
-    expr: SummaryExpr, row: QTuple, ctx: EvalContext
+    expr: SummaryExpr, summary_sets: dict, ctx: EvalContext
 ) -> object:
-    receiver: object = row.summary_set(expr.alias)
+    """Walk ``expr``'s chain from the ``$`` it names in a per-alias
+    summary-set dict — a tuple's ``summary_sets`` or a batch's summary
+    slot; no data value is read."""
+    receiver: object = resolve_summary_set(summary_sets, expr.alias)
     for call in expr.chain:
         if receiver is None:
             return None  # a missing summary object nullifies the chain
@@ -298,12 +301,12 @@ def _dispatch_object(
 #
 # A predicate mask is built column-at-a-time where the expression shape
 # allows it (comparisons over data columns, LIKE against a constant
-# pattern, two-link classifier summary chains) and row-at-a-time —
-# plain :func:`evaluate` on a row view — everywhere else, so a mask can
-# never answer differently from per-row evaluation. AND evaluates its
-# conjuncts left-to-right over the surviving row set, mirroring
-# :func:`evaluate`'s short-circuit; OR only evaluates later disjuncts on
-# rows still undecided.
+# pattern, summary chains — read off the batch's summary slot, never a
+# row view) and row-at-a-time — plain :func:`evaluate` on a row view —
+# everywhere else, so a mask can never answer differently from per-row
+# evaluation. AND evaluates its conjuncts left-to-right over the
+# surviving row set, mirroring :func:`evaluate`'s short-circuit; OR only
+# evaluates later disjuncts on rows still undecided.
 
 
 def batch_predicate_mask(
@@ -347,16 +350,26 @@ def _batch_mask(expr, batch, ctx, active):
         return active & ~_batch_mask(expr.item, batch, ctx, active)
     if isinstance(expr, Comparison):
         return _batch_compare(expr, batch, ctx, active)
+    if isinstance(expr, SummaryExpr):
+        values = batch.summary_values(expr, ctx, _active_rows(active))
+        return np.fromiter((bool(v) for v in values), dtype=bool,
+                           count=len(values))
     return _rowwise_mask(expr, batch, ctx, active)
 
 
+def _active_rows(active) -> list[int]:
+    import numpy as np
+
+    return [int(i) for i in np.flatnonzero(active)]
+
+
 def _rowwise_mask(expr, batch, ctx, active):
-    """Fallback: plain per-row evaluation on the active rows."""
+    """Fallback for the shapes that read a whole row (UDFs, bare column
+    truthiness, ...): plain per-row evaluation on the active rows."""
     import numpy as np
 
     out = np.zeros(len(active), dtype=bool)
-    for i in np.flatnonzero(active):
-        i = int(i)
+    for i in _active_rows(active):
         out[i] = bool(evaluate(expr, batch.row(i), ctx))
     return out
 
@@ -364,21 +377,27 @@ def _rowwise_mask(expr, batch, ctx, active):
 def _batch_operand(expr, batch, ctx, active):
     """``("scalar", v)`` / ``("col", values)`` for a vectorizable operand,
     None when only whole-row evaluation can produce it."""
-    import numpy as np
-
     if isinstance(expr, Literal):
         return ("scalar", expr.value)
     if isinstance(expr, ColumnRef):
         name = f"{expr.alias}.{expr.column}" if expr.alias else expr.column
         return ("col", batch.column_values(name))
     if isinstance(expr, SummaryExpr):
-        values = batch.label_values(
-            expr, ctx, [int(i) for i in np.flatnonzero(active)]
-        )
-        if values is None:
-            return None
-        return ("col", values)
+        return ("col", batch.summary_values(expr, ctx, _active_rows(active)))
     return None
+
+
+def _numpy_exact(values, arr, scalar) -> bool:
+    """Whether numpy compares ``arr`` (built from ``values``) with
+    ``scalar`` exactly as Python compares each value: an int64 column
+    against an int within int64, or an all-float column against a float.
+    Any other pairing converts one side to float64, which rounds ints past
+    2**53 (``9007199254740992.0 == 9007199254740993`` is False in Python,
+    True in float64)."""
+    kind = arr.dtype.kind
+    if isinstance(scalar, int):
+        return kind == "i" and -(1 << 63) <= scalar < (1 << 63)
+    return kind == "f" and all(isinstance(v, float) for v in values)
 
 
 _ORDER_OPS = {
@@ -426,8 +445,8 @@ def _batch_compare(expr, batch, ctx, active):
 
     # Numeric column <op> numeric constant (either way round): one numpy
     # comparison when the column is cleanly numeric (no Nones, no
-    # objects) — otherwise the elementwise loop below reproduces _compare
-    # exactly.
+    # objects) and the pairing is exact (_numpy_exact) — otherwise the
+    # elementwise loop below reproduces _compare exactly.
     col, scalar, col_op = left, right, op
     if left[0] == "scalar" and op in _FLIPPED:
         col, scalar, col_op = right, left, _FLIPPED[op]
@@ -436,9 +455,9 @@ def _batch_compare(expr, batch, ctx, active):
             and not isinstance(scalar[1], bool):
         try:
             arr = np.asarray(col[1])
-        except (ValueError, TypeError):
+        except (ValueError, TypeError, OverflowError):
             arr = None
-        if arr is not None and arr.dtype.kind in "iuf":
+        if arr is not None and _numpy_exact(col[1], arr, scalar[1]):
             if col_op == "=":
                 cmp = arr == scalar[1]
             elif col_op == "<>":

@@ -136,7 +136,8 @@ def _domain_bound(value, vtype: ValueType, upper: bool, inclusive: bool):
     ``(key, inclusive)``; ``(None, True)`` when every non-NULL value
     satisfies it; None when none does. INT and BOOL columns are an
     integer domain: a float bound tightens to the nearest integer inside
-    the range and every bound becomes inclusive.
+    the range and every bound becomes inclusive; likewise an int bound a
+    FLOAT column cannot hold exactly tightens to the nearest float inside.
     """
     if vtype is ValueType.TEXT:
         return value, inclusive
@@ -144,9 +145,14 @@ def _domain_bound(value, vtype: ValueType, upper: bool, inclusive: bool):
         return None
     if vtype is ValueType.FLOAT:
         try:
-            return float(value), inclusive
+            bound = float(value)
         except OverflowError:  # an int beyond every float
             return (None, True) if (value > 0) == upper else None
+        if bound != value:  # an int between two floats, past 2**53
+            if (bound > value) == upper:
+                bound = math.nextafter(bound, -math.inf if upper else math.inf)
+            inclusive = True
+        return bound, inclusive
     if isinstance(value, float):
         if math.isinf(value):
             return (None, True) if (value > 0) == upper else None

@@ -17,6 +17,32 @@ from repro.errors import QueryError
 from repro.summaries.functions import SummarySet
 
 
+def _distinct(summary_sets: dict[str, SummarySet]) -> list[SummarySet]:
+    seen: list[SummarySet] = []
+    for s in summary_sets.values():
+        if not any(s is other for other in seen):
+            seen.append(s)
+    return seen
+
+
+def resolve_summary_set(
+    summary_sets: dict[str, SummarySet], alias: str | None
+) -> SummarySet:
+    """The set ``alias.$`` names in a per-alias ``summary_sets`` dict (the
+    only distinct set when no alias is given) — the one rule behind both a
+    tuple's ``$`` and a batch's summary slot."""
+    if alias is not None:
+        if alias not in summary_sets:
+            raise QueryError(f"no summary set for alias {alias!r}")
+        return summary_sets[alias]
+    distinct = _distinct(summary_sets)
+    if len(distinct) == 1:
+        return distinct[0]
+    if not distinct:
+        return SummarySet()
+    raise QueryError("'$' is ambiguous: qualify it with an alias")
+
+
 class QTuple:
     """One runtime tuple: values + summary set(s) + provenance."""
 
@@ -59,23 +85,10 @@ class QTuple:
     def summary_set(self, alias: str | None = None) -> SummarySet:
         """The summary set visible through ``alias.$`` (or the tuple's only
         set when no alias is given)."""
-        if alias is not None:
-            if alias not in self.summary_sets:
-                raise QueryError(f"no summary set for alias {alias!r}")
-            return self.summary_sets[alias]
-        distinct = self.distinct_summary_sets()
-        if len(distinct) == 1:
-            return distinct[0]
-        if not distinct:
-            return SummarySet()
-        raise QueryError("'$' is ambiguous: qualify it with an alias")
+        return resolve_summary_set(self.summary_sets, alias)
 
     def distinct_summary_sets(self) -> list[SummarySet]:
-        seen: list[SummarySet] = []
-        for s in self.summary_sets.values():
-            if not any(s is other for other in seen):
-                seen.append(s)
-        return seen
+        return _distinct(self.summary_sets)
 
     def merged_summary_set(self) -> SummarySet:
         """One merged set over all aliases (what the user sees propagated)."""

@@ -194,50 +194,82 @@ class RecordCodec:
         return cols
 
 
+class RecordBlock:
+    """One scan chunk's raw records, shared by every column of the chunk.
+
+    ``row(i)`` decodes record *i* whole, once, and memoizes it, so a row
+    view built cell by cell off the chunk's lazy columns pays one field
+    walk per record rather than one per cell.
+    """
+
+    __slots__ = ("codec", "records", "_rows")
+
+    def __init__(self, codec: RecordCodec, records: list[bytes],
+                 rows: dict[int, list[object]] | None = None):
+        self.codec = codec
+        self.records = records
+        self._rows: dict[int, list[object]] = rows if rows is not None else {}
+
+    def row(self, i: int) -> list[object]:
+        row = self._rows.get(i)
+        if row is None:
+            row = self._rows[i] = self.codec.decode(self.records[i])
+        return row
+
+    def take(self, indices) -> "RecordBlock":
+        """Sub-block of the given records, keeping rows already decoded."""
+        rows = {}
+        for new_i, old_i in enumerate(indices):
+            hit = self._rows.get(old_i)
+            if hit is not None:
+                rows[new_i] = hit
+        return RecordBlock(
+            self.codec, [self.records[i] for i in indices], rows
+        )
+
+
 class LazyColumn:
     """A scan-batch column that decodes itself on first real access.
 
-    Holds the batch's raw record bytes and a column index; ``values()``
-    (or any element access) decodes the column via
-    :meth:`RecordCodec.decode_column` and memoizes the list. ``take``
-    before forcing just subsets the raw records, so a filter that drops
-    most of a batch never decodes the dropped rows at all.
+    A column index into its chunk's :class:`RecordBlock`. ``values()``
+    decodes the whole column via :meth:`RecordCodec.decode_column` and
+    memoizes the list; a single element read before that goes through the
+    block's decoded row. ``take`` before forcing just subsets the block,
+    so a filter that drops most of a batch never decodes the dropped rows
+    at all.
     """
 
-    __slots__ = ("codec", "records", "index", "_values", "_items")
+    __slots__ = ("block", "index", "_values")
 
-    def __init__(self, codec: RecordCodec, records: list[bytes], index: int):
-        self.codec = codec
-        self.records = records
+    def __init__(self, block: RecordBlock, index: int):
+        self.block = block
         self.index = index
         self._values: list[object] | None = None
-        self._items: dict[int, object] = {}
 
     def values(self) -> list[object]:
         if self._values is None:
-            self._values = self.codec.decode_column(self.records, self.index)
+            self._values = self.block.codec.decode_column(
+                self.block.records, self.index
+            )
         return self._values
 
-    def take(self, indices) -> "LazyColumn | list[object]":
+    def take(self, indices, blocks: dict) -> "LazyColumn | list[object]":
+        """Subset of the given rows. Sibling columns taken with one shared
+        ``blocks`` dict (old block -> taken block) stay on one sub-block."""
         if self._values is not None:
             return [self._values[i] for i in indices]
-        return LazyColumn(
-            self.codec, [self.records[i] for i in indices], self.index
-        )
+        block = blocks.get(self.block)
+        if block is None:
+            block = blocks[self.block] = self.block.take(indices)
+        return LazyColumn(block, self.index)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.block.records)
 
     def __getitem__(self, i):
         if self._values is not None:
             return self._values[i]
-        # Single-row access (a row view being built off the batch) decodes
-        # just that record rather than forcing the whole column.
-        value = self._items.get(i)
-        if value is None and i not in self._items:
-            value = self.codec.decode_column([self.records[i]], self.index)[0]
-            self._items[i] = value
-        return value
+        return self.block.row(i)[self.index]
 
     def __iter__(self):
         return iter(self.values())

@@ -13,10 +13,16 @@ NULL never matches, and an open lower bound never reaches NULL keys.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import Column, Database, ValueType
 from repro.errors import QueryError
+from repro.optimizer.cost import match_indexable_data_pred
+from repro.query.ast import ColumnRef, Comparison, Literal
+from repro.query.eval import batch_predicate_mask, evaluate
+from repro.query.physical import FilterOp, IndexScan, SeqScan
 
 OPS = ["=", "<", "<=", ">", ">="]
 KEYS = ["3", "3.0", "3.5", "'3'", "197.5", "NULL"]
@@ -84,6 +90,76 @@ def test_examples_from_the_heap_path(db):
     assert "null" not in outcome(
         db, "Select name From t r Where r.k < 2", "index"
     )[1]
+
+
+# -- the int/float precision boundary ------------------------------------------
+#
+# Python compares an int with a float exactly; float64 does not hold every
+# int past 2**53. The Filter's numpy fast path and the FLOAT index bound
+# must both keep Python's answer.
+
+BIG = 2 ** 53
+PRECISION_ROWS = [
+    (BIG + 1, float(BIG)), (1, 1.5), (3, 3.0), (BIG, float(BIG + 2)),
+    (BIG - 1, float(BIG - 1)), (2 ** 63 - 1, 1e300), (-(2 ** 63), -math.inf),
+    (0, math.inf), (-7, -2.5),
+]
+SCALARS = [3, 3.0, BIG - 1, BIG + 1, float(BIG - 1), float(BIG + 1), 2 ** 63,
+           -(2 ** 63) - 1, 1e300, math.inf]
+
+
+@pytest.fixture(scope="module")
+def precision_db():
+    database = Database()
+    database.create_table("p", [Column("k", ValueType.INT),
+                                Column("f", ValueType.FLOAT),
+                                Column("name", ValueType.TEXT)])
+    for n, (k, f) in enumerate(PRECISION_ROWS):
+        database.insert("p", {"k": k, "f": f, "name": f"p{n}"})
+    database.create_index("p", "k")
+    database.create_index("p", "f")
+    return database
+
+
+def _names(op) -> list[str]:
+    return sorted(row.get("name") for row in op.rows())
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("scalar", SCALARS, ids=repr)
+@pytest.mark.parametrize("op", ["=", "<>"] + OPS[1:])
+@pytest.mark.parametrize("column", ["k", "f"])
+def test_precision_boundary_parity(precision_db, column, op, scalar, swap):
+    ctx = precision_db.planner.exec_context()
+    col, lit = ColumnRef("r", column), Literal(scalar)
+    expr = Comparison(op, lit, col) if swap else Comparison(op, col, lit)
+    [batch] = SeqScan(ctx, "p", "r").batches()
+    mask = batch_predicate_mask(expr, batch, ctx.eval_ctx)
+    expected = [bool(evaluate(expr, batch.row(i), ctx.eval_ctx))
+                for i in range(len(batch))]
+    assert mask.tolist() == expected
+    if op == "<>":
+        return  # no index probe answers <>
+    heap = _names(FilterOp(ctx, SeqScan(ctx, "p", "r"), expr))
+    bounds = match_indexable_data_pred(expr).bounds()
+    index = _names(IndexScan(ctx, "p", "r", column, *bounds))
+    assert index == heap
+
+
+def test_precision_boundary_examples(precision_db):
+    """The disagreements the numpy fast path used to have."""
+    def names(where):
+        return sorted(precision_db.sql(
+            f"Select name From p r Where {where}"
+        ).column("name"))
+
+    precision_db.options.enable_data_indexes = False
+    try:
+        assert names(f"r.f = {BIG + 1}") == []
+        assert "p0" in names(f"r.f < {BIG + 1}")
+        assert names(f"r.k = {BIG}.0") == ["p3"]
+    finally:
+        precision_db.options.enable_data_indexes = True
 
 
 @pytest.fixture(scope="module")
