@@ -14,6 +14,11 @@ Internal::
 Internal separators are full ``(key, value)`` composites: entries strictly
 less than separator *i* live under child *i*; entries greater than or equal
 live to its right. This routes duplicate keys deterministically.
+
+:func:`encode_entry` is the one definition of the ``(klen, key, vlen,
+value)`` layout. A leaf keeps each entry's encoding beside it once it has
+been written, so re-writing the page after an insert or delete encodes the
+one entry that changed and joins the rest.
 """
 
 from __future__ import annotations
@@ -45,6 +50,13 @@ INTERNAL_TAG = 0
 Entry = tuple[bytes, bytes]
 
 
+def encode_entry(entry: Entry) -> bytes:
+    """The serialized form of one (key, value) pair: ``klen:u16, key,
+    vlen:u16, value``."""
+    key, value = entry
+    return _U16.pack(len(key)) + key + _U16.pack(len(value)) + value
+
+
 def entry_size(entry: Entry) -> int:
     """Serialized size of one (key, value) pair in a leaf."""
     return 4 + len(entry[0]) + len(entry[1])
@@ -53,6 +65,12 @@ def entry_size(entry: Entry) -> int:
 def separator_size(entry: Entry) -> int:
     """Serialized size of one separator + child pointer in an internal node."""
     return entry_size(entry) + 4
+
+
+def _page(body: bytes, page_size: int) -> bytearray:
+    data = bytearray(page_size)
+    data[:len(body)] = body
+    return data
 
 
 @dataclass
@@ -65,6 +83,16 @@ class LeafNode:
     #: :meth:`insert_entry`/:meth:`remove_entry`; bulk reslices of
     #: ``entries`` must call :meth:`invalidate_size`.
     _size: int | None = field(default=None, repr=False, compare=False)
+    #: ``encode_entry`` of each entry, parallel to ``entries``; ``None``
+    #: until the first :meth:`to_bytes` and after :meth:`invalidate_size`.
+    #: Maintained like ``_size``, and never pickled (:meth:`__getstate__`).
+    _parts: list[bytes] | None = field(default=None, repr=False,
+                                       compare=False)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_parts", None)
+        return state
 
     def serialized_size(self) -> int:
         if self._size is None:
@@ -75,25 +103,40 @@ class LeafNode:
         self.entries.insert(pos, entry)
         if self._size is not None:
             self._size += entry_size(entry)
+        if self._parts is not None:
+            self._parts.insert(pos, encode_entry(entry))
 
     def remove_entry(self, pos: int) -> None:
         entry = self.entries.pop(pos)
         if self._size is not None:
             self._size -= entry_size(entry)
+        if self._parts is not None:
+            del self._parts[pos]
 
     def invalidate_size(self) -> None:
         self._size = None
+        self._parts = None
+
+    def split_off(self, mid: int) -> "LeafNode":
+        """Move ``entries[mid:]`` into a new right sibling and return it.
+
+        The sibling inherits ``next_leaf``; the caller links this leaf to
+        the sibling's page.  Encoded entries move with their entries.
+        """
+        right = LeafNode(self.entries[mid:], self.next_leaf)
+        parts = self._parts
+        self.entries = self.entries[:mid]
+        self.invalidate_size()
+        if parts is not None:
+            right._parts, self._parts = parts[mid:], parts[:mid]
+        return right
 
     def to_bytes(self, page_size: int) -> bytearray:
-        pack = _U16.pack
-        parts = [bytes([LEAF_TAG]), pack(len(self.entries)),
-                 _I32.pack(self.next_leaf)]
-        for key, value in self.entries:
-            parts += (pack(len(key)), key, pack(len(value)), value)
-        body = b"".join(parts)
-        data = bytearray(page_size)
-        data[:len(body)] = body
-        return data
+        if self._parts is None:
+            self._parts = [encode_entry(e) for e in self.entries]
+        header = (bytes([LEAF_TAG]) + _U16.pack(len(self.entries))
+                  + _I32.pack(self.next_leaf))
+        return _page(header + b"".join(self._parts), page_size)
 
     @classmethod
     def from_bytes(cls, data: bytes | bytearray) -> "LeafNode":
@@ -148,18 +191,12 @@ class InternalNode:
     def to_bytes(self, page_size: int) -> bytearray:
         if len(self.children) != len(self.separators) + 1:
             raise StorageError("internal node child/separator mismatch")
-        pack16 = _U16.pack
         pack32 = _U32.pack
-        parts = [bytes([INTERNAL_TAG]), pack16(len(self.separators)),
+        parts = [bytes([INTERNAL_TAG]), _U16.pack(len(self.separators)),
                  pack32(self.children[0])]
         for sep, child in zip(self.separators, self.children[1:]):
-            key, value = sep
-            parts += (pack16(len(key)), key, pack16(len(value)), value,
-                      pack32(child))
-        body = b"".join(parts)
-        data = bytearray(page_size)
-        data[:len(body)] = body
-        return data
+            parts += (encode_entry(sep), pack32(child))
+        return _page(b"".join(parts), page_size)
 
     @classmethod
     def from_bytes(cls, data: bytes | bytearray) -> "InternalNode":

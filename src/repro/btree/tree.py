@@ -16,7 +16,9 @@ from typing import Iterator
 
 from repro.errors import DuplicateKeyError, IndexError_, StorageError
 from repro.storage.buffer import BufferPool
-from repro.btree.node import Entry, InternalNode, LeafNode, parse_node
+from repro.btree.node import (
+    Entry, InternalNode, LeafNode, entry_size, parse_node,
+)
 
 
 def _byte_balanced_mid(sizes: list[int]) -> int:
@@ -97,10 +99,7 @@ class BTree:
         pos = bisect.bisect_left(leaf.entries, entry)
         if pos < len(leaf.entries) and leaf.entries[pos] == entry:
             raise DuplicateKeyError(f"entry already present: {key!r}")
-        if self.unique and (
-            (pos < len(leaf.entries) and leaf.entries[pos][0] == key)
-            or (pos > 0 and leaf.entries[pos - 1][0] == key)
-        ):
+        if self.unique and self._key_taken(path, leaf, pos, key):
             raise DuplicateKeyError(f"duplicate key in unique index: {key!r}")
         leaf.insert_entry(pos, entry)
         self._len += 1
@@ -335,6 +334,31 @@ class BTree:
             node = self._read(child_id)
         return path
 
+    def _key_taken(self, path: list[tuple[int, int]], leaf: LeafNode,
+                   pos: int, key: bytes) -> bool:
+        """Whether ``key`` is already stored, for a unique insert at
+        ``pos`` of the leaf ending ``path``.
+
+        Equal keys are adjacent in entry order, so only the neighbours of
+        ``pos`` can match.  At a leaf edge the neighbour sits in a sibling
+        leaf; the separator bounding that edge says whether it can hold
+        ``key``, and only then is the tree searched.
+        """
+        entries = leaf.entries
+        if (pos < len(entries) and entries[pos][0] == key) or (
+                pos > 0 and entries[pos - 1][0] == key):
+            return True
+        lo = hi = None
+        for (parent_id, _), (_, idx) in zip(path, path[1:]):
+            separators = self._cache[parent_id].separators
+            if idx > 0:
+                lo = separators[idx - 1]
+            if idx < len(separators):
+                hi = separators[idx]
+        at_edge = (pos == 0 and lo is not None and lo[0] == key) or (
+            pos == len(entries) and hi is not None and hi[0] == key)
+        return at_edge and self.contains_key(key)
+
     def _leftmost_leaf(self) -> int:
         page_id = self.root_id
         node = self._read(page_id)
@@ -347,11 +371,9 @@ class BTree:
         """Split the overflowing ``node`` at ``path[-1]``, cascading upward."""
         page_id, child_idx = path[-1]
         if isinstance(node, LeafNode):
-            mid = _byte_balanced_mid([4 + len(k) + len(v) for k, v in node.entries])
-            right = LeafNode(node.entries[mid:], node.next_leaf)
+            mid = _byte_balanced_mid([entry_size(e) for e in node.entries])
+            right = node.split_off(mid)
             right_id = self.pool.new_page()
-            node.entries = node.entries[:mid]
-            node.invalidate_size()
             node.next_leaf = right_id
             separator = right.entries[0]
             self._write(right_id, right)

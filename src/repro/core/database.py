@@ -803,8 +803,16 @@ class Database:
         ``manager.add_annotations_bulk`` directly, a crash after this
         returns replays the whole batch (the record carries the first
         assigned annotation id, so replay reproduces identical ids).
+        A target naming no tuple rejects the whole batch with
+        :class:`~repro.errors.RecordNotFoundError` before anything is
+        logged or stored.
         """
         with self._wal_statement() as log:
+            for table, oid in dict.fromkeys(
+                (target.table, target.oid)
+                for _text, targets in items for target in targets
+            ):
+                self._require_tuple(table, oid)
             if log:
                 self._wal_append(
                     WALRecordType.ANN_BULK,

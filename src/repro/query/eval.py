@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from repro.errors import QueryError
+from repro.errors import QueryError, SummaryError
 from repro.query.ast import (
     UdfCall,
     AggCall,
@@ -306,7 +306,10 @@ def _dispatch_object(
 # everywhere else, so a mask can never answer differently from per-row
 # evaluation. AND evaluates its conjuncts left-to-right over the
 # surviving row set, mirroring :func:`evaluate`'s short-circuit; OR only
-# evaluates later disjuncts on rows still undecided.
+# evaluates later disjuncts on rows still undecided. Column-at-a-time
+# order can meet a later row's error before an earlier row's, so a batch
+# whose vectorized evaluation fails is replayed row by row: the statement
+# fails with the error per-row evaluation meets first.
 
 
 def batch_predicate_mask(
@@ -323,7 +326,10 @@ def batch_predicate_mask(
     ctx = ctx or EvalContext()
     if active is None:
         active = np.ones(len(batch), dtype=bool)
-    return _batch_mask(expr, batch, ctx, active)
+    try:
+        return _batch_mask(expr, batch, ctx, active)
+    except (QueryError, SummaryError):
+        return _rowwise_mask(expr, batch, ctx, active)
 
 
 def _batch_mask(expr, batch, ctx, active):

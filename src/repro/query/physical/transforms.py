@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterator
 
-from repro.errors import QueryError
+from repro.errors import QueryError, SummaryError
 from repro.query.ast import AggCall, ColumnRef, Expr, Literal, SelectItem, Star
 from repro.query.batch import Batch, batches_from_rows, rows_from_batches
 from repro.query.eval import (
@@ -140,21 +140,39 @@ class ProjectOp(PhysicalOperator):
 
     def _produce_batches(self) -> Iterator[Batch]:
         for batch in self.child.batches():
-            n = len(batch)
-            columns: list[str] = []
-            cols: list[list[object]] = []
+            try:
+                out = self._project(batch)
+            except (QueryError, SummaryError):
+                self._replay_rows(batch)
+                raise
+            yield out
+
+    def _project(self, batch: Batch) -> Batch:
+        n = len(batch)
+        columns: list[str] = []
+        cols: list[list[object]] = []
+        for item in self.items:
+            if isinstance(item, Star):
+                for j, column in enumerate(batch.columns):
+                    alias = column.split(".", 1)[0]
+                    if item.alias is None or alias == item.alias:
+                        columns.append(column)
+                        cols.append(batch.cols[j])
+                continue
+            assert isinstance(item, SelectItem)
+            columns.append(item.alias or str(item.expr))
+            cols.append(self._column(item.expr, batch, n))
+        return Batch(columns, cols, batch.summaries, batch.provenance)
+
+    def _replay_rows(self, batch: Batch) -> None:
+        """Raise a failed select list's error as per-row evaluation meets
+        it: every item on one row before the next row. Column-at-a-time
+        order can reach a later row's error first."""
+        for i in range(len(batch)):
+            row = batch.take([i])
             for item in self.items:
-                if isinstance(item, Star):
-                    for j, column in enumerate(batch.columns):
-                        alias = column.split(".", 1)[0]
-                        if item.alias is None or alias == item.alias:
-                            columns.append(column)
-                            cols.append(batch.cols[j])
-                    continue
-                assert isinstance(item, SelectItem)
-                columns.append(item.alias or str(item.expr))
-                cols.append(self._column(item.expr, batch, n))
-            yield Batch(columns, cols, batch.summaries, batch.provenance)
+                if isinstance(item, SelectItem):
+                    self._column(item.expr, row, 1)
 
     def _column(self, expr: Expr, batch: Batch, n: int) -> list[object]:
         """One select item's output column; whole-column moves for the

@@ -53,6 +53,23 @@ class TestBasics:
         with pytest.raises(DuplicateKeyError):
             tree.insert(b"key", b"2")
 
+    def test_unique_index_sees_duplicate_key_in_sibling_leaf(self):
+        """Equal keys can straddle a leaf boundary; the neighbour the
+        unique check needs then sits in the sibling leaf."""
+        tree = BTree(BufferPool(DiskManager(page_size=256), capacity=64),
+                     unique=True)
+        for i in range(12):
+            tree.insert(k(i), b"m" * 30)
+        key, value = tree._read(tree.root_id).separators[0]
+        with pytest.raises(DuplicateKeyError):
+            tree.insert(key, b"a")  # sorts into the left leaf's end
+        assert tree.delete(key, value)
+        tree.insert(key, b"a")
+        with pytest.raises(DuplicateKeyError):
+            tree.insert(key, b"z")  # sorts into the right leaf's start
+        assert tree.search(key) == [b"a"]
+        assert tree.structure_errors() == []
+
     def test_delete_present(self):
         tree = make_tree()
         tree.insert(b"a", b"1")

@@ -257,6 +257,14 @@ def build(data) -> Database:
 def test_filter_project_equal_row_at_a_time_evaluation(
     data, where, items, summary_select, retained
 ):
+    expected, got = both_ways(data, where, items, summary_select, retained)
+    event("error" if expected and expected[0] == "error"
+          else "rows" if expected else "empty")
+    assert got == expected
+
+
+def both_ways(data, where, items, summary_select=False, retained=None):
+    """(row-at-a-time, Filter/Project) observations of one query."""
     db = build(data)
     ctx = db.planner.exec_context()
     select = SummarySelectOp if summary_select else FilterOp
@@ -264,9 +272,32 @@ def test_filter_project_equal_row_at_a_time_evaluation(
                                             retained=retained), where),
                    items)
     expected = observe(lambda: per_row(db, where, items, retained))
-    event("error" if expected and expected[0] == "error"
-          else "rows" if expected else "empty")
-    assert observe(lambda: list(op.rows())) == expected
+    return expected, observe(lambda: list(op.rows()))
+
+
+# The first row is unannotated, so "Health" (a rollup, not a label of flat
+# C) only fails on the second; "$z" names no summary set and fails on both.
+UNEVEN = [(dict.fromkeys(NAMES), []),
+          (dict.fromkeys(NAMES), [(TEXTS[0], (), False)])]
+NOT_A_LABEL = chain(ALIAS, ("getSummaryObject", ("C",)),
+                    ("getLabelValue", ("Health",)))
+NO_SET = chain("z", ("getSize", ()))
+
+
+def test_predicate_fails_with_the_first_rows_error():
+    """Column-at-a-time, the left operand's error (row 2) comes before the
+    right's (row 1); row-at-a-time meets row 1's first."""
+    expected, got = both_ways(UNEVEN, Comparison("=", NOT_A_LABEL, NO_SET),
+                              [Star()])
+    assert expected == ("error", "QueryError")
+    assert got == expected
+
+
+def test_select_list_fails_with_the_first_rows_error():
+    expected, got = both_ways(UNEVEN, Literal(True),
+                              [SelectItem(NOT_A_LABEL), SelectItem(NO_SET)])
+    assert expected == ("error", "QueryError")
+    assert got == expected
 
 
 @given(

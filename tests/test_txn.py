@@ -299,6 +299,77 @@ class TestAnnotateMissingTuple:
         assert pool.hits + pool.misses - before == unchecked
 
 
+class TestBulkAnnotateMissingTuple:
+    """``add_annotations_bulk`` checks its targets like ``Annotate``: one
+    target naming no tuple rejects the whole batch, with nothing logged,
+    stored or counted."""
+
+    indexed_db = staticmethod(TestAnnotateMissingTuple.indexed_db)
+
+    @staticmethod
+    def footprint(db: Database) -> tuple:
+        return (db.manager.annotations.next_id, db.wal.next_lsn,
+                db.metrics.get("maint.annotation_add"))
+
+    @staticmethod
+    def texts(db: Database) -> list[str]:
+        return [a.text for a in db.manager.annotations.scan()]
+
+    @pytest.mark.parametrize("oid, deleted_first", [
+        (0, False),   # below next_oid, never assigned
+        (57, False),  # at or past next_oid
+        (4, True),    # deleted, never annotated
+        (2, True),    # deleted, was annotated
+    ])
+    def test_bad_target_rejects_and_leaves_no_trace(self, oid, deleted_first):
+        db = self.indexed_db()
+        if deleted_first:
+            db.sql(f"Delete From t r Where r.oid = {oid}")
+        before = self.footprint(db)
+        with pytest.raises(RecordNotFoundError):
+            db.add_annotations_bulk(
+                [("ghost note", [AnnotationTarget("t", oid)])]
+            )
+        assert self.footprint(db) == before
+        assert "ghost note" not in self.texts(db)
+        assert db.check_integrity().ok
+
+    def test_one_bad_target_rejects_the_whole_batch(self):
+        db = self.indexed_db()
+        before = self.footprint(db)
+        good = [("apple alpha", [AnnotationTarget("t", 1)]),
+                ("bear beta", [AnnotationTarget("t", 3)])]
+        bad = ("ghost note", [AnnotationTarget("t", 3),
+                              AnnotationTarget("t", 99)])
+        with pytest.raises(RecordNotFoundError):
+            db.add_annotations_bulk(good + [bad])
+        assert self.footprint(db) == before
+        assert self.texts(db) == ["apple alpha"]
+        assert db.zoom_in("t", 1, "C") == []
+        # The good part alone is accepted, under the ids it would have had.
+        added = db.add_annotations_bulk(good)
+        assert [a.ann_id for a in added] == [before[0], before[0] + 1]
+        assert db.zoom_in("t", 3, "C") == ["bear beta"]
+        assert db.check_integrity().ok
+
+    def test_crash_after_rejection_recovers_nothing_of_it(self):
+        db = self.indexed_db()
+        with pytest.raises(RecordNotFoundError):
+            db.add_annotations_bulk([
+                ("apple alpha", [AnnotationTarget("t", 1)]),
+                ("ghost note", [AnnotationTarget("t", 57)]),
+            ])
+        dev = MemoryWALDevice.from_durable(
+            db.wal.device.durable(), db.wal.device.base_lsn
+        )
+        recovered, _ = Database.recover(None, dev)
+        assert self.texts(recovered) == ["apple alpha"]
+        assert (recovered.manager.annotations.next_id
+                == db.manager.annotations.next_id)
+        assert recovered.zoom_in("t", 1, "C") == []
+        assert recovered.check_integrity().ok
+
+
 class TestTransactionDurability:
     def test_commit_group_framing(self):
         db = make_db(wal=True)
