@@ -19,7 +19,12 @@ from repro.catalog.keys import (
     encode_key,
 )
 from repro.catalog.schema import Schema
-from repro.errors import CatalogError, RecordNotFoundError, ReproError
+from repro.errors import (
+    CatalogError,
+    IndexError_,
+    RecordNotFoundError,
+    ReproError,
+)
 from repro.storage.buffer import BufferPool
 from repro.storage.heapfile import HeapFile, RID
 from repro.storage.page import SlottedPage
@@ -41,10 +46,19 @@ class Table:
     """A user relation: schema, heap file, OID index, secondary indexes."""
 
     #: Bumped by every row insert/update/delete (and by ``reindex``, which
-    #: may salvage rows away).  Scan-built consumers — the optimizer's
-    #: column statistics — compare it with the version they scanned at.
-    #: Class-level so tables from older images start at 0.
+    #: may salvage rows away) *after* its heap and OID-index changes, even
+    #: when one fails.  Scan-built consumers — the optimizer's column
+    #: statistics, the slot -> OID map — read it *before* they scan and
+    #: compare it with the version they scanned at, so a scan overlapping
+    #: a write is never taken as current.  Class-level so tables from
+    #: older images start at 0.
     data_version = 0
+
+    #: ``(data_version, pages)``: per heap page, a list indexed by slot
+    #: holding the OID of the record there (None where the OID index names
+    #: none) — the OID index turned around, so sequential scans read heap
+    #: pages only.  Process state: never pickled (:meth:`__getstate__`).
+    _oid_map: tuple[int, list[list[int | None]]] | None = None
 
     def __init__(self, name: str, schema: Schema, pool: BufferPool):
         self.name = name
@@ -58,6 +72,11 @@ class Table:
         #: Secondary indexes on data columns: column name -> B-Tree whose
         #: entries are (encoded column value, encoded oid).
         self.secondary_indexes: dict[str, BTree] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_oid_map", None)
+        return state
 
     def __len__(self) -> int:
         return len(self.heap)
@@ -97,13 +116,15 @@ class Table:
         if oid is None:
             oid = self._next_oid
         self._next_oid = max(self._next_oid, oid + 1)
-        self.data_version += 1
-        rid = self.heap.insert(self._codec.encode(values))
-        self.oid_index.insert(encode_int(oid), pack_rid(rid))
-        for col_name, index in self.secondary_indexes.items():
-            value = values[self.schema.index_of(col_name)]
-            key = encode_key(value, self.schema.column(col_name).type)
-            index.insert(key, encode_int(oid))
+        try:
+            rid = self.heap.insert(self._codec.encode(values))
+            self.oid_index.insert(encode_int(oid), pack_rid(rid))
+            for col_name, index in self.secondary_indexes.items():
+                value = values[self.schema.index_of(col_name)]
+                key = encode_key(value, self.schema.column(col_name).type)
+                index.insert(key, encode_int(oid))
+        finally:
+            self.data_version += 1
         return oid
 
     def disk_tuple_loc(self, oid: int) -> RID:
@@ -169,50 +190,90 @@ class Table:
         )
         return {oid: value for (oid, _), value in zip(items, values)}
 
-    def update(self, oid: int, row: dict[str, object]) -> None:
-        """Update the named columns of tuple ``oid``."""
+    def update(self, oid: int, row: dict[str, object]) -> RID | None:
+        """Update the named columns of tuple ``oid``.
+
+        Returns the RID the tuple moved away from when the grown record no
+        longer fit its page (None when it stayed): holders of the tuple's
+        heap location, such as backward pointers, must follow it.
+        """
         old_values = self.read(oid)
         values = list(old_values)
         for name, value in row.items():
             values[self.schema.index_of(name)] = value
         self.schema.validate_row(values)
         old_rid = self.disk_tuple_loc(oid)
-        self.data_version += 1
-        new_rid = self.heap.update(old_rid, self._codec.encode(values))
-        if new_rid != old_rid:
-            self.oid_index.delete(encode_int(oid), pack_rid(old_rid))
-            self.oid_index.insert(encode_int(oid), pack_rid(new_rid))
-        for col_name, index in self.secondary_indexes.items():
-            i = self.schema.index_of(col_name)
-            if values[i] != old_values[i]:
-                ctype = self.schema.column(col_name).type
-                index.delete(encode_key(old_values[i], ctype), encode_int(oid))
-                index.insert(encode_key(values[i], ctype), encode_int(oid))
+        try:
+            new_rid = self.heap.update(old_rid, self._codec.encode(values))
+            if new_rid != old_rid:
+                self.oid_index.delete(encode_int(oid), pack_rid(old_rid))
+                self.oid_index.insert(encode_int(oid), pack_rid(new_rid))
+            for col_name, index in self.secondary_indexes.items():
+                i = self.schema.index_of(col_name)
+                if values[i] != old_values[i]:
+                    ctype = self.schema.column(col_name).type
+                    index.delete(encode_key(old_values[i], ctype), encode_int(oid))
+                    index.insert(encode_key(values[i], ctype), encode_int(oid))
+        finally:
+            self.data_version += 1
+        return old_rid if new_rid != old_rid else None
 
     def delete(self, oid: int) -> None:
         """Delete tuple ``oid`` and all its index entries."""
         values = self.read(oid)
         rid = self.disk_tuple_loc(oid)
-        self.data_version += 1
-        self.heap.delete(rid)
-        self.oid_index.delete(encode_int(oid), pack_rid(rid))
-        for col_name, index in self.secondary_indexes.items():
-            value = values[self.schema.index_of(col_name)]
-            key = encode_key(value, self.schema.column(col_name).type)
-            index.delete(key, encode_int(oid))
+        try:
+            self.heap.delete(rid)
+            self.oid_index.delete(encode_int(oid), pack_rid(rid))
+            for col_name, index in self.secondary_indexes.items():
+                value = values[self.schema.index_of(col_name)]
+                key = encode_key(value, self.schema.column(col_name).type)
+                index.delete(key, encode_int(oid))
+        finally:
+            self.data_version += 1
+
+    def _slot_oids(self) -> list[list[int | None]]:
+        """The current slot -> OID map (see ``_oid_map``), rebuilt from
+        the OID index when a row write has moved ``data_version``."""
+        version = self.data_version  # read before the walk: see data_version
+        cached = self._oid_map
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        pages: list[list[int | None]] = [[] for _ in self.heap.page_ids]
+        for key, value in self.oid_index.items():
+            page_no, slot = _RID_CODEC.unpack(value)
+            if page_no >= len(pages):
+                continue  # dangling entry: no such heap page to scan
+            oids = pages[page_no]
+            if slot >= len(oids):
+                oids.extend([None] * (slot + 1 - len(oids)))
+            oids[slot] = decode_int(key)
+        self._oid_map = (version, pages)
+        return pages
+
+    def _live_rows(self) -> Iterator[tuple[int, bytes]]:
+        """``(oid, record)`` for every live tuple, heap order."""
+        slot_oids = self._slot_oids()
+        for page_no, records in self.heap.scan_pages():
+            oids = slot_oids[page_no] if page_no < len(slot_oids) else []
+            for slot, record in records:
+                oid = oids[slot] if slot < len(oids) else None
+                if oid is None:
+                    raise IndexError_(
+                        f"table {self.name}: live record at "
+                        f"{RID(page_no, slot)} has no OID-index entry"
+                    )
+                yield oid, record
 
     def scan(self) -> Iterator[tuple[int, list[object]]]:
         """Yield ``(oid, values)`` for every live tuple, heap order.
 
-        OIDs are recovered by scanning the OID index once into a reverse map;
-        heap order is preserved for realistic sequential-scan behaviour.
+        OIDs come from the slot -> OID map, so the scan reads heap pages
+        only (the OID index too on the first scan after a row write).
         """
-        rid_to_oid = {
-            unpack_rid(v): decode_int(k)
-            for k, v in self.oid_index.items()
-        }
-        for rid, record in self.heap.scan():
-            yield rid_to_oid[rid], self._codec.decode(record)
+        decode = self._codec.decode
+        for oid, record in self._live_rows():
+            yield oid, decode(record)
 
     def scan_batches(
         self, batch_rows: int
@@ -223,10 +284,6 @@ class Table:
         nothing is decoded until an operator actually reads that column (or
         row), so a selective filter never pays for the columns (or rows) it
         drops."""
-        rid_to_oid = {
-            unpack_rid(v): decode_int(k)
-            for k, v in self.oid_index.items()
-        }
         width = len(self.schema.names)
 
         def lazy(records: list[bytes]) -> list[LazyColumn]:
@@ -235,8 +292,8 @@ class Table:
 
         oids: list[int] = []
         records: list[bytes] = []
-        for rid, record in self.heap.scan():
-            oids.append(rid_to_oid[rid])
+        for oid, record in self._live_rows():
+            oids.append(oid)
             records.append(record)
             if len(records) >= batch_rows:
                 yield oids, lazy(records)
@@ -259,7 +316,12 @@ class Table:
 
         Returns counters: ``kept``, ``pruned``, ``salvaged``.
         """
-        self.data_version += 1
+        try:
+            return self._rebuild_indexes()
+        finally:
+            self.data_version += 1
+
+    def _rebuild_indexes(self) -> dict[str, int]:
         # Best-effort read of the existing OID mapping; an unreadable index
         # contributes nothing (its records will be salvaged, not orphaned
         # under invented OIDs).

@@ -1295,8 +1295,19 @@ class Database:
                         WALRecordType.UPDATE,
                         {"table": stmt.table, "oid": oid, "values": assigned},
                     )
-                table.update(oid, assigned)
+                self._apply_update(stmt.table, oid, assigned)
         return len(updates)
+
+    def _apply_update(self, table: str, oid: int, values: dict) -> None:
+        """Update one tuple (a statement's row or a redo record's); a
+        tuple the update relocates takes its Summary-BTree backward
+        pointers along."""
+        moved_from = self.catalog.table(table).update(oid, values)
+        if moved_from is None:
+            return
+        for (name, _), index in self.summary_indexes.items():
+            if name == table.lower():
+                index.on_tuple_move(oid, moved_from)
 
     def explain(self, query: str, analyze: bool = False) -> QueryReport:
         """EXPLAIN a SELECT: plan it and report logical + physical plans.

@@ -238,7 +238,14 @@ class IntegrityChecker:
                 f"max OID {max(indexed)} >= next_oid {table._next_oid}: "
                 "future inserts would collide",
             )
-        rows = dict(table.scan())
+        # Rows keyed through the OID index itself, never the table's
+        # cached slot -> OID map: the audit trusts no derived state.
+        oid_at = {rid: oid for oid, rid in indexed.items()}
+        rows = {
+            oid_at[rid]: table._codec.decode(record)
+            for rid, record in table.heap.scan()
+            if rid in oid_at
+        }
         for column, index in table.secondary_indexes.items():
             loc = f"{location} index({column})"
             self._check_btree(index, loc)
@@ -274,7 +281,12 @@ class IntegrityChecker:
         table_oids = None
         if self.db.catalog.has_table(table_name):
             table = self.db.catalog.table(table_name)
-            table_oids = {oid for oid, _ in table.scan()}
+            live = {rid for rid, _ in table.heap.scan()}
+            table_oids = {
+                decode_int(key)
+                for key, value in table.oid_index.items()
+                if unpack_rid(value) in live
+            }
         for oid, objects in storage.scan():
             if table_oids is not None and oid not in table_oids:
                 # Annotations on deleted tuples are removed through

@@ -17,6 +17,9 @@ events, implementing exactly the maintenance cases of §4.1.2:
   keys (cost ``O(2·log_B kN + log_B M)`` per changed label).
 * *Deleting tuple*: remove every key of the tuple's object.
 
+An update that relocates a data tuple moves its backward pointers with it
+(:meth:`SummaryBTreeIndex.on_tuple_move`).
+
 For the Figure 13 ablation the index can also be built with *conventional*
 pointers that reference the SummaryStorage row instead.
 """
@@ -150,6 +153,20 @@ class SummaryBTreeIndex:
         pointer = self._pointer_for(oid)
         for label, count in counts.items():
             self.tree.delete(itemize(label, count, self.width).encode(), pointer)
+
+    def on_tuple_move(self, oid: int, old_rid: RID) -> None:
+        """An update relocated the data tuple from ``old_rid``: backward
+        pointers name its heap location, so its entries follow it."""
+        if not self.backward_pointers:
+            return
+        obj = (self.storage.get(oid) or {}).get(self.instance_name)
+        if not isinstance(obj, ClassifierObject):
+            return
+        old, new = _pack(oid, old_rid), self._pointer_for(oid)
+        for label, count in obj.rep():
+            key = itemize(label, count, self.width).encode()
+            self.tree.delete(key, old)
+            self.tree.insert(key, new)
 
     # -- bulk build ----------------------------------------------------------------------
 

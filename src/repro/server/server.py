@@ -53,6 +53,7 @@ client) are kept as the prefix of the next frame.
 from __future__ import annotations
 
 import asyncio
+import logging
 import os
 import signal
 import time
@@ -69,6 +70,8 @@ from repro.server.protocol import (
     jsonable_result,
     verify_crc,
 )
+
+_log = logging.getLogger(__name__)
 
 #: Default statement worker threads per server.
 DEFAULT_WORKERS = 8
@@ -704,6 +707,13 @@ class QueryServer:
             self.db.metrics.inc("server.errors")
             return (
                 _error_response(str(exc), type(exc).__name__),
+                buffer, True,
+            )
+        except Exception as exc:  # an engine bug must not drop the client
+            _log.exception("statement failed: %s", sql)
+            self.db.metrics.inc("server.errors")
+            return (
+                _error_response(f"statement failed: {exc}", "ServerError"),
                 buffer, True,
             )
         elapsed_ms = (time.perf_counter() - started) * 1e3

@@ -232,10 +232,18 @@ class HeapFile:
 
     def scan(self) -> Iterator[tuple[RID, bytes]]:
         """Yield ``(rid, record)`` for every live record, in page order."""
+        for page_no, records in self.scan_pages():
+            for slot, record in records:
+                yield RID(page_no, slot), record
+
+    def scan_pages(self) -> Iterator[tuple[int, list[tuple[int, bytes]]]]:
+        """Yield ``(page_no, [(slot, record), ...])`` for every heap page, in
+        page order: :meth:`scan` without a RID per record."""
         for page_no in range(len(self.page_ids)):
-            page = self._page(page_no)
-            for slot, stored in page.records():
-                yield RID(page_no, slot), self._unwrap(stored)
+            yield page_no, [
+                (slot, self._unwrap(stored))
+                for slot, stored in self._page(page_no).records()
+            ]
 
     # -- repair hooks -----------------------------------------------------------
 

@@ -24,7 +24,12 @@ from __future__ import annotations
 import struct
 import zlib
 
-from repro.errors import PageFullError, RecordNotFoundError, StorageError
+from repro.errors import (
+    CorruptPageError,
+    PageFullError,
+    RecordNotFoundError,
+    StorageError,
+)
 
 PAGE_SIZE = 8192
 
@@ -128,8 +133,8 @@ class SlottedPage:
         self.data[new_end:self.free_end] = record
         # Reuse a tombstone slot when one exists, otherwise append.
         slot_no = num_slots
-        for i in range(num_slots):
-            if self._slot(i)[0] == _TOMBSTONE:
+        for i, (offset, _) in enumerate(self._directory()):
+            if offset == _TOMBSTONE:
                 slot_no = i
                 break
         if slot_no == num_slots:
@@ -181,23 +186,33 @@ class SlottedPage:
         self.data[free_end + gone_length:gone_offset + gone_length] = moved
         new_end = free_end + gone_length
         self._set_header(self.num_slots, new_end)
-        for i in range(self.num_slots):
-            offset, length = self._slot(i)
+        for i, (offset, length) in enumerate(self._directory()):
             if offset != _TOMBSTONE and offset < gone_offset:
                 self._set_slot(i, offset + gone_length, length)
 
+    def _directory(self) -> list[tuple[int, int]]:
+        """Every slot's ``(offset, length)``, unpacked in one pass."""
+        dir_end = _HEADER_SIZE + self.num_slots * _SLOT_SIZE
+        if dir_end > self.page_size:
+            raise CorruptPageError(
+                f"slot directory ends at {dir_end}, past the page end"
+            )
+        with memoryview(self.data) as view:
+            return list(_SLOT.iter_unpack(view[_HEADER_SIZE:dir_end]))
+
     def records(self) -> list[tuple[int, bytes]]:
         """Return ``(slot_no, record)`` for every live record."""
-        out = []
-        for i in range(self.num_slots):
-            offset, length = self._slot(i)
-            if offset != _TOMBSTONE:
-                out.append((i, bytes(self.data[offset:offset + length])))
-        return out
+        directory = self._directory()
+        with memoryview(self.data) as view:
+            return [
+                (i, bytes(view[offset:offset + length]))
+                for i, (offset, length) in enumerate(directory)
+                if offset != _TOMBSTONE
+            ]
 
     def live_count(self) -> int:
         """Number of live (non-tombstoned) records."""
-        return sum(1 for i in range(self.num_slots) if self._slot(i)[0] != _TOMBSTONE)
+        return sum(1 for offset, _ in self._directory() if offset != _TOMBSTONE)
 
     # -- integrity ----------------------------------------------------------
 

@@ -18,7 +18,7 @@ from typing import Iterator
 from repro.btree import BTree
 from repro.cache import SummaryCache
 from repro.catalog.keys import decode_int, encode_int
-from repro.errors import RecordNotFoundError, ReproError
+from repro.errors import IndexError_, RecordNotFoundError, ReproError
 from repro.storage.buffer import BufferPool
 from repro.storage.heapfile import HeapFile, RID
 from repro.storage.page import SlottedPage
@@ -384,4 +384,10 @@ class SummaryStorage:
             page_no, slot = struct.unpack("<IH", v)
             rid_to_oid[RID(page_no, slot)] = decode_int(k)
         for rid, record in self.heap.scan():
-            yield rid_to_oid[rid], self._decode(record)
+            oid = rid_to_oid.get(rid)
+            if oid is None:
+                raise IndexError_(
+                    f"summary storage {self.table_name}: live record at "
+                    f"{rid} has no OID-index entry"
+                )
+            yield oid, self._decode(record)

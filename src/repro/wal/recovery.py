@@ -89,7 +89,7 @@ def apply_record(db, record: WALRecord) -> None:
         db.manager.on_tuple_delete(p["table"], p["oid"])
         db.catalog.table(p["table"]).delete(p["oid"])
     elif rtype == WALRecordType.UPDATE:
-        db.catalog.table(p["table"]).update(p["oid"], p["values"])
+        db._apply_update(p["table"], p["oid"], p["values"])
     elif rtype == WALRecordType.ANN_ADD:
         db.manager.add_annotation(p["text"], p["targets"], ann_id=p["ann_id"])
     elif rtype == WALRecordType.ANN_BULK:

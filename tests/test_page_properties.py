@@ -121,3 +121,50 @@ def test_checksum_roundtrip_and_sensitivity(data):
         # but via the stored-vs-computed side; keep the property crisp)
     page.data[bit // 8] ^= 1 << (bit % 8)
     assert not verify_checksum(page.data)
+
+
+def _records_per_slot(page: SlottedPage) -> list[tuple[int, bytes]]:
+    """Reference: the per-slot directory walk ``records()`` replaced."""
+    out = []
+    for i in range(page.num_slots):
+        offset, length = page._slot(i)
+        if offset != 0:  # tombstone
+            out.append((i, bytes(page.data[offset:offset + length])))
+    return out
+
+
+_edit = st.one_of(
+    st.tuples(st.just("insert"), _record),
+    st.tuples(st.just("delete"), st.integers(min_value=0)),
+    st.tuples(st.just("same-size"), st.integers(min_value=0), st.binary()),
+    st.tuples(st.just("grow"), st.integers(min_value=0),
+              st.binary(min_size=1, max_size=60)),
+)
+
+
+@given(edits=st.lists(_edit, max_size=80))
+@settings(max_examples=150, deadline=None)
+def test_one_pass_records_equal_the_per_slot_walk(edits):
+    """``records()`` unpacks the slot directory in one pass; it must give
+    exactly the per-slot walk's list through inserts, deletes (leaving
+    tombstones), same-size and growing updates, and tombstone reuse."""
+    page = SlottedPage(page_size=PAGE_SIZE)
+    for edit in edits:
+        live = [slot for slot, _ in _records_per_slot(page)]
+        if edit[0] == "insert":
+            if page.can_fit(len(edit[1])):
+                page.insert(edit[1])  # reuses the first tombstone, if any
+        elif live:
+            slot = live[edit[1] % len(live)]
+            old = page.read(slot)
+            if edit[0] == "delete":
+                page.delete(slot)
+            elif edit[0] == "same-size":
+                page.update(slot, (edit[2] * len(old))[:len(old)] or old)
+            else:
+                try:
+                    page.update(slot, old + edit[2])
+                except PageFullError:
+                    pass
+        assert page.records() == _records_per_slot(page)
+        assert page.live_count() == len(_records_per_slot(page))

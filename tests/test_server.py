@@ -157,6 +157,33 @@ class TestServerBasics:
             # Same connection still serves statements.
             assert client.execute("Select * From t")["row_count"] == 10
 
+    def test_engine_bug_answers_typed_error_and_keeps_connection(
+        self, harness, monkeypatch
+    ):
+        """A statement that raises something other than a ReproError (an
+        engine bug) is answered a typed ServerError; the connection and
+        its session keep serving."""
+        from repro.catalog.table import Table
+
+        real = Table.scan_batches
+        calls = []
+
+        def broken_once(self, batch_rows):
+            calls.append(self.name)
+            if len(calls) == 1:
+                raise RuntimeError("injected engine bug")
+            return real(self, batch_rows)
+
+        monkeypatch.setattr(Table, "scan_batches", broken_once)
+        errors = harness.db.metrics.snapshot().get("server.errors", 0)
+        with QueryClient(port=harness.port) as client:
+            with pytest.raises(ServerError) as exc_info:
+                client.execute("Select name From t")
+            assert exc_info.value.error_type == "ServerError"
+            assert "injected engine bug" in str(exc_info.value)
+            assert client.execute("Select name From t")["row_count"] == 10
+        assert harness.db.metrics.snapshot()["server.errors"] == errors + 1
+
     def test_transactions_over_the_wire(self, harness):
         with QueryClient(port=harness.port) as client:
             client.execute("BEGIN")

@@ -6,7 +6,9 @@ database (so eviction and checksum write-back paths run constantly), and
 checks after every step that
 
 * ``db.sql`` returns exactly the oracle's rows (plain and summary-predicate
-  queries, through whatever plan the optimizer picks), and
+  queries, through whatever plan the optimizer picks) under exactly the
+  oracle's OIDs — also after updates that relocate a record to another
+  page and after a reindex, and
 * ``Database.check_integrity()`` holds — heap accounting, checksums,
   B-Tree invariants, Summary-BTree backward pointers, the lot — and
 * the optimizer statistics, kept current by accumulator deltas, equal a
@@ -104,6 +106,26 @@ class DMLMachine(RuleBasedStateMachine):
         self.db.catalog.table("t").update(oid, {"v": v})
         self.rows[oid] = (self.rows[oid][0], v)
 
+    @rule(index=st.integers(min_value=0),
+          length=st.integers(min_value=4000, max_value=7000))
+    def relocate_row(self, index, length):
+        """Grow ``name`` past what its page has left, so the record moves
+        to another page: its OID, its slot -> OID map entry and its
+        Summary-BTree backward pointers must all follow."""
+        oid = self._pick(self.rows, index)
+        if oid is None:
+            return
+        name = f"{oid}-" + "n" * length
+        self.db.sql(f"Update t Set name = '{name}' Where oid = {oid}")
+        self.rows[oid] = (name, self.rows[oid][1])
+
+    @rule()
+    def reindex(self):
+        """The repair path's reindex phase (``Database.repair`` runs it
+        only on a damaged database): a fresh OID index, same mapping."""
+        stats = self.db.catalog.table("t").reindex()
+        assert stats == {"kept": len(self.rows), "pruned": 0, "salvaged": 0}
+
     @rule(index=st.integers(min_value=0))
     def delete_row(self, index):
         oid = self._pick(self.rows, index)
@@ -155,6 +177,18 @@ class DMLMachine(RuleBasedStateMachine):
             via_index = self.db.sql(f"Select name From t Where v = {v}")
             expected = sorted(n for n, val in self.rows.values() if val == v)
             assert sorted(via_index.column("name")) == expected
+
+    @invariant()
+    def scan_oids_match_oracle(self):
+        """Scans hand out exactly the oracle's OIDs, not just its values."""
+        result = self.db.sql("Select oid, name, v From t")
+        got = {
+            oid: (name, v)
+            for oid, name, v in zip(
+                result.column("oid"), result.column("name"), result.column("v")
+            )
+        }
+        assert got == self.rows
 
     @invariant()
     def summary_queries_match_oracle(self):
