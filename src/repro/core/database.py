@@ -49,7 +49,7 @@ from repro.index.replica import NormalizedSnippetReplica
 from repro.index.summary_btree import SummaryBTreeIndex
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import PlanProfiler
-from repro.optimizer.planner import Planner, PlannerOptions
+from repro.optimizer.planner import PlanCache, Planner, PlannerOptions
 from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.ast import (
     AlterTableSummary,
@@ -64,7 +64,7 @@ from repro.query.ast import (
     UpdateStmt,
     ZoomIn,
 )
-from repro.query.parser import parse_sql
+from repro.query.parser import parse_memo_counts, parse_sql
 from repro.query.result import ResultSet, ZoomResult
 from repro.resilience import (
     AccessPathHealth,
@@ -138,18 +138,24 @@ def _logged_ddl(fn):
     database. Nested calls (e.g. ``link_summary_instance`` building its
     index through ``create_summary_index``) log nothing — the outermost
     statement's record re-creates the whole effect on replay.
+
+    Every call — statement, replay or replica apply — also moves the
+    plan cache's epoch once its effect is in place.
     """
 
     @functools.wraps(fn)
     def wrapper(self, *args, **kwargs):
-        with self._wal_statement() as log:
-            if log:
-                self._wal_append(
-                    WALRecordType.DDL,
-                    {"method": fn.__name__, "args": list(args),
-                     "kwargs": dict(kwargs)},
-                )
-            return fn(self, *args, **kwargs)
+        try:
+            with self._wal_statement() as log:
+                if log:
+                    self._wal_append(
+                        WALRecordType.DDL,
+                        {"method": fn.__name__, "args": list(args),
+                         "kwargs": dict(kwargs)},
+                    )
+                return fn(self, *args, **kwargs)
+        finally:
+            self._plan_cache.bump()
 
     return wrapper
 
@@ -167,6 +173,8 @@ class QueryReport:
     logical: str
     physical: str
     estimated_cost: float
+    #: True when the plan came from the statement cache.
+    cached: bool = False
     analyzed: str | None = None
     execution: dict = field(default_factory=dict)
     result: "ResultSet | None" = None
@@ -177,6 +185,7 @@ class QueryReport:
     def __str__(self) -> str:
         text = (
             f"Estimated cost: {self.estimated_cost:.2f}\n"
+            f"plan: {'cached' if self.cached else 'fresh'}\n"
             f"-- logical --\n{self.logical}\n"
             f"-- physical --\n{self.physical}"
         )
@@ -308,6 +317,11 @@ class Database:
         self.manager.tuple_exists = self._summary_tuple_exists
         self.manager.maint_wake = self._maint_wake
         self._maint_worker = None
+        #: the statement cache's plan level (parse_sql memoizes the other).
+        self._plan_cache = PlanCache()
+        #: parse-memo counts at the last reset_metrics (the memo is
+        #: process-wide; this database reports counts since then).
+        self._parse_counts_base = parse_memo_counts()
 
     # -- background summary maintenance ----------------------------------------------
 
@@ -492,7 +506,10 @@ class Database:
         # pending regeneration in first so the rebuilt structures reflect
         # every acknowledged annotation.
         self.manager.drain_pending()
-        return RepairManager(self).run()
+        try:
+            return RepairManager(self).run()
+        finally:
+            self._plan_cache.bump()
 
     # -- pickling --------------------------------------------------------------------
 
@@ -506,7 +523,8 @@ class Database:
         # The concurrency runtime (locks, sessions, transactions, running
         # statements) belongs to the running process, not the image.
         for key in ("_commit_mutex", "_exec_local", "_session_local",
-                    "lock_manager", "txn_manager", "_maint_worker"):
+                    "lock_manager", "txn_manager", "_maint_worker",
+                    "_plan_cache", "_parse_counts_base"):
             state.pop(key, None)
         return state
 
@@ -567,6 +585,7 @@ class Database:
             self.normalized_replicas,
             self.keyword_indexes,
             health=self.health,
+            cache=self._plan_cache,
         )
 
     # -- DDL ------------------------------------------------------------------------
@@ -724,6 +743,7 @@ class Database:
         ``db.register_udf("heavy", lambda s: s.get_size() > 2)`` then
         ``... Where heavy(r.$)``."""
         self.manager.register_udf(name, fn)
+        self._plan_cache.bump()
 
     # -- DML --------------------------------------------------------------------------------
 
@@ -1106,6 +1126,15 @@ class Database:
         lock_manager = getattr(self, "lock_manager", None)
         if lock_manager is not None:
             snap["lock.tables"] = len(lock_manager)
+        parse_hits, parse_misses = parse_memo_counts()
+        base_hits, base_misses = self._parse_counts_base
+        snap["query.parse_cache.hits"] = parse_hits - base_hits
+        snap["query.parse_cache.misses"] = parse_misses - base_misses
+        # Process-state counters, like the pool's: never part of an image.
+        plans = self._plan_cache
+        snap["optimizer.plan_cache.hits"] = plans.hits
+        snap["optimizer.plan_cache.misses"] = plans.misses
+        snap["optimizer.plan_cache.invalidations"] = plans.invalidations
         return snap
 
     def reset_metrics(self) -> None:
@@ -1114,6 +1143,9 @@ class Database:
         :class:`IOStats`, and the per-index probe counts.  Snapshots taken
         before a reset are stale — re-snapshot after."""
         self.metrics.reset()
+        self._parse_counts_base = parse_memo_counts()
+        plans = self._plan_cache
+        plans.hits = plans.misses = plans.invalidations = 0
         self.pool.hits = 0
         self.pool.misses = 0
         self.disk.stats.reset()
@@ -1238,8 +1270,8 @@ class Database:
         extend to DML) both work and may use indexes."""
         alias = alias or table
         select = SelectStmt(
-            items=[Star(None)],
-            tables=[TableRef(table, alias)],
+            items=(Star(None),),
+            tables=(TableRef(table, alias),),
             where=where,
         )
         physical, _logical, _cost = self.planner.plan(select)
@@ -1264,8 +1296,8 @@ class Database:
 
         alias = stmt.alias or stmt.table
         select = SelectStmt(
-            items=[Star(None)],
-            tables=[TableRef(stmt.table, alias)],
+            items=(Star(None),),
+            tables=(TableRef(stmt.table, alias),),
             where=stmt.where,
         )
         physical, _logical, _cost = self.planner.plan(select)
@@ -1331,7 +1363,7 @@ class Database:
         physical, logical, cost = planner.plan(stmt)
         degraded = sorted(planner.excluded)
         report = QueryReport(logical.pretty(), physical.explain(), cost,
-                             degraded=degraded)
+                             cached=planner.cached, degraded=degraded)
         if not stmt.analyze:
             return report
         result = self._run_physical(stmt.query, physical, cost, profile=True,

@@ -26,7 +26,12 @@ from typing import Iterator
 from repro.catalog.schema import Column, Schema
 from repro.catalog.table import Table
 from repro.errors import ReproError
-from repro.index.itemize import DEFAULT_WIDTH, itemize, max_count
+from repro.index.itemize import (
+    DEFAULT_WIDTH,
+    clamp_probe,
+    itemize,
+    probe_range,
+)
 from repro.storage.buffer import BufferPool
 from repro.storage.record import ValueType
 from repro.summaries.objects import ClassifierObject
@@ -156,6 +161,8 @@ class BaselineClassifierIndex:
         Two hops: derived-column index -> normalized rows -> data_oid.
         """
         self.probes += 1
+        if clamp_probe(count, count, True, True, self.width) is None:
+            return []
         key = itemize(label, count, self.width)
         return [
             self.norm.read_dict(norm_oid)["data_oid"]
@@ -172,10 +179,11 @@ class BaselineClassifierIndex:
     ) -> Iterator[tuple[int, int]]:
         """Yield ``(count, data_oid)`` in ascending count order."""
         self.probes += 1  # counted at call time, like SummaryBTreeIndex
-        lo_key = itemize(label, 0 if lo is None else lo, self.width)
-        hi_key = itemize(
-            label, max_count(self.width) if hi is None else hi, self.width
-        )
+        bounds = clamp_probe(lo, hi, lo_inclusive, hi_inclusive, self.width)
+        if bounds is None:
+            return iter(())
+        lo, hi, lo_inclusive, hi_inclusive = bounds
+        lo_key, hi_key = probe_range(label, lo, hi, self.width)
 
         def scan() -> Iterator[tuple[int, int]]:
             for norm_oid in self.norm.index_range(

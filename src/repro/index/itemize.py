@@ -51,6 +51,26 @@ def parse_item(item: str) -> tuple[str, int]:
     return label, int(count)
 
 
+def clamp_probe(
+    lo: int | None,
+    hi: int | None,
+    lo_inclusive: bool,
+    hi_inclusive: bool,
+    width: int = DEFAULT_WIDTH,
+) -> tuple[int | None, int | None, bool, bool] | None:
+    """A count range cut to what an index at ``width`` can hold,
+    ``0..max_count(width)``: a bound outside it does not itemize (a
+    ``> -1`` predicate is every count).  None when no count can match."""
+    top = max_count(width)
+    if (hi is not None and hi < 0) or (lo is not None and lo > top):
+        return None
+    if lo is not None and lo < 0:
+        lo, lo_inclusive = None, True
+    if hi is not None and hi > top:
+        hi, hi_inclusive = None, True
+    return lo, hi, lo_inclusive, hi_inclusive
+
+
 def probe_range(
     label: str,
     lo: int | None,

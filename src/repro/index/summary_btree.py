@@ -34,6 +34,7 @@ from repro.catalog.table import Table
 from repro.errors import IndexError_, ReproError
 from repro.index.itemize import (
     DEFAULT_WIDTH,
+    clamp_probe,
     itemize,
     max_count,
     probe_range,
@@ -205,6 +206,8 @@ class SummaryBTreeIndex:
     def lookup_eq(self, label: str, count: int) -> list[IndexPointer]:
         """Equality probe: ``classLabel = constant``."""
         self.probes += 1
+        if clamp_probe(count, count, True, True, self.width) is None:
+            return []
         key = itemize(label, count, self.width).encode()
         return [_unpack(v) for v in self.tree.search(key)]
 
@@ -225,6 +228,10 @@ class SummaryBTreeIndex:
         # Count the probe at call time, not at first consumption: callers
         # that plan but never pull rows still performed the B-Tree descent.
         self.probes += 1
+        bounds = clamp_probe(lo, hi, lo_inclusive, hi_inclusive, self.width)
+        if bounds is None:
+            return iter(())
+        lo, hi, lo_inclusive, hi_inclusive = bounds
         lo_key, hi_key = probe_range(label, lo, hi, self.width)
 
         def scan() -> Iterator[tuple[int, IndexPointer]]:

@@ -21,6 +21,13 @@ Naming convention used by the engine::
     cache.epoch_bumps[.<reason>] coarse invalidations (write / recover /
                                  repair / load / rebuild_oid_index)
     pool.hits / pool.misses      buffer-pool counters (merged at snapshot)
+    optimizer.plan_cache.hits / .misses / .invalidations
+                                 statement-cache plan lookups (merged at
+                                 snapshot; an invalidation is a miss on a
+                                 stale entry)
+    query.parse_cache.hits / .misses
+                                 parse-memo lookups (process-wide, merged
+                                 at snapshot)
     disk.reads / disk.writes     DiskManager counters (merged at snapshot)
     faults.injected              total injected disk faults (repro.faults)
     faults.injected.<kind>       per-kind: fail_stop / transient /

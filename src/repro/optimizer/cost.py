@@ -55,6 +55,11 @@ SUMMARY_CACHE_DISCOUNT_CAP = 0.5
 #: Minimum observed lookups before the discount kicks in — a handful of
 #: early hits must not reprice every plan.
 SUMMARY_CACHE_MIN_SAMPLE = 64
+#: The hit rate is rounded down to a multiple of 1/STEPS before it prices
+#: anything, so the discount is a step function: it moves a few times over
+#: a cache's warm-up instead of on every lookup, and a cached plan stays
+#: valid while it holds (it is part of the plan-cache stamp).
+SUMMARY_CACHE_DISCOUNT_STEPS = 16
 
 
 def summary_read_discount(cache) -> float:
@@ -69,8 +74,9 @@ def summary_read_discount(cache) -> float:
     total = cache.hits + cache.misses
     if total < SUMMARY_CACHE_MIN_SAMPLE:
         return 1.0
-    rate = cache.hits / total
-    return 1.0 - min(rate, 1.0) * SUMMARY_CACHE_DISCOUNT_CAP
+    steps = SUMMARY_CACHE_DISCOUNT_STEPS
+    rate = min(cache.hits * steps // total, steps) / steps
+    return 1.0 - rate * SUMMARY_CACHE_DISCOUNT_CAP
 
 
 @dataclass(frozen=True)

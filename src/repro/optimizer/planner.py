@@ -12,6 +12,9 @@ For each SELECT the planner:
    eliminated), and
 4. executes the cheapest plan under the §5.2 cost model.
 
+The chosen plan is kept in the database's :class:`PlanCache` and reused,
+as a fresh copy per run, while no planner input has moved (DESIGN.md §5n).
+
 ``PlannerOptions`` exposes the ablation knobs the paper's experiments flip:
 rules on/off (Figures 14–15), index scheme (Figures 10–12), propagation
 on/off and pointer style (Figure 13), and forced join/sort algorithms
@@ -20,6 +23,8 @@ on/off and pointer style (Figure 13), and forced join/sort algorithms
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.errors import PlanError
@@ -109,6 +114,81 @@ class PlannerOptions:
     mem_sort_threshold: int = 50_000
 
 
+#: Plans a :class:`PlanCache` keeps before evicting the least recently used.
+PLAN_CACHE_ENTRIES = 256
+
+
+@dataclass(frozen=True)
+class CachedPlan:
+    """One statement's planning outcome, valid while ``stamp`` holds.
+    ``template`` is never run: each run gets a copy (see :func:`instantiate`)."""
+
+    stamp: tuple
+    template: PhysicalOperator
+    logical: LogicalPlan
+    cost: float
+    excluded: frozenset
+
+
+class PlanCache:
+    """The plan level of the statement cache (DESIGN.md §5n): a bounded LRU
+    of :class:`CachedPlan` keyed on the statement value.
+
+    ``epoch`` is the database-wide stamp input: DDL, UDF registration and
+    repair move it.  The cache is process state — the owning database
+    drops it when pickled, lookup counts included (an invalidation is a
+    miss that found the statement's entry under an older stamp)."""
+
+    def __init__(self, capacity: int = PLAN_CACHE_ENTRIES):
+        self.capacity = capacity
+        self.epoch = 0
+        self.hits = self.misses = self.invalidations = 0
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def bump(self) -> None:
+        with self._lock:
+            self.epoch += 1
+
+    def lookup(self, key, stamp: tuple) -> CachedPlan | None:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry.stamp == stamp:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry
+            self.misses += 1
+            if entry is not None:
+                self.invalidations += 1
+            return None
+
+    def store(self, key, entry: CachedPlan) -> None:
+        with self._lock:
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            if len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def instantiate(template: PhysicalOperator, ctx: ExecContext) -> PhysicalOperator:
+    """A runnable copy of a cached plan: every operator shallow-copied onto
+    ``ctx``.  Operators keep no per-run state beyond ``profiler``,
+    ``runtime`` and ``materialize_output``, which land on the copy, so
+    concurrent runs of one plan never share an operator."""
+    op = object.__new__(type(template))  # copy.copy, minus its dispatch
+    fields = op.__dict__
+    fields.update(template.__dict__)
+    fields["ctx"] = ctx
+    for attr in ("child", "left", "right"):
+        sub = fields.get(attr)
+        if isinstance(sub, PhysicalOperator):
+            fields[attr] = instantiate(sub, ctx)
+    return op
+
+
 def _access_root(op: PhysicalOperator) -> PhysicalOperator:
     """The access path at the bottom of a residual-wrapped operator stack."""
     while op.children:
@@ -173,6 +253,7 @@ class Planner:
         normalized_replicas: dict | None = None,
         keyword_indexes: dict | None = None,
         health=None,
+        cache: PlanCache | None = None,
     ):
         self.catalog = catalog
         self.manager = manager
@@ -189,6 +270,13 @@ class Planner:
         #: quarantined paths the last :meth:`plan` call skipped, as
         #: ``(kind, table, instance)`` — what EXPLAIN reports as "degraded".
         self.excluded: set[tuple[str, str, str]] = set()
+        #: the statement cache's plan level (the database's; a planner
+        #: built without one caches for itself).
+        self.cache = cache if cache is not None else PlanCache()
+        #: whether the last :meth:`plan` call was served from the cache.
+        self.cached = False
+        #: the summary-cache discount the current planning pass prices with.
+        self._discount = 1.0
 
     # -- public API -------------------------------------------------------------
 
@@ -199,9 +287,63 @@ class Planner:
 
         ``ExplainStmt`` plans its inner query — whether the plan is then
         executed (ANALYZE) or only rendered is the executor's call.
+
+        A statement whose plan is cached under the current stamp skips
+        bind, rewrite and costing; either way the caller gets a fresh copy
+        of the plan, never one another run holds.
         """
         if isinstance(stmt, ExplainStmt):
             stmt = stmt.query
+        discount = summary_read_discount(self.manager.cache)
+        # The stamp is read before planning: a write that lands while this
+        # statement plans leaves an entry the next lookup finds stale.
+        stamp = self._stamp(stmt, discount)
+        entry = self.cache.lookup(stmt, stamp) if stamp is not None else None
+        self.cached = entry is not None
+        if entry is None:
+            physical, logical, cost = self._plan_uncached(stmt, discount)
+            entry = CachedPlan(stamp, physical, logical, cost,
+                               frozenset(self.excluded))
+            if stamp is not None:
+                self.cache.store(stmt, entry)
+        self.excluded = set(entry.excluded)
+        return (instantiate(entry.template, self.exec_context()),
+                entry.logical, entry.cost)
+
+    def _stamp(self, stmt: SelectStmt, discount: float) -> tuple | None:
+        """Every planner input that can change without DDL, as one value.
+        None (do not cache) when a table is missing: binding will raise."""
+        catalog, stats = self.catalog, self.stats
+        tables = []
+        for ref in stmt.tables:
+            if not catalog.has_table(ref.name):
+                return None
+            tables.append((
+                catalog.table(ref.name).data_version,
+                stats.summary_version(ref.name),
+                self.manager.has_cell_annotations(ref.name),
+            ))
+        return (
+            self.cache.epoch,
+            # The quarantined set itself: usually empty, and exactly
+            # what _path_ok reads.
+            tuple(self.health.unhealthy()) if self.health is not None else (),
+            # Figure benches flip option fields in place: compare values.
+            tuple(vars(self.options).values()),
+            discount,
+            tuple(tables),
+        )
+
+    def _plan_uncached(
+        self, stmt: SelectStmt | ExplainStmt, discount: float | None = None
+    ) -> tuple[PhysicalOperator, LogicalPlan, float]:
+        """Bind, rewrite and cost ``stmt`` — the statement cache's miss
+        path, and the oracle tests compare cached plans against."""
+        if isinstance(stmt, ExplainStmt):
+            stmt = stmt.query
+        if discount is None:
+            discount = summary_read_discount(self.manager.cache)
+        self._discount = discount
         self.excluded = set()
         logical, info = self.binder.bind(stmt)
         candidates = [logical]
@@ -376,8 +518,9 @@ class _LowerState:
         """Discount on summary-storage read charges when a warm
         :class:`~repro.cache.SummaryCache` makes repeat probes cheap.
         Applies only to reads that go through the cache (SummaryStorage
-        reads via the manager) — direct heap reads keep full price."""
-        return summary_read_discount(self.planner.manager.cache)
+        reads via the manager) — direct heap reads keep full price.  Read
+        once per planning pass, so a plan and its stamp agree on it."""
+        return self.planner._discount
 
     def _retained(self, alias: str) -> set[str] | None:
         return self.info.retained_summary_columns.get(alias)

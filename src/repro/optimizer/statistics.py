@@ -284,6 +284,10 @@ class StatisticsCatalog:
         #: attached tables only: a table nobody delivers storage events
         #: for cannot be kept current, so it is analyzed on every use.
         self._tables: dict[str, _TableState] = {}
+        #: per table, the storage-row events seen (plan-cache stamp input:
+        #: every Figure 6 statistic and ``len(storage)`` move only with
+        #: one); process state, not part of an image.
+        self._summary_versions: dict[str, int] = {}
         # Storage events arrive from writers and from the background
         # maintenance thread while planners read.
         self._mutex = threading.RLock()
@@ -291,6 +295,7 @@ class StatisticsCatalog:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_mutex"]
+        del state["_summary_versions"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -300,6 +305,7 @@ class StatisticsCatalog:
         self.catalog = state["catalog"]
         self.manager = state["manager"]
         self._tables = state.get("_tables", {})
+        self._summary_versions = {}
         self._mutex = threading.RLock()
 
     # -- subscription -------------------------------------------------------------
@@ -326,6 +332,10 @@ class StatisticsCatalog:
         for name in self.catalog.table_names():
             self.attach(name)
 
+    def summary_version(self, table: str) -> int:
+        """How many storage-row events ``table`` has seen in this process."""
+        return self._summary_versions.get(table.lower(), 0)
+
     def mark_stale(self, table: str) -> None:
         """Distrust ``table``'s accumulators: the next use folds again.
         For rows rewritten behind the manager's back (repair)."""
@@ -338,6 +348,7 @@ class StatisticsCatalog:
                      objects: dict | None) -> None:
         """The row that contributed ``old`` now holds ``objects``."""
         with self._mutex:
+            self._summary_versions[key] = self._summary_versions.get(key, 0) + 1
             state = self._tables.get(key)
             if state is None or state.cold:
                 return

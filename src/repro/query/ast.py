@@ -8,7 +8,14 @@ expressions* — chained calls rooted at an alias's ``$`` variable, e.g.::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+
+def _typed(values: tuple) -> tuple:
+    """``values`` with each element's type beside it, so ``1``, ``1.0`` and
+    ``True`` (equal and equal-hashing in Python) stay distinct as literals:
+    statements are cache keys, and those three do not mean the same."""
+    return tuple((type(v), v) for v in values)
 
 
 class Expr:
@@ -22,6 +29,13 @@ class Expr:
 @dataclass(frozen=True)
 class Literal(Expr):
     value: object
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Literal \
+            and _typed((self.value,)) == _typed((other.value,))
+
+    def __hash__(self) -> int:
+        return hash(_typed((self.value,)))
 
     def __str__(self) -> str:
         if isinstance(self.value, str):
@@ -46,6 +60,13 @@ class FuncCall:
 
     name: str
     args: tuple[object, ...] = ()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is FuncCall and self.name == other.name \
+            and _typed(self.args) == _typed(other.args)
+
+    def __hash__(self) -> int:
+        return hash((self.name, _typed(self.args)))
 
     def __str__(self) -> str:
         rendered = ", ".join(
@@ -171,6 +192,13 @@ class ObjectFunc(Expr):
     name: str
     args: tuple[object, ...] = ()
 
+    def __eq__(self, other) -> bool:
+        return type(other) is ObjectFunc and self.name == other.name \
+            and _typed(self.args) == _typed(other.args)
+
+    def __hash__(self) -> int:
+        return hash((self.name, _typed(self.args)))
+
     def __str__(self) -> str:
         rendered = ", ".join(
             f"'{a}'" if isinstance(a, str) else str(a) for a in self.args
@@ -216,15 +244,19 @@ class TableRef:
     alias: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectStmt:
-    items: list  # SelectItem | Star
-    tables: list[TableRef]
+    """A SELECT.  Frozen, with tuples for every sequence: a parsed
+    statement is shared by every run of its text (the parse memo) and is
+    the plan cache's key, so it must neither change nor stop hashing."""
+
+    items: tuple  # SelectItem | Star
+    tables: tuple[TableRef, ...]
     where: Expr | None = None
-    group_by: list[Expr] = field(default_factory=list)
+    group_by: tuple[Expr, ...] = ()
     #: HAVING predicate over the group output (aggregates allowed).
     having: Expr | None = None
-    order_by: list[tuple[Expr, str]] = field(default_factory=list)  # (expr, ASC|DESC)
+    order_by: tuple[tuple[Expr, str], ...] = ()  # (expr, ASC|DESC)
     limit: int | None = None
     #: FILTER SUMMARIES predicate (per summary object) — the F operator.
     summary_filter: Expr | None = None
@@ -269,7 +301,7 @@ class ZoomIn:
 @dataclass(frozen=True)
 class CreateTableStmt:
     name: str
-    columns: list[tuple[str, str]]  # (name, type keyword)
+    columns: tuple[tuple[str, str], ...]  # (name, type keyword)
 
 
 @dataclass(frozen=True)
@@ -295,8 +327,8 @@ class UpdateStmt:
 @dataclass(frozen=True)
 class InsertStmt:
     table: str
-    columns: list[str] | None
-    rows: list[list[object]]
+    columns: tuple[str, ...] | None
+    rows: tuple[tuple[object, ...], ...]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from repro.errors import ParseError
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<number>\d+\.\d+|\d+)
+  | (?P<number>-?\d+\.\d+|-?\d+)
   | (?P<string>'(?:[^']|'')*')
   | (?P<dollar>\$)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)

@@ -21,6 +21,8 @@ Grammar sketch::
 
 from __future__ import annotations
 
+import functools
+
 from repro.errors import ParseError
 from repro.query.ast import (
     AbortStmt,
@@ -180,17 +182,19 @@ class Parser:
         limit = None
         if self.accept("keyword", "limit"):
             limit = int(self.expect("number").value)
+            if limit < 0:
+                raise ParseError(f"LIMIT takes a count, got {limit}")
         return SelectStmt(
-            items, tables, where, group_by, having=having,
-            order_by=order_by, limit=limit,
+            items, tuple(tables), where, tuple(group_by), having=having,
+            order_by=tuple(order_by), limit=limit,
             summary_filter=summary_filter, distinct=distinct,
         )
 
-    def parse_select_items(self) -> list:
+    def parse_select_items(self) -> tuple:
         items: list = [self.parse_select_item()]
         while self.accept("punct", ","):
             items.append(self.parse_select_item())
-        return items
+        return tuple(items)
 
     def parse_select_item(self):
         if self.accept("punct", "*"):
@@ -449,7 +453,7 @@ class Parser:
             if not self.accept("punct", ","):
                 break
         self.expect("punct", ")")
-        return CreateTableStmt(name, columns)
+        return CreateTableStmt(name, tuple(columns))
 
     def parse_insert(self) -> InsertStmt:
         self.expect("keyword", "insert")
@@ -457,22 +461,23 @@ class Parser:
         table = str(self.expect("ident").value)
         columns = None
         if self.accept("punct", "("):
-            columns = [str(self.expect("ident").value)]
+            names = [str(self.expect("ident").value)]
             while self.accept("punct", ","):
-                columns.append(str(self.expect("ident").value))
+                names.append(str(self.expect("ident").value))
             self.expect("punct", ")")
+            columns = tuple(names)
         self.expect("keyword", "values")
-        rows: list[list[object]] = []
+        rows: list[tuple[object, ...]] = []
         while True:
             self.expect("punct", "(")
             row: list[object] = [self.parse_value()]
             while self.accept("punct", ","):
                 row.append(self.parse_value())
             self.expect("punct", ")")
-            rows.append(row)
+            rows.append(tuple(row))
             if not self.accept("punct", ","):
                 break
-        return InsertStmt(table, columns, rows)
+        return InsertStmt(table, columns, tuple(rows))
 
     def parse_annotate(self) -> AnnotateStmt:
         self.expect("keyword", "annotate")
@@ -515,6 +520,25 @@ class Parser:
         raise ParseError(f"expected a literal, got {token.value!r}")
 
 
-def parse_sql(sql: str):
-    """Parse one SQL statement into its AST."""
+#: Distinct statement texts whose ASTs the parse memo keeps.
+PARSE_MEMO_ENTRIES = 256
+
+
+@functools.lru_cache(maxsize=PARSE_MEMO_ENTRIES)
+def _parse_memo(sql: str):
     return Parser(sql).parse()
+
+
+def parse_sql(sql: str):
+    """Parse one SQL statement into its AST.
+
+    Memoized per exact text (errors are not): every run of a text shares
+    one AST, which is safe because statement nodes are frozen."""
+    return _parse_memo(sql)
+
+
+def parse_memo_counts() -> tuple[int, int]:
+    """``(hits, misses)`` of the parse memo since the process started; it
+    is shared by every database in the process."""
+    info = _parse_memo.cache_info()
+    return info.hits, info.misses

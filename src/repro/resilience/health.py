@@ -72,7 +72,9 @@ class AccessPathHealth:
         return self._key(kind, table, instance) not in self._unhealthy
 
     def unhealthy(self) -> list[PathKey]:
-        return sorted(self._unhealthy)
+        # dict.copy() is one step under the GIL; iterating the live dict
+        # while an executor thread quarantines a path could raise.
+        return sorted(self._unhealthy.copy())
 
     def reason(self, kind: str, table: str, instance: str) -> str | None:
         return self._unhealthy.get(self._key(kind, table, instance))

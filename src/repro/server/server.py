@@ -292,6 +292,7 @@ class QueryServer:
         db = self.db
         txn_manager = getattr(db, "txn_manager", None)
         path_health = getattr(db, "health", None)
+        snap = db.metrics_snapshot()
         return {
             "lsn": self._current_lsn(),
             "repl": self._repl_health(),
@@ -320,6 +321,14 @@ class QueryServer:
             "stats_incremental_deltas": db.metrics.get(
                 "stats.incremental_deltas"
             ),
+            # The statement cache: climbing misses or invalidations mean
+            # statements are re-planned (DESIGN.md §5n).
+            "plan_cache_hits": snap["optimizer.plan_cache.hits"],
+            "plan_cache_misses": snap["optimizer.plan_cache.misses"],
+            "plan_cache_invalidations":
+                snap["optimizer.plan_cache.invalidations"],
+            "parse_cache_hits": snap["query.parse_cache.hits"],
+            "parse_cache_misses": snap["query.parse_cache.misses"],
         }
 
     def _current_lsn(self) -> int:

@@ -129,3 +129,73 @@ class TestDmlInterop:
         db.sql("Update t Set v = 100 Where name = 'n0'")
         result = db.sql("Select name From t Where v = 100")
         assert result.column("name") == ["n0"]
+
+
+class TestNegativeLiterals:
+    """A value the engine stores can be written and matched from SQL:
+    ``-3`` and ``-2.5`` parse as literals wherever an operand or a VALUES
+    item is expected (the dialect has no binary minus)."""
+
+    @pytest.fixture()
+    def num(self):
+        database = Database()
+        database.create_table("u", [
+            Column("k", ValueType.INT), Column("x", ValueType.FLOAT),
+        ])
+        return database
+
+    def test_round_trip_through_dml(self, num):
+        num.insert("u", {"k": -3, "x": 0.5})
+        num.sql("Insert Into u Values (-1, -2.5), (4, -0.25)")
+        assert num.sql("Select x From u Where k = -3").column("x") == [0.5]
+        assert num.sql("Select k From u Where x = -2.5").column("k") == [-1]
+        assert num.sql("Update u Set x = -7.5 Where k = -1") == 1
+        assert num.sql("Update u Set k = -9 Where x = -0.25") == 1
+        result = num.sql("Select k, x From u Order By k")
+        assert [tuple(t.values) for t in result.tuples] == [
+            (-9, -0.25), (-3, 0.5), (-1, -7.5),
+        ]
+        assert num.sql("Delete From u Where k < -2") == 2
+        assert num.sql("Select k From u").column("k") == [-1]
+
+    def test_negative_range_probe_equals_heap(self, num):
+        num.create_index("u", "k")
+        for k in range(-20, 21):
+            num.insert("u", {"k": k, "x": float(k)})
+        sql = "Select k From u Where k >= -7 And k < -2"
+        num.options.force_access = "index"
+        probed = num.sql(sql)
+        assert "IndexScan(u.k" in probed.stats["plan"]
+        num.options.force_access = None
+        num.options.enable_data_indexes = False
+        heap = num.sql(sql)
+        assert "IndexScan" not in heap.stats["plan"]
+        assert sorted(probed.column("k")) == sorted(heap.column("k")) \
+            == [-7, -6, -5, -4, -3]
+
+    @pytest.mark.parametrize("bound, expected", [
+        ("> -1", ["n0", "n1", "n2", "n3", "n4"]),
+        ("< -1", []),
+        ("< 5000", ["n0", "n1", "n2", "n3", "n4"]),
+        (">= 5000", []),
+    ])
+    def test_summary_bound_outside_the_index_range(self, db, bound,
+                                                   expected):
+        """Counts are 0..999 at the index's key width: a probe bound
+        outside that range is clamped, not itemized — itemizing raised,
+        and the executor quarantined a healthy Summary-BTree."""
+        sql = f"Select name From t r Where r.{EXPR} {bound}"
+        db.options.force_access = "index"
+        try:
+            probed = db.sql(sql)
+        finally:
+            db.options.force_access = None
+        assert "SummaryIndexScan" in probed.stats["plan"]
+        assert db.health.unhealthy() == []
+        db.options.index_scheme = "none"
+        try:
+            heap = db.sql(sql)
+        finally:
+            db.options.index_scheme = "summary_btree"
+        assert sorted(probed.column("name")) == sorted(heap.column("name")) \
+            == expected

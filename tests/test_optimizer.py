@@ -554,6 +554,29 @@ class _OracleRun:
         if self.mode == "deferred":
             self.db.drain_summaries()
         assert_exact(self.db)
+        assert_plans_exact(self.db)
+
+
+def assert_plans_exact(db):
+    """Cached plans equal fresh ones over a panel of statements (those
+    whose summary instance is linked right now)."""
+    from tests.test_plan_cache import assert_cached_equals_fresh, dml_select
+
+    label = "r.$.getSummaryObject('C').getLabelValue"
+    panel = []
+    if db.manager.is_linked("t", "C"):
+        panel += [
+            f"Select name From t r Where {label}('Disease') = 1",
+            f"Select id From t r Where {label}('Anatomy') in [1, 2]",
+            f"Select r.name, s.id From t r, t s Where r.id = s.id "
+            f"And {label}('Disease') > 0 Order By {label}('Disease')",
+            dml_select("t", "r", f"{label}('Disease') >= 1"),
+        ]
+    if db.manager.is_linked("t", "Snip"):
+        panel.append("Select name From t r Where "
+                     "r.$.getSummaryObject('Snip').containsSingle('virus')")
+    for query in panel:
+        assert_cached_equals_fresh(db, query)
 
 
 @pytest.mark.parametrize("mode", ["off", "deferred"])

@@ -85,7 +85,7 @@ class TestSelect:
         stmt = parse_sql(
             "Select family, count(*) c, sum(weight) From birds Group By family"
         )
-        assert stmt.group_by == [ColumnRef(None, "family")]
+        assert stmt.group_by == (ColumnRef(None, "family"),)
         assert stmt.items[1].expr == AggCall("COUNT", None)
         assert stmt.items[2].expr == AggCall("SUM", ColumnRef(None, "weight"))
 
@@ -186,14 +186,14 @@ class TestCommands:
     def test_create_table(self):
         stmt = parse_sql("Create Table t (a int, b text, c float, d bool)")
         assert stmt == CreateTableStmt(
-            "t", [("a", "int"), ("b", "text"), ("c", "float"), ("d", "bool")]
+            "t", (("a", "int"), ("b", "text"), ("c", "float"), ("d", "bool"))
         )
 
     def test_insert(self):
         stmt = parse_sql(
             "Insert Into t (a, b) Values (1, 'x'), (2, null)"
         )
-        assert stmt == InsertStmt("t", ["a", "b"], [[1, "x"], [2, None]])
+        assert stmt == InsertStmt("t", ("a", "b"), ((1, "x"), (2, None)))
 
     def test_trailing_semicolon_ok(self):
         parse_sql("Select * From t;")

@@ -22,9 +22,17 @@ class TestLexer:
         assert kinds == {"select"}
 
     def test_numbers_int_and_float(self):
-        tokens = [t for t in tokenize_sql("1 2.5") if t.kind == "number"]
-        assert tokens[0].value == 1
-        assert tokens[1].value == 2.5
+        tokens = [t for t in tokenize_sql("1 2.5 -3 -0.5") if t.kind == "number"]
+        assert [t.value for t in tokens] == [1, 2.5, -3, -0.5]
+
+    def test_negative_operands_and_values(self):
+        assert parse_sql("Select * From t Where a=-3").where.right.value == -3
+        stmt = parse_sql("Select * From t Where b in [-2.5, -1]")
+        assert [c.right.value for c in stmt.where.items] == [-2.5, -1]
+        insert = parse_sql("Insert Into t Values (-1, 'a', -0.25)")
+        assert insert.rows == ((-1, "a", -0.25),)
+        with pytest.raises(ParseError):
+            parse_sql("Select * From t Limit -1")
 
     def test_dollar_token(self):
         assert any(t.kind == "dollar" for t in tokenize_sql("r.$"))
@@ -44,7 +52,7 @@ class TestHavingParse:
     def test_having_without_group_by(self):
         stmt = parse_sql("Select count(*) From t Having count(*) > 1")
         assert stmt.having is not None
-        assert stmt.group_by == []
+        assert stmt.group_by == ()
 
     def test_having_with_boolean_logic(self):
         stmt = parse_sql(

@@ -12,7 +12,10 @@ checks after every step that
 * ``Database.check_integrity()`` holds — heap accounting, checksums,
   B-Tree invariants, Summary-BTree backward pointers, the lot — and
 * the optimizer statistics, kept current by accumulator deltas, equal a
-  from-scratch ``analyze``.
+  from-scratch ``analyze``, and
+* every plan the statement cache serves for a fixed panel of statements
+  is the plan fresh planning chooses now, and returns the heap oracle's
+  rows.
 
 Example counts honour the conftest Hypothesis profile; the scheduled CI job
 raises them via ``HYPOTHESIS_PROFILE=ci-slow`` and the env knobs below.
@@ -37,6 +40,10 @@ from repro.catalog.schema import Column  # noqa: E402
 from repro.core.database import Database  # noqa: E402
 from repro.optimizer.statistics import StatisticsCatalog  # noqa: E402
 from repro.storage.record import ValueType  # noqa: E402
+from tests.test_plan_cache import (  # noqa: E402
+    assert_cached_equals_fresh,
+    dml_select,
+)
 
 LABELS = ["alpha", "beta", "gamma"]
 SEED_EXAMPLES = [
@@ -68,6 +75,8 @@ class DMLMachine(RuleBasedStateMachine):
         self.db.create_index("t", "v")
         self.db.create_classifier_instance("C", LABELS, SEED_EXAMPLES)
         self.db.sql("Alter Table t Add Indexable C")
+        self.db.create_snippet_instance("S", min_chars=10, max_chars=40)
+        self.db.sql("Alter Table t Add S")
         self.instance = self.db.manager.instance("C")
         self.rows: dict[int, tuple[str, int]] = {}  # oid -> (name, v)
         self.anns: dict[int, tuple[int, str]] = {}  # ann_id -> (oid, label)
@@ -232,6 +241,21 @@ class DMLMachine(RuleBasedStateMachine):
         from-scratch fold by a catalog that never saw a delta."""
         fresh = StatisticsCatalog(self.db.catalog, self.db.manager)
         assert self.db.statistics.table_stats("t") == fresh.analyze("t")
+
+    @invariant()
+    def cached_plans_equal_fresh(self):
+        label = "r.$.getSummaryObject('C').getLabelValue"
+        for query in (
+            f"Select name From t r Where {label}('alpha') = 1",
+            f"Select name, v From t r Where {label}('beta') in [1, 2]",
+            # Example 4's shape: data join + summary selection + sort.
+            f"Select r.name, s.name From t r, t s Where r.v = s.v "
+            f"And {label}('gamma') > 0 Order By {label}('gamma')",
+            "Select name From t r "
+            "Where r.$.getSummaryObject('S').containsSingle('apple')",
+            dml_select("t", "r", f"{label}('alpha') >= 1 And v < 4"),
+        ):
+            assert_cached_equals_fresh(self.db, query)
 
     @invariant()
     def integrity_holds(self):
