@@ -22,9 +22,9 @@ Design, in the order the invariants matter:
   ``repair()``, WAL replay, image load — bump epochs
   (``bump_epoch``/``bump_all``), which is O(1) regardless of entry count.
 
-* **Isolation.**  The cache owns private copies of everything it stores and
-  hands out copies on every hit; callers may mutate what they get back
-  (``project_to_columns`` and ``merge`` do) without poisoning the cache.
+* **Sharing.**  A hit returns the stored value itself: decoded summary
+  objects and text tuples are immutable, so no reader can poison an entry
+  (writers copy, through ``SummaryStorage.get_for_update``).
 
 * **Bounds.**  Capacity is configured in bytes (``0`` is a legal size that
   stores nothing); entries carry a size estimate, eviction is LRU, and an
@@ -155,10 +155,10 @@ class SummaryCache:
 
     def lookup(self, table: str, oid: int, kind: str = "set"
                ) -> tuple[bool, Any]:
-        """Return ``(hit, value)``.  The value is the cache's private copy —
-        callers must copy before mutating (the storage/manager read paths
-        do).  A stale entry (epoch behind the table's) counts as a miss and
-        is dropped on the spot."""
+        """Return ``(hit, value)``; the value is the stored (immutable)
+        object itself, shared with every other reader.  A stale entry
+        (epoch behind the table's) counts as a miss and is dropped on the
+        spot."""
         key = (table, oid, kind)
         with self._mutex:
             entry = self._entries.get(key)
@@ -179,9 +179,9 @@ class SummaryCache:
 
     def store(self, table: str, oid: int, value: Any, size_hint: int,
               kind: str = "set") -> bool:
-        """Admit ``value`` (which the cache now owns) under the table's
-        current epoch.  Returns False when the entry was rejected by the
-        admission guard or the cache is disabled."""
+        """Admit the immutable ``value`` under the table's current epoch.
+        Returns False when the entry was rejected by the admission guard or
+        the cache is disabled."""
         if not self.enabled:
             return False
         size = int(size_hint) + ENTRY_OVERHEAD

@@ -237,15 +237,16 @@ class RepairManager:
                         manager._clusterers.pop((table_name, oid, name), None)
                     orphans += 1
                     continue
-                changed = False
+                if all(obj.all_annotation_ids() <= known_anns
+                       for obj in objects.values()):
+                    continue
+                objects = storage.get_for_update(oid)
                 for obj in objects.values():
                     missing = obj.all_annotation_ids() - known_anns
                     if missing:
                         obj.remove_annotations(missing)
                         stripped += len(missing)
-                        changed = True
-                if changed:
-                    storage.put(oid, objects)
+                storage.put(oid, objects)
             report.salvaged_records += orphans
             if orphans:
                 report.actions.append(RepairAction(

@@ -51,11 +51,11 @@ class EagerSummaries:
 class LazyScanSummaries:
     """Summary column of a scan batch: OIDs now, objects on demand.
 
-    ``get(i)`` mirrors ``_make_tuple``'s summary handling exactly — read
-    through :meth:`SummaryManager.summary_set_for`, then apply the retained
-    column projection (annotation-effect elimination) — and memoizes the
-    result so every row view of the batch shares one set, just as a single
-    QTuple flowing through the plan would.
+    ``get(i)`` reads exactly as ``_make_tuple`` does — through
+    :meth:`SummaryManager.summary_set_for`, projected to the retained
+    columns (annotation-effect elimination) — and memoizes the result so
+    every row view of the batch shares one set, just as a single QTuple
+    flowing through the plan would.
     """
 
     __slots__ = ("ctx", "table", "alias", "oids", "with_summaries",
@@ -81,10 +81,8 @@ class LazyScanSummaries:
         if sets is None:
             if self.with_summaries:
                 summaries = self.ctx.manager.summary_set_for(
-                    self.table, self.oids[i]
+                    self.table, self.oids[i], self.retained
                 )
-                if self.retained is not None:
-                    summaries.project_to_columns(self.retained)
             else:
                 summaries = SummarySet()
             sets = {self.alias: summaries}

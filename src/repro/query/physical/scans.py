@@ -45,16 +45,14 @@ def _make_tuple(
 ) -> QTuple:
     table = ctx.catalog.table(table_name)
     columns = [f"{alias}.{c}" for c in table.schema.names] + [f"{alias}.oid"]
-    if with_summaries:
-        summaries = (
-            summary_set
-            if summary_set is not None
-            else ctx.manager.summary_set_for(table_name, oid)
-        )
-        if retained is not None:
-            summaries.project_to_columns(retained)
-    else:
+    if not with_summaries:
         summaries = SummarySet()
+    elif summary_set is None:
+        summaries = ctx.manager.summary_set_for(table_name, oid, retained)
+    elif retained is not None:
+        summaries = summary_set.project_to_columns(retained)
+    else:
+        summaries = summary_set
     return QTuple(
         columns,
         list(values) + [oid],

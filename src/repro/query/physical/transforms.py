@@ -16,6 +16,7 @@ from repro.query.eval import (
 from repro.query.physical.base import ExecContext, PhysicalOperator
 from repro.query.tuples import QTuple
 from repro.storage.heapfile import HeapFile
+from repro.summaries.functions import SummarySet
 
 
 def _hashable(value: object) -> object:
@@ -384,22 +385,15 @@ class GroupOp(PhysicalOperator):
         for agg, name in self.aggregates:
             columns.append(str(agg))
             values.append(self._aggregate(agg, members))
-        # Merge the members' summary sets (dedup handled by the merge).
-        merged = None
         aliases: set[str] = set()
         provenance: dict[str, tuple[str, int]] = {}
         for member in members:
             aliases.update(member.summary_sets)
             provenance.update(member.provenance)
-            mset = member.merged_summary_set()
-            if merged is None:
-                merged = mset.copy()
-            else:
-                merged.merge(mset)
-        if merged is None:
-            from repro.summaries.functions import SummarySet
-
-            merged = SummarySet()
+        # Merge the members' summary sets (dedup handled by the merge).
+        merged = SummarySet().merge(
+            *(member.merged_summary_set() for member in members)
+        )
         return QTuple(
             columns, values, {a: merged for a in aliases} or {"_g": merged},
             provenance,
@@ -454,22 +448,22 @@ class DistinctOp(PhysicalOperator):
         )
 
     def _distinct(self, rows: Iterator[QTuple]) -> Iterator[QTuple]:
-        seen: dict[tuple, QTuple] = {}
-        order: list[tuple] = []
+        # key -> (first row, summary sets of its later duplicates)
+        seen: dict[tuple, tuple[QTuple, list]] = {}
         for row in rows:
             key = tuple(_hashable(v) for v in row.values)
-            if key not in seen:
-                copied = row.copy()
-                seen[key] = copied
-                order.append(key)
-            else:
-                kept = seen[key]
-                kept_set = kept.merged_summary_set()
-                kept_set.merge(row.merged_summary_set())
-                for alias in kept.summary_sets:
-                    kept.summary_sets[alias] = kept_set
-        for key in order:
-            yield seen[key]
+            first, duplicates = seen.setdefault(key, (row, []))
+            if first is not row:
+                duplicates.append(row.merged_summary_set())
+        for row, duplicates in seen.values():
+            if not duplicates:
+                yield row
+                continue
+            merged = row.merged_summary_set().merge(*duplicates)
+            yield QTuple(
+                row.columns, row.values,
+                {alias: merged for alias in row.summary_sets}, row.provenance,
+            )
 
 
 class LimitOp(PhysicalOperator):

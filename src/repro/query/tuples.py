@@ -95,25 +95,9 @@ class QTuple:
         distinct = self.distinct_summary_sets()
         if not distinct:
             return SummarySet()
-        merged = distinct[0]
-        if len(distinct) > 1:
-            merged = merged.copy()
-            for other in distinct[1:]:
-                merged.merge(other)
-        return merged
+        return distinct[0].merge(*distinct[1:])
 
     # -- construction helpers ------------------------------------------------------------
-
-    def copy(self) -> "QTuple":
-        """Copy with *copied* summary sets (safe for operator mutation)."""
-        copies: dict[int, SummarySet] = {}
-        new_sets = {}
-        for alias, s in self.summary_sets.items():
-            if id(s) not in copies:
-                copies[id(s)] = s.copy()
-            new_sets[alias] = copies[id(s)]
-        return QTuple(list(self.columns), list(self.values), new_sets,
-                      dict(self.provenance))
 
     @staticmethod
     def join(left: "QTuple", right: "QTuple") -> "QTuple":
@@ -122,8 +106,7 @@ class QTuple:
         The merge deduplicates annotations attached to tuples on both sides;
         instances present on only one side propagate unchanged.
         """
-        merged = left.merged_summary_set().copy()
-        merged.merge(right.merged_summary_set())
+        merged = left.merged_summary_set().merge(right.merged_summary_set())
         sets = {alias: merged for alias in
                 list(left.summary_sets) + list(right.summary_sets)}
         return QTuple(

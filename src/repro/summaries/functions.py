@@ -14,10 +14,11 @@ from repro.summaries.objects import SummaryObject, SummaryType
 
 
 class SummarySet:
-    """The set of summary objects attached to one (runtime) tuple."""
+    """The set of summary objects attached to one (runtime) tuple: a value
+    (the algebra returns new sets), so it may share the cache's objects."""
 
     def __init__(self, objects: dict[str, SummaryObject] | None = None):
-        self._objects: dict[str, SummaryObject] = dict(objects or {})
+        self._objects: dict[str, SummaryObject] = objects or {}
 
     # -- paper interface ($-functions) -------------------------------------------
 
@@ -63,15 +64,6 @@ class SummarySet:
             raise SummaryError(f"no summary object for instance {instance_name!r}")
         return obj
 
-    def add(self, obj: SummaryObject) -> None:
-        self._objects[obj.instance_name] = obj
-
-    def remove(self, instance_name: str) -> None:
-        self._objects.pop(instance_name, None)
-
-    def copy(self) -> "SummarySet":
-        return SummarySet({k: v.copy() for k, v in self._objects.items()})
-
     def filter(self, predicate) -> "SummarySet":
         """New set keeping only objects where ``predicate(obj)`` is True —
         the object-level projection the F operator performs."""
@@ -82,21 +74,30 @@ class SummarySet:
     def of_type(self, stype: SummaryType) -> list[SummaryObject]:
         return [o for o in self.objects() if o.summary_type is stype]
 
-    def project_to_columns(self, retained: set[str]) -> None:
-        """Eliminate the effect of annotations on projected-out columns from
-        every object in the set (§2.2 step 1)."""
-        for obj in self._objects.values():
-            obj.project_to_columns(retained)
+    def project_to_columns(self, retained: set[str]) -> "SummarySet":
+        """This set without the effect of annotations on projected-out
+        columns (§2.2 step 1); itself when no object changes."""
+        projected = {
+            name: obj.project_to_columns(retained)
+            for name, obj in self._objects.items()
+        }
+        if all(projected[name] is obj for name, obj in self._objects.items()):
+            return self
+        return SummarySet(projected)
 
-    def merge(self, other: "SummarySet") -> None:
-        """Merge ``other`` into this set (join/aggregation semantics):
-        objects of instances present on both sides merge with annotation
-        dedup; instance objects present on one side propagate unchanged."""
-        for name, obj in other._objects.items():
-            if name in self._objects:
-                self._objects[name].merge(obj)
-            else:
-                self._objects[name] = obj.copy()
+    def merge(self, *others: "SummarySet") -> "SummarySet":
+        """The merge of this set with ``others`` (join/aggregation
+        semantics): one instance's objects merge, with annotation dedup, in
+        one copy; an instance's only object propagates as it is."""
+        if not others:
+            return self
+        by_name: dict[str, list[SummaryObject]] = {}
+        for summary_set in (self, *others):
+            for name, obj in summary_set._objects.items():
+                by_name.setdefault(name, []).append(obj)
+        return SummarySet(
+            {name: objs[0].merge(*objs[1:]) for name, objs in by_name.items()}
+        )
 
     def to_display(self) -> dict[str, list]:
         """Instance -> Rep[] — what end-users see propagated (§2.1)."""

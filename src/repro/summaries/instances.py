@@ -69,7 +69,7 @@ class ClassifierInstance(SummaryInstance):
 
     def new_object(self, tuple_id: int) -> ClassifierObject:
         return ClassifierObject(
-            instance_name=self.name, tuple_id=tuple_id, labels=list(self.labels)
+            instance_name=self.name, tuple_id=tuple_id, labels=self.labels
         )
 
 

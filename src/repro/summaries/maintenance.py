@@ -420,7 +420,7 @@ class SummaryManager:
         if not instances:
             return
         storage = self.storage_for(table)
-        objects = storage.get(oid)
+        objects = storage.get_for_update(oid)
         created_row = objects is None
         previous = None if created_row else row_footprint(objects)
         if objects is None:
@@ -519,15 +519,17 @@ class SummaryManager:
 
     # -- reads -------------------------------------------------------------------------
 
-    def summary_set_for(self, table: str, oid: int) -> SummarySet:
-        """The stored summary objects of one tuple as a :class:`SummarySet`.
+    def summary_set_for(
+        self, table: str, oid: int, retained: set[str] | None = None
+    ) -> SummarySet:
+        """The stored summary objects of one tuple as a :class:`SummarySet`,
+        projected to the ``retained`` columns when given (§2.2 step 1).
+        The objects are shared with the cache, and immutable."""
+        summaries = SummarySet(self.storage_for(table).get(oid) or {})
+        return summaries if retained is None else \
+            summaries.project_to_columns(retained)
 
-        Objects are deserialized copies; callers may mutate them freely.
-        """
-        objects = self.storage_for(table).get(oid)
-        return SummarySet(objects or {})
-
-    def raw_texts_for(self, table: str, oid: int) -> list[str]:
+    def raw_texts_for(self, table: str, oid: int) -> tuple[str, ...]:
         """Raw texts of every annotation attached to a tuple (keyword-search
         fallback of §3.1).
 
@@ -540,20 +542,18 @@ class SummaryManager:
         if cache.enabled:
             hit, texts = cache.lookup(table, oid, kind="texts")
             if hit:
-                return list(texts)
+                return texts
         objects = self.storage_for(table).get(oid)
         if not objects:
-            texts = []
+            texts = ()
         else:
             ann_ids: set[int] = set()
             for obj in objects.values():
                 ann_ids |= obj.all_annotation_ids()
-            texts = self.annotations.texts(sorted(ann_ids))
-        if cache.enabled:
-            cache.store(
-                table, oid, tuple(texts),
-                sum(len(t) for t in texts), kind="texts",
-            )
+            texts = tuple(self.annotations.texts(sorted(ann_ids)))
+        cache.store(
+            table, oid, texts, sum(len(t) for t in texts), kind="texts"
+        )
         return texts
 
     def zoom_in(
@@ -730,7 +730,7 @@ class SummaryManager:
         """
         table = table.lower()
         storage = self.storage_for(table)
-        old = storage.get(oid)
+        old = storage.get_for_update(oid)
         previous = None if old is None else row_footprint(old)
         ann_ids = sorted(self._ensure_targets_index().get((table, oid), ()))
         exists = self.tuple_exists is None or self.tuple_exists(table, oid)
@@ -817,7 +817,7 @@ class SummaryManager:
         if not instances:
             return
         storage = self.storage_for(table)
-        objects = storage.get(oid)
+        objects = storage.get_for_update(oid)
         created_row = objects is None
         previous = None if created_row else row_footprint(objects)
         if objects is None:
@@ -860,7 +860,7 @@ class SummaryManager:
 
     def _remove_from_tuple(self, annotation: Annotation, table: str, oid: int) -> None:
         storage = self.storage_for(table)
-        objects = storage.get(oid)
+        objects = storage.get_for_update(oid)
         if objects is None:
             return
         previous = row_footprint(objects)
@@ -922,8 +922,8 @@ class SummaryManager:
 
     @staticmethod
     def _rebuild_cluster_object(obj: ClusterObject, clusterer: CluStream) -> None:
-        obj.groups = [
+        obj.groups = tuple(
             ClusterGroup(rep_id, set(members),
                          {m: clusterer.cluster_of(m).excerpts[m] for m in members})
             for (rep_id, _), _, members in clusterer.groups()
-        ]
+        )

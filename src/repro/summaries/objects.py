@@ -17,6 +17,10 @@ Counts are always derived from the Elements sets, so dedup under merge is
 automatic: merging two classifier objects with 5 common Comment annotations
 yields ``|A ∪ B|``, not ``|A| + |B|`` — exactly the 22-not-27 example of
 Figure 3.
+
+Objects decoded from storage are immutable (frozensets, tuples,
+:class:`FrozenMap`), so readers may share them: the query algebra returns
+new values, and maintenance mutates only a writable :meth:`copy`.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from repro.errors import SummaryError
 
@@ -45,6 +50,22 @@ class SummaryType(Enum):
 
 #: Column-coverage of one annotation on its tuple; () means row-level.
 AnnTargets = dict[int, tuple[str, ...]]
+
+
+class FrozenMap(dict):
+    """A dict that refuses every in-place change yet still pickles
+    (external-sort spills pickle rows; ``MappingProxyType`` cannot)."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("stored summary objects are immutable")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return FrozenMap, (dict(self),)
 
 
 @dataclass
@@ -97,29 +118,52 @@ class SummaryObject:
     # -- algebra hooks -----------------------------------------------------------
 
     def copy(self) -> "SummaryObject":
-        """Deep copy; operators mutate propagated objects, never the stored
-        originals."""
+        """A writable twin — same ``obj_id`` and ``stored_size``, every
+        container thawed: the only way to change an object read from
+        storage (``copy.copy``'s effect, minus its dispatch)."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(
+            self.__dict__, ann_targets=dict(self.ann_targets), **self._thawed()
+        )
+        return twin
+
+    def _thawed(self) -> dict:
+        """Mutable copies of the subclass's own containers, by field."""
         raise NotImplementedError
 
     def remove_annotations(self, ann_ids: set[int]) -> None:
-        """Eliminate the effect of ``ann_ids`` (projection semantics)."""
+        """Eliminate the effect of ``ann_ids`` in place (writers only)."""
         raise NotImplementedError
 
-    def merge(self, other: "SummaryObject") -> None:
-        """Fold ``other`` (same instance, different tuple) into this object,
-        deduplicating annotations present on both sides."""
+    def _absorb(self, other: "SummaryObject") -> None:
+        """In-place fold of ``other`` into this (writable) object."""
         raise NotImplementedError
 
-    def project_to_columns(self, retained: set[str]) -> None:
-        """Apply projection: drop the effect of annotations attached only to
-        columns outside ``retained``."""
+    def merge(self, *others: "SummaryObject") -> "SummaryObject":
+        """A new object folding ``others`` (same instance, other tuples)
+        into this one, deduplicating the annotations they share; itself
+        when there are none."""
+        if not others:
+            return self
+        merged = self.copy()
+        for other in others:
+            merged._absorb(other)
+        return merged
+
+    def project_to_columns(self, retained: set[str]) -> "SummaryObject":
+        """Apply projection: this object without the effect of annotations
+        attached only to columns outside ``retained`` (itself when there
+        are none)."""
         doomed = {
             ann_id
             for ann_id, columns in self.ann_targets.items()
             if columns and not any(c in retained for c in columns)
         }
-        if doomed:
-            self.remove_annotations(doomed)
+        if not doomed:
+            return self
+        projected = self.copy()
+        projected.remove_annotations(doomed)
+        return projected
 
     def _merge_targets(self, other: "SummaryObject") -> None:
         for ann_id, columns in other.ann_targets.items():
@@ -167,7 +211,8 @@ class SummaryObject:
 
     @staticmethod
     def _decode_targets(data: dict) -> AnnTargets:
-        return {int(k): tuple(v) for k, v in data["ann_targets"].items()}
+        targets = data["ann_targets"]
+        return FrozenMap(zip(map(int, targets), map(tuple, targets.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +229,14 @@ class ClassifierObject(SummaryObject):
     counts are the sizes of those sets.
     """
 
-    labels: list[str] = field(default_factory=list)
+    labels: tuple[str, ...] = ()
     label_elements: dict[str, set[int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self.labels = tuple(self.labels)
         for label in self.labels:
-            self.label_elements.setdefault(label, set())
+            if label not in self.label_elements:
+                self.label_elements[label] = set()
 
     @property
     def summary_type(self) -> SummaryType:
@@ -220,50 +267,40 @@ class ClassifierObject(SummaryObject):
             )
         return len(self.label_elements[key])
 
-    def label_of(self, ann_id: int) -> str | None:
-        for label, members in self.label_elements.items():
-            if ann_id in members:
-                return label
-        return None
-
     # -- maintenance -------------------------------------------------------------
 
     def add_annotation(self, ann_id: int, label: str,
                        columns: tuple[str, ...]) -> None:
         if label not in self.label_elements:
             raise SummaryError(f"unknown label {label!r}")
-        self.label_elements[label].add(ann_id)
         self.ann_targets[ann_id] = columns
+        self.label_elements[label].add(ann_id)
 
     # -- algebra -------------------------------------------------------------------
 
-    def copy(self) -> "ClassifierObject":
-        return ClassifierObject(
-            instance_name=self.instance_name,
-            tuple_id=self.tuple_id,
-            ann_targets=dict(self.ann_targets),
-            labels=list(self.labels),
-            label_elements={l: set(s) for l, s in self.label_elements.items()},
-        )
+    def _thawed(self) -> dict:
+        return {"label_elements": {
+            l: set(s) for l, s in self.label_elements.items()
+        }}
 
     def remove_annotations(self, ann_ids: set[int]) -> None:
         for members in self.label_elements.values():
-            members -= ann_ids
+            members.difference_update(ann_ids)
         for ann_id in ann_ids:
             self.ann_targets.pop(ann_id, None)
 
-    def merge(self, other: "SummaryObject") -> None:
+    def _absorb(self, other: "SummaryObject") -> None:
         if not isinstance(other, ClassifierObject):
             raise SummaryError("cannot merge classifier with non-classifier")
         for label, members in other.label_elements.items():
             self.label_elements.setdefault(label, set()).update(members)
             if label not in self.labels:
-                self.labels.append(label)
+                self.labels += (label,)
         self._merge_targets(other)
 
     def to_dict(self) -> dict:
         data = self._base_dict()
-        data["labels"] = self.labels
+        data["labels"] = list(self.labels)
         data["label_elements"] = {
             l: sorted(s) for l, s in self.label_elements.items()
         }
@@ -271,13 +308,16 @@ class ClassifierObject(SummaryObject):
 
     @classmethod
     def _from_dict(cls, data: dict) -> "ClassifierObject":
+        elements = data["label_elements"]
         return cls(
             instance_name=data["instance"],
             tuple_id=data["tuple_id"],
             obj_id=data["obj_id"],
             ann_targets=cls._decode_targets(data),
-            labels=list(data["labels"]),
-            label_elements={l: set(v) for l, v in data["label_elements"].items()},
+            labels=tuple(data["labels"]),
+            label_elements=FrozenMap(zip(
+                elements, map(frozenset, elements.values())
+            )),
         )
 
 
@@ -347,20 +387,15 @@ class SnippetObject(SummaryObject):
 
     # -- algebra -------------------------------------------------------------------
 
-    def copy(self) -> "SnippetObject":
-        return SnippetObject(
-            instance_name=self.instance_name,
-            tuple_id=self.tuple_id,
-            ann_targets=dict(self.ann_targets),
-            snippets=dict(self.snippets),
-        )
+    def _thawed(self) -> dict:
+        return {"snippets": dict(self.snippets)}
 
     def remove_annotations(self, ann_ids: set[int]) -> None:
         for ann_id in ann_ids:
             self.snippets.pop(ann_id, None)
             self.ann_targets.pop(ann_id, None)
 
-    def merge(self, other: "SummaryObject") -> None:
+    def _absorb(self, other: "SummaryObject") -> None:
         if not isinstance(other, SnippetObject):
             raise SummaryError("cannot merge snippet with non-snippet")
         self.snippets.update(other.snippets)
@@ -373,12 +408,13 @@ class SnippetObject(SummaryObject):
 
     @classmethod
     def _from_dict(cls, data: dict) -> "SnippetObject":
+        snippets = data["snippets"]
         return cls(
             instance_name=data["instance"],
             tuple_id=data["tuple_id"],
             obj_id=data["obj_id"],
             ann_targets=cls._decode_targets(data),
-            snippets={int(k): v for k, v in data["snippets"].items()},
+            snippets=FrozenMap(zip(map(int, snippets), snippets.values())),
         )
 
 
@@ -387,8 +423,7 @@ class SnippetObject(SummaryObject):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClusterGroup:
+class ClusterGroup(NamedTuple):
     """One group of similar annotations inside a Cluster summary object."""
 
     rep_ann_id: int
@@ -406,20 +441,15 @@ class ClusterGroup:
     def rep_text(self) -> str:
         return self.excerpts.get(self.rep_ann_id, "")
 
-    def reelect(self) -> None:
-        """Pick a deterministic replacement representative."""
-        if self.rep_ann_id not in self.members and self.members:
-            self.rep_ann_id = min(self.members)
-
-    def copy(self) -> "ClusterGroup":
-        return ClusterGroup(self.rep_ann_id, set(self.members), dict(self.excerpts))
-
 
 @dataclass
 class ClusterObject(SummaryObject):
     """Groups of similar annotations, one representative per group."""
 
-    groups: list[ClusterGroup] = field(default_factory=list)
+    groups: tuple[ClusterGroup, ...] = ()
+
+    def __post_init__(self) -> None:
+        self.groups = tuple(self.groups)
 
     @property
     def summary_type(self) -> SummaryType:
@@ -453,35 +483,35 @@ class ClusterObject(SummaryObject):
 
     # -- algebra ---------------------------------------------------------------------
 
-    def copy(self) -> "ClusterObject":
-        return ClusterObject(
-            instance_name=self.instance_name,
-            tuple_id=self.tuple_id,
-            ann_targets=dict(self.ann_targets),
-            groups=[g.copy() for g in self.groups],
-        )
+    def _thawed(self) -> dict:
+        return {"groups": tuple([
+            ClusterGroup(g.rep_ann_id, set(g.members), dict(g.excerpts))
+            for g in self.groups
+        ])}
 
     def remove_annotations(self, ann_ids: set[int]) -> None:
-        survivors = []
-        for group in self.groups:
-            group.members -= ann_ids
-            for ann_id in ann_ids:
-                group.excerpts.pop(ann_id, None)
-            if group.members:
-                group.reelect()
-                survivors.append(group)
-        self.groups = survivors
         for ann_id in ann_ids:
             self.ann_targets.pop(ann_id, None)
+        survivors = []
+        for group in self.groups:
+            members = group.members - ann_ids
+            if not members:
+                continue
+            rep = group.rep_ann_id  # re-elected when projected away
+            survivors.append(ClusterGroup(
+                rep if rep in members else min(members),
+                members,
+                {m: t for m, t in group.excerpts.items() if m not in ann_ids},
+            ))
+        self.groups = tuple(survivors)
 
-    def merge(self, other: "SummaryObject") -> None:
+    def _absorb(self, other: "SummaryObject") -> None:
         """Combine overlapping groups; non-overlapping groups propagate
         separately (§2.2 Example 1)."""
         if not isinstance(other, ClusterObject):
             raise SummaryError("cannot merge cluster with non-cluster")
-        merged: list[ClusterGroup] = [g.copy() for g in self.groups]
+        merged = list(self.groups)
         for incoming in other.groups:
-            incoming = incoming.copy()
             # Keep folding until the incoming group overlaps nothing.
             while True:
                 overlap = next(
@@ -504,7 +534,7 @@ class ClusterObject(SummaryObject):
                     {**overlap.excerpts, **incoming.excerpts},
                 )
             merged.append(incoming)
-        self.groups = merged
+        self.groups = tuple(merged)
         self._merge_targets(other)
 
     def to_dict(self) -> dict:
@@ -529,8 +559,9 @@ class ClusterObject(SummaryObject):
             groups=[
                 ClusterGroup(
                     g["rep"],
-                    set(g["members"]),
-                    {int(k): v for k, v in g["excerpts"].items()},
+                    frozenset(g["members"]),
+                    FrozenMap(zip(map(int, g["excerpts"]),
+                                  g["excerpts"].values())),
                 )
                 for g in data["groups"]
             ],

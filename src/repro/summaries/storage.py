@@ -22,7 +22,7 @@ from repro.errors import IndexError_, RecordNotFoundError, ReproError
 from repro.storage.buffer import BufferPool
 from repro.storage.heapfile import HeapFile, RID
 from repro.storage.page import SlottedPage
-from repro.summaries.objects import ClassifierObject, SummaryObject
+from repro.summaries.objects import ClassifierObject, FrozenMap, SummaryObject
 
 _JSON = json.JSONDecoder()
 
@@ -153,8 +153,9 @@ class SummaryStorage:
     def _decode(data: bytes) -> dict[str, SummaryObject]:
         """Inverse of :meth:`_encode`, element by element so that every
         object learns its ``stored_size`` (the writer emits ASCII, so
-        characters are bytes).  Anything but our own framing is a
-        ``ValueError``, as it was under ``json.loads``."""
+        characters are bytes).  The mapping and its objects are immutable
+        (a reader may share them; a writer copies).  Anything but our own
+        framing is a ``ValueError``, as it was under ``json.loads``."""
         text = data.decode("utf-8")
         if text[:1] != "[":
             raise ValueError("summary row is not a JSON array")
@@ -168,19 +169,7 @@ class SummaryStorage:
             pos = end + 1 if text[end:end + 1] == "," else end
         if pos != len(text) - 1:
             raise ValueError("trailing bytes after summary row")
-        return objects
-
-    @staticmethod
-    def _private_copies(
-        objects: dict[str, SummaryObject]
-    ) -> dict[str, SummaryObject]:
-        """Deep copies for the cache boundary, still knowing the size
-        they have in the stored row."""
-        copies = {}
-        for name, obj in objects.items():
-            copies[name] = copy = obj.copy()
-            copy.stored_size = obj.stored_size
-        return copies
+        return FrozenMap(objects)
 
     # -- operations ----------------------------------------------------------------
 
@@ -194,31 +183,30 @@ class SummaryStorage:
     def get(self, oid: int) -> dict[str, SummaryObject] | None:
         """All summary objects of tuple ``oid`` (None when un-annotated).
 
-        Read-through cached: the cache keeps pristine private copies (a
-        ``None`` value memoizes "no storage row"), and every return value —
-        hit or miss — is the caller's to mutate freely.
-        """
+        Read-through cached and shared: a hit returns the cached (immutable)
+        mapping itself, and a ``None`` value memoizes "no storage row".
+        Writers read through :meth:`get_for_update`."""
         cache = self.cache
-        if not cache.enabled:
-            rid = self._rid_for(oid)
-            if rid is None:
-                return None
-            return self._decode(self.heap.read(rid))
-        hit, value = cache.lookup(self.table_name, oid)
-        if hit:
-            if value is None:
-                return None
-            return self._private_copies(value)
+        if cache.enabled:
+            hit, value = cache.lookup(self.table_name, oid)
+            if hit:
+                return value
         rid = self._rid_for(oid)
         if rid is None:
             cache.store(self.table_name, oid, None, 0)
             return None
         data = self.heap.read(rid)
         objects = self._decode(data)
-        cache.store(
-            self.table_name, oid, self._private_copies(objects), len(data)
-        )
+        cache.store(self.table_name, oid, objects, len(data))
         return objects
+
+    def get_for_update(self, oid: int) -> dict[str, SummaryObject] | None:
+        """The only writable read: :meth:`get`, then a mutable ``copy()`` of
+        each object.  The copies never reach the cache; :meth:`put` them."""
+        objects = self.get(oid)
+        if objects is None:
+            return None
+        return {name: obj.copy() for name, obj in objects.items()}
 
     def label_count(self, oid: int, instance: str, label: str) -> tuple:
         """``("ok", value)`` or ``("fallback", None)`` for the vectorized

@@ -124,8 +124,7 @@ class TestSpillRoundTrip:
         assert back.provenance == row.provenance
 
     def test_shared_summary_set_identity_survives(self):
-        sset = SummarySet()
-        sset.add(SnippetObject("T", 1, snippets={1: "snippet one"}))
+        sset = SummarySet({"T": SnippetObject("T", 1, snippets={1: "snippet one"})})
         row = _row(["a"], [1], summary_sets={"r": sset, "s": sset})
         back = QTuple.from_bytes(row.to_bytes())
         assert len(back.distinct_summary_sets()) == 1
@@ -140,8 +139,7 @@ class TestSpillRoundTrip:
     @settings(max_examples=30, deadline=None)
     def test_external_sort_matches_in_memory_sort(self, keys):
         pool = Database(buffer_pages=64).pool
-        sset = SummarySet()
-        sset.add(SnippetObject("T", 1, snippets={1: "shared snippet"}))
+        sset = SummarySet({"T": SnippetObject("T", 1, snippets={1: "shared snippet"})})
         rows = [
             _row(
                 ["k", "payload"], [k, bytes([i])],

@@ -17,7 +17,7 @@ from repro.errors import IndexError_, QueryError
 from repro.query.tuples import QTuple
 from repro.storage.record import ValueType
 from repro.summaries.functions import SummarySet
-from repro.summaries.objects import ClassifierObject
+from repro.summaries.objects import ClassifierObject, SummaryObject
 
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False,
                           width=64)
@@ -103,11 +103,19 @@ class TestQTuple:
         assert not t.has_column("w")
 
     def test_copy_is_deep_for_summaries(self):
+        # A tuple's summaries are values: joining never changes either
+        # input, and an object read from storage (immutable) refuses an
+        # in-place edit, so no tuple needs a private copy.
         t = self.make()
-        copied = t.copy()
-        copied.summary_set("r").get_summary_object("C").add_annotation(
-            99, "Disease", ()
-        )
+        stored = SummaryObject.from_dict(classifier(1, disease=1).to_dict())
+        right = QTuple(["s.v"], [1], {"s": SummarySet({"C": stored})},
+                       {"s": ("t", 1)})
+        joined = QTuple.join(t, right)
+        assert joined.summary_set("r").get_summary_object("C") \
+            .get_label_value("Disease") == 2
+        with pytest.raises(TypeError):
+            stored.add_annotation(99, "Disease", ())
+        assert stored.get_label_value("Disease") == 1
         original = t.summary_set("r").get_summary_object("C")
         assert original.get_label_value("Disease") == 2
 

@@ -87,7 +87,7 @@ def per_row(db: Database, predicate, items, retained) -> list[QTuple]:
     for oid, values in table.scan():
         sset = db.manager.summary_set_for("t", oid)
         if retained is not None:
-            sset.project_to_columns(retained)
+            sset = sset.project_to_columns(retained)
         row = QTuple(columns, values + [oid], {ALIAS: sset},
                      {ALIAS: ("t", oid)})
         if evaluate(predicate, row, eval_ctx):

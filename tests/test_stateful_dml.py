@@ -11,6 +11,8 @@ checks after every step that
   page and after a reindex, and
 * ``Database.check_integrity()`` holds — heap accounting, checksums,
   B-Tree invariants, Summary-BTree backward pointers, the lot — and
+* every live summary-cache entry equals a fresh decode of its heap row,
+  and
 * the optimizer statistics, kept current by accumulator deltas, equal a
   from-scratch ``analyze``, and
 * every plan the statement cache serves for a fixed panel of statements
@@ -44,6 +46,7 @@ from tests.test_plan_cache import (  # noqa: E402
     assert_cached_equals_fresh,
     dml_select,
 )
+from tests.test_summary_freeze import assert_cache_matches_heap  # noqa: E402
 
 LABELS = ["alpha", "beta", "gamma"]
 SEED_EXAMPLES = [
@@ -234,6 +237,12 @@ class DMLMachine(RuleBasedStateMachine):
             if objects and "C" in objects:
                 got.update(dict(objects["C"].rep()))
             assert got == expected, f"summary set of oid {oid} is stale"
+
+    @invariant()
+    def cache_matches_heap(self):
+        """Every live summary-cache entry is a fresh decode of its heap
+        row, ``obj_id`` included: shared objects are never written."""
+        assert_cache_matches_heap(self.db)
 
     @invariant()
     def statistics_match_fresh_analyze(self):

@@ -5,7 +5,7 @@ Three layers of coverage:
 * unit tests of :class:`SummaryCache` itself — LRU byte bounds, the
   admission guard, epochs, precise invalidation, clear/resize, stats;
 * integration through the engine — read-through equality with the
-  uncached path, copy isolation, observer-driven invalidation on every
+  uncached path, shared immutable hits, observer-driven invalidation on every
   annotation mutation, recover/repair/load epoch bumps, EXPLAIN ANALYZE
   counters, and the ``\\cache`` REPL command;
 * the hot-path regressions that ride along: summary rows that grow across
@@ -201,8 +201,9 @@ def build_db(cache_bytes: int = 1 << 20, buffer_pages: int = 64) -> Database:
 
 
 def set_dict(objects) -> dict:
-    """Comparable form of a summary set (``obj_id`` is an in-memory
-    identity counter, fresh per decode/copy — not part of the value)."""
+    """Comparable form of a summary set across databases (``obj_id`` comes
+    from a process-global counter, so two databases built in one process
+    number their objects differently)."""
     out = {}
     for name, obj in objects.items():
         d = dict(obj.to_dict())
@@ -239,11 +240,17 @@ class TestReadThrough:
         assert set_dict(second) == set_dict(uncached)
 
     def test_hits_return_independent_copies(self):
+        # Hits share the cached objects, yet a caller still cannot change
+        # the cache: every in-place edit of a shared object raises.
         db = build_db()
         storage = db.manager.storage_for("t")
         storage.get(1)  # prime
         a = storage.get(1)
-        a["C"].label_elements.clear()  # caller-side mutation
+        assert storage.get(1) is a
+        with pytest.raises(TypeError):
+            a["C"].label_elements.clear()
+        with pytest.raises(TypeError):
+            a["C"] = None
         b = storage.get(1)
         assert b["C"].label_elements, "cached entry was poisoned by a caller"
 
@@ -271,15 +278,16 @@ class TestReadThrough:
 
     def test_raw_texts_memoized_and_invalidated(self):
         db = build_db()
-        assert db.manager.raw_texts_for("t", 2) == [TEXTS["alpha"]]
+        first = db.manager.raw_texts_for("t", 2)
+        assert first == (TEXTS["alpha"],)
         hits0 = db.manager.cache.hits
-        assert db.manager.raw_texts_for("t", 2) == [TEXTS["alpha"]]
+        assert db.manager.raw_texts_for("t", 2) is first  # the cached tuple
         assert db.manager.cache.hits > hits0
         ann = db.add_annotation(TEXTS["beta"], table="t", oid=2)
         assert sorted(db.manager.raw_texts_for("t", 2)) == \
                sorted([TEXTS["alpha"], TEXTS["beta"]])
         db.delete_annotation(ann.ann_id)
-        assert db.manager.raw_texts_for("t", 2) == [TEXTS["alpha"]]
+        assert db.manager.raw_texts_for("t", 2) == (TEXTS["alpha"],)
 
     def test_query_results_identical_cache_on_off(self):
         q = ("SELECT t.name FROM t "

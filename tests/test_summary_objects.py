@@ -71,7 +71,7 @@ class TestClassifierObject:
         right = classifier(tuple_id=2)
         for ann in range(6, 23):  # 6..22 => 5 common (6..10)
             right.add_annotation(ann, "Comment", ())
-        left.merge(right)
+        left = left.merge(right)
         assert left.get_label_value("Comment") == 22
 
     def test_merge_keeps_disjoint_labels(self):
@@ -79,7 +79,7 @@ class TestClassifierObject:
         left.add_annotation(1, "Provenance", ())
         right = classifier(tuple_id=2)
         right.add_annotation(2, "Question", ())
-        left.merge(right)
+        left = left.merge(right)
         assert left.rep() == [("Provenance", 1), ("Comment", 0), ("Question", 1)]
 
     def test_merge_type_mismatch_rejected(self):
@@ -99,7 +99,7 @@ class TestClassifierObject:
         obj.add_annotation(1, "Comment", ("c", "d"))   # only on dropped cols
         obj.add_annotation(2, "Comment", ("a",))       # on retained col
         obj.add_annotation(3, "Comment", ())           # row-level
-        obj.project_to_columns({"a", "b"})
+        obj = obj.project_to_columns({"a", "b"})
         assert obj.get_label_value("Comment") == 2
         assert obj.all_annotation_ids() == {2, 3}
 
@@ -159,7 +159,7 @@ class TestSnippetObject:
 
     def test_projection_drops_snippet_of_projected_annotation(self):
         obj = self.make()
-        obj.project_to_columns({"a"})
+        obj = obj.project_to_columns({"a"})
         assert obj.get_size() == 1  # wikipedia snippet (on column c) dropped
         assert obj.all_annotation_ids() == {1, 3}
 
@@ -168,7 +168,7 @@ class TestSnippetObject:
         b = SnippetObject(instance_name="TextSummary1", tuple_id=2)
         b.add_annotation(2, (), "Wikipedia article about hormone levels")
         b.add_annotation(9, (), "A new long article snippet")
-        a.merge(b)
+        a = a.merge(b)
         assert a.get_size() == 3  # ann 2 deduplicated
         assert a.all_annotation_ids() == {1, 2, 3, 9}
 
@@ -224,7 +224,7 @@ class TestClusterObject:
         # combine; A5 and B7 stay separate.
         left = cluster([group(1, [1, 10, 11]), group(5, [5])])
         right = cluster([group(20, [10, 20]), group(7, [7])], tuple_id=2)
-        left.merge(right)
+        left = left.merge(right)
         sizes = sorted(g.size for g in left.groups)
         assert sizes == [1, 1, 4]  # {1,10,11,20} + {5} + {7}
         combined = max(left.groups, key=lambda g: g.size)
@@ -235,20 +235,20 @@ class TestClusterObject:
         # An incoming group can bridge two existing groups.
         left = cluster([group(1, [1, 2]), group(5, [5, 6])])
         right = cluster([group(2, [2, 5])], tuple_id=2)
-        left.merge(right)
+        left = left.merge(right)
         assert len(left.groups) == 1
         assert left.groups[0].members == {1, 2, 5, 6}
 
     def test_merge_disjoint_propagates_separately(self):
         left = cluster([group(1, [1])])
         right = cluster([group(2, [2])], tuple_id=2)
-        left.merge(right)
+        left = left.merge(right)
         assert len(left.groups) == 2
 
     def test_merge_no_double_count_members(self):
         left = cluster([group(1, [1, 2, 3])])
         right = cluster([group(1, [1, 2, 3])], tuple_id=2)
-        left.merge(right)
+        left = left.merge(right)
         assert len(left.groups) == 1
         assert left.groups[0].size == 3
 
@@ -276,9 +276,9 @@ class TestMergeProperties:
             return obj
 
         ab = build(left_ids, 1)
-        ab.merge(build(right_ids, 2))
+        ab = ab.merge(build(right_ids, 2))
         ba = build(right_ids, 2)
-        ba.merge(build(left_ids, 1))
+        ba = ba.merge(build(left_ids, 1))
         assert dict(ab.rep()) == dict(ba.rep())
 
     @given(
@@ -294,7 +294,7 @@ class TestMergeProperties:
             return obj
 
         merged = build(left_ids, 1)
-        merged.merge(build(right_ids, 2))
+        merged = merged.merge(build(right_ids, 2))
         assert merged.get_label_value("Comment") == len(left_ids | right_ids)
 
     @given(st.sets(st.integers(1, 30), min_size=1, max_size=12),
@@ -331,7 +331,7 @@ class TestMergeProperties:
         expect = set().union(*[g.members for g in lobj.groups]) | set().union(
             *[g.members for g in robj.groups]
         )
-        lobj.merge(robj)
+        lobj = lobj.merge(robj)
         got_groups = [g.members for g in lobj.groups]
         # Union preserved and groups pairwise disjoint afterwards.
         assert set().union(*got_groups) == expect

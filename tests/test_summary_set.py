@@ -9,6 +9,7 @@ from repro.summaries.objects import (
     ClusterGroup,
     ClusterObject,
     SnippetObject,
+    SummaryObject,
     SummaryType,
 )
 
@@ -24,10 +25,7 @@ def make_set():
     clus = ClusterObject(instance_name="SimCluster", tuple_id=1,
                          groups=[ClusterGroup(3, {3}, {3: "a note"})])
     clus.ann_targets[3] = ()
-    s = SummarySet()
-    for obj in (c1, c2, snip, clus):
-        s.add(obj)
-    return s
+    return SummarySet({o.instance_name: o for o in (c1, c2, snip, clus)})
 
 
 class TestInterface:
@@ -71,11 +69,22 @@ class TestInterface:
 
 class TestAlgebra:
     def test_copy_independent(self):
+        # Sets are values, so nothing needs a copy: a merge returns a new
+        # set with new merged objects and leaves its inputs unchanged...
         s = make_set()
-        dup = s.copy()
-        dup.get_summary_object("ClassBird1").add_annotation(99, "Disease", ())
+        extra = ClassifierObject(instance_name="ClassBird1", tuple_id=2,
+                                 labels=["Disease", "Anatomy"])
+        extra.add_annotation(99, "Disease", ())
+        merged = s.merge(SummarySet({"ClassBird1": extra}))
         assert s.get_summary_object("ClassBird1").get_label_value("Disease") == 1
-        assert dup.get_summary_object("ClassBird1").get_label_value("Disease") == 2
+        assert merged.get_summary_object("ClassBird1").get_label_value("Disease") == 2
+        # ...and an object read from storage refuses in-place edits.
+        stored = SummaryObject.from_dict(
+            s.get_summary_object("ClassBird1").to_dict()
+        )
+        with pytest.raises(TypeError):
+            stored.add_annotation(99, "Disease", ())
+        assert stored.get_label_value("Disease") == 1
 
     def test_merge_unmatched_instances_propagate_unchanged(self):
         # Example 1: ClassBird1/TextSummary1 have no counterpart on s, so
@@ -85,39 +94,44 @@ class TestAlgebra:
         c2 = ClassifierObject(instance_name="ClassBird2", tuple_id=2,
                               labels=["Provenance", "Comment"])
         c2.add_annotation(50, "Comment", ())
-        other.add(c2)
-        s.merge(other)
+        s = s.merge(SummarySet({"ClassBird2": c2}))
         assert s.get_size() == 4
         assert s.get_summary_object("ClassBird2").get_label_value("Comment") == 1
         assert s.get_summary_object("ClassBird1").get_label_value("Disease") == 1
 
     def test_merge_adds_new_instances(self):
         s = make_set()
-        other = SummarySet()
         extra = ClassifierObject(instance_name="New", tuple_id=2, labels=["X"])
-        other.add(extra)
-        s.merge(other)
+        s = s.merge(SummarySet({"New": extra}))
         assert s.get_size() == 5
 
-    def test_merge_copies_foreign_objects(self):
+    def test_merge_shares_foreign_objects(self):
+        # An object present on one side only propagates as the same
+        # object: nothing changes it in place, so sharing is safe.
         s = SummarySet()
         other = make_set()
-        s.merge(other)
-        s.get_summary_object("ClassBird1").add_annotation(77, "Disease", ())
-        assert other.get_summary_object("ClassBird1").get_label_value("Disease") == 1
+        merged = s.merge(other)
+        assert merged.get_summary_object("ClassBird1") is \
+            other.get_summary_object("ClassBird1")
+        assert s.get_size() == 0
+
+    def test_projection_without_effect_returns_same_set(self):
+        s = make_set()
+        assert s.project_to_columns({"anything"}) is s
 
     def test_project_to_columns_applies_to_all_objects(self):
-        s = SummarySet()
         clf = ClassifierObject(instance_name="C", tuple_id=1, labels=["L"])
         clf.add_annotation(1, "L", ("dropped",))
         clf.add_annotation(2, "L", ("kept",))
-        s.add(clf)
         snip = SnippetObject(instance_name="S", tuple_id=1)
         snip.add_annotation(1, ("dropped",), "about to vanish")
-        s.add(snip)
-        s.project_to_columns({"kept"})
-        assert s.get_summary_object("C").get_label_value("L") == 1
-        assert s.get_summary_object("S").get_size() == 0
+        s = SummarySet({"C": clf, "S": snip})
+        projected = s.project_to_columns({"kept"})
+        assert projected.get_summary_object("C").get_label_value("L") == 1
+        assert projected.get_summary_object("S").get_size() == 0
+        # The source set and its objects are untouched.
+        assert s.get_summary_object("C").get_label_value("L") == 2
+        assert s.get_summary_object("S").get_size() == 1
 
     def test_to_display_shows_reps(self):
         display = make_set().to_display()
