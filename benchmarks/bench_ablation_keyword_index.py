@@ -46,14 +46,14 @@ def test_keyword_search(
     db.options.search_raw = False  # the snippet side of the §3.1 trade-off
     db.options.force_access = "index" if mode == "Trigram-Index" else None
     # disable the candidate path entirely for the scan series
+    key = ("keyword", "birds", "TextSummary1")
     if mode == "Snippet-Scan":
-        saved = db.keyword_indexes
-        db.keyword_indexes = {}
+        saved = db.derived.pop(key)
     try:
         m = case(db, lambda: db.sql(QUERY))
     finally:
         if mode == "Snippet-Scan":
-            db.keyword_indexes = saved
+            db.derived[key] = saved
         db.options.search_raw = True
         db.options.force_access = None
 

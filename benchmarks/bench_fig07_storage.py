@@ -18,8 +18,8 @@ def _schemes(db):
     R_SummaryStorage (the paper's "storage overhead" y-axis): the
     Summary-BTree adds only its index nodes; the Baseline adds a full
     normalized replica of the classifier primitives plus its B-Trees."""
-    summary_index = db.summary_indexes[("birds", "ClassBird1")]
-    baseline_index = db.baseline_indexes[("birds", "ClassBird1")]
+    summary_index = db.derived[("summary", "birds", "ClassBird1")]
+    baseline_index = db.derived[("baseline", "birds", "ClassBird1")]
     return {
         "Summary-BTree": summary_index.pages_used(),
         "Baseline": baseline_index.pages_used(),

@@ -24,7 +24,7 @@ DENSITIES = (10, 25, 50, 100, 200)
 
 def _touches_per_op(db, config, rng):
     """(search, update-insert) node touches per operation at this scale."""
-    index = db.summary_indexes[("birds", "ClassBird1")]
+    index = db.derived[("summary", "birds", "ClassBird1")]
     tree = index.tree
 
     constant = equality_constant(db, "Disease", 0.01)

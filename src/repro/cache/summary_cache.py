@@ -268,33 +268,16 @@ class SummaryCache:
 
 
 class CacheInvalidator:
-    """Per-table maintenance observer that turns every summary mutation
-    event into a precise cache invalidation.
-
-    Registered on the ``(table, "*")`` channel (which sees one
-    ``on_objects_write``/``on_objects_delete`` per storage write) *and*
-    implementing the classifier-channel :class:`SummaryObserver` protocol,
-    so a cache entry cannot outlive the storage row it mirrors no matter
-    which hook fires first.
-    """
+    """Per-table maintenance observer that turns every storage-row event
+    into a precise cache invalidation, so a cache entry cannot outlive
+    the storage row it mirrors."""
 
     def __init__(self, cache: SummaryCache, table: str) -> None:
         self.cache = cache
         self.table = table
 
-    # consolidated per-storage-write events ("*" channel)
     def on_objects_write(self, oid: int, objects: dict, previous=None) -> None:
         self.cache.invalidate(self.table, oid)
 
     def on_objects_delete(self, oid: int, previous=None) -> None:
-        self.cache.invalidate(self.table, oid)
-
-    # classifier-channel events (SummaryObserver protocol)
-    def on_summary_insert(self, oid: int, obj) -> None:
-        self.cache.invalidate(self.table, oid)
-
-    def on_summary_update(self, oid: int, old_counts, new_counts) -> None:
-        self.cache.invalidate(self.table, oid)
-
-    def on_tuple_delete(self, oid: int, counts) -> None:
         self.cache.invalidate(self.table, oid)

@@ -25,6 +25,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 from repro.annotations.annotation import AnnotationTarget
 from repro.cache import DEFAULT_CACHE_BYTES
@@ -44,6 +45,7 @@ from repro.errors import (
     SummaryError,
 )
 from repro.index.baseline import BaselineClassifierIndex
+from repro.index.derived import DerivedIndex
 from repro.index.keyword import TrigramKeywordIndex
 from repro.index.replica import NormalizedSnippetReplica
 from repro.index.summary_btree import SummaryBTreeIndex
@@ -260,10 +262,9 @@ class Database:
             self.pool, metrics=self.metrics, cache_bytes=cache_bytes
         )
         self.statistics = StatisticsCatalog(self.catalog, self.manager)
-        self.summary_indexes: dict[tuple[str, str], SummaryBTreeIndex] = {}
-        self.baseline_indexes: dict[tuple[str, str], BaselineClassifierIndex] = {}
-        self.normalized_replicas: dict[tuple[str, str], NormalizedSnippetReplica] = {}
-        self.keyword_indexes: dict[tuple[str, str], TrigramKeywordIndex] = {}
+        #: every structure derived from the summary storage, keyed
+        #: ``(kind, table, instance)`` — the access-path health key.
+        self.derived: dict[tuple[str, str, str], DerivedIndex] = {}
         self.options = options or PlannerOptions()
         #: write-ahead log writer; None until :meth:`attach_wal`.
         self.wal: WALWriter | None = None
@@ -550,10 +551,21 @@ class Database:
         # two-executor era carry the mode switch of the removed tuple path.
         state.pop("_exec_ctx", None)
         state.pop("batch_exec", None)
+        # Images from before the registry kept one dict per kind.
+        derived = state.setdefault("derived", {})
+        for kind, name in (("summary", "summary_indexes"),
+                           ("baseline", "baseline_indexes"),
+                           ("keyword", "keyword_indexes"),
+                           ("replica", "normalized_replicas")):
+            for (table, instance), index in state.pop(name, {}).items():
+                derived[(kind, table, instance)] = index
         self.__dict__.update(state)
         self._init_concurrency()
         self.manager.deferred = self.summary_async
+        # Subscriptions are process state: rebuild them from the owners.
         self.statistics.resubscribe()
+        for index in self.derived.values():
+            self.manager.add_observer(index.table_name, index)
         if "health" not in state:
             self.health = AccessPathHealth(metrics=self.metrics)
         if "guard" not in state:
@@ -579,14 +591,20 @@ class Database:
             self.catalog,
             self.manager,
             self.statistics,
-            self.summary_indexes,
-            self.baseline_indexes,
+            self.derived,
             self.options,
-            self.normalized_replicas,
-            self.keyword_indexes,
             health=self.health,
             cache=self._plan_cache,
         )
+
+    @property
+    def summary_indexes(self):
+        """Read-only ``(table, instance)`` view of the Summary-BTrees."""
+        return MappingProxyType({
+            (table, instance): index
+            for (kind, table, instance), index in self.derived.items()
+            if kind == "summary"
+        })
 
     # -- DDL ------------------------------------------------------------------------
 
@@ -648,49 +666,55 @@ class Database:
     def unlink_summary_instance(self, table: str, instance: str) -> None:
         """``ALTER TABLE <table> DROP <instance>``."""
         self.manager.unlink(table, instance)
-        self.summary_indexes.pop((table.lower(), instance), None)
-        self.baseline_indexes.pop((table.lower(), instance), None)
-        # Detach everything create_summary_index and friends registered
-        # on this channel: a detached-but-subscribed index keeps mutating
-        # as a zombie.
-        self.manager.clear_observers(table, instance)
+        # Every structure derived from the link goes, subscription and
+        # all: a detached-but-subscribed index keeps mutating as a zombie.
+        for kind, name, linked in list(self.derived):
+            if (name, linked) == (table.lower(), instance):
+                self._drop_derived(kind, table, instance)
+
+    def _add_derived(self, kind: str, table: str, instance: str, make):
+        """Register the structure ``make()`` builds: bulk-build it from the
+        summary storage, then subscribe it to the table's row events."""
+        key = (kind, table.lower(), instance)
+        if key in self.derived:
+            raise SummaryError(f"{kind} index on {key[1:]} already exists")
+        index = make()
+        index.bulk_build(self.manager.storage_for(table))
+        self.manager.add_observer(table, index)
+        self.derived[key] = index
+        return index
+
+    def _drop_derived(self, kind: str, table: str, instance: str) -> None:
+        index = self.derived.pop((kind, table.lower(), instance), None)
+        if index is not None:
+            self.manager.remove_observer(table, index)
 
     @_logged_ddl
     def create_summary_index(
         self, table: str, instance: str, backward_pointers: bool = True
     ) -> SummaryBTreeIndex:
         """Build a Summary-BTree over an already-linked classifier instance."""
-        key = (table.lower(), instance)
-        if key in self.summary_indexes:
-            raise SummaryError(f"summary index on {key} already exists")
-        index = SummaryBTreeIndex(
-            self.catalog.table(table),
-            self.manager.storage_for(table),
-            instance,
-            backward_pointers=backward_pointers,
-        )
-        index.bulk_build()
-        self.manager.add_observer(table, instance, index)
-        self.summary_indexes[key] = index
-        return index
+        return self._add_derived("summary", table, instance, lambda: (
+            SummaryBTreeIndex(
+                self.catalog.table(table),
+                self.manager.storage_for(table),
+                instance,
+                backward_pointers=backward_pointers,
+            )
+        ))
 
     @_logged_ddl
     def create_baseline_index(
         self, table: str, instance: str
     ) -> BaselineClassifierIndex:
         """Build the Figure 4(c) baseline index (normalized replica)."""
-        key = (table.lower(), instance)
-        if key in self.baseline_indexes:
-            raise SummaryError(f"baseline index on {key} already exists")
         labels = getattr(self.manager.instance(instance), "labels", None)
-        index = BaselineClassifierIndex(
-            self.catalog.table(table), instance, self.pool,
-            label_order=list(labels) if labels else None,
-        )
-        index.bulk_build(self.manager.storage_for(table))
-        self.manager.add_observer(table, instance, index)
-        self.baseline_indexes[key] = index
-        return index
+        return self._add_derived("baseline", table, instance, lambda: (
+            BaselineClassifierIndex(
+                self.catalog.table(table), instance, self.pool,
+                label_order=list(labels) if labels else None,
+            )
+        ))
 
     @_logged_ddl
     def create_keyword_index(self, table: str, instance: str
@@ -700,14 +724,9 @@ class Database:
         Serves ``containsSingle``/``containsUnion`` predicates in
         snippet-only search mode (``options.search_raw = False``) — the
         §3.1 snippets-vs-raw trade-off's fast side."""
-        key = (table.lower(), instance)
-        if key in self.keyword_indexes:
-            raise SummaryError(f"keyword index on {key} already exists")
-        index = TrigramKeywordIndex(table, instance, self.pool)
-        index.bulk_build(self.manager.storage_for(table))
-        self.manager.add_observer(table, "*", index)
-        self.keyword_indexes[key] = index
-        return index
+        return self._add_derived("keyword", table, instance, lambda: (
+            TrigramKeywordIndex(table, instance, self.pool)
+        ))
 
     @_logged_ddl
     def create_normalized_replicas(self, table: str) -> list:
@@ -719,24 +738,18 @@ class Database:
 
         built = []
         for instance in self.manager.instances_for(table):
-            key = (table.lower(), instance.name)
-            if key in self.normalized_replicas:
-                continue
-            if isinstance(instance, SnippetInstance):
-                replica = NormalizedSnippetReplica(
-                    table, instance.name, self.pool
-                )
-                replica.bulk_build(self.manager.storage_for(table))
-                self.manager.add_observer(table, "*", replica)
-                self.normalized_replicas[key] = replica
-                built.append(replica)
+            name = instance.name
+            if isinstance(instance, SnippetInstance) and \
+                    ("replica", table.lower(), name) not in self.derived:
+                built.append(self._add_derived(
+                    "replica", table, name,
+                    lambda: NormalizedSnippetReplica(table, name, self.pool),
+                ))
         return built
 
     @_logged_ddl
     def drop_summary_index(self, table: str, instance: str) -> None:
-        index = self.summary_indexes.pop((table.lower(), instance), None)
-        if index is not None:
-            self.manager.remove_observer(table, instance, index)
+        self._drop_derived("summary", table, instance)
 
     def register_udf(self, name: str, fn) -> None:
         """Register a black-box summary-set UDF usable in queries (§3.2):
@@ -1088,19 +1101,10 @@ class Database:
         snap["disk.reads"] = self.disk.stats.reads
         snap["disk.writes"] = self.disk.stats.writes
         snap["disk.allocations"] = self.disk.stats.allocations
-        for (table, instance), index in self.summary_indexes.items():
-            snap[f"index.summary.{table}.{instance}.probes"] = getattr(
-                index, "probes", 0
-            )
-            snap[f"index.summary.{table}.{instance}.rebuilds"] = index.rebuilds
-        for (table, instance), index in self.baseline_indexes.items():
-            snap[f"index.baseline.{table}.{instance}.probes"] = getattr(
-                index, "probes", 0
-            )
-        for (table, instance), index in self.keyword_indexes.items():
-            snap[f"index.keyword.{table}.{instance}.probes"] = getattr(
-                index, "probes", 0
-            )
+        for key, index in self.derived.items():
+            prefix = "index.{}.{}.{}".format(*key)
+            snap[f"{prefix}.probes"] = index.probes
+            snap[f"{prefix}.rebuilds"] = index.rebuilds
         # Event counters (cache.hits/misses/…) already live in the shared
         # registry; add the occupancy gauges.
         cache = self.manager.cache
@@ -1149,13 +1153,8 @@ class Database:
         self.pool.hits = 0
         self.pool.misses = 0
         self.disk.stats.reset()
-        for index in (
-            list(self.summary_indexes.values())
-            + list(self.baseline_indexes.values())
-            + list(self.keyword_indexes.values())
-        ):
-            if hasattr(index, "probes"):
-                index.probes = 0
+        for index in self.derived.values():
+            index.probes = 0
 
     # -- queries ------------------------------------------------------------------------------------
 
@@ -1337,7 +1336,7 @@ class Database:
         moved_from = self.catalog.table(table).update(oid, values)
         if moved_from is None:
             return
-        for (name, _), index in self.summary_indexes.items():
+        for (_, name, _), index in self.derived.items():
             if name == table.lower():
                 index.on_tuple_move(oid, moved_from)
 

@@ -13,9 +13,11 @@ and validates the invariants that hold between them:
   against each table's schema.
 * **Cross-structure** — OID-index ↔ heap RID bijections, secondary-index
   agreement with table contents, SummaryStorage rows ↔ data tuples,
-  Summary-BTree entries (including the backward pointers of §4.1) ↔ the
-  de-normalized storage, baseline normalized replicas ↔ stored classifier
-  objects, and summary Elements[][] references ↔ the raw annotation store.
+  summary Elements[][] references ↔ the raw annotation store, and every
+  registered :class:`~repro.index.derived.DerivedIndex` (Summary-BTree
+  entries with their §4.1 backward pointers, baseline and snippet
+  replicas, keyword postings) ↔ what the de-normalized storage derives,
+  through the one :meth:`~repro.index.derived.DerivedIndex.verify`.
 
 The result is an :class:`IntegrityReport`: a list of typed
 :class:`Violation` records plus counters of what was covered. A clean
@@ -26,15 +28,13 @@ least one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.catalog.keys import decode_int, encode_int, encode_key
 from repro.catalog.table import Table, unpack_rid
 from repro.errors import ReproError
-from repro.index.itemize import itemize
 from repro.storage.heapfile import RID, HeapFile
 from repro.storage.page import SlottedPage, verify_checksum
-from repro.summaries.objects import ClassifierObject
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,9 @@ class Violation:
     kind: str
     #: Human-readable specifics.
     detail: str
+    #: The derived access path at fault, as its ``(kind, table,
+    #: instance)`` registry key; None for authoritative structures.
+    path: tuple[str, str, str] | None = None
 
     def __str__(self) -> str:
         return f"[{self.location}] {self.kind}: {self.detail}"
@@ -75,14 +78,6 @@ class IntegrityReport:
         lines.extend(str(v) for v in self.violations)
         return "\n".join(lines)
 
-    #: location prefix -> access-path kind (repro.resilience.health).
-    _PATH_PREFIXES = (
-        ("summary index ", "summary"),
-        ("baseline index ", "baseline"),
-        ("keyword index ", "keyword"),
-        ("replica ", "replica"),
-    )
-
     def unhealthy_paths(self) -> list[tuple[str, str, str]]:
         """Derived access paths named by violations, as
         ``(kind, table, instance)`` health-registry keys.
@@ -91,16 +86,7 @@ class IntegrityReport:
         access paths and are excluded — the planner cannot route around
         the authoritative data.
         """
-        paths: set[tuple[str, str, str]] = set()
-        for violation in self.violations:
-            for prefix, kind in self._PATH_PREFIXES:
-                if violation.location.startswith(prefix):
-                    name = violation.location[len(prefix):].split()[0]
-                    table, _, instance = name.partition(".")
-                    if instance:
-                        paths.add((kind, table.lower(), instance))
-                    break
-        return sorted(paths)
+        return sorted({v.path for v in self.violations if v.path})
 
 
 class IntegrityChecker:
@@ -305,70 +291,26 @@ class IntegrityChecker:
                         f"annotation {ann_id} absent from the store",
                     )
 
-    def _check_summary_index(self, table_name: str, instance: str, index) -> None:
-        location = f"summary index {table_name}.{instance}"
-        self._check_btree(index.tree, location)
-        expected: set[tuple[bytes, bytes]] = set()
-        for oid, objects in index.storage.scan():
-            obj = objects.get(instance)
-            if not isinstance(obj, ClassifierObject):
-                continue
-            try:
-                pointer = index._pointer_for(oid)
-            except ReproError as exc:
-                # Backward pointers resolve through disk_tuple_loc(): a
-                # summarized OID whose data tuple is gone is exactly the
-                # dangling-backward-pointer corruption class.
-                self._flag(
-                    location, "dangling-backward-pointer",
-                    f"cannot resolve pointer for OID {oid}: {exc}",
-                )
-                continue
-            for label, count in obj.rep():
-                expected.add(
-                    (itemize(label, count, index.width).encode(), pointer)
-                )
-        actual = set(index.tree.items())
-        for key, value in sorted(expected - actual):
-            self._flag(
-                location, "index-mismatch",
-                f"missing entry {key.decode()!r}",
-            )
-        for key, value in sorted(actual - expected):
-            self._flag(
-                location, "index-mismatch",
-                f"stale entry {key.decode()!r}",
-            )
+    def _check_derived(self, index) -> None:
+        """Every part's own structure, then the entries against what the
+        summary storage derives; each violation names ``index.key``."""
+        first = len(self.report.violations)
+        location = index.location
+        for name, part in index.parts().items():
+            check = self._check_table if isinstance(part, Table) \
+                else self._check_btree
+            self._guard(location, check, part, f"{location} {name}")
 
-    def _check_baseline_index(self, table_name: str, instance: str, index) -> None:
-        location = f"baseline index {table_name}.{instance}"
-        self._check_table(index.norm, f"{location} norm-table")
-        storage = self.db.manager.storage_for(table_name)
-        expected: set[tuple[int, str, int, str]] = set()
-        for oid, objects in storage.scan():
-            obj = objects.get(instance)
-            if not isinstance(obj, ClassifierObject):
-                continue
-            for label, count in obj.rep():
-                expected.add(
-                    (oid, label, count, itemize(label, count, index.width))
-                )
-        actual = set()
-        for _, values in index.norm.scan():
-            row = index.norm.schema.dict_from_row(values)
-            actual.add(
-                (row["data_oid"], row["label"], row["cnt"], row["derived"])
-            )
-        for oid, label, count, _ in sorted(expected - actual):
-            self._flag(
-                location, "replica-mismatch",
-                f"missing normalized row ({oid}, {label!r}, {count})",
-            )
-        for oid, label, count, _ in sorted(actual - expected):
-            self._flag(
-                location, "replica-mismatch",
-                f"stale normalized row ({oid}, {label!r}, {count})",
-            )
+        def verify() -> None:
+            storage = self.db.manager.storage_for(index.table_name)
+            for kind, detail in index.verify(storage):
+                self._flag(location, kind, detail)
+
+        self._guard(location, verify)
+        violations = self.report.violations
+        violations[first:] = [
+            replace(v, path=index.key) for v in violations[first:]
+        ]
 
     # -- entry point ---------------------------------------------------------
 
@@ -386,26 +328,6 @@ class IntegrityChecker:
                 f"summary storage {table_name}",
                 self._check_summary_storage, table_name, storage,
             )
-        for (table_name, instance), index in db.summary_indexes.items():
-            self._guard(
-                f"summary index {table_name}.{instance}",
-                self._check_summary_index, table_name, instance, index,
-            )
-        for (table_name, instance), index in db.baseline_indexes.items():
-            self._guard(
-                f"baseline index {table_name}.{instance}",
-                self._check_baseline_index, table_name, instance, index,
-            )
-        for (table_name, instance), index in db.keyword_indexes.items():
-            loc = f"keyword index {table_name}.{instance}"
-            self._guard(loc, self._check_btree, index.postings, f"{loc} postings")
-            self._guard(loc, self._check_btree, index.reverse, f"{loc} reverse")
-        for (table_name, instance), replica in db.normalized_replicas.items():
-            loc = f"replica {table_name}.{instance}"
-            self._guard(
-                loc, self._check_table, replica.norm, f"{loc} norm-table"
-            )
-            self._guard(
-                loc, self._check_table, replica.members, f"{loc} member-table"
-            )
+        for index in db.derived.values():
+            self._check_derived(index)
         return self.report

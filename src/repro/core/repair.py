@@ -9,10 +9,13 @@ index is *derived* from them —
   secondary index is a pure function of (heap, OID index);
 * summary rows are self-describing (each serialized object carries its
   ``tuple_id``), so a SummaryStorage's OID index *is* fully rebuildable;
-* the Summary-BTree (keys *and* backward pointers), the baseline
-  normalized replica, the trigram keyword index, the normalized snippet
-  replicas, and the optimizer statistics are all pure functions of the
-  de-normalized summary storage + the annotation store.
+* every registered :class:`~repro.index.derived.DerivedIndex` — the
+  Summary-BTree (keys *and* backward pointers), the baseline normalized
+  replica, the trigram keyword index, the normalized snippet replicas —
+  and the optimizer statistics are pure functions of the de-normalized
+  summary storage + the annotation store, so one loop resets and
+  re-derives every structure through the shared
+  :meth:`~repro.index.derived.DerivedIndex.rebuild`.
 
 :class:`RepairManager` runs the pipeline::
 
@@ -264,31 +267,12 @@ class RepairManager:
     # -- phase 4: derived structures ---------------------------------------------
 
     def _rebuild_derived(self, report: RepairReport) -> None:
-        db = self.db
-        jobs = [
-            (f"summary index {t}.{i}", idx, lambda idx=idx: idx.rebuild())
-            for (t, i), idx in db.summary_indexes.items()
-        ]
-        jobs += [
-            (f"baseline index {t}.{i}", idx,
-             lambda idx=idx, t=t: idx.rebuild(db.manager.storage_for(t)))
-            for (t, i), idx in db.baseline_indexes.items()
-        ]
-        jobs += [
-            (f"keyword index {t}.{i}", idx,
-             lambda idx=idx, t=t: idx.rebuild(db.manager.storage_for(t)))
-            for (t, i), idx in db.keyword_indexes.items()
-        ]
-        jobs += [
-            (f"replica {t}.{i}", idx,
-             lambda idx=idx, t=t: idx.rebuild(db.manager.storage_for(t)))
-            for (t, i), idx in db.normalized_replicas.items()
-        ]
-        for location, _index, rebuild in jobs:
-            entries = rebuild()
+        storage_for = self.db.manager.storage_for
+        for index in self.db.derived.values():
+            entries = index.rebuild(storage_for(index.table_name))
             report.structures_rebuilt += 1
             report.actions.append(RepairAction(
-                location, "rebuild",
+                index.location, "rebuild",
                 f"re-derived from summary storage ({entries} entries)",
             ))
 

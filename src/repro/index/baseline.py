@@ -25,7 +25,7 @@ from typing import Iterator
 
 from repro.catalog.schema import Column, Schema
 from repro.catalog.table import Table
-from repro.errors import ReproError
+from repro.index.derived import ClassifierIndex
 from repro.index.itemize import (
     DEFAULT_WIDTH,
     clamp_probe,
@@ -46,8 +46,10 @@ _NORM_SCHEMA = Schema(
 )
 
 
-class BaselineClassifierIndex:
+class BaselineClassifierIndex(ClassifierIndex):
     """Normalized-table + derived-column B-Tree baseline."""
+
+    kind = "baseline"
 
     def __init__(
         self,
@@ -65,27 +67,44 @@ class BaselineClassifierIndex:
         #: the classifier instance's pre-defined label order (§3.1) — Rep[]
         #: of reconstructed objects must match the stored objects exactly.
         self.label_order = label_order
-        self.norm = Table(f"{table.name}_{instance_name}_norm", _NORM_SCHEMA, pool)
+        self._create_parts(pool)
+
+    @property
+    def table_name(self) -> str:
+        return self.table.name.lower()
+
+    # -- derived-structure protocol -------------------------------------------------------
+
+    def _create_parts(self, pool: BufferPool) -> None:
+        self.norm = Table(f"{self.table.name}_{self.instance_name}_norm",
+                          _NORM_SCHEMA, pool)
         # Standard B-Tree on the derived column answers the predicates; the
         # index on data_oid locates a tuple's normalized rows for maintenance
         # and reconstruction.
         self.norm.create_index("derived")
         self.norm.create_index("data_oid")
 
-    # -- size accounting (Figure 7) -------------------------------------------------
+    def parts(self) -> dict:
+        # Normalized heap pages + all its index nodes: the replica cost
+        # (Figure 7).
+        return {"norm-table": self.norm}
 
-    def pages_used(self) -> int:
-        """Normalized heap pages + all index node pages: the replica cost."""
-        pages = self.norm.heap.num_pages
-        pages += self.norm.oid_index.node_count()
-        for index in self.norm.secondary_indexes.values():
-            pages += index.node_count()
-        return pages
+    def derive(self, oid: int, objects: dict) -> list:
+        obj = objects.get(self.instance_name)
+        if not isinstance(obj, ClassifierObject):
+            return []
+        return [(oid, label, count, itemize(label, count, self.width))
+                for label, count in obj.rep()]
+
+    def entries(self) -> Iterator[tuple[int, str, int, str]]:
+        for _, values in self.norm.scan():
+            row = self.norm.schema.dict_from_row(values)
+            yield row["data_oid"], row["label"], row["cnt"], row["derived"]
 
     def __len__(self) -> int:
         return len(self.norm)
 
-    # -- SummaryObserver protocol -------------------------------------------------------
+    # -- maintenance (§4.1.2) ---------------------------------------------------------------
 
     def on_summary_insert(self, oid: int, obj: ClassifierObject) -> None:
         """De-normalization step: one normalized row per class label."""
@@ -121,37 +140,6 @@ class BaselineClassifierIndex:
     def on_tuple_delete(self, oid: int, counts: dict[str, int]) -> None:
         for norm_oid in self.norm.index_lookup("data_oid", oid):
             self.norm.delete(norm_oid)
-
-    # -- bulk build -----------------------------------------------------------------------
-
-    def bulk_build(self, storage) -> int:
-        """Normalize + index every existing classifier object."""
-        inserted = 0
-        for oid, objects in storage.scan():
-            obj = objects.get(self.instance_name)
-            if isinstance(obj, ClassifierObject):
-                self.on_summary_insert(oid, obj)
-                inserted += len(obj.rep())
-        return inserted
-
-    def rebuild(self, storage) -> int:
-        """Discard the normalized replica and re-derive it from the
-        de-normalized storage (repair path). Returns rows inserted."""
-        for tree in [self.norm.oid_index,
-                     *self.norm.secondary_indexes.values()]:
-            try:
-                tree.drop()
-            except ReproError:
-                pass  # corrupt tree: abandon its pages rather than fail
-        try:
-            self.norm.heap.drop()
-        except ReproError:
-            pass
-        pool = self.norm.pool
-        self.norm = Table(self.norm.name, _NORM_SCHEMA, pool)
-        self.norm.create_index("derived")
-        self.norm.create_index("data_oid")
-        return self.bulk_build(storage)
 
     # -- querying ----------------------------------------------------------------------------
 

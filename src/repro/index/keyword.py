@@ -16,15 +16,18 @@ original predicate on the candidates, keeping results exactly equal to a
 scan plan.  Keywords shorter than three characters produce no trigrams and
 make the index unusable for that query (the planner falls back to a scan).
 
-A reverse B-Tree (``OID -> trigram``) supports incremental maintenance via
-the SummaryManager's generic ``on_objects_write`` event.
+A reverse B-Tree (``OID -> trigram``) supports incremental maintenance
+from the table's storage-row events (a
+:class:`~repro.index.derived.DerivedIndex`).
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.btree.tree import BTree
 from repro.catalog.keys import decode_int, encode_int
-from repro.errors import ReproError
+from repro.index.derived import DerivedIndex
 from repro.storage.buffer import BufferPool
 from repro.summaries.objects import SnippetObject, SummaryObject
 
@@ -35,24 +38,45 @@ def trigrams(text: str) -> set[str]:
     return {lowered[i:i + 3] for i in range(len(lowered) - 2)}
 
 
-class TrigramKeywordIndex:
+class TrigramKeywordIndex(DerivedIndex):
     """Trigram postings over one snippet instance of one table."""
+
+    kind = "keyword"
 
     def __init__(self, table_name: str, instance_name: str, pool: BufferPool):
         self.table_name = table_name.lower()
         self.instance_name = instance_name
-        #: trigram (utf-8) -> encoded OID
-        self.postings = BTree(pool)
-        #: encoded OID -> trigram (utf-8), for incremental deletion
-        self.reverse = BTree(pool)
+        self._create_parts(pool)
         #: candidates() probes served (observability).
         self.probes = 0
 
     def __len__(self) -> int:
         return len(self.postings)
 
-    def pages_used(self) -> int:
-        return self.postings.node_count() + self.reverse.node_count()
+    # -- derived-structure protocol ----------------------------------------------
+
+    def _create_parts(self, pool: BufferPool) -> None:
+        #: trigram (utf-8) -> encoded OID
+        self.postings = BTree(pool)
+        #: encoded OID -> trigram (utf-8), for incremental deletion
+        self.reverse = BTree(pool)
+
+    def parts(self) -> dict:
+        return {"postings": self.postings, "reverse": self.reverse}
+
+    def derive(self, oid: int, objects: dict) -> list:
+        text = self._snippet_text(objects)
+        if text is None:
+            return []
+        grams = trigrams(text)
+        return [(tree, gram, oid)
+                for tree in ("postings", "reverse") for gram in grams]
+
+    def entries(self) -> Iterator[tuple[str, str, int]]:
+        for gram, oid in self.postings.items():
+            yield "postings", gram.decode("utf-8"), decode_int(oid)
+        for oid, gram in self.reverse.items():
+            yield "reverse", gram.decode("utf-8"), decode_int(oid)
 
     # -- maintenance -----------------------------------------------------------
 
@@ -75,38 +99,16 @@ class TrigramKeywordIndex:
             self.reverse.delete(key_oid, gram)
 
     def on_objects_write(
-        self, oid: int, objects: dict[str, SummaryObject], previous=None
+        self, oid: int, objects: dict[str, SummaryObject], previous
     ) -> None:
-        self._delete_rows(oid)
+        if previous is not None:  # a new row has nothing indexed yet
+            self._delete_rows(oid)
         text = self._snippet_text(objects)
         if text is not None:
             self._insert_rows(oid, text)
 
-    def on_objects_delete(self, oid: int, previous=None) -> None:
+    def on_objects_delete(self, oid: int, previous) -> None:
         self._delete_rows(oid)
-
-    def bulk_build(self, storage) -> int:
-        """Index every existing snippet object; returns postings written."""
-        written = 0
-        for oid, objects in storage.scan():
-            text = self._snippet_text(objects)
-            if text is not None:
-                self._insert_rows(oid, text)
-                written += 1
-        return written
-
-    def rebuild(self, storage) -> int:
-        """Discard both trees and re-derive them from the de-normalized
-        storage (repair path). Returns postings written."""
-        pool = self.postings.pool
-        for tree in (self.postings, self.reverse):
-            try:
-                tree.drop()
-            except ReproError:
-                pass  # corrupt tree: abandon its pages rather than fail
-        self.postings = BTree(pool)
-        self.reverse = BTree(pool)
-        return self.bulk_build(storage)
 
     # -- querying ----------------------------------------------------------------
 

@@ -21,16 +21,18 @@ primitives.  A snippet object normalizes into two row sets:
 R_SummaryStorage exists to avoid, and it grows with annotation density
 exactly as Figure 12 shows.
 
-Freshness: the replica subscribes to the SummaryManager's generic
-``on_objects_write`` event (fired after every summary-storage write), so
+Freshness: the replica is a :class:`~repro.index.derived.DerivedIndex`
+and hears every storage-row write and delete of its table, so
 incremental annotation maintenance keeps it consistent.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.catalog.schema import Column, Schema
 from repro.catalog.table import Table
-from repro.errors import ReproError
+from repro.index.derived import DerivedIndex
 from repro.storage.buffer import BufferPool
 from repro.storage.record import ValueType
 from repro.summaries.objects import SnippetObject, SummaryObject
@@ -53,30 +55,51 @@ _MEMBER_SCHEMA = Schema(
 )
 
 
-class NormalizedSnippetReplica:
+class NormalizedSnippetReplica(DerivedIndex):
     """Normalized rows + ``data_oid`` B-Trees for one snippet instance."""
+
+    kind = "replica"
 
     def __init__(self, table_name: str, instance_name: str, pool: BufferPool):
         self.table_name = table_name.lower()
         self.instance_name = instance_name
-        prefix = f"{self.table_name}_{instance_name}"
+        self._create_parts(pool)
+
+    def __len__(self) -> int:
+        return len(self.norm)
+
+    # -- derived-structure protocol ------------------------------------------------
+
+    def _create_parts(self, pool: BufferPool) -> None:
+        prefix = f"{self.table_name}_{self.instance_name}"
         self.norm = Table(f"{prefix}_snip_norm", _SNIP_SCHEMA, pool)
         self.norm.create_index("data_oid")
         self.members = Table(f"{prefix}_member_norm", _MEMBER_SCHEMA, pool)
         self.members.create_index("data_oid")
 
-    # -- size accounting ---------------------------------------------------------
+    def parts(self) -> dict:
+        return {"norm-table": self.norm, "member-table": self.members}
 
-    def pages_used(self) -> int:
-        pages = 0
-        for table in (self.norm, self.members):
-            pages += table.heap.num_pages + table.oid_index.node_count()
-            for index in table.secondary_indexes.values():
-                pages += index.node_count()
-        return pages
+    def derive(self, oid: int, objects: dict) -> list:
+        obj = objects.get(self.instance_name)
+        if not isinstance(obj, SnippetObject):
+            return []
+        return [
+            ("snippet", oid, pos, ann_id, snippet)
+            for pos, (ann_id, snippet) in enumerate(sorted(obj.snippets.items()))
+        ] + [
+            ("member", oid, ann_id, ",".join(columns))
+            for ann_id, columns in sorted(obj.ann_targets.items())
+        ]
 
-    def __len__(self) -> int:
-        return len(self.norm)
+    def entries(self) -> Iterator[tuple]:
+        for _, values in self.norm.scan():
+            row = self.norm.schema.dict_from_row(values)
+            yield ("snippet", row["data_oid"], row["pos"], row["ann_id"],
+                   row["snippet"])
+        for _, values in self.members.scan():
+            row = self.members.schema.dict_from_row(values)
+            yield "member", row["data_oid"], row["ann_id"], row["columns"]
 
     # -- maintenance ---------------------------------------------------------------
 
@@ -98,52 +121,23 @@ class NormalizedSnippetReplica:
                 table.delete(norm_oid)
 
     def on_objects_write(
-        self, oid: int, objects: dict[str, SummaryObject], previous=None
+        self, oid: int, objects: dict[str, SummaryObject], previous
     ) -> None:
-        """Generic storage-write event: re-normalize this tuple's rows."""
-        self._delete_rows(oid)
+        """Re-normalize this tuple's rows."""
+        if previous is not None:  # a new row has nothing normalized yet
+            self._delete_rows(oid)
         obj = objects.get(self.instance_name)
         if isinstance(obj, SnippetObject):
             self._write_rows(oid, obj)
 
-    def on_objects_delete(self, oid: int, previous=None) -> None:
+    def on_objects_delete(self, oid: int, previous) -> None:
         self._delete_rows(oid)
-
-    def bulk_build(self, storage) -> int:
-        """Normalize every existing snippet object; returns rows written."""
-        written = 0
-        for oid, objects in storage.scan():
-            obj = objects.get(self.instance_name)
-            if isinstance(obj, SnippetObject):
-                self._write_rows(oid, obj)
-                written += len(obj.snippets) + len(obj.ann_targets)
-        return written
-
-    def rebuild(self, storage) -> int:
-        """Discard both normalized tables and re-derive them from the
-        de-normalized storage (repair path). Returns rows written."""
-        pool = self.norm.pool
-        for table in (self.norm, self.members):
-            for tree in [table.oid_index, *table.secondary_indexes.values()]:
-                try:
-                    tree.drop()
-                except ReproError:
-                    pass  # corrupt tree: abandon its pages rather than fail
-            try:
-                table.heap.drop()
-            except ReproError:
-                pass
-        prefix = f"{self.table_name}_{self.instance_name}"
-        self.norm = Table(f"{prefix}_snip_norm", _SNIP_SCHEMA, pool)
-        self.norm.create_index("data_oid")
-        self.members = Table(f"{prefix}_member_norm", _MEMBER_SCHEMA, pool)
-        self.members.create_index("data_oid")
-        return self.bulk_build(storage)
 
     # -- reconstruction (the Figure 12 propagation path) -----------------------------
 
     def reconstruct(self, oid: int) -> SnippetObject | None:
         """Re-assemble the snippet object from its normalized rows."""
+        self.probes += 1
         member_rows = [
             self.members.read_dict(n)
             for n in self.members.index_lookup("data_oid", oid)

@@ -8,8 +8,9 @@ tuple in relation ``R`` itself, obtained through the engine-internal
 ``R_SummaryStorage``. When summary propagation is not required, this saves
 the join with the SummaryStorage table entirely (Figure 13's up-to-4x win).
 
-The index subscribes to :class:`~repro.summaries.maintenance.SummaryManager`
-events, implementing exactly the maintenance cases of §4.1.2:
+The index is a :class:`~repro.index.derived.DerivedIndex`: it hears its
+table's storage-row events and turns them into exactly the maintenance
+cases of §4.1.2:
 
 * *Adding Annotation — Insertion*: itemize all ``k`` labels, insert each
   (cost ``O(k·log_B kN + log_B M)``).
@@ -21,7 +22,8 @@ An update that relocates a data tuple moves its backward pointers with it
 (:meth:`SummaryBTreeIndex.on_tuple_move`).
 
 For the Figure 13 ablation the index can also be built with *conventional*
-pointers that reference the SummaryStorage row instead.
+pointers that reference the SummaryStorage row instead; a write that
+relocates the row re-points every key of it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from typing import Iterator, NamedTuple
 
 from repro.btree import BTree
 from repro.catalog.table import Table
-from repro.errors import IndexError_, ReproError
+from repro.errors import IndexError_
+from repro.index.derived import ClassifierIndex
 from repro.index.itemize import (
     DEFAULT_WIDTH,
     clamp_probe,
@@ -62,7 +65,7 @@ def _unpack(data: bytes) -> IndexPointer:
     return IndexPointer(oid, RID(page_no, slot))
 
 
-class SummaryBTreeIndex:
+class SummaryBTreeIndex(ClassifierIndex):
     """Classifier-type index over one (table, summary instance) pair.
 
     Parameters
@@ -79,6 +82,8 @@ class SummaryBTreeIndex:
         tuples in ``R``; False points at the SummaryStorage rows.
     """
 
+    kind = "summary"
+
     def __init__(
         self,
         table: Table,
@@ -92,18 +97,37 @@ class SummaryBTreeIndex:
         self.instance_name = instance_name
         self.backward_pointers = backward_pointers
         self.width = width
-        self.tree = BTree(table.pool)
+        self._create_parts(table.pool)
         #: Number of automatic key-width rebuilds performed (footnote 1).
         self.rebuilds = 0
         #: Number of lookup_eq / lookup_range probes served (Figure 11/12
         #: observability; surfaced via Database.metrics_snapshot()).
         self.probes = 0
 
-    # -- size accounting (Figure 7) ------------------------------------------------
+    @property
+    def table_name(self) -> str:
+        return self.table.name.lower()
 
-    def pages_used(self) -> int:
-        """Index node pages — this scheme adds nothing else."""
-        return self.tree.node_count()
+    # -- derived-structure protocol ----------------------------------------------------
+
+    def _create_parts(self, pool) -> None:
+        self.tree = BTree(pool)
+
+    def parts(self) -> dict:
+        # Index node pages only: this scheme adds nothing else (Figure 7).
+        return {"tree": self.tree}
+
+    def derive(self, oid: int, objects: dict) -> list:
+        obj = objects.get(self.instance_name)
+        if not isinstance(obj, ClassifierObject):
+            return []
+        pointer = _unpack(self._pointer_for(oid))
+        return [(itemize(label, count, self.width), pointer)
+                for label, count in obj.rep()]
+
+    def entries(self) -> Iterator[tuple[str, IndexPointer]]:
+        for key, value in self.tree.items():
+            yield key.decode(), _unpack(value)
 
     def __len__(self) -> int:
         return len(self.tree)
@@ -120,7 +144,7 @@ class SummaryBTreeIndex:
             raise IndexError_(f"no summary row for OID {oid}")
         return _pack(oid, rid)
 
-    # -- SummaryObserver protocol (maintenance, §4.1.2) -----------------------------------
+    # -- maintenance (§4.1.2) ----------------------------------------------------------
 
     def on_summary_insert(self, oid: int, obj: ClassifierObject) -> None:
         """Adding Annotation — Insertion: index all k itemized keys."""
@@ -137,20 +161,37 @@ class SummaryBTreeIndex:
         if self._check_width(max(new_counts.values(), default=0)):
             return  # the rebuild re-indexed everything at the new width
         pointer = self._pointer_for(oid)
+        held = pointer if self.backward_pointers else \
+            self._held_pointer(oid, old_counts, pointer)
         for label, new_count in new_counts.items():
             old_count = old_counts.get(label)
-            if old_count == new_count:
+            if old_count == new_count and held == pointer:
                 continue
             if old_count is not None:
                 self.tree.delete(
-                    itemize(label, old_count, self.width).encode(), pointer
+                    itemize(label, old_count, self.width).encode(), held
                 )
             self.tree.insert(
                 itemize(label, new_count, self.width).encode(), pointer
             )
 
+    def _held_pointer(self, oid: int, counts: dict[str, int],
+                      current: bytes) -> bytes:
+        """The pointer the keys of ``oid`` carry now.  A conventional
+        pointer names the storage row, which a growing write may have
+        relocated; the old location is read off one held key."""
+        if counts:
+            label, count = next(iter(counts.items()))
+            key = itemize(label, count, self.width).encode()
+            for value in self.tree.search(key):
+                if _unpack(value).oid == oid:
+                    return value
+        return current
+
     def on_tuple_delete(self, oid: int, counts: dict[str, int]) -> None:
-        """Deleting tuple: drop every index entry of its object."""
+        """Deleting tuple: drop every index entry of its object (heard
+        while the storage row still exists, so a conventional pointer
+        still resolves)."""
         pointer = self._pointer_for(oid)
         for label, count in counts.items():
             self.tree.delete(itemize(label, count, self.width).encode(), pointer)
@@ -168,38 +209,6 @@ class SummaryBTreeIndex:
             key = itemize(label, count, self.width).encode()
             self.tree.delete(key, old)
             self.tree.insert(key, new)
-
-    # -- bulk build ----------------------------------------------------------------------
-
-    def bulk_build(self) -> int:
-        """Index every existing classifier object (initial upload mode).
-
-        Returns the number of keys inserted.
-        """
-        inserted = 0
-        for oid, objects in self.storage.scan():
-            obj = objects.get(self.instance_name)
-            if isinstance(obj, ClassifierObject):
-                self.on_summary_insert(oid, obj)
-                inserted += len(obj.rep())
-        return inserted
-
-    def rebuild(self) -> int:
-        """Discard the tree and re-derive it from the summary storage
-        (repair path). Backward pointers are re-resolved through
-        ``disk_tuple_loc()``, so a repaired OID index re-anchors every
-        leaf entry. Returns the number of keys inserted.
-
-        Unlike the width rebuilds of :meth:`_check_width` this does not
-        count toward ``rebuilds`` (that counter measures footnote 1's
-        automatic key widening, not healing).
-        """
-        try:
-            self.tree.drop()
-        except ReproError:
-            pass  # corrupt tree: abandon its pages rather than fail repair
-        self.tree = BTree(self.table.pool)
-        return self.bulk_build()
 
     # -- querying (§4.1.2 Summary-BTree Querying) ------------------------------------------
 
@@ -271,8 +280,6 @@ class SummaryBTreeIndex:
                 top = max((c for _, c in obj.rep()), default=0)
                 while top > max_count(new_width):
                     new_width += 1
-        self.tree.drop()
-        self.tree = BTree(self.table.pool)
         self.width = new_width
         self.rebuilds += 1
-        self.bulk_build()
+        self.rebuild(self.storage)

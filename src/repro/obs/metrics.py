@@ -12,9 +12,14 @@ share it), and an unlocked ``snapshot`` could observe a dict mid-resize.
 
 Naming convention used by the engine::
 
-    maint.on_summary_insert      SummaryManager observer events (§4.1.2)
+    maint.on_objects_write / maint.on_objects_delete
+                                 storage-row events, one per summary-row
+                                 write or delete (§4.1.2)
     maint.annotation_add         raw annotation mutations
-    index.summary.<tbl>.<inst>.probes   Summary-BTree probe counts
+    index.<kind>.<tbl>.<inst>.probes / .rebuilds
+                                 per derived structure (kind: summary /
+                                 baseline / keyword / replica): probes
+                                 served, automatic key-width rebuilds
     cache.hits / cache.misses    summary-cache lookups (repro.cache)
     cache.stores / cache.evictions / cache.invalidations / cache.rejections
                                  summary-cache admission and removal events

@@ -247,21 +247,16 @@ class Planner:
         catalog,
         manager,
         stats: StatisticsCatalog,
-        summary_indexes: dict,
-        baseline_indexes: dict,
+        derived: dict,
         options: PlannerOptions | None = None,
-        normalized_replicas: dict | None = None,
-        keyword_indexes: dict | None = None,
         health=None,
         cache: PlanCache | None = None,
     ):
         self.catalog = catalog
         self.manager = manager
         self.stats = stats
-        self.summary_indexes = summary_indexes
-        self.baseline_indexes = baseline_indexes
-        self.normalized_replicas = normalized_replicas or {}
-        self.keyword_indexes = keyword_indexes or {}
+        #: ``(kind, table, instance)`` -> derived structure (the registry).
+        self.derived = derived
         self.options = options or PlannerOptions()
         self.binder = Binder(catalog, manager)
         #: :class:`~repro.resilience.health.AccessPathHealth`; None = every
@@ -367,15 +362,20 @@ class Planner:
         self.excluded.add((kind, table.lower(), instance))
         return False
 
+    def _path(self, kind: str, table: str, instance: str):
+        """The registered ``kind`` structure over ``(table, instance)``;
+        None when there is none or it is quarantined."""
+        index = self.derived.get((kind, table.lower(), instance))
+        if index is None or not self._path_ok(kind, table, instance):
+            return None
+        return index
+
     def exec_context(self) -> ExecContext:
         return ExecContext(
             catalog=self.catalog,
             manager=self.manager,
             propagate=self.options.propagate,
-            summary_indexes=self.summary_indexes,
-            baseline_indexes=self.baseline_indexes,
-            normalized_replicas=self.normalized_replicas,
-            keyword_indexes=self.keyword_indexes,
+            derived=self.derived,
             eval_ctx=EvalContext(
                 manager=self.manager, search_raw=self.options.search_raw,
                 udfs=self.manager.udfs,
@@ -610,12 +610,7 @@ class _LowerState:
                     continue
                 if any(len(k) < 3 for k in kw.keywords):
                     continue  # below trigram length: index unusable
-                index = self.planner.keyword_indexes.get(
-                    (table.lower(), kw.instance)
-                )
-                if index is None:
-                    continue
-                if not self.planner._path_ok("keyword", table, kw.instance):
+                if self.planner._path("keyword", table, kw.instance) is None:
                     continue
                 path = self._keyword_index_path(scan, kw, data_preds,
                                                 summary_preds, stats)
@@ -705,22 +700,13 @@ class _LowerState:
         if not self._is_indexed_leaf_label(matched.instance, matched.label):
             return None
         scheme = self.options.index_scheme
-        key = (scan.table.lower(), matched.instance)
-        if scheme == "summary_btree":
-            index = self.planner.summary_indexes.get(key)
-            if not self.planner._path_ok("summary", scan.table,
-                                         matched.instance):
-                return None
-        else:
-            index = self.planner.baseline_indexes.get(key)
-            if not self.planner._path_ok("baseline", scan.table,
-                                         matched.instance):
-                return None
-            if self.options.normalized_propagation and not \
-                    self.planner._path_ok("replica", scan.table,
-                                          matched.instance):
-                return None
+        kind = "summary" if scheme == "summary_btree" else "baseline"
+        index = self.planner._path(kind, scan.table, matched.instance)
         if index is None:
+            return None
+        if kind == "baseline" and self.options.normalized_propagation and \
+                not self.planner._path_ok("replica", scan.table,
+                                          matched.instance):
             return None
         lo, hi, lo_inc, hi_inc = matched.bounds()
         selectivity = self.est.selectivity(
@@ -811,11 +797,8 @@ class _LowerState:
     ) -> Lowered | None:
         order = self.desired_order
         assert order is not None
-        index = self.planner.summary_indexes.get((scan.table.lower(),
-                                                  order.instance))
+        index = self.planner._path("summary", scan.table, order.instance)
         if index is None:
-            return None
-        if not self.planner._path_ok("summary", scan.table, order.instance):
             return None
         # Only equivalent when every tuple has an indexed summary object —
         # un-annotated tuples have no index entries and would vanish.
@@ -965,13 +948,9 @@ class _LowerState:
             matched = match_summary_join_pred(conj, right.alias)
             if matched is None:
                 continue
-            index = self.planner.summary_indexes.get(
-                (right.table.lower(), matched.instance)
-            )
+            index = self.planner._path("summary", right.table,
+                                       matched.instance)
             if index is None:
-                continue
-            if not self.planner._path_ok("summary", right.table,
-                                         matched.instance):
                 continue
             if not self._is_indexed_leaf_label(matched.instance,
                                                matched.label):

@@ -317,20 +317,18 @@ class StatisticsCatalog:
             if key in self._tables:
                 return
             self._tables[key] = _TableState()
-        self.manager.add_observer(key, "*", _TableObserver(self, key))
+        self.manager.add_observer(key, _TableObserver(self, key))
 
     def resubscribe(self) -> None:
-        """After an image load: make sure every catalog table is attached.
-        Images from before the accumulators subscribed once per linked
-        instance on the classifier channels (they unpickle as
-        :class:`_TableObserver`); those subscriptions are dropped."""
-        for (_, channel), observers in self.manager._observers.items():
-            if channel != "*":
-                observers[:] = [
-                    o for o in observers if not isinstance(o, _TableObserver)
-                ]
-        for name in self.catalog.table_names():
-            self.attach(name)
+        """After an image load (subscriptions are process state):
+        subscribe every attached table again, attaching the catalog
+        tables an image from before the accumulators lacks."""
+        with self._mutex:
+            for name in self.catalog.table_names():
+                self._tables.setdefault(name.lower(), _TableState())
+            tables = list(self._tables)
+        for key in tables:
+            self.manager.add_observer(key, _TableObserver(self, key))
 
     def summary_version(self, table: str) -> int:
         """How many storage-row events ``table`` has seen in this process."""

@@ -24,31 +24,16 @@ class ExecContext:
     catalog: Catalog
     manager: SummaryManager
     propagate: bool = True
-    #: (table lowercase, instance) -> SummaryBTreeIndex
-    summary_indexes: dict = field(default_factory=dict)
-    #: (table lowercase, instance) -> BaselineClassifierIndex
-    baseline_indexes: dict = field(default_factory=dict)
-    #: (table lowercase, instance) -> NormalizedSnippetReplica (Figure 12)
-    normalized_replicas: dict = field(default_factory=dict)
-    #: (table lowercase, instance) -> TrigramKeywordIndex
-    keyword_indexes: dict = field(default_factory=dict)
+    #: (kind, table lowercase, instance) -> DerivedIndex (the registry)
+    derived: dict = field(default_factory=dict)
     eval_ctx: EvalContext = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.eval_ctx is None:
             self.eval_ctx = EvalContext(manager=self.manager)
 
-    def summary_index(self, table: str, instance: str):
-        return self.summary_indexes.get((table.lower(), instance))
-
-    def baseline_index(self, table: str, instance: str):
-        return self.baseline_indexes.get((table.lower(), instance))
-
-    def normalized_replica(self, table: str, instance: str):
-        return self.normalized_replicas.get((table.lower(), instance))
-
-    def keyword_index(self, table: str, instance: str):
-        return self.keyword_indexes.get((table.lower(), instance))
+    def derived_index(self, kind: str, table: str, instance: str):
+        return self.derived.get((kind, table.lower(), instance))
 
 
 class PhysicalOperator:

@@ -352,7 +352,8 @@ class SummaryIndexNestedLoopJoin(PhysicalOperator):
         )
 
     def _joined(self, left_rows: Iterator[QTuple]) -> Iterator[QTuple]:
-        index = self.ctx.summary_index(self.inner_table, self.instance)
+        index = self.ctx.derived_index("summary", self.inner_table,
+                                       self.instance)
         if index is None:
             from repro.errors import PlanError
 

@@ -320,7 +320,7 @@ class SummaryIndexScan(PhysicalOperator):
         return batches_from_rows(self._probed())
 
     def _probed(self) -> Iterator[QTuple]:
-        index = self.ctx.summary_index(self.table, self.instance)
+        index = self.ctx.derived_index("summary", self.table, self.instance)
         if index is None:
             raise PlanError(
                 f"no Summary-BTree on {self.table}/{self.instance}"
@@ -408,7 +408,7 @@ class BaselineIndexScan(PhysicalOperator):
         return batches_from_rows(self._probed())
 
     def _probed(self) -> Iterator[QTuple]:
-        index = self.ctx.baseline_index(self.table, self.instance)
+        index = self.ctx.derived_index("baseline", self.table, self.instance)
         if index is None:
             raise PlanError(f"no baseline index on {self.table}/{self.instance}")
         table = self.ctx.catalog.table(self.table)
@@ -442,7 +442,8 @@ class BaselineIndexScan(PhysicalOperator):
         if obj is not None:
             objects[obj.instance_name] = obj
         for instance in self.ctx.manager.instances_for(self.table):
-            replica = self.ctx.normalized_replica(self.table, instance.name)
+            replica = self.ctx.derived_index("replica", self.table,
+                                             instance.name)
             if replica is None:
                 continue
             reconstructed.add(instance.name)
@@ -497,7 +498,7 @@ class KeywordIndexScan(PhysicalOperator):
         self.retained = retained
 
     def _produce_batches(self) -> Iterator[Batch]:
-        index = self.ctx.keyword_index(self.table, self.instance)
+        index = self.ctx.derived_index("keyword", self.table, self.instance)
         if index is None:
             raise PlanError(
                 f"no keyword index on {self.table}/{self.instance}"

@@ -18,13 +18,14 @@ authoritative heaps (the repair contract of ``repro.core.repair``). A
 converged repair rebuilds all derived structures and calls
 :meth:`restore_all`.
 
-Keys are ``(kind, table lowercase, instance)`` with ``kind`` one of
-:data:`PATH_KINDS`.
+Keys are ``(kind, table lowercase, instance)`` — the keys of the
+``Database.derived`` registry — with ``kind`` one of :data:`PATH_KINDS`,
+the kinds the derived structures declare.
 """
 
 from __future__ import annotations
 
-PATH_KINDS = ("summary", "baseline", "keyword", "replica")
+from repro.index.derived import KINDS as PATH_KINDS
 
 PathKey = tuple  # (kind, table_lower, instance)
 

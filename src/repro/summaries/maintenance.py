@@ -5,18 +5,21 @@
 annotation store. Every annotation mutation flows through it:
 
 * **Adding an annotation on an un-annotated tuple** creates the tuple's
-  storage row (the paper's *Insertion* case) and notifies index observers
-  with the fresh classifier objects.
+  storage row (the paper's *Insertion* case).
 * **Adding on an already-annotated tuple** updates the affected summary
-  objects in place (*Update* case); observers receive old/new label counts
-  so a Summary-BTree can delete+re-insert only the modified keys.
+  objects in place (*Update* case).
 * **Deleting an annotation / a tuple** reverses those effects.
 
-Index structures subscribe per ``(table, instance)`` to classifier-count
-events; the optimizer statistics, the cache and the text indexes subscribe
-per table (the ``"*"`` channel) to storage-row events that carry the row's
-previous :func:`row_footprint` — the paper's "statistics are maintained
-whenever a summary object is updated" (§5.2).
+Every consumer hears one channel per table: one event per storage-row
+write (``on_objects_write``, after the row is written) or delete
+(``on_objects_delete``, before the row is dropped), carrying the replaced
+row's :func:`row_footprint` — its stored sizes and classifier label
+counts.  The cache, the optimizer statistics (the paper's "statistics are
+maintained whenever a summary object is updated", §5.2) and every
+:class:`~repro.index.derived.DerivedIndex` subscribe to it; a
+Summary-BTree reads old counts from the footprint and new ones from the
+written objects, so it re-keys only the modified labels.  Subscriptions
+are process state: the owners re-subscribe after an image load.
 
 **Maintenance modes.**  ``deferred`` selects how much of that work rides
 the write path (set by the owning :class:`~repro.core.database.Database`
@@ -67,30 +70,15 @@ from repro.summaries.objects import (
 from repro.summaries.storage import SummaryStorage
 
 
-class SummaryObserver(Protocol):
-    """Observer notified of classifier summary-object changes."""
-
-    def on_summary_insert(self, oid: int, obj: ClassifierObject) -> None:
-        """A new storage row was created carrying ``obj``."""
-
-    def on_summary_update(
-        self, oid: int, old_counts: dict[str, int], new_counts: dict[str, int]
-    ) -> None:
-        """An existing classifier object changed label counts."""
-
-    def on_tuple_delete(self, oid: int, counts: dict[str, int]) -> None:
-        """The tuple (and its summary row) was deleted."""
-
-
 #: instance name -> (stored object size, classifier label counts or None)
 RowFootprint = dict[str, tuple[int, "dict[str, int] | None"]]
 
 
 class StorageRowObserver(Protocol):
-    """Observer on a table's ``"*"`` channel: one event per storage-row
-    write or delete, whatever the summary types involved.  ``previous`` is
-    the :func:`row_footprint` of the row being replaced or dropped (None
-    when the write created the row)."""
+    """Observer on a table's channel: one event per storage-row write or
+    delete, whatever the summary types involved.  ``previous`` is the
+    :func:`row_footprint` of the row being replaced or dropped (None when
+    the write created the row)."""
 
     def on_objects_write(
         self, oid: int, objects: dict[str, SummaryObject],
@@ -99,7 +87,7 @@ class StorageRowObserver(Protocol):
         """The row of ``oid`` now holds ``objects``."""
 
     def on_objects_delete(self, oid: int, previous: RowFootprint) -> None:
-        """The row of ``oid`` was dropped."""
+        """The row of ``oid`` is being dropped (it still exists)."""
 
 
 def row_footprint(objects: dict[str, SummaryObject]) -> RowFootprint:
@@ -151,8 +139,8 @@ class SummaryManager:
         self._links: dict[str, list[str]] = defaultdict(list)  # table -> names
         self._storages: dict[str, SummaryStorage] = {}
         self._clusterers: dict[tuple[str, int, str], CluStream] = {}
-        #: (table, instance) -> observers
-        self._observers: dict[tuple[str, str], list[SummaryObserver]] = defaultdict(list)
+        #: table -> storage-row observers (process state, not image state)
+        self._observers: dict[str, list[StorageRowObserver]] = defaultdict(list)
         #: True defers summary work off the write path; only ever set by
         #: the owning Database — a bare manager maintains synchronously.
         self.deferred = False
@@ -166,10 +154,10 @@ class SummaryManager:
     # -- pickling ------------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        # Locks, thread-locals, and the Database-installed callbacks are
-        # process state, never image state.
+        # Locks, thread-locals, subscriptions and the Database-installed
+        # callbacks are process state, never image state.
         state = self.__dict__.copy()
-        for key in ("regen_lock", "tuple_exists", "maint_wake"):
+        for key in ("regen_lock", "tuple_exists", "maint_wake", "_observers"):
             state.pop(key, None)
         return state
 
@@ -177,6 +165,8 @@ class SummaryManager:
         # Images from before PR 24 carry a mode string; the owning
         # Database re-installs the mode it loads with.
         state.pop("async_mode", None)
+        # Older images pickled the subscriptions; their owners re-subscribe.
+        state.pop("_observers", None)
         self.__dict__.update(state)
         self.__dict__.setdefault("deferred", False)
         self.__dict__.setdefault("pending", PendingSummaryWork())
@@ -185,11 +175,11 @@ class SummaryManager:
         if "cache" not in state:
             # Pre-cache image: give it the cache a new manager would own.
             self.cache = SummaryCache(DEFAULT_CACHE_BYTES, self.metrics)
-            for table, storage in self._storages.items():
+            for storage in self._storages.values():
                 storage.cache = self.cache
-                self.add_observer(
-                    table, "*", CacheInvalidator(self.cache, table)
-                )
+        self._observers = defaultdict(list)
+        for table in self._storages:
+            self.add_observer(table, CacheInvalidator(self.cache, table))
         self.regen_lock = threading.RLock()
         self.tuple_exists = None
         self.maint_wake = None
@@ -293,44 +283,26 @@ class SummaryManager:
             self._storages[table] = SummaryStorage(
                 table, self.pool, cache=self.cache
             )
-            # Observer-driven invalidation: the "*" channel sees one
-            # event per storage write/delete for this table.
-            self.add_observer(table, "*", CacheInvalidator(self.cache, table))
+            # Observer-driven invalidation: the table's channel sees one
+            # event per storage write/delete.
+            self.add_observer(table, CacheInvalidator(self.cache, table))
         return self._storages[table]
 
     # -- observers ----------------------------------------------------------------
 
-    def add_observer(
-        self, table: str, instance_name: str, observer: SummaryObserver
-    ) -> None:
-        self._observers[(table.lower(), instance_name)].append(observer)
+    def add_observer(self, table: str, observer: StorageRowObserver) -> None:
+        self._observers[table.lower()].append(observer)
 
-    def remove_observer(
-        self, table: str, instance_name: str, observer: SummaryObserver
-    ) -> None:
+    def remove_observer(self, table: str, observer: StorageRowObserver) -> None:
         """Detach one observer.  Idempotent: detaching an observer that is
-        not (or no longer) registered is a no-op, so teardown paths that
-        overlap — ``ALTER TABLE … DROP`` clearing a channel and
-        ``drop_summary_index`` removing its index — compose safely."""
-        observers = self._observers.get((table.lower(), instance_name))
-        if observers is None:
-            return
-        try:
+        not (or no longer) registered is a no-op."""
+        observers = self._observers.get(table.lower())
+        if observers is not None and observer in observers:
             observers.remove(observer)
-        except ValueError:
-            pass
 
-    def clear_observers(self, table: str, instance_name: str) -> None:
-        """Detach *every* observer on one ``(table, instance)`` channel.
-
-        The DROP path uses this rather than identity-based removal: a
-        dropped link must leave nothing behind that keeps mutating a
-        zombie index, whoever registered it."""
-        self._observers.pop((table.lower(), instance_name), None)
-
-    def _notify(self, table: str, instance_name: str, method: str, *args) -> None:
+    def _notify(self, table: str, method: str, *args) -> None:
         self.metrics.inc(f"maint.{method}")
-        for observer in self._observers.get((table.lower(), instance_name), []):
+        for observer in self._observers.get(table.lower(), []):
             getattr(observer, method)(*args)
 
     # -- annotation mutations ----------------------------------------------------------
@@ -421,18 +393,12 @@ class SummaryManager:
             return
         storage = self.storage_for(table)
         objects = storage.get_for_update(oid)
-        created_row = objects is None
-        previous = None if created_row else row_footprint(objects)
+        previous = None if objects is None else row_footprint(objects)
         if objects is None:
             objects = {}
-        old_counts: dict[str, dict[str, int] | None] = {}
         for instance in instances:
-            obj = objects.get(instance.name)
-            if obj is None:
-                old_counts[instance.name] = None
+            if instance.name not in objects:
                 objects[instance.name] = instance.new_object(oid)
-            elif isinstance(obj, ClassifierObject):
-                old_counts[instance.name] = dict(obj.rep())
         for annotation in batch:
             columns = annotation.columns_on(table, oid)
             for instance in instances:
@@ -460,20 +426,7 @@ class SummaryManager:
                         objects[instance.name], clusterer  # type: ignore[arg-type]
                     )
         storage.put(oid, objects)
-        self._notify(table, "*", "on_objects_write", oid, objects, previous)
-        for instance in instances:
-            if not isinstance(instance, ClassifierInstance):
-                continue
-            obj = objects[instance.name]
-            assert isinstance(obj, ClassifierObject)
-            before = old_counts.get(instance.name)
-            if created_row or before is None:
-                self._notify(table, instance.name, "on_summary_insert", oid, obj)
-            else:
-                self._notify(
-                    table, instance.name, "on_summary_update", oid, before,
-                    dict(obj.rep()),
-                )
+        self._notify(table, "on_objects_write", oid, objects, previous)
 
     def delete_annotation(self, ann_id: int) -> None:
         """Remove a raw annotation and subtract its effects (§4.1.2)."""
@@ -497,25 +450,20 @@ class SummaryManager:
         if self._targets_index is not None:
             self._targets_index.pop((table, oid), None)
         self.pending.discard(table, oid)
-        storage = self.storage_for(table)
-        objects = storage.get(oid)
+        objects = self.storage_for(table).get(oid)
         if objects is None:
             return
-        self._drop_row(table, oid, objects, row_footprint(objects))
+        self._drop_row(table, oid, row_footprint(objects))
 
-    def _drop_row(
-        self, table: str, oid: int, objects: dict[str, SummaryObject],
-        previous: RowFootprint,
-    ) -> None:
-        """Drop the storage row of ``oid`` (``objects``: what indexes
-        currently hold for it) with the tuple-delete event sequence."""
-        for name, obj in objects.items():
-            if isinstance(obj, ClassifierObject):
-                self._notify(table, name, "on_tuple_delete", oid,
-                             dict(obj.rep()))
+    def _drop_row(self, table: str, oid: int, previous: RowFootprint) -> None:
+        """Drop the storage row of ``oid`` (``previous``: its footprint,
+        what observers currently hold for it).  Observers hear the delete
+        while the row still exists: a conventional-pointer Summary-BTree
+        resolves its entries through the row's location."""
+        self._notify(table, "on_objects_delete", oid, previous)
+        for name in previous:
             self._clusterers.pop((table, oid, name), None)
         self._storages[table].delete(oid)
-        self._notify(table, "*", "on_objects_delete", oid, previous)
 
     # -- reads -------------------------------------------------------------------------
 
@@ -722,9 +670,8 @@ class SummaryManager:
         currently-unlinked instances are preserved but scrubbed to live
         attachments (matching the sync path, which leaves them behind on
         unlink), and an empty result drops the storage row with the same
-        event sequence as a tuple delete.  Observers receive one
-        consolidated write event plus per-classifier insert/update events
-        whose *old* counts are the stored (still-indexed) ones, so
+        event as a tuple delete.  Observers receive one consolidated write
+        event whose footprint is the stored (still-indexed) row, so
         derived structures converge no matter how many writes were folded
         into this one regeneration.
         """
@@ -794,23 +741,10 @@ class SummaryManager:
             not obj.all_annotation_ids() for obj in objects.values()
         ):
             if old is not None:
-                self._drop_row(table, oid, old, previous)
+                self._drop_row(table, oid, previous)
             return
         storage.put(oid, objects)
-        self._notify(table, "*", "on_objects_write", oid, objects, previous)
-        for instance in instances:
-            if not isinstance(instance, ClassifierInstance):
-                continue
-            obj = objects.get(instance.name)
-            if not isinstance(obj, ClassifierObject):
-                continue
-            before = old.get(instance.name) if old else None
-            if isinstance(before, ClassifierObject):
-                self._notify(table, instance.name, "on_summary_update", oid,
-                             dict(before.rep()), dict(obj.rep()))
-            else:
-                self._notify(table, instance.name, "on_summary_insert", oid,
-                             obj)
+        self._notify(table, "on_objects_write", oid, objects, previous)
 
     def _apply_to_tuple(self, annotation: Annotation, table: str, oid: int) -> None:
         instances = self.instances_for(table)
@@ -818,24 +752,19 @@ class SummaryManager:
             return
         storage = self.storage_for(table)
         objects = storage.get_for_update(oid)
-        created_row = objects is None
-        previous = None if created_row else row_footprint(objects)
+        previous = None if objects is None else row_footprint(objects)
         if objects is None:
             objects = {}
         columns = annotation.columns_on(table, oid)
-        updates: list[tuple[str, dict[str, int] | None, ClassifierObject]] = []
         for instance in instances:
             obj = objects.get(instance.name)
-            fresh = obj is None
             if obj is None:
                 obj = instance.new_object(oid)
                 objects[instance.name] = obj
             if isinstance(instance, ClassifierInstance):
                 assert isinstance(obj, ClassifierObject)
-                old_counts = None if fresh else dict(obj.rep())
                 label = instance.classify(annotation.text)
                 obj.add_annotation(annotation.ann_id, label, columns)
-                updates.append((instance.name, old_counts, obj))
             elif isinstance(instance, SnippetInstance):
                 assert isinstance(obj, SnippetObject)
                 obj.add_annotation(
@@ -848,15 +777,7 @@ class SummaryManager:
                 self._rebuild_cluster_object(obj, clusterer)  # type: ignore[arg-type]
                 obj.ann_targets[annotation.ann_id] = columns
         storage.put(oid, objects)
-        self._notify(table, "*", "on_objects_write", oid, objects, previous)
-        for name, old_counts, obj in updates:
-            if created_row or old_counts is None:
-                self._notify(table, name, "on_summary_insert", oid, obj)
-            else:
-                self._notify(
-                    table, name, "on_summary_update", oid, old_counts,
-                    dict(obj.rep()),
-                )
+        self._notify(table, "on_objects_write", oid, objects, previous)
 
     def _remove_from_tuple(self, annotation: Annotation, table: str, oid: int) -> None:
         storage = self.storage_for(table)
@@ -866,16 +787,7 @@ class SummaryManager:
         previous = row_footprint(objects)
         ann_id = annotation.ann_id
         for name, obj in objects.items():
-            if isinstance(obj, ClassifierObject):
-                if ann_id not in obj.all_annotation_ids():
-                    continue
-                old_counts = dict(obj.rep())
-                obj.remove_annotations({ann_id})
-                self._notify(
-                    table, name, "on_summary_update", oid, old_counts,
-                    dict(obj.rep()),
-                )
-            elif isinstance(obj, ClusterObject):
+            if isinstance(obj, ClusterObject):
                 key = (table, oid, name)
                 clusterer = self._clusterers.get(key)
                 if clusterer is not None and clusterer.cluster_of(ann_id):
@@ -889,13 +801,11 @@ class SummaryManager:
         if all(not obj.all_annotation_ids() for obj in objects.values()):
             # The tuple's last annotation is gone: a row of all-empty
             # objects must not linger for caches/indexes to keep serving.
-            # Drop it with the same event sequence as a tuple delete (the
-            # classifier channel already saw the update to zero counts, so
-            # on_tuple_delete's zero-count keys match what is indexed).
-            self._drop_row(table, oid, objects, previous)
+            # Drop it with the same event as a tuple delete.
+            self._drop_row(table, oid, previous)
             return
         storage.put(oid, objects)
-        self._notify(table, "*", "on_objects_write", oid, objects, previous)
+        self._notify(table, "on_objects_write", oid, objects, previous)
 
     def _clusterer_for(
         self,

@@ -59,7 +59,7 @@ class TestPersistenceInterop:
         path = tmp_path / "db.indb"
         db.save(path)
         restored = Database.load(path)
-        assert ("t", "S") in restored.keyword_indexes
+        assert ("keyword", "t", "S") in restored.derived
         restored.options.search_raw = False
         restored.options.force_access = "index"
         result = restored.sql(
@@ -82,7 +82,7 @@ class TestPersistenceInterop:
 class TestDmlInterop:
     def test_delete_maintains_keyword_index(self):
         db = build()
-        index = db.keyword_indexes[("t", "S")]
+        index = db.derived[("keyword", "t", "S")]
         victims = index.candidates(["infection"])
         assert victims
         db.sql(f"Delete From t r Where r.{HEALTH} >= 1")

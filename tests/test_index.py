@@ -96,7 +96,7 @@ def build_indexed_manager(backward=True):
         table, manager.storage_for("birds"), "ClassBird1",
         backward_pointers=backward,
     )
-    manager.add_observer("birds", "ClassBird1", index)
+    manager.add_observer("birds", index)
     return pool, table, manager, index
 
 
@@ -192,13 +192,13 @@ class TestSummaryBTree:
 
     def test_bulk_build_matches_incremental(self):
         pool, table, manager, index = build_indexed_manager()
-        manager.remove_observer("birds", "ClassBird1", index)
+        manager.remove_observer("birds", index)
         for i in range(8):
             table.insert({"name": f"bird{i}"})
         for oid in range(1, 9):
             annotate(manager, oid, DISEASE, n=(oid % 4) + 1)
         assert len(index) == 0
-        inserted = index.bulk_build()
+        inserted = index.bulk_build(manager.storage_for("birds"))
         assert inserted == 8 * 4
         assert sorted(p.oid for p in index.lookup_eq("Disease", 2)) == [1, 5]
 
@@ -233,7 +233,7 @@ class TestBaselineIndex:
         )
         manager.link("birds", "ClassBird1")
         index = BaselineClassifierIndex(table, "ClassBird1", pool)
-        manager.add_observer("birds", "ClassBird1", index)
+        manager.add_observer("birds", index)
         return table, manager, index
 
     def test_normalized_rows_created(self):
@@ -300,8 +300,8 @@ class TestBaselineIndex:
         manager.link("birds", "ClassBird1")
         sb = SummaryBTreeIndex(table, manager.storage_for("birds"), "ClassBird1")
         bl = BaselineClassifierIndex(table, "ClassBird1", pool)
-        manager.add_observer("birds", "ClassBird1", sb)
-        manager.add_observer("birds", "ClassBird1", bl)
+        manager.add_observer("birds", sb)
+        manager.add_observer("birds", bl)
         for i in range(200):
             table.insert({"name": f"b{i}"})
         for oid in range(1, 201):
@@ -323,8 +323,8 @@ class TestBothSchemesAgree:
         manager.link("birds", "ClassBird1")
         sb = SummaryBTreeIndex(table, manager.storage_for("birds"), "ClassBird1")
         bl = BaselineClassifierIndex(table, "ClassBird1", pool)
-        manager.add_observer("birds", "ClassBird1", sb)
-        manager.add_observer("birds", "ClassBird1", bl)
+        manager.add_observer("birds", sb)
+        manager.add_observer("birds", bl)
         for i, n in enumerate(per_tuple):
             table.insert({"name": f"b{i}"})
             annotate(manager, i + 1, DISEASE, n=n)

@@ -60,23 +60,23 @@ class TestTrigrams:
 class TestCandidates:
     def test_candidates_cover_true_matches(self):
         db, oids = make_db()
-        index = db.keyword_indexes[("t", "S")]
+        index = db.derived[("keyword", "t", "S")]
         candidates = index.candidates(["experiment", "archive"])
         assert {oids["a"], oids["c"]} <= candidates
 
     def test_no_match_empty(self):
         db, _ = make_db()
-        index = db.keyword_indexes[("t", "S")]
+        index = db.derived[("keyword", "t", "S")]
         assert index.candidates(["zzzqqq"]) == set()
 
     def test_short_keyword_unusable(self):
         db, _ = make_db()
-        index = db.keyword_indexes[("t", "S")]
+        index = db.derived[("keyword", "t", "S")]
         assert index.candidates(["ab"]) is None
 
     def test_multi_keyword_intersection(self):
         db, oids = make_db()
-        index = db.keyword_indexes[("t", "S")]
+        index = db.derived[("keyword", "t", "S")]
         both = index.candidates(["wikipedia", "wetland"])
         assert oids["d"] in both
         assert oids["b"] not in both  # has wetland but not wikipedia
@@ -85,7 +85,7 @@ class TestCandidates:
 class TestMaintenance:
     def test_new_annotation_indexed(self):
         db, _ = make_db()
-        index = db.keyword_indexes[("t", "S")]
+        index = db.derived[("keyword", "t", "S")]
         oid = db.insert("t", {"name": "e"})
         db.add_annotation("a freshly added zebra sighting" + LONG_PAD,
                           table="t", oid=oid)
@@ -93,14 +93,14 @@ class TestMaintenance:
 
     def test_tuple_delete_removes_postings(self):
         db, oids = make_db()
-        index = db.keyword_indexes[("t", "S")]
+        index = db.derived[("keyword", "t", "S")]
         db.delete_tuple("t", oids["a"])
         candidates = index.candidates(["experiment"])
         assert oids["a"] not in candidates
 
     def test_annotation_delete_reindexes(self):
         db, _ = make_db()
-        index = db.keyword_indexes[("t", "S")]
+        index = db.derived[("keyword", "t", "S")]
         oid = db.insert("t", {"name": "f"})
         ann = db.add_annotation("temporary quagga report" + LONG_PAD,
                                 table="t", oid=oid)

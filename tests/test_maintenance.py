@@ -5,6 +5,7 @@ import pytest
 
 from repro.annotations.annotation import AnnotationTarget
 from repro.errors import RecordNotFoundError, SummaryError, UnknownInstanceError
+from repro.index.derived import DerivedIndex
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.summaries.maintenance import SummaryManager
@@ -241,24 +242,30 @@ class TestReadsAndZoom:
 
 
 class RecordingObserver:
-    def __init__(self):
+    """Reads the storage-row channel the way a Summary-BTree does: old
+    counts from the replaced row's footprint, new ones from the row."""
+
+    def __init__(self, instance="ClassBird1"):
+        self.instance = instance
         self.events = []
 
-    def on_summary_insert(self, oid, obj):
-        self.events.append(("insert", oid, dict(obj.rep())))
+    def on_objects_write(self, oid, objects, previous):
+        new = dict(objects[self.instance].rep())
+        if previous is None:
+            self.events.append(("insert", oid, new))
+        else:
+            old = previous[self.instance][1]
+            self.events.append(("update", oid, old, new))
 
-    def on_summary_update(self, oid, old, new):
-        self.events.append(("update", oid, old, new))
-
-    def on_tuple_delete(self, oid, counts):
-        self.events.append(("delete", oid, counts))
+    def on_objects_delete(self, oid, previous):
+        self.events.append(("delete", oid, previous[self.instance][1]))
 
 
 class TestObservers:
     def test_insert_then_update_events(self):
         m = make_manager()
         observer = RecordingObserver()
-        m.add_observer("birds", "ClassBird1", observer)
+        m.add_observer("birds", observer)
         m.add_annotation("disease infection flu", row_target(1))
         m.add_annotation("wing anatomy beak", row_target(1))
         kinds = [e[0] for e in observer.events]
@@ -269,19 +276,24 @@ class TestObservers:
     def test_delete_annotation_fires_update(self):
         m = make_manager()
         observer = RecordingObserver()
-        m.add_observer("birds", "ClassBird1", observer)
+        m.add_observer("birds", observer)
         ann = m.add_annotation("disease infection flu", row_target(1))
+        last = m.add_annotation("wing anatomy beak", row_target(1))
         m.delete_annotation(ann.ann_id)
-        # The update to zero counts fires first; then, because that was
-        # the tuple's last annotation, the now-hollow row is dropped with
-        # a tuple-delete event.
-        assert [e[0] for e in observer.events] == ["insert", "update", "delete"]
-        assert observer.events[1][3]["Disease"] == 0
+        assert [e[0] for e in observer.events] == ["insert", "update", "update"]
+        _, _, old, new = observer.events[-1]
+        assert old["Disease"] == 1 and new["Disease"] == 0
+        # Deleting the tuple's last annotation drops the hollow row with
+        # one delete event carrying the counts the row held.
+        m.delete_annotation(last.ann_id)
+        assert observer.events[-1] == (
+            "delete", 1, {"Disease": 0, "Anatomy": 1, "Behavior": 0,
+                          "Other": 0})
 
     def test_tuple_delete_fires_delete(self):
         m = make_manager()
         observer = RecordingObserver()
-        m.add_observer("birds", "ClassBird1", observer)
+        m.add_observer("birds", observer)
         m.add_annotation("disease infection flu", row_target(1))
         m.on_tuple_delete("birds", 1)
         assert observer.events[-1][0] == "delete"
@@ -289,8 +301,8 @@ class TestObservers:
     def test_remove_observer(self):
         m = make_manager()
         observer = RecordingObserver()
-        m.add_observer("birds", "ClassBird1", observer)
-        m.remove_observer("birds", "ClassBird1", observer)
+        m.add_observer("birds", observer)
+        m.remove_observer("birds", observer)
         m.add_annotation("disease flu", row_target(1))
         assert observer.events == []
 
@@ -337,7 +349,7 @@ class TestHollowRowDropped:
                 self.previous.append(previous)
 
         star = StarObserver()
-        m.add_observer("birds", "*", star)
+        m.add_observer("birds", star)
         ann = m.add_annotation("disease infection flu", row_target(7))
         m.delete_annotation(ann.ann_id)
         assert star.deleted == [7]
@@ -403,12 +415,14 @@ class TestUnlinkDetachesObservers:
 
     def test_drop_detaches_whole_channel(self):
         db, _oid = self._database()
-        # The index; statistics subscribe once per table, on "*".
-        assert len(db.manager._observers[("birds", "C")]) == 1
-        star_before = list(db.manager._observers[("birds", "*")])
+        # The index; the cache and statistics subscribe once per table.
+        index = db.derived[("summary", "birds", "C")]
+        observers = db.manager._observers["birds"]
+        assert observers.count(index) == 1
+        others = [o for o in observers if o is not index]
         db.sql("Alter Table birds Drop C")
-        assert ("birds", "C") not in db.manager._observers
-        assert db.manager._observers[("birds", "*")] == star_before
+        assert ("summary", "birds", "C") not in db.derived
+        assert db.manager._observers["birds"] == others
 
     def test_readd_registers_single_set_of_observers(self):
         db, oid = self._database()
@@ -416,7 +430,8 @@ class TestUnlinkDetachesObservers:
         db.sql("Alter Table birds Add Indexable C")
         # Exactly one index observer — the bug left the old one
         # subscribed, doubling every notification.
-        assert len(db.manager._observers[("birds", "C")]) == 1
+        assert len([o for o in db.manager._observers["birds"]
+                    if isinstance(o, DerivedIndex)]) == 1
         index = db.summary_indexes[("birds", "C")]
         db.add_annotation("disease flu infection", table="birds", oid=oid)
         # One notification, one index entry for the tuple.
@@ -425,8 +440,8 @@ class TestUnlinkDetachesObservers:
     def test_remove_observer_idempotent(self):
         m = make_manager()
         observer = RecordingObserver()
-        m.add_observer("birds", "ClassBird1", observer)
-        m.remove_observer("birds", "ClassBird1", observer)
+        m.add_observer("birds", observer)
+        m.remove_observer("birds", observer)
         # Second removal (and removal of a never-added observer) no-op.
-        m.remove_observer("birds", "ClassBird1", observer)
-        m.remove_observer("birds", "ClassBird1", RecordingObserver())
+        m.remove_observer("birds", observer)
+        m.remove_observer("birds", RecordingObserver())

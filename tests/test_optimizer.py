@@ -23,6 +23,7 @@ from repro.query.logical import (
     LogicalSummarySelect,
 )
 from repro.query.parser import parse_sql
+from repro.summaries.maintenance import SummaryManager
 
 SEED = [
     ("infection avian flu disease symptoms", "Disease"),
@@ -381,13 +382,15 @@ class TestIncrementalStatistics:
                               "_stats": {"birds": expected},
                               "_stale": {"synonyms"}},
             )
-            for key in [k for k in db.manager._observers if k[1] == "*"]:
-                db.manager._observers[key] = [
-                    o for o in db.manager._observers[key]
-                    if type(o).__name__ != "_TableObserver"
-                ]
-            db.manager._observers[("birds", "ClassBird1")].append(
-                _StalenessObserver(db.statistics, "birds")
+            # Those images also pickled the subscriptions, keyed by
+            # (table, instance) channel.
+            manager_state = SummaryManager.__getstate__
+            patch.setattr(
+                SummaryManager, "__getstate__",
+                lambda self: {**manager_state(self), "_observers": {
+                    ("birds", "ClassBird1"):
+                        [_StalenessObserver(db.statistics, "birds")],
+                }},
             )
             path = tmp_path / "old.img"
             db.save(path)

@@ -141,7 +141,7 @@ class TestLogicalDamage:
     def test_keyword_index_tamper(self):
         db = workload_db()
         db.create_keyword_index("birds", "TextSummary1")
-        index = db.keyword_indexes[("birds", "TextSummary1")]
+        index = db.derived[("keyword", "birds", "TextSummary1")]
         # Damage via the consistency surface the checker audits: a stale
         # summary-index entry forces a repair pass, which must also
         # re-derive the keyword postings without error.
@@ -167,7 +167,7 @@ class TestLogicalDamage:
         assert any(loc.startswith("baseline index") for loc in locations)
         assert any(loc.startswith("replica") for loc in locations)
         # The rebuilt replica reconstructs an object for a surviving oid.
-        replica = next(iter(db.normalized_replicas.values()))
+        replica = db.derived[("replica", "birds", "TextSummary1")]
         survivor = next(oid for oid, _ in db.catalog.table("birds").scan())
         assert replica.reconstruct(survivor) is not None
 

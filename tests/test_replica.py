@@ -5,6 +5,7 @@ import pytest
 
 from repro import Column, Database, ValueType
 from repro.index.replica import NormalizedSnippetReplica
+from repro.summaries.maintenance import row_footprint
 
 LONG = (
     "this is a deliberately long annotation about an experiment that was "
@@ -100,7 +101,7 @@ class TestIncrementalMaintenance:
         before = len(replica)
         # Another write event for the same tuple must not duplicate rows.
         objects = db.manager.storage_for("t").get(oid)
-        replica.on_objects_write(oid, objects)
+        replica.on_objects_write(oid, objects, row_footprint(objects))
         assert len(replica) == before
 
     def test_cell_level_columns_roundtrip(self):
@@ -133,4 +134,4 @@ class TestDatabaseIntegration:
     def test_registry_keyed_by_table_and_instance(self):
         db = make_db()
         db.create_normalized_replicas("t")
-        assert ("t", "Snip") in db.normalized_replicas
+        assert ("replica", "t", "Snip") in db.derived

@@ -539,15 +539,21 @@ class TestDegradedPlanning:
         assert db.health.is_healthy("summary", "birds", "ClassBird1")
         assert "SummaryIndexScan" in db.explain(SP_QUERY).physical
 
-    def test_unhealthy_paths_parses_violation_locations(self):
+    def test_unhealthy_paths_come_from_violation_keys(self):
         from repro.core.integrity import IntegrityReport, Violation
 
         report = IntegrityReport(violations=[
             Violation("table birds", "count-mismatch", "x"),
-            Violation("summary index birds.C page 3", "checksum", "x"),
-            Violation("keyword index birds.K postings", "btree", "x"),
-            Violation("replica birds.S norm-table", "mismatch", "x"),
-            Violation("baseline index birds.B norm-table page 1", "x", "x"),
+            Violation("summary index birds.C tree", "checksum", "x",
+                      ("summary", "birds", "C")),
+            Violation("keyword index birds.K postings", "btree", "x",
+                      ("keyword", "birds", "K")),
+            Violation("replica index birds.S", "index-mismatch", "x",
+                      ("replica", "birds", "S")),
+            Violation("baseline index birds.B norm-table", "x", "x",
+                      ("baseline", "birds", "B")),
+            Violation("baseline index birds.B", "x", "y",
+                      ("baseline", "birds", "B")),
         ])
         assert report.unhealthy_paths() == [
             ("baseline", "birds", "B"),

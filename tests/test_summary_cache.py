@@ -19,7 +19,7 @@ import pickle
 
 import pytest
 
-from repro.cache import DEFAULT_CACHE_BYTES, CacheInvalidator, SummaryCache
+from repro.cache import DEFAULT_CACHE_BYTES, SummaryCache
 from repro.catalog.schema import Column
 from repro.cli import execute_line
 from repro.core.database import Database
@@ -437,10 +437,6 @@ class TestOlderImages:
         db = build_db()
         manager = db.manager
         storage = manager.storage_for("t")
-        manager._observers[("t", "*")] = [
-            o for o in manager._observers[("t", "*")]
-            if not isinstance(o, CacheInvalidator)
-        ]
         del manager.cache, storage.cache
         loaded = load_state(db.__getstate__())
         cache = loaded.manager.cache

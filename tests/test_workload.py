@@ -95,7 +95,7 @@ class TestBuildDatabase:
 
     def test_indexes_built(self, db):
         assert ("birds", "ClassBird1") in db.summary_indexes
-        assert ("birds", "ClassBird1") in db.baseline_indexes
+        assert ("baseline", "birds", "ClassBird1") in db.derived
 
     def test_statistics_analyzed(self, db):
         stats = db.statistics.table_stats("birds")
@@ -127,5 +127,4 @@ class TestBuildDatabase:
         db = build_database(WorkloadConfig(
             num_birds=3, annotations_per_tuple=4, indexes="none",
         ))
-        assert not db.summary_indexes
-        assert not db.baseline_indexes
+        assert not db.derived
