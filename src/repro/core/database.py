@@ -82,7 +82,7 @@ from repro.summaries.maintenance import SummaryManager
 from repro.txn.locks import StripedLockManager
 from repro.txn.manager import TransactionManager
 from repro.txn.session import Session
-from repro.wal.device import MemoryWALDevice
+from repro.wal.device import MemoryWALDevice, fsync_directory
 from repro.wal.record import WALRecordType
 from repro.wal.writer import WALWriter
 
@@ -157,7 +157,7 @@ def _logged_ddl(fn):
                     )
                 return fn(self, *args, **kwargs)
         finally:
-            self._plan_cache.bump()
+            self._new_epoch()
 
     return wrapper
 
@@ -183,12 +183,15 @@ class QueryReport:
     #: quarantined access paths the planner excluded, as
     #: ``(kind, table, instance)`` — non-empty means this is a degraded plan.
     degraded: list = field(default_factory=list)
+    #: per table, the published statistics the plan priced with.
+    stats: list = field(default_factory=list)
 
     def __str__(self) -> str:
         text = (
             f"Estimated cost: {self.estimated_cost:.2f}\n"
             f"plan: {'cached' if self.cached else 'fresh'}\n"
-            f"-- logical --\n{self.logical}\n"
+            + "".join(f"{line}\n" for line in self.stats)
+            + f"-- logical --\n{self.logical}\n"
             f"-- physical --\n{self.physical}"
         )
         if self.degraded:
@@ -420,6 +423,11 @@ class Database:
             device = MemoryWALDevice(
                 base_lsn=self.checkpoint_lsn, plan=plan, metrics=self.metrics
             )
+        elif device.base_lsn + device.total_len < self.checkpoint_lsn:
+            # The log ends below the image's checkpoint (its truncation was
+            # lost): records framed there would sit below the LSN replay
+            # starts at, and the next recovery would skip them.
+            device.truncate(self.checkpoint_lsn)
         self.wal = WALWriter(device, metrics=self.metrics)
         self.pool.wal = self.wal
         return self.wal
@@ -510,7 +518,13 @@ class Database:
         try:
             return RepairManager(self).run()
         finally:
-            self._plan_cache.bump()
+            self._new_epoch()
+
+    def _new_epoch(self) -> None:
+        """Invalidate every plan: move the plan cache's epoch and drop every
+        table's published statistics (DDL, UDF registration, repair)."""
+        self.statistics.unpublish()
+        self._plan_cache.bump()
 
     # -- pickling --------------------------------------------------------------------
 
@@ -756,7 +770,7 @@ class Database:
         ``db.register_udf("heavy", lambda s: s.get_size() > 2)`` then
         ``... Where heavy(r.$)``."""
         self.manager.register_udf(name, fn)
-        self._plan_cache.bump()
+        self._new_epoch()
 
     # -- DML --------------------------------------------------------------------------------
 
@@ -918,15 +932,17 @@ class Database:
 
         The image carries the payload length and a CRC32 so a truncated or
         corrupted file is detected at :meth:`load` time, and it is written
-        to a temporary sibling then atomically renamed into place: a crash
-        mid-save leaves the previous image intact, never a torn one — and
-        a failed write unlinks the temp sibling instead of leaking it.
+        to a temporary sibling, fsynced, then atomically renamed into place
+        and the directory fsynced: a crash mid-save leaves the previous
+        image intact, never a torn one — and a failed write unlinks the
+        temp sibling instead of leaking it.
 
         With a WAL attached this is the checkpoint protocol: flush data
         pages (WAL first — log-before-data), sync the log, stamp the
         checkpoint LSN into the v3 header, and truncate the log only once
-        the rename has landed. A crash between rename and truncation is
-        safe: replay skips records below the checkpoint LSN.
+        the rename is durable. A crash between rename and truncation is
+        safe: replay skips records below the checkpoint LSN, and
+        :meth:`attach_wal` re-bases a log that ends below it.
 
         Registered UDFs are *not* persisted (arbitrary callables don't
         serialize portably); re-register them after :meth:`load`.
@@ -961,11 +977,16 @@ class Database:
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
         try:
-            tmp.write_bytes(header + payload)
+            with open(tmp, "wb") as fh:
+                fh.write(header + payload)
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+        # The rename must be durable before the log it supersedes goes.
+        fsync_directory(path.parent)
         if self.wal is not None:
             self.wal.truncate(self.checkpoint_lsn)
 
@@ -1075,8 +1096,10 @@ class Database:
     # -- statistics -------------------------------------------------------------------------------
 
     def analyze(self, table: str) -> None:
-        """Collect optimizer statistics (Figure 6) for one table."""
+        """Collect optimizer statistics (Figure 6) for one table and have
+        the next plan over it price with them (republish)."""
         self.statistics.analyze(table)
+        self.statistics.unpublish(table)
 
     def io_snapshot(self) -> IOStats:
         return self.disk.stats.snapshot()
@@ -1139,6 +1162,7 @@ class Database:
         snap["optimizer.plan_cache.hits"] = plans.hits
         snap["optimizer.plan_cache.misses"] = plans.misses
         snap["optimizer.plan_cache.invalidations"] = plans.invalidations
+        snap["optimizer.stats.publishes"] = self.statistics.publishes
         return snap
 
     def reset_metrics(self) -> None:
@@ -1150,6 +1174,7 @@ class Database:
         self._parse_counts_base = parse_memo_counts()
         plans = self._plan_cache
         plans.hits = plans.misses = plans.invalidations = 0
+        self.statistics.publishes = 0
         self.pool.hits = 0
         self.pool.misses = 0
         self.disk.stats.reset()
@@ -1361,8 +1386,12 @@ class Database:
         planner = self.planner
         physical, logical, cost = planner.plan(stmt)
         degraded = sorted(planner.excluded)
-        report = QueryReport(logical.pretty(), physical.explain(), cost,
-                             cached=planner.cached, degraded=degraded)
+        report = QueryReport(
+            logical.pretty(), physical.explain(), cost,
+            cached=planner.cached, degraded=degraded,
+            stats=[self.statistics.describe(table, snapshot)
+                   for table, snapshot in planner.priced.items()],
+        )
         if not stmt.analyze:
             return report
         result = self._run_physical(stmt.query, physical, cost, profile=True,

@@ -10,6 +10,7 @@ in page-I/O units with a small CPU charge per processed row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.query.ast import (
     And,
@@ -21,7 +22,11 @@ from repro.query.ast import (
     Or,
     SummaryExpr,
 )
-from repro.optimizer.statistics import StatisticsCatalog
+
+if TYPE_CHECKING:
+    from collections.abc import Callable
+
+    from repro.optimizer.statistics import TableStats
 
 #: Cost of one page I/O (the unit).
 IO_COST = 1.0
@@ -55,11 +60,6 @@ SUMMARY_CACHE_DISCOUNT_CAP = 0.5
 #: Minimum observed lookups before the discount kicks in — a handful of
 #: early hits must not reprice every plan.
 SUMMARY_CACHE_MIN_SAMPLE = 64
-#: The hit rate is rounded down to a multiple of 1/STEPS before it prices
-#: anything, so the discount is a step function: it moves a few times over
-#: a cache's warm-up instead of on every lookup, and a cached plan stays
-#: valid while it holds (it is part of the plan-cache stamp).
-SUMMARY_CACHE_DISCOUNT_STEPS = 16
 
 
 def summary_read_discount(cache) -> float:
@@ -67,16 +67,15 @@ def summary_read_discount(cache) -> float:
     access paths whose summary reads go through the cache.
 
     1.0 (no discount) when the cache has capacity 0 or has seen too few
-    lookups to trust its hit rate.
+    lookups to trust its hit rate.  The planner does not call this per
+    plan: a table's published statistics carry the value read at publish.
     """
     if not cache.enabled:
         return 1.0
     total = cache.hits + cache.misses
     if total < SUMMARY_CACHE_MIN_SAMPLE:
         return 1.0
-    steps = SUMMARY_CACHE_DISCOUNT_STEPS
-    rate = min(cache.hits * steps // total, steps) / steps
-    return 1.0 - rate * SUMMARY_CACHE_DISCOUNT_CAP
+    return 1.0 - cache.hits / total * SUMMARY_CACHE_DISCOUNT_CAP
 
 
 @dataclass(frozen=True)
@@ -258,9 +257,11 @@ def match_indexable_data_pred(expr: Expr) -> IndexableDataPred | None:
 
 
 class Estimator:
-    """Selectivity estimation backed by the statistics catalog."""
+    """Selectivity estimation over the statistics a plan prices with:
+    ``stats(table)`` is the table's published :class:`TableStats`."""
 
-    def __init__(self, stats: StatisticsCatalog, alias_tables: dict[str, str]):
+    def __init__(self, stats: Callable[[str], TableStats],
+                 alias_tables: dict[str, str]):
         self.stats = stats
         self.alias_tables = alias_tables
 
@@ -308,7 +309,7 @@ class Estimator:
         table = self._table_of(pred.alias)
         if table is None:
             return DEFAULT_RANGE_SELECTIVITY
-        label_stats = self.stats.label_stats(table, pred.instance, pred.label)
+        label_stats = self.stats(table).label_stats(pred.instance, pred.label)
         if label_stats is None or label_stats.ndistinct == 0:
             return DEFAULT_RANGE_SELECTIVITY
         if pred.op == "=":
@@ -325,7 +326,7 @@ class Estimator:
         table = self._table_of(pred.alias)
         if table is None:
             return DEFAULT_EQ_SELECTIVITY
-        col_stats = self.stats.table_stats(table).columns.get(pred.column)
+        col_stats = self.stats(table).columns.get(pred.column)
         if col_stats is None or col_stats.ndistinct == 0:
             return DEFAULT_EQ_SELECTIVITY
         if pred.op == "=":
@@ -357,15 +358,15 @@ class Estimator:
                 if isinstance(side, ColumnRef) and side.alias:
                     table = self._table_of(side.alias)
                     if table:
-                        cs = self.stats.table_stats(table).columns.get(side.column)
+                        cs = self.stats(table).columns.get(side.column)
                         if cs:
                             ndv.append(max(cs.ndistinct, 1))
                 summary = side if isinstance(side, SummaryExpr) else None
                 if summary is not None and summary.instance_name and summary.label:
                     table = self._table_of(summary.alias or "")
                     if table:
-                        ls = self.stats.label_stats(
-                            table, summary.instance_name, summary.label
+                        ls = self.stats(table).label_stats(
+                            summary.instance_name, summary.label
                         )
                         if ls:
                             ndv.append(max(ls.ndistinct, 1))

@@ -89,10 +89,14 @@ from repro.optimizer.cost import (
     match_indexable_summary_pred,
     match_keyword_pred,
     match_summary_join_pred,
-    summary_read_discount,
 )
 from repro.optimizer.rules import apply_rules
-from repro.optimizer.statistics import ColumnStats, StatisticsCatalog
+from repro.optimizer.statistics import (
+    ColumnStats,
+    PublishedStats,
+    StatisticsCatalog,
+    TableStats,
+)
 
 
 @dataclass
@@ -270,8 +274,9 @@ class Planner:
         self.cache = cache if cache is not None else PlanCache()
         #: whether the last :meth:`plan` call was served from the cache.
         self.cached = False
-        #: the summary-cache discount the current planning pass prices with.
-        self._discount = 1.0
+        #: per table (lower-case), the published statistics the last
+        #: :meth:`plan` call priced with — read once, with the stamp.
+        self.priced: dict[str, PublishedStats] = {}
 
     # -- public API -------------------------------------------------------------
 
@@ -289,14 +294,14 @@ class Planner:
         """
         if isinstance(stmt, ExplainStmt):
             stmt = stmt.query
-        discount = summary_read_discount(self.manager.cache)
-        # The stamp is read before planning: a write that lands while this
+        # The stamp is read before planning, and planning prices with the
+        # snapshots the stamp read: a republish that lands while this
         # statement plans leaves an entry the next lookup finds stale.
-        stamp = self._stamp(stmt, discount)
+        stamp = self._stamp(stmt)
         entry = self.cache.lookup(stmt, stamp) if stamp is not None else None
         self.cached = entry is not None
         if entry is None:
-            physical, logical, cost = self._plan_uncached(stmt, discount)
+            physical, logical, cost = self._plan_uncached(stmt)
             entry = CachedPlan(stamp, physical, logical, cost,
                                frozenset(self.excluded))
             if stamp is not None:
@@ -305,18 +310,24 @@ class Planner:
         return (instantiate(entry.template, self.exec_context()),
                 entry.logical, entry.cost)
 
-    def _stamp(self, stmt: SelectStmt, discount: float) -> tuple | None:
+    def _stamp(self, stmt: SelectStmt) -> tuple | None:
         """Every planner input that can change without DDL, as one value.
-        None (do not cache) when a table is missing: binding will raise."""
-        catalog, stats = self.catalog, self.stats
+        None (do not cache) when a table is missing: binding will raise.
+
+        Per table: the publish version of the statistics the plan prices
+        with (pricing may lag the data), and — read live, because they
+        decide whether a plan is *correct* — whether every row has a
+        summary row and whether any annotation targets cells."""
+        catalog, manager = self.catalog, self.manager
+        self.priced = {}
         tables = []
         for ref in stmt.tables:
             if not catalog.has_table(ref.name):
                 return None
             tables.append((
-                catalog.table(ref.name).data_version,
-                stats.summary_version(ref.name),
-                self.manager.has_cell_annotations(ref.name),
+                self.snapshot(ref.name).version,
+                self._all_annotated(ref.name),
+                manager.has_cell_annotations(ref.name),
             ))
         return (
             self.cache.epoch,
@@ -325,20 +336,35 @@ class Planner:
             tuple(self.health.unhealthy()) if self.health is not None else (),
             # Figure benches flip option fields in place: compare values.
             tuple(vars(self.options).values()),
-            discount,
             tuple(tables),
         )
 
+    def snapshot(self, table: str) -> PublishedStats:
+        """``table``'s published statistics, read once per :meth:`plan`."""
+        key = table.lower()
+        snapshot = self.priced.get(key)
+        if snapshot is None:
+            snapshot = self.priced[key] = self.stats.published(table)
+        return snapshot
+
+    def table_stats(self, table: str) -> TableStats:
+        return self.snapshot(table).stats
+
+    def _all_annotated(self, table: str) -> bool:
+        """Whether every row of ``table`` has a summary row now — the side
+        condition of a full-range ordered Summary-BTree scan."""
+        return (len(self.manager.storage_for(table))
+                >= len(self.catalog.table(table)))
+
     def _plan_uncached(
-        self, stmt: SelectStmt | ExplainStmt, discount: float | None = None
+        self, stmt: SelectStmt | ExplainStmt
     ) -> tuple[PhysicalOperator, LogicalPlan, float]:
         """Bind, rewrite and cost ``stmt`` — the statement cache's miss
-        path, and the oracle tests compare cached plans against."""
+        path, and the oracle tests compare cached plans against.  Prices
+        with the snapshots :meth:`plan` read for its stamp (called on its
+        own, with the tables' current snapshots)."""
         if isinstance(stmt, ExplainStmt):
             stmt = stmt.query
-        if discount is None:
-            discount = summary_read_discount(self.manager.cache)
-        self._discount = discount
         self.excluded = set()
         logical, info = self.binder.bind(stmt)
         candidates = [logical]
@@ -386,7 +412,7 @@ class Planner:
 
     def _lower_plan(self, plan: LogicalPlan, info: BindInfo) -> Lowered:
         ctx = self.exec_context()
-        estimator = Estimator(self.stats, info.alias_tables)
+        estimator = Estimator(self.table_stats, info.alias_tables)
         # Which aliases need their summaries materialized anywhere above the
         # access path (residual predicates, sort keys, output propagation)?
         summary_uses: dict[str, int] = {}
@@ -514,13 +540,14 @@ class _LowerState:
             return True
         return self.summary_uses.get(alias, 0) - consumed > 0
 
-    def _summary_io_factor(self) -> float:
+    def _summary_io_factor(self, table: str) -> float:
         """Discount on summary-storage read charges when a warm
         :class:`~repro.cache.SummaryCache` makes repeat probes cheap.
         Applies only to reads that go through the cache (SummaryStorage
-        reads via the manager) — direct heap reads keep full price.  Read
-        once per planning pass, so a plan and its stamp agree on it."""
-        return self.planner._discount
+        reads via the manager) — direct heap reads keep full price.  The
+        value ``table``'s statistics were published with, so a plan and
+        its stamp agree on it."""
+        return self.planner.snapshot(table).discount
 
     def _retained(self, alias: str) -> set[str] | None:
         return self.info.retained_summary_columns.get(alias)
@@ -547,13 +574,10 @@ class _LowerState:
         table = self.info.table_of(alias)
         return self.planner.manager.has_cell_annotations(table)
 
-    def _table_stats(self, table: str):
-        return self.planner.stats.table_stats(table)
-
     def _summary_width(self, table: str, with_summaries: bool) -> float:
         if not with_summaries:
             return 0.0
-        stats = self._table_stats(table)
+        stats = self.planner.table_stats(table)
         return sum(i.avg_object_size for i in stats.instances.values())
 
     def _filtered_width(self, width: float, node) -> float:
@@ -581,7 +605,7 @@ class _LowerState:
         summary_preds: list[Expr],
     ) -> Lowered:
         table, alias = scan.table, scan.alias
-        stats = self._table_stats(table)
+        stats = self.planner.table_stats(table)
         candidates: list[Lowered] = [
             self._seq_scan_path(scan, data_preds, summary_preds, stats)
         ]
@@ -683,7 +707,8 @@ class _LowerState:
         with_summaries = self._needs_summaries(scan.alias) or bool(summary_preds)
         io = stats.heap_pages * IO_COST
         if with_summaries:
-            io += stats.summary_pages * IO_COST * self._summary_io_factor()
+            io += (stats.summary_pages * IO_COST
+                   * self._summary_io_factor(scan.table))
         base = Lowered(
             SeqScan(self.ctx, scan.table, scan.alias, with_summaries,
                     self._retained(scan.alias)),
@@ -742,7 +767,7 @@ class _LowerState:
                 per_match += IO_COST + INDEX_DESCENT  # storage row + OID probe
             if with_summaries and index.backward_pointers:
                 # summary storage row (read through the summary cache)
-                per_match += IO_COST * self._summary_io_factor()
+                per_match += IO_COST * self._summary_io_factor(scan.table)
             op: PhysicalOperator = SummaryIndexScan(
                 self.ctx, scan.table, scan.alias, matched.instance,
                 matched.label, lo, hi, lo_inc, hi_inc, with_summaries,
@@ -752,7 +777,7 @@ class _LowerState:
             # Baseline: derived index -> normalized row -> OID index -> heap.
             per_match = IO_COST + INDEX_DESCENT + IO_COST
             if with_summaries:
-                per_match += IO_COST * self._summary_io_factor()
+                per_match += IO_COST * self._summary_io_factor(scan.table)
                 if self.options.normalized_propagation:
                     per_match += 4 * IO_COST  # re-assemble from primitives
             op = BaselineIndexScan(
@@ -781,7 +806,8 @@ class _LowerState:
             with_summaries, self._retained(scan.alias),
         )
         per_match = INDEX_DESCENT / 3.0 + IO_COST + (
-            IO_COST * self._summary_io_factor() if with_summaries else 0.0
+            IO_COST * self._summary_io_factor(scan.table)
+            if with_summaries else 0.0
         )
         base = Lowered(
             op,
@@ -801,13 +827,15 @@ class _LowerState:
         if index is None:
             return None
         # Only equivalent when every tuple has an indexed summary object —
-        # un-annotated tuples have no index entries and would vanish.
-        annotated = len(self.planner.manager.storage_for(scan.table))
-        if annotated < stats.row_count:
+        # un-annotated tuples have no index entries and would vanish.  A
+        # correctness condition, so read live (and stamped), never from
+        # the published row count.
+        if not self.planner._all_annotated(scan.table):
             return None
         with_summaries = self._needs_summaries(scan.alias) or bool(summary_preds)
         per_match = IO_COST + (
-            IO_COST * self._summary_io_factor() if with_summaries else 0.0
+            IO_COST * self._summary_io_factor(scan.table)
+            if with_summaries else 0.0
         )
         if not index.backward_pointers:
             per_match += IO_COST + INDEX_DESCENT
@@ -837,7 +865,8 @@ class _LowerState:
         matches = max(stats.row_count * selectivity, 1.0)
         with_summaries = self._needs_summaries(scan.alias) or bool(summary_preds)
         per_match = IO_COST + (
-            IO_COST * self._summary_io_factor() if with_summaries else 0.0
+            IO_COST * self._summary_io_factor(scan.table)
+            if with_summaries else 0.0
         )
         op = IndexScan(
             self.ctx, scan.table, scan.alias, matched.column, lo, hi,
@@ -961,11 +990,8 @@ class _LowerState:
                 + right_preds
             )
             with_summaries = self._needs_summaries(right.alias)
-            stats = self._table_stats(right.table)
-            label_stats = None
-            inst = stats.instances.get(matched.instance)
-            if inst is not None:
-                label_stats = inst.labels.get(matched.label)
+            stats = self.planner.table_stats(right.table)
+            label_stats = stats.label_stats(matched.instance, matched.label)
             ndistinct = label_stats.ndistinct if label_stats else 1
             if matched.op == "=":
                 matches_per_row = max(stats.row_count / max(ndistinct, 1), 1.0)
@@ -1026,7 +1052,7 @@ class _LowerState:
                     continue
                 residual = conjuncts[:i] + conjuncts[i + 1:] + right_preds
                 with_summaries = self._needs_summaries(right.alias)
-                stats = self._table_stats(right.table)
+                stats = self.planner.table_stats(right.table)
                 col_stats = stats.columns.get(probe_side.column, ColumnStats(1))
                 matches_per_row = max(
                     stats.row_count / max(col_stats.ndistinct, 1), 1.0

@@ -16,10 +16,19 @@ accumulators, so both routes share one representation and one derivation,
 and at every statement boundary ``table_stats(t)`` equals a from-scratch
 ``analyze(t)``.  Data-column statistics stay scan-built (ANALYZE-style)
 and are rescanned only after row DML moved ``Table.data_version``.
+
+The planner does not read those exact statistics: it prices with a
+*published* per-table snapshot (:class:`PublishedStats`), republished
+the way PostgreSQL's autovacuum re-ANALYZEs — once the row events since
+the last publish reach ``REPUBLISH_THRESHOLD + REPUBLISH_SCALE_FACTOR ×
+rows`` — and on ``Database.analyze``, ``mark_stale`` and every plan-cache
+epoch bump.  A cached plan therefore stays valid until the statistics it
+priced with are republished (DESIGN.md §5n).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from collections import Counter
@@ -28,6 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.table import Table
+from repro.optimizer.cost import summary_read_discount
 from repro.summaries.maintenance import (
     RowFootprint,
     SummaryManager,
@@ -36,6 +46,12 @@ from repro.summaries.maintenance import (
 from repro.summaries.storage import SummaryStorage
 
 DEFAULT_BUCKETS = 16
+#: PostgreSQL's ``autovacuum_analyze_threshold`` and
+#: ``autovacuum_analyze_scale_factor``: a table's statistics are
+#: republished once ``THRESHOLD + SCALE_FACTOR × published row_count``
+#: row events have landed since its last publish.
+REPUBLISH_THRESHOLD = 50
+REPUBLISH_SCALE_FACTOR = 0.1
 
 
 @dataclass
@@ -188,6 +204,33 @@ class TableStats:
     columns: dict[str, ColumnStats] = field(default_factory=dict)
     instances: dict[str, InstanceStats] = field(default_factory=dict)
 
+    def label_stats(self, instance: str, label: str) -> LabelStats | None:
+        inst = self.instances.get(instance)
+        return None if inst is None else inst.labels.get(label)
+
+
+@dataclass(frozen=True)
+class PublishedStats:
+    """What the planner prices one table with: its statistics and the
+    summary-cache discount, frozen at publish ``version``.  Never mutated;
+    a republish replaces it."""
+
+    stats: TableStats
+    #: :func:`~repro.optimizer.cost.summary_read_discount` at publish.
+    discount: float
+    #: process-wide publish number — the plan-cache stamp input.
+    version: int
+    #: the table's row-event count at publish.
+    event: int
+
+    def due(self, events: int) -> bool:
+        """True once ``events`` (the table's count now) has moved far
+        enough past the publish to republish."""
+        return events - self.event >= (
+            REPUBLISH_THRESHOLD
+            + REPUBLISH_SCALE_FACTOR * self.stats.row_count
+        )
+
 
 class _TableState:
     """What the catalog keeps per table: the column statistics of the last
@@ -284,18 +327,27 @@ class StatisticsCatalog:
         #: attached tables only: a table nobody delivers storage events
         #: for cannot be kept current, so it is analyzed on every use.
         self._tables: dict[str, _TableState] = {}
-        #: per table, the storage-row events seen (plan-cache stamp input:
-        #: every Figure 6 statistic and ``len(storage)`` move only with
-        #: one); process state, not part of an image.
-        self._summary_versions: dict[str, int] = {}
         # Storage events arrive from writers and from the background
         # maintenance thread while planners read.
         self._mutex = threading.RLock()
+        self._init_publication()
+
+    def _init_publication(self) -> None:
+        """Process state, never part of an image: a loaded, recovered or
+        replica database starts unpublished."""
+        #: per table, the storage-row events seen in this process.
+        self._events: dict[str, int] = {}
+        #: per table, the snapshot the planner prices with.
+        self._published: dict[str, PublishedStats] = {}
+        self._versions = itertools.count(1)
+        #: publishes since the last metrics reset.
+        self.publishes = 0
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_mutex"]
-        del state["_summary_versions"]
+        for key in ("_mutex", "_events", "_published", "_versions",
+                    "publishes"):
+            del state[key]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -305,8 +357,8 @@ class StatisticsCatalog:
         self.catalog = state["catalog"]
         self.manager = state["manager"]
         self._tables = state.get("_tables", {})
-        self._summary_versions = {}
         self._mutex = threading.RLock()
+        self._init_publication()
 
     # -- subscription -------------------------------------------------------------
 
@@ -330,23 +382,21 @@ class StatisticsCatalog:
         for key in tables:
             self.manager.add_observer(key, _TableObserver(self, key))
 
-    def summary_version(self, table: str) -> int:
-        """How many storage-row events ``table`` has seen in this process."""
-        return self._summary_versions.get(table.lower(), 0)
-
     def mark_stale(self, table: str) -> None:
-        """Distrust ``table``'s accumulators: the next use folds again.
-        For rows rewritten behind the manager's back (repair)."""
+        """Distrust ``table``'s accumulators: the next use folds again
+        and republishes.  For rows rewritten behind the manager's back
+        (repair)."""
         with self._mutex:
             state = self._tables.get(table.lower())
             if state is not None:
                 state.cold = True
+        self.unpublish(table)
 
     def _row_changed(self, key: str, old: RowFootprint | None,
                      objects: dict | None) -> None:
         """The row that contributed ``old`` now holds ``objects``."""
         with self._mutex:
-            self._summary_versions[key] = self._summary_versions.get(key, 0) + 1
+            self._events[key] = self._events.get(key, 0) + 1
             state = self._tables.get(key)
             if state is None or state.cold:
                 return
@@ -408,14 +458,50 @@ class StatisticsCatalog:
             instances=state.derive(max(rows - len(storage), 0)),
         )
 
-    def label_stats(
-        self, table_name: str, instance: str, label: str
-    ) -> LabelStats | None:
-        stats = self.table_stats(table_name)
-        inst = stats.instances.get(instance)
-        if inst is None:
-            return None
-        return inst.labels.get(label)
+    # -- publication ----------------------------------------------------------------
+
+    def events(self, table_name: str) -> int:
+        """Row events ``table_name`` has seen: storage-row events in this
+        process plus row writes (``data_version``)."""
+        return (self._events.get(table_name.lower(), 0)
+                + self.catalog.table(table_name).data_version)
+
+    def published(self, table_name: str) -> PublishedStats:
+        """The snapshot the planner prices ``table_name`` with, published
+        first when there is none or the row events since call for it."""
+        key = table_name.lower()
+        events = self.events(table_name)
+        with self._mutex:
+            snapshot = self._published.get(key)
+        if snapshot is not None and not snapshot.due(events):
+            return snapshot
+        # The event count is read before the statistics: a write that
+        # lands in between counts toward the next publish.
+        snapshot = PublishedStats(
+            stats=self.table_stats(table_name),
+            discount=summary_read_discount(self.manager.cache),
+            version=next(self._versions),
+            event=events,
+        )
+        with self._mutex:
+            self._published[key] = snapshot
+            self.publishes += 1
+        return snapshot
+
+    def unpublish(self, table_name: str | None = None) -> None:
+        """Drop ``table_name``'s snapshot (every table's when None): the
+        next plan over it republishes."""
+        with self._mutex:
+            if table_name is None:
+                self._published.clear()
+            else:
+                self._published.pop(table_name.lower(), None)
+
+    def describe(self, table_name: str, snapshot: PublishedStats) -> str:
+        """One line saying what a plan over ``table_name`` priced with."""
+        since = self.events(table_name) - snapshot.event
+        return (f"stats: {table_name} published at event {snapshot.event}, "
+                f"{since} since (discount {snapshot.discount:.3g})")
 
 
 class _TableObserver:

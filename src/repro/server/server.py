@@ -329,6 +329,8 @@ class QueryServer:
                 snap["optimizer.plan_cache.invalidations"],
             "parse_cache_hits": snap["query.parse_cache.hits"],
             "parse_cache_misses": snap["query.parse_cache.misses"],
+            # Each publish re-prices every plan over its table.
+            "stats_publishes": snap["optimizer.stats.publishes"],
         }
 
     def _current_lsn(self) -> int:

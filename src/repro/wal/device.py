@@ -38,6 +38,16 @@ from repro.faults.plan import Fault, FaultKind, FaultPlan
 from repro.obs.metrics import MetricsRegistry
 
 
+def fsync_directory(path: str | Path) -> None:
+    """``fsync`` a directory, so a file created or renamed in it survives
+    a crash."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class MemoryWALDevice:
     """An in-memory append-only log with explicit durability and faults."""
 
@@ -210,13 +220,18 @@ class FileWALDevice:
                     f"{self.path}: WAL version {version} unsupported"
                 )
         else:
-            self.base_lsn = 0
-            self._write_header(0)
+            self._write_header(0, create=True)
 
-    def _write_header(self, base_lsn: int) -> None:
-        self.path.write_bytes(
-            _FILE_MAGIC + _FILE_HEADER.pack(_FILE_VERSION, base_lsn)
-        )
+    def _write_header(self, base_lsn: int, create: bool = False) -> None:
+        """Start the log over at ``base_lsn``, durably: a checkpoint's
+        truncation that a crash undid would leave the log ending below the
+        image's checkpoint LSN."""
+        with open(self.path, "wb") as fh:
+            fh.write(_FILE_MAGIC + _FILE_HEADER.pack(_FILE_VERSION, base_lsn))
+            fh.flush()
+            os.fsync(fh.fileno())
+        if create:
+            fsync_directory(self.path.parent)
         self.base_lsn = base_lsn
 
     @property

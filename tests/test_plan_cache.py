@@ -1,18 +1,24 @@
 """The statement cache (DESIGN.md §5n): one AST per statement text, one
 plan per statement value and dependency stamp.
 
-A cached plan must be the plan fresh planning would choose *now*, so every
-planner input has a test here that moves it and checks the next run
-re-plans: DDL, UDF registration and repair (the database epoch), access-path
-health, in-place option flips, row writes and summary writes on a
-referenced table, and the first cell-level annotation.  A loaded or
-recovered database starts with an empty cache.  Shared ASTs are frozen,
-and concurrent runs of one cached plan each get their own operators.
+A cached plan must be the plan fresh planning would choose *now*, and
+planning prices with each table's *published* statistics, so a plan stays
+valid while the statistics it priced with hold.  Every planner input has a
+test here that moves it and checks the next run re-plans: DDL, UDF
+registration and repair (the database epoch), access-path health,
+in-place option flips, a republish of a referenced table's statistics
+(the "50 + 10 % of rows" row-event threshold, ``analyze``, ``mark_stale``),
+the first cell-level annotation, and whether every row has a summary row.
+Writes below the threshold keep the entry.  A loaded or recovered database
+starts with an empty cache and unpublished statistics.  Shared ASTs are
+frozen, and concurrent runs of one cached plan each get their own
+operators.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 import threading
 
@@ -20,6 +26,10 @@ import pytest
 
 from repro import Column, Database, ValueType
 from repro.query.ast import Literal, SelectStmt, Star, TableRef
+from repro.optimizer.statistics import (
+    REPUBLISH_SCALE_FACTOR,
+    REPUBLISH_THRESHOLD,
+)
 from repro.query.parser import parse_sql
 from repro.wal.device import MemoryWALDevice
 from repro.workload import WorkloadConfig, build_database
@@ -124,6 +134,22 @@ def warm(db, sql=SP_EQ):
     return explain
 
 
+def events_to_republish(db, table="t"):
+    """Row events ``table`` still needs before its statistics republish
+    (reading the snapshot without publishing it)."""
+    snapshot = db.statistics._published[table]
+    due = math.ceil(REPUBLISH_THRESHOLD
+                    + REPUBLISH_SCALE_FACTOR * snapshot.stats.row_count)
+    return due - (db.statistics.events(table) - snapshot.event)
+
+
+def annotate_until(db, remaining, table="t"):
+    """Annotate ``table`` until ``remaining`` row events are left before
+    its statistics republish (each annotate is one storage-row event)."""
+    while events_to_republish(db, table) > remaining:
+        db.add_annotation(DISEASE_TEXT, table=table, oid=1)
+
+
 # -- the parse level ---------------------------------------------------------
 
 
@@ -163,6 +189,8 @@ class TestParseMemo:
 
 class TestPlanCache:
     def test_repeat_hits_and_annotate_invalidates(self, db):
+        """An annotate leaves the plan cached while the published
+        statistics hold; the annotate that republishes them invalidates."""
         db.reset_metrics()
         db.sql(SP_EQ)
         db.sql(SP_EQ)
@@ -170,12 +198,19 @@ class TestPlanCache:
         assert snap["optimizer.plan_cache.misses"] == 1
         assert snap["optimizer.plan_cache.hits"] == 1
         assert snap["optimizer.plan_cache.invalidations"] == 0
+        assert snap["optimizer.stats.publishes"] == 1
         db.sql(f"Annotate t 1 '{DISEASE_TEXT}'")
+        db.sql(SP_EQ)
+        snap = db.metrics_snapshot()
+        assert snap["optimizer.plan_cache.misses"] == 1
+        assert snap["optimizer.plan_cache.hits"] == 2
+        assert snap["query.parse_cache.hits"] >= 2
+        annotate_until(db, 0)
         db.sql(SP_EQ)
         snap = db.metrics_snapshot()
         assert snap["optimizer.plan_cache.misses"] == 2
         assert snap["optimizer.plan_cache.invalidations"] == 1
-        assert snap["query.parse_cache.hits"] >= 2
+        assert snap["optimizer.stats.publishes"] == 2
 
     def test_explain_says_cached_or_fresh(self, db):
         db.reset_metrics()
@@ -236,6 +271,18 @@ class TestPlanCache:
         assert frame["plan_cache_invalidations"] == 0
         assert frame["parse_cache_hits"] >= 1
         assert "parse_cache_misses" in frame
+        assert frame["stats_publishes"] == 1
+
+    def test_explain_says_what_the_plan_priced_with(self, db):
+        db.sql(SP_EQ)
+        published = db.statistics.published("t")
+        db.sql(f"Annotate t 1 '{DISEASE_TEXT}'")
+        report = db.explain(SP_EQ)
+        assert report.cached
+        line = (f"stats: t published at event {published.event}, 1 since "
+                f"(discount {published.discount:.3g})")
+        assert report.stats == [line]
+        assert line in str(report).splitlines()
 
 
 # -- invalidation: one test per planner input ---------------------------------
@@ -362,36 +409,50 @@ class TestInvalidation:
         db.drain_summaries()
 
     def test_row_insert_that_adds_a_page(self, db):
+        """Row inserts price with the published page and row counts until
+        they republish them; the insert that does re-plans."""
         sql = "Select name From t Where v = 3"
         warm(db, sql)
         heap = db.catalog.table("t").heap
         pages = heap.num_pages
         while heap.num_pages == pages:
             db.sql(f"Insert Into t Values ('{'x' * 500}', -1)")
-            assert not plan_of(db, sql)[2]
+            assert plan_of(db, sql)[2]
+            assert_cached_equals_fresh(db, sql)
+        published = db.statistics.published("t").stats
+        assert published.heap_pages == pages
+        while events_to_republish(db) > 1:
+            db.sql(f"Insert Into t Values ('{'x' * 500}', -1)")
+        assert plan_of(db, sql)[2]
+        db.sql(f"Insert Into t Values ('{'x' * 500}', -1)")
+        assert not plan_of(db, sql)[2]
+        assert db.statistics.published("t").stats.heap_pages > pages
         assert_cached_equals_fresh(db, sql)
 
     def test_write_during_planning_leaves_a_stale_entry(self, db,
                                                          monkeypatch):
-        """The stamp is read before planning: a write that lands after the
-        planner read the statistics must not be filed under its stamp."""
+        """The stamp is read before planning, and planning prices with the
+        snapshot the stamp read: writes that cross the republish threshold
+        while a statement plans leave an entry the next lookup finds
+        stale."""
         from repro.optimizer.planner import Planner
 
         plan_uncached = Planner._plan_uncached
-        writes = []
+        crossed = []
 
-        def plan_then_write(self, stmt, discount=None):
-            out = plan_uncached(self, stmt, discount)
-            if not writes:
-                writes.append(db.add_annotation(DISEASE_TEXT, table="t",
-                                                oid=1))
+        def plan_then_write(self, stmt):
+            out = plan_uncached(self, stmt)
+            if not crossed:
+                annotate_until(db, 0)
+                crossed.append(True)
             return out
 
         monkeypatch.setattr(Planner, "_plan_uncached", plan_then_write)
         assert not plan_of(db, SP_EQ)[2]
-        assert writes
+        assert crossed
         assert not plan_of(db, SP_EQ)[2]
         assert plan_of(db, SP_EQ)[2]
+        assert_cached_equals_fresh(db, SP_EQ)
 
     def test_save_load_starts_empty(self, db, tmp_path):
         warm(db)
@@ -421,6 +482,8 @@ class TestInvalidation:
         assert recovered.sql(SP_EQ).rows == db.sql(SP_EQ).rows
 
     def test_discount_step(self):
+        """The discount is read at publish: a warmer cache reprices
+        nothing until the table republishes, and the republish reads it."""
         db = make_db(cache_bytes=1 << 20)
         cache = db.manager.cache
         cache.hits, cache.misses = 0, 100
@@ -428,11 +491,18 @@ class TestInvalidation:
         _, _, cost = db.planner.plan(parse_sql("Select * From t"))
         cache.hits, cache.misses = 100, 0
         planner = db.planner
+        _, _, same = planner.plan(parse_sql("Select * From t"))
+        assert planner.cached and same == cost
+        db.analyze("t")
+        planner = db.planner
         _, _, discounted = planner.plan(parse_sql("Select * From t"))
         assert not planner.cached and discounted < cost
+        assert db.statistics.published("t").discount == 0.5
         assert_cached_equals_fresh(db, "Select * From t")
 
-    def test_summary_discount_is_a_step(self):
+    def test_summary_discount_is_a_step(self, db):
+        """The hit rate prices exactly, and the planner sees it as a step
+        function of publishes: it holds between two."""
         from repro.optimizer.cost import summary_read_discount
 
         class Cache:
@@ -443,9 +513,119 @@ class TestInvalidation:
 
         assert summary_read_discount(Cache(10, 10)) == 1.0  # too few
         assert summary_read_discount(Cache(100, 100)) == 0.75
-        # 101/200 rounds down to the same sixteenth: same discount.
-        assert summary_read_discount(Cache(101, 99)) == 0.75
+        assert summary_read_discount(Cache(101, 99)) == 1.0 - 0.505 * 0.5
         assert summary_read_discount(Cache(200, 0)) == 0.5
+        published = db.statistics.published("t")
+        cache = db.manager.cache
+        cache.hits, cache.misses = 200, 0
+        assert db.statistics.published("t") is published
+        db.statistics.mark_stale("t")
+        assert db.statistics.published("t").discount == 0.5
+
+
+# -- published statistics -------------------------------------------------------
+
+
+def _recreate_summary_index(db):
+    db.drop_summary_index("t", "C")
+    db.create_summary_index("t", "C")
+
+
+#: what republishes a table's statistics besides the row-event threshold.
+REPUBLISH = {
+    "analyze": lambda db: db.analyze("t"),
+    "mark_stale": lambda db: db.statistics.mark_stale("t"),
+    "ddl": lambda db: db.create_index("t", "v"),
+    "drop_and_recreate": _recreate_summary_index,
+}
+
+
+class TestPublication:
+    def test_threshold_minus_one_keeps_the_entry(self, db):
+        warm(db)
+        db.reset_metrics()
+        annotate_until(db, 1)
+        assert plan_of(db, SP_EQ)[2]
+        assert_cached_equals_fresh(db, SP_EQ)
+        assert db.metrics_snapshot()["optimizer.stats.publishes"] == 0
+        db.add_annotation(DISEASE_TEXT, table="t", oid=2)
+        assert not plan_of(db, SP_EQ)[2]
+        assert db.metrics_snapshot()["optimizer.stats.publishes"] == 1
+        assert events_to_republish(db) > 1
+        assert plan_of(db, SP_EQ)[2]
+        assert_cached_equals_fresh(db, SP_EQ)
+
+    def test_threshold_scales_with_rows(self, db):
+        published = db.statistics.published("t")
+        assert not published.due(published.event + 50)
+        assert published.due(published.event + 51)  # 50 + 10 % of 6 rows
+
+    @pytest.mark.parametrize("name", sorted(REPUBLISH))
+    def test_republish(self, db, name):
+        warm(db)
+        version = db.statistics.published("t").version
+        REPUBLISH[name](db)
+        assert not plan_of(db, SP_EQ)[2]
+        assert db.statistics.published("t").version != version
+        assert plan_of(db, SP_EQ)[2]
+        assert_cached_equals_fresh(db, SP_EQ)
+
+    def test_save_load_starts_unpublished(self, db, tmp_path):
+        warm(db)
+        db.save(tmp_path / "db.img")
+        loaded = Database.load(tmp_path / "db.img")
+        assert loaded.statistics.publishes == 0
+        assert not loaded.statistics._published
+        assert not plan_of(loaded, SP_EQ)[2]
+        assert loaded.statistics.publishes == 1
+        assert_cached_equals_fresh(loaded, SP_EQ)
+
+    def test_recover_starts_unpublished(self):
+        db = Database()
+        db.attach_wal()
+        db.create_table("t", [Column("name", ValueType.TEXT),
+                              Column("v", ValueType.INT)])
+        db.create_classifier_instance("C", ["Disease", "Anatomy", "Other"],
+                                      SEEDS)
+        db.sql("Alter Table t Add Indexable C")
+        db.sql("Insert Into t Values ('a', 1)")
+        db.sql(f"Annotate t 1 '{DISEASE_TEXT}'")
+        warm(db)
+        device = db.wal.device
+        recovered, _report = Database.recover(
+            None, MemoryWALDevice.from_durable(device.durable(),
+                                               device.base_lsn))
+        assert not recovered.statistics._published
+        assert not plan_of(recovered, SP_EQ)[2]
+        assert recovered.statistics.publishes == 1
+        assert_cached_equals_fresh(recovered, SP_EQ)
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "fresh"])
+    def test_every_row_annotated_is_read_live(self, cached):
+        """A full-range ordered Summary-BTree scan answers only while every
+        row has a summary row.  That is read live, not from the published
+        row count: one un-annotated insert must not lose its row."""
+        db = Database()
+        db.create_table("t", [Column("name", ValueType.TEXT),
+                              Column("v", ValueType.INT)])
+        db.create_classifier_instance("C", ["Disease", "Anatomy", "Other"],
+                                      SEEDS)
+        db.sql("Alter Table t Add Indexable C")
+        for i in range(6):
+            db.add_annotation(DISEASE_TEXT, table="t",
+                              oid=db.insert("t", {"name": f"n{i}", "v": i}))
+        db.options.force_access = "index"
+        ordered = f"Select name From t r Order By r.{EXPR}"
+        if cached:
+            assert "SummaryIndexScan" in warm(db, ordered)
+        else:
+            warm(db)  # publish the 6-row statistics
+        db.sql("Insert Into t Values ('late', 9)")
+        assert db.statistics.published("t").stats.row_count == 6
+        explain, _, was_cached = plan_of(db, ordered)
+        assert not was_cached and "SummaryIndexScan" not in explain
+        assert len(db.sql(ordered)) == 7
+        assert_cached_equals_fresh(db, ordered)
 
 
 # -- concurrency ---------------------------------------------------------------
@@ -460,9 +640,9 @@ def birds():
 
 def test_concurrent_runs_of_one_plan_while_annotating(birds):
     """Four threads run Example 4 while a fifth annotates the synonyms
-    (re-planning the join each time): every result equals the heap
-    oracle, no two runs share an operator, and the cached template is
-    never run."""
+    and republishes their statistics (re-planning the join each time):
+    every result equals the heap oracle, no two runs share an operator,
+    and the cached template is never run."""
     db = birds
     expected = heap_rows(db, EXAMPLE4)
     runs: list = []
@@ -491,6 +671,7 @@ def test_concurrent_runs_of_one_plan_while_annotating(birds):
         try:
             for i in range(8):
                 db.sql(f"Annotate synonyms {i + 1} 'volunteer note {i}'")
+                db.analyze("synonyms")
         except Exception as exc:  # noqa: BLE001
             errors.append(exc)
 

@@ -318,6 +318,60 @@ class TestCheckpoint:
         assert report.replayed == 0 and report.skipped == report.scanned
         assert rows_of(db2) == rows_of(db)
 
+    def test_log_below_checkpoint_is_rebased(self, tmp_path):
+        """The checkpoint's truncation was lost and the log came back
+        empty at base 0: an acked write must still survive the next
+        recovery (it used to be framed below the checkpoint and skipped)."""
+        db = build_db()
+        path = tmp_path / "img.db"
+        db.save(path)
+        db2, _report = Database.recover(path, MemoryWALDevice(base_lsn=0))
+        assert db2.wal.next_lsn == db.checkpoint_lsn
+        db2.insert("t", {"name": "acked", "n": 7})
+        device = db2.wal.device
+        db3, report = Database.recover(
+            path, MemoryWALDevice.from_durable(device.durable(),
+                                               device.base_lsn))
+        assert (report.replayed, report.skipped) == (1, 0)
+        assert rows_of(db3) == rows_of(db2)
+        assert any("acked" in row for row in rows_of(db3))
+
+    def test_checkpoint_is_durable_before_the_log_is_truncated(
+            self, tmp_path, monkeypatch):
+        """save(): fsync the temp image, rename it, fsync the directory,
+        and only then truncate the WAL — whose new header is fsynced."""
+        import os
+
+        wal_path = tmp_path / "db.wal"
+        db = build_db()
+        db.detach_wal()
+        db.attach_wal(FileWALDevice(wal_path))
+        db.insert("t", {"name": "logged", "n": 1})
+        path = tmp_path / "img.db"
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def logged_fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def logged_replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", logged_fsync)
+        monkeypatch.setattr(os, "replace", logged_replace)
+        db.save(path)
+        image, directory = path.stat().st_ino, tmp_path.stat().st_ino
+        wal = wal_path.stat().st_ino
+        checkpoint = [e for e in events if e[1] != wal or e[0] != "fsync"]
+        assert checkpoint == [("fsync", image), ("replace", image),
+                              ("fsync", directory)]
+        # The WAL header's fsync comes after the directory's.
+        last_dir = events.index(("fsync", directory))
+        assert ("fsync", wal) in events[last_dir + 1:]
+        assert FileWALDevice(wal_path).base_lsn == db.checkpoint_lsn
+
     def test_v2_image_loads_with_zero_checkpoint(self, tmp_path):
         """Pre-WAL (v2) images stay loadable; their checkpoint LSN is 0."""
         db = Database()
