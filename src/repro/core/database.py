@@ -132,14 +132,20 @@ def _env_timeout() -> float | None:
     return float(raw) if raw else None
 
 
+#: The Database methods a DDL redo record may name: each
+#: :func:`_logged_ddl` method adds its own, and WAL redo refuses any other.
+LOGGED_DDL: frozenset[str] = frozenset()
+
+
 def _logged_ddl(fn):
     """Wrap a DDL method so top-level calls append a DDL redo record.
 
     The record carries the method name plus its (picklable) arguments;
     recovery replays it by re-invoking the method on the restored
-    database. Nested calls (e.g. ``link_summary_instance`` building its
-    index through ``create_summary_index``) log nothing — the outermost
-    statement's record re-creates the whole effect on replay.
+    database, if the name is in :data:`LOGGED_DDL`. Nested calls (e.g.
+    ``link_summary_instance`` building its index through
+    ``create_summary_index``) log nothing — the outermost statement's
+    record re-creates the whole effect on replay.
 
     Every call — statement, replay or replica apply — also moves the
     plan cache's epoch once its effect is in place.
@@ -159,6 +165,8 @@ def _logged_ddl(fn):
         finally:
             self._new_epoch()
 
+    global LOGGED_DDL
+    LOGGED_DDL |= {fn.__name__}
     return wrapper
 
 
@@ -866,7 +874,9 @@ class Database:
                     {"items": [(text, list(targets)) for text, targets in items],
                      "first_id": self.manager.annotations.next_id},
                 )
-            return self.manager.add_annotations_bulk(items)
+            return self.manager.add_annotations_bulk(
+                [(text, targets, None) for text, targets in items]
+            )
 
     def delete_annotation(self, ann_id: int) -> None:
         with self._wal_statement() as log:

@@ -2,9 +2,11 @@
 
 A :class:`WALApplier` consumes raw WAL bytes (fed by the replication
 link, or directly by tests) and re-applies them to a local database
-through :func:`repro.wal.recovery.apply_record` — the same redo
+through :func:`repro.wal.recovery.apply_records` — the same redo
 interpreter crash recovery uses, so a replica's state is by construction
-what a recovered primary's would be.
+what a recovered primary's would be.  The committed records of one feed
+go through it together, so each run of annotation records writes a
+touched summary row once.
 
 Two watermarks drive everything:
 
@@ -38,9 +40,8 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.errors import ReproError
 from repro.wal.record import WALRecordType, scan_records
-from repro.wal.recovery import apply_record
+from repro.wal.recovery import RecoveryReport, apply_records
 
 
 @dataclass
@@ -142,27 +143,26 @@ class WALApplier:
 
     def _apply_batches(self, batches) -> int:
         db = self.db
-        applied = 0
-        ack = self.ack_lsn
+        ack = batches[-1][1]
+        report = RecoveryReport(checkpoint_lsn=self.ack_lsn,
+                                start_lsn=self.ack_lsn, end_lsn=ack)
         with db._commit_mutex:
             db._wal_replaying = True
             try:
-                for records, ack_after in batches:
-                    group = records[0].txn_id != 0
-                    for rec in records:
-                        try:
-                            apply_record(db, rec)
-                        except ReproError:
-                            # A record of an originally-failed statement:
-                            # recovery skips these too.
-                            self.failed_records += 1
-                        applied += 1
-                    if group:
-                        self.txns_applied += 1
-                    ack = ack_after
+                # Records of originally-failed statements are counted and
+                # skipped, as recovery does.
+                apply_records(
+                    db, [rec for records, _ in batches for rec in records],
+                    report,
+                )
             finally:
                 db._wal_replaying = False
             db._applied_lsn = max(db._applied_lsn, ack)
+        applied = report.replayed + report.failed
+        self.failed_records += report.failed
+        self.txns_applied += sum(
+            records[0].txn_id != 0 for records, _ in batches
+        )
         # Drain-on-apply: replayed annotation writes marked their tuples
         # stale; fold the regeneration in now so replica reads serve
         # fully maintained summaries at every ack point.

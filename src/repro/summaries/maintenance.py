@@ -330,59 +330,56 @@ class SummaryManager:
         self, text: str, targets: list[AnnotationTarget],
         ann_id: int | None = None,
     ) -> Annotation:
-        """Store a raw annotation and incrementally update every summary
-        object it affects.  ``ann_id`` forces the assigned id (WAL replay).
-
-        In deferred mode the summary work is postponed: the annotation is
-        appended, attachments are recorded, and each affected tuple is
-        marked stale for :meth:`regenerate_tuple` to converge later."""
-        self._record_targets(targets)
-        self.metrics.inc("maint.annotation_add")
-        annotation = self.annotations.create(text, targets, ann_id=ann_id)
-        affected = self._affected_tuples(annotation)
-        self._attach_targets(annotation.ann_id, affected)
-        if self.deferred:
-            for table, oid in affected:
-                self._mark_stale(table, oid)
-            return annotation
-        for table, oid in affected:
-            self._apply_to_tuple(annotation, table, oid)
-        return annotation
+        """Store a raw annotation and update every summary object it
+        affects: a one-annotation :meth:`add_annotations_bulk`.
+        ``ann_id`` forces the assigned id (WAL replay)."""
+        return self.add_annotations_bulk([(text, targets, ann_id)])[0]
 
     def add_annotations_bulk(
-        self, items: list[tuple[str, list[AnnotationTarget]]],
-        first_id: int | None = None,
+        self, items: list[tuple[str, list[AnnotationTarget], int | None]],
     ) -> list[Annotation]:
-        """Bulk-load many annotations (initial-upload mode, §6).
+        """Store annotations and update the summary objects they affect.
 
-        Summary objects are written back once per affected tuple instead of
-        once per annotation; observers see one consolidated event per tuple.
-        ``first_id`` forces the ids of the whole batch (``first_id``,
-        ``first_id + 1``, …) so WAL replay of a logged bulk load reproduces
-        the original identities — see :meth:`Database.add_annotations_bulk`,
-        which is the durable entry point.
+        ``items`` are ``(text, targets, ann_id)``; ``ann_id`` None assigns
+        the next id, a forced id reproduces a logged one (WAL redo).  Each
+        affected tuple's objects are written back once, with the batch's
+        annotations applied in order (the initial-upload mode of §6), and
+        observers see one consolidated event per tuple.  In deferred mode
+        each affected tuple is marked stale once instead.
         """
-        for _text, targets in items:
+        return self.attach_annotations(self.create_annotations(items))
+
+    def create_annotations(
+        self, items: list[tuple[str, list[AnnotationTarget], int | None]],
+    ) -> list[Annotation]:
+        """The raw half of :meth:`add_annotations_bulk`: store the
+        annotations in order and touch no summary.  WAL redo calls it once
+        per record, so a record whose create raises is left out of the
+        run :meth:`attach_annotations` then applies."""
+        for _text, targets, _ann_id in items:
             self._record_targets(targets)
         self.metrics.inc("maint.annotation_add", len(items))
-        annotations = []
-        for offset, (text, targets) in enumerate(items):
-            ann_id = None if first_id is None else first_id + offset
-            annotations.append(
-                self.annotations.create(text, targets, ann_id=ann_id)
-            )
+        return [
+            self.annotations.create(text, targets, ann_id=ann_id)
+            for text, targets, ann_id in items
+        ]
+
+    def attach_annotations(
+        self, annotations: list[Annotation]
+    ) -> list[Annotation]:
+        """The summary half of :meth:`add_annotations_bulk`: attach created
+        annotations and apply them once per affected tuple."""
         grouped: dict[tuple[str, int], list[Annotation]] = {}
         for annotation in annotations:
             keys = self._affected_tuples(annotation)
             self._attach_targets(annotation.ann_id, keys)
             for key in keys:
                 grouped.setdefault(key, []).append(annotation)
-        if self.deferred:
-            for table, oid in grouped:
-                self._mark_stale(table, oid)
-            return annotations
         for (table, oid), batch in grouped.items():
-            self._apply_batch_to_tuple(batch, table, oid)
+            if self.deferred:
+                self._mark_stale(table, oid)
+            else:
+                self._apply_batch_to_tuple(batch, table, oid)
         return annotations
 
     def _apply_batch_to_tuple(
@@ -399,7 +396,17 @@ class SummaryManager:
         for instance in instances:
             if instance.name not in objects:
                 objects[instance.name] = instance.new_object(oid)
-        for annotation in batch:
+        self._fold(batch, instances, objects, table, oid)
+        storage.put(oid, objects)
+        self._notify(table, "on_objects_write", oid, objects, previous)
+
+    def _fold(self, annotations: list[Annotation],
+              instances: list[SummaryInstance],
+              objects: dict[str, SummaryObject], table: str, oid: int) -> None:
+        """Add ``annotations``, in order, to the tuple's objects of
+        ``instances``: the one classifier/snippet/cluster loop that
+        incremental maintenance and regeneration share."""
+        for annotation in annotations:
             columns = annotation.columns_on(table, oid)
             for instance in instances:
                 obj = objects[instance.name]
@@ -420,13 +427,10 @@ class SummaryManager:
                     obj.ann_targets[annotation.ann_id] = columns
         for instance in instances:
             if isinstance(instance, ClusterInstance):
-                clusterer = self._clusterers.get((table, oid, instance.name))
-                if clusterer is not None:
-                    self._rebuild_cluster_object(
-                        objects[instance.name], clusterer  # type: ignore[arg-type]
-                    )
-        storage.put(oid, objects)
-        self._notify(table, "on_objects_write", oid, objects, previous)
+                self._rebuild_cluster_object(
+                    objects[instance.name],  # type: ignore[arg-type]
+                    self._clusterers[(table, oid, instance.name)],
+                )
 
     def delete_annotation(self, ann_id: int) -> None:
         """Remove a raw annotation and subtract its effects (§4.1.2)."""
@@ -685,38 +689,16 @@ class SummaryManager:
         linked = {instance.name for instance in instances}
         objects: dict[str, SummaryObject] = {}
         if instances and ann_ids:
-            annotations = self.annotations.get_many(ann_ids)
             for instance in instances:
-                obj = instance.new_object(oid)
-                objects[instance.name] = obj
-                if isinstance(instance, ClassifierInstance):
-                    assert isinstance(obj, ClassifierObject)
-                    for annotation in annotations:
-                        obj.add_annotation(
-                            annotation.ann_id,
-                            instance.classify(annotation.text),
-                            annotation.columns_on(table, oid),
-                        )
-                elif isinstance(instance, SnippetInstance):
-                    assert isinstance(obj, SnippetObject)
-                    for annotation in annotations:
-                        obj.add_annotation(
-                            annotation.ann_id,
-                            annotation.columns_on(table, oid),
-                            instance.snippet_for(annotation.text),
-                        )
-                else:
-                    assert isinstance(instance, ClusterInstance)
-                    # Canonical form: rebuild the clustering from scratch
-                    # in ann_id order (incremental removes are
-                    # path-dependent; regeneration defines convergence).
-                    clusterer = instance.new_clusterer()
-                    for annotation in annotations:
-                        clusterer.insert(annotation.ann_id, annotation.text)
-                        obj.ann_targets[annotation.ann_id] = \
-                            annotation.columns_on(table, oid)
-                    self._rebuild_cluster_object(obj, clusterer)
-                    self._clusterers[(table, oid, instance.name)] = clusterer
+                objects[instance.name] = instance.new_object(oid)
+                if isinstance(instance, ClusterInstance):
+                    # Canonical form: cluster from scratch in ann_id order
+                    # (incremental removes are path-dependent;
+                    # regeneration defines convergence).
+                    self._clusterers[(table, oid, instance.name)] = \
+                        instance.new_clusterer()
+            self._fold(self.annotations.get_many(ann_ids), instances,
+                       objects, table, oid)
         if old and exists and ann_ids:
             # Preserve leftover objects of instances unlinked since the
             # row was written (sync semantics), scrubbed of annotations
@@ -743,39 +725,6 @@ class SummaryManager:
             if old is not None:
                 self._drop_row(table, oid, previous)
             return
-        storage.put(oid, objects)
-        self._notify(table, "on_objects_write", oid, objects, previous)
-
-    def _apply_to_tuple(self, annotation: Annotation, table: str, oid: int) -> None:
-        instances = self.instances_for(table)
-        if not instances:
-            return
-        storage = self.storage_for(table)
-        objects = storage.get_for_update(oid)
-        previous = None if objects is None else row_footprint(objects)
-        if objects is None:
-            objects = {}
-        columns = annotation.columns_on(table, oid)
-        for instance in instances:
-            obj = objects.get(instance.name)
-            if obj is None:
-                obj = instance.new_object(oid)
-                objects[instance.name] = obj
-            if isinstance(instance, ClassifierInstance):
-                assert isinstance(obj, ClassifierObject)
-                label = instance.classify(annotation.text)
-                obj.add_annotation(annotation.ann_id, label, columns)
-            elif isinstance(instance, SnippetInstance):
-                assert isinstance(obj, SnippetObject)
-                obj.add_annotation(
-                    annotation.ann_id, columns, instance.snippet_for(annotation.text)
-                )
-            else:
-                assert isinstance(instance, ClusterInstance)
-                clusterer = self._clusterer_for(table, oid, instance, objects)
-                clusterer.insert(annotation.ann_id, annotation.text)
-                self._rebuild_cluster_object(obj, clusterer)  # type: ignore[arg-type]
-                obj.ann_targets[annotation.ann_id] = columns
         storage.put(oid, objects)
         self._notify(table, "on_objects_write", oid, objects, previous)
 

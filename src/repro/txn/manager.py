@@ -15,12 +15,12 @@ Commit serializes on the engine's commit mutex and then, inside one WAL
 statement scope::
 
     TXN_BEGIN(txn)                       appended
-    for each buffered op:  op record     appended, then applied via
-                                         repro.wal.recovery.apply_record
+    for each buffered op:  op record     appended, then applied alone via
+                                         repro.wal.recovery.apply_records
     TXN_COMMIT(txn)                      appended
     sync                                 the durability point
 
-Applying through :func:`~repro.wal.recovery.apply_record` — the same
+Applying through :func:`~repro.wal.recovery.apply_records` — the same
 interpreter crash recovery uses — means a committed transaction's live
 effect and its replay-after-crash effect are the same code path.  A crash
 anywhere before the final sync leaves a commit group without a durable
@@ -41,7 +41,7 @@ import threading
 
 from repro.errors import TransactionError
 from repro.wal.record import WALRecord, WALRecordType
-from repro.wal.recovery import apply_record
+from repro.wal.recovery import apply_records
 
 
 class Transaction:
@@ -144,8 +144,8 @@ class TransactionManager:
                             # record's frame, so a forced mid-commit flush
                             # still writes the log ahead of the data.
                             db._wal_append(rtype, payload, txn_id=txn.txn_id)
-                        apply_record(
-                            db, WALRecord(0, rtype, 0, payload, txn.txn_id)
+                        apply_records(
+                            db, [WALRecord(0, rtype, 0, payload, txn.txn_id)]
                         )
                     if log:
                         db._wal_append(

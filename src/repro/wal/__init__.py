@@ -22,7 +22,7 @@ from repro.wal.record import (
     iter_records,
     scan_records,
 )
-from repro.wal.recovery import RecoveryReport, apply_record, replay
+from repro.wal.recovery import RecoveryReport, apply_records, replay
 from repro.wal.writer import WALWriter
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
     "WALRecord",
     "WALRecordType",
     "WALWriter",
-    "apply_record",
+    "apply_records",
     "encode_record",
     "iter_records",
     "replay",

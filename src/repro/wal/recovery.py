@@ -24,6 +24,9 @@ crash-mid-commit — is discarded wholesale: the client was never told the
 transaction committed, so recovery must not resurrect any prefix of it.
 Aborted transactions never log at all.
 
+Replay applies the committed plan through :func:`apply_records`, which
+writes each touched summary row once per run of annotation records.
+
 The torn tail — trailing bytes that do not form a CRC-valid,
 correctly-positioned frame — is truncated from the device, never
 replayed: a partially synced frame is the clean end of the log.
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ReproError
+from repro.errors import ReproError, WALError
 from repro.wal.record import WALRecord, WALRecordType, scan_records
 
 
@@ -58,11 +61,15 @@ class RecoveryReport:
     discarded_txn_records: int = 0
     #: txn ids of the discarded (uncommitted) groups.
     uncommitted_txns: list = field(default_factory=list)
+    #: summary storage rows the replayed records wrote (one per touched
+    #: tuple per run of annotation records).
+    summary_rows_written: int = 0
 
     def __str__(self) -> str:
         return (
             f"recovery: {self.replayed} replayed, {self.skipped} skipped, "
             f"{self.failed} failed of {self.scanned} scanned; "
+            f"{self.summary_rows_written} summary rows written; "
             f"{self.committed_txns} txns committed, "
             f"{self.discarded_txn_records} uncommitted-txn records discarded "
             f"(lsn {self.start_lsn}..{self.end_lsn}, "
@@ -70,18 +77,99 @@ class RecoveryReport:
         )
 
 
-def apply_record(db, record: WALRecord) -> None:
-    """Re-apply one logical record against a live database.
+_RUN_TYPES = (WALRecordType.ANN_ADD, WALRecordType.ANN_BULK)
+_FRAMING_TYPES = (WALRecordType.TXN_BEGIN, WALRecordType.TXN_COMMIT)
+
+
+def apply_records(db, records: list[WALRecord],
+                  report: RecoveryReport | None = None) -> None:
+    """The single redo interpreter: crash recovery, the replica applier
+    and buffered-redo commit (``repro.txn.manager``) all re-apply their
+    records through it, so a committed transaction's effect is by
+    construction the effect its records replay to.
+
+    Consecutive ``ANN_ADD``/``ANN_BULK`` records form a *run*; commit-group
+    framing carries no state and does not end one.  A run creates its raw
+    annotations record by record, then writes each touched summary row
+    once, in ``ann_id`` order.  Any other record flushes the run and
+    applies alone.  With a ``report``, a record whose re-application
+    raises a :class:`~repro.errors.ReproError` is counted failed and
+    skipped (left out of its run); without one, the error propagates.
+    """
+    rows_before = db.manager.metrics.get("maint.on_objects_write")
+    run: list[WALRecord] = []
+    for record in records:
+        if record.type in _RUN_TYPES:
+            run.append(record)
+            continue
+        if record.type not in _FRAMING_TYPES:
+            _apply_run(db, run, report)
+            run = []
+        try:
+            _redo(db, record)
+        except ReproError:
+            if report is None:
+                raise
+            report.failed += 1
+        else:
+            if report is not None:
+                report.replayed += 1
+    _apply_run(db, run, report)
+    if report is not None:
+        report.summary_rows_written += (
+            db.manager.metrics.get("maint.on_objects_write") - rows_before
+        )
+
+
+def _apply_run(db, run: list[WALRecord],
+               report: RecoveryReport | None) -> None:
+    if not run:
+        return
+    manager = db.manager
+    created = []
+    applied = 0
+    for record in run:
+        p = record.payload
+        if record.type == WALRecordType.ANN_ADD:
+            items = [(p["text"], p["targets"], p["ann_id"])]
+        else:
+            items = [(text, targets, p["first_id"] + offset)
+                     for offset, (text, targets) in enumerate(p["items"])]
+        try:
+            created += manager.create_annotations(items)
+        except ReproError:
+            if report is None:
+                raise
+            report.failed += 1
+        else:
+            applied += 1
+    try:
+        manager.attach_annotations(created)
+    except ReproError:
+        if report is None:
+            raise
+        report.failed += applied
+    else:
+        if report is not None:
+            report.replayed += applied
+
+
+def _redo(db, record: WALRecord) -> None:
+    """Re-apply one record that is not part of a run.
 
     DDL goes back through the Database facade (the replay guard keeps it
-    from re-logging); DML goes to the owning structure with the original
-    identifiers forced.  This is the single redo interpreter: crash
-    recovery and buffered-redo commit (``repro.txn.manager``) both apply
-    their records through it, so a committed transaction's effect is by
-    construction the effect its records replay to.
+    from re-logging), and only for a method in the vetted
+    :data:`~repro.core.database.LOGGED_DDL` table; DML goes to the owning
+    structure with the original identifiers forced.
     """
     rtype, p = record.type, record.payload
     if rtype == WALRecordType.DDL:
+        from repro.core.database import LOGGED_DDL
+
+        if p["method"] not in LOGGED_DDL:
+            raise WALError(
+                f"DDL record names no logged method: {p['method']!r}"
+            )
         getattr(db, p["method"])(*p["args"], **p["kwargs"])
     elif rtype == WALRecordType.INSERT:
         db.catalog.table(p["table"]).insert(p["values"], oid=p["oid"])
@@ -90,15 +178,9 @@ def apply_record(db, record: WALRecord) -> None:
         db.catalog.table(p["table"]).delete(p["oid"])
     elif rtype == WALRecordType.UPDATE:
         db._apply_update(p["table"], p["oid"], p["values"])
-    elif rtype == WALRecordType.ANN_ADD:
-        db.manager.add_annotation(p["text"], p["targets"], ann_id=p["ann_id"])
-    elif rtype == WALRecordType.ANN_BULK:
-        db.manager.add_annotations_bulk(p["items"], first_id=p["first_id"])
     elif rtype == WALRecordType.ANN_DEL:
         db.manager.delete_annotation(p["ann_id"])
-    elif rtype in (WALRecordType.TXN_BEGIN, WALRecordType.TXN_COMMIT):
-        pass  # group framing, no state of their own
-    else:  # pragma: no cover - scan_records only yields known types
+    elif rtype not in _FRAMING_TYPES:  # pragma: no cover - known types
         raise ReproError(f"unknown WAL record type {rtype}")
 
 
@@ -147,17 +229,11 @@ def replay(db, device) -> RecoveryReport:
         torn_bytes=scan.torn_bytes,
     )
     plan = _committed_plan(scan.records, start_lsn, report)
+    live = [record for record in plan if record.lsn >= start_lsn]
+    report.skipped = len(plan) - len(live)
     db._wal_replaying = True
     try:
-        for record in plan:
-            if record.lsn < start_lsn:
-                report.skipped += 1
-                continue
-            try:
-                apply_record(db, record)
-                report.replayed += 1
-            except ReproError:
-                report.failed += 1
+        apply_records(db, live, report)
     finally:
         db._wal_replaying = False
     if scan.torn_bytes:
@@ -170,6 +246,7 @@ def replay(db, device) -> RecoveryReport:
     db.metrics.inc("recovery.records_replayed", report.replayed)
     db.metrics.inc("recovery.records_skipped", report.skipped)
     db.metrics.inc("recovery.records_failed", report.failed)
+    db.metrics.inc("recovery.summary_rows_written", report.summary_rows_written)
     db.metrics.inc("recovery.torn_bytes", report.torn_bytes)
     db.metrics.inc("recovery.committed_txns", report.committed_txns)
     db.metrics.inc(

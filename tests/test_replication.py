@@ -223,6 +223,18 @@ class TestWALApplier:
         assert applier.ack_lsn == len(data)
         assert table_rows(replica) == table_rows(origin)
 
+    def test_ddl_record_naming_an_unlogged_method_fails(self, tmp_path):
+        """The replica's redo runs only vetted DDL methods too."""
+        path = tmp_path / "written_by_redo.img"
+        frame = encode_record(0, WALRecordType.DDL, 1, {
+            "method": "save", "args": [str(path)], "kwargs": {},
+        })
+        applier = WALApplier(Database(buffer_pages=32), 0)
+        result = applier.feed(frame)
+        assert (result.applied, applier.failed_records) == (1, 1)
+        assert applier.ack_lsn == len(frame)
+        assert not path.exists()
+
     def test_refeed_is_idempotent(self):
         data, origin = self._stream(
             [lambda db, i=i: db.insert("t", [f"r{i}", i]) for i in range(5)]

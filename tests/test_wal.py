@@ -288,6 +288,44 @@ class TestRecovery:
         assert rows_of(db2) == rows_of(db)
 
 
+    def test_ddl_record_naming_an_unlogged_method_fails(self, tmp_path):
+        """Redo runs only the vetted DDL methods: a record naming any other
+        Database method (here ``save``) is counted failed and runs
+        nothing."""
+        path = tmp_path / "written_by_redo.img"
+        frame = encode_record(0, WALRecordType.DDL, 1, {
+            "method": "save", "args": [str(path)], "kwargs": {},
+        })
+        device = MemoryWALDevice.from_durable(frame, 0)
+        _db, report = Database.recover(None, device)
+        assert (report.replayed, report.failed) == (0, 1)
+        assert not path.exists()
+
+    def test_report_counts_summary_rows_written(self):
+        """Autocommit annotations on one tuple are one run: recovery
+        writes that tuple's summary row once, whatever the record count."""
+        db = Database(buffer_pages=32)
+        db.attach_wal()
+        db.create_table("t", [Column("name", ValueType.TEXT),
+                              Column("n", ValueType.INT)])
+        db.create_classifier_instance(
+            "C", ["pos", "neg"], [("good fine", "pos"), ("bad awful", "neg")]
+        )
+        db.link_summary_instance("t", "C", indexable=True)
+        for i in range(3):
+            db.insert("t", {"name": f"row{i}", "n": i})
+        for text in ("good fine", "bad awful", "good", "awful"):
+            db.add_annotation(text, table="t", oid=1)
+        db.add_annotation("fine", table="t", oid=2)
+        crashed = MemoryWALDevice.from_durable(db.wal.device.durable(), 0)
+        db2, report = Database.recover(None, crashed, verify=True)
+        assert report.summary_rows_written == 2
+        assert "2 summary rows written" in str(report)
+        snap = db2.metrics_snapshot()
+        assert snap["recovery.summary_rows_written"] == 2
+        assert snap["recovery.records_replayed"] == report.replayed == 11
+
+
 class TestCheckpoint:
     def test_save_truncates_and_restarts_log(self, tmp_path):
         db = build_db()
