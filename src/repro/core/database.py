@@ -575,12 +575,10 @@ class Database:
         state.pop("batch_exec", None)
         # Images from before the registry kept one dict per kind.
         derived = state.setdefault("derived", {})
-        for kind, name in (("summary", "summary_indexes"),
-                           ("baseline", "baseline_indexes"),
-                           ("keyword", "keyword_indexes"),
-                           ("replica", "normalized_replicas")):
-            for (table, instance), index in state.pop(name, {}).items():
-                derived[(kind, table, instance)] = index
+        for name in ("summary_indexes", "baseline_indexes",
+                     "keyword_indexes", "normalized_replicas"):
+            for index in state.pop(name, {}).values():
+                derived[index.key] = index
         self.__dict__.update(state)
         self._init_concurrency()
         self.manager.deferred = self.summary_async
@@ -625,7 +623,7 @@ class Database:
         return MappingProxyType({
             (table, instance): index
             for (kind, table, instance), index in self.derived.items()
-            if kind == "summary"
+            if kind == SummaryBTreeIndex.kind
         })
 
     # -- DDL ------------------------------------------------------------------------
@@ -716,14 +714,15 @@ class Database:
         self, table: str, instance: str, backward_pointers: bool = True
     ) -> SummaryBTreeIndex:
         """Build a Summary-BTree over an already-linked classifier instance."""
-        return self._add_derived("summary", table, instance, lambda: (
-            SummaryBTreeIndex(
+        return self._add_derived(
+            SummaryBTreeIndex.kind, table, instance,
+            lambda: SummaryBTreeIndex(
                 self.catalog.table(table),
                 self.manager.storage_for(table),
                 instance,
                 backward_pointers=backward_pointers,
-            )
-        ))
+            ),
+        )
 
     @_logged_ddl
     def create_baseline_index(
@@ -731,12 +730,13 @@ class Database:
     ) -> BaselineClassifierIndex:
         """Build the Figure 4(c) baseline index (normalized replica)."""
         labels = getattr(self.manager.instance(instance), "labels", None)
-        return self._add_derived("baseline", table, instance, lambda: (
-            BaselineClassifierIndex(
+        return self._add_derived(
+            BaselineClassifierIndex.kind, table, instance,
+            lambda: BaselineClassifierIndex(
                 self.catalog.table(table), instance, self.pool,
                 label_order=list(labels) if labels else None,
-            )
-        ))
+            ),
+        )
 
     @_logged_ddl
     def create_keyword_index(self, table: str, instance: str
@@ -746,9 +746,10 @@ class Database:
         Serves ``containsSingle``/``containsUnion`` predicates in
         snippet-only search mode (``options.search_raw = False``) — the
         §3.1 snippets-vs-raw trade-off's fast side."""
-        return self._add_derived("keyword", table, instance, lambda: (
-            TrigramKeywordIndex(table, instance, self.pool)
-        ))
+        return self._add_derived(
+            TrigramKeywordIndex.kind, table, instance,
+            lambda: TrigramKeywordIndex(table, instance, self.pool),
+        )
 
     @_logged_ddl
     def create_normalized_replicas(self, table: str) -> list:
@@ -758,20 +759,21 @@ class Database:
         primitives."""
         from repro.summaries.instances import SnippetInstance
 
+        kind = NormalizedSnippetReplica.kind
         built = []
         for instance in self.manager.instances_for(table):
             name = instance.name
             if isinstance(instance, SnippetInstance) and \
-                    ("replica", table.lower(), name) not in self.derived:
+                    (kind, table.lower(), name) not in self.derived:
                 built.append(self._add_derived(
-                    "replica", table, name,
+                    kind, table, name,
                     lambda: NormalizedSnippetReplica(table, name, self.pool),
                 ))
         return built
 
     @_logged_ddl
     def drop_summary_index(self, table: str, instance: str) -> None:
-        self._drop_derived("summary", table, instance)
+        self._drop_derived(SummaryBTreeIndex.kind, table, instance)
 
     def register_udf(self, name: str, fn) -> None:
         """Register a black-box summary-set UDF usable in queries (§3.2):
@@ -1440,30 +1442,14 @@ class Database:
     def _quarantine_plan_paths(self, physical, reason: str) -> list[tuple]:
         """Quarantine every derived access path a physical plan touches;
         returns the freshly quarantined ``(kind, table, instance)`` keys."""
-        from repro.query.physical import (
-            BaselineIndexScan,
-            KeywordIndexScan,
-            SummaryIndexNestedLoopJoin,
-            SummaryIndexScan,
-        )
-
         quarantined: list[tuple] = []
         stack = [physical]
         while stack:
             op = stack.pop()
             stack.extend(op.children)
-            if isinstance(op, SummaryIndexScan):
-                key = ("summary", op.table, op.instance)
-            elif isinstance(op, BaselineIndexScan):
-                key = ("baseline", op.table, op.instance)
-            elif isinstance(op, KeywordIndexScan):
-                key = ("keyword", op.table, op.instance)
-            elif isinstance(op, SummaryIndexNestedLoopJoin):
-                key = ("summary", op.inner_table, op.instance)
-            else:
-                continue
-            if self.health.quarantine(*key, reason=reason):
-                quarantined.append(key)
+            for key in op.derived_keys:
+                if self.health.quarantine(*key, reason=reason):
+                    quarantined.append(key)
         return quarantined
 
     def _plan_rows(self, physical) -> list:

@@ -14,7 +14,7 @@ reproduce here:
 2. reaching a data tuple from the index takes extra join hops
    (derived-index -> normalized row -> R's OID index -> R heap).
 
-For Figure 12, :meth:`reconstruct_object` additionally rebuilds a classifier
+For Figure 12, :meth:`reconstruct` additionally rebuilds a classifier
 summary object *from its normalized primitives* — the expensive propagation
 path the de-normalized storage exists to avoid.
 """
@@ -25,7 +25,7 @@ from typing import Iterator
 
 from repro.catalog.schema import Column, Schema
 from repro.catalog.table import Table
-from repro.index.derived import ClassifierIndex
+from repro.index.derived import ClassifierIndex, Probe
 from repro.index.itemize import (
     DEFAULT_WIDTH,
     clamp_probe,
@@ -50,6 +50,7 @@ class BaselineClassifierIndex(ClassifierIndex):
     """Normalized-table + derived-column B-Tree baseline."""
 
     kind = "baseline"
+    reconstructs = True
 
     def __init__(
         self,
@@ -182,9 +183,31 @@ class BaselineClassifierIndex(ClassifierIndex):
 
         return scan()
 
+    def probe(self, conjunct, order, **context):
+        if conjunct is None:
+            return None  # order-only scans are the Summary-BTree's
+        return super().probe(conjunct, order, **context)
+
+    def _probe(self, conjunct, args, direction, options):
+        # Derived index -> normalized row -> OID index -> heap; normalized
+        # propagation re-assembles every hit's summaries from primitives.
+        normalized = options.normalized_propagation
+        label, lo, hi = args[:3]
+        mode = "normalized" if normalized else "denormalized"
+        return Probe(
+            self.key, "BaselineIndexScan",
+            f"{self.instance_name}.{label} in [{lo}, {hi}], {mode}",
+            args, conjunct, pages=2, hop_descents=1.0,
+            reconstruct_pages=4 if normalized else 0,
+            order=(self.instance_name, label, direction),
+        )
+
+    def _resolve(self, oid, table):
+        return oid, table.read(oid), None  # OID-index hop into R
+
     # -- normalized propagation (Figure 12) -------------------------------------------------------
 
-    def reconstruct_object(self, oid: int) -> ClassifierObject | None:
+    def reconstruct(self, oid: int) -> ClassifierObject | None:
         """Rebuild a classifier object from its normalized primitives.
 
         This is what propagation costs when only the normalized replica

@@ -27,9 +27,28 @@ from typing import Iterator
 
 from repro.btree.tree import BTree
 from repro.catalog.keys import decode_int, encode_int
-from repro.index.derived import DerivedIndex
+from repro.index.derived import DerivedIndex, Probe
+from repro.query.ast import SummaryExpr
 from repro.storage.buffer import BufferPool
 from repro.summaries.objects import SnippetObject, SummaryObject
+
+
+def match_keyword_pred(expr) -> tuple[str, str, tuple[str, ...]] | None:
+    """``(alias, instance, keywords)`` of a containsSingle/containsUnion
+    conjunct over one snippet instance, else None."""
+    if not isinstance(expr, SummaryExpr):
+        return None
+    chain = expr.chain
+    if (
+        len(chain) == 2
+        and chain[0].name == "getSummaryObject"
+        and chain[1].name in ("containsSingle", "containsUnion")
+        and chain[0].args and isinstance(chain[0].args[0], str)
+        and chain[1].args
+        and all(isinstance(a, str) for a in chain[1].args)
+    ):
+        return expr.alias or "", chain[0].args[0], tuple(chain[1].args)
+    return None
 
 
 def trigrams(text: str) -> set[str]:
@@ -111,6 +130,30 @@ class TrigramKeywordIndex(DerivedIndex):
         self._delete_rows(oid)
 
     # -- querying ----------------------------------------------------------------
+
+    def probe(self, conjunct, order, *, alias, manager, options):
+        """Trigram candidates, a superset: the keyword conjunct stays a
+        residual.  Only in snippet-only search (``search_raw`` off): the
+        index holds no raw annotation text."""
+        matched = None if conjunct is None or options.search_raw \
+            else match_keyword_pred(conjunct)
+        if matched is None:
+            return None
+        kw_alias, instance, keywords = matched
+        if instance != self.instance_name or (kw_alias or alias) != alias \
+                or any(len(k) < 3 for k in keywords):
+            return None  # a keyword below trigram length: unusable
+        return Probe(
+            self.key, "KeywordIndexScan",
+            f"{self.instance_name}: {', '.join(keywords)}",
+            keywords, conjunct, exact=False, selectivity=0.15,
+            descents=len(keywords),
+            hop_descents=1 / 3,  # posting-list intersection, per candidate
+        )
+
+    def hits(self, probe, table):
+        for oid in sorted(self.candidates(list(probe.args))):
+            yield oid, table.read(oid), None
 
     def oids_with_trigram(self, gram: str) -> set[int]:
         return {

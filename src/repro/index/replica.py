@@ -59,6 +59,7 @@ class NormalizedSnippetReplica(DerivedIndex):
     """Normalized rows + ``data_oid`` B-Trees for one snippet instance."""
 
     kind = "replica"
+    reconstructs = True
 
     def __init__(self, table_name: str, instance_name: str, pool: BufferPool):
         self.table_name = table_name.lower()

@@ -33,8 +33,8 @@ from typing import Iterator, NamedTuple
 
 from repro.btree import BTree
 from repro.catalog.table import Table
-from repro.errors import IndexError_
-from repro.index.derived import ClassifierIndex
+from repro.errors import IndexError_, ReproError
+from repro.index.derived import ClassifierIndex, Probe
 from repro.index.itemize import (
     DEFAULT_WIDTH,
     clamp_probe,
@@ -251,6 +251,33 @@ class SummaryBTreeIndex(ClassifierIndex):
                 yield count, _unpack(value)
 
         return scan()
+
+    def _probe(self, conjunct, args, direction, options):
+        # Backward pointers: leaf -> data heap directly; conventional
+        # pointers pay the storage row plus the OID-index join with R, and
+        # the decoded storage row carries the summaries.
+        backward = self.backward_pointers
+        label, lo, hi = args[:3]
+        return Probe(
+            self.key, "SummaryIndexScan",
+            f"{self.instance_name}.{label} in [{lo}, {hi}] {direction}",
+            args, conjunct, pages=1 if backward else 2,
+            hop_descents=0.0 if backward else 1.0,
+            summaries_with_hit=not backward,
+            order=(self.instance_name, label, direction),
+        )
+
+    def _resolve(self, pointer, table):
+        if self.backward_pointers:
+            # Straight to the data tuple in R — no SummaryStorage join.
+            try:
+                return pointer.oid, table.read_at(pointer.rid), None
+            except ReproError:
+                return pointer.oid, table.read(pointer.oid), None  # moved
+        # Conventional pointer: the leaf references the summary row;
+        # reaching the data tuple costs the OID-index join with R.
+        objects = self.storage._decode(self.storage.heap.read(pointer.rid))
+        return pointer.oid, table.read(pointer.oid), objects
 
     # -- automatic key widening (footnote 1) ------------------------------------------------
 

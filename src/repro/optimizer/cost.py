@@ -12,6 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.index.derived import (
+    FLIPPED,
+    IndexableSummaryPred,
+    label_chain,
+    match_indexable_summary_pred,
+    op_bounds,
+)
 from repro.query.ast import (
     And,
     ColumnRef,
@@ -79,60 +86,6 @@ def summary_read_discount(cache) -> float:
 
 
 @dataclass(frozen=True)
-class IndexableSummaryPred:
-    """A ``getLabelValue(label) <op> constant`` conjunct (§4.1 target query)."""
-
-    alias: str
-    instance: str
-    label: str
-    op: str
-    constant: int
-
-    def bounds(self) -> tuple[int | None, int | None, bool, bool]:
-        """(lo, hi, lo_inclusive, hi_inclusive) for an index probe."""
-        c = self.constant
-        return {
-            "=": (c, c, True, True),
-            ">": (c, None, False, True),
-            ">=": (c, None, True, True),
-            "<": (None, c, True, False),
-            "<=": (None, c, True, True),
-        }[self.op]
-
-
-def match_indexable_summary_pred(expr: Expr) -> IndexableSummaryPred | None:
-    """Recognize the Summary-BTree's target-query shape in a conjunct."""
-    if not isinstance(expr, Comparison) or expr.op not in ("=", ">", ">=", "<", "<="):
-        return None
-    sides = [(expr.left, expr.right, expr.op)]
-    flipped = {"=": "=", ">": "<", ">=": "<=", "<": ">", "<=": ">="}
-    sides.append((expr.right, expr.left, flipped[expr.op]))
-    for summary_side, const_side, op in sides:
-        if not isinstance(summary_side, SummaryExpr):
-            continue
-        if not isinstance(const_side, Literal):
-            continue
-        if not isinstance(const_side.value, int):
-            continue
-        chain = summary_side.chain
-        if (
-            len(chain) == 2
-            and chain[0].name == "getSummaryObject"
-            and chain[1].name == "getLabelValue"
-            and chain[0].args and isinstance(chain[0].args[0], str)
-            and chain[1].args and isinstance(chain[1].args[0], str)
-        ):
-            return IndexableSummaryPred(
-                alias=summary_side.alias or "",
-                instance=chain[0].args[0],
-                label=chain[1].args[0],
-                op=op,
-                constant=const_side.value,
-            )
-    return None
-
-
-@dataclass(frozen=True)
 class IndexableSummaryJoinPred:
     """A summary-join conjunct ``<outer expr> <op> inner.$...getLabelValue``
     answerable by probing the inner side's Summary-BTree per outer row
@@ -154,68 +107,17 @@ def match_summary_join_pred(
     reference ``inner_alias`` at all."""
     from repro.query.logical import aliases_in
 
-    if not isinstance(expr, Comparison) or expr.op not in (
-        "=", ">", ">=", "<", "<="
-    ):
+    if not isinstance(expr, Comparison) or expr.op not in FLIPPED:
         return None
-    flipped = {"=": "=", ">": "<", ">=": "<=", "<": ">", "<=": ">="}
     for inner_side, outer_side, op in (
         (expr.right, expr.left, expr.op),
-        (expr.left, expr.right, flipped[expr.op]),
+        (expr.left, expr.right, FLIPPED[expr.op]),
     ):
-        if not isinstance(inner_side, SummaryExpr):
-            continue
-        if inner_side.alias != inner_alias:
-            continue
-        if inner_alias in aliases_in(outer_side):
-            continue
-        chain = inner_side.chain
-        if (
-            len(chain) == 2
-            and chain[0].name == "getSummaryObject"
-            and chain[1].name == "getLabelValue"
-            and chain[0].args and isinstance(chain[0].args[0], str)
-            and chain[1].args and isinstance(chain[1].args[0], str)
-        ):
-            return IndexableSummaryJoinPred(
-                inner_alias=inner_alias,
-                instance=chain[0].args[0],
-                label=chain[1].args[0],
-                op=op,
-                outer_expr=outer_side,
-            )
-    return None
-
-
-@dataclass(frozen=True)
-class KeywordPred:
-    """A containsSingle/containsUnion conjunct over one snippet instance —
-    servable by a trigram keyword index in snippet-only search mode."""
-
-    alias: str
-    instance: str
-    function: str  # containsSingle | containsUnion
-    keywords: tuple[str, ...]
-
-
-def match_keyword_pred(expr: Expr) -> KeywordPred | None:
-    if not isinstance(expr, SummaryExpr):
-        return None
-    chain = expr.chain
-    if (
-        len(chain) == 2
-        and chain[0].name == "getSummaryObject"
-        and chain[1].name in ("containsSingle", "containsUnion")
-        and chain[0].args and isinstance(chain[0].args[0], str)
-        and chain[1].args
-        and all(isinstance(a, str) for a in chain[1].args)
-    ):
-        return KeywordPred(
-            alias=expr.alias or "",
-            instance=chain[0].args[0],
-            function=chain[1].name,
-            keywords=tuple(chain[1].args),
-        )
+        chain = label_chain(inner_side)
+        if chain is not None and inner_side.alias == inner_alias \
+                and inner_alias not in aliases_in(outer_side):
+            return IndexableSummaryJoinPred(inner_alias, *chain, op,
+                                            outer_side)
     return None
 
 
@@ -229,23 +131,16 @@ class IndexableDataPred:
     constant: object
 
     def bounds(self) -> tuple[object | None, object | None, bool, bool]:
-        c = self.constant
-        return {
-            "=": (c, c, True, True),
-            ">": (c, None, False, True),
-            ">=": (c, None, True, True),
-            "<": (None, c, True, False),
-            "<=": (None, c, True, True),
-        }[self.op]
+        return op_bounds(self.op, self.constant)
 
 
 def match_indexable_data_pred(expr: Expr) -> IndexableDataPred | None:
-    if not isinstance(expr, Comparison) or expr.op not in ("=", ">", ">=", "<", "<="):
+    if not isinstance(expr, Comparison) or expr.op not in FLIPPED:
         return None
-    sides = [(expr.left, expr.right, expr.op)]
-    flipped = {"=": "=", ">": "<", ">=": "<=", "<": ">", "<=": ">="}
-    sides.append((expr.right, expr.left, flipped[expr.op]))
-    for col_side, const_side, op in sides:
+    for col_side, const_side, op in (
+        (expr.left, expr.right, expr.op),
+        (expr.right, expr.left, FLIPPED[expr.op]),
+    ):
         if isinstance(col_side, ColumnRef) and isinstance(const_side, Literal):
             return IndexableDataPred(
                 alias=col_side.alias or "",
@@ -268,45 +163,47 @@ class Estimator:
     def _table_of(self, alias: str) -> str | None:
         return self.alias_tables.get(alias)
 
-    def selectivity(self, expr: Expr | None) -> float:
-        """Estimated fraction of rows satisfying ``expr``."""
+    def selectivity(self, expr: Expr | None, alias: str = "") -> float:
+        """Estimated fraction of rows satisfying ``expr``; ``alias`` names
+        the table of references that carry none."""
         if expr is None:
             return 1.0
         if isinstance(expr, And):
             out = 1.0
             for item in expr.items:
-                out *= self.selectivity(item)
+                out *= self.selectivity(item, alias)
             return out
         if isinstance(expr, Or):
             out = 1.0
             for item in expr.items:
-                out *= 1.0 - self.selectivity(item)
+                out *= 1.0 - self.selectivity(item, alias)
             return 1.0 - out
         if isinstance(expr, Not):
-            return 1.0 - self.selectivity(expr.item)
+            return 1.0 - self.selectivity(expr.item, alias)
         if isinstance(expr, Comparison):
-            return self._comparison_selectivity(expr)
+            return self._comparison_selectivity(expr, alias)
         if isinstance(expr, SummaryExpr):
             # A bare boolean summary function, e.g. containsUnion(...).
             return KEYWORD_SELECTIVITY
         return DEFAULT_PRED_SELECTIVITY
 
-    def _comparison_selectivity(self, expr: Comparison) -> float:
+    def _comparison_selectivity(self, expr: Comparison, alias: str) -> float:
         summary_pred = match_indexable_summary_pred(expr)
         if summary_pred is not None:
-            return self._label_selectivity(summary_pred)
+            return self._label_selectivity(summary_pred, alias)
         if expr.op == "LIKE":
             return KEYWORD_SELECTIVITY
         data_pred = match_indexable_data_pred(expr)
         if data_pred is not None:
-            return self._column_selectivity(data_pred)
+            return self._column_selectivity(data_pred, alias)
         if expr.op == "=":
             return DEFAULT_EQ_SELECTIVITY
         return DEFAULT_RANGE_SELECTIVITY
 
-    def _label_selectivity(self, pred: IndexableSummaryPred) -> float:
+    def _label_selectivity(self, pred: IndexableSummaryPred,
+                           alias: str) -> float:
         """S reuses σ's heuristics over the Figure 6 label statistics."""
-        table = self._table_of(pred.alias)
+        table = self._table_of(pred.alias or alias)
         if table is None:
             return DEFAULT_RANGE_SELECTIVITY
         label_stats = self.stats(table).label_stats(pred.instance, pred.label)
@@ -322,8 +219,9 @@ class Estimator:
             None if hi is None else float(hi),
         )
 
-    def _column_selectivity(self, pred: IndexableDataPred) -> float:
-        table = self._table_of(pred.alias)
+    def _column_selectivity(self, pred: IndexableDataPred,
+                            alias: str) -> float:
+        table = self._table_of(pred.alias or alias)
         if table is None:
             return DEFAULT_EQ_SELECTIVITY
         col_stats = self.stats(table).columns.get(pred.column)

@@ -5,12 +5,19 @@ For each SELECT the planner:
 1. binds the statement to an initial logical plan (binder),
 2. explores the §5.1 rule space into a pool of equivalent logical plans,
 3. lowers every candidate to a physical plan — choosing between sequential
-   scan / data B-Tree / Summary-BTree (or baseline) access paths, block
-   nested-loop / index nested-loop joins, and memory / disk sorts — while
-   tracking *interesting orders* produced by Summary-BTree scans (Rules
-   3–6: a sort on an indexed label riding an order-preserving pipeline is
+   scan / data B-Tree / derived-structure access paths, block nested-loop
+   / index nested-loop joins, and memory / disk sorts — while tracking
+   *interesting orders* produced by Summary-BTree scans (Rules 3–6: a sort
+   on an indexed label riding an order-preserving pipeline is
    eliminated), and
 4. executes the cheapest plan under the §5.2 cost model.
+
+Derived structures (the Summary-BTree, the baseline, the keyword index,
+any registered kind) are one access path: each structure on the scanned
+table is asked for a :class:`~repro.index.derived.Probe` per summary
+conjunct and for the desired order, and every probe is priced by one
+formula (:meth:`_LowerState._probe_path`) and run by one operator.
+``index_scheme`` only filters which classifier kind may answer.
 
 The chosen plan is kept in the database's :class:`PlanCache` and reused,
 as a fresh copy per run, while no planner input has moved (DESIGN.md §5n).
@@ -28,14 +35,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.errors import PlanError
-from repro.query.ast import (
-    ExplainStmt,
-    Expr,
-    FuncCall,
-    Literal,
-    SelectStmt,
-    SummaryExpr,
-)
+from repro.index.derived import is_leaf_label, label_chain
+from repro.query.ast import ExplainStmt, Expr, SelectStmt
 from repro.query.binder import Binder, BindInfo
 from repro.query.eval import EvalContext
 from repro.query.logical import (
@@ -58,14 +59,13 @@ from repro.query.logical import (
 )
 from repro.query.ast import ColumnRef, Comparison, ObjectFunc
 from repro.query.physical import (
-    BaselineIndexScan,
+    DerivedIndexScan,
     DistinctOp,
     ExecContext,
     FilterOp,
     GroupOp,
     IndexNestedLoopJoin,
     IndexScan,
-    KeywordIndexScan,
     SummaryIndexNestedLoopJoin,
     LimitOp,
     NestedLoopJoin,
@@ -74,7 +74,6 @@ from repro.query.physical import (
     SeqScan,
     SortOp,
     SummaryFilterOp,
-    SummaryIndexScan,
     SummarySelectOp,
 )
 from repro.optimizer.cost import (
@@ -86,8 +85,6 @@ from repro.optimizer.cost import (
     CPU_MERGE_BYTE,
     Estimator,
     match_indexable_data_pred,
-    match_indexable_summary_pred,
-    match_keyword_pred,
     match_summary_join_pred,
 )
 from repro.optimizer.rules import apply_rules
@@ -117,6 +114,10 @@ class PlannerOptions:
     search_raw: bool = True
     mem_sort_threshold: int = 50_000
 
+
+#: The classifier kind each ``index_scheme`` admits (Figures 10–12);
+#: "none" admits neither.
+SCHEME_KINDS = {"summary_btree": "summary", "baseline": "baseline"}
 
 #: Plans a :class:`PlanCache` keeps before evicting the least recently used.
 PLAN_CACHE_ENTRIES = 256
@@ -228,19 +229,10 @@ class Lowered:
 
 def sort_key_order(expr: Expr, direction: str) -> Order | None:
     """The Order a sort key demands, when it is an indexable label chain."""
-    if not isinstance(expr, SummaryExpr):
+    chain = label_chain(expr)
+    if chain is None:
         return None
-    chain = expr.chain
-    if (
-        len(chain) == 2
-        and chain[0].name == "getSummaryObject"
-        and chain[1].name == "getLabelValue"
-        and chain[0].args and isinstance(chain[0].args[0], str)
-        and chain[1].args and isinstance(chain[1].args[0], str)
-    ):
-        return Order(expr.alias or "", chain[0].args[0], chain[1].args[0],
-                     direction)
-    return None
+    return Order(expr.alias or "", *chain, direction)
 
 
 class Planner:
@@ -552,16 +544,6 @@ class _LowerState:
     def _retained(self, alias: str) -> set[str] | None:
         return self.info.retained_summary_columns.get(alias)
 
-    def _is_indexed_leaf_label(self, instance_name: str, label: str) -> bool:
-        """The Summary-BTree stores *leaf* label keys only: predicates on
-        inner hierarchy nodes (whose value is a subtree sum) or unknown
-        labels must fall back to scan plans."""
-        manager = self.planner.manager
-        if not manager.has_instance(instance_name):
-            return False
-        labels = getattr(manager.instance(instance_name), "labels", None)
-        return labels is not None and label in labels
-
     def _elimination_active(self, alias: str) -> bool:
         """True when projection-time annotation elimination can change
         classifier counts for ``alias``: some columns are projected out AND
@@ -609,50 +591,24 @@ class _LowerState:
         candidates: list[Lowered] = [
             self._seq_scan_path(scan, data_preds, summary_preds, stats)
         ]
-        summary_index_ok = (
-            self.options.enable_summary_indexes
-            and self.options.index_scheme != "none"
-            and not self._elimination_active(alias)
-        )
-        if summary_index_ok:
-            for i, pred in enumerate(summary_preds):
-                matched = match_indexable_summary_pred(pred)
-                if matched is None:
+        # Derived structures see the *stored* summaries: they serve no
+        # scan whose sets annotation elimination changes.
+        if not self._elimination_active(alias):
+            order = self.desired_order
+            if order is not None and order.alias != alias:
+                order = None
+            for (kind, name, _), index in self.planner.derived.items():
+                if name != table.lower() or not self._admits(kind):
                     continue
-                if (matched.alias or alias) != alias:
-                    continue
-                path = self._summary_index_path(
-                    scan, matched, data_preds,
-                    summary_preds[:i] + summary_preds[i + 1:], stats,
-                )
-                if path is not None:
-                    candidates.append(path)
-        if not self.options.search_raw and not self._elimination_active(alias):
-            for i, pred in enumerate(summary_preds):
-                kw = match_keyword_pred(pred)
-                if kw is None or (kw.alias or alias) != alias:
-                    continue
-                if any(len(k) < 3 for k in kw.keywords):
-                    continue  # below trigram length: index unusable
-                if self.planner._path("keyword", table, kw.instance) is None:
-                    continue
-                path = self._keyword_index_path(scan, kw, data_preds,
-                                                summary_preds, stats)
-                if path is not None:
-                    candidates.append(path)
-        if (
-            summary_index_ok
-            and self.options.index_scheme == "summary_btree"
-            and self.desired_order is not None
-            and self.desired_order.alias == alias
-        ):
-            # Pure ordering query (the paper's Q3): a full-range ordered
-            # index scan can feed the sort's interesting order directly.
-            path = self._ordered_full_scan_path(
-                scan, data_preds, summary_preds, stats
-            )
-            if path is not None:
-                candidates.append(path)
+                for conjunct in [*summary_preds, None]:
+                    probe = index.probe(
+                        conjunct, order, alias=alias,
+                        manager=self.planner.manager, options=self.options,
+                    )
+                    path = None if probe is None else self._probe_path(
+                        scan, probe, data_preds, summary_preds, stats)
+                    if path is not None:
+                        candidates.append(path)
         if self.options.enable_data_indexes:
             table_obj = self.ctx.catalog.table(table)
             for i, pred in enumerate(data_preds):
@@ -719,139 +675,54 @@ class _LowerState:
         )
         return self._wrap_residuals(base, data_preds, summary_preds)
 
-    def _summary_index_path(
-        self, scan, matched, data_preds, residual_summary, stats
-    ) -> Lowered | None:
-        if not self._is_indexed_leaf_label(matched.instance, matched.label):
-            return None
-        scheme = self.options.index_scheme
-        kind = "summary" if scheme == "summary_btree" else "baseline"
-        index = self.planner._path(kind, scan.table, matched.instance)
-        if index is None:
-            return None
-        if kind == "baseline" and self.options.normalized_propagation and \
-                not self.planner._path_ok("replica", scan.table,
-                                          matched.instance):
-            return None
-        lo, hi, lo_inc, hi_inc = matched.bounds()
-        selectivity = self.est.selectivity(
-            Comparison(
-                matched.op,
-                SummaryExpr(scan.alias, (
-                    FuncCall("getSummaryObject", (matched.instance,)),
-                    FuncCall("getLabelValue", (matched.label,)),
-                )),
-                Literal(matched.constant),
-            )
-        )
-        matches = max(stats.row_count * selectivity, 1.0)
-        with_summaries = self._needs_summaries(scan.alias, consumed=1) \
-            or bool(residual_summary)
-        direction = "ASC"
-        order = None
-        if (
-            self.desired_order is not None
-            and self.desired_order.alias == scan.alias
-            and self.desired_order.instance == matched.instance
-            and self.desired_order.label == matched.label
-        ):
-            direction = self.desired_order.direction
-            order = self.desired_order
-        else:
-            order = Order(scan.alias, matched.instance, matched.label, "ASC")
-        if scheme == "summary_btree":
-            # Backward pointers: leaf -> data heap directly; conventional
-            # pointers pay the storage row plus the OID-index join with R.
-            per_match = IO_COST  # data page
-            if not index.backward_pointers:
-                per_match += IO_COST + INDEX_DESCENT  # storage row + OID probe
-            if with_summaries and index.backward_pointers:
-                # summary storage row (read through the summary cache)
-                per_match += IO_COST * self._summary_io_factor(scan.table)
-            op: PhysicalOperator = SummaryIndexScan(
-                self.ctx, scan.table, scan.alias, matched.instance,
-                matched.label, lo, hi, lo_inc, hi_inc, with_summaries,
-                self._retained(scan.alias), direction,
-            )
-        else:
-            # Baseline: derived index -> normalized row -> OID index -> heap.
-            per_match = IO_COST + INDEX_DESCENT + IO_COST
-            if with_summaries:
-                per_match += IO_COST * self._summary_io_factor(scan.table)
-                if self.options.normalized_propagation:
-                    per_match += 4 * IO_COST  # re-assemble from primitives
-            op = BaselineIndexScan(
-                self.ctx, scan.table, scan.alias, matched.instance,
-                matched.label, lo, hi, lo_inc, hi_inc, with_summaries,
-                self._retained(scan.alias), direction,
-                self.options.normalized_propagation,
-            )
-        base = Lowered(
-            op, INDEX_DESCENT + matches * per_match, matches, order,
-            width=self._summary_width(scan.table, with_summaries),
-        )
-        return self._wrap_residuals(base, data_preds, residual_summary)
+    def _admits(self, kind: str) -> bool:
+        """The ``index_scheme`` filter: one classifier scheme at a time,
+        and only while summary indexes are enabled; other kinds always."""
+        if kind not in SCHEME_KINDS.values():
+            return True
+        return (self.options.enable_summary_indexes
+                and SCHEME_KINDS.get(self.options.index_scheme) == kind)
 
-    def _keyword_index_path(
-        self, scan, kw, data_preds, summary_preds, stats
-    ) -> Lowered:
-        """Trigram candidates + full residual re-check: the original
-        keyword conjunct stays in the residual because trigram matching
-        over-approximates substring containment."""
-        with_summaries = self._needs_summaries(scan.alias) \
-            or bool(summary_preds)
-        matches = max(stats.row_count * 0.15, 1.0)
-        op = KeywordIndexScan(
-            self.ctx, scan.table, scan.alias, kw.instance, kw.keywords,
-            with_summaries, self._retained(scan.alias),
-        )
-        per_match = INDEX_DESCENT / 3.0 + IO_COST + (
-            IO_COST * self._summary_io_factor(scan.table)
-            if with_summaries else 0.0
-        )
+    def _probe_path(self, scan, probe, data_preds, summary_preds,
+                    stats) -> Lowered | None:
+        """One derived-structure probe, priced from its page charges; None
+        when a structure the scan reads is quarantined."""
+        residual = list(summary_preds)
+        if probe.exact and probe.conjunct is not None:
+            residual.remove(probe.conjunct)
+        consumed = len(summary_preds) - len(residual)
+        with_summaries = self._needs_summaries(scan.alias, consumed) \
+            or bool(residual)
+        op = DerivedIndexScan(self.ctx, scan.table, scan.alias, probe,
+                              with_summaries, self._retained(scan.alias))
+        if not all(self.planner._path_ok(*key) for key in op.derived_keys):
+            return None
+        if probe.conjunct is None and not self.planner._all_annotated(
+                scan.table):
+            # A full-range scan drops un-annotated tuples: they have no
+            # entries.  A correctness condition, so read live (and
+            # stamped), never from the published row count.
+            return None
+        selectivity = probe.selectivity
+        if selectivity is None:
+            selectivity = self.est.selectivity(probe.conjunct, scan.alias)
+        matches = stats.row_count * selectivity
+        rows = max(matches, 1.0)
+        per_match = probe.pages * IO_COST + probe.hop_descents * INDEX_DESCENT
+        if with_summaries:
+            if not probe.summaries_with_hit:
+                # the summary storage row, read through the summary cache
+                per_match += IO_COST * self._summary_io_factor(scan.table)
+            per_match += probe.reconstruct_pages * IO_COST
+        # A predicate probe is charged at least one hit; a full-range
+        # scan of an empty table, none.
+        charged = rows if probe.conjunct is not None else matches
         base = Lowered(
-            op,
-            INDEX_DESCENT * len(kw.keywords) + matches * per_match,
-            matches,
-            None,
+            op, probe.descents * INDEX_DESCENT + charged * per_match, rows,
+            None if probe.order is None else Order(scan.alias, *probe.order),
             width=self._summary_width(scan.table, with_summaries),
         )
-        return self._wrap_residuals(base, data_preds, summary_preds)
-
-    def _ordered_full_scan_path(
-        self, scan, data_preds, summary_preds, stats
-    ) -> Lowered | None:
-        order = self.desired_order
-        assert order is not None
-        index = self.planner._path("summary", scan.table, order.instance)
-        if index is None:
-            return None
-        # Only equivalent when every tuple has an indexed summary object —
-        # un-annotated tuples have no index entries and would vanish.  A
-        # correctness condition, so read live (and stamped), never from
-        # the published row count.
-        if not self.planner._all_annotated(scan.table):
-            return None
-        with_summaries = self._needs_summaries(scan.alias) or bool(summary_preds)
-        per_match = IO_COST + (
-            IO_COST * self._summary_io_factor(scan.table)
-            if with_summaries else 0.0
-        )
-        if not index.backward_pointers:
-            per_match += IO_COST + INDEX_DESCENT
-        op = SummaryIndexScan(
-            self.ctx, scan.table, scan.alias, order.instance, order.label,
-            None, None, True, True, with_summaries,
-            self._retained(scan.alias), order.direction,
-        )
-        base = Lowered(
-            op,
-            INDEX_DESCENT + stats.row_count * per_match,
-            max(float(stats.row_count), 1.0),
-            order,
-            width=self._summary_width(scan.table, with_summaries),
-        )
-        return self._wrap_residuals(base, data_preds, summary_preds)
+        return self._wrap_residuals(base, data_preds, residual)
 
     def _data_index_path(
         self, scan, matched, residual_data, summary_preds, stats
@@ -957,11 +828,7 @@ class _LowerState:
         self, node, left: Lowered, summary_predicate: Expr | None,
         condition: Expr | None,
     ) -> Lowered | None:
-        if summary_predicate is None:
-            return None
-        if not self.options.enable_summary_indexes:
-            return None
-        if self.options.index_scheme != "summary_btree":
+        if summary_predicate is None or not self._admits("summary"):
             return None
         right = node.right
         right_preds: list[Expr] = []
@@ -981,8 +848,8 @@ class _LowerState:
                                        matched.instance)
             if index is None:
                 continue
-            if not self._is_indexed_leaf_label(matched.instance,
-                                               matched.label):
+            if not is_leaf_label(self.planner.manager, matched.instance,
+                                  matched.label):
                 continue
             residual_summary = conjoin(conjuncts[:i] + conjuncts[i + 1:])
             residual_data = conjoin(

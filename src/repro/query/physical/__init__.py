@@ -1,18 +1,12 @@
 """Physical operators (Volcano iterator model).
 
-Scans (sequential, data-index, Summary-BTree, baseline-index), joins
+Scans (sequential, data-index, any derived structure's probe), joins
 (nested-loop and index nested-loop, both summary-aware), and the
 tuple-at-a-time transforms (σ, S, F, π, sort/O, group, distinct, limit).
 """
 
 from repro.query.physical.base import ExecContext, PhysicalOperator
-from repro.query.physical.scans import (
-    BaselineIndexScan,
-    IndexScan,
-    KeywordIndexScan,
-    SeqScan,
-    SummaryIndexScan,
-)
+from repro.query.physical.scans import DerivedIndexScan, IndexScan, SeqScan
 from repro.query.physical.joins import (
     IndexNestedLoopJoin,
     NestedLoopJoin,
@@ -34,9 +28,7 @@ __all__ = [
     "PhysicalOperator",
     "SeqScan",
     "IndexScan",
-    "SummaryIndexScan",
-    "BaselineIndexScan",
-    "KeywordIndexScan",
+    "DerivedIndexScan",
     "NestedLoopJoin",
     "IndexNestedLoopJoin",
     "SummaryIndexNestedLoopJoin",

@@ -35,6 +35,12 @@ class ExecContext:
     def derived_index(self, kind: str, table: str, instance: str):
         return self.derived.get((kind, table.lower(), instance))
 
+    def reconstructors(self, table: str) -> list:
+        """The structures on ``table`` that re-assemble their instance's
+        summary objects from normalized rows (Figure 12)."""
+        return [index for index in self.derived.values()
+                if index.table_name == table.lower() and index.reconstructs]
+
 
 class PhysicalOperator:
     """Base class: every operator is an iterator of column batches.
@@ -62,6 +68,9 @@ class PhysicalOperator:
     #: lazy summary reads are charged to the plan (keeping the profiler's
     #: sum-to-run-totals invariant) and covered by deadline checkpoints.
     materialize_output = False
+    #: registry keys of the derived structures the operator reads: what a
+    #: mid-query corruption quarantines.
+    derived_keys: tuple = ()
 
     def _produce_batches(self) -> Iterator[Batch]:
         raise NotImplementedError

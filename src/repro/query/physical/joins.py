@@ -17,6 +17,8 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.errors import PlanError, QueryError
+from repro.index.derived import FLIPPED, op_bounds
 from repro.query.ast import (
     AggCall,
     ColumnRef,
@@ -37,6 +39,7 @@ from repro.query.physical.scans import (
     probe_bounds,
 )
 from repro.query.tuples import QTuple
+from repro.storage.record import ValueType
 
 
 def _pair_view(left: QTuple, right: QTuple) -> QTuple:
@@ -334,7 +337,11 @@ class SummaryIndexNestedLoopJoin(PhysicalOperator):
     def children(self):
         return [self.left]
 
-    def _bounds(self, key: int) -> tuple:
+    @property
+    def derived_keys(self) -> list[tuple[str, str, str]]:
+        return [("summary", self.inner_table.lower(), self.instance)]
+
+    def _bounds(self, key) -> tuple:
         """(lo, hi, lo_inclusive, hi_inclusive) for ``key <op> inner``."""
         if self.op == "=":
             return key, key, True, True
@@ -351,24 +358,39 @@ class SummaryIndexNestedLoopJoin(PhysicalOperator):
             self._joined(rows_from_batches(self.left.batches()))
         )
 
+    def _probe(self, index, key):
+        """The index hits for one outer key, restated in the integer
+        domain of label counts exactly as the pair loop compares them."""
+        if not orders_against(key, ValueType.INT):
+            # The pair loop's answer: `=` never holds, an order comparison
+            # raises once it meets a label value.
+            first = next(iter(index.lookup_range(self.label_name)), None) \
+                if self.op != "=" else None
+            if first is not None:
+                raise QueryError(
+                    f"cannot compare {key!r} {self.op} {first[0]!r}"
+                )
+            return ()
+        # outer <op> inner  is  inner <FLIPPED[op]> outer
+        bounds = probe_bounds(ValueType.INT,
+                              *op_bounds(FLIPPED[self.op], key))
+        if bounds is None:
+            return ()
+        return index.lookup_range(self.label_name, *bounds)
+
     def _joined(self, left_rows: Iterator[QTuple]) -> Iterator[QTuple]:
         index = self.ctx.derived_index("summary", self.inner_table,
                                        self.instance)
         if index is None:
-            from repro.errors import PlanError
-
             raise PlanError(
                 f"no Summary-BTree on {self.inner_table}/{self.instance}"
             )
         table = self.ctx.catalog.table(self.inner_table)
         for left_row in left_rows:
             key = evaluate(self.outer_expr, left_row, self.ctx.eval_ctx)
-            if key is None or not isinstance(key, int):
+            if key is None:
                 continue
-            lo, hi, lo_inc, hi_inc = self._bounds(key)
-            for _count, pointer in index.lookup_range(
-                self.label_name, lo, hi, lo_inc, hi_inc
-            ):
+            for _count, pointer in self._probe(index, key):
                 values = table.read(pointer.oid)
                 right_row = _make_tuple(
                     self.ctx, self.inner_table, self.inner_alias,

@@ -181,3 +181,35 @@ class TestDegenerateHistograms:
         assert hist.total == 0
         assert hist.selectivity_eq(1.0, ndistinct=1) == 0.0
         assert hist.selectivity_range(None, None) == 0.0
+
+
+class TestConventionalPointerCharges:
+    """A conventional-pointer hit reads the summary row on its way to the
+    data tuple (Figure 13): the summaries arrive with the hit, and every
+    probe of the index prices that read once."""
+
+    @pytest.fixture(scope="class")
+    def conventional(self):
+        db = build_database(WorkloadConfig(
+            num_birds=40, annotations_per_tuple=10, indexes="none",
+            cell_fraction=0.0, seed=4,
+        ))
+        db.create_summary_index("birds", "ClassBird1",
+                                backward_pointers=False)
+        db.analyze("birds")
+        db.options.force_access = "index"
+        return db
+
+    def test_predicate_and_order_probes_charge_the_same_per_match(
+        self, conventional
+    ):
+        # ">= 0" hits every row, like the full-range order-only scan.
+        predicate = conventional.explain(
+            f"Select * From birds r Where r.{EXPR} >= 0 Order By r.{EXPR}"
+        )
+        order_only = conventional.explain(
+            f"Select * From birds r Order By r.{EXPR}"
+        )
+        assert "in [0, None] ASC" in predicate.physical
+        assert "in [None, None] ASC" in order_only.physical
+        assert predicate.estimated_cost == order_only.estimated_cost

@@ -21,8 +21,13 @@ import pytest
 
 from repro import Column, Database, ValueType
 from repro.annotations.annotation import AnnotationTarget
-from repro.errors import SummaryError
-from repro.index.derived import DerivedIndex
+from repro.errors import CorruptPageError, SummaryError
+from repro.index.derived import (
+    DerivedIndex,
+    Probe,
+    match_indexable_summary_pred,
+)
+from repro.summaries.objects import ClassifierObject
 
 SEED = [
     ("observed infection avian flu disease symptoms", "Disease"),
@@ -62,6 +67,109 @@ KINDS = {
         lambda db: db.create_normalized_replicas("t"),
     ),
 }
+
+
+class LabelEqualityPostings(DerivedIndex):
+    """A kind the engine does not ship: in-memory ``count -> OIDs``
+    postings of one classifier label, serving ``getLabelValue(L) = c``.
+    It plans, runs, degrades and retries through the protocol alone."""
+
+    kind = "label-eq"
+
+    def __init__(self, table_name: str, instance_name: str, label: str):
+        self.table_name = table_name
+        self.instance_name = instance_name
+        self.label = label
+        self.postings: dict[int, set[int]] = {}
+        self.rot = False
+
+    def parts(self) -> dict:
+        return {}
+
+    def derive(self, oid, objects):
+        obj = objects.get(self.instance_name)
+        if not isinstance(obj, ClassifierObject):
+            return []
+        return [(dict(obj.rep()).get(self.label), oid)]
+
+    def entries(self):
+        return [(count, oid) for count, oids in self.postings.items()
+                for oid in oids]
+
+    def on_objects_write(self, oid, objects, previous):
+        self.on_objects_delete(oid, previous)
+        for count, _ in self.derive(oid, objects):
+            self.postings.setdefault(count, set()).add(oid)
+
+    def on_objects_delete(self, oid, previous):
+        for oids in self.postings.values():
+            oids.discard(oid)
+
+    def __len__(self) -> int:
+        return len(self.entries())
+
+    def probe(self, conjunct, order, *, alias, manager, options):
+        matched = None if conjunct is None \
+            else match_indexable_summary_pred(conjunct)
+        if matched is None or matched.op != "=" \
+                or (matched.alias or alias) != alias \
+                or (matched.instance, matched.label) != (
+                    self.instance_name, self.label):
+            return None
+        return Probe(
+            self.key, "LabelEqualityScan",
+            f"{self.instance_name}.{self.label} = {matched.constant}",
+            (matched.constant,), conjunct,
+        )
+
+    def hits(self, probe, table):
+        self.probes += 1
+        if self.rot:
+            raise CorruptPageError("synthetic postings rot")
+        for oid in sorted(self.postings.get(probe.args[0], ())):
+            yield oid, table.read(oid), None
+
+
+def test_a_new_kind_plans_without_a_planner_edit():
+    db = Database(buffer_pages=512)
+    db.create_table("t", [Column("id", ValueType.INT),
+                          Column("note", ValueType.TEXT)])
+    db.create_classifier_instance(
+        "C", ["Disease", "Anatomy", "Behavior"], SEED
+    )
+    db.sql("Alter Table t Add C")
+    for i in range(1, ROWS + 1):
+        db.insert("t", {"id": i, "note": "n"})
+        db.add_annotation(TEXTS[i % len(TEXTS)], table="t", oid=i)
+    query = ("Select id From t r Where "
+             "r.$.getSummaryObject('C').getLabelValue('Disease') = 1")
+
+    def ids():
+        return sorted(row.get("id") for row in db.sql(query).tuples)
+
+    db.options.index_scheme = "none"
+    oracle = ids()
+    assert oracle
+    index = db._add_derived(
+        LabelEqualityPostings.kind, "t", "C",
+        lambda: LabelEqualityPostings("t", "C", "Disease"),
+    )
+    db._new_epoch()  # a registry change invalidates plans, as DDL does
+    db.options.force_access = "index"
+    assert "LabelEqualityScan(t/C.Disease = 1)" in db.explain(query).physical
+    assert ids() == oracle
+    # Quarantined: the planner falls back to the heap and says why.
+    db.health.quarantine(*index.key)
+    report = db.explain(query)
+    assert "SeqScan" in report.physical
+    assert report.degraded == [index.key]
+    assert ids() == oracle
+    # Rot mid-query: one retry, and exactly this structure quarantined.
+    db.health.restore_all()
+    index.rot = True
+    assert ids() == oracle
+    assert db.metrics.get("resilience.statement_retries") == 1
+    assert db.health.unhealthy() == [index.key]
 
 
 def _live(db) -> list[int]:

@@ -278,14 +278,14 @@ class TestBaselineIndex:
         table.insert({"name": "bird"})
         annotate(manager, 1, DISEASE, n=2)
         annotate(manager, 1, ANATOMY)
-        obj = index.reconstruct_object(1)
+        obj = index.reconstruct(1)
         assert obj is not None
         assert obj.get_label_value("Disease") == 2
         assert obj.get_label_value("Anatomy") == 1
 
     def test_reconstruct_missing_returns_none(self):
         _, __, index = self.build()
-        assert index.reconstruct_object(404) is None
+        assert index.reconstruct(404) is None
 
     def test_storage_overhead_exceeds_summary_btree(self):
         # Figure 7: the baseline replicates the summary objects, so its

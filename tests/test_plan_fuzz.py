@@ -65,7 +65,8 @@ def run_mode(db, sql, scheme, force, rules):
 
 class TestFuzzedEquivalence:
     @given(preds=predicates)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=max(30, settings.default.max_examples),
+              deadline=None)
     def test_selection_modes_agree(self, db, preds):
         sql = build_query(preds, None, False, None)
         reference = sorted(run_mode(db, sql, "none", None, True))
@@ -78,7 +79,8 @@ class TestFuzzedEquivalence:
                 == reference, (sql, scheme, force)
 
     @given(preds=predicates)
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=max(15, settings.default.max_examples),
+              deadline=None)
     def test_rules_off_agrees(self, db, preds):
         sql = build_query(preds, None, False, None)
         on = sorted(run_mode(db, sql, "summary_btree", None, True))
@@ -91,7 +93,8 @@ class TestFuzzedEquivalence:
         descending=st.booleans(),
         limit=st.one_of(st.none(), st.integers(1, 10)),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=max(25, settings.default.max_examples),
+              deadline=None)
     def test_ordered_modes_agree(self, db, preds, order_label, descending,
                                  limit):
         sql = build_query(preds, order_label, descending, limit)

@@ -521,6 +521,31 @@ class TestDegradedPlanning:
         finally:
             index.lookup_range = original
 
+    def test_replica_rot_quarantines_the_replica(self):
+        """Normalized propagation (Figure 12) reads the snippet replica
+        beside the baseline index: rot in the replica quarantines the
+        replica, and the retry answers from the heap."""
+        db = build_database(WorkloadConfig(
+            num_birds=30, annotations_per_tuple=20, indexes="both",
+            cell_fraction=0.0, seed=6,
+        ))
+        db.guard.policy.base_delay = 0
+        db.create_normalized_replicas("birds")
+        db.options.index_scheme = "baseline"
+        db.options.normalized_propagation = True
+        db.options.force_access = "index"
+        reference = heap_oracle(db, SP_QUERY)
+        replica = db.derived[("replica", "birds", "TextSummary1")]
+
+        def rot(oid):
+            raise CorruptPageError("synthetic replica rot")
+
+        replica.reconstruct = rot
+        assert run(db, SP_QUERY) == reference
+        assert db.metrics.get("resilience.statement_retries") == 1
+        assert not db.health.is_healthy("replica", "birds", "TextSummary1")
+        assert "BaselineIndexScan" not in db.explain(SP_QUERY).physical
+
     def test_integrity_audit_feeds_health(self, db):
         db.options.force_access = "index"
         index = db.summary_indexes[("birds", "ClassBird1")]

@@ -10,6 +10,7 @@ side condition.
 import pytest
 
 from repro import Column, Database, ValueType
+from repro.errors import QueryError
 
 EXPR = "$.getSummaryObject('C').getLabelValue('X')"
 
@@ -113,6 +114,40 @@ class TestEquivalenceAcrossOperators:
         via_index, via_nloop = run_both(db, query)
         assert via_index == via_nloop
         assert via_index  # non-empty for every operator at this data shape
+
+    @pytest.mark.parametrize("outer", ["float", "text"])
+    @pytest.mark.parametrize("op", ["=", "<", "<=", ">", ">="])
+    def test_non_integer_outer_keys(self, op, outer):
+        """An outer key the label counts are compared with in Python: a
+        FLOAT probes the integer counts it orders against, a TEXT key
+        equals none and cannot be ordered against one."""
+        db = make_db()
+        vtype, values = {
+            "float": (ValueType.FLOAT, [2.0, 2.5, 0.5, float("nan")]),
+            "text": (ValueType.TEXT, ["abc", "2"]),
+        }[outer]
+        db.create_table("f", [Column("name", ValueType.TEXT),
+                              Column("x", vtype)])
+        for i, value in enumerate(values):
+            db.insert("f", {"name": f"f{i}", "x": value})
+        db.analyze("f")
+        query = (
+            f"Select r.name, s.name From f r, b s Where r.x {op} s.{EXPR}"
+        )
+        outcomes = []
+        for force in ("index", "nloop"):
+            db.options.force_join = force
+            try:
+                outcomes.append(pairs(db.sql(query)))
+            except QueryError:
+                outcomes.append(QueryError)
+            finally:
+                db.options.force_join = None
+        assert outcomes[0] == outcomes[1]
+        if outer == "float":
+            assert outcomes[0]  # non-empty for every operator
+        else:
+            assert outcomes[0] == ([] if op == "=" else QueryError)
 
     def test_with_residual_data_condition(self):
         db = make_db()
