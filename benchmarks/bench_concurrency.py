@@ -1,10 +1,10 @@
-"""Concurrency scaling — the asyncio query server under parallel clients.
+"""Concurrency scaling — the query server under parallel clients.
 
 The point of the server + striped-lock stack (ISSUE 7) is that N clients
 get more aggregate work through one engine than one client can: readers
-hold shared locks concurrently, statements run on a worker thread pool,
-and each client's own result processing (JSON decode, row consumption)
-overlaps other clients' server-side execution.
+hold shared locks concurrently, each connection's statements run on its
+own thread, and each client's own result processing (JSON decode, row
+consumption) overlaps other clients' server-side execution.
 
 The bench runs a TPC-style closed-loop workload: each client fires a
 read-heavy mix (two SELECT shapes + a 10% insert mix), consumes every
@@ -15,8 +15,8 @@ multi-core hosts their work genuinely runs beside the server; on a
 single core the think interval still yields the CPU, which is the
 point: a server that handled one connection to completion at a time
 would idle through every client's think time and score ~1.0x here,
-while the asyncio accept loop + statement thread pool interleaves
-other sessions' statements into those gaps.
+while one thread per connection interleaves other sessions'
+statements into those gaps.
 
 Each phase runs on a fresh seeded server (ephemeral port) so the 1- and
 4-client runs see identical data.  Reported number is aggregate
@@ -28,13 +28,10 @@ at every scale (the CI smoke runs the quick preset).
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import subprocess
 import sys
-import threading
-import time
 
 import pytest
 
@@ -87,42 +84,23 @@ print(json.dumps({"requests": requests, "elapsed": elapsed, "sink": sink}))
 """
 
 
-class _BenchServer:
-    """A fresh seeded database + server on a background event loop."""
-
-    def __init__(self, rows: int):
-        self.db = Database(buffer_pages=256)
-        self.db.create_table(
-            "t", [Column("name", ValueType.TEXT), Column("v", ValueType.INT)]
-        )
-        for i in range(rows):
-            self.db.insert("t", [f"r{i}", i % 50])
-        self.server = QueryServer(self.db)
-        self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        deadline = time.monotonic() + 10
-        while self.server.port == 0 and time.monotonic() < deadline:
-            time.sleep(0.005)
-
-    def _run(self):
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_until_complete(self.server.start())
-        self.loop.run_forever()
-
-    def stop(self):
-        asyncio.run_coroutine_threadsafe(
-            self.server.stop(), self.loop
-        ).result(10)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(10)
-        self.loop.close()
+def _seeded_server(rows: int) -> QueryServer:
+    """A started server over a fresh seeded database."""
+    db = Database(buffer_pages=256)
+    db.create_table(
+        "t", [Column("name", ValueType.TEXT), Column("v", ValueType.INT)]
+    )
+    for i in range(rows):
+        db.insert("t", [f"r{i}", i % 50])
+    server = QueryServer(db)
+    server.start()
+    return server
 
 
 def _run_phase(num_clients: int, requests: int, rows: int) -> float:
     """One phase on a fresh server; returns aggregate statements/sec
     (sum of each closed-loop client's own throughput)."""
-    bench = _BenchServer(rows)
+    server = _seeded_server(rows)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(repro.__file__)),
@@ -132,7 +110,7 @@ def _run_phase(num_clients: int, requests: int, rows: int) -> float:
         procs = [
             subprocess.Popen(
                 [sys.executable, "-c", WORKER_SRC,
-                 "127.0.0.1", str(bench.server.port), str(requests), str(w),
+                 "127.0.0.1", str(server.port), str(requests), str(w),
                  str(THINK_SECONDS)],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
             )
@@ -146,7 +124,7 @@ def _run_phase(num_clients: int, requests: int, rows: int) -> float:
             throughput += stats["requests"] / stats["elapsed"]
         return throughput
     finally:
-        bench.stop()
+        server.stop()
 
 
 @pytest.mark.benchmark(group="concurrency")

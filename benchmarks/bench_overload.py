@@ -1,7 +1,7 @@
 """Overload behaviour — admission control keeps latency typed and flat.
 
 The failure mode this PR exists to prevent: a server offered more work
-than its worker pool can absorb either stacks unbounded queue latency
+than its statement slots can absorb either stacks unbounded queue latency
 (every client suffers) or falls over.  With the bounded admission queue
 the contract is different — excess statements are *shed* with a typed
 ``ServerOverloadedError`` within the queue deadline, and the statements
@@ -24,7 +24,6 @@ Acceptance gates (asserted here, recorded in EXPERIMENTS.md):
 
 from __future__ import annotations
 
-import asyncio
 import statistics
 import threading
 import time
@@ -49,7 +48,7 @@ WORKERS = 1
 OVERLOAD_FACTOR = 4
 
 QUEUE_TIMEOUT = 0.3
-#: event-loop scheduling slack allowed on top of the queue deadline.
+#: thread scheduling slack allowed on top of the queue deadline.
 SHED_SLACK = 0.7
 
 #: how long a client honours a shed before re-offering — the retry
@@ -66,46 +65,25 @@ LATENCY_GATE = 2.0
 STATEMENT = "Select name, v From t r Where r.v = 7"
 
 
-class _OverloadServer:
-    """A fresh seeded database + overload-shaped server on a
-    background event loop (the bench_concurrency harness, with the
-    admission knobs exposed)."""
-
-    def __init__(self, rows: int, **server_kwargs):
-        self.db = Database(buffer_pages=256)
-        self.db.create_table(
-            "t", [Column("name", ValueType.TEXT),
-                  Column("v", ValueType.INT)]
-        )
-        for i in range(rows):
-            self.db.insert("t", [f"r{i}", i % 50])
-        self.server = QueryServer(self.db, **server_kwargs)
-        self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        deadline = time.monotonic() + 10
-        while self.server.port == 0 and time.monotonic() < deadline:
-            time.sleep(0.005)
-
-    def _run(self):
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_until_complete(self.server.start())
-        self.loop.run_forever()
-
-    def stop(self):
-        asyncio.run_coroutine_threadsafe(
-            self.server.stop(), self.loop
-        ).result(10)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(10)
-        self.loop.close()
+def _overload_server(rows: int, **server_kwargs) -> QueryServer:
+    """A started server over a fresh seeded database, with the admission
+    knobs exposed (the bench_concurrency set-up)."""
+    db = Database(buffer_pages=256)
+    db.create_table(
+        "t", [Column("name", ValueType.TEXT), Column("v", ValueType.INT)]
+    )
+    for i in range(rows):
+        db.insert("t", [f"r{i}", i % 50])
+    server = QueryServer(db, **server_kwargs)
+    server.start()
+    return server
 
 
 def _run_uncontended(rows: int, statements: int) -> list[float]:
-    bench = _OverloadServer(rows, workers=WORKERS, max_connections=64)
+    server = _overload_server(rows, workers=WORKERS, max_connections=64)
     try:
         latencies = []
-        with QueryClient(port=bench.server.port,
+        with QueryClient(port=server.port,
                          response_timeout=30) as client:
             for _ in range(statements):
                 started = time.perf_counter()
@@ -114,12 +92,12 @@ def _run_uncontended(rows: int, statements: int) -> list[float]:
                 assert result["row_count"] == rows // 50
         return latencies
     finally:
-        bench.stop()
+        server.stop()
 
 
 def _run_overload(rows: int, statements: int):
     """Returns (accepted latencies, shed latencies, stray errors)."""
-    bench = _OverloadServer(
+    server = _overload_server(
         rows, workers=WORKERS, max_connections=64,
         queue_limit=1, queue_timeout=QUEUE_TIMEOUT,
     )
@@ -130,7 +108,7 @@ def _run_overload(rows: int, statements: int):
 
     def client_loop():
         try:
-            with QueryClient(port=bench.server.port,
+            with QueryClient(port=server.port,
                              response_timeout=30) as client:
                 for _ in range(statements):
                     started = time.perf_counter()
@@ -160,7 +138,7 @@ def _run_overload(rows: int, statements: int):
             t.join(600)
         return accepted, shed, strays
     finally:
-        bench.stop()
+        server.stop()
 
 
 @pytest.mark.benchmark(group="overload")

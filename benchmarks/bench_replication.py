@@ -23,7 +23,6 @@ throughput (asserted at every scale; the CI smoke runs quick).
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 
@@ -52,64 +51,29 @@ READERS_PER_NODE = 2
 SCALE_OUT_GATE = 1.8
 
 
-class _Node:
-    """A server (primary or replica) on its own event-loop thread."""
-
-    def __init__(self):
-        self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self.loop.run_forever, daemon=True
-        )
-        self._thread.start()
-
-    def _start(self, coro):
-        asyncio.run_coroutine_threadsafe(coro, self.loop).result(10)
-
-    def _shutdown(self, coro):
-        asyncio.run_coroutine_threadsafe(coro, self.loop).result(10)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(10)
-        self.loop.close()
+def _primary(rows: int) -> QueryServer:
+    """A started replication primary over a fresh seeded database."""
+    db = Database(buffer_pages=256)
+    db.attach_wal(MemoryWALDevice())
+    db.create_table(
+        "t", [Column("name", ValueType.TEXT), Column("v", ValueType.INT)]
+    )
+    for i in range(rows):
+        db.insert("t", [f"r{i}", i % 50])
+    server = QueryServer(db, port=0, workers=2)
+    ReplicationEndpoint(server).install()
+    server.start()
+    return server
 
 
-class _Primary(_Node):
-    def __init__(self, rows: int):
-        super().__init__()
-        self.db = Database(buffer_pages=256)
-        self.db.attach_wal(MemoryWALDevice())
-        self.db.create_table(
-            "t", [Column("name", ValueType.TEXT), Column("v", ValueType.INT)]
-        )
-        for i in range(rows):
-            self.db.insert("t", [f"r{i}", i % 50])
-        self.server = QueryServer(self.db, port=0, workers=2)
-        ReplicationEndpoint(self.server).install()
-        self._start(self.server.start())
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    def stop(self):
-        self._shutdown(self.server.stop())
-
-
-class _Replica(_Node):
-    def __init__(self, primary_port: int):
-        super().__init__()
-        self.replica = ReplicaServer(
-            "127.0.0.1", primary_port, port=0, poll_interval=0.005,
-            workers=2,
-        )
-        self._start(self.replica.start())
-        assert self.replica.wait_ready(10), "replica bootstrap timed out"
-
-    @property
-    def port(self) -> int:
-        return self.replica.port
-
-    def stop(self):
-        self._shutdown(self.replica.stop())
+def _replica(primary_port: int) -> ReplicaServer:
+    """A started, bootstrapped replica of the primary on ``primary_port``."""
+    replica = ReplicaServer(
+        "127.0.0.1", primary_port, port=0, poll_interval=0.005, workers=2,
+    )
+    replica.start()
+    assert replica.wait_ready(10), "replica bootstrap timed out"
+    return replica
 
 
 def _reader(port: int, requests: int, out: list, idx: int):
@@ -155,9 +119,9 @@ def _read_phase(ports: list[int], requests: int) -> float:
 @pytest.mark.benchmark(group="replication")
 def test_replication_lag_curve(benchmark, preset, figure_writer):
     ops = INGEST_OPS.get(preset.name, 200)
-    primary = _Primary(rows=100)
-    replica = _Replica(primary.port)
-    link = replica.replica.link
+    primary = _primary(rows=100)
+    replica = _replica(primary.port)
+    link = replica.link
     try:
         assert link.wait_caught_up(10)
         samples: list[int] = []
@@ -201,11 +165,11 @@ def test_replication_lag_curve(benchmark, preset, figure_writer):
 def test_read_scale_out_gate(benchmark, preset, figure_writer):
     requests = REQUESTS.get(preset.name, 100)
     rows = max(60, preset.num_birds)
-    primary = _Primary(rows=rows)
-    replicas = [_Replica(primary.port) for _ in range(2)]
+    primary = _primary(rows=rows)
+    replicas = [_replica(primary.port) for _ in range(2)]
     try:
         for r in replicas:
-            assert r.replica.link.wait_caught_up(10)
+            assert r.link.wait_caught_up(10)
             # A replica must serve the same rows it will be read for.
             with QueryClient("127.0.0.1", r.port) as c:
                 assert c.execute("Select * From t")["row_count"] == rows

@@ -347,7 +347,8 @@ def serve_command(args: list[str]) -> int:
     """``python -m repro serve [image] [--host H] [--port P] [--workers N]
     [--max-connections N] [--drain-timeout S] [--idle-timeout S]
     [--replicate] [--replica-of HOST:PORT] [--replica-id ID]``: run the
-    asyncio query server over a fresh database or a loaded image.
+    query server (a thread per connection) over a fresh database or a
+    loaded image.
 
     ``--replicate`` attaches a WAL (if the database has none) and serves
     the primary-side replication ops so replicas can attach.

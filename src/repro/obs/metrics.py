@@ -62,15 +62,16 @@ Naming convention used by the engine::
     lock.releases                release_all calls that dropped >=1 lock
     lock.tables                  snapshot gauge: distinct locked resources
     server.connections / server.requests / server.errors
-                                 asyncio query server (repro.server)
+                                 query server (repro.server)
     server.cancelled_disconnects statements cancelled by client hangup
     server.shed                  requests shed by admission control, with
                                  per-cause children: server.shed.connections
                                  (connection cap) / server.shed.queue_full /
                                  server.shed.queue_deadline /
                                  server.shed.draining
-    server.queue_depth           gauge: statements parked in the admission
-                                 queue right now
+    server.queue_depth           gauge: admission-queue places in use (a
+                                 statement that waited keeps its place until
+                                 its answer is written)
     server.active_connections    gauge: connections currently admitted
     server.idle_closed           connections dropped by the idle timeout
     server.health_requests       {"op": "health"} frames answered

@@ -18,8 +18,8 @@ attached:
 * ``{"op": "replicate_detach", "replica_id": ID}`` — release the
   stream's retention pin (clean shutdown / promote).
 
-Handlers run on the server's worker pool, so snapshot generation (which
-takes the commit mutex) never blocks the accept loop.
+Handlers run on the requesting connection's thread, so snapshot
+generation (which takes the commit mutex) never blocks the accept loop.
 """
 
 from __future__ import annotations

@@ -26,9 +26,7 @@ mutex — the same idiom the REPL uses to swap demo databases.
 
 from __future__ import annotations
 
-import asyncio
 import os
-import signal
 import socket
 
 from repro.core.database import Database
@@ -37,7 +35,11 @@ from repro.replication.applier import WALApplier
 from repro.replication.link import ReplicationLink
 from repro.replication.primary import ReplicationEndpoint
 from repro.resilience import RetryPolicy
-from repro.server.server import DEFAULT_WORKERS, QueryServer
+from repro.server.server import (
+    DEFAULT_WORKERS,
+    QueryServer,
+    run_until_signalled,
+)
 from repro.wal.device import MemoryWALDevice
 
 _replica_seq = 0
@@ -89,22 +91,21 @@ class ReplicaServer:
 
     # -- lifecycle -----------------------------------------------------------
 
-    async def start(self) -> None:
+    def start(self) -> None:
         """Bind the query server and start the replication link. The
-        link bootstraps asynchronously — health reports ``bootstrapped``
-        and lag; :meth:`wait_ready` blocks for tests and the CLI."""
-        await self.server.start()
+        link bootstraps in the background — health reports
+        ``bootstrapped`` and lag; :meth:`wait_ready` blocks for tests
+        and the CLI."""
+        self.server.start()
         self.link.start()
 
-    async def stop(self, drain_timeout: float | None = None) -> None:
+    def stop(self, drain_timeout: float | None = None) -> None:
         self.link.stop()
         if not self.promoted:
             # Release the retention pin on the primary (best-effort: a
             # dead primary just means nothing to release).
-            await asyncio.get_running_loop().run_in_executor(
-                None, self._detach_best_effort
-            )
-        await self.server.stop(drain_timeout)
+            self._detach_best_effort()
+        self.server.stop(drain_timeout)
 
     def wait_ready(self, timeout: float = 10.0) -> bool:
         """Block until the first bootstrap completed."""
@@ -191,34 +192,6 @@ async def serve_replica(primary_host: str, primary_port: int,
     """CLI runner: serve a replica until SIGTERM/SIGINT, then drain."""
     replica = ReplicaServer(primary_host, primary_port, host=host,
                             port=port, workers=workers, **kwargs)
-    await replica.start()
-    print(
-        f"repro replica of {primary_host}:{primary_port} listening on "
-        f"{replica.host}:{replica.port}", flush=True,
-    )
-    loop = asyncio.get_running_loop()
-    stop_requested = asyncio.Event()
-    installed: list = []
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, stop_requested.set)
-            installed.append(sig)
-        except (NotImplementedError, ValueError, RuntimeError):
-            pass
-    forever = asyncio.ensure_future(replica.server.serve_forever())
-    stopper = asyncio.ensure_future(stop_requested.wait())
-    try:
-        await asyncio.wait({forever, stopper},
-                           return_when=asyncio.FIRST_COMPLETED)
-    finally:
-        for sig in installed:
-            loop.remove_signal_handler(sig)
-        stopper.cancel()
-        await replica.stop()
-        if not forever.done():
-            forever.cancel()
-        try:
-            await forever
-        except (asyncio.CancelledError, Exception):
-            pass
-        print("repro replica drained", flush=True)
+    await run_until_signalled(
+        replica, f"repro replica of {primary_host}:{primary_port} "
+        "listening on", "repro replica drained")

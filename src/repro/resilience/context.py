@@ -15,6 +15,11 @@ A tripped check raises a typed :class:`~repro.errors.QueryTimeoutError`
 or :class:`~repro.errors.QueryCancelledError` carrying partial-progress
 stats (operator rows produced so far, elapsed seconds, checks performed).
 
+A statement served over a connection also carries a ``hangup`` probe:
+:meth:`check` polls it at most once per :data:`HANGUP_POLL_S`, and a
+client that hung up cancels the statement at that checkpoint — the
+same path, and the same lock-wait slices, as :meth:`cancel`.
+
 The clock is injectable for deterministic tests.
 """
 
@@ -27,18 +32,24 @@ from repro.errors import QueryCancelledError, QueryTimeoutError
 #: rows between cancellation/deadline checkpoints in each operator.
 BATCH_ROWS = 64
 
+#: seconds between polls of a statement's ``hangup`` probe.
+HANGUP_POLL_S = 0.005
+
 
 class ExecutionContext:
     """One statement's deadline + cancellation state."""
 
     def __init__(self, timeout: float | None = None, clock=time.perf_counter,
-                 metrics=None):
+                 metrics=None, hangup=None):
         self.clock = clock
         self.metrics = metrics
         self.started = clock()
         self.timeout = timeout
         self.deadline = self.started + timeout if timeout is not None else None
         self.cancelled = False
+        #: ``hangup() -> bool``: True once the statement's client is gone.
+        self.hangup = hangup
+        self._next_poll = self.started + HANGUP_POLL_S
         #: operator rows produced under this context (partial progress).
         self.rows_seen = 0
         #: checkpoint evaluations performed.
@@ -59,8 +70,14 @@ class ExecutionContext:
         }
 
     def check(self) -> None:
-        """One checkpoint: raise if cancelled or past the deadline."""
+        """One checkpoint: raise if cancelled (or the client hung up) or
+        past the deadline."""
         self.checks += 1
+        if self.hangup is not None and not self.cancelled:
+            now = self.clock()
+            if now >= self._next_poll:
+                self._next_poll = now + HANGUP_POLL_S
+                self.cancelled = bool(self.hangup())
         if self.cancelled:
             if self.metrics is not None:
                 self.metrics.inc("resilience.cancelled")

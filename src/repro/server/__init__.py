@@ -1,12 +1,13 @@
-"""Query serving: asyncio TCP server + thin client (DESIGN.md §5g–5h).
+"""Query serving: a thread-per-connection TCP server + thin client
+(DESIGN.md §5g–5h).
 
 The server multiplexes concurrent clients over one
-:class:`~repro.core.database.Database`; each connection owns a locking
-:class:`~repro.txn.session.Session`, statements run on a worker thread
-pool, and a mid-statement client hangup cancels the statement through
-the cooperative path so locks are never stranded.  Overload is shed
-with typed errors (connection cap + bounded statement queue), shutdown
-drains gracefully, and a seeded
+:class:`~repro.core.database.Database`; each connection has its own
+thread and locking :class:`~repro.txn.session.Session`, runs its
+statements itself, and a mid-statement client hangup cancels the
+statement at its next cooperative checkpoint so locks are never
+stranded.  Overload is shed with typed errors (connection cap + bounded
+statement queue), shutdown drains gracefully, and a seeded
 :class:`~repro.faults.network.NetworkFaultPlan` can subject the whole
 stack to resets/stalls/partial/garbled frames.
 :class:`~repro.server.resilient.ResilientQueryClient` is the

@@ -82,15 +82,19 @@ class Session:
 
     # -- entry points --------------------------------------------------------
 
-    def execute(self, query: str, timeout: float | None = None):
+    def execute(self, query: str, timeout: float | None = None,
+                hangup=None):
         """Parse and run one statement under a fresh
         :class:`ExecutionContext` (deadline + cooperative cancellation),
         like :meth:`Database.execute` but per-session: the context is
         installed in the engine's *thread-local* slot, so concurrent
-        sessions on worker threads each see their own deadline."""
+        sessions on their own threads each see their own deadline.
+        ``hangup`` is the context's client-hangup probe (the server
+        passes one per connection)."""
         db = self.db
         effective = timeout if timeout is not None else db.statement_timeout
-        ctx = ExecutionContext(timeout=effective, metrics=db.metrics)
+        ctx = ExecutionContext(timeout=effective, metrics=db.metrics,
+                               hangup=hangup)
         previous = db._exec_ctx
         db._exec_ctx = ctx
         self._ctx = ctx

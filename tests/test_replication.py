@@ -17,8 +17,6 @@ read failover.
 
 from __future__ import annotations
 
-import asyncio
-import threading
 import time
 
 import pytest
@@ -62,33 +60,21 @@ def table_rows(db: Database, table: str = "t"):
 
 
 class ReplicaHarness:
-    """One :class:`ReplicaServer` on its own event-loop thread."""
+    """One started :class:`ReplicaServer`."""
 
     def __init__(self, primary_port: int, **kwargs):
         kwargs.setdefault("poll_interval", 0.01)
-        self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self.loop.run_forever, daemon=True
-        )
-        self._thread.start()
         self.replica = ReplicaServer(
             "127.0.0.1", primary_port, port=0, **kwargs
         )
-        asyncio.run_coroutine_threadsafe(
-            self.replica.start(), self.loop
-        ).result(10)
+        self.replica.start()
 
     @property
     def port(self) -> int:
         return self.replica.port
 
     def stop(self):
-        asyncio.run_coroutine_threadsafe(
-            self.replica.stop(), self.loop
-        ).result(10)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(10)
-        self.loop.close()
+        self.replica.stop()
 
 
 @pytest.fixture()
@@ -433,6 +419,16 @@ class TestEndToEnd:
                           min_lsn_timeout=0.05)
             assert exc_info.value.error_type == "ReplicaLaggingError"
         rc.close()
+
+    def test_infinite_staleness_wait_is_a_typed_protocol_error(self, pair):
+        _primary, rh = pair
+        with QueryClient("127.0.0.1", rh.port) as c:
+            with pytest.raises(ServerError) as exc_info:
+                c.execute("SELECT name FROM t", min_lsn=10 ** 12,
+                          min_lsn_timeout=float("inf"))
+            assert exc_info.value.error_type == "ProtocolError"
+            assert "min_lsn_timeout" in str(exc_info.value)
+            assert c.execute("SELECT name FROM t")["row_count"] >= 5
 
     def test_checkpoint_on_live_primary_loses_no_records(self, pair, tmp_path):
         primary, rh = pair

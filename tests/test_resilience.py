@@ -47,6 +47,7 @@ from repro.resilience import (
     ExecutionContext,
     RetryPolicy,
 )
+from repro.resilience.context import HANGUP_POLL_S
 from repro.workload.generator import WorkloadConfig, build_database
 
 SP_QUERY = (
@@ -397,6 +398,38 @@ class TestDeadlinesAndCancellation:
         ctx.cancel()
         with pytest.raises(QueryCancelledError):
             list(rows)
+
+    def test_hangup_probe_polled_at_most_once_per_interval(self):
+        clock = FakeClock()
+        polls: list[float] = []
+        gone = False
+
+        def hangup() -> bool:
+            polls.append(clock())
+            return gone
+
+        ctx = ExecutionContext(clock=clock, hangup=hangup)
+        for _ in range(5):
+            ctx.check()
+        assert polls == []  # a statement shorter than one interval
+        clock.advance(HANGUP_POLL_S)
+        for _ in range(5):
+            ctx.check()
+        assert polls == [HANGUP_POLL_S]
+        clock.advance(HANGUP_POLL_S / 2)
+        ctx.check()
+        assert len(polls) == 1
+        gone = True
+        clock.advance(HANGUP_POLL_S / 2)
+        # The first True cancels at that very checkpoint ...
+        with pytest.raises(QueryCancelledError):
+            ctx.check()
+        assert len(polls) == 2
+        # ... and the context stays cancelled without polling again.
+        clock.advance(HANGUP_POLL_S)
+        with pytest.raises(QueryCancelledError):
+            ctx.check()
+        assert len(polls) == 2
 
     def test_timeout_metrics_counted(self, db):
         before = db.metrics.get("resilience.timeouts")

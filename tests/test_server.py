@@ -1,10 +1,10 @@
 """Query-server tests: protocol framing, error handling, concurrency.
 
-The server fixture binds an ephemeral port on a background event loop,
-so suites run in parallel without port collisions.  Beyond the happy
-path, the suite covers the protocol's documented failure contract —
-malformed frames and oversized payloads answer an error frame and drop
-the connection, statement errors keep it — and the disconnect guarantee:
+The server fixture binds an ephemeral port, so suites run in parallel
+without port collisions.  Beyond the happy path, the suite covers the
+protocol's documented failure contract — malformed frames and oversized
+payloads answer an error frame and drop the connection, statement
+errors keep it — pipelined frames, and the disconnect guarantee:
 a client that hangs up mid-statement gets its statement *cancelled*
 through the cooperative path and its session closed, so no table lock
 outlives the connection.
@@ -12,7 +12,6 @@ outlives the connection.
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import struct
 import threading
@@ -36,39 +35,20 @@ from repro.storage.record import ValueType
 
 
 class ServerHarness:
-    """One server on its own event-loop thread; exposes the bound port."""
+    """One started server; exposes the bound port."""
 
     def __init__(self, db: Database, **kwargs):
         self.db = db
         self.server = QueryServer(db, **kwargs)
-        self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        deadline = time.monotonic() + 10
-        while self.server.port == 0:
-            if time.monotonic() > deadline:  # pragma: no cover
-                raise RuntimeError("server did not bind")
-            time.sleep(0.005)
-
-    def _run(self):
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_until_complete(self.server.start())
-        self.loop.run_forever()
+        self.server.start()
 
     @property
     def port(self) -> int:
         return self.server.port
 
     def stop(self):
-        if getattr(self, "_stopped", False):
-            return  # failover tests kill the primary before teardown
-        self._stopped = True
-        asyncio.run_coroutine_threadsafe(
-            self.server.stop(), self.loop
-        ).result(10)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(10)
-        self.loop.close()
+        # Idempotent: failover tests kill the primary before teardown.
+        self.server.stop()
 
 
 @pytest.fixture()
@@ -266,6 +246,73 @@ class TestProtocolViolations:
     def test_nonlocking_sql_still_parses(self, harness):
         # Sanity: the SQL sent over the wire is ordinary parser input.
         parse_sql("Select name, v From t")
+
+
+class TestDeadlineValidation:
+    """Client deadlines must be finite, non-negative numbers: NaN would
+    slip past ``min(timeout, max_timeout)`` and never fire, infinity
+    overflows a replica's staleness wait, and ``true`` is not 1s."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("timeout", float("nan")),
+        ("timeout", float("inf")),
+        ("timeout", True),
+        ("timeout", -1),
+        ("min_lsn_timeout", float("nan")),
+        ("min_lsn_timeout", float("inf")),
+        ("min_lsn_timeout", -0.5),
+    ])
+    def test_bad_deadline_is_a_typed_protocol_error(self, harness, field,
+                                                    value):
+        with QueryClient(port=harness.port) as client:
+            client.send_raw(encode_frame(
+                {"sql": "Select * From t", "min_lsn": 0, field: value}))
+            response = client.recv_response()
+            assert response["ok"] is False
+            assert response["error_type"] == "ProtocolError"
+            assert field in response["error"]
+            # A shape error keeps the connection.
+            assert client.execute("Select * From t")["row_count"] == 10
+        assert harness.db.metrics.get("server.requests") == 1
+
+    def test_nan_cannot_escape_the_max_timeout_clamp(self):
+        db = Database(buffer_pages=32)
+        db.create_table("t", [Column("name", ValueType.TEXT)])
+        h = ServerHarness(db, max_timeout=0.15)
+        db.lock_manager.acquire_exclusive("holder", "t")
+        try:
+            with QueryClient(port=h.port) as client:
+                with pytest.raises(ServerError) as exc_info:
+                    client.execute("Insert Into t Values ('x')",
+                                   timeout=float("nan"))
+            assert exc_info.value.error_type == "ProtocolError"
+            assert db.metrics.get("lock.waits") == 0
+        finally:
+            db.lock_manager.release_all("holder")
+            h.stop()
+
+
+class TestPipelining:
+    def test_two_frames_in_one_send_answer_in_order(self, harness):
+        db = harness.db
+        # The first statement parks in a lock wait, so its hangup probe
+        # polls while the second frame sits unread in the socket.
+        db.lock_manager.acquire_exclusive("holder", "t")
+        threading.Timer(0.2, db.lock_manager.release_all,
+                        args=("holder",)).start()
+        with QueryClient(port=harness.port) as client:
+            client.send_raw(
+                encode_frame({"sql": "Insert Into t Values ('piped', 42)",
+                              "timeout": 10})
+                + encode_frame({"sql": "Select name From t r "
+                                       "Where r.v = 42"}))
+            first = client.recv_response()
+            second = client.recv_response()
+            assert first["ok"] is True and first["result"] is None
+            assert second["ok"] is True
+            assert second["result"]["rows"] == [["piped"]]
+        assert db.metrics.get("server.connections") == 1
+        assert db.metrics.get("server.cancelled_disconnects") == 0
 
 
 class TestMidStatementDisconnect:

@@ -473,6 +473,55 @@ class TestMetricsReconciliation:
             h.stop()
 
 
+class TestAdmissionUnderContention:
+    def test_every_slot_and_queue_place_comes_back(self, db):
+        """Eight client threads against one slot and one queue place,
+        with a shortened switch interval so the connection threads
+        interleave at every bytecode boundary: each statement is
+        accounted exactly once and every slot and queue place returns."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        h = make_harness(db, workers=1, max_connections=16,
+                         queue_limit=1, queue_timeout=0.05)
+        outcomes = {"ok": 0, "error": 0, "shed": 0}
+        lock = threading.Lock()
+
+        def run():
+            with QueryClient(port=h.port, response_timeout=30) as client:
+                for _ in range(25):
+                    try:
+                        client.execute("Select * From t r Where r.v = 3")
+                        kind = "ok"
+                    except ServerError as exc:
+                        kind = ("shed" if exc.error_type
+                                == "ServerOverloadedError" else "error")
+                    with lock:
+                        outcomes[kind] += 1
+
+        try:
+            threads = [threading.Thread(target=run) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads)
+            assert wait_for(lambda: db.metrics.get_gauge(
+                "server.active_connections") == 0)
+            snap = db.metrics.snapshot()
+            assert snap["server.requests"] == sum(outcomes.values()) == 200
+            assert outcomes["error"] == snap.get("server.errors", 0) == 0
+            assert snap.get("server.shed", 0) == outcomes["shed"]
+            assert db.metrics.get_gauge("server.queue_depth") == 0
+            assert h.server.health()["queue_depth"] == 0
+            # The one slot is free again (an extra release would have
+            # raised: the semaphore is bounded).
+            assert h.server._slots.acquire(blocking=False)
+            h.server._slots.release()
+        finally:
+            sys.setswitchinterval(previous)
+            h.stop()
+
+
 class TestGracefulDrain:
     def test_stop_with_open_transaction_releases_everything(self, db):
         """The PR-7 regression: ``stop()`` used to abandon live
@@ -487,7 +536,8 @@ class TestGracefulDrain:
         h.stop()  # graceful drain, no client cooperation
         assert len(db.txn_manager.active) == 0
         assert not held_locks(db)
-        assert h.server._executor is None
+        assert not any(thread.name == f"repro-conn-{h.port}"
+                       for thread in threading.enumerate())
         assert h.server._connections == set()
         client.close()
         # The uncommitted write is gone (txn aborted, not committed).
@@ -512,10 +562,7 @@ class TestGracefulDrain:
         time.sleep(0.1)
         # Free the statement shortly *after* the drain begins.
         threading.Timer(0.3, holder.release).start()
-        import asyncio
-        asyncio.run_coroutine_threadsafe(
-            h.server.stop(drain_timeout=10), h.loop
-        ).result(30)
+        h.server.stop(drain_timeout=10)
         worker.join(10)
         # The in-flight statement finished and its response went out.
         assert results["value"] is None
@@ -544,11 +591,8 @@ class TestGracefulDrain:
         worker.start()
         assert wait_for(lambda: db.metrics.get("server.requests") >= 1)
         time.sleep(0.15)
-        import asyncio
         started = time.monotonic()
-        asyncio.run_coroutine_threadsafe(
-            h.server.stop(drain_timeout=0.3), h.loop
-        ).result(30)
+        h.server.stop(drain_timeout=0.3)
         elapsed = time.monotonic() - started
         # Past the deadline the straggler was cooperatively cancelled —
         # stop() never waits for the full 60s statement deadline.
