@@ -26,6 +26,11 @@ Design, in the order the invariants matter:
   objects and text tuples are immutable, so no reader can poison an entry
   (writers copy, through ``SummaryStorage.get_for_update``).
 
+* **Batches.**  ``lookup_many`` answers a scan batch's OIDs under one
+  mutex hold and one epoch read; ``lookup`` is its one-OID case.  The
+  ``cache.hits``/``misses``/``invalidations`` counters move once per
+  call, by the same totals as one lookup per OID.
+
 * **Bounds.**  Capacity is configured in bytes (``0`` is a legal size that
   stores nothing); entries carry a size estimate, eviction is LRU, and an
   admission guard rejects any single entry larger than
@@ -155,27 +160,43 @@ class SummaryCache:
 
     def lookup(self, table: str, oid: int, kind: str = "set"
                ) -> tuple[bool, Any]:
-        """Return ``(hit, value)``; the value is the stored (immutable)
-        object itself, shared with every other reader.  A stale entry
-        (epoch behind the table's) counts as a miss and is dropped on the
-        spot."""
-        key = (table, oid, kind)
+        """Return ``(hit, value)``: :meth:`lookup_many` of one OID."""
+        return self.lookup_many(table, (oid,), kind)[0]
+
+    def lookup_many(self, table: str, oids, kind: str = "set"
+                    ) -> list[tuple[bool, Any]]:
+        """``(hit, value)`` per OID, in order, under one mutex hold and one
+        epoch read; the value is the stored (immutable) object itself,
+        shared with every other reader.  A stale entry (epoch behind the
+        table's) counts as a miss and is dropped on the spot.  Counters
+        move once per call, by the totals of one lookup per OID."""
+        out: list[tuple[bool, Any]] = []
+        hits = invalidations = 0
+        entries = self._entries
         with self._mutex:
-            entry = self._entries.get(key)
-            if entry is not None:
-                value, size, epoch = entry
-                if epoch == self.epoch(table):
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    self.metrics.inc("cache.hits")
-                    return True, value
-                del self._entries[key]
-                self.used_bytes -= size
-                self.invalidations += 1
-                self.metrics.inc("cache.invalidations")
-            self.misses += 1
-        self.metrics.inc("cache.misses")
-        return False, None
+            epoch = self.epoch(table)
+            for oid in oids:
+                key = (table, oid, kind)
+                entry = entries.get(key)
+                if entry is not None:
+                    if entry[2] == epoch:
+                        entries.move_to_end(key)
+                        hits += 1
+                        out.append((True, entry[0]))
+                        continue
+                    del entries[key]
+                    self.used_bytes -= entry[1]
+                    invalidations += 1
+                out.append((False, None))
+            misses = len(out) - hits
+            self.hits += hits
+            self.misses += misses
+            self.invalidations += invalidations
+        for name, n in (("cache.hits", hits), ("cache.misses", misses),
+                        ("cache.invalidations", invalidations)):
+            if n:
+                self.metrics.inc(name, n)
+        return out
 
     def store(self, table: str, oid: int, value: Any, size_hint: int,
               kind: str = "set") -> bool:

@@ -42,6 +42,7 @@ from repro.errors import (
     ReadOnlyReplicaError,
     RecordNotFoundError,
     ReproError,
+    SchemaError,
     SummaryError,
 )
 from repro.index.baseline import BaselineClassifierIndex
@@ -830,6 +831,7 @@ class Database:
             targets = [AnnotationTarget(table, oid, tuple(columns))]
         with self._wal_statement() as log:
             for target in targets:
+                self._require_columns(target)
                 self._require_tuple(target.table, target.oid)
             if log:
                 self._wal_append(
@@ -851,6 +853,17 @@ class Database:
         if not self.manager.is_annotated(tbl.name, oid):
             tbl.disk_tuple_loc(oid)
 
+    def _require_columns(self, target: AnnotationTarget) -> None:
+        """Raise :class:`~repro.errors.SchemaError` unless every column
+        ``target`` names is one of its table's (matched exactly, as the
+        binder matches names), before the annotation is logged or stored."""
+        schema = self.catalog.table(target.table).schema
+        for column in target.columns:
+            if column not in schema:
+                raise SchemaError(
+                    f"{target.table}: no column named {column!r}"
+                )
+
     def add_annotations_bulk(
         self, items: list[tuple[str, list[AnnotationTarget]]]
     ) -> list:
@@ -861,10 +874,14 @@ class Database:
         returns replays the whole batch (the record carries the first
         assigned annotation id, so replay reproduces identical ids).
         A target naming no tuple rejects the whole batch with
-        :class:`~repro.errors.RecordNotFoundError` before anything is
-        logged or stored.
+        :class:`~repro.errors.RecordNotFoundError`, and one naming no
+        column with :class:`~repro.errors.SchemaError`, before anything
+        is logged or stored.
         """
         with self._wal_statement() as log:
+            for _text, targets in items:
+                for target in targets:
+                    self._require_columns(target)
             for table, oid in dict.fromkeys(
                 (target.table, target.oid)
                 for _text, targets in items for target in targets

@@ -7,7 +7,9 @@ with the values held column-major, plus per-row summary-set and provenance
 slots. Batches produced by the scans keep their summary slots *lazy* — the
 SummaryStorage row of a tuple is only decoded into
 :class:`~repro.summaries.objects.SummaryObject` instances when some
-consumer actually asks for that row's sets (``row(i)`` / ``to_rows()``).
+consumer actually asks for that row's sets (``row(i)`` / ``to_rows()``),
+and a batch's rows are read together: ``to_rows()`` resolves every
+row's sets with one summary-cache pass, not one lookup per row.
 Vectorized summary predicates read the summary slot alone
 (:meth:`Batch.summary_values`), never a row view, and answer
 ``getSummaryObject(I).getLabelValue(L)`` chains straight from the storage
@@ -41,6 +43,9 @@ class EagerSummaries:
     def get(self, i: int) -> dict:
         return self.sets[i]
 
+    def get_many(self, indices) -> list[dict]:
+        return [self.sets[i] for i in indices]
+
     def take(self, indices) -> "EagerSummaries":
         return EagerSummaries([self.sets[i] for i in indices])
 
@@ -49,13 +54,14 @@ class EagerSummaries:
 
 
 class LazyScanSummaries:
-    """Summary column of a scan batch: OIDs now, objects on demand.
+    """Summary column of a scan batch: OIDs now, objects per batch ask.
 
-    ``get(i)`` reads exactly as ``_make_tuple`` does — through
-    :meth:`SummaryManager.summary_set_for`, projected to the retained
-    columns (annotation-effect elimination) — and memoizes the result so
-    every row view of the batch shares one set, just as a single QTuple
-    flowing through the plan would.
+    ``get_many(indices)`` reads the sets of every row it is given that the
+    memo lacks with one :meth:`SummaryManager.summary_sets_for` call — one
+    summary-cache pass, projected to the retained columns (annotation-
+    effect elimination) — and memoizes them so every row view of the
+    batch shares one set, just as a single QTuple flowing through the
+    plan would.  ``get(i)`` is its one-row case.
     """
 
     __slots__ = ("ctx", "table", "alias", "oids", "with_summaries",
@@ -77,17 +83,22 @@ class LazyScanSummaries:
         )
 
     def get(self, i: int) -> dict:
-        sets = self._memo.get(i)
-        if sets is None:
+        return self.get_many((i,))[0]
+
+    def get_many(self, indices) -> list[dict]:
+        memo = self._memo
+        missing = [i for i in indices if i not in memo]
+        if missing:
             if self.with_summaries:
-                summaries = self.ctx.manager.summary_set_for(
-                    self.table, self.oids[i], self.retained
+                found = self.ctx.manager.summary_sets_for(
+                    self.table, [self.oids[i] for i in missing],
+                    self.retained,
                 )
-            else:
-                summaries = SummarySet()
-            sets = {self.alias: summaries}
-            self._memo[i] = sets
-        return sets
+            else:  # one empty set per row: sets are compared with ``is``
+                found = [SummarySet() for _ in missing]
+            for i, summaries in zip(missing, found):
+                memo[i] = {self.alias: summaries}
+        return [memo[i] for i in indices]
 
     def take(self, indices) -> "LazyScanSummaries":
         memo = {}
@@ -251,38 +262,39 @@ class Batch:
     def row(self, i: int) -> QTuple:
         if self._rows is not None:
             return self._rows[i]
-        row = self._memo.get(i)
-        if row is None:
-            row = QTuple(
-                self.columns,
-                [col[i] for col in self.cols],
-                self.summaries.get(i),
-                self.provenance.get(i),
-            )
-            self._memo[i] = row
-        return row
+        if i not in self._memo:
+            self._build((i,))
+        return self._memo[i]
 
     def to_rows(self) -> list[QTuple]:
         if self._rows is not None:
             return self._rows
-        return [self.row(i) for i in range(len(self))]
+        indices = range(len(self))
+        self._build([i for i in indices if i not in self._memo])
+        return [self._memo[i] for i in indices]
+
+    def _build(self, indices) -> None:
+        """Memoize the row views of ``indices``: one batch ask for their
+        summary sets; values still decode one record per row."""
+        for i, sets in zip(indices, self.summaries.get_many(indices)):
+            self._memo[i] = QTuple(self.columns, [col[i] for col in self.cols],
+                                   sets, self.provenance.get(i))
 
     def summary_values(self, expr, eval_ctx, active: list[int]) -> list:
         """``expr``'s value on each ``active`` row (other slots None).
 
         A summary chain reads only its row's summary sets, so no data
         value is decoded: the summary slot's raw label fast path answers
-        what it can, and the rest walk the chain on ``summaries.get(i)`` —
-        the memoized dict ``row(i)`` would carry, so set identity is the
-        same as on a row view.
+        what it can, and the rest, read with one ``summaries.get_many``,
+        walk the chain on the memoized dict ``row(i)`` would carry, so set
+        identity is the same as on a row view.
         """
         from repro.query.eval import evaluate_summary_expr
 
         out: list[object] = [None] * len(self)
-        for i in self.summaries.label_values(expr, active, out):
-            out[i] = evaluate_summary_expr(
-                expr, self.summaries.get(i), eval_ctx
-            )
+        rest = self.summaries.label_values(expr, active, out)
+        for i, sets in zip(rest, self.summaries.get_many(rest)):
+            out[i] = evaluate_summary_expr(expr, sets, eval_ctx)
         return out
 
     # -- reshaping ------------------------------------------------------------------

@@ -16,6 +16,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator
 
@@ -49,8 +50,6 @@ def _make_tuple(
         summaries = SummarySet()
     elif summary_set is None:
         summaries = ctx.manager.summary_set_for(table_name, oid, retained)
-    elif retained is not None:
-        summaries = summary_set.project_to_columns(retained)
     else:
         summaries = summary_set
     return QTuple(
@@ -309,7 +308,7 @@ class DerivedIndexScan(PhysicalOperator):
 
     def _produce_batches(self) -> Iterator[Batch]:
         # Each hit carries its own pointer hop (and possibly its summary
-        # objects): row-at-a-time.
+        # objects): rows, chunked into batches.
         return batches_from_rows(self._probed())
 
     def _probed(self) -> Iterator[QTuple]:
@@ -320,14 +319,26 @@ class DerivedIndexScan(PhysicalOperator):
         table = self.ctx.catalog.table(self.table)
         builders = self.ctx.reconstructors(self.table) \
             if self._reconstructs else None
-        for oid, values, objects in index.hits(self.probe, table):
+        retained = self.retained
+        hits = index.hits(self.probe, table)
+        while chunk := list(itertools.islice(hits, BATCH_ROWS)):
             if builders is not None:
-                objects = self._reconstructed(builders, oid)
-            yield _make_tuple(
-                self.ctx, self.table, self.alias, oid, values,
-                self.with_summaries, self.retained,
-                summary_set=None if objects is None else SummarySet(objects),
-            )
+                chunk = [(oid, values, self._reconstructed(builders, oid))
+                         for oid, values, _objects in chunk]
+            # The hits that brought no objects read theirs in one batch.
+            stored = iter(self.ctx.manager.summary_sets_for(
+                self.table, [oid for oid, _v, objs in chunk if objs is None],
+                retained,
+            ) if self.with_summaries else ())
+            for oid, values, objects in chunk:
+                summaries = next(stored, None) if objects is None \
+                    else SummarySet(objects)
+                if objects is not None and retained is not None:
+                    summaries = summaries.project_to_columns(retained)
+                yield _make_tuple(
+                    self.ctx, self.table, self.alias, oid, values,
+                    self.with_summaries, retained, summary_set=summaries,
+                )
 
     def _reconstructed(self, builders, oid: int) -> dict:
         objects, formed = {}, set()

@@ -474,12 +474,23 @@ class SummaryManager:
     def summary_set_for(
         self, table: str, oid: int, retained: set[str] | None = None
     ) -> SummarySet:
-        """The stored summary objects of one tuple as a :class:`SummarySet`,
+        """:meth:`summary_sets_for` of one tuple."""
+        return self.summary_sets_for(table, (oid,), retained)[0]
+
+    def summary_sets_for(
+        self, table: str, oids, retained: set[str] | None = None
+    ) -> list[SummarySet]:
+        """The stored summary objects of each tuple in ``oids`` as a
+        :class:`SummarySet`, in order, read with one storage pass and
         projected to the ``retained`` columns when given (§2.2 step 1).
-        The objects are shared with the cache, and immutable."""
-        summaries = SummarySet(self.storage_for(table).get(oid) or {})
-        return summaries if retained is None else \
-            summaries.project_to_columns(retained)
+        Projection is skipped when the table never had a cell annotation:
+        every object then targets whole rows, so it would return each set
+        itself.  The objects are shared with the cache, and immutable."""
+        sets = [SummarySet(objects or {})
+                for objects in self.storage_for(table).get_many(oids)]
+        if retained is None or not self.has_cell_annotations(table):
+            return sets
+        return [summaries.project_to_columns(retained) for summaries in sets]
 
     def raw_texts_for(self, table: str, oid: int) -> tuple[str, ...]:
         """Raw texts of every annotation attached to a tuple (keyword-search

@@ -181,23 +181,32 @@ class SummaryStorage:
         return RID(page_no, slot)
 
     def get(self, oid: int) -> dict[str, SummaryObject] | None:
-        """All summary objects of tuple ``oid`` (None when un-annotated).
+        """All summary objects of tuple ``oid`` (None when un-annotated):
+        :meth:`get_many` of one OID."""
+        return self.get_many((oid,))[0]
 
-        Read-through cached and shared: a hit returns the cached (immutable)
-        mapping itself, and a ``None`` value memoizes "no storage row".
-        Writers read through :meth:`get_for_update`."""
+    def get_many(self, oids) -> list[dict[str, SummaryObject] | None]:
+        """The summary objects of each tuple in ``oids``, in order.
+
+        Read-through cached and shared: one cache pass answers the batch,
+        then the misses are read from the heap in order — the pages one
+        lookup per OID would read — and stored.  A hit returns the cached
+        (immutable) mapping itself, and a ``None`` value memoizes "no
+        storage row".  Writers read through :meth:`get_for_update`."""
         cache = self.cache
-        if cache.enabled:
-            hit, value = cache.lookup(self.table_name, oid)
-            if hit:
-                return value
+        found = cache.lookup_many(self.table_name, oids) if cache.enabled \
+            else [(False, None)] * len(oids)
+        return [value if hit else self._read(oid)
+                for oid, (hit, value) in zip(oids, found)]
+
+    def _read(self, oid: int) -> dict[str, SummaryObject] | None:
         rid = self._rid_for(oid)
         if rid is None:
-            cache.store(self.table_name, oid, None, 0)
+            self.cache.store(self.table_name, oid, None, 0)
             return None
         data = self.heap.read(rid)
         objects = self._decode(data)
-        cache.store(self.table_name, oid, objects, len(data))
+        self.cache.store(self.table_name, oid, objects, len(data))
         return objects
 
     def get_for_update(self, oid: int) -> dict[str, SummaryObject] | None:
@@ -220,13 +229,9 @@ class SummaryStorage:
         object, hierarchical rollup label, unusual serialization). Answers
         come from the cache when it is hot, otherwise from a
         raw scan of the serialized row — no SummaryObject construction.
+        :meth:`label_counts` of one OID.
         """
-        cache = self.cache
-        if cache.enabled:
-            hit, value = cache.lookup(self.table_name, oid)
-            if hit:
-                return _cached_label_count(value, instance, label)
-        return self._stored_label_count(self._rid_for(oid), instance, label)
+        return self.label_counts([oid], instance, label)[0]
 
     def _stored_label_count(
         self, rid: RID | None, instance: str, label: str
@@ -251,8 +256,8 @@ class SummaryStorage:
         cache = self.cache
         if cache.enabled:
             misses = []
-            for oid in oids:
-                hit, value = cache.lookup(self.table_name, oid)
+            found = cache.lookup_many(self.table_name, oids)
+            for oid, (hit, value) in zip(oids, found):
                 if hit:
                     answers[oid] = _cached_label_count(value, instance, label)
                 else:

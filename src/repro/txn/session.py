@@ -306,6 +306,7 @@ class Session:
             # Not a row this transaction inserted: it must be committed.
             db._require_tuple(stmt.table, stmt.oid)
         targets = [AnnotationTarget(stmt.table, stmt.oid, tuple(stmt.columns))]
+        db._require_columns(targets[0])
         # Pre-assign the annotation id: sound under the held exclusive
         # annotation-resource lock (same argument as OID reservation).
         ann_id = db.manager.annotations.next_id + txn.ann_adds

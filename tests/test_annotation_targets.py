@@ -5,6 +5,9 @@ import pytest
 
 from repro import Column, Database, ValueType
 from repro.annotations.annotation import AnnotationTarget
+from repro.errors import SchemaError
+from repro.wal.device import MemoryWALDevice
+from repro.wal.record import WALRecordType
 
 SEEDS = [
     ("flu virus infection outbreak", "Disease"),
@@ -113,3 +116,80 @@ class TestTargetValidation:
         ann = db.add_annotation(TEXT, table="t", oid=oid, columns=("a", "c"))
         assert set(ann.columns_on("t", oid)) == {"a", "c"}
         assert ann.columns_on("t", 999) == ()
+
+
+class TestTargetColumns:
+    """A target column must be a column of its table, matched exactly as
+    the binder matches names.  An unknown one used to be stored: it
+    counted under ``Select *``, vanished from every named projection and
+    marked the table cell-annotated."""
+
+    BAD = [("zz",), ("A",), ("oid",), ("a", "zz")]
+
+    def assert_untouched(self, db, oid, next_id, log_len):
+        assert db.manager.annotations.next_id == next_id
+        assert not db.manager.has_cell_annotations("t")
+        assert db.manager.storage_for("t").get(oid) is None
+        assert len(db.wal.device.durable()) == log_len
+        assert "C" not in db.sql("Select * From t").summaries(0)
+
+    @pytest.mark.parametrize("columns", BAD)
+    def test_rejected_before_logging(self, db, columns):
+        oid = db.insert("t", {"a": "x", "b": "y", "c": "z"})
+        db.attach_wal()
+        next_id = db.manager.annotations.next_id
+        log_len = len(db.wal.device.durable())
+        listed = ", ".join(columns)
+        attempts = [
+            lambda: db.sql(f"Annotate t {oid} ({listed}) '{TEXT}'"),
+            lambda: db.add_annotation(TEXT, table="t", oid=oid,
+                                      columns=columns),
+            lambda: db.add_annotation(TEXT, targets=[
+                AnnotationTarget("t", oid, ()),
+                AnnotationTarget("t", oid, columns),
+            ]),
+            lambda: db.add_annotations_bulk([
+                (TEXT, [AnnotationTarget("t", oid, ())]),
+                (TEXT, [AnnotationTarget("t", oid, columns)]),
+            ]),
+        ]
+        for attempt in attempts:
+            with pytest.raises(SchemaError):
+                attempt()
+            self.assert_untouched(db, oid, next_id, log_len)
+
+    def test_rejected_inside_a_transaction(self, db):
+        oid = db.insert("t", {"a": "x", "b": "y", "c": "z"})
+        db.attach_wal()
+        next_id = db.manager.annotations.next_id
+        log_len = len(db.wal.device.durable())
+        session = db.session()
+        session.execute("Begin")
+        with pytest.raises(SchemaError):
+            session.execute(f"Annotate t {oid} (zz) '{TEXT}'")
+        session.execute(f"Annotate t {oid} (a) '{TEXT}'")
+        session.execute("Commit")
+        assert db.manager.annotations.next_id == next_id + 1
+        assert disease_count(db.sql("Select a From t")) == 1
+        assert len(db.wal.device.durable()) > log_len
+
+    def test_existing_log_still_replays(self, db, tmp_path):
+        """A log written before the check may hold such a target: replay
+        applies it as it was applied then, and fails no record."""
+        oid = db.insert("t", {"a": "x", "b": "y", "c": "z"})
+        db.save(tmp_path / "image.db")
+        db.attach_wal()
+        bad = AnnotationTarget("t", oid, ("zz",))
+        with db._wal_statement():
+            db._wal_append(WALRecordType.ANN_ADD, {
+                "text": TEXT, "targets": [bad],
+                "ann_id": db.manager.annotations.next_id,
+            })
+            db.manager.add_annotation(TEXT, [bad])
+        recovered, report = Database.recover(
+            tmp_path / "image.db",
+            MemoryWALDevice.from_durable(db.wal.device.durable(), 0),
+        )
+        assert (report.replayed, report.failed) == (1, 0)
+        assert recovered.manager.has_cell_annotations("t")
+        assert disease_count(recovered.sql("Select * From t")) == 1

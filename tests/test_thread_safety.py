@@ -8,7 +8,8 @@ consistent under real thread pressure:
 * :class:`MetricsRegistry` — ``inc`` lost updates, ``snapshot`` during
   a concurrent dict resize;
 * :class:`SummaryCache` — store/lookup/epoch-bump races corrupting the
-  occupancy accounting or resurrecting stale entries;
+  occupancy accounting or resurrecting stale entries, one key at a time
+  or a batch at a time (``lookup_many``);
 * :class:`BufferPool` — concurrent get/mark_dirty/flush corrupting the
   frame map or the LRU order.
 
@@ -19,6 +20,7 @@ drop out of (and be rebuilt after) serialization.
 from __future__ import annotations
 
 import pickle
+import sys
 import threading
 
 from repro.cache.summary_cache import SummaryCache
@@ -167,6 +169,82 @@ class TestSummaryCache:
         cache.bump_epoch("t")
         hit, _ = cache.lookup("t", 1)
         assert not hit
+
+    def test_lookup_many_racing_bumps_and_invalidations(self):
+        """A batch lookup reads the epoch once under the mutex, so every
+        hit of one call carries that epoch: never an older one, even
+        while other threads bump epochs and invalidate entries."""
+        # Small enough that the stores evict: the LRU bookkeeping is
+        # exercised too.
+        cache = SummaryCache(capacity_bytes=40 * 164)
+        oids = list(range(48))
+        failures: list[str] = []
+        stop = threading.Event()
+
+        def storer(wid):
+            try:
+                i = 0
+                while not stop.is_set():
+                    oid = oids[(wid * 13 + i) % len(oids)]
+                    with cache._mutex:  # stamp and value read one epoch
+                        cache.store("t", oid, ("v", cache.epoch("t")),
+                                    size_hint=100)
+                    i += 1
+            except Exception as exc:  # pragma: no cover
+                failures.append(repr(exc))
+
+        def churner():
+            i = 0
+            while not stop.is_set():
+                if i % 3 == 0:
+                    cache.bump_epoch("t")
+                else:
+                    cache.invalidate("t", oids[i % len(oids)])
+                i += 1
+
+        def reader():
+            try:
+                for _ in range(1_500):
+                    floor = cache.epoch("t")
+                    found = cache.lookup_many("t", oids)
+                    ceiling = cache.epoch("t")
+                    stamps = {value[1] for hit, value in found if hit}
+                    assert len(stamps) <= 1, stamps
+                    assert all(floor <= s <= ceiling for s in stamps)
+                    assert all(value is None for hit, value in found
+                               if not hit)
+            except Exception as exc:  # pragma: no cover
+                failures.append(repr(exc))
+
+        threads = [threading.Thread(target=storer, args=(i,))
+                   for i in range(3)]
+        threads.append(threading.Thread(target=churner))
+        readers = [threading.Thread(target=reader) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads + readers:
+                t.start()
+            for t in readers:
+                t.join(60)
+            stop.set()
+            for t in threads:
+                t.join(10)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads + readers)
+        assert failures == []
+        with cache._mutex:
+            recount = sum(size for _v, size, _e in cache._entries.values())
+            assert cache.used_bytes == recount <= cache.capacity_bytes
+        # LRU order: a batch lookup moves its hits to the recent end, in
+        # the order asked.
+        for oid in oids:
+            cache.store("t", oid, ("v", cache.epoch("t")), size_hint=100)
+        wanted = oids[-5:][::-1]
+        assert all(hit for hit, _ in cache.lookup_many("t", wanted))
+        assert [key[1] for key in cache._entries][-5:] == wanted
 
     def test_pickle_drops_entries_and_rebuilds_mutex(self):
         cache = SummaryCache(capacity_bytes=4096)
