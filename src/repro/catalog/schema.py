@@ -64,6 +64,10 @@ class Schema:
                 raise SchemaError(f"column {col.name!r} is not nullable")
             col.type.validate(value)
 
+    def validate_values(self, values: dict[str, object]) -> None:
+        """Type/null-check the named columns of a partial row."""
+        self.project(list(values)).validate_row(list(values.values()))
+
     def row_from_dict(self, row: dict[str, object]) -> list[object]:
         """Order a ``{name: value}`` mapping into a positional row."""
         unknown = set(row) - set(self._by_name)

@@ -57,9 +57,7 @@ from repro.optimizer.statistics import StatisticsCatalog
 from repro.query.ast import (
     AlterTableSummary,
     CreateTableStmt,
-    DeleteStmt,
     ExplainStmt,
-    InsertStmt,
     SelectItem,
     SelectStmt,
     Star,
@@ -460,8 +458,8 @@ class Database:
         Holds the commit mutex for the whole scope: the WAL is one serial
         stream, so concurrent writers (autocommit statements on worker
         threads, transaction commits) must append+apply+sync one at a
-        time.  The mutex is reentrant — nested statement scopes and the
-        commit protocol (which takes it explicitly) recurse safely.
+        time.  The mutex is reentrant — nested statement scopes and an
+        autocommit statement planning under it recurse safely.
         """
         with self._commit_mutex:
             if self.read_only and not self._wal_replaying:
@@ -784,30 +782,30 @@ class Database:
         self._new_epoch()
 
     # -- DML --------------------------------------------------------------------------------
+    #
+    # Each Python-API write is planned into redo ops and run through the
+    # commit loop (TransactionManager.run_group), the path every SQL
+    # statement takes too.  These callers hold no table locks, so peeking
+    # a counter (next_oid, next_id) and applying happen under one hold of
+    # the commit mutex.
 
     def insert(self, table: str, row: dict | list) -> int:
-        tbl = self.catalog.table(table)
-        with self._wal_statement() as log:
-            if log:
-                # Canonicalize before logging: the record carries the
-                # positional values and the OID the insert will assign, so
-                # replay reproduces the tuple under its original identity.
-                values = tbl.canonical_row(row)
-                self._wal_append(
-                    WALRecordType.INSERT,
-                    {"table": tbl.name, "oid": tbl.next_oid, "values": values},
-                )
-                return tbl.insert(values)
-            return tbl.insert(row)
+        with self._commit_mutex:
+            tbl = self.catalog.table(table)
+            oid = tbl.next_oid
+            # The record carries the canonical positional values and the
+            # OID the insert assigns, so replay reproduces the tuple under
+            # its original identity.
+            self.txn_manager.run_group([(WALRecordType.INSERT, {
+                "table": tbl.name, "oid": oid,
+                "values": tbl.canonical_row(row),
+            })])
+        return oid
 
     def delete_tuple(self, table: str, oid: int) -> None:
-        with self._wal_statement() as log:
-            if log:
-                self._wal_append(
-                    WALRecordType.DELETE, {"table": table, "oid": oid}
-                )
-            self.manager.on_tuple_delete(table, oid)
-            self.catalog.table(table).delete(oid)
+        self.txn_manager.run_group(
+            [(WALRecordType.DELETE, {"table": table, "oid": oid})]
+        )
 
     # -- annotations ---------------------------------------------------------------------------
 
@@ -829,17 +827,16 @@ class Database:
             if table is None or oid is None:
                 raise SummaryError("add_annotation needs targets or table+oid")
             targets = [AnnotationTarget(table, oid, tuple(columns))]
-        with self._wal_statement() as log:
+        with self._commit_mutex:
             for target in targets:
                 self._require_columns(target)
                 self._require_tuple(target.table, target.oid)
-            if log:
-                self._wal_append(
-                    WALRecordType.ANN_ADD,
-                    {"text": text, "targets": list(targets),
-                     "ann_id": self.manager.annotations.next_id},
-                )
-            return self.manager.add_annotation(text, targets)
+            [annotation] = self.txn_manager.run_group([(
+                WALRecordType.ANN_ADD,
+                {"text": text, "targets": list(targets),
+                 "ann_id": self.manager.annotations.next_id},
+            )])
+        return annotation
 
     def _require_tuple(self, table: str, oid: int) -> None:
         """Raise :class:`~repro.errors.RecordNotFoundError` unless the
@@ -878,7 +875,7 @@ class Database:
         column with :class:`~repro.errors.SchemaError`, before anything
         is logged or stored.
         """
-        with self._wal_statement() as log:
+        with self._commit_mutex:
             for _text, targets in items:
                 for target in targets:
                     self._require_columns(target)
@@ -887,21 +884,16 @@ class Database:
                 for _text, targets in items for target in targets
             ):
                 self._require_tuple(table, oid)
-            if log:
-                self._wal_append(
-                    WALRecordType.ANN_BULK,
-                    {"items": [(text, list(targets)) for text, targets in items],
-                     "first_id": self.manager.annotations.next_id},
-                )
-            return self.manager.add_annotations_bulk(
-                [(text, targets, None) for text, targets in items]
-            )
+            return self.txn_manager.run_group([(
+                WALRecordType.ANN_BULK,
+                {"items": [(text, list(targets)) for text, targets in items],
+                 "first_id": self.manager.annotations.next_id},
+            )])
 
     def delete_annotation(self, ann_id: int) -> None:
-        with self._wal_statement() as log:
-            if log:
-                self._wal_append(WALRecordType.ANN_DEL, {"ann_id": ann_id})
-            self.manager.delete_annotation(ann_id)
+        self.txn_manager.run_group(
+            [(WALRecordType.ANN_DEL, {"ann_id": ann_id})]
+        )
 
     def zoom_in(self, table: str, oid: int, instance: str,
                 selector: str | int | None = None) -> list[str]:
@@ -980,44 +972,22 @@ class Database:
         # keeps any concurrent statement's apply+log out of the image and
         # out of the truncated log region.
         with self._commit_mutex:
-            self._save_locked(path)
-
-    def _save_locked(self, path: str | Path) -> None:
-        # Checkpoint images are always fully maintained: fold pending
-        # regeneration in before flushing pages, so a load never starts
-        # from stale summary rows (the WAL tail re-marks anything the
-        # image predates).
-        self.manager.drain_pending()
-        self.pool.flush_all()
-        if self.wal is not None:
-            self.wal.sync()
-            self.checkpoint_lsn = self.wal.next_lsn
-            self._applied_lsn = max(self._applied_lsn, self.checkpoint_lsn)
-        udfs = self.manager.udfs
-        self.manager.udfs = {}
-        try:
-            payload = pickle.dumps(self)
-        finally:
-            self.manager.udfs = udfs
-        header = self._IMAGE_MAGIC + self._IMAGE_HEADER.pack(
-            self._IMAGE_VERSION, len(payload),
-            zlib.crc32(payload) & 0xFFFFFFFF, self.checkpoint_lsn,
-        )
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(header + payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        # The rename must be durable before the log it supersedes goes.
-        fsync_directory(path.parent)
-        if self.wal is not None:
-            self.wal.truncate(self.checkpoint_lsn)
+            image = self._image_bytes(checkpoint=True)
+            path = Path(path)
+            tmp = path.with_name(path.name + ".tmp")
+            try:
+                with open(tmp, "wb") as fh:
+                    fh.write(image)
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp, path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
+            # The rename must be durable before the log it supersedes goes.
+            fsync_directory(path.parent)
+            if self.wal is not None:
+                self.wal.truncate(self.checkpoint_lsn)
 
     def snapshot_bytes(self) -> bytes:
         """Serialize the current state as image bytes — the replication
@@ -1030,24 +1000,40 @@ class Database:
         replica's stream position stays valid across a bootstrap.
         """
         with self._commit_mutex:
-            self.manager.drain_pending()
-            self.pool.flush_all()
-            if self.wal is not None:
-                self.wal.sync()
-                snapshot_lsn = self.wal.next_lsn
-            else:
-                snapshot_lsn = max(self.checkpoint_lsn, self._applied_lsn)
-            udfs = self.manager.udfs
-            self.manager.udfs = {}
-            try:
-                payload = pickle.dumps(self)
-            finally:
-                self.manager.udfs = udfs
-            header = self._IMAGE_MAGIC + self._IMAGE_HEADER.pack(
-                self._IMAGE_VERSION, len(payload),
-                zlib.crc32(payload) & 0xFFFFFFFF, snapshot_lsn,
-            )
-            return header + payload
+            return self._image_bytes(checkpoint=False)
+
+    def _image_bytes(self, checkpoint: bool) -> bytes:
+        """Header + pickled state, the one image builder of :meth:`save`
+        and :meth:`snapshot_bytes`; the caller holds the commit mutex.
+
+        Images are always fully maintained: pending regeneration folds in
+        before the pages flush, so a load never starts from stale summary
+        rows (the WAL tail re-marks anything the image predates).  The
+        header's LSN is the synced log's end; a ``checkpoint`` also makes
+        it this database's checkpoint LSN.  Registered UDFs are left out.
+        """
+        self.manager.drain_pending()
+        self.pool.flush_all()
+        if self.wal is not None:
+            self.wal.sync()
+            lsn = self.wal.next_lsn
+            if checkpoint:
+                self.checkpoint_lsn = lsn
+                self._applied_lsn = max(self._applied_lsn, lsn)
+        elif checkpoint:
+            lsn = self.checkpoint_lsn
+        else:
+            lsn = max(self.checkpoint_lsn, self._applied_lsn)
+        udfs = self.manager.udfs
+        self.manager.udfs = {}
+        try:
+            payload = pickle.dumps(self)
+        finally:
+            self.manager.udfs = udfs
+        return self._IMAGE_MAGIC + self._IMAGE_HEADER.pack(
+            self._IMAGE_VERSION, len(payload),
+            zlib.crc32(payload) & 0xFFFFFFFF, lsn,
+        ) + payload
 
     @classmethod
     def load(cls, path: str | Path, verify: bool = False) -> "Database":
@@ -1168,20 +1154,13 @@ class Database:
             # mark/drain; these report the instantaneous truth).
             snap["maint.backlog"] = self.manager.pending_count()
             snap["maint.lag_seconds"] = self.manager.pending_lag_seconds()
-        guard = getattr(self, "guard", None)
-        if guard is not None and guard.breaker is not None:
+        if self.guard.breaker is not None:
             # Gauge (0=closed, 1=half-open, 2=open), not a counter.
-            snap["resilience.breaker_state"] = guard.breaker.state_code
-        health = getattr(self, "health", None)
-        if health is not None:
-            snap["resilience.unhealthy_paths"] = len(health)
-        txn_manager = getattr(self, "txn_manager", None)
-        if txn_manager is not None:
-            # Gauges; the txn.*/lock.* event counters live in the registry.
-            snap["txn.open"] = len(txn_manager.active)
-        lock_manager = getattr(self, "lock_manager", None)
-        if lock_manager is not None:
-            snap["lock.tables"] = len(lock_manager)
+            snap["resilience.breaker_state"] = self.guard.breaker.state_code
+        snap["resilience.unhealthy_paths"] = len(self.health)
+        # Gauges; the txn.*/lock.* event counters live in the registry.
+        snap["txn.open"] = len(self.txn_manager.active)
+        snap["lock.tables"] = len(self.lock_manager)
         parse_hits, parse_misses = parse_memo_counts()
         base_hits, base_misses = self._parse_counts_base
         snap["query.parse_cache.hits"] = parse_hits - base_hits
@@ -1229,25 +1208,22 @@ class Database:
         """
         import signal
 
-        effective = timeout if timeout is not None else self.statement_timeout
-        ctx = ExecutionContext(timeout=effective, metrics=self.metrics)
-        self._exec_ctx = ctx
+        session = self._default_session()
         previous_handler = None
         installed = False
         if interruptible:
             try:
                 previous_handler = signal.signal(
-                    signal.SIGINT, lambda signum, frame: ctx.cancel()
+                    signal.SIGINT, lambda signum, frame: session.cancel()
                 )
                 installed = True
             except ValueError:
                 pass  # not the main thread: Ctrl-C handling unavailable
         try:
-            return self.sql(query)
+            return session.execute(query, timeout)
         finally:
             if installed:
                 signal.signal(signal.SIGINT, previous_handler)
-            self._exec_ctx = None
 
     def cancel_running(self) -> bool:
         """Request cancellation of the statement currently inside
@@ -1281,8 +1257,9 @@ class Database:
         return self._default_session().execute_stmt(parse_sql(query))
 
     def _dispatch_stmt(self, stmt):
-        """Session-free statement dispatch: the engine's raw execution
-        surface, called by sessions after lock/transaction handling."""
+        """Session-free dispatch of reads and DDL: the engine's raw
+        execution surface, called by sessions after lock/transaction
+        handling (sessions plan DML into redo ops themselves)."""
         if isinstance(stmt, SelectStmt):
             return self._execute_select(stmt)
         if isinstance(stmt, ExplainStmt):
@@ -1302,18 +1279,6 @@ class Database:
                 [Column(c, _TYPE_KEYWORDS[t]) for c, t in stmt.columns],
             )
             return None
-        if isinstance(stmt, InsertStmt):
-            # Route through self.insert so each row emits a WAL record.
-            for row in stmt.rows:
-                if stmt.columns is not None:
-                    self.insert(stmt.table, dict(zip(stmt.columns, row)))
-                else:
-                    self.insert(stmt.table, row)
-            return None
-        if isinstance(stmt, DeleteStmt):
-            return self._execute_delete(stmt)
-        if isinstance(stmt, UpdateStmt):
-            return self._execute_update(stmt)
         raise QueryError(f"unsupported statement {stmt!r}")
 
     def _matching_oids(self, table: str, alias: str | None,
@@ -1333,18 +1298,11 @@ class Database:
             t.provenance[alias][1] for t in self._plan_rows(physical)
         ]
 
-    def _execute_delete(self, stmt: DeleteStmt) -> int:
-        """Returns the number of deleted tuples."""
-        oids = self._matching_oids(stmt.table, stmt.alias, stmt.where)
-        for oid in oids:
-            self.delete_tuple(stmt.table, oid)
-        return len(oids)
-
     def _update_plan(self, stmt: UpdateStmt) -> list[tuple[int, dict]]:
         """Evaluate an UPDATE's WHERE and assignment expressions against
-        current state: ``(oid, assigned-values)`` per matching row.
-        Shared by immediate execution and transactional buffering (which
-        logs post-evaluation values, never expressions)."""
+        current state: ``(oid, assigned-values)`` per matching row, what
+        the session plans the statement's UPDATE records from (they carry
+        post-evaluation values, never expressions)."""
         from repro.query.eval import EvalContext, evaluate
 
         alias = stmt.alias or stmt.table
@@ -1356,6 +1314,7 @@ class Database:
         physical, _logical, _cost = self.planner.plan(select)
         self._attach_runtime(physical)
         ctx = EvalContext(manager=self.manager, udfs=self.manager.udfs)
+        schema = self.catalog.table(stmt.table).schema
         updates: list[tuple[int, dict]] = []
         for row in self._plan_rows(physical):
             oid = row.provenance[alias][1]
@@ -1363,30 +1322,14 @@ class Database:
                 column: evaluate(expr, row, ctx)
                 for column, expr in stmt.assignments
             }
+            # A value the row cannot take fails the plan, not the apply.
+            schema.validate_values(assigned)
             updates.append((oid, assigned))
         return updates
 
-    def _execute_update(self, stmt: UpdateStmt) -> int:
-        """Returns the number of updated tuples.  Assignment expressions
-        evaluate per row (columns and summary expressions allowed)."""
-        updates = self._update_plan(stmt)
-        table = self.catalog.table(stmt.table)
-        for oid, assigned in updates:
-            with self._wal_statement() as log:
-                if log:
-                    # Post-evaluation values: replay must not re-evaluate
-                    # the assignment expressions against replayed state.
-                    self._wal_append(
-                        WALRecordType.UPDATE,
-                        {"table": stmt.table, "oid": oid, "values": assigned},
-                    )
-                self._apply_update(stmt.table, oid, assigned)
-        return len(updates)
-
     def _apply_update(self, table: str, oid: int, values: dict) -> None:
-        """Update one tuple (a statement's row or a redo record's); a
-        tuple the update relocates takes its Summary-BTree backward
-        pointers along."""
+        """Apply one UPDATE redo record's row; a tuple the update
+        relocates takes its Summary-BTree backward pointers along."""
         moved_from = self.catalog.table(table).update(oid, values)
         if moved_from is None:
             return

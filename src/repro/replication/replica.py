@@ -143,6 +143,10 @@ class ReplicaServer:
             db.stop_maintenance(drain=False)
             db.__dict__.clear()
             db.__dict__.update(new_db.__dict__)
+            # The loaded runtime (transaction manager, maintenance hooks)
+            # points back at new_db; every write and commit runs through
+            # it, so rebuild it around this object.
+            db._init_concurrency()
         self.applier.reset(lsn)
         db.metrics.set_gauge("repl.applied_lsn", lsn)
         return lsn

@@ -1,38 +1,37 @@
-"""Transactions over the redo-only WAL: buffered-redo commit.
+"""Transactions over the redo-only WAL: one write loop for every statement.
 
-An explicit transaction (``BEGIN`` … ``COMMIT``/``ABORT``) buffers its
-writes as *redo records* instead of applying them: each DML statement
-plans and evaluates against the committed state it can see (strict
-two-phase table locks keep that state stable underneath it), then pushes
-``(record_type, payload)`` onto the transaction — the exact payloads the
-WAL would carry.  Nothing touches the heap, the indexes, the summary
-structures, or the buffer pool until commit, which is what makes abort
-trivial and makes the headline durability claim structural: **an aborted
-transaction's pages cannot hit disk because an aborted transaction never
-has pages.**
+Every mutating statement is planned into redo ops, ``(record_type,
+payload)`` — the exact payloads the WAL carries — before any of them
+applies (``repro.txn.session``).  Inside ``BEGIN`` … ``COMMIT``/``ABORT``
+the ops are buffered on a :class:`Transaction`: nothing touches the
+heap, the indexes, the summary structures, or the buffer pool until
+commit, which is what makes abort trivial and makes the headline
+durability claim structural: **an aborted transaction's pages cannot hit
+disk because an aborted transaction never has pages.**
 
-Commit serializes on the engine's commit mutex and then, inside one WAL
-statement scope::
+:meth:`TransactionManager.run_group` is the one loop that applies ops:
+``COMMIT`` runs it on the buffered group, every autocommit statement (SQL
+or Python API) on its own ops, inside one WAL statement scope that holds
+the engine's commit mutex::
 
-    TXN_BEGIN(txn)                       appended
-    for each buffered op:  op record     appended, then applied alone via
-                                         repro.wal.recovery.apply_records
-    TXN_COMMIT(txn)                      appended
-    sync                                 the durability point
+    TXN_BEGIN(txn)             appended (transactions only)
+    for each op:  op record    appended, then applied alone via
+                               repro.wal.recovery.apply_records
+    TXN_COMMIT(txn)            appended (transactions only)
+    sync                       once: the durability point
 
-Applying through :func:`~repro.wal.recovery.apply_records` — the same
-interpreter crash recovery uses — means a committed transaction's live
-effect and its replay-after-crash effect are the same code path.  A crash
-anywhere before the final sync leaves a commit group without a durable
-``TXN_COMMIT`` frame, which recovery discards wholesale; after the sync
-the whole group is durable.  Exactly the committed prefix survives.
+Autocommit is a group without framing (``txn_id`` 0).  Applying through
+the interpreter crash recovery and the replica applier use makes every
+statement's live effect and its replayed effect the same code.  A crash
+before the sync leaves a group without a durable ``TXN_COMMIT`` frame,
+which recovery discards wholesale: exactly the committed prefix survives.
 
-Identifier pre-assignment: a transaction's buffered inserts claim OIDs
-(and annotation adds claim annotation ids) *at statement time* by
-offsetting from the current counter — sound because the transaction
-already holds the exclusive table lock (resp. the annotation-resource
-lock) and holds it until commit, so no other writer can move the counter
-underneath the reservation.
+Identifier pre-assignment: a plan claims OIDs (and annotation ids) by
+offsetting from the current counter.  A transaction's claims hold because
+its exclusive table lock (resp. the annotation-resource lock) stays held
+until commit; an autocommit statement plans and applies under one hold of
+the commit mutex, which also keeps out Python-API writers, who hold no
+table locks.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ from repro.wal.recovery import apply_records
 
 
 class Transaction:
-    """One open transaction's buffered state."""
+    """One open transaction's buffered state.  ``Transaction(0)`` is the
+    empty planning context of an autocommit statement."""
 
     __slots__ = (
         "txn_id", "ops", "insert_counts", "ann_adds", "deleted", "status",
@@ -65,27 +65,30 @@ class Transaction:
         self.deleted: set[tuple[str, int]] = set()
         self.status = "active"  # active | committed | aborted
 
-    def add_op(self, rtype: int, payload: dict) -> None:
+    def add_ops(self, ops: list[tuple[int, dict]]) -> None:
+        """Buffer one statement's planned ops and advance the offsets the
+        next statement's plan reserves from."""
         if self.status != "active":
             raise TransactionError(
                 f"transaction {self.txn_id} is {self.status}"
             )
-        self.ops.append((rtype, payload))
-
-    def reserve_oid(self, table,  # repro.catalog.table.Table
-                    ) -> int:
-        """Pre-assign the OID the buffered insert will receive at commit."""
-        name = table.name.lower()
-        oid = table.next_oid + self.insert_counts.get(name, 0)
-        self.insert_counts[name] = self.insert_counts.get(name, 0) + 1
-        return oid
+        for rtype, payload in ops:
+            if rtype == WALRecordType.INSERT:
+                name = payload["table"].lower()
+                self.insert_counts[name] = self.insert_counts.get(name, 0) + 1
+            elif rtype == WALRecordType.DELETE:
+                self.deleted.add((payload["table"].lower(), payload["oid"]))
+            elif rtype == WALRecordType.ANN_ADD:
+                self.ann_adds += 1
+        self.ops += ops
 
     def __len__(self) -> int:
         return len(self.ops)
 
 
 class TransactionManager:
-    """Allocates transaction ids and runs the commit/abort protocol."""
+    """Allocates transaction ids, runs the commit/abort protocol and the
+    commit loop every mutating statement goes through."""
 
     def __init__(self, db):
         self.db = db
@@ -115,13 +118,8 @@ class TransactionManager:
         self.db.metrics.inc("txn.aborts")
 
     def commit(self, txn: Transaction) -> None:
-        """Apply + log the buffered group, then make it durable.
-
-        Holds the engine's commit mutex: the WAL is one serial stream and
-        the group must land contiguously; concurrent committers (and
-        autocommit writers, who take the same mutex) queue here after
-        their table-lock conflicts have already been resolved.
-        """
+        """Log, apply and sync the buffered group through
+        :meth:`run_group`, framed by the transaction's id."""
         db = self.db
         if not txn.ops:
             # Empty transactions commit without touching the log.
@@ -129,38 +127,54 @@ class TransactionManager:
             db.metrics.inc("txn.commits")
             db.metrics.inc("txn.empty_commits")
             return
-        with db._commit_mutex:
-            try:
-                with db._wal_statement() as log:
-                    if log:
-                        db._wal_append(
-                            WALRecordType.TXN_BEGIN,
-                            {"ops": len(txn.ops)}, txn_id=txn.txn_id,
-                        )
-                    for rtype, payload in txn.ops:
-                        if log:
-                            # Record first, then apply: every page the op
-                            # dirties carries an LSN at or below this
-                            # record's frame, so a forced mid-commit flush
-                            # still writes the log ahead of the data.
-                            db._wal_append(rtype, payload, txn_id=txn.txn_id)
-                        apply_records(
-                            db, [WALRecord(0, rtype, 0, payload, txn.txn_id)]
-                        )
-                    if log:
-                        db._wal_append(
-                            WALRecordType.TXN_COMMIT,
-                            {"ops": len(txn.ops)}, txn_id=txn.txn_id,
-                        )
-                    # _wal_statement's exit syncs: the commit point.
-            except BaseException:
-                # A failed apply (engine bug or injected fault) leaves the
-                # live state mid-group with no durable commit frame —
-                # recovery from the WAL discards the group, which is the
-                # only consistent story. Surface it as an aborted commit.
-                self._retire(txn, "aborted")
-                db.metrics.inc("txn.commit_failures")
-                raise
+        try:
+            self.run_group(txn.ops, txn.txn_id)
+        except BaseException:
+            # A failed apply (engine bug or injected fault) leaves the
+            # live state mid-group with no durable commit frame —
+            # recovery from the WAL discards the group, which is the
+            # only consistent story. Surface it as an aborted commit.
+            self._retire(txn, "aborted")
+            db.metrics.inc("txn.commit_failures")
+            raise
         self._retire(txn, "committed")
         db.metrics.inc("txn.commits")
         db.metrics.inc("txn.ops_committed", len(txn.ops))
+
+    def run_group(self, ops: list[tuple[int, dict]], txn_id: int = 0) -> list:
+        """The commit loop: append each op's record (when logging), then
+        apply it alone through :func:`~repro.wal.recovery.apply_records`.
+
+        Runs inside one WAL statement scope, so it holds the commit mutex
+        (the WAL is one serial stream and a group lands contiguously) and
+        syncs once at the end.  ``txn_id`` 0 is an autocommit statement:
+        no ``TXN_BEGIN``/``TXN_COMMIT`` framing.  An empty group touches
+        nothing, the log included.  Returns the annotations the ops
+        created.
+        """
+        if not ops:
+            return []
+        db = self.db
+        created = []
+        with db._wal_statement() as log:
+            framed = log and txn_id != 0
+            if framed:
+                db._wal_append(
+                    WALRecordType.TXN_BEGIN, {"ops": len(ops)}, txn_id=txn_id
+                )
+            for rtype, payload in ops:
+                if log:
+                    # Record first, then apply: every page the op dirties
+                    # carries an LSN at or below this record's frame, so a
+                    # forced mid-group flush still writes the log ahead of
+                    # the data.
+                    db._wal_append(rtype, payload, txn_id=txn_id)
+                created += apply_records(
+                    db, [WALRecord(0, rtype, 0, payload, txn_id)]
+                )
+            if framed:
+                db._wal_append(
+                    WALRecordType.TXN_COMMIT, {"ops": len(ops)}, txn_id=txn_id
+                )
+            # _wal_statement's exit syncs: the commit point.
+        return created

@@ -15,12 +15,15 @@ Concurrency protocol (strict two-phase locking at table granularity):
   table (DELETE and ANNOTATE also on the annotation resource — tuple
   deletes cascade into the shared annotation store).  Multi-resource
   acquisitions go in sorted order to keep lock graphs shallow.
-* Autocommit statements release their locks at statement end.  Inside a
-  ``BEGIN`` … ``COMMIT``/``ABORT`` transaction, locks are held to the
-  transaction boundary and DML is *buffered* as redo ops
-  (:class:`~repro.txn.manager.Transaction`) — reads inside the
-  transaction see committed state only (no read-your-writes; the
-  concurrency battery's oracle models exactly these semantics).
+* Every DML statement is planned into redo ops, whole, before any is
+  buffered or applied — a statement that fails leaves nothing.  Inside a
+  ``BEGIN`` … ``COMMIT``/``ABORT`` transaction the ops are *buffered*
+  (:class:`~repro.txn.manager.Transaction`) and locks are held to the
+  transaction boundary; reads inside the transaction see committed state
+  only (no read-your-writes; the concurrency battery's oracle models
+  exactly these semantics).  In autocommit the ops go straight through
+  the commit loop (:meth:`~repro.txn.manager.TransactionManager.run_group`)
+  as a group without framing, and locks release at statement end.
 * A lock wait that times out (:class:`~repro.errors.LockTimeoutError`)
   names this session the deadlock victim: its open transaction is
   auto-aborted and all its locks released, so the other side proceeds.
@@ -56,6 +59,7 @@ from repro.query.ast import (
 from repro.query.parser import parse_sql
 from repro.resilience import ExecutionContext
 from repro.txn.locks import ANNOTATION_RESOURCE
+from repro.txn.manager import Transaction
 from repro.wal.record import WALRecordType
 
 _session_ids = count(1)
@@ -162,12 +166,11 @@ class Session:
         BeginStmt, CreateTableStmt, AlterTableSummary, InsertStmt,
         UpdateStmt, DeleteStmt, AnnotateStmt,
     )
+    _DML_STMTS = (InsertStmt, UpdateStmt, DeleteStmt, AnnotateStmt)
 
     def _run_stmt(self, stmt):
         db = self.db
-        if getattr(db, "read_only", False) and isinstance(
-            stmt, self._MUTATING_STMTS
-        ):
+        if db.read_only and isinstance(stmt, self._MUTATING_STMTS):
             raise ReadOnlyReplicaError(
                 "replica is read-only: route writes to the primary, "
                 "or promote this replica first"
@@ -192,31 +195,13 @@ class Session:
                     "COMMIT or ABORT first"
                 )
             return db._dispatch_stmt(stmt)
-        if isinstance(stmt, InsertStmt):
-            self._lock([stmt.table], exclusive=True)
-            if self.txn is not None:
-                return self._buffer_insert(stmt)
-            return db._dispatch_stmt(stmt)
-        if isinstance(stmt, UpdateStmt):
-            self._lock([stmt.table], exclusive=True)
-            if self.txn is not None:
-                return self._buffer_update(stmt)
-            return db._dispatch_stmt(stmt)
-        if isinstance(stmt, DeleteStmt):
-            # Tuple deletes cascade into the shared annotation store.
-            self._lock([stmt.table, ANNOTATION_RESOURCE], exclusive=True)
-            if self.txn is not None:
-                return self._buffer_delete(stmt)
-            return db._dispatch_stmt(stmt)
-        if isinstance(stmt, AnnotateStmt):
-            self._lock([stmt.table, ANNOTATION_RESOURCE], exclusive=True)
-            if self.txn is not None:
-                return self._buffer_annotate(stmt)
-            annotation = db.add_annotation(
-                stmt.text, table=stmt.table, oid=stmt.oid,
-                columns=stmt.columns,
-            )
-            return annotation.ann_id
+        if isinstance(stmt, self._DML_STMTS):
+            resources = [stmt.table]
+            if isinstance(stmt, (DeleteStmt, AnnotateStmt)):
+                # Tuple deletes cascade into the shared annotation store.
+                resources.append(ANNOTATION_RESOURCE)
+            self._lock(resources, exclusive=True)
+            return self._write(stmt)
         return db._dispatch_stmt(stmt)
 
     # -- transaction control -------------------------------------------------
@@ -245,56 +230,67 @@ class Session:
         self.db.txn_manager.abort(txn)
         return None
 
-    # -- buffered DML (inside a transaction) ---------------------------------
+    # -- DML: plan, then buffer or run ---------------------------------------
 
-    def _buffer_insert(self, stmt: InsertStmt):
-        db, txn = self.db, self.txn
-        tbl = db.catalog.table(stmt.table)
-        for row in stmt.rows:
-            row_in = (
-                dict(zip(stmt.columns, row))
-                if stmt.columns is not None else row
-            )
-            # Canonicalize now so a malformed row fails this statement,
-            # not the eventual COMMIT.
-            values = tbl.canonical_row(row_in)
-            oid = txn.reserve_oid(tbl)
-            txn.add_op(
-                WALRecordType.INSERT,
-                {"table": tbl.name, "oid": oid, "values": values},
-            )
-        return None
+    def _write(self, stmt):
+        """Plan ``stmt`` into redo ops, then buffer them in the open
+        transaction or, in autocommit, run them through the commit loop."""
+        txn = self.txn
+        if txn is not None:
+            ops, result = self._plan(stmt, txn)
+            txn.add_ops(ops)
+            return result
+        db = self.db
+        # Plan and apply under one hold of the commit mutex: the plan
+        # peeks the OID and annotation-id counters, which Python-API
+        # writers (who hold no table locks) advance too.
+        with db._commit_mutex:
+            ops, result = self._plan(stmt, Transaction(0))
+            db.txn_manager.run_group(ops)
+        return result
 
-    def _buffer_update(self, stmt: UpdateStmt):
-        db, txn = self.db, self.txn
+    def _plan(self, stmt, txn):
+        """``(ops, result)`` for one DML statement: its redo ops
+        ``(rtype, payload)`` and the statement's return value.  Plans
+        against committed state plus ``txn``'s buffered inserts, deletes
+        and annotation ids, and changes neither."""
+        db = self.db
+        if isinstance(stmt, InsertStmt):
+            tbl = db.catalog.table(stmt.table)
+            first = tbl.next_oid + txn.insert_counts.get(tbl.name.lower(), 0)
+            ops = []
+            for offset, row in enumerate(stmt.rows):
+                if stmt.columns is not None:
+                    row = dict(zip(stmt.columns, row))
+                ops.append((WALRecordType.INSERT, {
+                    "table": tbl.name, "oid": first + offset,
+                    "values": tbl.canonical_row(row),
+                }))
+            return ops, None
+        if isinstance(stmt, AnnotateStmt):
+            return self._plan_annotate(stmt, txn)
         key = stmt.table.lower()
-        updates = [
-            (oid, assigned)
-            for oid, assigned in db._update_plan(stmt)
-            if (key, oid) not in txn.deleted
-        ]
-        for oid, assigned in updates:
-            txn.add_op(
-                WALRecordType.UPDATE,
-                {"table": stmt.table, "oid": oid, "values": assigned},
-            )
-        return len(updates)
+        if isinstance(stmt, UpdateStmt):
+            # Post-evaluation values: replay must not re-evaluate the
+            # assignment expressions against replayed state.
+            ops = [
+                (WALRecordType.UPDATE,
+                 {"table": stmt.table, "oid": oid, "values": assigned})
+                for oid, assigned in db._update_plan(stmt)
+                if (key, oid) not in txn.deleted
+            ]
+        else:
+            ops = [
+                (WALRecordType.DELETE, {"table": stmt.table, "oid": oid})
+                for oid in db._matching_oids(
+                    stmt.table, stmt.alias, stmt.where
+                )
+                if (key, oid) not in txn.deleted
+            ]
+        return ops, len(ops)
 
-    def _buffer_delete(self, stmt: DeleteStmt):
-        db, txn = self.db, self.txn
-        key = stmt.table.lower()
-        oids = [
-            oid
-            for oid in db._matching_oids(stmt.table, stmt.alias, stmt.where)
-            if (key, oid) not in txn.deleted
-        ]
-        for oid in oids:
-            txn.add_op(WALRecordType.DELETE, {"table": stmt.table, "oid": oid})
-            txn.deleted.add((key, oid))
-        return len(oids)
-
-    def _buffer_annotate(self, stmt: AnnotateStmt):
-        db, txn = self.db, self.txn
+    def _plan_annotate(self, stmt: AnnotateStmt, txn):
+        db = self.db
         tbl = db.catalog.table(stmt.table)
         key = (tbl.name.lower(), stmt.oid)
         if key in txn.deleted:
@@ -305,14 +301,8 @@ class Session:
         if not tbl.next_oid <= stmt.oid < reserved:
             # Not a row this transaction inserted: it must be committed.
             db._require_tuple(stmt.table, stmt.oid)
-        targets = [AnnotationTarget(stmt.table, stmt.oid, tuple(stmt.columns))]
-        db._require_columns(targets[0])
-        # Pre-assign the annotation id: sound under the held exclusive
-        # annotation-resource lock (same argument as OID reservation).
+        target = AnnotationTarget(stmt.table, stmt.oid, tuple(stmt.columns))
+        db._require_columns(target)
         ann_id = db.manager.annotations.next_id + txn.ann_adds
-        txn.ann_adds += 1
-        txn.add_op(
-            WALRecordType.ANN_ADD,
-            {"text": stmt.text, "targets": targets, "ann_id": ann_id},
-        )
-        return ann_id
+        payload = {"text": stmt.text, "targets": [target], "ann_id": ann_id}
+        return [(WALRecordType.ANN_ADD, payload)], ann_id

@@ -14,8 +14,10 @@ happens only for records of statements that *failed* after being framed
 (the original execution raised too, so skipping reproduces it).
 
 **Transactions.** Records with ``txn_id == 0`` are autocommit: one
-statement, synced at its own boundary, replayed unconditionally (a torn
-tail cuts un-acked statements). Records with a non-zero ``txn_id`` belong
+record per row op of a statement, the statement synced once at its end,
+replayed unconditionally (a torn tail cuts un-acked records; an
+autocommit statement is a group without framing, so a crash before its
+sync keeps whatever prefix a forced log flush made durable). Records with a non-zero ``txn_id`` belong
 to an explicit BEGIN…COMMIT group appended at commit time
 (buffered redo — see ``repro.txn``); they are buffered during the scan
 and applied **only when the group's ``TXN_COMMIT`` frame is durable**.
@@ -25,7 +27,10 @@ transaction committed, so recovery must not resurrect any prefix of it.
 Aborted transactions never log at all.
 
 Replay applies the committed plan through :func:`apply_records`, which
-writes each touched summary row once per run of annotation records.
+writes each touched summary row once per run of annotation records.  The
+same function applies every live statement (``repro.txn.manager``'s
+commit loop) and every record a replica receives, so it is the only code
+that applies DML to tables, annotations and summaries.
 
 The torn tail — trailing bytes that do not form a CRC-valid,
 correctly-positioned frame — is truncated from the device, never
@@ -82,11 +87,12 @@ _FRAMING_TYPES = (WALRecordType.TXN_BEGIN, WALRecordType.TXN_COMMIT)
 
 
 def apply_records(db, records: list[WALRecord],
-                  report: RecoveryReport | None = None) -> None:
-    """The single redo interpreter: crash recovery, the replica applier
-    and buffered-redo commit (``repro.txn.manager``) all re-apply their
-    records through it, so a committed transaction's effect is by
-    construction the effect its records replay to.
+                  report: RecoveryReport | None = None) -> list:
+    """The single redo interpreter and the only code that applies DML:
+    crash recovery, the replica applier and the commit loop every
+    statement goes through (``repro.txn.manager``) all apply their records
+    through it, so a statement's live effect is by construction the effect
+    its records replay to.
 
     Consecutive ``ANN_ADD``/``ANN_BULK`` records form a *run*; commit-group
     framing carries no state and does not end one.  A run creates its raw
@@ -95,15 +101,17 @@ def apply_records(db, records: list[WALRecord],
     applies alone.  With a ``report``, a record whose re-application
     raises a :class:`~repro.errors.ReproError` is counted failed and
     skipped (left out of its run); without one, the error propagates.
+    Returns the annotations the runs created.
     """
     rows_before = db.manager.metrics.get("maint.on_objects_write")
+    created: list = []
     run: list[WALRecord] = []
     for record in records:
         if record.type in _RUN_TYPES:
             run.append(record)
             continue
         if record.type not in _FRAMING_TYPES:
-            _apply_run(db, run, report)
+            created += _apply_run(db, run, report)
             run = []
         try:
             _redo(db, record)
@@ -114,17 +122,18 @@ def apply_records(db, records: list[WALRecord],
         else:
             if report is not None:
                 report.replayed += 1
-    _apply_run(db, run, report)
+    created += _apply_run(db, run, report)
     if report is not None:
         report.summary_rows_written += (
             db.manager.metrics.get("maint.on_objects_write") - rows_before
         )
+    return created
 
 
 def _apply_run(db, run: list[WALRecord],
-               report: RecoveryReport | None) -> None:
+               report: RecoveryReport | None) -> list:
     if not run:
-        return
+        return []
     manager = db.manager
     created = []
     applied = 0
@@ -152,6 +161,7 @@ def _apply_run(db, run: list[WALRecord],
     else:
         if report is not None:
             report.replayed += applied
+    return created
 
 
 def _redo(db, record: WALRecord) -> None:

@@ -482,6 +482,24 @@ class TestPromoteAndFailover:
             again = c.request({"op": "promote"})
             assert again.get("already_primary")
 
+    def test_promote_then_commit(self, pair):
+        """A promoted replica commits transactions into its new log: the
+        runtime loaded with the snapshot is rebuilt around the live
+        database, so the commit loop does not run on a read-only copy."""
+        primary, rh = pair
+        assert rh.replica.link.wait_caught_up(10)
+        rh.replica.promote()
+        db = rh.replica.db
+        session = db.session()
+        session.execute("BEGIN")
+        session.execute("INSERT INTO t VALUES ('txn-after-promote', 2)")
+        session.execute("COMMIT")
+        assert ("txn-after-promote", 2) in [v for _, v in table_rows(db)]
+        types = [r.type for r in scan_records(
+            db.wal.device.durable(), db.wal.device.base_lsn).records]
+        assert types == [WALRecordType.TXN_BEGIN, WALRecordType.INSERT,
+                         WALRecordType.TXN_COMMIT]
+
     def test_promote_before_bootstrap_is_refused(self):
         # Point the replica at a dead port: bootstrap can never finish.
         replica = ReplicaServer("127.0.0.1", 1, retry=RetryPolicy(

@@ -1,0 +1,242 @@
+"""One write path: every mutating statement is planned into redo ops and
+applied by the commit loop (``TransactionManager.run_group``).
+
+* **Statement atomicity.** A statement is planned whole before any op is
+  applied or buffered, so a multi-row INSERT with one malformed row
+  leaves nothing — in autocommit and inside ``BEGIN … COMMIT``.
+* **Autocommit ≡ one-statement transaction.** Hypothesis scripts of DML
+  and ANNOTATE statements run bare and each wrapped in ``BEGIN …
+  COMMIT`` reach the same rows, raw annotations and summary sets, and log
+  the same ``(type, payload)`` sequence once transaction ids and the
+  ``TXN_BEGIN``/``TXN_COMMIT`` framing are removed.
+* **One sync per statement** (counted): an autocommit N-row INSERT,
+  UPDATE or DELETE appends N records and syncs exactly once.
+* **Concurrent Python-API writers.** Threads calling ``db.insert`` and
+  ``db.add_annotation`` hold no session locks; the commit mutex alone
+  keeps their OIDs and annotation ids distinct, and recovery over the
+  log reproduces the live state.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+
+import pytest
+
+from repro.catalog.schema import Column
+from repro.core.database import Database
+from repro.errors import ReproError, SchemaError
+from repro.storage.record import ValueType
+from repro.wal.device import MemoryWALDevice
+from repro.wal.record import WALRecordType, scan_records
+from tests.test_crash_matrix import db_state
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+TEXTS = (
+    "apple alpha fruit",
+    "bear beta animal",
+    "alpha apple orchard in the valley, ripe and sweet this season",
+    "beta bear seen near the cave at dusk",
+)
+FRAMING = (WALRecordType.TXN_BEGIN, WALRecordType.TXN_COMMIT)
+
+
+def make_db(rows: int = 4) -> Database:
+    """A WAL-attached database whose set-up is itself in the log."""
+    db = Database(buffer_pages=32)
+    db.attach_wal()
+    db.create_table("t", [Column("name", ValueType.TEXT),
+                          Column("v", ValueType.INT)])
+    db.create_classifier_instance(
+        "C", ["alpha", "beta"],
+        [("apple alpha fruit", "alpha"), ("bear beta animal", "beta")],
+    )
+    db.create_snippet_instance("S", min_chars=40, max_chars=30)
+    db.link_summary_instance("t", "C", indexable=True)
+    db.link_summary_instance("t", "S")
+    for i in range(rows):
+        db.insert("t", [f"r{i}", i % 3])
+    return db
+
+
+def logged(db: Database, start: int = 0) -> list[tuple[int, dict]]:
+    """``(type, payload)`` of every record from LSN ``start`` on, framing
+    left out."""
+    scan = scan_records(db.wal.device.durable(), db.wal.device.base_lsn)
+    return [(r.type, r.payload) for r in scan.records
+            if r.lsn >= start and r.type not in FRAMING]
+
+
+class TestStatementAtomicity:
+    @pytest.mark.parametrize("wrapped", [False, True],
+                             ids=["autocommit", "transaction"])
+    def test_malformed_row_leaves_nothing(self, wrapped):
+        db = make_db()
+        session = db.session()
+        before = db_state(db)
+        log_len = len(db.wal.device.durable())
+        next_oid = db.catalog.table("t").next_oid
+        if wrapped:
+            session.execute("BEGIN")
+        with pytest.raises(SchemaError):
+            session.execute(
+                "INSERT INTO t VALUES ('e', 5), ('f', 6), ('g', 'oops')"
+            )
+        if wrapped:
+            session.execute("COMMIT")
+        assert db_state(db) == before
+        assert len(db.wal.device.durable()) == log_len
+        # The failed plan reserved nothing: the next insert takes the
+        # next OID, in either mode.
+        if wrapped:
+            session.execute("BEGIN")
+        session.execute("INSERT INTO t VALUES ('h', 7)")
+        if wrapped:
+            session.execute("COMMIT")
+        rows = dict(db.catalog.table("t").scan())
+        assert rows[next_oid] == ["h", 7]
+        assert set(rows) == set(dict(before[0])) | {next_oid}
+
+
+    def test_bad_update_value_fails_the_plan(self):
+        """An UPDATE value the column cannot take is refused when the
+        statement is planned, so the commit that follows applies only what
+        the log's commit group holds: live ≡ recovered."""
+        db = make_db()
+        session = db.session()
+        session.execute("BEGIN")
+        session.execute("INSERT INTO t VALUES ('b', 2)")
+        with pytest.raises(SchemaError):
+            session.execute("UPDATE t SET v = 'oops' WHERE v = 1")
+        session.execute("COMMIT")
+        recovered, report = Database.recover(
+            None, MemoryWALDevice.from_durable(db.wal.device.durable(), 0)
+        )
+        assert report.failed == 0 and report.discarded_txn_records == 0
+        assert db_state(recovered) == db_state(db)
+        assert ["b", 2] in dict(db.catalog.table("t").scan()).values()
+
+
+class TestOneSyncPerStatement:
+    """Counted guard: N row ops are N records and one fsync."""
+
+    STATEMENTS = [
+        ("INSERT INTO t VALUES ('a', 1), ('b', 2), ('c', 2), ('d', 1)",
+         WALRecordType.INSERT, 4),
+        ("UPDATE t SET v = 9 WHERE v = 1", WALRecordType.UPDATE, 3),
+        ("DELETE FROM t WHERE v = 2", WALRecordType.DELETE, 2),
+    ]
+
+    def test_n_row_statements(self):
+        db = make_db(rows=2)  # v = 0, 1
+        device = db.wal.device
+        for sql, rtype, n in self.STATEMENTS:
+            start, syncs = db.wal.next_lsn, device.sync_ops
+            assert db.sql(sql) in (None, n)
+            assert [t for t, _ in logged(db, start)] == [rtype] * n, sql
+            assert device.sync_ops - syncs == 1, sql
+
+    def test_no_match_touches_no_log(self):
+        db = make_db(rows=2)
+        start, syncs = db.wal.next_lsn, db.wal.device.sync_ops
+        assert db.sql("DELETE FROM t WHERE v = 99") == 0
+        assert db.sql("UPDATE t SET v = 1 WHERE v = 99") == 0
+        assert (db.wal.next_lsn, db.wal.device.sync_ops) == (start, syncs)
+
+
+# -- autocommit ≡ one-statement transaction ---------------------------------
+
+ROWS = 4
+value = st.integers(0, 3)
+statement = st.one_of(
+    st.lists(st.tuples(st.sampled_from("abcde"), value),
+             min_size=1, max_size=3).map(lambda rows: "INSERT INTO t VALUES "
+             + ", ".join(f"('{n}', {v})" for n, v in rows)),
+    st.just("INSERT INTO t VALUES ('x', 1), ('y', 'oops')"),
+    st.tuples(value, value).map(
+        lambda p: f"UPDATE t SET v = {p[1]} WHERE v = {p[0]}"),
+    value.map(lambda v: f"UPDATE t SET v = 'oops' WHERE v = {v}"),
+    st.integers(0, 3).map(
+        lambda n: f"UPDATE t r SET name = 'hot' "
+                  f"WHERE r.$.getSummaryObject('C').getLabelValue('alpha') > {n}"),
+    value.map(lambda v: f"DELETE FROM t WHERE v = {v}"),
+    st.tuples(st.integers(1, ROWS + 4), st.sampled_from(TEXTS),
+              st.booleans()).map(
+        lambda p: f"ANNOTATE t {p[0]} {'(name) ' if p[2] else ''}'{p[1]}'"),
+)
+
+
+def run_script(script, wrapped: bool):
+    db = make_db(ROWS)
+    start = db.wal.next_lsn
+    session = db.session()
+    outcomes = []
+    for sql in script:
+        if wrapped:
+            session.execute("BEGIN")
+        try:
+            outcomes.append(session.execute(sql))
+        except ReproError as exc:
+            outcomes.append(type(exc).__name__)
+        if wrapped:
+            session.execute("COMMIT")
+    db.check_integrity(raise_on_error=True)
+    return outcomes, db_state(db), logged(db, start)
+
+
+@given(st.lists(statement, min_size=1, max_size=8))
+def test_autocommit_equals_one_statement_transaction(script):
+    bare = run_script(script, wrapped=False)
+    wrapped = run_script(script, wrapped=True)
+    assert bare[0] == wrapped[0]  # results and error types
+    assert bare[1] == wrapped[1]  # rows, raw annotations, summary sets
+    assert bare[2] == wrapped[2]  # the logged ops
+
+
+# -- concurrent Python-API writers -----------------------------------------
+
+def test_concurrent_python_api_writers():
+    db = make_db(rows=0)
+    threads, per_thread = 4, 25
+    barrier = threading.Barrier(threads)
+    oids: list[int] = []
+    ann_ids: list[int] = []
+    errors: list[BaseException] = []
+
+    def writer(k: int) -> None:
+        try:
+            barrier.wait()
+            for i in range(per_thread):
+                oid = db.insert("t", [f"w{k}-{i}", i % 3])
+                ann = db.add_annotation(TEXTS[(k + i) % len(TEXTS)],
+                                        table="t", oid=oid)
+                oids.append(oid)
+                ann_ids.append(ann.ann_id)
+        except BaseException as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    workers = [threading.Thread(target=writer, args=(k,), daemon=True)
+               for k in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the counter peeks densely
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert not errors
+    total = threads * per_thread
+    assert len(set(oids)) == total
+    assert len(set(ann_ids)) == total
+    db.check_integrity(raise_on_error=True)
+    recovered, report = Database.recover(
+        None, MemoryWALDevice.from_durable(db.wal.device.durable(), 0)
+    )
+    assert report.failed == 0
+    assert db_state(recovered) == db_state(db)
