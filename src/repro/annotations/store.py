@@ -47,6 +47,33 @@ def _decode_targets(raw: str) -> list[AnnotationTarget]:
 _TEXT_CACHE_MAX = 8192
 
 
+#: A gap between wanted annotation ids wider than this splits a sparse
+#: id set into runs: jumping it costs one more index descent, scanning
+#: it decodes every key in between.
+_RUN_GAP = 64
+
+
+def _dense(ids: list[int]) -> bool:
+    """Sorted ``ids`` fill at least a quarter of their span: one range
+    pass over the ann_id index beats one descent per id."""
+    return ids[-1] - ids[0] + 1 <= 4 * len(ids)
+
+
+def _index_runs(ids: list[int]) -> list[list[int]]:
+    """Sorted ``ids`` as the runs :meth:`AnnotationStore.texts` resolves
+    one at a time: all of them when dense, else split at every gap wider
+    than ``_RUN_GAP`` — a keyword-search batch asks for the union of
+    several tuples' id blocks, each dense on its own."""
+    if _dense(ids):
+        return [ids]
+    runs = [[ids[0]]]
+    for prev, ann_id in zip(ids, ids[1:]):
+        if ann_id - prev > _RUN_GAP:
+            runs.append([])
+        runs[-1].append(ann_id)
+    return runs
+
+
 class AnnotationStore:
     """CRUD over raw annotations, indexed by annotation id."""
 
@@ -121,44 +148,16 @@ class AnnotationStore:
         created consecutively) a single range pass over the ann_id index
         maps ids to table OIDs and one OID-index pass decodes just the
         text column, skipping both the per-annotation B-Tree descents and
-        the targets-JSON parse that :meth:`get` pays.
+        the targets-JSON parse that :meth:`get` pays.  A sparse set is
+        resolved run by run (:func:`_index_runs`).
         """
         if not ann_ids:
             return []
         cache = self._texts_cached()
         wanted = {a for a in ann_ids if a not in cache}
         if wanted:
-            lo, hi = min(wanted), max(wanted)
-            oid_of: dict[int, int] = {}
-            if hi - lo + 1 <= 4 * len(wanted):
-                for key, value in self._table.secondary_indexes[
-                    "ann_id"
-                ].range_scan(
-                    encode_key(lo, ValueType.INT),
-                    encode_key(hi, ValueType.INT),
-                ):
-                    ann_id = decode_int(key[1:])
-                    if ann_id in wanted:
-                        oid_of[ann_id] = decode_int(value)
-            else:
-                for ann_id in wanted:
-                    oids = self._table.index_lookup("ann_id", ann_id)
-                    if oids:
-                        oid_of[ann_id] = oids[0]
-            missing = wanted - oid_of.keys()
-            if missing:
-                raise RecordNotFoundError(
-                    f"no annotation with id {min(missing)}"
-                )
-            texts = self._table.read_column_many(
-                list(oid_of.values()), "text"
-            )
-            for ann_id, oid in oid_of.items():
-                if oid not in texts:  # index entry without a live heap row
-                    raise RecordNotFoundError(
-                        f"no annotation with id {ann_id}"
-                    )
-                cache[ann_id] = texts[oid]
+            for run in _index_runs(sorted(wanted)):
+                self._read_texts(run, cache)
             while len(cache) > _TEXT_CACHE_MAX:
                 cache.pop(next(iter(cache)))
         try:
@@ -168,6 +167,36 @@ class AnnotationStore:
                 cache[a] if a in cache else self.get(a).text
                 for a in ann_ids
             ]
+
+    def _read_texts(self, ann_ids: list[int], cache: dict[int, str]) -> None:
+        """Cache the texts of the sorted ``ann_ids``: one ann_id-index
+        range pass when they are dense, one descent each when not, then
+        one batch read of the text column."""
+        wanted = set(ann_ids)
+        oid_of: dict[int, int] = {}
+        if _dense(ann_ids):
+            for key, value in self._table.secondary_indexes[
+                "ann_id"
+            ].range_scan(
+                encode_key(ann_ids[0], ValueType.INT),
+                encode_key(ann_ids[-1], ValueType.INT),
+            ):
+                ann_id = decode_int(key[1:])
+                if ann_id in wanted:
+                    oid_of[ann_id] = decode_int(value)
+        else:
+            for ann_id in ann_ids:
+                oids = self._table.index_lookup("ann_id", ann_id)
+                if oids:
+                    oid_of[ann_id] = oids[0]
+        missing = wanted - oid_of.keys()
+        if missing:
+            raise RecordNotFoundError(f"no annotation with id {min(missing)}")
+        texts = self._table.read_column_many(list(oid_of.values()), "text")
+        for ann_id, oid in oid_of.items():
+            if oid not in texts:  # index entry without a live heap row
+                raise RecordNotFoundError(f"no annotation with id {ann_id}")
+            cache[ann_id] = texts[oid]
 
     def delete(self, ann_id: int) -> Annotation:
         """Remove an annotation; returns what was removed."""

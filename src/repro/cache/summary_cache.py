@@ -11,8 +11,9 @@ Design, in the order the invariants matter:
 * **Keying.**  Entries are keyed ``(table, oid, kind)``; ``kind`` is
   ``"set"`` for the decoded ``{instance -> SummaryObject}`` mapping (a
   ``None`` value is a *negative* entry: the tuple has no storage row) and
-  ``"texts"`` for the tuple's raw annotation texts (the §3.1 keyword-search
-  fallback re-reads the same texts per keyword per query).
+  ``"texts"`` for the tuple's raw annotation texts
+  (``SummaryManager.raw_texts_for``; keyword search keeps its texts on
+  the cached objects instead, see ``SnippetObject.search_texts``).
 
 * **Epochs.**  Each table has a monotonically increasing epoch counter;
   every entry is stamped with the epoch current at store time and an entry

@@ -287,14 +287,18 @@ class Batch:
         value is decoded: the summary slot's raw label fast path answers
         what it can, and the rest, read with one ``summaries.get_many``,
         walk the chain on the memoized dict ``row(i)`` would carry, so set
-        identity is the same as on a row view.
+        identity is the same as on a row view.  A keyword search reads the
+        raw texts its rows' objects lack with one fetch for the batch.
         """
-        from repro.query.eval import evaluate_summary_expr
+        from repro.query.eval import evaluate_summary_exprs
 
         out: list[object] = [None] * len(self)
         rest = self.summaries.label_values(expr, active, out)
-        for i, sets in zip(rest, self.summaries.get_many(rest)):
-            out[i] = evaluate_summary_expr(expr, sets, eval_ctx)
+        values = evaluate_summary_exprs(
+            expr, self.summaries.get_many(rest), eval_ctx
+        )
+        for i, value in zip(rest, values):
+            out[i] = value
         return out
 
     # -- reshaping ------------------------------------------------------------------

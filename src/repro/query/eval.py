@@ -3,9 +3,13 @@
 Summary expressions are evaluated by walking their call chain starting at
 the tuple's ``$`` summary set; each link dispatches on the receiver type
 (SummarySet / Classifier / Snippet / Cluster object) to the §3.1
-manipulation functions. Keyword-search functions consult the snippets first
-and fall back to the raw annotations through the
-:class:`EvalContext` — the accuracy/performance tradeoff studied in [16].
+manipulation functions. Keyword-search functions search the snippets and,
+unless ``search_raw`` is off, the raw annotations the :class:`EvalContext`
+resolves when the snippets miss — the accuracy/performance tradeoff
+studied in [16].  An object decoded from storage builds its lowered
+search texts once (:meth:`SnippetObject.search_texts`), and a batch reads
+the raw texts its objects still lack with one call
+(:func:`evaluate_summary_exprs`).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from repro.summaries.functions import SummarySet
 from repro.summaries.objects import (
     ClassifierObject,
     ClusterObject,
+    SearchTexts,
     SnippetObject,
     SummaryObject,
 )
@@ -225,12 +230,79 @@ def evaluate_summary_expr(
     """Walk ``expr``'s chain from the ``$`` it names in a per-alias
     summary-set dict — a tuple's ``summary_sets`` or a batch's summary
     slot; no data value is read."""
-    receiver: object = resolve_summary_set(summary_sets, expr.alias)
-    for call in expr.chain:
+    return _walk(resolve_summary_set(summary_sets, expr.alias), expr.chain,
+                 ctx)
+
+
+def evaluate_summary_exprs(
+    expr: SummaryExpr, summary_sets: list[dict], ctx: EvalContext
+) -> list:
+    """:func:`evaluate_summary_expr` on each of several rows' summary-set
+    dicts.  A chain ending in a raw-text keyword search walks every row to
+    its searched object first; the objects whose snippets miss and whose
+    full search texts are not built yet then read their raw texts with
+    one ``ctx.raw_texts`` call for them all, not one per row."""
+    if not (expr.chain and expr.chain[-1].name in _KEYWORD_FUNCS
+            and _searches_raw(ctx)):
+        return [evaluate_summary_expr(expr, sets, ctx)
+                for sets in summary_sets]
+    *head, last = expr.chain
+    receivers = [
+        _walk(resolve_summary_set(sets, expr.alias), head, ctx)
+        for sets in summary_sets
+    ]
+    cold = sorted({
+        ann_id for obj in receivers
+        if isinstance(obj, SnippetObject) and not obj.has_search_texts()
+        and not _keyword_search(obj, last.name, last.args, None)
+        for ann_id in obj.ann_targets
+    })
+    fetched = dict(zip(cold, ctx.raw_texts(cold))) if cold else {}
+
+    def raw_texts(ann_ids: list[int]) -> list[str]:
+        return [fetched[a] for a in ann_ids]
+
+    return [
+        _keyword_search(obj, last.name, last.args, raw_texts)
+        if isinstance(obj, SnippetObject) else _walk(obj, (last,), ctx)
+        for obj in receivers
+    ]
+
+
+def _walk(receiver: object, chain, ctx: EvalContext) -> object:
+    for call in chain:
         if receiver is None:
             return None  # a missing summary object nullifies the chain
         receiver = _dispatch(receiver, call.name, call.args, ctx)
     return receiver
+
+
+_KEYWORD_FUNCS = ("containsSingle", "containsUnion")
+
+
+def _searches_raw(ctx: EvalContext) -> bool:
+    """Whether keyword search reaches the raw annotations, not only the
+    snippets (the [16] tradeoff)."""
+    return ctx.search_raw and ctx.manager is not None
+
+
+def _keyword_search(
+    obj: SnippetObject, name: str, args: tuple, raw_texts
+) -> bool:
+    """containsSingle/containsUnion: the snippets, then — on a miss, when
+    ``raw_texts`` resolves annotation ids — the snippets plus the raw
+    texts.  Once the object holds that whole universe, one check over it
+    answers the same: a snippet is one of its texts, and the joined
+    snippets are a prefix of its join."""
+    keywords = [str(a) for a in args]
+    check = (SearchTexts.contains_single if name == "containsSingle"
+             else SearchTexts.contains_union)
+    if raw_texts is None or not obj.has_search_texts():
+        if check(obj.search_texts(), keywords):
+            return True
+        if raw_texts is None:
+            return False
+    return check(obj.search_texts(raw_texts), keywords)
 
 
 def _dispatch(receiver: object, name: str, args: tuple, ctx: EvalContext) -> object:
@@ -275,18 +347,10 @@ def _dispatch_object(
     if isinstance(obj, SnippetObject):
         if name == "getSnippet":
             return obj.get_snippet(int(args[0]))
-        if name in ("containsSingle", "containsUnion"):
-            keywords = [str(a) for a in args]
-            method = (
-                obj.contains_single if name == "containsSingle"
-                else obj.contains_union
+        if name in _KEYWORD_FUNCS:
+            return _keyword_search(
+                obj, name, args, ctx.raw_texts if _searches_raw(ctx) else None
             )
-            if method(keywords):
-                return True
-            if ctx.search_raw and ctx.manager is not None:
-                raws = ctx.raw_texts(sorted(obj.all_annotation_ids()))
-                return method(keywords, raw_texts=raws)
-            return False
     if isinstance(obj, ClusterObject):
         if name == "getGroupSize":
             return obj.get_group_size(int(args[0]))

@@ -125,6 +125,7 @@ class SummaryObject:
         twin.__dict__.update(
             self.__dict__, ann_targets=dict(self.ann_targets), **self._thawed()
         )
+        twin.__dict__.pop("_search_memo", None)  # a writable twin may change
         return twin
 
     def _thawed(self) -> dict:
@@ -326,6 +327,40 @@ class ClassifierObject(SummaryObject):
 # ---------------------------------------------------------------------------
 
 
+class SearchTexts(NamedTuple):
+    """A snippet object's keyword-search universe, lowered once: its texts
+    joined with ``" \n "``, and the offset each text starts at.
+
+    Lowering each text and then joining equals lowering the join: the
+    only context ``str.lower`` reads is a capital sigma's neighbouring
+    letters, and the separator holds none."""
+
+    joined: str
+    starts: tuple[int, ...]
+
+    @classmethod
+    def of(cls, texts: list[str]) -> "SearchTexts":
+        lowered = [text.lower() for text in texts]
+        starts = list(itertools.accumulate(
+            (len(text) + 3 for text in lowered[:-1]), initial=0
+        )) if lowered else []
+        return cls(" \n ".join(lowered), tuple(starts))
+
+    def contains_single(self, keywords: list[str]) -> bool:
+        """All keywords within any ONE text."""
+        lowered = [kw.lower() for kw in keywords]
+        find = self.joined.find
+        ends = [start - 3 for start in self.starts[1:]] + [len(self.joined)]
+        return any(
+            all(find(kw, start, end) >= 0 for kw in lowered)
+            for start, end in zip(self.starts, ends)
+        )
+
+    def contains_union(self, keywords: list[str]) -> bool:
+        """All keywords within the joined texts."""
+        return all(kw.lower() in self.joined for kw in keywords)
+
+
 @dataclass
 class SnippetObject(SummaryObject):
     """Short snippets standing in for large annotations.
@@ -362,20 +397,45 @@ class SnippetObject(SummaryObject):
                         raw_texts: list[str] | None = None) -> bool:
         """True when ALL keywords occur within any ONE snippet (or one raw
         annotation, when ``raw_texts`` are supplied by the executor)."""
-        lowered = [kw.lower() for kw in keywords]
-        universe = list(self.snippets.values()) + list(raw_texts or [])
-        return any(
-            all(kw in text.lower() for kw in lowered) for text in universe
-        )
+        return self._universe(raw_texts).contains_single(keywords)
 
     def contains_union(self, keywords: list[str],
                        raw_texts: list[str] | None = None) -> bool:
         """True when all keywords occur within the UNION of snippets/raws —
         keywords may span multiple annotations of the same tuple."""
-        universe = " \n ".join(
-            list(self.snippets.values()) + list(raw_texts or [])
-        ).lower()
-        return all(kw.lower() in universe for kw in keywords)
+        return self._universe(raw_texts).contains_union(keywords)
+
+    def _universe(self, raw_texts: list[str] | None) -> SearchTexts:
+        if raw_texts is None:
+            return self.search_texts()
+        return SearchTexts.of(list(self.snippets.values()) + list(raw_texts))
+
+    def search_texts(self, raw_texts=None) -> SearchTexts:
+        """The keyword-search universe: the snippets, then — when
+        ``raw_texts`` (a sorted id list -> their texts) is given — the raw
+        texts of :meth:`all_annotation_ids` in id order.
+
+        Both forms are memoized on an object decoded from storage
+        (``FrozenMap`` containers): its snippets and annotation ids never
+        change, nor do the texts of annotations, and a row rewrite decodes
+        a new object.  :meth:`copy` leaves the memos behind."""
+        full = raw_texts is not None
+        memos = self.__dict__.get("_search_memo")
+        if memos is not None and full in memos:
+            return memos[full]
+        texts = list(self.snippets.values())
+        if full:
+            texts += raw_texts(sorted(self.ann_targets))
+        universe = SearchTexts.of(texts)
+        if type(self.snippets) is FrozenMap \
+                and type(self.ann_targets) is FrozenMap:
+            self.__dict__.setdefault("_search_memo", {})[full] = universe
+        return universe
+
+    def has_search_texts(self) -> bool:
+        """Whether the full universe is built: :meth:`search_texts` then
+        answers without reading a raw text."""
+        return True in self.__dict__.get("_search_memo", ())
 
     # -- maintenance --------------------------------------------------------------
 

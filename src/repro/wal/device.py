@@ -8,7 +8,8 @@ A WAL device models the durability boundary underneath the
 * :meth:`sync` is ``fsync(2)``: every appended byte becomes durable;
 * :meth:`truncate` discards the whole log and re-bases it at a new LSN
   (the checkpoint protocol — offsets are never reused);
-* :meth:`durable` returns exactly the bytes that would survive a crash.
+* :meth:`durable` returns exactly the bytes that would survive a crash,
+  and :meth:`read` one range of them.
 
 :class:`MemoryWALDevice` is the simulated device the test suites crash at
 will; it consults a :class:`~repro.faults.plan.FaultPlan` on every append
@@ -163,6 +164,11 @@ class MemoryWALDevice:
         """The bytes that survive a crash right now."""
         return bytes(self._durable)
 
+    def read(self, offset: int, length: int) -> bytes:
+        """Up to ``length`` durable bytes from ``offset`` (bytes past
+        ``base_lsn``)."""
+        return bytes(self._durable[offset:offset + length])
+
     def truncate(self, new_base: int) -> None:
         """Discard the whole log and re-base at ``new_base`` (checkpoint)."""
         if new_base < self.base_lsn:
@@ -260,6 +266,11 @@ class FileWALDevice:
 
     def durable(self) -> bytes:
         return self.path.read_bytes()[FILE_HEADER_SIZE:]
+
+    def read(self, offset: int, length: int) -> bytes:
+        with open(self.path, "rb") as fh:
+            fh.seek(FILE_HEADER_SIZE + offset)
+            return fh.read(length)
 
     def truncate(self, new_base: int) -> None:
         if new_base < self.base_lsn:

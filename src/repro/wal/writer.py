@@ -195,15 +195,14 @@ class WALWriter:
             return b"", "ok"
         end = min(from_lsn + max_bytes, self._flushed_lsn)
         out = bytearray()
-        pieces = list(self._segments)
-        pieces.append((self.device.base_lsn, self.device.durable()))
-        for base, data in pieces:
-            piece_end = base + len(data)
+        for base, data in self._segments:
             lo = max(from_lsn + len(out), base)
-            if lo >= end:
-                break
-            if lo >= piece_end:
-                continue
-            hi = min(end, piece_end)
-            out.extend(data[lo - base:hi - base])
+            hi = min(end, base + len(data))
+            if lo < hi:
+                out.extend(data[lo - base:hi - base])
+        # The live log: read just the range asked for, not the whole device.
+        base = self.device.base_lsn
+        lo = max(from_lsn + len(out), base)
+        if lo < end:
+            out.extend(self.device.read(lo - base, end - lo))
         return bytes(out), "ok"
