@@ -20,13 +20,6 @@ class AnnotationTarget:
     oid: int
     columns: tuple[str, ...] = ()
 
-    def covers_any(self, retained_columns: set[str]) -> bool:
-        """True when this target still applies after projecting to
-        ``retained_columns``."""
-        if not self.columns:
-            return True  # row-level annotations survive every projection
-        return any(c in retained_columns for c in self.columns)
-
 
 @dataclass
 class Annotation:
@@ -39,10 +32,6 @@ class Annotation:
     def __post_init__(self) -> None:
         if not self.targets:
             raise SummaryError("an annotation needs at least one target")
-
-    def targets_on(self, table: str) -> list[AnnotationTarget]:
-        """Targets of this annotation that attach to ``table``."""
-        return [t for t in self.targets if t.table.lower() == table.lower()]
 
     def columns_on(self, table: str, oid: int) -> tuple[str, ...]:
         """Columns this annotation covers on one specific tuple.

@@ -1,4 +1,4 @@
-"""Bounded, versioned cache of decoded summary sets (and derived artifacts).
+"""Bounded, versioned cache of decoded summary sets.
 
 Every summary-aware operator ends in the same hot path: find a tuple's
 ``R_SummaryStorage`` row through the OID index, read it, and JSON-decode the
@@ -8,12 +8,13 @@ that work in front of :class:`~repro.summaries.storage.SummaryStorage`.
 
 Design, in the order the invariants matter:
 
-* **Keying.**  Entries are keyed ``(table, oid, kind)``; ``kind`` is
-  ``"set"`` for the decoded ``{instance -> SummaryObject}`` mapping (a
-  ``None`` value is a *negative* entry: the tuple has no storage row) and
-  ``"texts"`` for the tuple's raw annotation texts
-  (``SummaryManager.raw_texts_for``; keyword search keeps its texts on
-  the cached objects instead, see ``SnippetObject.search_texts``).
+* **Keying.**  Entries are keyed ``(table, oid)`` and hold the tuple's
+  decoded ``{instance -> SummaryObject}`` mapping; a ``None`` value is a
+  *negative* entry (the tuple has no storage row).  Every summary read —
+  label predicates, keyword search, propagation — goes through
+  ``SummaryStorage.get_many`` and so through these entries; keyword
+  search keeps its texts on the cached objects
+  (``SnippetObject.search_texts``).
 
 * **Epochs.**  Each table has a monotonically increasing epoch counter;
   every entry is stamped with the epoch current at store time and an entry
@@ -24,7 +25,7 @@ Design, in the order the invariants matter:
   (``bump_epoch``/``bump_all``), which is O(1) regardless of entry count.
 
 * **Sharing.**  A hit returns the stored value itself: decoded summary
-  objects and text tuples are immutable, so no reader can poison an entry
+  objects are immutable, so no reader can poison an entry
   (writers copy, through ``SummaryStorage.get_for_update``).
 
 * **Batches.**  ``lookup_many`` answers a scan batch's OIDs under one
@@ -80,9 +81,9 @@ class SummaryCache:
         self.capacity_bytes = max(int(capacity_bytes), 0)
         self.max_entry_fraction = max_entry_fraction
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: (table, oid, kind) -> (value, size_bytes, epoch); OrderedDict in
-        #: LRU order (least-recent first).
-        self._entries: "OrderedDict[tuple[str, int, str], tuple[Any, int, int]]" = (
+        #: (table, oid) -> (value, size_bytes, epoch); OrderedDict in LRU
+        #: order (least-recent first).
+        self._entries: "OrderedDict[tuple[str, int], tuple[Any, int, int]]" = (
             OrderedDict()
         )
         self._epochs: dict[str, int] = {}
@@ -159,13 +160,11 @@ class SummaryCache:
 
     # -- lookup / store -------------------------------------------------------
 
-    def lookup(self, table: str, oid: int, kind: str = "set"
-               ) -> tuple[bool, Any]:
+    def lookup(self, table: str, oid: int) -> tuple[bool, Any]:
         """Return ``(hit, value)``: :meth:`lookup_many` of one OID."""
-        return self.lookup_many(table, (oid,), kind)[0]
+        return self.lookup_many(table, (oid,))[0]
 
-    def lookup_many(self, table: str, oids, kind: str = "set"
-                    ) -> list[tuple[bool, Any]]:
+    def lookup_many(self, table: str, oids) -> list[tuple[bool, Any]]:
         """``(hit, value)`` per OID, in order, under one mutex hold and one
         epoch read; the value is the stored (immutable) object itself,
         shared with every other reader.  A stale entry (epoch behind the
@@ -177,7 +176,7 @@ class SummaryCache:
         with self._mutex:
             epoch = self.epoch(table)
             for oid in oids:
-                key = (table, oid, kind)
+                key = (table, oid)
                 entry = entries.get(key)
                 if entry is not None:
                     if entry[2] == epoch:
@@ -199,8 +198,7 @@ class SummaryCache:
                 self.metrics.inc(name, n)
         return out
 
-    def store(self, table: str, oid: int, value: Any, size_hint: int,
-              kind: str = "set") -> bool:
+    def store(self, table: str, oid: int, value: Any, size_hint: int) -> bool:
         """Admit the immutable ``value`` under the table's current epoch.
         Returns False when the entry was rejected by the admission guard or
         the cache is disabled."""
@@ -212,7 +210,7 @@ class SummaryCache:
                 self.rejections += 1
             self.metrics.inc("cache.rejections")
             return False
-        key = (table, oid, kind)
+        key = (table, oid)
         with self._mutex:
             old = self._entries.pop(key, None)
             if old is not None:
@@ -225,14 +223,13 @@ class SummaryCache:
         return True
 
     def invalidate(self, table: str, oid: int) -> None:
-        """Precise invalidation: drop every kind of entry for one tuple."""
+        """Precise invalidation: drop one tuple's entry."""
         with self._mutex:
-            for kind in ("set", "texts"):
-                entry = self._entries.pop((table, oid, kind), None)
-                if entry is not None:
-                    self.used_bytes -= entry[1]
-                    self.invalidations += 1
-                    self.metrics.inc("cache.invalidations")
+            entry = self._entries.pop((table, oid), None)
+            if entry is not None:
+                self.used_bytes -= entry[1]
+                self.invalidations += 1
+                self.metrics.inc("cache.invalidations")
 
     def _evict_to_fit(self) -> None:
         # Caller holds self._mutex.

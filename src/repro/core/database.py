@@ -75,7 +75,7 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import DiskManager, IOStats
+from repro.storage.disk import DiskManager
 from repro.storage.record import ValueType
 from repro.summaries.maintenance import SummaryManager
 from repro.txn.locks import StripedLockManager
@@ -866,9 +866,9 @@ class Database:
     ) -> list:
         """Bulk-attach annotations through one framed WAL record.
 
-        The durable path for dataset loads: unlike calling
-        ``manager.add_annotations_bulk`` directly, a crash after this
-        returns replays the whole batch (the record carries the first
+        The durable path for dataset loads: unlike calling the summary
+        manager directly, a crash after this returns replays the whole
+        batch (the record carries the first
         assigned annotation id, so replay reproduces identical ids).
         A target naming no tuple rejects the whole batch with
         :class:`~repro.errors.RecordNotFoundError`, and one naming no
@@ -1115,12 +1115,6 @@ class Database:
         the next plan over it price with them (republish)."""
         self.statistics.analyze(table)
         self.statistics.unpublish(table)
-
-    def io_snapshot(self) -> IOStats:
-        return self.disk.stats.snapshot()
-
-    def io_since(self, before: IOStats) -> IOStats:
-        return self.disk.stats.delta(before)
 
     # -- observability ----------------------------------------------------------------------------
 

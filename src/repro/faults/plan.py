@@ -158,10 +158,6 @@ class FaultPlan:
         """Fail-stop on the ``at``-th WAL fsync: nothing pending lands."""
         return self.schedule(Fault(FaultKind.FAIL_STOP, "sync", at))
 
-    def transient_sync(self, at: int, period: int | None = None) -> "FaultPlan":
-        """Transient error on the ``at``-th fsync; a retry may succeed."""
-        return self.schedule(Fault(FaultKind.TRANSIENT, "sync", at, period))
-
     def torn_sync(self, at: int, torn_bytes: int | None = None) -> "FaultPlan":
         """Tear the ``at``-th fsync: a prefix of the pending bytes becomes
         durable, then the device fail-stops (power loss mid-fsync)."""

@@ -75,9 +75,6 @@ class PlanProfiler:
             stack.extend(op.children)
         return self
 
-    def stats_for(self, op) -> OperatorStats:
-        return self._stats[id(op)]
-
     def wrap_batches(self, op, inner: Iterator) -> Iterator:
         """Instrumented pass-through over one operator's batch iterator:
         one charge per batch pulled, with ``rows`` advanced by the batch's

@@ -11,11 +11,11 @@ consumer actually asks for that row's sets (``row(i)`` / ``to_rows()``),
 and a batch's rows are read together: ``to_rows()`` resolves every
 row's sets with one summary-cache pass, not one lookup per row.
 Vectorized summary predicates read the summary slot alone
-(:meth:`Batch.summary_values`), never a row view, and answer
-``getSummaryObject(I).getLabelValue(L)`` chains straight from the storage
-layer's raw fast path
-(:meth:`~repro.summaries.storage.SummaryStorage.label_count`), so
-filtered-out rows never pay object construction or a data decode.
+(:meth:`Batch.summary_values`), never a row view: the active rows' sets
+come from the same cached objects
+(:meth:`~repro.summaries.storage.SummaryStorage.get_many`), so a
+filtered-out row never pays a data decode, and a later conjunct or row
+view of the batch reuses the sets the first one read.
 
 Batches are sized to the resilience layer's checkpoint cadence
 (:data:`~repro.resilience.context.BATCH_ROWS`): one deadline/cancellation
@@ -49,9 +49,6 @@ class EagerSummaries:
     def take(self, indices) -> "EagerSummaries":
         return EagerSummaries([self.sets[i] for i in indices])
 
-    def label_values(self, expr, active, out):
-        return active  # no fast path: evaluate per row on the built sets
-
 
 class LazyScanSummaries:
     """Summary column of a scan batch: OIDs now, objects per batch ask.
@@ -65,10 +62,10 @@ class LazyScanSummaries:
     """
 
     __slots__ = ("ctx", "table", "alias", "oids", "with_summaries",
-                 "retained", "_memo", "_label_memo")
+                 "retained", "_memo")
 
     def __init__(self, ctx, table, alias, oids, with_summaries, retained,
-                 memo=None, label_memo=None):
+                 memo=None):
         self.ctx = ctx
         self.table = table
         self.alias = alias
@@ -76,11 +73,6 @@ class LazyScanSummaries:
         self.with_summaries = with_summaries
         self.retained = retained
         self._memo: dict[int, dict] = memo if memo is not None else {}
-        #: (oid, instance, label) -> (status, value); shared across takes
-        #: so a multi-conjunct predicate probes storage once per row.
-        self._label_memo: dict[tuple, tuple] = (
-            label_memo if label_memo is not None else {}
-        )
 
     def get(self, i: int) -> dict:
         return self.get_many((i,))[0]
@@ -109,59 +101,8 @@ class LazyScanSummaries:
         return LazyScanSummaries(
             self.ctx, self.table, self.alias,
             [self.oids[i] for i in indices],
-            self.with_summaries, self.retained, memo, self._label_memo,
+            self.with_summaries, self.retained, memo,
         )
-
-    def label_values(self, expr, active, out):
-        """Raw fast path for ``alias.$.getSummaryObject(I).getLabelValue(L)``.
-
-        Writes the value of each ``active`` row the storage layer answers
-        from its raw label counts into ``out`` and returns the rows it
-        could not answer — every active row when the chain is not of that
-        shape, only the non-classifier objects and rollup labels when it
-        is. Those rows are left to full evaluation on ``get(i)``.
-        """
-        if expr.alias is not None and expr.alias != self.alias:
-            return active
-        if (self.retained is not None
-                and self.ctx.manager.has_cell_annotations(self.table)):
-            # Annotation-effect elimination can drop cell-targeted
-            # annotations, so stored counts differ from projected ones —
-            # the same side condition the planner's summary-index paths
-            # check. Row-level-only tables project to a no-op.
-            return active
-        chain = expr.chain
-        if len(chain) != 2:
-            return active
-        first, second = chain
-        if (first.name != "getSummaryObject" or len(first.args) != 1
-                or not isinstance(first.args[0], str)):
-            return active
-        if (second.name != "getLabelValue" or len(second.args) != 1
-                or not isinstance(second.args[0], str)):
-            return active
-        if not self.with_summaries:
-            return []  # empty sets: the chain nullifies on every row
-        instance, label = first.args[0], second.args[0]
-        storage = self.ctx.manager.storage_for(self.table)
-        oids = self.oids
-        memo = self._label_memo
-        misses = [i for i in active
-                  if (oids[i], instance, label) not in memo]
-        if misses:
-            hits = storage.label_counts(
-                [oids[i] for i in misses], instance, label
-            )
-            for i, hit in zip(misses, hits):
-                memo[(oids[i], instance, label)] = hit
-        rest = []
-        for i in active:
-            status, value = memo[(oids[i], instance, label)]
-            if status == "ok":
-                out[i] = value
-            else:
-                rest.append(i)
-        return rest
 
 
 class ScanProvenance:
@@ -284,20 +225,19 @@ class Batch:
         """``expr``'s value on each ``active`` row (other slots None).
 
         A summary chain reads only its row's summary sets, so no data
-        value is decoded: the summary slot's raw label fast path answers
-        what it can, and the rest, read with one ``summaries.get_many``,
-        walk the chain on the memoized dict ``row(i)`` would carry, so set
-        identity is the same as on a row view.  A keyword search reads the
-        raw texts its rows' objects lack with one fetch for the batch.
+        value is decoded: the active rows' sets, read with one
+        ``summaries.get_many``, walk the chain on the memoized dict
+        ``row(i)`` would carry, so set identity is the same as on a row
+        view.  A keyword search reads the raw texts its rows' objects lack
+        with one fetch for the batch.
         """
         from repro.query.eval import evaluate_summary_exprs
 
         out: list[object] = [None] * len(self)
-        rest = self.summaries.label_values(expr, active, out)
         values = evaluate_summary_exprs(
-            expr, self.summaries.get_many(rest), eval_ctx
+            expr, self.summaries.get_many(active), eval_ctx
         )
-        for i, value in zip(rest, values):
+        for i, value in zip(active, values):
             out[i] = value
         return out
 

@@ -341,18 +341,6 @@ class SummaryIndexNestedLoopJoin(PhysicalOperator):
     def derived_keys(self) -> list[tuple[str, str, str]]:
         return [("summary", self.inner_table.lower(), self.instance)]
 
-    def _bounds(self, key) -> tuple:
-        """(lo, hi, lo_inclusive, hi_inclusive) for ``key <op> inner``."""
-        if self.op == "=":
-            return key, key, True, True
-        if self.op == "<":   # outer < inner  ->  inner > key
-            return key, None, False, True
-        if self.op == "<=":
-            return key, None, True, True
-        if self.op == ">":   # outer > inner  ->  inner < key
-            return None, key, True, False
-        return None, key, True, True  # ">="
-
     def _produce_batches(self) -> Iterator[Batch]:
         return batches_from_rows(
             self._joined(rows_from_batches(self.left.batches()))

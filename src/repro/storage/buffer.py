@@ -129,12 +129,6 @@ class BufferPool:
         """Enroll ``page_id`` for CRC32 stamping/verification."""
         self._protected.add(page_id)
 
-    def unprotect(self, page_id: int) -> None:
-        self._protected.discard(page_id)
-
-    def is_protected(self, page_id: int) -> bool:
-        return page_id in self._protected
-
     @property
     def protected_pages(self) -> frozenset[int]:
         """Checksummed page ids (the integrity checker's disk-scan set)."""

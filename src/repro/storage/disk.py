@@ -66,11 +66,6 @@ class DiskManager:
         """Number of currently allocated (live) pages."""
         return len(self._pages) - len(self._free)
 
-    @property
-    def bytes_used(self) -> int:
-        """Total live storage in bytes."""
-        return self.num_pages * self.page_size
-
     def allocate_page(self) -> int:
         """Allocate a zeroed page and return its page id."""
         self.stats.allocations += 1

@@ -155,44 +155,6 @@ class RecordCodec:
             out.append(value)
         return out
 
-    def decode_columns(self, records: list[bytes]) -> list[list[object]]:
-        """Decode many records straight into column-major lists.
-
-        The batch executor's scan path: values land in per-column lists
-        with no intermediate row objects, reading each record through a
-        ``memoryview`` so variable-width fields are sliced without copying
-        until their final ``bytes``/``str`` is built.
-        """
-        types = self.types
-        bitmap_bytes = self._bitmap_bytes
-        cols: list[list[object]] = [[] for _ in types]
-        for data in records:
-            view = memoryview(data)
-            pos = bitmap_bytes
-            for i, vtype in enumerate(types):
-                if view[i // 8] & (1 << (i % 8)):
-                    cols[i].append(None)
-                    continue
-                if vtype is ValueType.INT:
-                    cols[i].append(_I64.unpack_from(view, pos)[0])
-                    pos += _I64.size
-                elif vtype is ValueType.FLOAT:
-                    cols[i].append(_F64.unpack_from(view, pos)[0])
-                    pos += _F64.size
-                elif vtype is ValueType.BOOL:
-                    cols[i].append(view[pos] == 1)
-                    pos += 1
-                else:  # TEXT / BLOB
-                    (length,) = _U32.unpack_from(view, pos)
-                    pos += _U32.size
-                    raw = bytes(view[pos:pos + length])
-                    pos += length
-                    cols[i].append(
-                        raw.decode("utf-8") if vtype is ValueType.TEXT
-                        else raw
-                    )
-        return cols
-
 
 class RecordBlock:
     """One scan chunk's raw records, shared by every column of the chunk.

@@ -331,31 +331,21 @@ class SummaryManager:
         ann_id: int | None = None,
     ) -> Annotation:
         """Store a raw annotation and update every summary object it
-        affects: a one-annotation :meth:`add_annotations_bulk`.
-        ``ann_id`` forces the assigned id (WAL replay)."""
-        return self.add_annotations_bulk([(text, targets, ann_id)])[0]
-
-    def add_annotations_bulk(
-        self, items: list[tuple[str, list[AnnotationTarget], int | None]],
-    ) -> list[Annotation]:
-        """Store annotations and update the summary objects they affect.
-
-        ``items`` are ``(text, targets, ann_id)``; ``ann_id`` None assigns
-        the next id, a forced id reproduces a logged one (WAL redo).  Each
-        affected tuple's objects are written back once, with the batch's
-        annotations applied in order (the initial-upload mode of §6), and
-        observers see one consolidated event per tuple.  In deferred mode
-        each affected tuple is marked stale once instead.
-        """
-        return self.attach_annotations(self.create_annotations(items))
+        affects: :meth:`create_annotations` then :meth:`attach_annotations`
+        of one item.  ``ann_id`` forces the assigned id (WAL replay)."""
+        return self.attach_annotations(
+            self.create_annotations([(text, targets, ann_id)])
+        )[0]
 
     def create_annotations(
         self, items: list[tuple[str, list[AnnotationTarget], int | None]],
     ) -> list[Annotation]:
-        """The raw half of :meth:`add_annotations_bulk`: store the
-        annotations in order and touch no summary.  WAL redo calls it once
-        per record, so a record whose create raises is left out of the
-        run :meth:`attach_annotations` then applies."""
+        """Store annotations in order and touch no summary: the raw half
+        of adding them.  ``items`` are ``(text, targets, ann_id)``;
+        ``ann_id`` None assigns the next id, a forced id reproduces a
+        logged one (WAL redo).  Redo calls it once per record, so a record
+        whose create raises is left out of the run
+        :meth:`attach_annotations` then applies."""
         for _text, targets, _ann_id in items:
             self._record_targets(targets)
         self.metrics.inc("maint.annotation_add", len(items))
@@ -367,8 +357,10 @@ class SummaryManager:
     def attach_annotations(
         self, annotations: list[Annotation]
     ) -> list[Annotation]:
-        """The summary half of :meth:`add_annotations_bulk`: attach created
-        annotations and apply them once per affected tuple."""
+        """The summary half: attach created annotations and apply them,
+        in order, once per affected tuple (the initial-upload mode of §6),
+        so observers see one consolidated event per tuple.  In deferred
+        mode each affected tuple is marked stale once instead."""
         grouped: dict[tuple[str, int], list[Annotation]] = {}
         for annotation in annotations:
             keys = self._affected_tuples(annotation)
@@ -491,33 +483,6 @@ class SummaryManager:
         if retained is None or not self.has_cell_annotations(table):
             return sets
         return [summaries.project_to_columns(retained) for summaries in sets]
-
-    def raw_texts_for(self, table: str, oid: int) -> tuple[str, ...]:
-        """Raw texts of every annotation attached to a tuple (keyword-search
-        fallback of §3.1).
-
-        Memoized per (table, oid): annotation texts are immutable and any
-        change to *which* annotations a tuple carries rewrites its storage
-        row, which invalidates both cache kinds for the OID.
-        """
-        table = table.lower()
-        cache = self.cache
-        if cache.enabled:
-            hit, texts = cache.lookup(table, oid, kind="texts")
-            if hit:
-                return texts
-        objects = self.storage_for(table).get(oid)
-        if not objects:
-            texts = ()
-        else:
-            ann_ids: set[int] = set()
-            for obj in objects.values():
-                ann_ids |= obj.all_annotation_ids()
-            texts = tuple(self.annotations.texts(sorted(ann_ids)))
-        cache.store(
-            table, oid, texts, sum(len(t) for t in texts), kind="texts"
-        )
-        return texts
 
     def zoom_in(
         self, table: str, oid: int, instance_name: str,

@@ -27,23 +27,10 @@ from repro.summaries.objects import ClassifierObject, FrozenMap, SummaryObject
 _JSON = json.JSONDecoder()
 
 
-def _parsed_label_count(payload: list, instance: str, label: str) -> tuple:
-    """``label_count`` resolution over a fully parsed storage payload."""
-    for entry in payload:
-        if entry.get("instance") == instance:
-            if entry.get("type") != "Classifier":
-                return "fallback", None
-            members = entry.get("label_elements", {}).get(label)
-            if members is None:
-                return "fallback", None
-            return "ok", len(members)
-    return "ok", None
-
-
 def _cached_label_count(
     value: dict | None, instance: str, label: str
 ) -> tuple:
-    """``label_count`` resolution over a cached (already decoded) set."""
+    """``label_count`` resolution over a decoded summary-object mapping."""
     if value is None:
         return "ok", None
     obj = value.get(instance)
@@ -55,41 +42,6 @@ def _cached_label_count(
     if members is None:
         return "fallback", None
     return "ok", len(members)
-
-
-def _raw_label_count(data: bytes, instance: str, label: str) -> tuple:
-    """Count one classifier label straight off the serialized row bytes.
-
-    The payload is our own ``json.dumps(..., separators=(",", ":"))`` of
-    ``to_dict()`` lists, so the needles below (all quote-anchored, and
-    quotes inside JSON string values are always escaped) can only match
-    structural positions. Any shape the scan can't prove is resolved by a
-    full parse instead — never guessed.
-    """
-    if json.dumps(instance) != f'"{instance}"' or \
-            json.dumps(label) != f'"{label}"':
-        return _parsed_label_count(json.loads(data), instance, label)
-    if data.find(b'"instance":"' + instance.encode() + b'"') < 0:
-        return "ok", None  # tuple has no object for this instance
-    prefix = b'{"type":"Classifier","instance":"' + instance.encode() + b'"'
-    cpos = data.find(prefix)
-    if cpos < 0:
-        return "fallback", None  # present but not a classifier object
-    elements = data.find(b'"label_elements":{', cpos)
-    nxt = data.find(b'{"type":', cpos + 1)
-    region_end = nxt if nxt >= 0 else len(data)
-    if elements < 0 or elements >= region_end:
-        return _parsed_label_count(json.loads(data), instance, label)
-    region = data[elements:region_end]
-    kpos = region.find(b'"' + label.encode() + b'":[')
-    if kpos < 0:
-        return "fallback", None  # rollup node or unknown label: per-row
-    start = kpos + len(label) + 4
-    end = region.find(b"]", start)
-    if end < 0:
-        return _parsed_label_count(json.loads(data), instance, label)
-    ids = region[start:end]
-    return "ok", (ids.count(b",") + 1) if ids else 0
 
 
 class SummaryStorage:
@@ -186,21 +138,45 @@ class SummaryStorage:
         return self.get_many((oid,))[0]
 
     def get_many(self, oids) -> list[dict[str, SummaryObject] | None]:
-        """The summary objects of each tuple in ``oids``, in order.
+        """The summary objects of each tuple in ``oids``, in order: the one
+        read path, label predicates and keyword search included.
 
         Read-through cached and shared: one cache pass answers the batch,
-        then the misses are read from the heap in order — the pages one
-        lookup per OID would read — and stored.  A hit returns the cached
-        (immutable) mapping itself, and a ``None`` value memoizes "no
-        storage row".  Writers read through :meth:`get_for_update`."""
+        then the misses are read from the heap in order and stored.  A hit
+        returns the cached (immutable) mapping itself, and a ``None`` value
+        memoizes "no storage row".  Writers read through
+        :meth:`get_for_update`."""
         cache = self.cache
         found = cache.lookup_many(self.table_name, oids) if cache.enabled \
             else [(False, None)] * len(oids)
-        return [value if hit else self._read(oid)
+        rid_of = self._rid_resolver([oid for oid, (hit, _value)
+                                     in zip(oids, found) if not hit])
+        return [value if hit else self._read(oid, rid_of(oid))
                 for oid, (hit, value) in zip(oids, found)]
 
-    def _read(self, oid: int) -> dict[str, SummaryObject] | None:
-        rid = self._rid_for(oid)
+    def _rid_resolver(self, oids: list[int]):
+        """``oid -> RID | None`` for the misses ``oids``.  When they span a
+        dense range (a scan batch, or the survivors of one), every RID
+        resolves in a single OID-index range scan instead of one B-Tree
+        descent per tuple; one OID, or a sparse set whose range would
+        visit mostly unwanted entries, probes per OID (:meth:`_rid_for`)."""
+        if len(oids) < 2:
+            return self._rid_for
+        lo, hi = min(oids), max(oids)
+        wanted = set(oids)
+        if hi - lo + 1 > 4 * len(wanted):
+            return self._rid_for
+        rids: dict[int, RID] = {}
+        for key, value in self.oid_index.range_scan(
+            encode_int(lo), encode_int(hi)
+        ):
+            oid = decode_int(key)
+            if oid in wanted:
+                rids[oid] = RID(*struct.unpack("<IH", value))
+        return rids.get
+
+    def _read(self, oid: int, rid: RID | None
+              ) -> dict[str, SummaryObject] | None:
         if rid is None:
             self.cache.store(self.table_name, oid, None, 0)
             return None
@@ -217,71 +193,18 @@ class SummaryStorage:
             return None
         return {name: obj.copy() for name, obj in objects.items()}
 
+    # The benchmark tracer (benchmarks/perf/trace.py) wraps these two by
+    # name when it installs; that is the only reason they stay.
     def label_count(self, oid: int, instance: str, label: str) -> tuple:
-        """``("ok", value)`` or ``("fallback", None)`` for the vectorized
-        ``getSummaryObject(instance).getLabelValue(label)`` fast path.
-
-        ``"ok"`` means ``value`` is exactly what full materialization would
-        compute: the classifier's element count for ``label``, or None when
-        the tuple has no storage row / no object under ``instance`` (the
-        summary chain nullifies). ``"fallback"`` means the caller must
-        materialize and evaluate the row conventionally (non-classifier
-        object, hierarchical rollup label, unusual serialization). Answers
-        come from the cache when it is hot, otherwise from a
-        raw scan of the serialized row — no SummaryObject construction.
-        :meth:`label_counts` of one OID.
-        """
+        """:meth:`label_counts` of one OID."""
         return self.label_counts([oid], instance, label)[0]
 
-    def _stored_label_count(
-        self, rid: RID | None, instance: str, label: str
-    ) -> tuple:
-        if rid is None:
-            return "ok", None
-        return _raw_label_count(self.heap.read(rid), instance, label)
-
-    def label_counts(
-        self, oids: list[int], instance: str, label: str
-    ) -> list[tuple]:
-        """:meth:`label_count` for a whole batch of OIDs at once.
-
-        Cached sets answer first. When the remaining OIDs span a dense
-        range (a scan batch, or the survivors of one), all their RIDs
-        resolve in a single OID-index range scan instead of one B-Tree
-        descent per tuple. Sparse OID sets — where the range pass would
-        visit mostly unwanted entries — fall back to per-OID probes.
-        """
-        answers: dict[int, tuple] = {}
-        misses = oids
-        cache = self.cache
-        if cache.enabled:
-            misses = []
-            found = cache.lookup_many(self.table_name, oids)
-            for oid, (hit, value) in zip(oids, found):
-                if hit:
-                    answers[oid] = _cached_label_count(value, instance, label)
-                else:
-                    misses.append(oid)
-        if misses:
-            lo, hi = min(misses), max(misses)
-            wanted = set(misses)
-            if hi - lo + 1 > 4 * len(wanted):
-                rid_of = self._rid_for
-            else:
-                rids: dict[int, RID] = {}
-                for key, value in self.oid_index.range_scan(
-                    encode_int(lo), encode_int(hi)
-                ):
-                    oid = decode_int(key)
-                    if oid in wanted:
-                        page_no, slot = struct.unpack("<IH", value)
-                        rids[oid] = RID(page_no, slot)
-                rid_of = rids.get
-            for oid in misses:
-                answers[oid] = self._stored_label_count(
-                    rid_of(oid), instance, label
-                )
-        return [answers[oid] for oid in oids]
+    def label_counts(self, oids, instance: str, label: str) -> list[tuple]:
+        """Per OID, ``("ok", count)`` (None when the tuple has no object
+        under ``instance``) or ``("fallback", None)`` when the object is no
+        classifier or has no such label, read through :meth:`get_many`."""
+        return [_cached_label_count(objects, instance, label)
+                for objects in self.get_many(oids)]
 
     def put(self, oid: int, objects: dict[str, SummaryObject]) -> bool:
         """Insert or replace the summary row of ``oid``.

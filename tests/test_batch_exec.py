@@ -8,7 +8,7 @@ count is the result's length, and ``rows()`` is a faithful tuple view of
 covered by ``tests/test_resilience.py::TestDeadlinesAndCancellation``.
 
 Also unit-covers the :mod:`repro.query.batch` carriers and the storage
-layer's raw ``label_count`` fast path against its full-parse oracle.
+layer's ``label_count`` against the materialized objects.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.errors import QueryError
 from repro.query.batch import Batch, batches_from_rows, rows_from_batches
 from repro.query.parser import parse_sql
 from repro.query.tuples import QTuple
-from repro.summaries.storage import _parsed_label_count, _raw_label_count
 from repro.workload.generator import WorkloadConfig, build_database
 from tests.test_resilience import OPERATOR_QUERIES, SP_QUERY, heap_oracle
 
@@ -144,24 +143,6 @@ def test_image_with_batch_exec_entry_loads(db):
 
 
 class TestLabelCountFastPath:
-    def test_raw_scan_matches_full_parse_on_every_stored_row(self, db):
-        storage = db.manager.storage_for("birds")
-        checked = 0
-        for oid in range(1, len(db.catalog.table("birds")) + 1):
-            rid = storage._rid_for(oid)
-            if rid is None:
-                continue
-            data = storage.heap.read(rid)
-            payload = json.loads(bytes(data))
-            for instance in ("ClassBird1", "TextSummary1", "NoSuch"):
-                for label in ("Disease", "Behavior", "Anatomy", "Other",
-                              "NoLabel"):
-                    assert _raw_label_count(data, instance, label) == \
-                        _parsed_label_count(payload, instance, label), \
-                        (oid, instance, label)
-                    checked += 1
-        assert checked > 0
-
     def test_label_count_counts_match_materialized_objects(self, db):
         storage = db.manager.storage_for("birds")
         hits = 0

@@ -202,14 +202,6 @@ class TestReadsAndZoom:
         m = make_manager()
         assert m.summary_set_for("birds", 9).get_size() == 0
 
-    def test_raw_texts_for(self):
-        m = make_manager()
-        m.add_annotation("first note on the bird", row_target(1))
-        m.add_annotation("second disease note here", row_target(1))
-        texts = m.raw_texts_for("birds", 1)
-        assert len(texts) == 2
-        assert any("disease" in t for t in texts)
-
     def test_zoom_in_by_label(self):
         m = make_manager()
         m.add_annotation("avian flu disease infection symptoms", row_target(1))

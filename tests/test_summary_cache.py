@@ -57,13 +57,6 @@ class TestSummaryCacheUnit:
         hit, value = cache.lookup("t", 5)
         assert hit and value is None
 
-    def test_kinds_are_separate(self):
-        cache = SummaryCache(capacity_bytes=10_000)
-        cache.store("t", 1, "set-value", 10, kind="set")
-        cache.store("t", 1, ("text",), 10, kind="texts")
-        assert cache.lookup("t", 1, kind="set") == (True, "set-value")
-        assert cache.lookup("t", 1, kind="texts") == (True, ("text",))
-
     def test_lru_eviction_by_bytes(self):
         cache = SummaryCache(capacity_bytes=10_000, max_entry_fraction=1.0)
         # Three entries of ~4000 effective bytes each: the third insert
@@ -96,13 +89,12 @@ class TestSummaryCacheUnit:
     def test_precise_invalidation(self):
         cache = SummaryCache(capacity_bytes=10_000)
         cache.store("t", 1, "a", 10)
-        cache.store("t", 1, ("x",), 10, kind="texts")
         cache.store("t", 2, "b", 10)
         cache.invalidate("t", 1)
+        cache.invalidate("t", 3)  # no entry: nothing to count
         assert cache.lookup("t", 1)[0] is False
-        assert cache.lookup("t", 1, kind="texts")[0] is False
         assert cache.lookup("t", 2)[0] is True
-        assert cache.invalidations == 2
+        assert cache.invalidations == 1
 
     def test_epoch_bump_stales_only_that_table(self):
         cache = SummaryCache(capacity_bytes=10_000)
@@ -276,18 +268,29 @@ class TestReadThrough:
         db.delete_tuple("t", 2)
         assert db.manager.storage_for("t").get(2) is None
 
-    def test_raw_texts_memoized_and_invalidated(self):
+    def test_get_many_shares_and_invalidates_set_entries(self):
+        # A batch read fills the cache through the dense OID-range resolver;
+        # the next batch read shares the very mappings, and an annotation
+        # add or delete invalidates exactly the tuple it touched.
         db = build_db()
-        first = db.manager.raw_texts_for("t", 2)
-        assert first == (TEXTS["alpha"],)
+        storage = db.manager.storage_for("t")
+        oids = list(range(1, 13))
+        first = storage.get_many(oids)
         hits0 = db.manager.cache.hits
-        assert db.manager.raw_texts_for("t", 2) is first  # the cached tuple
-        assert db.manager.cache.hits > hits0
+        again = storage.get_many(oids)
+        assert db.manager.cache.hits == hits0 + len(oids)
+        assert all(a is b for a, b in zip(first, again))
+
+        def ann_ids(objects) -> set[int]:
+            return objects["C"].all_annotation_ids()
+
         ann = db.add_annotation(TEXTS["beta"], table="t", oid=2)
-        assert sorted(db.manager.raw_texts_for("t", 2)) == \
-               sorted([TEXTS["alpha"], TEXTS["beta"]])
+        grown = storage.get_many(oids)
+        assert grown[1] is not first[1]
+        assert ann_ids(grown[1]) == ann_ids(first[1]) | {ann.ann_id}
+        assert all(grown[i] is first[i] for i in range(12) if i != 1)
         db.delete_annotation(ann.ann_id)
-        assert db.manager.raw_texts_for("t", 2) == (TEXTS["alpha"],)
+        assert ann_ids(storage.get_many(oids)[1]) == ann_ids(first[1])
 
     def test_query_results_identical_cache_on_off(self):
         q = ("SELECT t.name FROM t "
