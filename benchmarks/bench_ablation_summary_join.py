@@ -73,7 +73,17 @@ def test_join_implementations(
         ),
     )
     table.add_measurement(impl, preset.label(density), m)
+    pages = figure_writer.setdefault(
+        "ablation_summary_join_pages",
+        FigureTable(
+            "Ablation (companion) — J operator logical page accesses",
+            unit="pages",
+        ),
+    )
+    pages.add(impl, preset.label(density), m.pages)
     active = [d for d in (10, 50, 200) if d in preset.densities]
     if len(table.cells) == 2 * len(active):
         table.note_ratio("J-NLoop", "J-Index",
+                         "index probes beat pair evaluation")
+        pages.note_ratio("J-NLoop", "J-Index",
                          "index probes beat pair evaluation")

@@ -55,7 +55,18 @@ def test_rules_2_and_5(benchmark, case, config, mode, preset, figure_writer):
         ),
     )
     table.add(mode, config, m.millis)
+    pages = figure_writer.setdefault(
+        "fig14_rules_2_5_pages",
+        FigureTable(
+            "Figure 14 (companion) — logical page accesses",
+            unit="pages",
+        ),
+    )
+    pages.add(mode, config, m.pages)
     if len(table.cells) == len(CONFIGS) * len(MODES):
         table.note_ratio(
+            "Optimization-Disabled", "Optimization-Enabled", "about 15x"
+        )
+        pages.note_ratio(
             "Optimization-Disabled", "Optimization-Enabled", "about 15x"
         )

@@ -83,14 +83,3 @@ def example4_query(threshold: int = 5) -> str:
         f"r.{CLASS_EXPR}('Disease') > {threshold} "
         f"Order By r.{CLASS_EXPR}('Disease')"
     )
-
-
-def rule11_query() -> str:
-    """Figure 15's three-relation query: a data join with a replica T plus
-    a summary join between Birds and Synonyms on their TextSummary1
-    objects (no summary index applies)."""
-    return (
-        "Select r.common_name From birds r, synonyms s, t_rep t "
-        "Where r.aou_id = t.aou_id And "
-        f"r.{SNIPPET_EXPR}.getSize() = s.{SNIPPET_EXPR}.getSize()"
-    )

@@ -8,8 +8,9 @@ column maps OIDs to heap RIDs — this is the structure behind the engine's
 
 from __future__ import annotations
 
+import functools
 import struct
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.btree import BTree
 from repro.catalog.keys import (
@@ -40,6 +41,31 @@ def pack_rid(rid: RID) -> bytes:
 def unpack_rid(data: bytes) -> RID:
     page_no, slot = _RID_CODEC.unpack(data)
     return RID(page_no, slot)
+
+
+def rid_lookup(oid_index: BTree, oid: int) -> RID | None:
+    """The RID an OID index maps ``oid`` to, or None."""
+    hits = oid_index.search(encode_int(oid))
+    return unpack_rid(hits[0]) if hits else None
+
+
+def rid_resolver(oid_index: BTree, oids) -> Callable[[int], RID | None]:
+    """``oid -> RID | None`` for ``oids`` through an OID index.  When they
+    span a dense range (a scan batch, or the survivors of one), every RID
+    resolves in a single range scan instead of one B-Tree descent per
+    tuple; one OID, or a sparse set whose range would visit mostly
+    unwanted entries, descends per OID (:func:`rid_lookup`)."""
+    wanted = set(oids)
+    if len(oids) < 2 or max(wanted) - min(wanted) + 1 > 4 * len(wanted):
+        return functools.partial(rid_lookup, oid_index)
+    rids: dict[int, RID] = {}
+    for key, value in oid_index.range_scan(
+        encode_int(min(wanted)), encode_int(max(wanted))
+    ):
+        oid = decode_int(key)
+        if oid in wanted:
+            rids[oid] = unpack_rid(value)
+    return rids.get
 
 
 class Table:
@@ -129,10 +155,13 @@ class Table:
 
     def disk_tuple_loc(self, oid: int) -> RID:
         """Heap location of the tuple with ``oid`` (paper's diskTupleLoc())."""
-        hits = self.oid_index.search(encode_int(oid))
-        if not hits:
-            raise RecordNotFoundError(f"{self.name}: no tuple with OID {oid}")
-        return unpack_rid(hits[0])
+        rid = rid_lookup(self.oid_index, oid)
+        if rid is None:
+            raise self._missing(oid)
+        return rid
+
+    def _missing(self, oid: int) -> RecordNotFoundError:
+        return RecordNotFoundError(f"{self.name}: no tuple with OID {oid}")
 
     def read(self, oid: int) -> list[object]:
         """Positional row values for ``oid``."""
@@ -146,39 +175,28 @@ class Table:
         return self._codec.decode(self.heap.read(rid))
 
     def _records_for(self, oids: list[int]) -> dict[int, bytes]:
-        """Raw heap records for many OIDs; missing OIDs are simply absent.
-
-        Dense OID sets resolve all their RIDs in a single OID-index range
-        pass instead of one B-Tree descent each; sparse sets — where the
-        range pass would visit mostly unwanted entries — fall back to
-        per-OID lookups.
-        """
-        if not oids:
-            return {}
-        wanted = set(oids)
-        lo, hi = min(wanted), max(wanted)
+        """Raw heap records for many OIDs, their RIDs resolved by
+        :func:`rid_resolver`; missing OIDs are simply absent."""
+        rid_of = rid_resolver(self.oid_index, oids)
         out: dict[int, bytes] = {}
-        if hi - lo + 1 > 4 * len(wanted):
-            for oid in wanted:
-                try:
-                    out[oid] = self.heap.read(self.disk_tuple_loc(oid))
-                except RecordNotFoundError:
-                    pass
-            return out
-        for key, value in self.oid_index.range_scan(
-            encode_int(lo), encode_int(hi)
-        ):
-            oid = decode_int(key)
-            if oid in wanted:
-                out[oid] = self.heap.read(unpack_rid(value))
+        for oid in dict.fromkeys(oids):
+            rid = rid_of(oid)
+            if rid is not None:
+                out[oid] = self.heap.read(rid)
         return out
 
-    def read_many(self, oids: list[int]) -> dict[int, list[object]]:
-        """Positional rows for many OIDs (see :meth:`_records_for`)."""
-        return {
-            oid: self._codec.decode(record)
-            for oid, record in self._records_for(oids).items()
-        }
+    def read_many(self, oids: list[int]) -> list[list[object]]:
+        """Positional rows for ``oids``, in order (see :meth:`_records_for`);
+        an OID with no tuple raises ``RecordNotFoundError``, as in
+        :meth:`read`."""
+        records = self._records_for(oids)
+        rows = []
+        for oid in oids:
+            record = records.get(oid)
+            if record is None:
+                raise self._missing(oid)
+            rows.append(self._codec.decode(record))
+        return rows
 
     def read_column_many(
         self, oids: list[int], column: str

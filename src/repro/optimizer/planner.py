@@ -30,6 +30,7 @@ on/off and pointer style (Figure 13), and forced join/sort algorithms
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -824,39 +825,61 @@ class _LowerState:
             candidates.append(Lowered(op, cost, rows, order, width=width))
         return min(candidates, key=lambda c: c.cost)
 
+    def _inner_scan(self, right: LogicalPlan):
+        """``(scan, its filter conjuncts)`` when a join's inner side is a
+        scan stack an index probe can replace, else None."""
+        preds: list[Expr] = []
+        while isinstance(right, (LogicalSelect, LogicalSummarySelect)):
+            preds.extend(split_conjuncts(right.predicate))
+            right = right.child
+        return (right, preds) if isinstance(right, LogicalScan) else None
+
+    def _index_nl(self, node, left: Lowered, scan: LogicalScan, make_op,
+                  matches_per_row: float, selectivities: tuple,
+                  raw_search: bool = False) -> Lowered:
+        """Price an index nested-loop join over ``scan``: per outer row one
+        descent, then per match a heap read (and a summary read when the
+        inner side carries summaries)."""
+        with_summaries = self._needs_summaries(scan.alias)
+        op = make_op(with_summaries=with_summaries,
+                     retained=self._retained(scan.alias))
+        per_probe = INDEX_DESCENT + matches_per_row * (
+            IO_COST + (IO_COST if with_summaries else 0.0)
+        )
+        if raw_search:
+            per_probe += matches_per_row * RAW_SEARCH_ROW
+        cost = left.cost + left.rows * per_probe
+        rows = left.rows * matches_per_row
+        for selectivity in selectivities:
+            rows *= selectivity
+        rows = max(rows, 1.0)
+        width = left.width + self._summary_width(scan.table, with_summaries)
+        cost += rows * width * CPU_MERGE_BYTE
+        order = self._order_survives_join(left.order, node.right)
+        return Lowered(op, cost, rows, order, width=width)
+
     def _try_summary_index_nl(
         self, node, left: Lowered, summary_predicate: Expr | None,
         condition: Expr | None,
     ) -> Lowered | None:
-        if summary_predicate is None or not self._admits("summary"):
+        inner = self._inner_scan(node.right)
+        if (summary_predicate is None or not self._admits("summary")
+                or inner is None):
             return None
-        right = node.right
-        right_preds: list[Expr] = []
-        while isinstance(right, (LogicalSelect, LogicalSummarySelect)):
-            right_preds.extend(split_conjuncts(right.predicate))
-            right = right.child
-        if not isinstance(right, LogicalScan):
-            return None
+        right, right_preds = inner
         if self._elimination_active(right.alias):
             return None  # index sees stored counts; see DESIGN.md §6
         conjuncts = split_conjuncts(summary_predicate)
         for i, conj in enumerate(conjuncts):
             matched = match_summary_join_pred(conj, right.alias)
-            if matched is None:
-                continue
-            index = self.planner._path("summary", right.table,
-                                       matched.instance)
-            if index is None:
-                continue
-            if not is_leaf_label(self.planner.manager, matched.instance,
-                                  matched.label):
+            if (matched is None
+                    or self.planner._path("summary", right.table,
+                                          matched.instance) is None
+                    or not is_leaf_label(self.planner.manager,
+                                         matched.instance, matched.label)):
                 continue
             residual_summary = conjoin(conjuncts[:i] + conjuncts[i + 1:])
-            residual_data = conjoin(
-                (split_conjuncts(condition) if condition is not None else [])
-                + right_preds
-            )
-            with_summaries = self._needs_summaries(right.alias)
+            residual_data = conjoin(split_conjuncts(condition) + right_preds)
             stats = self.planner.table_stats(right.table)
             label_stats = stats.label_stats(matched.instance, matched.label)
             ndistinct = label_stats.ndistinct if label_stats else 1
@@ -864,93 +887,60 @@ class _LowerState:
                 matches_per_row = max(stats.row_count / max(ndistinct, 1), 1.0)
             else:
                 matches_per_row = max(stats.row_count / 3.0, 1.0)
-            op = SummaryIndexNestedLoopJoin(
-                self.ctx, left.op, right.table, right.alias,
-                matched.instance, matched.label, matched.op,
-                matched.outer_expr,
-                condition=residual_data,
+            make_op = functools.partial(
+                SummaryIndexNestedLoopJoin, self.ctx, left.op, right.table,
+                right.alias, matched.instance, matched.label, matched.op,
+                matched.outer_expr, condition=residual_data,
                 summary_predicate=residual_summary,
-                with_summaries=with_summaries,
-                retained=self._retained(right.alias),
             )
-            per_probe = INDEX_DESCENT + matches_per_row * (
-                IO_COST + (IO_COST if with_summaries else 0.0)
+            return self._index_nl(
+                node, left, right, make_op, matches_per_row,
+                (self.est.selectivity(residual_data),
+                 self.est.selectivity(residual_summary)),
             )
-            cost = left.cost + left.rows * per_probe
-            rows = max(
-                left.rows * matches_per_row
-                * self.est.selectivity(residual_data)
-                * self.est.selectivity(residual_summary),
-                1.0,
-            )
-            width = left.width + self._summary_width(
-                right.table, with_summaries
-            )
-            cost += rows * width * CPU_MERGE_BYTE
-            order = self._order_survives_join(left.order, node.right)
-            return Lowered(op, cost, rows, order, width=width)
         return None
 
     def _try_index_nl(self, node, left: Lowered,
                       summary_predicate: Expr | None,
                       condition: Expr | None) -> Lowered | None:
-        right = node.right
-        right_preds: list[Expr] = []
-        while isinstance(right, (LogicalSelect, LogicalSummarySelect)):
-            right_preds.extend(split_conjuncts(right.predicate))
-            right = right.child
-        if not isinstance(right, LogicalScan):
+        inner = self._inner_scan(node.right)
+        if inner is None:
             return None
+        right, right_preds = inner
         table_obj = self.ctx.catalog.table(right.table)
-        conjuncts = split_conjuncts(condition) if condition is not None else []
+        conjuncts = split_conjuncts(condition)
         for i, conj in enumerate(conjuncts):
             if not isinstance(conj, Comparison) or conj.op != "=":
                 continue
             for probe_side, key_side in (
                 (conj.right, conj.left), (conj.left, conj.right)
             ):
-                if not isinstance(probe_side, ColumnRef):
+                if not (isinstance(probe_side, ColumnRef)
+                        and probe_side.alias == right.alias
+                        and right.alias not in aliases_in(key_side)
+                        and table_obj.has_index(probe_side.column)):
                     continue
-                if probe_side.alias != right.alias:
-                    continue
-                if right.alias in aliases_in(key_side):
-                    continue
-                if not table_obj.has_index(probe_side.column):
-                    continue
-                residual = conjuncts[:i] + conjuncts[i + 1:] + right_preds
-                with_summaries = self._needs_summaries(right.alias)
+                residual = conjoin(conjuncts[:i] + conjuncts[i + 1:]
+                                   + right_preds)
                 stats = self.planner.table_stats(right.table)
                 col_stats = stats.columns.get(probe_side.column, ColumnStats(1))
                 matches_per_row = max(
                     stats.row_count / max(col_stats.ndistinct, 1), 1.0
                 )
-                op = IndexNestedLoopJoin(
-                    self.ctx, left.op, right.table, right.alias,
-                    probe_side.column, key_side,
-                    condition=conjoin(residual),
-                    summary_predicate=summary_predicate,
-                    with_summaries=with_summaries,
-                    retained=self._retained(right.alias),
+                make_op = functools.partial(
+                    IndexNestedLoopJoin, self.ctx, left.op, right.table,
+                    right.alias, probe_side.column, key_side,
+                    condition=residual, summary_predicate=summary_predicate,
                 )
-                per_probe = INDEX_DESCENT + matches_per_row * (
-                    IO_COST + (IO_COST if with_summaries else 0.0)
+                return self._index_nl(
+                    node, left, right, make_op, matches_per_row,
+                    (self.est.selectivity(residual),
+                     self.est.join_selectivity(summary_predicate, left.rows,
+                                               1.0)
+                     if summary_predicate is not None else 1.0),
+                    raw_search=summary_predicate is not None
+                    and self.est.needs_raw_search(summary_predicate),
                 )
-                if summary_predicate is not None and self.est.needs_raw_search(
-                    summary_predicate
-                ):
-                    per_probe += matches_per_row * RAW_SEARCH_ROW
-                cost = left.cost + left.rows * per_probe
-                rows = max(left.rows * matches_per_row
-                           * self.est.selectivity(conjoin(residual))
-                           * (self.est.join_selectivity(summary_predicate,
-                                                        left.rows, 1.0)
-                              if summary_predicate is not None else 1.0), 1.0)
-                width = left.width + self._summary_width(
-                    right.table, with_summaries
-                )
-                cost += rows * width * CPU_MERGE_BYTE
-                order = self._order_survives_join(left.order, node.right)
-                return Lowered(op, cost, rows, order, width=width)
         return None
 
     # -- sorts ------------------------------------------------------------------------------

@@ -210,7 +210,13 @@ class Batch:
     def to_rows(self) -> list[QTuple]:
         if self._rows is not None:
             return self._rows
-        indices = range(len(self))
+        return self.rows_at(range(len(self)))
+
+    def rows_at(self, indices) -> list[QTuple]:
+        """The row views of ``indices``; the ones not yet built share one
+        batch ask for their summary sets."""
+        if self._rows is not None:
+            return [self._rows[i] for i in indices]
         self._build([i for i in indices if i not in self._memo])
         return [self._memo[i] for i in indices]
 

@@ -8,12 +8,16 @@ summary objects with annotation dedup (§2.2).
 
 Per §5.2, the engine implements exactly two join algorithms for the J
 operator: block nested-loop and index-based — the same two the physical
-data join offers here.
+data join offers here.  Both run one pair loop,
+:meth:`NestedLoopJoin._joined`: the block join hands every outer row the
+inner child's batches, drained once; an index join hands each outer row
+the scan batches of its index hits, read with one heap pass and one
+summary-cache pass per batch.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,11 +38,13 @@ from repro.query.eval import batch_predicate_mask, evaluate
 from repro.query.logical import split_conjuncts
 from repro.query.physical.base import ExecContext, PhysicalOperator
 from repro.query.physical.scans import (
-    _make_tuple,
+    _scan_batch,
+    _scan_columns,
     orders_against,
     probe_bounds,
 )
 from repro.query.tuples import QTuple
+from repro.resilience.context import BATCH_ROWS
 from repro.storage.record import ValueType
 
 
@@ -91,7 +97,7 @@ class NestedLoopJoin(PhysicalOperator):
     * ``bound`` — ``<outer expr> op <inner expr>`` (not ``LIKE``): the outer
       side is evaluated once per outer row and substituted as a
       :class:`Literal`, leaving an inner-only comparison for the mask
-      (numpy column-vs-scalar, raw label counts for summary chains);
+      (numpy column-vs-scalar, cached label counts for summary chains);
     * ``pair`` — everything else (bare references, mixed expressions,
       ``LIKE``): evaluated on the pre-merge pair view of each surviving
       inner row.
@@ -100,8 +106,9 @@ class NestedLoopJoin(PhysicalOperator):
     outer-side values are computed on first need, so the (pair, conjunct)
     evaluations performed — and therefore results and raised errors — are
     those of per-pair evaluation. Inner row views (and their summary sets)
-    are built only for rows a ``pair`` conjunct or the output needs; they
-    are memoized per batch, so every outer row joins the same inner set.
+    are built only for rows a ``pair`` conjunct or the output needs, one
+    batch ask at a time; they are memoized per batch, so every outer row
+    joins the same inner set.
     """
 
     def __init__(
@@ -124,9 +131,9 @@ class NestedLoopJoin(PhysicalOperator):
 
     def _produce_batches(self) -> Iterator[Batch]:
         inner = [batch for batch in self.right.batches() if len(batch)]
-        return batches_from_rows(
-            self._joined(rows_from_batches(self.left.batches()), inner)
-        )
+        return batches_from_rows(self._joined(
+            rows_from_batches(self.left.batches()), lambda _row: inner
+        ))
 
     def _classify(self, outer: set[str], inner: set[str]) -> list[tuple]:
         outer, inner = outer - inner, inner - outer
@@ -151,11 +158,15 @@ class NestedLoopJoin(PhysicalOperator):
         return plan
 
     def _joined(
-        self, left_rows: Iterator[QTuple], inner: list[Batch]
+        self, left_rows: Iterator[QTuple],
+        inner_for: Callable[[QTuple], list[Batch]],
     ) -> Iterator[QTuple]:
+        """The pair loop: each outer row against the non-empty inner
+        batches ``inner_for`` gives it."""
         eval_ctx = self.ctx.eval_ctx
         plan = None
         for left_row in left_rows:
+            inner = inner_for(left_row)
             if not inner:
                 continue
             if plan is None:
@@ -165,7 +176,6 @@ class NestedLoopJoin(PhysicalOperator):
             bound: dict[int, object] = {}
             for batch in inner:
                 mask = np.ones(len(batch), dtype=bool)
-                pairs: dict[int, QTuple] = {}
                 for pos, (kind, conj, outer_side) in enumerate(plan):
                     if not mask.any():
                         break
@@ -185,17 +195,14 @@ class NestedLoopJoin(PhysicalOperator):
                         mask = batch_predicate_mask(bound[pos], batch,
                                                     eval_ctx, mask)
                     else:
-                        for i in np.flatnonzero(mask):
-                            i = int(i)
-                            pair = pairs.get(i)
-                            if pair is None:
-                                pair = pairs[i] = _pair_view(
-                                    left_row, batch.row(i)
-                                )
+                        active = np.flatnonzero(mask).tolist()
+                        for i, right_row in zip(active,
+                                                batch.rows_at(active)):
+                            pair = _pair_view(left_row, right_row)
                             if not evaluate(conj, pair, eval_ctx):
                                 mask[i] = False
-                for i in np.flatnonzero(mask):
-                    yield QTuple.join(left_row, batch.row(int(i)))
+                for right_row in batch.rows_at(np.flatnonzero(mask).tolist()):
+                    yield QTuple.join(left_row, right_row)
 
     def label(self) -> str:
         parts = [str(p) for p in (self.condition, self.summary_predicate) if p]
@@ -213,123 +220,36 @@ def _bind(conj: Comparison, outer_side: str, left_row: QTuple,
     return Comparison(conj.op, conj.left, Literal(value))
 
 
-class IndexNestedLoopJoin(PhysicalOperator):
-    """Index nested-loop join: probe the inner table's data index per outer
-    row. Preserves the outer input's order — the property Rules 5/6 need.
-    A key of another type than the inner column probes what the heap
-    path's ``=`` would match: an integral float as its int, anything
-    Python never finds equal to a column value as no match."""
+class _IndexJoin(NestedLoopJoin):
+    """A nested-loop join whose inner batches come from an index probe per
+    outer row instead of a child drained once.
 
-    def __init__(
-        self,
-        ctx: ExecContext,
-        left: PhysicalOperator,
-        right_table: str,
-        right_alias: str,
-        right_column: str,
-        left_key: Expr,
-        condition: Expr | None = None,
-        summary_predicate: Expr | None = None,
-        with_summaries: bool = True,
-        retained: set[str] | None = None,
-    ):
-        self.ctx = ctx
-        self.left = left
-        self.right_table = right_table
-        self.right_alias = right_alias
-        self.right_column = right_column
-        self.left_key = left_key
-        self.condition = condition
-        self.summary_predicate = summary_predicate
-        self.with_summaries = with_summaries
-        self.retained = retained
-
-    @property
-    def children(self):
-        return [self.left]
-
-    def _produce_batches(self) -> Iterator[Batch]:
-        return batches_from_rows(
-            self._joined(rows_from_batches(self.left.batches()))
-        )
-
-    def _probe(self, table, vtype, key) -> list[int]:
-        if not orders_against(key, vtype):
-            return []
-        bounds = probe_bounds(vtype, key, key, True, True)
-        if bounds is None:
-            return []
-        lo, hi = bounds[0], bounds[1]
-        if lo is not None and lo == hi:
-            return table.index_lookup(self.right_column, lo)
-        return list(table.index_range(self.right_column, *bounds))
-
-    def _joined(self, left_rows: Iterator[QTuple]) -> Iterator[QTuple]:
-        table = self.ctx.catalog.table(self.right_table)
-        vtype = table.schema.column(self.right_column).type
-        for left_row in left_rows:
-            key = evaluate(self.left_key, left_row, self.ctx.eval_ctx)
-            for oid in self._probe(table, vtype, key):
-                right_row = _make_tuple(
-                    self.ctx, self.right_table, self.right_alias, oid,
-                    table.read(oid), self.with_summaries, self.retained,
-                )
-                pair = _pair_view(left_row, right_row)
-                if self.condition is not None and not evaluate(
-                    self.condition, pair, self.ctx.eval_ctx
-                ):
-                    continue
-                if self.summary_predicate is not None and not evaluate(
-                    self.summary_predicate, pair, self.ctx.eval_ctx
-                ):
-                    continue
-                yield QTuple.join(left_row, right_row)
-
-    def label(self) -> str:
-        return (
-            f"IndexNestedLoopJoin({self.left_key} = "
-            f"{self.right_alias}.{self.right_column})"
-        )
-
-
-class SummaryIndexNestedLoopJoin(PhysicalOperator):
-    """Index-based implementation of the summary join J (§5.2).
-
-    For each outer row, the outer side of one summary-join conjunct
-    (``outer_expr <op> inner.$.getSummaryObject(I).getLabelValue(L)``) is
-    evaluated and the inner relation's Summary-BTree on instance ``I`` is
-    probed for label ``L`` — an equality probe for ``=`` or a range probe
-    for inequalities — instead of materializing the inner side and
-    evaluating the predicate on every pair.  Residual data/summary
-    predicates are checked on the pre-merge pair view, then the pair's
-    summary objects merge exactly as in the block nested-loop J.
+    The key expression is evaluated on each outer row (a NULL key matches
+    nothing); :meth:`_prober`'s probe turns it into the inner OIDs the
+    probed conjunct admits, in index order.  Those rows are read with one
+    :meth:`~repro.catalog.table.Table.read_many` per batch of at most
+    ``BATCH_ROWS``, as lazy-summary scan batches whose summary sets arrive
+    with one cache pass, and the residual conjuncts run through the block
+    join's pair loop.  The outer input's order is preserved — the property
+    Rules 5/6 need.
     """
 
     def __init__(
         self,
         ctx: ExecContext,
         left: PhysicalOperator,
-        inner_table: str,
-        inner_alias: str,
-        instance: str,
-        label: str,
-        op: str,
-        outer_expr: Expr,
+        table: str,
+        alias: str,
+        key: Expr,
         condition: Expr | None = None,
         summary_predicate: Expr | None = None,
         with_summaries: bool = True,
         retained: set[str] | None = None,
     ):
-        self.ctx = ctx
-        self.left = left
-        self.inner_table = inner_table
-        self.inner_alias = inner_alias
-        self.instance = instance
-        self.label_name = label
-        self.op = op
-        self.outer_expr = outer_expr
-        self.condition = condition
-        self.summary_predicate = summary_predicate
+        super().__init__(ctx, left, None, condition, summary_predicate)
+        self.table = table
+        self.alias = alias
+        self.key = key
         self.with_summaries = with_summaries
         self.retained = retained
 
@@ -337,66 +257,126 @@ class SummaryIndexNestedLoopJoin(PhysicalOperator):
     def children(self):
         return [self.left]
 
-    @property
-    def derived_keys(self) -> list[tuple[str, str, str]]:
-        return [("summary", self.inner_table.lower(), self.instance)]
+    def _prober(self, table) -> Callable[[object], list[int]]:
+        """``key -> inner OIDs`` for one run over ``table``."""
+        raise NotImplementedError
 
     def _produce_batches(self) -> Iterator[Batch]:
-        return batches_from_rows(
-            self._joined(rows_from_batches(self.left.batches()))
-        )
+        ctx = self.ctx
+        table = ctx.catalog.table(self.table)
+        columns = _scan_columns(ctx, self.table, self.alias)
+        probe = self._prober(table)
 
-    def _probe(self, index, key):
-        """The index hits for one outer key, restated in the integer
-        domain of label counts exactly as the pair loop compares them."""
-        if not orders_against(key, ValueType.INT):
-            # The pair loop's answer: `=` never holds, an order comparison
-            # raises once it meets a label value.
-            first = next(iter(index.lookup_range(self.label_name)), None) \
-                if self.op != "=" else None
-            if first is not None:
-                raise QueryError(
-                    f"cannot compare {key!r} {self.op} {first[0]!r}"
-                )
-            return ()
-        # outer <op> inner  is  inner <FLIPPED[op]> outer
-        bounds = probe_bounds(ValueType.INT,
-                              *op_bounds(FLIPPED[self.op], key))
-        if bounds is None:
-            return ()
-        return index.lookup_range(self.label_name, *bounds)
+        def inner_for(left_row: QTuple) -> list[Batch]:
+            key = evaluate(self.key, left_row, ctx.eval_ctx)
+            oids = [] if key is None else probe(key)
+            batches = []
+            for start in range(0, len(oids), BATCH_ROWS):
+                chunk = oids[start:start + BATCH_ROWS]
+                cols = [list(col) for col in zip(*table.read_many(chunk))]
+                batches.append(_scan_batch(
+                    ctx, self.table, self.alias, columns, chunk, cols,
+                    self.with_summaries, self.retained,
+                ))
+            return batches
 
-    def _joined(self, left_rows: Iterator[QTuple]) -> Iterator[QTuple]:
-        index = self.ctx.derived_index("summary", self.inner_table,
-                                       self.instance)
-        if index is None:
-            raise PlanError(
-                f"no Summary-BTree on {self.inner_table}/{self.instance}"
-            )
-        table = self.ctx.catalog.table(self.inner_table)
-        for left_row in left_rows:
-            key = evaluate(self.outer_expr, left_row, self.ctx.eval_ctx)
-            if key is None:
-                continue
-            for _count, pointer in self._probe(index, key):
-                values = table.read(pointer.oid)
-                right_row = _make_tuple(
-                    self.ctx, self.inner_table, self.inner_alias,
-                    pointer.oid, values, self.with_summaries, self.retained,
-                )
-                pair = _pair_view(left_row, right_row)
-                if self.condition is not None and not evaluate(
-                    self.condition, pair, self.ctx.eval_ctx
-                ):
-                    continue
-                if self.summary_predicate is not None and not evaluate(
-                    self.summary_predicate, pair, self.ctx.eval_ctx
-                ):
-                    continue
-                yield QTuple.join(left_row, right_row)
+        return batches_from_rows(self._joined(
+            rows_from_batches(self.left.batches()), inner_for
+        ))
+
+
+class IndexNestedLoopJoin(_IndexJoin):
+    """Index nested-loop join: probe the inner table's data index per outer
+    row. A key of another type than the inner column probes what the heap
+    path's ``=`` would match: an integral float as its int, anything
+    Python never finds equal to a column value as no match."""
+
+    def __init__(self, ctx: ExecContext, left: PhysicalOperator,
+                 right_table: str, right_alias: str, right_column: str,
+                 left_key: Expr, **residuals):
+        super().__init__(ctx, left, right_table, right_alias, left_key,
+                         **residuals)
+        self.column = right_column
+
+    def _prober(self, table) -> Callable[[object], list[int]]:
+        vtype = table.schema.column(self.column).type
+
+        def probe(key) -> list[int]:
+            if not orders_against(key, vtype):
+                return []
+            bounds = probe_bounds(vtype, key, key, True, True)
+            if bounds is None:
+                return []
+            lo, hi = bounds[0], bounds[1]
+            if lo is not None and lo == hi:
+                return table.index_lookup(self.column, lo)
+            return list(table.index_range(self.column, *bounds))
+
+        return probe
 
     def label(self) -> str:
         return (
-            f"SummaryIndexNLJoin[J-Index]({self.outer_expr} {self.op} "
-            f"{self.inner_alias}/{self.instance}.{self.label_name})"
+            f"IndexNestedLoopJoin({self.key} = "
+            f"{self.alias}.{self.column})"
+        )
+
+
+class SummaryIndexNestedLoopJoin(_IndexJoin):
+    """Index-based implementation of the summary join J (§5.2).
+
+    For each outer row, the outer side of one summary-join conjunct
+    (``outer_expr <op> inner.$.getSummaryObject(I).getLabelValue(L)``) is
+    evaluated and the inner relation's Summary-BTree on instance ``I`` is
+    probed for label ``L`` — an equality probe for ``=`` or a range probe
+    for inequalities — instead of evaluating the predicate on every pair.
+    """
+
+    def __init__(self, ctx: ExecContext, left: PhysicalOperator,
+                 inner_table: str, inner_alias: str, instance: str,
+                 label: str, op: str, outer_expr: Expr, **residuals):
+        super().__init__(ctx, left, inner_table, inner_alias, outer_expr,
+                         **residuals)
+        self.instance = instance
+        self.label_name = label
+        self.op = op
+
+    @property
+    def derived_keys(self) -> list[tuple[str, str, str]]:
+        return [("summary", self.table.lower(), self.instance)]
+
+    def _prober(self, table) -> Callable[[object], list[int]]:
+        index = self.ctx.derived_index("summary", self.table, self.instance)
+        if index is None:
+            raise PlanError(
+                f"no Summary-BTree on {self.table}/{self.instance}"
+            )
+
+        def probe(key) -> list[int]:
+            """The index hits for one outer key, restated in the integer
+            domain of label counts exactly as the pair loop compares
+            them."""
+            if not orders_against(key, ValueType.INT):
+                # The pair loop's answer: `=` never holds, an order
+                # comparison raises once it meets a label value.
+                first = next(iter(index.lookup_range(self.label_name)),
+                             None) if self.op != "=" else None
+                if first is not None:
+                    raise QueryError(
+                        f"cannot compare {key!r} {self.op} {first[0]!r}"
+                    )
+                return []
+            # outer <op> inner  is  inner <FLIPPED[op]> outer
+            bounds = probe_bounds(ValueType.INT,
+                                  *op_bounds(FLIPPED[self.op], key))
+            if bounds is None:
+                return []
+            return [pointer.oid for _count, pointer
+                    in index.lookup_range(self.label_name, *bounds)]
+
+        return probe
+
+    def label(self) -> str:
+        return (
+            f"SummaryIndexNLJoin[J-Index]({self.key} {self.op} "
+            f"{self.alias}/{self.instance}.{self.label_name})"
         )

@@ -34,26 +34,10 @@ from repro.storage.record import ValueType
 from repro.summaries.functions import SummarySet
 
 
-def _make_tuple(
-    ctx: ExecContext,
-    table_name: str,
-    alias: str,
-    oid: int,
-    values: list[object],
-    with_summaries: bool,
-    retained: set[str] | None,
-    summary_set: SummarySet | None = None,
-) -> QTuple:
-    table = ctx.catalog.table(table_name)
-    columns = [f"{alias}.{c}" for c in table.schema.names] + [f"{alias}.oid"]
-    if not with_summaries:
-        summaries = SummarySet()
-    elif summary_set is None:
-        summaries = ctx.manager.summary_set_for(table_name, oid, retained)
-    else:
-        summaries = summary_set
+def _make_tuple(ctx: ExecContext, table_name: str, alias: str, oid: int,
+                values: list[object], summaries: SummarySet) -> QTuple:
     return QTuple(
-        columns,
+        _scan_columns(ctx, table_name, alias),
         list(values) + [oid],
         {alias: summaries},
         {alias: (table_name, oid)},
@@ -331,14 +315,16 @@ class DerivedIndexScan(PhysicalOperator):
                 retained,
             ) if self.with_summaries else ())
             for oid, values, objects in chunk:
-                summaries = next(stored, None) if objects is None \
-                    else SummarySet(objects)
-                if objects is not None and retained is not None:
-                    summaries = summaries.project_to_columns(retained)
-                yield _make_tuple(
-                    self.ctx, self.table, self.alias, oid, values,
-                    self.with_summaries, retained, summary_set=summaries,
-                )
+                if not self.with_summaries:
+                    summaries = SummarySet()
+                elif objects is None:
+                    summaries = next(stored)
+                else:
+                    summaries = SummarySet(objects)
+                    if retained is not None:
+                        summaries = summaries.project_to_columns(retained)
+                yield _make_tuple(self.ctx, self.table, self.alias, oid,
+                                  values, summaries)
 
     def _reconstructed(self, builders, oid: int) -> dict:
         objects, formed = {}, set()

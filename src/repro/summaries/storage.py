@@ -12,12 +12,17 @@ The two properties the paper calls out both hold here:
 from __future__ import annotations
 
 import json
-import struct
 from typing import Iterator
 
 from repro.btree import BTree
 from repro.cache import SummaryCache
 from repro.catalog.keys import decode_int, encode_int
+from repro.catalog.table import (
+    pack_rid,
+    rid_lookup,
+    rid_resolver,
+    unpack_rid,
+)
 from repro.errors import IndexError_, RecordNotFoundError, ReproError
 from repro.storage.buffer import BufferPool
 from repro.storage.heapfile import HeapFile, RID
@@ -126,11 +131,7 @@ class SummaryStorage:
     # -- operations ----------------------------------------------------------------
 
     def _rid_for(self, oid: int) -> RID | None:
-        hits = self.oid_index.search(encode_int(oid))
-        if not hits:
-            return None
-        page_no, slot = struct.unpack("<IH", hits[0])
-        return RID(page_no, slot)
+        return rid_lookup(self.oid_index, oid)
 
     def get(self, oid: int) -> dict[str, SummaryObject] | None:
         """All summary objects of tuple ``oid`` (None when un-annotated):
@@ -149,31 +150,11 @@ class SummaryStorage:
         cache = self.cache
         found = cache.lookup_many(self.table_name, oids) if cache.enabled \
             else [(False, None)] * len(oids)
-        rid_of = self._rid_resolver([oid for oid, (hit, _value)
-                                     in zip(oids, found) if not hit])
+        rid_of = rid_resolver(self.oid_index, [
+            oid for oid, (hit, _value) in zip(oids, found) if not hit
+        ])
         return [value if hit else self._read(oid, rid_of(oid))
                 for oid, (hit, value) in zip(oids, found)]
-
-    def _rid_resolver(self, oids: list[int]):
-        """``oid -> RID | None`` for the misses ``oids``.  When they span a
-        dense range (a scan batch, or the survivors of one), every RID
-        resolves in a single OID-index range scan instead of one B-Tree
-        descent per tuple; one OID, or a sparse set whose range would
-        visit mostly unwanted entries, probes per OID (:meth:`_rid_for`)."""
-        if len(oids) < 2:
-            return self._rid_for
-        lo, hi = min(oids), max(oids)
-        wanted = set(oids)
-        if hi - lo + 1 > 4 * len(wanted):
-            return self._rid_for
-        rids: dict[int, RID] = {}
-        for key, value in self.oid_index.range_scan(
-            encode_int(lo), encode_int(hi)
-        ):
-            oid = decode_int(key)
-            if oid in wanted:
-                rids[oid] = RID(*struct.unpack("<IH", value))
-        return rids.get
 
     def _read(self, oid: int, rid: RID | None
               ) -> dict[str, SummaryObject] | None:
@@ -220,18 +201,12 @@ class SummaryStorage:
         rid = self._rid_for(oid)
         if rid is None:
             new_rid = self.heap.insert(record)
-            self.oid_index.insert(
-                encode_int(oid), struct.pack("<IH", new_rid.page_no, new_rid.slot)
-            )
+            self.oid_index.insert(encode_int(oid), pack_rid(new_rid))
             return True
         new_rid = self.heap.update(rid, record)
         if new_rid != rid:
-            self.oid_index.delete(
-                encode_int(oid), struct.pack("<IH", rid.page_no, rid.slot)
-            )
-            self.oid_index.insert(
-                encode_int(oid), struct.pack("<IH", new_rid.page_no, new_rid.slot)
-            )
+            self.oid_index.delete(encode_int(oid), pack_rid(rid))
+            self.oid_index.insert(encode_int(oid), pack_rid(new_rid))
         return False
 
     def delete(self, oid: int) -> None:
@@ -244,9 +219,7 @@ class SummaryStorage:
                 f"{self.table_name}_SummaryStorage: no row for OID {oid}"
             )
         self.heap.delete(rid)
-        self.oid_index.delete(
-            encode_int(oid), struct.pack("<IH", rid.page_no, rid.slot)
-        )
+        self.oid_index.delete(encode_int(oid), pack_rid(rid))
 
     def rebuild_oid_index(self) -> dict[str, int]:
         """Rebuild the OID index from the heap alone (repair path).
@@ -287,9 +260,7 @@ class SummaryStorage:
             pass  # corrupt tree: abandon its pages rather than fail repair
         self.oid_index = BTree(self.pool, unique=True)
         for oid, rid in live.items():
-            self.oid_index.insert(
-                encode_int(oid), struct.pack("<IH", rid.page_no, rid.slot)
-            )
+            self.oid_index.insert(encode_int(oid), pack_rid(rid))
         self.heap.recount()
         return {"kept": len(live), "salvaged": len(drop)}
 
@@ -297,8 +268,7 @@ class SummaryStorage:
         """Yield ``(oid, objects)`` for every annotated tuple."""
         rid_to_oid = {}
         for k, v in self.oid_index.items():
-            page_no, slot = struct.unpack("<IH", v)
-            rid_to_oid[RID(page_no, slot)] = decode_int(k)
+            rid_to_oid[unpack_rid(v)] = decode_int(k)
         for rid, record in self.heap.scan():
             oid = rid_to_oid.get(rid)
             if oid is None:

@@ -16,6 +16,15 @@ Deterministic cases cover deadlines and cancellation on a join plan,
 outer-side expressions evaluated only for pairs that reach them, inner
 sides longer than one batch, and the identity of an inner row's summary
 set across outer rows.
+
+The two index joins run the same pair loop over inner batches probed per
+outer row. A second property checks each against per-pair evaluation
+over the same pairs with the probed conjunct included: keys of every
+type the probes restate (NULL, integral and non-integral floats, strings,
+bools, ints near 2**53), each outer row's rows (outer order preserved),
+or the same error type. A counted guard pins the batch reads: no
+``Table.read`` and at most one summary-cache pass per inner batch. A
+tuple gone from behind either index raises ``RecordNotFoundError``.
 """
 
 from __future__ import annotations
@@ -27,7 +36,14 @@ from hypothesis import event, given
 from hypothesis import strategies as st
 
 from repro import Column, Database, ValueType
-from repro.errors import QueryCancelledError, QueryError, QueryTimeoutError
+from repro.catalog.keys import encode_int
+from repro.catalog.table import Table, pack_rid
+from repro.errors import (
+    QueryCancelledError,
+    QueryError,
+    QueryTimeoutError,
+    RecordNotFoundError,
+)
 from repro.query.ast import (
     And,
     ColumnRef,
@@ -41,10 +57,18 @@ from repro.query.ast import (
 from repro.query.eval import evaluate
 from repro.query.logical import conjoin
 from repro.query.parser import parse_sql
-from repro.query.physical import NestedLoopJoin, SeqScan, SortOp
+from repro.query.physical import (
+    IndexNestedLoopJoin,
+    NestedLoopJoin,
+    SeqScan,
+    SortOp,
+    SummaryIndexNestedLoopJoin,
+)
 from repro.query.physical.joins import _pair_view
 from repro.query.tuples import QTuple
 from repro.resilience import ExecutionContext
+from repro.resilience.context import BATCH_ROWS
+from repro.summaries.storage import SummaryStorage
 
 SEEDS = [
     ("flu virus infection outbreak", "Disease"),
@@ -326,3 +350,188 @@ def test_inner_summary_sets_are_shared_across_outer_rows():
     for sets in seen.values():
         assert len(sets) == 5
         assert all(s is sets[0] for s in sets)
+
+
+# -- the index joins -----------------------------------------------------------
+
+BIG = 2 ** 53
+KEYS = [None, 0, 1, 2, 2.0, 2.5, -1.0, "a", "ab", True, False, BIG, BIG + 1,
+        float(BIG)]
+PROBE_OPS = ["=", "<", "<=", ">", ">="]
+wide_rows = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(0, 2),
+                  st.sampled_from([BIG, BIG + 1, -BIG - 1])),
+        st.one_of(st.none(), st.sampled_from([0.0, 0.5, 2.0, float(BIG)])),
+        st.one_of(st.none(), st.sampled_from(["a", "ab"])),
+        annotations,
+    ),
+    min_size=2, max_size=7,
+)
+keys = st.one_of(
+    st.sampled_from(["i", "f", "t"]).map(lambda c: ColumnRef(OUTER, c)),
+    st.sampled_from(["Disease", "Other"]).map(lambda n: label(OUTER, n)),
+    st.sampled_from(KEYS).map(Literal),
+    st.sampled_from([True, False, 1.0, BIG + 1]).map(Literal),
+)
+
+
+def indexed(outer_rows, inner_rows) -> Database:
+    db = build(outer_rows, inner_rows)
+    for column in ("k", "g", "u"):
+        db.create_index("b", column)
+    db.create_summary_index("b", "C")
+    return db
+
+
+def per_pair_index_join(op, probed) -> list[QTuple]:
+    """The index join's answer by per-pair evaluation over every inner
+    row, the probed conjunct first."""
+    eval_ctx = op.ctx.eval_ctx
+    inner = list(SeqScan(op.ctx, "b", INNER).rows())
+    out = []
+    for left_row in op.left.rows():
+        for right_row in inner:
+            pair = _pair_view(left_row, right_row)
+            if all(c is None or evaluate(c, pair, eval_ctx) for c in
+                   (probed, op.condition, op.summary_predicate)):
+                out.append(QTuple.join(left_row, right_row))
+    return out
+
+
+def per_outer_row(observed):
+    """Each outer row's joined rows, as a multiset: an index join yields
+    its hits in index order, so only the outer order is fixed."""
+    if observed and observed[0] == "error":
+        return observed
+    blocks: list = []
+    for row in observed:
+        outer = row[1][OUTER_COLUMNS.index("oid")]
+        if not blocks or blocks[-1][0] != outer:
+            blocks.append((outer, []))
+        blocks[-1][1].append(row)
+    return [(outer, sorted(rows)) for outer, rows in blocks]
+
+
+@given(
+    outer_rows=wide_rows,
+    inner_rows=wide_rows,
+    key=keys,
+    op=st.sampled_from(PROBE_OPS),
+    condition=st.lists(conjunct, max_size=1),
+    summary_predicate=st.lists(summary_conjunct, max_size=1),
+)
+def test_index_joins_equal_per_pair_evaluation(
+    outer_rows, inner_rows, key, op, condition, summary_predicate
+):
+    """Every probe of one drawn key: the data index on each inner column,
+    the Summary-BTree on each label."""
+    db = indexed(outer_rows, inner_rows)
+    ctx = db.planner.exec_context()
+    residuals = dict(condition=conjoin(condition),
+                     summary_predicate=conjoin(summary_predicate))
+    joins = [
+        (IndexNestedLoopJoin(ctx, SeqScan(ctx, "a", OUTER), "b", INNER,
+                             column, key, **residuals),
+         Comparison("=", key, ColumnRef(INNER, column)))
+        for column in ("k", "g", "u")
+    ] + [
+        (SummaryIndexNestedLoopJoin(ctx, SeqScan(ctx, "a", OUTER), "b",
+                                    INNER, "C", name, op, key, **residuals),
+         Comparison(op, key, label(INNER, name)))
+        for name in ("Disease", "Other")
+    ]
+    for join, probed in joins:
+        expected = per_outer_row(observe(
+            lambda: per_pair_index_join(join, probed)
+        ))
+        event("error" if expected and expected[0] == "error"
+              else "rows" if expected else "empty")
+        assert per_outer_row(observe(lambda: list(join.rows()))) \
+            == expected, join.label()
+
+
+def fanout_db() -> Database:
+    """Five outer rows, each matching 30 of 150 inner rows on both
+    indexes (``k`` and the Disease count agree)."""
+    def notes(n):
+        return ["survey checklist"] + ["flu virus infection"] * n
+
+    db = build(
+        [(i, float(i), "a", notes(i)) for i in range(5)],
+        [(i % 5, 0.0, "a", notes(i % 5)) for i in range(150)],
+    )
+    db.create_index("b", "k")
+    db.create_summary_index("b", "C")
+    return db
+
+
+@pytest.mark.parametrize("summary_join", [False, True])
+def test_index_join_reads_each_inner_batch_at_once(monkeypatch, summary_join):
+    """No ``Table.read`` per hit, and at most one summary-cache pass (one
+    ``SummaryStorage.get_many``) per inner batch."""
+    db = fanout_db()
+    ctx = db.planner.exec_context()
+    if summary_join:
+        op = SummaryIndexNestedLoopJoin(
+            ctx, SeqScan(ctx, "a", OUTER), "b", INNER, "C", "Disease", "=",
+            label(OUTER, "Disease"),
+            summary_predicate=Comparison(">=", label(INNER, "Other"),
+                                         Literal(0)),
+        )
+        probed = Comparison("=", label(OUTER, "Disease"),
+                            label(INNER, "Disease"))
+    else:
+        op = IndexNestedLoopJoin(
+            ctx, SeqScan(ctx, "a", OUTER), "b", INNER, "k",
+            ColumnRef(OUTER, "i"),
+            condition=Comparison("LIKE", ColumnRef(INNER, "u"),
+                                 ColumnRef(OUTER, "t")),
+        )
+        probed = Comparison("=", ColumnRef(OUTER, "i"),
+                            ColumnRef(INNER, "k"))
+    expected = per_outer_row(observe(lambda: per_pair_index_join(op,
+                                                                 probed)))
+    counts = {"read": 0, "passes": 0}
+    real_read, real_get_many = Table.read, SummaryStorage.get_many
+
+    def read(self, oid):
+        counts["read"] += 1
+        return real_read(self, oid)
+
+    def get_many(self, oids):
+        counts["passes"] += self.table_name == "b"
+        return real_get_many(self, oids)
+
+    monkeypatch.setattr(Table, "read", read)
+    monkeypatch.setattr(SummaryStorage, "get_many", get_many)
+    db.manager.cache.clear()
+    rows = observe(lambda: list(op.rows()))
+    assert per_outer_row(rows) == expected
+    assert len(rows) == 5 * 30
+    inner_batches = 5 * -(-30 // BATCH_ROWS)
+    assert counts["read"] == 0
+    assert counts["passes"] <= inner_batches
+
+
+@pytest.mark.parametrize("summary_join", [False, True])
+def test_dangling_index_hit_raises_record_not_found(summary_join):
+    """A hit whose tuple is gone from the heap and the OID index (the
+    data index and the Summary-BTree still name it) is an error, not a
+    silently shorter answer."""
+    db = fanout_db()
+    table = db.catalog.table("b")
+    rid = table.disk_tuple_loc(3)
+    table.heap.delete(rid)
+    table.oid_index.delete(encode_int(3), pack_rid(rid))
+    ctx = db.planner.exec_context()
+    if summary_join:
+        op = SummaryIndexNestedLoopJoin(
+            ctx, SeqScan(ctx, "a", OUTER), "b", INNER, "C", "Disease", "=",
+            label(OUTER, "Disease"),
+        )
+    else:
+        op = IndexNestedLoopJoin(ctx, SeqScan(ctx, "a", OUTER), "b", INNER,
+                                 "k", ColumnRef(OUTER, "i"))
+    with pytest.raises(RecordNotFoundError):
+        list(op.rows())
