@@ -18,11 +18,13 @@ Design, in the order the invariants matter:
 
 * **Epochs.**  Each table has a monotonically increasing epoch counter;
   every entry is stamped with the epoch current at store time and an entry
-  whose stamp trails the table's epoch is dead on arrival at lookup.  Writes
-  that name an OID invalidate precisely (``invalidate``); events whose blast
-  radius is a whole table or the whole database — OID-index rebuilds,
-  ``repair()``, WAL replay, image load — bump epochs
-  (``bump_epoch``/``bump_all``), which is O(1) regardless of entry count.
+  whose stamp trails the table's epoch is dead on arrival at lookup.  A
+  row write invalidates its one entry precisely (``invalidate``), called
+  only from ``SummaryStorage.put``/``delete``, which every writer of a
+  row ends in; events whose blast radius is a whole table or the whole
+  database — OID-index rebuilds, ``repair()``, WAL replay, image load —
+  bump epochs (``bump_epoch``/``bump_all``), which is O(1) regardless of
+  entry count.
 
 * **Sharing.**  A hit returns the stored value itself: decoded summary
   objects are immutable, so no reader can poison an entry
@@ -285,18 +287,3 @@ class SummaryCache:
         self.__dict__.setdefault("used_bytes", 0)
         self._mutex = threading.RLock()
 
-
-class CacheInvalidator:
-    """Per-table maintenance observer that turns every storage-row event
-    into a precise cache invalidation, so a cache entry cannot outlive
-    the storage row it mirrors."""
-
-    def __init__(self, cache: SummaryCache, table: str) -> None:
-        self.cache = cache
-        self.table = table
-
-    def on_objects_write(self, oid: int, objects: dict, previous=None) -> None:
-        self.cache.invalidate(self.table, oid)
-
-    def on_objects_delete(self, oid: int, previous=None) -> None:
-        self.cache.invalidate(self.table, oid)

@@ -283,12 +283,12 @@ class IntegrityChecker:
                     f"summary row for OID {oid} but no such data tuple",
                 )
             for obj in objects.values():
-                missing = obj.all_annotation_ids() - known_anns
-                for ann_id in sorted(missing):
+                for ann_id in sorted(obj.stray_annotation_ids(known_anns)):
                     self._flag(
                         location, "dangling-element",
                         f"object {obj.instance_name!r} on OID {oid} references "
-                        f"annotation {ann_id} absent from the store",
+                        f"annotation {ann_id} absent from the store or from "
+                        "its targets",
                     )
 
     def _check_derived(self, index) -> None:

@@ -213,13 +213,18 @@ class RepairManager:
         with its data table and the annotation store: rebuild the OID
         index from the self-describing rows, drop orphan rows (their data
         tuple is gone), and strip Elements[][] references to annotations
-        that no longer exist."""
-        manager = self.db.manager
-        known_anns = {ann.ann_id for ann in manager.annotations.scan()}
-        for table_name, storage in manager._storages.items():
+        that no longer exist, all through the rows' owner
+        (:meth:`~repro.summaries.maintenance.SummaryManager.repair_rows`)."""
+        catalog = self.db.catalog
+
+        def live_oids(table_name: str) -> set[int] | None:
+            if not catalog.has_table(table_name):
+                return None
+            return {oid for oid, _ in catalog.table(table_name).scan()}
+
+        for table_name, stats in self.db.manager.repair_rows(live_oids).items():
             location = f"summary storage {table_name}"
-            stats = storage.rebuild_oid_index()
-            report.salvaged_records += stats["salvaged"]
+            report.salvaged_records += stats["salvaged"] + stats["orphans"]
             report.structures_rebuilt += 1
             if stats["salvaged"]:
                 report.actions.append(RepairAction(
@@ -227,40 +232,16 @@ class RepairManager:
                     f"kept {stats['kept']} rows, salvaged "
                     f"{stats['salvaged']}",
                 ))
-            table_oids = None
-            if self.db.catalog.has_table(table_name):
-                table = self.db.catalog.table(table_name)
-                table_oids = {oid for oid, _ in table.scan()}
-            orphans = 0
-            stripped = 0
-            for oid, objects in list(storage.scan()):
-                if table_oids is not None and oid not in table_oids:
-                    storage.delete(oid)
-                    for name in objects:
-                        manager._clusterers.pop((table_name, oid, name), None)
-                    orphans += 1
-                    continue
-                if all(obj.all_annotation_ids() <= known_anns
-                       for obj in objects.values()):
-                    continue
-                objects = storage.get_for_update(oid)
-                for obj in objects.values():
-                    missing = obj.all_annotation_ids() - known_anns
-                    if missing:
-                        obj.remove_annotations(missing)
-                        stripped += len(missing)
-                storage.put(oid, objects)
-            report.salvaged_records += orphans
-            if orphans:
+            if stats["orphans"]:
                 report.actions.append(RepairAction(
                     location, "drop-orphan-rows",
-                    f"removed {orphans} summary row(s) whose data tuple "
-                    "is gone",
+                    f"removed {stats['orphans']} summary row(s) whose data "
+                    "tuple is gone",
                 ))
-            if stripped:
+            if stats["stripped"]:
                 report.actions.append(RepairAction(
                     location, "strip-dangling-elements",
-                    f"removed {stripped} reference(s) to missing "
+                    f"removed {stats['stripped']} reference(s) to missing "
                     "annotations",
                 ))
 

@@ -222,22 +222,11 @@ class IndexScan(PhysicalOperator):
                               self.hi_inclusive)
         if bounds is None:
             return
-        # One heap lookup per OID the index yields.
+        # The hits, read with one Table.read_many per batch.
         columns = _scan_columns(self.ctx, self.table, self.alias)
-        width = len(table.schema.names)
-        oids: list[int] = []
-        cols: list[list[object]] = [[] for _ in range(width)]
-        for oid in table.index_range(self.column, *bounds):
-            values = table.read(oid)
-            oids.append(oid)
-            for j in range(width):
-                cols[j].append(values[j])
-            if len(oids) >= BATCH_ROWS:
-                yield _scan_batch(self.ctx, self.table, self.alias, columns,
-                                  oids, cols, self.with_summaries,
-                                  self.retained)
-                oids, cols = [], [[] for _ in range(width)]
-        if oids:
+        hits = table.index_range(self.column, *bounds)
+        while oids := list(itertools.islice(hits, BATCH_ROWS)):
+            cols = [list(col) for col in zip(*table.read_many(oids))]
             yield _scan_batch(self.ctx, self.table, self.alias, columns,
                               oids, cols, self.with_summaries, self.retained)
 

@@ -6,12 +6,11 @@ bottleneck.  This module holds the two pieces that move the expensive part
 off the write path:
 
 * :class:`PendingSummaryWork` — the durable staleness set.  The write path
-  records ``(table, oid)`` here instead of touching summary objects; each
-  entry remembers when it was enqueued (for the ``maint.lag_seconds``
-  gauge), the storage row's freshness generation, and the table's cache
-  epoch at enqueue time (the PR-4 epoch counters double as staleness
-  markers).  The set pickles into the checkpoint image — minus process
-  state like its lock and the monotonic timestamps — and is additionally
+  records ``(table, oid)`` here instead of touching summary objects or
+  their cache entries (the stored row has not changed); each entry
+  remembers when it was enqueued, for the ``maint.lag_seconds`` gauge.
+  The set pickles into the checkpoint image as its list of keys — the
+  lock and the monotonic timestamps are process state — and is also
   rebuilt for free by WAL replay: a replayed ``ANN_ADD``/``ANN_DEL`` in a
   deferred-mode database re-marks its tuples pending, so a crash can delay
   maintenance work but never lose it.
@@ -47,11 +46,6 @@ class PendingEntry:
 
     #: ``time.monotonic()`` at enqueue — basis of the staleness-lag gauge.
     enqueued_at: float
-    #: the storage row's freshness generation when the tuple went stale
-    #: (0 when it had no generated row yet).
-    generation: int = 0
-    #: the table's summary-cache epoch at enqueue time.
-    epoch: int = 0
 
 
 class PendingSummaryWork:
@@ -67,17 +61,13 @@ class PendingSummaryWork:
         self._entries: dict[tuple[str, int], PendingEntry] = {}
         self._lock = threading.Lock()
 
-    def mark(self, table: str, oid: int, generation: int = 0,
-             epoch: int = 0) -> bool:
+    def mark(self, table: str, oid: int) -> bool:
         """Record ``(table, oid)`` as stale; True when newly added."""
         key = (table.lower(), oid)
         with self._lock:
             if key in self._entries:
                 return False
-            self._entries[key] = PendingEntry(
-                enqueued_at=time.monotonic(), generation=generation,
-                epoch=epoch,
-            )
+            self._entries[key] = PendingEntry(enqueued_at=time.monotonic())
             return True
 
     def discard(self, table: str, oid: int) -> bool:
@@ -122,21 +112,13 @@ class PendingSummaryWork:
         # restart either — entries re-age from load time, which only makes
         # the lag gauge conservative (it restarts at 0, never overstates).
         with self._lock:
-            return {
-                "entries": {
-                    key: (entry.generation, entry.epoch)
-                    for key, entry in self._entries.items()
-                }
-            }
+            return {"entries": list(self._entries)}
 
     def __setstate__(self, state: dict) -> None:
+        # Iterating "entries" yields the keys of older images' dicts too.
         now = time.monotonic()
-        self._entries = {
-            key: PendingEntry(
-                enqueued_at=now, generation=generation, epoch=epoch
-            )
-            for key, (generation, epoch) in state.get("entries", {}).items()
-        }
+        self._entries = {key: PendingEntry(enqueued_at=now)
+                         for key in state["entries"]}
         self._lock = threading.Lock()
 
 

@@ -2,35 +2,29 @@
 
 :class:`SummaryManager` owns the summary-instance registry, the per-table
 ``R_SummaryStorage`` tables, the per-tuple CluStream states, and the
-annotation store. Every annotation mutation flows through it:
-
-* **Adding an annotation on an un-annotated tuple** creates the tuple's
-  storage row (the paper's *Insertion* case).
-* **Adding on an already-annotated tuple** updates the affected summary
-  objects in place (*Update* case).
-* **Deleting an annotation / a tuple** reverses those effects.
+annotation store.  Every annotation mutation flows through it, and each
+of the paper's three cases — *Insertion* (a tuple's first annotation
+creates its storage row), *Update* and *Delete* — ends in one write step,
+``_write_row``.
 
 Every consumer hears one channel per table: one event per storage-row
 write (``on_objects_write``, after the row is written) or delete
 (``on_objects_delete``, before the row is dropped), carrying the replaced
 row's :func:`row_footprint` — its stored sizes and classifier label
-counts.  The cache, the optimizer statistics (the paper's "statistics are
-maintained whenever a summary object is updated", §5.2) and every
+counts.  The optimizer statistics (the paper's "statistics are maintained
+whenever a summary object is updated", §5.2) and every
 :class:`~repro.index.derived.DerivedIndex` subscribe to it; a
 Summary-BTree reads old counts from the footprint and new ones from the
 written objects, so it re-keys only the modified labels.  Subscriptions
 are process state: the owners re-subscribe after an image load.
 
-**Maintenance modes.**  ``deferred`` selects how much of that work rides
-the write path (set by the owning :class:`~repro.core.database.Database`
-from ``Database(summary_async=)``; a bare manager runs synchronously):
-
-* ``False`` — classic incremental maintenance inside the write.
-* ``True`` — writes only append the raw annotation and mark the tuple
-  stale in :class:`~repro.summaries.background.PendingSummaryWork`; a
-  background :class:`~repro.summaries.background.MaintenanceWorker`
-  regenerates stale tuples in batches; reads serve the last-generated
-  objects and surface ``summary_status: fresh|stale`` instead of blocking.
+**Maintenance modes.**  With ``deferred`` False (a bare manager, or
+``Database(summary_async=False)``) maintenance runs inside the write.
+With True, a write only appends the raw annotation and marks the tuple
+stale in :class:`~repro.summaries.background.PendingSummaryWork`; a
+background :class:`~repro.summaries.background.MaintenanceWorker`
+regenerates stale tuples in batches, and reads serve the last-generated
+objects with ``summary_status: fresh|stale`` instead of blocking.
 
 Regeneration recomputes a tuple's summary objects from its raw
 annotations in ``ann_id`` order, which reproduces the incremental
@@ -47,7 +41,7 @@ from typing import Protocol
 
 from repro.annotations.annotation import Annotation, AnnotationTarget
 from repro.annotations.store import AnnotationStore
-from repro.cache import DEFAULT_CACHE_BYTES, CacheInvalidator, SummaryCache
+from repro.cache import DEFAULT_CACHE_BYTES, SummaryCache
 from repro.errors import SummaryError, UnknownInstanceError
 from repro.summaries.background import PendingSummaryWork
 from repro.mining.clustream import CluStream
@@ -110,9 +104,6 @@ def row_footprint(objects: dict[str, SummaryObject]) -> RowFootprint:
 class SummaryManager:
     """The summary subsystem's single entry point."""
 
-    #: (table, oid) -> live annotation ids attached there; None = lazily
-    #: rebuilt from the annotation store on first use (old images).
-    _targets_index: "dict[tuple[str, int], set[int]] | None" = None
     #: callback the owning Database installs so regeneration never
     #: resurrects a summary row for a deleted data tuple.
     tuple_exists = None
@@ -146,7 +137,9 @@ class SummaryManager:
         self.deferred = False
         #: staleness set of deferred maintenance.
         self.pending = PendingSummaryWork()
-        self._targets_index = {}
+        #: (table, oid) -> live annotation ids attached there; None =
+        #: rebuilt from the annotation store on first use.
+        self._targets_index: dict[tuple[str, int], set[int]] | None = {}
         #: serializes regeneration against foreground writers; the owning
         #: Database replaces it with its commit mutex.
         self.regen_lock = threading.RLock()
@@ -178,8 +171,6 @@ class SummaryManager:
             for storage in self._storages.values():
                 storage.cache = self.cache
         self._observers = defaultdict(list)
-        for table in self._storages:
-            self.add_observer(table, CacheInvalidator(self.cache, table))
         self.regen_lock = threading.RLock()
         self.tuple_exists = None
         self.maint_wake = None
@@ -283,9 +274,6 @@ class SummaryManager:
             self._storages[table] = SummaryStorage(
                 table, self.pool, cache=self.cache
             )
-            # Observer-driven invalidation: the table's channel sees one
-            # event per storage write/delete.
-            self.add_observer(table, CacheInvalidator(self.cache, table))
         return self._storages[table]
 
     # -- observers ----------------------------------------------------------------
@@ -294,8 +282,7 @@ class SummaryManager:
         self._observers[table.lower()].append(observer)
 
     def remove_observer(self, table: str, observer: StorageRowObserver) -> None:
-        """Detach one observer.  Idempotent: detaching an observer that is
-        not (or no longer) registered is a no-op."""
+        """Detach one observer; a no-op when it is not registered."""
         observers = self._observers.get(table.lower())
         if observers is not None and observer in observers:
             observers.remove(observer)
@@ -321,11 +308,6 @@ class SummaryManager:
         to scan plans."""
         return table.lower() in self._cell_annotated
 
-    def _record_targets(self, targets: list[AnnotationTarget]) -> None:
-        for target in targets:
-            if target.columns:
-                self._cell_annotated.add(target.table.lower())
-
     def add_annotation(
         self, text: str, targets: list[AnnotationTarget],
         ann_id: int | None = None,
@@ -346,8 +328,10 @@ class SummaryManager:
         logged one (WAL redo).  Redo calls it once per record, so a record
         whose create raises is left out of the run
         :meth:`attach_annotations` then applies."""
-        for _text, targets, _ann_id in items:
-            self._record_targets(targets)
+        self._cell_annotated.update(
+            target.table.lower() for _text, targets, _ann_id in items
+            for target in targets if target.columns
+        )
         self.metrics.inc("maint.annotation_add", len(items))
         return [
             self.annotations.create(text, targets, ann_id=ann_id)
@@ -380,17 +364,13 @@ class SummaryManager:
         instances = self.instances_for(table)
         if not instances:
             return
-        storage = self.storage_for(table)
-        objects = storage.get_for_update(oid)
-        previous = None if objects is None else row_footprint(objects)
-        if objects is None:
-            objects = {}
+        objects = self.storage_for(table).get_for_update(oid) or {}
+        previous = row_footprint(objects) if objects else None
         for instance in instances:
             if instance.name not in objects:
                 objects[instance.name] = instance.new_object(oid)
         self._fold(batch, instances, objects, table, oid)
-        storage.put(oid, objects)
-        self._notify(table, "on_objects_write", oid, objects, previous)
+        self._write_row(table, oid, objects, previous)
 
     def _fold(self, annotations: list[Annotation],
               instances: list[SummaryInstance],
@@ -430,12 +410,11 @@ class SummaryManager:
         annotation = self.annotations.delete(ann_id)
         affected = self._affected_tuples(annotation)
         self._detach_targets(ann_id, affected)
-        if self.deferred:
-            for table, oid in affected:
-                self._mark_stale(table, oid)
-            return
         for table, oid in affected:
-            self._remove_from_tuple(annotation, table, oid)
+            if self.deferred:
+                self._mark_stale(table, oid)
+            else:
+                self._remove_from_tuple(annotation, table, oid)
 
     def on_tuple_delete(self, table: str, oid: int) -> None:
         """The data tuple is gone: drop its summary row and index entries."""
@@ -447,19 +426,45 @@ class SummaryManager:
             self._targets_index.pop((table, oid), None)
         self.pending.discard(table, oid)
         objects = self.storage_for(table).get(oid)
-        if objects is None:
-            return
-        self._drop_row(table, oid, row_footprint(objects))
+        if objects is not None:
+            self._write_row(table, oid, {}, row_footprint(objects))
 
-    def _drop_row(self, table: str, oid: int, previous: RowFootprint) -> None:
-        """Drop the storage row of ``oid`` (``previous``: its footprint,
-        what observers currently hold for it).  Observers hear the delete
-        while the row still exists: a conventional-pointer Summary-BTree
-        resolves its entries through the row's location."""
-        self._notify(table, "on_objects_delete", oid, previous)
-        for name in previous:
-            self._clusterers.pop((table, oid, name), None)
-        self._storages[table].delete(oid)
+    def _write_row(self, table: str, oid: int,
+                   objects: dict[str, SummaryObject],
+                   previous: RowFootprint | None) -> None:
+        """The one write step of a tuple's storage row: the row whose
+        footprint is ``previous`` (None: no row yet) becomes ``objects``,
+        with one event.  When no object keeps an annotation the row is
+        dropped instead — a row of all-empty objects must not linger for
+        caches and indexes to serve — and observers hear the delete while
+        it still exists (a conventional-pointer Summary-BTree resolves its
+        entries through the row's location)."""
+        storage = self._storages[table]
+        if all(not obj.all_annotation_ids() for obj in objects.values()):
+            if previous is not None:
+                self._notify(table, "on_objects_delete", oid, previous)
+                for name in previous:
+                    self._clusterers.pop((table, oid, name), None)
+                storage.delete(oid)
+            return
+        storage.put(oid, objects)
+        self._notify(table, "on_objects_write", oid, objects, previous)
+
+    def repair_rows(self, live_oids) -> dict[str, dict[str, int]]:
+        """Repair's row pass: :meth:`SummaryStorage.repair` of every
+        table's storage, ``live_oids(table)`` naming the OIDs of its data
+        table (None: no such table).  The rows are written quietly, since
+        the derived structures may be corrupt (repair rebuilds them next).
+        The CluStream states and the attachment map derived from the old
+        rows are dropped, to be rebuilt from the repaired rows and store,
+        so a lost annotation cannot come back.  Returns each table's
+        counts."""
+        known = {annotation.ann_id for annotation in self.annotations.scan()}
+        counts = {table: storage.repair(live_oids(table), known)
+                  for table, storage in self._storages.items()}
+        self._clusterers.clear()
+        self._targets_index = None
+        return counts
 
     # -- reads -------------------------------------------------------------------------
 
@@ -540,15 +545,20 @@ class SummaryManager:
         """The live attachment reverse-map: (table, oid) -> annotation ids.
 
         Maintained on every create/delete; rebuilt from the annotation
-        store for managers unpickled from pre-async images.  Entries for
-        deleted data tuples are pruned by :meth:`on_tuple_delete` (the
-        live map) or filtered by ``tuple_exists`` (the rebuilt one)."""
+        store for managers unpickled from pre-async images and after
+        :meth:`repair_rows`.  Entries for deleted data tuples are pruned by
+        :meth:`on_tuple_delete` (the live map) or left out by
+        ``tuple_exists`` (the rebuilt one)."""
         if self._targets_index is None:
             index: dict[tuple[str, int], set[int]] = {}
             for annotation in self.annotations.scan():
                 for key in self._affected_tuples(annotation):
                     index.setdefault(key, set()).add(annotation.ann_id)
-            self._targets_index = index
+            exists = self.tuple_exists
+            self._targets_index = {
+                key: ids for key, ids in index.items()
+                if exists is None or exists(*key)
+            }
         return self._targets_index
 
     def is_annotated(self, table: str, oid: int) -> bool:
@@ -574,22 +584,15 @@ class SummaryManager:
                 index.pop(key, None)
 
     def _mark_stale(self, table: str, oid: int) -> None:
-        """Async write path: record staleness instead of doing the work.
-
-        Bumps the tuple's freshness marker (a precise cache invalidation —
-        the PR-4 epoch machinery guarantees nothing stale outlives the
-        regeneration that follows), publishes the backlog gauge, and
-        nudges the background worker."""
+        """Async write path: record staleness instead of doing the work,
+        publish the backlog gauge, and nudge the background worker.  The
+        stored row is unchanged, so its cache entry stays valid: reads
+        serve the last-generated objects until regeneration rewrites it."""
         if not self._links.get(table):
             return  # no linked instances: nothing will ever regenerate
-        pending = self.pending
-        storage = self._storages.get(table)
-        generation = storage.generation(oid) if storage is not None else 0
-        epoch = self.cache.epoch(table)
-        if pending.mark(table, oid, generation=generation, epoch=epoch):
+        if self.pending.mark(table, oid):
             self.metrics.inc("maint.deferred")
-        self.cache.invalidate(table, oid)
-        self.metrics.set_gauge("maint.backlog", len(pending))
+        self.metrics.set_gauge("maint.backlog", len(self.pending))
         wake = self.maint_wake
         if wake is not None:
             wake()
@@ -627,12 +630,11 @@ class SummaryManager:
                 item = pending.pop_next()
                 if item is None:
                     break
-                (table, oid), entry = item
+                (table, oid), _entry = item
                 try:
                     self.regenerate_tuple(table, oid)
                 except BaseException:
-                    pending.mark(table, oid, generation=entry.generation,
-                                 epoch=entry.epoch)
+                    pending.mark(table, oid)
                     raise
                 drained += 1
         if drained:
@@ -644,21 +646,16 @@ class SummaryManager:
     def regenerate_tuple(self, table: str, oid: int) -> None:
         """Recompute one tuple's summary objects from its raw annotations.
 
-        The converged result is definitionally what synchronous
-        maintenance would have produced: annotations are applied in
-        ``ann_id`` order (the incremental arrival order), objects of
-        currently-unlinked instances are preserved but scrubbed to live
-        attachments (matching the sync path, which leaves them behind on
-        unlink), and an empty result drops the storage row with the same
-        event as a tuple delete.  Observers receive one consolidated write
-        event whose footprint is the stored (still-indexed) row, so
-        derived structures converge no matter how many writes were folded
-        into this one regeneration.
+        The converged result is what synchronous maintenance would have
+        produced: annotations are applied in ``ann_id`` order (the
+        arrival order), and objects of instances unlinked since are kept
+        but scrubbed to live attachments (the sync path leaves them behind
+        on unlink).  :meth:`_write_row` sends one event whose footprint is
+        the stored row, however many writes this regeneration folds in.
         """
         table = table.lower()
-        storage = self.storage_for(table)
-        old = storage.get_for_update(oid)
-        previous = None if old is None else row_footprint(old)
+        old = self.storage_for(table).get_for_update(oid)
+        previous = row_footprint(old) if old else None
         ann_ids = sorted(self._ensure_targets_index().get((table, oid), ()))
         exists = self.tuple_exists is None or self.tuple_exists(table, oid)
         instances = self.instances_for(table) if exists else []
@@ -689,32 +686,19 @@ class SummaryManager:
                 objects[name] = obj
             # Keep the stored object order stable across regenerations:
             # previously-present instances stay in place, new ones append.
-            ordered: dict[str, SummaryObject] = {}
-            for name in old:
-                if name in objects:
-                    ordered[name] = objects.pop(name)
-            ordered.update(objects)
-            objects = ordered
-        if not objects or all(
-            not obj.all_annotation_ids() for obj in objects.values()
-        ):
-            if old is not None:
-                self._drop_row(table, oid, previous)
-            return
-        storage.put(oid, objects)
-        self._notify(table, "on_objects_write", oid, objects, previous)
+            objects = {name: objects[name] for name in (*old, *objects)
+                       if name in objects}
+        self._write_row(table, oid, objects, previous)
 
     def _remove_from_tuple(self, annotation: Annotation, table: str, oid: int) -> None:
-        storage = self.storage_for(table)
-        objects = storage.get_for_update(oid)
+        objects = self.storage_for(table).get_for_update(oid)
         if objects is None:
             return
         previous = row_footprint(objects)
         ann_id = annotation.ann_id
         for name, obj in objects.items():
             if isinstance(obj, ClusterObject):
-                key = (table, oid, name)
-                clusterer = self._clusterers.get(key)
+                clusterer = self._clusterers.get((table, oid, name))
                 if clusterer is not None and clusterer.cluster_of(ann_id):
                     clusterer.remove(ann_id)
                     self._rebuild_cluster_object(obj, clusterer)
@@ -723,14 +707,7 @@ class SummaryManager:
                 obj.ann_targets.pop(ann_id, None)
             else:
                 obj.remove_annotations({ann_id})
-        if all(not obj.all_annotation_ids() for obj in objects.values()):
-            # The tuple's last annotation is gone: a row of all-empty
-            # objects must not linger for caches/indexes to keep serving.
-            # Drop it with the same event as a tuple delete.
-            self._drop_row(table, oid, previous)
-            return
-        storage.put(oid, objects)
-        self._notify(table, "on_objects_write", oid, objects, previous)
+        self._write_row(table, oid, objects, previous)
 
     def _clusterer_for(
         self,

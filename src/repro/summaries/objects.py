@@ -115,6 +115,13 @@ class SummaryObject:
         """Every raw annotation contributing to this object."""
         return set(self.ann_targets)
 
+    def stray_annotation_ids(self, known: set[int]) -> set[int]:
+        """The ids a stored object must not hold: targets absent from
+        ``known`` (the annotation store's ids) and Elements[][] members
+        its targets lack.  The audit flags them and repair strips them."""
+        targets = self.all_annotation_ids()
+        return (targets - known) | (set().union(*self.elements()) - targets)
+
     # -- algebra hooks -----------------------------------------------------------
 
     def copy(self) -> "SummaryObject":

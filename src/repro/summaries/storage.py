@@ -52,13 +52,6 @@ def _cached_label_count(
 class SummaryStorage:
     """One table's ``R_SummaryStorage``: OID -> {instance -> SummaryObject}."""
 
-    #: Class-level fallback for pre-async images: per-row freshness
-    #: generations, bumped on every put/delete.  Background maintenance
-    #: records a row's generation when it goes stale, so tests (and any
-    #: future ABA-sensitive consumer) can tell "regenerated since" apart
-    #: from "untouched".
-    generations: dict[int, int] | None = None
-
     def __init__(self, table_name: str, pool: BufferPool,
                  cache: SummaryCache | None = None):
         self.table_name = table_name
@@ -69,21 +62,6 @@ class SummaryStorage:
         #: the owning SummaryManager's shared cache; a storage built on
         #: its own gets a private one of capacity 0 (stores nothing).
         self.cache = cache if cache is not None else SummaryCache()
-        self.generations = {}
-
-    def bump_generation(self, oid: int) -> int:
-        """Advance and return ``oid``'s freshness generation."""
-        if self.generations is None:
-            self.generations = {}
-        value = self.generations.get(oid, 0) + 1
-        self.generations[oid] = value
-        return value
-
-    def generation(self, oid: int) -> int:
-        """Current freshness generation of ``oid`` (0 = never written)."""
-        if self.generations is None:
-            return 0
-        return self.generations.get(oid, 0)
 
     def __len__(self) -> int:
         return len(self.heap)
@@ -193,10 +171,9 @@ class SummaryStorage:
         Returns True when this created a *new* storage row (the paper's
         "Adding Annotation — Insertion" case) and False on update.
         """
-        # Belt-and-braces with the observer-driven invalidation: repair
-        # writes storage rows directly, bypassing the SummaryManager.
+        # The one invalidation point of a summary row: every writer ends in
+        # put or delete, so no cache entry outlives the row it mirrors.
         self.cache.invalidate(self.table_name, oid)
-        self.bump_generation(oid)
         record = self._encode(objects)
         rid = self._rid_for(oid)
         if rid is None:
@@ -212,7 +189,6 @@ class SummaryStorage:
     def delete(self, oid: int) -> None:
         """Drop the summary row of ``oid`` (tuple deletion, §4.1.2)."""
         self.cache.invalidate(self.table_name, oid)
-        self.bump_generation(oid)
         rid = self._rid_for(oid)
         if rid is None:
             raise RecordNotFoundError(
@@ -220,6 +196,30 @@ class SummaryStorage:
             )
         self.heap.delete(rid)
         self.oid_index.delete(encode_int(oid), pack_rid(rid))
+
+    def repair(self, live: set[int] | None, known: set[int]) -> dict[str, int]:
+        """Repair's pass: :meth:`rebuild_oid_index`, then drop each row
+        whose OID is not in ``live`` (None keeps all) or, as maintenance
+        would, that keeps no annotation once each object's
+        ``stray_annotation_ids(known)`` are stripped.  Returns the counts
+        ``kept``, ``salvaged``, ``orphans`` and ``stripped``."""
+        stats = {**self.rebuild_oid_index(), "orphans": 0, "stripped": 0}
+        for oid, objects in list(self.scan()):
+            if live is not None and oid not in live:
+                self.delete(oid)
+                stats["orphans"] += 1
+            elif any(obj.stray_annotation_ids(known)
+                     for obj in objects.values()):
+                objects = self.get_for_update(oid)
+                for obj in objects.values():
+                    stray = obj.stray_annotation_ids(known)
+                    obj.remove_annotations(stray)
+                    stats["stripped"] += len(stray)
+                if any(obj.all_annotation_ids() for obj in objects.values()):
+                    self.put(oid, objects)
+                else:
+                    self.delete(oid)
+        return stats
 
     def rebuild_oid_index(self) -> dict[str, int]:
         """Rebuild the OID index from the heap alone (repair path).
@@ -266,9 +266,8 @@ class SummaryStorage:
 
     def scan(self) -> Iterator[tuple[int, dict[str, SummaryObject]]]:
         """Yield ``(oid, objects)`` for every annotated tuple."""
-        rid_to_oid = {}
-        for k, v in self.oid_index.items():
-            rid_to_oid[unpack_rid(v)] = decode_int(k)
+        rid_to_oid = {unpack_rid(v): decode_int(k)
+                      for k, v in self.oid_index.items()}
         for rid, record in self.heap.scan():
             oid = rid_to_oid.get(rid)
             if oid is None:

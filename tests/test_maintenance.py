@@ -407,7 +407,7 @@ class TestUnlinkDetachesObservers:
 
     def test_drop_detaches_whole_channel(self):
         db, _oid = self._database()
-        # The index; the cache and statistics subscribe once per table.
+        # The index; the statistics subscribe once per table.
         index = db.derived[("summary", "birds", "C")]
         observers = db.manager._observers["birds"]
         assert observers.count(index) == 1

@@ -172,6 +172,106 @@ class TestLogicalDamage:
         assert replica.reconstruct(survivor) is not None
 
 
+class TestManagerStateAfterRepair:
+    """Repair strips an annotation the store lost from the summary rows;
+    the manager's state derived from those rows must forget it too."""
+
+    def _database(self, summary_async=False):
+        db = Database(summary_async=summary_async)
+        db.create_table("t", [Column("name", ValueType.TEXT)])
+        db.create_classifier_instance("C", ["alpha", "beta"], [
+            ("apple alpha fruit orchard", "alpha"),
+            ("bear beta animal forest", "beta"),
+        ])
+        db.create_cluster_instance("Clu")
+        db.manager.link("t", "C")
+        db.manager.link("t", "Clu")
+        return db, db.insert("t", {"name": "a"})
+
+    def test_deferred_maintenance_and_save_after_repair(self, tmp_path):
+        db, oid = self._database(summary_async=True)
+        try:
+            db.manager.maint_wake = None
+            lost = db.add_annotation("apple alpha fruit", table="t", oid=oid)
+            kept = db.add_annotation("bear beta forest", table="t", oid=oid)
+            db.drain_summaries()
+            db.manager.annotations.delete(lost.ann_id)  # behind the manager
+            assert db.repair().converged
+            late = db.add_annotation("orchard apple alpha", table="t",
+                                     oid=oid)
+            assert db.drain_summaries() == 1
+            objects = db.manager.storage_for("t").get(oid)
+            assert objects["C"].all_annotation_ids() == {kept.ann_id,
+                                                         late.ann_id}
+            assert db.check_integrity().ok
+            db.save(tmp_path / "img")
+        finally:
+            db.stop_maintenance()
+
+    def test_lost_annotation_stays_out_of_cluster_groups(self):
+        db, oid = self._database()
+        disease = [
+            "flu virus infection outbreak epidemic mortality sick birds",
+            "infection epidemic flu mortality virus outbreak sick",
+            "virus flu epidemic infection outbreak sick mortality",
+        ]
+        notes = [db.add_annotation(text, table="t", oid=oid)
+                 for text in disease]
+        lost = notes[0]
+        db.manager.annotations.delete(lost.ann_id)
+        assert db.repair().converged
+        db.add_annotation(
+            "wetland lake marsh reed shoreline coastal water habitat",
+            table="t", oid=oid,
+        )
+        obj = db.manager.storage_for("t").get(oid)["Clu"]
+        assert lost.ann_id not in set().union(*obj.elements())
+        for position in range(len(obj.elements())):
+            db.zoom_in("t", oid, "Clu", position)  # no lost id to read
+        assert db.check_integrity().ok
+
+    def test_annotating_a_tuple_repair_found_gone_raises(self):
+        """The attachment map is rebuilt with existing tuples only, so it
+        no longer vouches for a tuple deleted behind the manager."""
+        from repro.errors import RecordNotFoundError
+
+        db = workload_db()
+        table = db.catalog.table("birds")
+        victim = next(oid for oid, _ in table.scan())
+        table.delete(victim)
+        assert db.repair().converged
+        with pytest.raises(RecordNotFoundError):
+            db.add_annotation("flu outbreak", table="birds", oid=victim)
+        assert db.check_integrity().ok
+
+    def test_row_left_without_annotations_is_dropped(self):
+        """A row that repair strips bare goes, as when maintenance deletes
+        a tuple's last annotation: no summary set of empty objects."""
+        db, oid = self._database()
+        ann = db.add_annotation("apple alpha fruit", table="t", oid=oid)
+        db.manager.annotations.delete(ann.ann_id)
+        assert db.repair().converged
+        assert db.manager.storage_for("t").get(oid) is None
+        sql = ("SELECT t.name FROM t WHERE "
+               "t.$.getSummaryObject('C').getLabelValue('alpha') >= 0")
+        assert not db.sql(sql).rows
+
+    def test_stray_group_member_is_flagged_and_stripped(self):
+        db, oid = self._database()
+        notes = [db.add_annotation(text, table="t", oid=oid)
+                 for text in ("apple alpha fruit", "orchard apple alpha")]
+        storage = db.manager.storage_for("t")
+        objects = storage.get_for_update(oid)
+        del objects["Clu"].ann_targets[notes[0].ann_id]
+        storage.put(oid, objects)  # a group member its targets lack
+        report = db.check_integrity()
+        assert [v.kind for v in report.violations] == ["dangling-element"]
+        repaired = db.repair()
+        assert repaired.converged, str(repaired)
+        assert notes[0].ann_id not in set().union(
+            *storage.get(oid)["Clu"].elements())
+
+
 class TestPhysicalDamage:
     def test_heal_resident_page(self):
         """On-disk corruption under a resident frame: the frame is the

@@ -5,8 +5,8 @@ Three layers of coverage:
 * unit tests of :class:`SummaryCache` itself — LRU byte bounds, the
   admission guard, epochs, precise invalidation, clear/resize, stats;
 * integration through the engine — read-through equality with the
-  uncached path, shared immutable hits, observer-driven invalidation on every
-  annotation mutation, recover/repair/load epoch bumps, EXPLAIN ANALYZE
+  uncached path, shared immutable hits, one invalidation per storage-row
+  write on every annotation mutation, recover/repair/load epoch bumps, EXPLAIN ANALYZE
   counters, and the ``\\cache`` REPL command;
 * the hot-path regressions that ride along: summary rows that grow across
   a page boundary (and back) keep the OID index consistent even under
@@ -267,6 +267,40 @@ class TestReadThrough:
         assert label_count(db, 2, "alpha") == 1
         db.delete_tuple("t", 2)
         assert db.manager.storage_for("t").get(2) is None
+
+    @pytest.mark.parametrize("summary_async", [False, True])
+    def test_annotate_invalidates_only_through_the_row_write(
+        self, monkeypatch, summary_async
+    ):
+        """``SummaryStorage.put``/``delete`` is the one invalidation point:
+        a sync annotate drops its row's entry exactly once, and a deferred
+        one, which leaves the stored row as it is, not at all."""
+        db = Database(summary_async=summary_async)
+        db.manager.maint_wake = None
+        db.create_table("t", [Column("name", ValueType.TEXT)])
+        db.create_classifier_instance(
+            "C", ["alpha", "beta"],
+            [(TEXTS["alpha"], "alpha"), (TEXTS["beta"], "beta")],
+        )
+        db.manager.link("t", "C")
+        oid = db.insert("t", ["r"])
+        db.add_annotation(TEXTS["alpha"], table="t", oid=oid)
+        db.drain_summaries()
+        storage = db.manager.storage_for("t")
+        primed = storage.get(oid)
+        calls = []
+        invalidate = SummaryCache.invalidate
+        monkeypatch.setattr(
+            SummaryCache, "invalidate",
+            lambda self, *key: calls.append(key) or invalidate(self, *key),
+        )
+        ann = db.add_annotation(TEXTS["beta"], table="t", oid=oid)
+        assert calls == ([] if summary_async else [("t", oid)])
+        if summary_async:
+            assert storage.get(oid) is primed  # the last-generated row
+            db.drain_summaries()
+            assert calls == [("t", oid)]
+        assert ann.ann_id in storage.get(oid)["C"].all_annotation_ids()
 
     def test_get_many_shares_and_invalidates_set_entries(self):
         # A batch read fills the cache through the dense OID-range resolver;
