@@ -1,4 +1,4 @@
-"""Bounded, versioned cache of decoded summary sets.
+"""Bounded cache of decoded summary sets.
 
 Every summary-aware operator ends in the same hot path: find a tuple's
 ``R_SummaryStorage`` row through the OID index, read it, and JSON-decode the
@@ -16,24 +16,24 @@ Design, in the order the invariants matter:
   search keeps its texts on the cached objects
   (``SnippetObject.search_texts``).
 
-* **Epochs.**  Each table has a monotonically increasing epoch counter;
-  every entry is stamped with the epoch current at store time and an entry
-  whose stamp trails the table's epoch is dead on arrival at lookup.  A
-  row write invalidates its one entry precisely (``invalidate``), called
-  only from ``SummaryStorage.put``/``delete``, which every writer of a
-  row ends in; events whose blast radius is a whole table or the whole
-  database — OID-index rebuilds, ``repair()``, WAL replay, image load —
-  bump epochs (``bump_epoch``/``bump_all``), which is O(1) regardless of
-  entry count.
+* **Coherence.**  One rule keeps every entry equal to its row.  A row
+  write invalidates its one entry (``invalidate``) *after* the heap
+  change, from a ``finally`` in ``SummaryStorage.put``/``delete``, which
+  every writer of a row ends in; the one whole-store event, repair,
+  calls ``clear()``.  Both bump one write counter, ``writes``.  A miss
+  fills the cache only under the count read before its lookup
+  (``store``'s ``token``): a reader that read the row before a write
+  finished either stores before that write's invalidation, which then
+  drops the entry, or after it, when its token no longer matches.
 
 * **Sharing.**  A hit returns the stored value itself: decoded summary
   objects are immutable, so no reader can poison an entry
   (writers copy, through ``SummaryStorage.get_for_update``).
 
 * **Batches.**  ``lookup_many`` answers a scan batch's OIDs under one
-  mutex hold and one epoch read; ``lookup`` is its one-OID case.  The
-  ``cache.hits``/``misses``/``invalidations`` counters move once per
-  call, by the same totals as one lookup per OID.
+  mutex hold; ``lookup`` is its one-OID case.  The ``cache.hits``/
+  ``misses`` counters move once per call, by the same totals as one
+  lookup per OID.
 
 * **Bounds.**  Capacity is configured in bytes (``0`` is a legal size that
   stores nothing); entries carry a size estimate, eviction is LRU, and an
@@ -72,7 +72,8 @@ MAX_ENTRY_FRACTION = 0.125
 
 
 class SummaryCache:
-    """LRU cache of decoded summary sets, versioned by per-table epochs."""
+    """LRU cache of decoded summary sets, kept coherent by one write
+    counter."""
 
     def __init__(
         self,
@@ -83,18 +84,18 @@ class SummaryCache:
         self.capacity_bytes = max(int(capacity_bytes), 0)
         self.max_entry_fraction = max_entry_fraction
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: (table, oid) -> (value, size_bytes, epoch); OrderedDict in LRU
-        #: order (least-recent first).
-        self._entries: "OrderedDict[tuple[str, int], tuple[Any, int, int]]" = (
+        #: (table, oid) -> (value, size_bytes); OrderedDict in LRU order
+        #: (least-recent first).
+        self._entries: "OrderedDict[tuple[str, int], tuple[Any, int]]" = (
             OrderedDict()
         )
-        self._epochs: dict[str, int] = {}
         self.used_bytes = 0
-        # One mutex over entries, epochs, occupancy, and the lifetime
-        # counters: lookup's hit path mutates LRU order and an epoch bump
-        # racing a store could otherwise admit an entry stamped with the
-        # *pre*-bump epoch after the bump — a stale value served as fresh.
-        # Reentrant because bump_all calls bump_epoch under it.
+        #: invalidations and clears so far: the token a fill must match.
+        self.writes = 0
+        # One mutex over entries, occupancy, the write counter and the
+        # lifetime counters: lookup's hit path mutates LRU order, and a
+        # fill's token check must be atomic with its admission.
+        # Reentrant because resize calls clear under it.
         self._mutex = threading.RLock()
         # Lifetime counters (survive MetricsRegistry.reset; the registry
         # mirror is what EXPLAIN ANALYZE diffs).
@@ -104,7 +105,6 @@ class SummaryCache:
         self.evictions = 0
         self.invalidations = 0
         self.rejections = 0
-        self.epoch_bumps = 0
 
     # -- configuration --------------------------------------------------------
 
@@ -130,35 +130,13 @@ class SummaryCache:
             self._evict_to_fit()
 
     def clear(self) -> None:
-        """Drop every entry (capacity and epochs are untouched)."""
+        """Drop every entry and refuse every fill in flight (capacity is
+        untouched)."""
         with self._mutex:
             self._entries.clear()
             self.used_bytes = 0
+            self.writes += 1
         self.metrics.inc("cache.clears")
-
-    # -- epochs ---------------------------------------------------------------
-
-    def epoch(self, table: str) -> int:
-        return self._epochs.get(table, 0)
-
-    def bump_epoch(self, table: str, reason: str = "write") -> None:
-        """Coarse per-table invalidation: every existing entry of ``table``
-        becomes stale in O(1); they are reaped lazily on lookup/eviction."""
-        with self._mutex:
-            self._epochs[table] = self._epochs.get(table, 0) + 1
-            self.epoch_bumps += 1
-        self.metrics.inc("cache.epoch_bumps")
-        self.metrics.inc(f"cache.epoch_bumps.{reason}")
-
-    def bump_all(self, reason: str) -> None:
-        """Whole-database invalidation (recover / repair / load)."""
-        with self._mutex:
-            tables = set(self._epochs) | {key[0] for key in self._entries}
-            for table in tables:
-                self.bump_epoch(table, reason)
-        if not tables:
-            # Still leave a trace that the event happened.
-            self.metrics.inc(f"cache.epoch_bumps.{reason}", 0)
 
     # -- lookup / store -------------------------------------------------------
 
@@ -167,43 +145,38 @@ class SummaryCache:
         return self.lookup_many(table, (oid,))[0]
 
     def lookup_many(self, table: str, oids) -> list[tuple[bool, Any]]:
-        """``(hit, value)`` per OID, in order, under one mutex hold and one
-        epoch read; the value is the stored (immutable) object itself,
-        shared with every other reader.  A stale entry (epoch behind the
-        table's) counts as a miss and is dropped on the spot.  Counters
-        move once per call, by the totals of one lookup per OID."""
+        """``(hit, value)`` per OID, in order, under one mutex hold; the
+        value is the stored (immutable) object itself, shared with every
+        other reader.  Counters move once per call, by the totals of one
+        lookup per OID."""
         out: list[tuple[bool, Any]] = []
-        hits = invalidations = 0
+        hits = 0
         entries = self._entries
         with self._mutex:
-            epoch = self.epoch(table)
             for oid in oids:
                 key = (table, oid)
                 entry = entries.get(key)
-                if entry is not None:
-                    if entry[2] == epoch:
-                        entries.move_to_end(key)
-                        hits += 1
-                        out.append((True, entry[0]))
-                        continue
-                    del entries[key]
-                    self.used_bytes -= entry[1]
-                    invalidations += 1
-                out.append((False, None))
+                if entry is None:
+                    out.append((False, None))
+                    continue
+                entries.move_to_end(key)
+                hits += 1
+                out.append((True, entry[0]))
             misses = len(out) - hits
             self.hits += hits
             self.misses += misses
-            self.invalidations += invalidations
-        for name, n in (("cache.hits", hits), ("cache.misses", misses),
-                        ("cache.invalidations", invalidations)):
-            if n:
-                self.metrics.inc(name, n)
+        if hits:
+            self.metrics.inc("cache.hits", hits)
+        if misses:
+            self.metrics.inc("cache.misses", misses)
         return out
 
-    def store(self, table: str, oid: int, value: Any, size_hint: int) -> bool:
-        """Admit the immutable ``value`` under the table's current epoch.
-        Returns False when the entry was rejected by the admission guard or
-        the cache is disabled."""
+    def store(self, table: str, oid: int, value: Any, size_hint: int,
+              token: int) -> bool:
+        """Admit the immutable ``value`` read after :attr:`writes` was
+        ``token``; refused if an invalidation or clear came since, as the
+        value may predate that write.  Returns False when the entry was
+        not admitted."""
         if not self.enabled:
             return False
         size = int(size_hint) + ENTRY_OVERHEAD
@@ -214,10 +187,12 @@ class SummaryCache:
             return False
         key = (table, oid)
         with self._mutex:
+            if token != self.writes:
+                return False
             old = self._entries.pop(key, None)
             if old is not None:
                 self.used_bytes -= old[1]
-            self._entries[key] = (value, size, self.epoch(table))
+            self._entries[key] = (value, size)
             self.used_bytes += size
             self.stores += 1
             self.metrics.inc("cache.stores")
@@ -225,8 +200,10 @@ class SummaryCache:
         return True
 
     def invalidate(self, table: str, oid: int) -> None:
-        """Precise invalidation: drop one tuple's entry."""
+        """A row write finished: drop its entry and refuse every fill in
+        flight."""
         with self._mutex:
+            self.writes += 1
             entry = self._entries.pop((table, oid), None)
             if entry is not None:
                 self.used_bytes -= entry[1]
@@ -236,7 +213,7 @@ class SummaryCache:
     def _evict_to_fit(self) -> None:
         # Caller holds self._mutex.
         while self.used_bytes > self.capacity_bytes and self._entries:
-            _key, (_value, size, _epoch) = self._entries.popitem(last=False)
+            _key, (_value, size) = self._entries.popitem(last=False)
             self.used_bytes -= size
             self.evictions += 1
             self.metrics.inc("cache.evictions")
@@ -261,7 +238,6 @@ class SummaryCache:
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
                 "rejections": self.rejections,
-                "epoch_bumps": self.epoch_bumps,
             }
 
     # -- pickling -------------------------------------------------------------
@@ -274,16 +250,13 @@ class SummaryCache:
             state = self.__dict__.copy()
         state["_entries"] = OrderedDict()
         state["used_bytes"] = 0
-        state["_epochs"] = {}
         del state["_mutex"]
         return state
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Caches pickled before the concurrency era carried entries but no
-        # mutex; either way the restored cache starts cold with a fresh one.
-        self.__dict__.setdefault("_entries", OrderedDict())
-        self.__dict__.setdefault("_epochs", {})
-        self.__dict__.setdefault("used_bytes", 0)
+        # Caches from before the concurrency era pickled their entries:
+        # every restored cache starts cold, with a fresh mutex.  (Fields
+        # older images carry that nothing reads any more stay inert.)
+        self.__dict__.update(state, _entries=OrderedDict(), used_bytes=0)
+        self.__dict__.setdefault("writes", 0)
         self._mutex = threading.RLock()
-

@@ -176,7 +176,7 @@ def _execute_command(db: Database, command: str) -> str:
             f"hit_rate={s['hit_rate']:.1%}\n"
             f"  stores={s['stores']} evictions={s['evictions']} "
             f"invalidations={s['invalidations']} "
-            f"rejections={s['rejections']} epoch_bumps={s['epoch_bumps']}"
+            f"rejections={s['rejections']}"
         )
     if name == "maint":
         if args and args[0] == "drain":

@@ -902,7 +902,8 @@ class Database:
         In deferred mode the returned list is a :class:`ZoomResult` whose
         ``summary_status`` reports whether the tuple's summary objects are
         behind its raw annotations (the texts themselves always come from
-        the last-generated objects — graceful degradation, not blocking).
+        the last-generated objects, less annotations deleted since —
+        graceful degradation, not blocking).
         """
         texts = self.manager.zoom_in(table, oid, instance, selector)
         if self.summary_async:
@@ -1101,9 +1102,6 @@ class Database:
         # The header's checkpoint LSN is authoritative (v2 images carry 0).
         db.checkpoint_lsn = checkpoint_lsn
         db._applied_lsn = max(db._applied_lsn, checkpoint_lsn)
-        # Images deserialize cold by construction; the bump makes the
-        # fresh-epoch guarantee hold even if that ever changes.
-        db.manager.cache.bump_all("load")
         if verify:
             db.check_integrity(raise_on_error=True)
         return db

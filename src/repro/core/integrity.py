@@ -121,14 +121,11 @@ class IntegrityChecker:
         that are still all zeroes on disk were never written back and carry
         no checksum yet.
         """
-        guard = getattr(self.db.pool, "guard", None)
+        guard = self.db.pool.guard
         for page_id in sorted(self.db.pool.protected_pages):
-            if guard is None:
-                data = self.db.disk.read_page(page_id)
-            else:
-                # Retried like any pool read: a transient device error must
-                # not masquerade as corruption during an audit.
-                data = guard.read_page(self.db.disk, page_id)
+            # Retried like any pool read: a transient device error must
+            # not masquerade as corruption during an audit.
+            data = guard.read_page(self.db.disk, page_id)
             self.report.pages_checked += 1
             if not any(data):
                 continue

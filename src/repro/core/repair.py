@@ -120,9 +120,6 @@ class RepairManager:
         self._repair_storages(report)
         self._rebuild_derived(report)
         self._refresh_statistics(report)
-        # Repair rewrites storage rows directly (and may quarantine the
-        # pages under them): stale every cached summary set.
-        self.db.manager.cache.bump_all("repair")
         report.after = IntegrityChecker(self.db).run()
         health = getattr(self.db, "health", None)
         if health is not None and report.converged:
@@ -146,14 +143,11 @@ class RepairManager:
         prunes every pointer that led into it).
         """
         pool, disk = self.db.pool, self.db.disk
-        guard = getattr(pool, "guard", None)
+        guard = pool.guard
         for page_id in sorted(pool.protected_pages):
-            if guard is None:
-                data = disk.read_page(page_id)
-            else:
-                # Retried like any pool read: a transient device error
-                # during salvage must not quarantine a healthy page.
-                data = guard.read_page(disk, page_id)
+            # Retried like any pool read: a transient device error during
+            # salvage must not quarantine a healthy page.
+            data = guard.read_page(disk, page_id)
             if not any(data) or verify_checksum(data):
                 continue
             frame = pool._frames.get(page_id)
@@ -162,10 +156,7 @@ class RepairManager:
                     pool.flush_page(page_id)
                 else:
                     stamp_checksum(frame.data)
-                    if guard is None:
-                        disk.write_page(page_id, frame.data)
-                    else:
-                        guard.write_page(disk, page_id, frame.data)
+                    guard.write_page(disk, page_id, frame.data)
                 report.healed_pages.append(page_id)
                 report.actions.append(RepairAction(
                     f"page {page_id}", "heal-page",
@@ -174,10 +165,7 @@ class RepairManager:
             else:
                 fresh = SlottedPage(page_size=disk.page_size)
                 stamp_checksum(fresh.data)
-                if guard is None:
-                    disk.write_page(page_id, fresh.data)
-                else:
-                    guard.write_page(disk, page_id, fresh.data)
+                guard.write_page(disk, page_id, fresh.data)
                 report.quarantined_pages.append(page_id)
                 report.actions.append(RepairAction(
                     f"page {page_id}", "quarantine-page",

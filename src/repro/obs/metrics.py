@@ -23,8 +23,9 @@ Naming convention used by the engine::
     cache.hits / cache.misses    summary-cache lookups (repro.cache)
     cache.stores / cache.evictions / cache.invalidations / cache.rejections
                                  summary-cache admission and removal events
-    cache.epoch_bumps[.<reason>] coarse invalidations (write / recover /
-                                 repair / load / rebuild_oid_index)
+                                 (an invalidation drops a row write's entry)
+    cache.clears                 whole-cache drops (repair, \\cache clear,
+                                 resize to 0)
     pool.hits / pool.misses      buffer-pool counters (merged at snapshot)
     optimizer.plan_cache.hits / .misses / .invalidations
                                  statement-cache plan lookups (merged at

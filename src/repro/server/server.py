@@ -145,13 +145,13 @@ def _abort(sock: socket.socket) -> None:
 
 
 class _Conn:
-    """A connection's socket, session and thread, and its request in hand
+    """A connection's socket and session, and its request in hand
     (``busy`` while answered, ``hung_up`` if the client left, what its
     statement holds); ``snapshot`` caches a replication bootstrap image
     while its chunks stream out."""
 
     __slots__ = ("sock", "session", "busy", "hung_up", "has_slot", "queued",
-                 "thread", "snapshot")
+                 "snapshot")
 
     def __init__(self, sock, session):
         self.sock = sock
@@ -160,7 +160,6 @@ class _Conn:
         self.hung_up = False
         self.has_slot = False
         self.queued = False
-        self.thread = threading.current_thread()
         self.snapshot = None
 
     def peer_gone(self) -> bool:
@@ -237,6 +236,9 @@ class QueryServer:
         #: against the connection threads.
         self._lock = threading.Lock()
         self._connections: set[_Conn] = set()
+        #: connection threads, pruned of finished ones at each accept:
+        #: a thread leaves ``_connections`` before its session closes.
+        self._threads: set[threading.Thread] = set()
         self._queued = 0
         self._net_ops = {op: 0 for op in NETWORK_OPS}
         #: registered non-SQL op handlers: name -> handler(request, conn).
@@ -319,10 +321,13 @@ class QueryServer:
             return list(self._connections)
 
     def _join(self, timeout: float) -> None:
-        """Wait up to ``timeout`` seconds for the connection threads."""
+        """Wait up to ``timeout`` seconds for every connection thread,
+        those already unregistered and closing their session included."""
         deadline = time.monotonic() + timeout
-        for conn in self._live():
-            conn.thread.join(max(0.0, deadline - time.monotonic()))
+        with self._lock:
+            threads = list(self._threads)
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
     def _accept_loop(self, listener: socket.socket) -> None:
         while True:
@@ -334,10 +339,14 @@ class QueryServer:
                     return  # stop() shut the listener down
                 time.sleep(0.01)  # transient (out of descriptors, ...)
                 continue
-            threading.Thread(
+            thread = threading.Thread(
                 target=self._handle_connection, args=(sock,),
                 name=f"repro-conn-{self.port}", daemon=True,
-            ).start()
+            )
+            with self._lock:
+                self._threads = {t for t in self._threads if t.is_alive()}
+                self._threads.add(thread)
+            thread.start()
 
     # -- health --------------------------------------------------------------
 

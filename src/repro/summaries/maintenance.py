@@ -457,8 +457,10 @@ class SummaryManager:
         the derived structures may be corrupt (repair rebuilds them next).
         The CluStream states and the attachment map derived from the old
         rows are dropped, to be rebuilt from the repaired rows and store,
-        so a lost annotation cannot come back.  Returns each table's
-        counts."""
+        so a lost annotation cannot come back.  The cache is cleared first,
+        since salvage may have lost rows it still holds and the strip pass
+        reads rows through it.  Returns each table's counts."""
+        self.cache.clear()
         known = {annotation.ann_id for annotation in self.annotations.scan()}
         counts = {table: storage.repair(live_oids(table), known)
                   for table, storage in self._storages.items()}
@@ -498,6 +500,8 @@ class SummaryManager:
 
         ``selector`` is a class label for Classifier objects, a Rep[]
         position for Snippet/Cluster objects, or None for everything.
+        Only ids still attached to the tuple are read: a deferred row may
+        list an annotation deleted since it was generated.
         """
         objects = self.storage_for(table).get(oid)
         if not objects or instance_name not in objects:
@@ -506,19 +510,20 @@ class SummaryManager:
         if selector is None:
             ann_ids = sorted(obj.all_annotation_ids())
         elif isinstance(obj, ClassifierObject) and isinstance(selector, str):
-            if selector not in obj.label_elements:
+            if selector in obj.label_elements:
+                ann_ids = sorted(obj.label_elements[selector])
+            else:
                 from repro.summaries.hierarchy import (
                     HierarchicalClassifierInstance,
                 )
 
                 instance = self._instances.get(instance_name)
-                if isinstance(instance, HierarchicalClassifierInstance) \
-                        and selector in instance.tree:
-                    # Multi-level zoom: an inner node unions its subtree.
-                    ann_ids = instance.resolve_elements(obj, selector)
-                    return self.annotations.texts(ann_ids)
-                raise SummaryError(f"no label {selector!r} on {instance_name!r}")
-            ann_ids = sorted(obj.label_elements[selector])
+                if not isinstance(instance, HierarchicalClassifierInstance) \
+                        or selector not in instance.tree:
+                    raise SummaryError(
+                        f"no label {selector!r} on {instance_name!r}")
+                # Multi-level zoom: an inner node unions its subtree.
+                ann_ids = instance.resolve_elements(obj, selector)
         elif isinstance(selector, int):
             element_lists = obj.elements()
             if not 0 <= selector < len(element_lists):
@@ -526,7 +531,8 @@ class SummaryManager:
             ann_ids = element_lists[selector]
         else:
             raise SummaryError(f"bad zoom selector {selector!r}")
-        return self.annotations.texts(ann_ids)
+        attached = self._ensure_targets_index().get((table.lower(), oid), ())
+        return self.annotations.texts([i for i in ann_ids if i in attached])
 
     # -- internals -----------------------------------------------------------------------
 

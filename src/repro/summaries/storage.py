@@ -121,27 +121,29 @@ class SummaryStorage:
         read path, label predicates and keyword search included.
 
         Read-through cached and shared: one cache pass answers the batch,
-        then the misses are read from the heap in order and stored.  A hit
+        then the misses are read from the heap in order and stored, each
+        fill under the cache's write count from before the lookup.  A hit
         returns the cached (immutable) mapping itself, and a ``None`` value
         memoizes "no storage row".  Writers read through
         :meth:`get_for_update`."""
         cache = self.cache
+        token = cache.writes
         found = cache.lookup_many(self.table_name, oids) if cache.enabled \
             else [(False, None)] * len(oids)
         rid_of = rid_resolver(self.oid_index, [
             oid for oid, (hit, _value) in zip(oids, found) if not hit
         ])
-        return [value if hit else self._read(oid, rid_of(oid))
+        return [value if hit else self._read(oid, rid_of(oid), token)
                 for oid, (hit, value) in zip(oids, found)]
 
-    def _read(self, oid: int, rid: RID | None
+    def _read(self, oid: int, rid: RID | None, token: int
               ) -> dict[str, SummaryObject] | None:
         if rid is None:
-            self.cache.store(self.table_name, oid, None, 0)
+            self.cache.store(self.table_name, oid, None, 0, token)
             return None
         data = self.heap.read(rid)
         objects = self._decode(data)
-        self.cache.store(self.table_name, oid, objects, len(data))
+        self.cache.store(self.table_name, oid, objects, len(data), token)
         return objects
 
     def get_for_update(self, oid: int) -> dict[str, SummaryObject] | None:
@@ -171,31 +173,36 @@ class SummaryStorage:
         Returns True when this created a *new* storage row (the paper's
         "Adding Annotation — Insertion" case) and False on update.
         """
-        # The one invalidation point of a summary row: every writer ends in
-        # put or delete, so no cache entry outlives the row it mirrors.
-        self.cache.invalidate(self.table_name, oid)
-        record = self._encode(objects)
-        rid = self._rid_for(oid)
-        if rid is None:
-            new_rid = self.heap.insert(record)
-            self.oid_index.insert(encode_int(oid), pack_rid(new_rid))
-            return True
-        new_rid = self.heap.update(rid, record)
-        if new_rid != rid:
-            self.oid_index.delete(encode_int(oid), pack_rid(rid))
-            self.oid_index.insert(encode_int(oid), pack_rid(new_rid))
-        return False
+        try:
+            record = self._encode(objects)
+            rid = self._rid_for(oid)
+            if rid is None:
+                new_rid = self.heap.insert(record)
+                self.oid_index.insert(encode_int(oid), pack_rid(new_rid))
+                return True
+            new_rid = self.heap.update(rid, record)
+            if new_rid != rid:
+                self.oid_index.delete(encode_int(oid), pack_rid(rid))
+                self.oid_index.insert(encode_int(oid), pack_rid(new_rid))
+            return False
+        finally:
+            # The one invalidation point of a summary row: every writer
+            # ends in put or delete, and invalidating after the change
+            # refuses a fill that read the old row (DESIGN.md §5d).
+            self.cache.invalidate(self.table_name, oid)
 
     def delete(self, oid: int) -> None:
         """Drop the summary row of ``oid`` (tuple deletion, §4.1.2)."""
-        self.cache.invalidate(self.table_name, oid)
-        rid = self._rid_for(oid)
-        if rid is None:
-            raise RecordNotFoundError(
-                f"{self.table_name}_SummaryStorage: no row for OID {oid}"
-            )
-        self.heap.delete(rid)
-        self.oid_index.delete(encode_int(oid), pack_rid(rid))
+        try:
+            rid = self._rid_for(oid)
+            if rid is None:
+                raise RecordNotFoundError(
+                    f"{self.table_name}_SummaryStorage: no row for OID {oid}"
+                )
+            self.heap.delete(rid)
+            self.oid_index.delete(encode_int(oid), pack_rid(rid))
+        finally:
+            self.cache.invalidate(self.table_name, oid)
 
     def repair(self, live: set[int] | None, known: set[int]) -> dict[str, int]:
         """Repair's pass: :meth:`rebuild_oid_index`, then drop each row
@@ -230,8 +237,6 @@ class SummaryStorage:
         empty, or duplicate an already-seen OID (first row wins) are
         salvage-deleted. Returns counters: ``kept``, ``salvaged``.
         """
-        # Any OID may remap or vanish: stale everything for this table.
-        self.cache.bump_epoch(self.table_name, "rebuild_oid_index")
         live: dict[int, RID] = {}
         drop: list[RID] = []
         for page_no in range(len(self.heap.page_ids)):

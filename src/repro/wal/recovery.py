@@ -249,9 +249,6 @@ def replay(db, device) -> RecoveryReport:
     if scan.torn_bytes:
         device.discard_after(scan.end_lsn)
     db._applied_lsn = max(db._applied_lsn, scan.end_lsn)
-    # Replay mutated state through every layer; nothing cached before
-    # (or during) recovery may be served after it.
-    db.manager.cache.bump_all("recover")
     db.metrics.inc("recovery.runs")
     db.metrics.inc("recovery.records_replayed", report.replayed)
     db.metrics.inc("recovery.records_skipped", report.skipped)

@@ -208,6 +208,27 @@ class TestStalenessSurfacing:
         finally:
             db.stop_maintenance()
 
+    def test_zoom_in_after_a_deferred_delete_skips_the_deleted(self):
+        """The stale row still lists a deleted annotation; zoom-in reads
+        the texts of the annotations still attached, not every listed
+        id (which raised ``RecordNotFoundError``)."""
+        db = build_db(True)
+        try:
+            db.manager.maint_wake = None
+            first = db.add_annotation(TEXTS[0], table="t", oid=1)
+            db.add_annotation(TEXTS[1], table="t", oid=1)
+            db.drain_summaries()
+            db.delete_annotation(first.ann_id)
+            stale = db.zoom_in("t", 1, "C", "alpha")
+            assert stale.summary_status == "stale"
+            assert list(stale) == [TEXTS[1]]
+            assert list(db.zoom_in("t", 1, "C")) == [TEXTS[1]]
+            assert list(db.zoom_in("t", 1, "C", 0)) == [TEXTS[1]]
+            db.drain_summaries()
+            assert list(db.zoom_in("t", 1, "C", "alpha")) == [TEXTS[1]]
+        finally:
+            db.stop_maintenance()
+
     def test_backlog_gauges(self):
         db = build_db(True)
         try:

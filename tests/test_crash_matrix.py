@@ -263,8 +263,9 @@ def recover_state(device):
 
     The recovered database reads its state twice through an enabled
     summary cache: the cold pass populates it, the warm pass must agree
-    (recovery bumped every epoch, so a stale pre-crash entry surviving
-    into either pass would diverge from the oracle comparison)."""
+    (the recovered database starts cold and replay writes rows through
+    the cache's invalidation, so a stale entry surviving into either
+    pass would diverge from the oracle comparison)."""
     survivor = MemoryWALDevice.from_durable(
         device.durable(), base_lsn=device.base_lsn
     )

@@ -35,6 +35,7 @@ from repro.core.database import Database
 from repro.errors import ProtocolError, ServerError
 from repro.server import QueryClient, QueryServer
 from repro.storage.record import ValueType
+from repro.txn.session import Session
 from tests.test_server import ServerHarness, wait_for
 
 
@@ -542,6 +543,31 @@ class TestGracefulDrain:
         client.close()
         # The uncommitted write is gone (txn aborted, not committed).
         assert len(db.sql("Select * From t")) == 10
+
+    def test_stop_joins_a_connection_thread_still_closing(
+        self, db, monkeypatch
+    ):
+        """A connection thread leaves the connection set before its
+        session closes; ``stop()`` must still wait for it to end."""
+        h = make_harness(db, workers=2, max_connections=16)
+        client = QueryClient(port=h.port)
+        assert client.execute("Select * From t")["row_count"] == 10
+        closing = threading.Event()
+        close = Session.close
+
+        def slow_close(session):
+            if threading.current_thread().name == f"repro-conn-{h.port}":
+                closing.set()
+                time.sleep(0.3)
+            close(session)
+
+        monkeypatch.setattr(Session, "close", slow_close)
+        client.close()  # the thread unregisters, then closes its session
+        assert closing.wait(10)
+        assert h.server._connections == set()
+        h.stop()
+        assert not any(thread.name == f"repro-conn-{h.port}"
+                       for thread in threading.enumerate())
 
     def test_drain_waits_for_inflight_statement(self, db):
         h = make_harness(db, workers=2, max_connections=16)

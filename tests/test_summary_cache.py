@@ -1,13 +1,16 @@
-"""The versioned summary-set cache (``repro.cache``).
+"""The summary-set cache (``repro.cache``).
 
 Three layers of coverage:
 
 * unit tests of :class:`SummaryCache` itself — LRU byte bounds, the
-  admission guard, epochs, precise invalidation, clear/resize, stats;
+  admission guard, precise invalidation, the write-count token that
+  refuses a fill racing a write, clear/resize, stats;
 * integration through the engine — read-through equality with the
   uncached path, shared immutable hits, one invalidation per storage-row
-  write on every annotation mutation, recover/repair/load epoch bumps, EXPLAIN ANALYZE
-  counters, and the ``\\cache`` REPL command;
+  write on every annotation mutation, readers paused between their heap
+  read and their store while a writer changes the row (threaded), repair
+  clearing, recover and load starting cold, EXPLAIN ANALYZE counters,
+  and the ``\\cache`` REPL command;
 * the hot-path regressions that ride along: summary rows that grow across
   a page boundary (and back) keep the OID index consistent even under
   buffer-pool pressure.
@@ -16,6 +19,7 @@ Three layers of coverage:
 from __future__ import annotations
 
 import pickle
+import threading
 
 import pytest
 
@@ -26,10 +30,12 @@ from repro.core.database import Database
 from repro.errors import BufferPoolError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
+from repro.storage.heapfile import HeapFile
 from repro.storage.record import ValueType
 from repro.summaries.objects import SnippetObject
 from repro.summaries.storage import SummaryStorage
 from repro.wal.device import MemoryWALDevice
+from tests.test_summary_freeze import assert_cache_matches_heap
 
 
 # ---------------------------------------------------------------------------
@@ -40,20 +46,20 @@ class TestSummaryCacheUnit:
     def test_disabled_by_default(self):
         cache = SummaryCache()
         assert not cache.enabled
-        assert cache.store("t", 1, {"a": 1}, 10) is False
+        assert cache.store("t", 1, {"a": 1}, 10, cache.writes) is False
         hit, _ = cache.lookup("t", 1)
         assert not hit
 
     def test_store_then_hit(self):
         cache = SummaryCache(capacity_bytes=10_000)
-        assert cache.store("t", 1, "value", 10)
+        assert cache.store("t", 1, "value", 10, cache.writes)
         hit, value = cache.lookup("t", 1)
         assert hit and value == "value"
         assert cache.hits == 1 and cache.misses == 0
 
     def test_negative_entry(self):
         cache = SummaryCache(capacity_bytes=10_000)
-        cache.store("t", 5, None, 0)
+        cache.store("t", 5, None, 0, cache.writes)
         hit, value = cache.lookup("t", 5)
         assert hit and value is None
 
@@ -61,10 +67,10 @@ class TestSummaryCacheUnit:
         cache = SummaryCache(capacity_bytes=10_000, max_entry_fraction=1.0)
         # Three entries of ~4000 effective bytes each: the third insert
         # must evict the least-recently-used first entry.
-        cache.store("t", 1, "a", 4000)
-        cache.store("t", 2, "b", 4000)
+        cache.store("t", 1, "a", 4000, cache.writes)
+        cache.store("t", 2, "b", 4000, cache.writes)
         cache.lookup("t", 1)  # touch 1 so 2 becomes LRU
-        cache.store("t", 3, "c", 4000)
+        cache.store("t", 3, "c", 4000, cache.writes)
         assert cache.evictions == 1
         assert cache.lookup("t", 2)[0] is False
         assert cache.lookup("t", 1)[0] is True
@@ -73,14 +79,14 @@ class TestSummaryCacheUnit:
 
     def test_admission_guard_rejects_oversized(self):
         cache = SummaryCache(capacity_bytes=10_000)  # max entry = 1250
-        assert cache.store("t", 1, "huge", 5_000) is False
+        assert cache.store("t", 1, "huge", 5_000, cache.writes) is False
         assert cache.rejections == 1
         assert len(cache) == 0 and cache.used_bytes == 0
 
     def test_restore_replaces_entry_bytes(self):
         cache = SummaryCache(capacity_bytes=10_000, max_entry_fraction=1.0)
-        cache.store("t", 1, "a", 1000)
-        cache.store("t", 1, "b", 2000)
+        cache.store("t", 1, "a", 1000, cache.writes)
+        cache.store("t", 1, "b", 2000, cache.writes)
         assert len(cache) == 1
         assert cache.lookup("t", 1) == (True, "b")
         # 2000 + overhead, not 3000 + 2*overhead.
@@ -88,57 +94,64 @@ class TestSummaryCacheUnit:
 
     def test_precise_invalidation(self):
         cache = SummaryCache(capacity_bytes=10_000)
-        cache.store("t", 1, "a", 10)
-        cache.store("t", 2, "b", 10)
+        cache.store("t", 1, "a", 10, cache.writes)
+        cache.store("t", 2, "b", 10, cache.writes)
         cache.invalidate("t", 1)
         cache.invalidate("t", 3)  # no entry: nothing to count
         assert cache.lookup("t", 1)[0] is False
         assert cache.lookup("t", 2)[0] is True
         assert cache.invalidations == 1
 
-    def test_epoch_bump_stales_only_that_table(self):
+    def test_fill_under_an_old_token_is_refused(self):
+        """A fill whose lookup came before a finished row write may hold
+        the pre-write row: any invalidation since (one counter for every
+        key) refuses it, and a fill under the current count is admitted."""
         cache = SummaryCache(capacity_bytes=10_000)
-        cache.store("t", 1, "a", 10)
-        cache.store("u", 1, "b", 10)
-        cache.bump_epoch("t")
-        assert cache.lookup("t", 1)[0] is False  # stale: epoch moved on
-        assert cache.lookup("u", 1)[0] is True
-        # The stale entry was reaped on lookup, not left occupying bytes.
-        assert len(cache) == 1
+        token = cache.writes
+        cache.invalidate("u", 9)  # another key's write counts too
+        assert cache.store("t", 1, "old", 10, token) is False
+        assert cache.lookup("t", 1)[0] is False and len(cache) == 0
+        assert cache.store("t", 1, "new", 10, cache.writes)
+        assert cache.lookup("t", 1) == (True, "new")
 
-    def test_bump_all(self):
+    def test_clear_drops_every_table_and_refuses_fills(self):
         cache = SummaryCache(capacity_bytes=10_000)
-        cache.store("t", 1, "a", 10)
-        cache.store("u", 2, "b", 10)
-        cache.bump_all("recover")
+        cache.store("t", 1, "a", 10, cache.writes)
+        cache.store("u", 2, "b", 10, cache.writes)
+        token = cache.writes
+        cache.clear()
         assert cache.lookup("t", 1)[0] is False
         assert cache.lookup("u", 2)[0] is False
+        assert cache.store("t", 1, "a", 10, token) is False
+        assert len(cache) == 0 and cache.used_bytes == 0
 
     def test_store_after_bump_is_fresh(self):
+        """An invalidation bumps the write count; the next fill, under the
+        new count, serves the new value."""
         cache = SummaryCache(capacity_bytes=10_000)
-        cache.store("t", 1, "old", 10)
-        cache.bump_epoch("t")
-        cache.store("t", 1, "new", 10)
+        cache.store("t", 1, "old", 10, cache.writes)
+        cache.invalidate("t", 1)
+        assert cache.store("t", 1, "new", 10, cache.writes)
         assert cache.lookup("t", 1) == (True, "new")
 
     def test_clear_and_resize(self):
         cache = SummaryCache(capacity_bytes=10_000, max_entry_fraction=1.0)
         for oid in range(5):
-            cache.store("t", oid, "v", 1000)
+            cache.store("t", oid, "v", 1000, cache.writes)
         cache.clear()
         assert len(cache) == 0 and cache.used_bytes == 0
         for oid in range(5):
-            cache.store("t", oid, "v", 1000)
+            cache.store("t", oid, "v", 1000, cache.writes)
         cache.resize(2200)  # room for two ~1064-byte entries
         assert len(cache) == 2
         assert cache.used_bytes <= 2200
         cache.resize(0)
         assert not cache.enabled and len(cache) == 0
-        assert cache.store("t", 9, "v", 10) is False
+        assert cache.store("t", 9, "v", 10, cache.writes) is False
 
     def test_stats_shape(self):
         cache = SummaryCache(capacity_bytes=10_000)
-        cache.store("t", 1, "v", 10)
+        cache.store("t", 1, "v", 10, cache.writes)
         cache.lookup("t", 1)
         cache.lookup("t", 2)
         s = cache.stats()
@@ -148,15 +161,15 @@ class TestSummaryCacheUnit:
 
     def test_pickle_starts_cold_but_keeps_config(self):
         cache = SummaryCache(capacity_bytes=10_000)
-        cache.store("t", 1, "v", 10)
+        cache.store("t", 1, "v", 10, cache.writes)
         clone = pickle.loads(pickle.dumps(cache))
         assert clone.capacity_bytes == 10_000 and clone.enabled
         assert len(clone) == 0 and clone.used_bytes == 0
-        assert clone.epoch("t") == 0
+        assert clone.store("t", 1, "v", 10, clone.writes)
 
     def test_metrics_mirrored_into_registry(self):
         cache = SummaryCache(capacity_bytes=10_000)
-        cache.store("t", 1, "v", 10)
+        cache.store("t", 1, "v", 10, cache.writes)
         cache.lookup("t", 1)
         cache.lookup("t", 2)
         cache.invalidate("t", 1)
@@ -361,21 +374,125 @@ class TestReadThrough:
         assert db.manager.cache.hits == 0
 
 
-class TestEpochBumps:
-    def test_repair_bumps_epochs(self):
+class TestFillsRacingWrites:
+    """A reader paused between its heap read and its cache store while a
+    writer changes that row must not leave the pre-write row (or a "no
+    row" negative entry) cached.  Python-API writers and the deferred
+    drain take no table lock, so SQL readers interleave with both."""
+
+    @pytest.mark.parametrize("negative", [False, True],
+                             ids=["row", "no-row"])
+    @pytest.mark.parametrize("writer", ["annotate", "drain"])
+    def test_fill_that_read_before_a_write_is_not_served(
+        self, monkeypatch, writer, negative
+    ):
+        db = Database(summary_async=writer == "drain")
+        db.manager.maint_wake = None  # drains run here, on this thread
+        db.create_table("t", [Column("name", ValueType.TEXT)])
+        db.create_classifier_instance(
+            "C", ["alpha", "beta"],
+            [(TEXTS["alpha"], "alpha"), (TEXTS["beta"], "beta")],
+        )
+        db.manager.link("t", "C")
+        oid = db.insert("t", ["r"])
+        if not negative:
+            db.add_annotation(TEXTS["alpha"], table="t", oid=oid)
+            db.drain_summaries()
+        if writer == "drain":
+            # Deferred: the stored row stays as it is until the drain.
+            db.add_annotation(TEXTS["alpha"], table="t", oid=oid)
+        paused, resume = threading.Event(), threading.Event()
+        store = SummaryCache.store
+
+        def pausing_store(self, *args):
+            if threading.current_thread() is reader:
+                paused.set()
+                assert resume.wait(10)
+            return store(self, *args)
+
+        monkeypatch.setattr(SummaryCache, "store", pausing_store)
+        read = []
+        reader = threading.Thread(
+            target=lambda: read.append(db.sql(
+                "SELECT t.name FROM t WHERE t.$.getSummaryObject('C')"
+                ".getLabelValue('alpha') >= 1"
+            )))
+        reader.start()
+        try:
+            assert paused.wait(10), "the reader never filled the cache"
+            if writer == "annotate":
+                db.add_annotation(TEXTS["alpha"], table="t", oid=oid)
+            else:
+                db.drain_summaries()
+        finally:
+            resume.set()
+            reader.join(10)
+        assert not reader.is_alive() and len(read) == 1
+        assert len(read[0]) == (0 if negative else 1)  # the pre-write view
+        assert label_count(db, oid, "alpha") == (1 if negative else 2)
+        assert_cache_matches_heap(db)
+
+    @pytest.mark.parametrize("negative", [False, True],
+                             ids=["row", "no-row"])
+    def test_read_while_a_write_is_mid_change_is_not_served(
+        self, monkeypatch, negative
+    ):
+        """The other order: the writer pauses at its heap change and a
+        reader runs its whole miss meanwhile.  The invalidation comes
+        after the change, so it drops what that reader stored."""
         db = build_db()
-        db.manager.storage_for("t").get(1)
-        epoch0 = db.manager.cache.epoch("t")
+        oid = db.insert("t", ["bare", 99]) if negative else 2
+        storage = db.manager.storage_for("t")
+        paused, resume = threading.Event(), threading.Event()
+        for name in ("insert", "update"):
+            original = getattr(HeapFile, name)
+
+            def pausing(self, *args, _original=original):
+                if self is storage.heap and \
+                        threading.current_thread() is writer:
+                    paused.set()
+                    assert resume.wait(10)
+                return _original(self, *args)
+
+            monkeypatch.setattr(HeapFile, name, pausing)
+        writer = threading.Thread(target=lambda: db.add_annotation(
+            TEXTS["alpha"], table="t", oid=oid))
+        writer.start()
+        try:
+            assert paused.wait(10), "the writer never reached its row"
+            before = label_count(db, oid, "alpha")  # the pre-write row
+        finally:
+            resume.set()
+            writer.join(10)
+        assert not writer.is_alive()
+        assert before == (0 if negative else 1)
+        assert label_count(db, oid, "alpha") == before + 1
+        assert_cache_matches_heap(db)
+
+
+class TestEpochBumps:
+    """The whole-store events that once bumped per-table epochs: repair
+    now clears the cache, recovery and image load start it cold."""
+
+    def test_repair_clears(self):
+        db = build_db()
+        storage = db.manager.storage_for("t")
+        primed = storage.get(2)
+        clears = db.metrics.get("cache.clears")
         # Delete a heap tuple behind the manager's back: its summary row
         # becomes an orphan, the audit fails, and repair runs for real
         # (a clean audit early-returns without touching the cache).
         db.catalog.table("t").delete(1)
         report = db.repair()
         assert report.converged
-        assert db.manager.cache.epoch("t") > epoch0
-        assert db.metrics.get("cache.epoch_bumps.repair") >= 1
+        assert db.metrics.get("cache.clears") == clears + 1
+        # No write touched OID 2's row, yet its entry went with the rest.
+        assert storage.get(2) is not primed
+        assert set_dict(storage.get(2)) == set_dict(primed)
+        assert storage.get(1) is None
+        assert_cache_matches_heap(db)
 
-    def test_recover_bumps_epochs(self):
+    def test_recover_starts_cold_and_serves_fresh_rows(self):
         db = Database(buffer_pages=64)
         db.attach_wal()
         db.create_table("t", [Column("name", ValueType.TEXT),
@@ -392,13 +509,14 @@ class TestEpochBumps:
         assert recovered.metrics.get("recovery.runs") == 1
         # Recovery without an image builds a default database.
         assert recovered.manager.cache.capacity_bytes == DEFAULT_CACHE_BYTES
-        # Replay leaves no live entries (every replayed write invalidates
-        # what the read-modify-write just cached), so the bump can be a
-        # no-op — but it must leave its trace counter: the hook ran.
-        assert "cache.epoch_bumps.recover" in recovered.metrics_snapshot()
-        # Post-recovery reads are correct through the (bumped) cache.
+        # Replay writes rows through put/delete, so every entry it left
+        # (the read-modify-write's own fills are invalidated by its write)
+        # equals its row, and reads are correct cold and warm.
+        assert_cache_matches_heap(recovered)
         assert label_count(recovered, oid, "alpha") == 1
+        hits = recovered.manager.cache.hits
         assert label_count(recovered, oid, "alpha") == 1  # warm read
+        assert recovered.manager.cache.hits == hits + 1
 
     def test_saved_image_loads_cold_with_config(self, tmp_path):
         db = build_db()

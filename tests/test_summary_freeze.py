@@ -240,14 +240,12 @@ def test_stored_rows_do_not_depend_on_cache_state(monkeypatch):
 
 
 def assert_cache_matches_heap(db: Database) -> int:
-    """Every live entry of the summary cache equals a fresh decode of its
-    heap row, ``obj_id`` included (a negative entry: no row).  Returns
-    how many entries were checked."""
+    """Every entry of the summary cache equals a fresh decode of its heap
+    row, ``obj_id`` included (a negative entry: no row).  Returns how
+    many entries were checked."""
     cache = db.manager.cache
     checked = 0
-    for (table, oid), (value, _size, epoch) in list(cache._entries.items()):
-        if epoch != cache.epoch(table):
-            continue
+    for (table, oid), (value, _size) in list(cache._entries.items()):
         storage = db.manager.storage_for(table)
         rid = storage._rid_for(oid)
         if value is None:

@@ -7,8 +7,9 @@ consistent under real thread pressure:
 
 * :class:`MetricsRegistry` — ``inc`` lost updates, ``snapshot`` during
   a concurrent dict resize;
-* :class:`SummaryCache` — store/lookup/epoch-bump races corrupting the
-  occupancy accounting or resurrecting stale entries, one key at a time
+* :class:`SummaryCache` — store/lookup/invalidate/clear races corrupting
+  the occupancy accounting, or a fill that read a row before a write
+  admitted after it (a stale value served as fresh), one key at a time
   or a batch at a time (``lookup_many``);
 * :class:`BufferPool` — concurrent get/mark_dirty/flush corrupting the
   frame map or the LRU order.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import pickle
 import sys
 import threading
+import time
 
 from repro.cache.summary_cache import SummaryCache
 from repro.obs.metrics import MetricsRegistry
@@ -111,14 +113,14 @@ class TestSummaryCache:
             try:
                 for i in range(500):
                     oid = (wid * 7 + i) % 40
-                    cache.store("t", oid, {"k": i}, size_hint=100)
+                    cache.store("t", oid, {"k": i}, 100, cache.writes)
                     hit, value = cache.lookup("t", oid)
                     if hit:
                         assert isinstance(value, dict)
                     if i % 11 == 0:
                         cache.invalidate("t", oid)
                     if i % 97 == 0:
-                        cache.bump_epoch("t")
+                        cache.clear()
             except Exception as exc:  # pragma: no cover
                 failures.append(repr(exc))
 
@@ -126,58 +128,74 @@ class TestSummaryCache:
         assert failures == []
         # Occupancy accounting survived the churn: recount from scratch.
         with cache._mutex:
-            recount = sum(size for _v, size, _e in cache._entries.values())
+            recount = sum(size for _v, size in cache._entries.values())
             assert cache.used_bytes == recount
         assert cache.used_bytes <= cache.capacity_bytes
 
-    def test_epoch_bump_racing_store_never_serves_stale(self):
-        """A store stamped before a bump must read as a miss after it —
-        under the mutex the stamp and the admission are atomic, so the
-        'stale value served as fresh' window is structurally gone."""
+    def test_fill_racing_invalidate_never_serves_stale(self):
+        """Writers change a row, then invalidate; readers fill on a miss
+        under the write count read before their lookup.  A hit is never
+        older than the last write finished before the lookup, and what
+        stays cached at the end is the row itself."""
         cache = SummaryCache(capacity_bytes=64 * 1024)
+        row = {"version": 0}
+        done = {"version": 0}  # last write whose invalidation finished
         failures: list[str] = []
         stop = threading.Event()
 
-        def bumper():
+        def writer():
             while not stop.is_set():
-                cache.bump_epoch("t", "write")
+                row["version"] += 1  # the heap change...
+                version = row["version"]
+                cache.invalidate("t", 1)  # ...then its invalidation
+                done["version"] = version
+                stop.wait(0.0002)  # let a wrongly admitted fill be seen
 
-        def storer():
+        def reader():
             try:
-                for i in range(2000):
-                    epoch_before = cache.epoch("t")
-                    cache.store("t", 1, {"v": i}, size_hint=50)
+                for _ in range(2000):
+                    floor = done["version"]
+                    token = cache.writes
                     hit, value = cache.lookup("t", 1)
-                    if hit and cache.epoch("t") == epoch_before:
-                        # Unbumped since the store: the value is ours or
-                        # a concurrent storer's — never a stale epoch's.
-                        assert isinstance(value, dict)
+                    if hit:
+                        assert value >= floor, (value, floor)
+                    else:
+                        value = row["version"]  # the heap read...
+                        time.sleep(0)  # ...and the decode, time to race
+                        cache.store("t", 1, value, 50, token)
             except Exception as exc:  # pragma: no cover
                 failures.append(repr(exc))
 
-        bump_thread = threading.Thread(target=bumper)
-        store_threads = [threading.Thread(target=storer) for _ in range(3)]
-        bump_thread.start()
-        for t in store_threads:
-            t.start()
-        for t in store_threads:
-            t.join(60)
-        stop.set()
-        bump_thread.join(10)
+        write_thread = threading.Thread(target=writer)
+        readers = [threading.Thread(target=reader) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            write_thread.start()
+            for t in readers:
+                t.start()
+            for t in readers:
+                t.join(60)
+        finally:
+            stop.set()
+            write_thread.join(10)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers + [write_thread])
         assert failures == []
-        # Entries stamped behind the final epoch read as misses.
-        cache.bump_epoch("t")
-        hit, _ = cache.lookup("t", 1)
-        assert not hit
+        hit, value = cache.lookup("t", 1)
+        assert not hit or value == row["version"]
 
     def test_lookup_many_racing_bumps_and_invalidations(self):
-        """A batch lookup reads the epoch once under the mutex, so every
-        hit of one call carries that epoch: never an older one, even
-        while other threads bump epochs and invalidate entries."""
+        """A batch lookup answers under one mutex hold while other threads
+        write rows, invalidate them and clear the cache (each bumping the
+        write count): no hit is older than the last write to its key
+        finished before the lookup."""
         # Small enough that the stores evict: the LRU bookkeeping is
         # exercised too.
         cache = SummaryCache(capacity_bytes=40 * 164)
         oids = list(range(48))
+        rows = dict.fromkeys(oids, 0)
+        done = dict.fromkeys(oids, 0)
         failures: list[str] = []
         stop = threading.Event()
 
@@ -186,9 +204,9 @@ class TestSummaryCache:
                 i = 0
                 while not stop.is_set():
                     oid = oids[(wid * 13 + i) % len(oids)]
-                    with cache._mutex:  # stamp and value read one epoch
-                        cache.store("t", oid, ("v", cache.epoch("t")),
-                                    size_hint=100)
+                    token = cache.writes
+                    if not cache.lookup("t", oid)[0]:
+                        cache.store("t", oid, rows[oid], 100, token)
                     i += 1
             except Exception as exc:  # pragma: no cover
                 failures.append(repr(exc))
@@ -197,22 +215,25 @@ class TestSummaryCache:
             i = 0
             while not stop.is_set():
                 if i % 3 == 0:
-                    cache.bump_epoch("t")
+                    cache.clear()
                 else:
-                    cache.invalidate("t", oids[i % len(oids)])
+                    oid = oids[i % len(oids)]
+                    rows[oid] += 1
+                    version = rows[oid]
+                    cache.invalidate("t", oid)
+                    done[oid] = version
                 i += 1
 
         def reader():
             try:
                 for _ in range(1_500):
-                    floor = cache.epoch("t")
+                    floors = dict(done)
                     found = cache.lookup_many("t", oids)
-                    ceiling = cache.epoch("t")
-                    stamps = {value[1] for hit, value in found if hit}
-                    assert len(stamps) <= 1, stamps
-                    assert all(floor <= s <= ceiling for s in stamps)
-                    assert all(value is None for hit, value in found
-                               if not hit)
+                    for oid, (hit, value) in zip(oids, found):
+                        if hit:
+                            assert value >= floors[oid], (oid, value)
+                        else:
+                            assert value is None
             except Exception as exc:  # pragma: no cover
                 failures.append(repr(exc))
 
@@ -236,22 +257,24 @@ class TestSummaryCache:
         assert not any(t.is_alive() for t in threads + readers)
         assert failures == []
         with cache._mutex:
-            recount = sum(size for _v, size, _e in cache._entries.values())
+            recount = sum(size for _v, size in cache._entries.values())
             assert cache.used_bytes == recount <= cache.capacity_bytes
+            assert all(value == rows[oid]
+                       for (_t, oid), (value, _s) in cache._entries.items())
         # LRU order: a batch lookup moves its hits to the recent end, in
         # the order asked.
         for oid in oids:
-            cache.store("t", oid, ("v", cache.epoch("t")), size_hint=100)
+            cache.store("t", oid, rows[oid], 100, cache.writes)
         wanted = oids[-5:][::-1]
         assert all(hit for hit, _ in cache.lookup_many("t", wanted))
         assert [key[1] for key in cache._entries][-5:] == wanted
 
     def test_pickle_drops_entries_and_rebuilds_mutex(self):
         cache = SummaryCache(capacity_bytes=4096)
-        cache.store("t", 1, {"a": 1}, size_hint=10)
+        cache.store("t", 1, {"a": 1}, 10, cache.writes)
         clone = pickle.loads(pickle.dumps(cache))
         assert len(clone) == 0 and clone.used_bytes == 0
-        clone.store("t", 2, {"b": 2}, size_hint=10)  # rebuilt mutex works
+        clone.store("t", 2, {"b": 2}, 10, clone.writes)  # rebuilt mutex works
         hit, _ = clone.lookup("t", 2)
         assert hit
 
