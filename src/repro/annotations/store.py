@@ -14,7 +14,7 @@ from repro.annotations.annotation import Annotation, AnnotationTarget
 from repro.catalog.keys import decode_int, encode_key
 from repro.catalog.schema import Column, Schema
 from repro.catalog.table import Table
-from repro.errors import RecordNotFoundError
+from repro.errors import DuplicateKeyError, RecordNotFoundError
 from repro.storage.buffer import BufferPool
 from repro.storage.record import ValueType
 
@@ -112,19 +112,23 @@ class AnnotationStore:
         """Persist a new annotation; assigns and returns its id.
 
         ``ann_id`` forces the id (WAL replay re-creating the annotation
-        under its original identity); the counter advances past it.
+        under its original identity); the counter advances past it once
+        the row is valid, even if storing it fails, since replay may yet
+        store that record.  Ids are never reused, so a forced id below the
+        counter raises :class:`~repro.errors.DuplicateKeyError`.
         """
         if ann_id is None:
             ann_id = self._next_id
+        elif ann_id < self._next_id:
+            raise DuplicateKeyError(
+                f"annotation id {ann_id} was already assigned "
+                f"(next id {self._next_id})"
+            )
         annotation = Annotation(ann_id, text, list(targets))
+        row = self._table.canonical_row(
+            [ann_id, text, _encode_targets(annotation.targets)])
         self._next_id = max(self._next_id, ann_id + 1)
-        self._table.insert(
-            {
-                "ann_id": annotation.ann_id,
-                "text": text,
-                "targets": _encode_targets(annotation.targets),
-            }
-        )
+        self._table.insert(row)
         self._texts_cached().pop(ann_id, None)
         return annotation
 

@@ -144,7 +144,12 @@ class Table:
         self._next_oid = max(self._next_oid, oid + 1)
         try:
             rid = self.heap.insert(self._codec.encode(values))
-            self.oid_index.insert(encode_int(oid), pack_rid(rid))
+            try:
+                self.oid_index.insert(encode_int(oid), pack_rid(rid))
+            except BaseException:
+                # A record no OID names would break every later scan.
+                self.heap.delete(rid)
+                raise
             for col_name, index in self.secondary_indexes.items():
                 value = values[self.schema.index_of(col_name)]
                 key = encode_key(value, self.schema.column(col_name).type)
@@ -152,6 +157,12 @@ class Table:
         finally:
             self.data_version += 1
         return oid
+
+    def has_tuple(self, oid: int) -> bool:
+        """Whether a live tuple has ``oid``: O(1) for an OID never
+        assigned, else one OID-index probe (no heap read)."""
+        return oid < self._next_oid and \
+            rid_lookup(self.oid_index, oid) is not None
 
     def disk_tuple_loc(self, oid: int) -> RID:
         """Heap location of the tuple with ``oid`` (paper's diskTupleLoc())."""

@@ -40,9 +40,6 @@ from repro.errors import (
     IntegrityError,
     QueryError,
     ReadOnlyReplicaError,
-    RecordNotFoundError,
-    ReproError,
-    SchemaError,
     SummaryError,
 )
 from repro.index.baseline import BaselineClassifierIndex
@@ -61,8 +58,6 @@ from repro.query.ast import (
     SelectItem,
     SelectStmt,
     Star,
-    TableRef,
-    UpdateStmt,
     ZoomIn,
 )
 from repro.query.parser import parse_memo_counts, parse_sql
@@ -341,17 +336,9 @@ class Database:
         summary row.  Answers True when unverifiable (unknown table) —
         false negatives would drop live summaries, false positives only
         regenerate a row the next tuple delete removes."""
-        try:
-            if not self.catalog.has_table(table):
-                return True
-            tbl = self.catalog.table(table)
-        except ReproError:
+        if not self.catalog.has_table(table):
             return True
-        try:
-            tbl.read(oid)
-            return True
-        except ReproError:
-            return False
+        return self.catalog.table(table).has_tuple(oid)
 
     def _maint_wake(self) -> None:
         """Write-path hook: in deferred mode, make sure the worker thread
@@ -783,29 +770,17 @@ class Database:
 
     # -- DML --------------------------------------------------------------------------------
     #
-    # Each Python-API write is planned into redo ops and run through the
-    # commit loop (TransactionManager.run_group), the path every SQL
-    # statement takes too.  These callers hold no table locks, so peeking
-    # a counter (next_oid, next_id) and applying happen under one hold of
-    # the commit mutex.
+    # The Python-API writers are statements of the calling thread's default
+    # session, the one :meth:`sql` uses: the session locks their tables,
+    # plans their redo ops and runs them through the commit loop, exactly as
+    # it does SQL DML.  That session's open transaction refuses them with
+    # TransactionError.
 
     def insert(self, table: str, row: dict | list) -> int:
-        with self._commit_mutex:
-            tbl = self.catalog.table(table)
-            oid = tbl.next_oid
-            # The record carries the canonical positional values and the
-            # OID the insert assigns, so replay reproduces the tuple under
-            # its original identity.
-            self.txn_manager.run_group([(WALRecordType.INSERT, {
-                "table": tbl.name, "oid": oid,
-                "values": tbl.canonical_row(row),
-            })])
-        return oid
+        return self._default_session().insert(table, row)
 
     def delete_tuple(self, table: str, oid: int) -> None:
-        self.txn_manager.run_group(
-            [(WALRecordType.DELETE, {"table": table, "oid": oid})]
-        )
+        self._default_session().delete_tuple(table, oid)
 
     # -- annotations ---------------------------------------------------------------------------
 
@@ -827,39 +802,8 @@ class Database:
             if table is None or oid is None:
                 raise SummaryError("add_annotation needs targets or table+oid")
             targets = [AnnotationTarget(table, oid, tuple(columns))]
-        with self._commit_mutex:
-            for target in targets:
-                self._require_columns(target)
-                self._require_tuple(target.table, target.oid)
-            [annotation] = self.txn_manager.run_group([(
-                WALRecordType.ANN_ADD,
-                {"text": text, "targets": list(targets),
-                 "ann_id": self.manager.annotations.next_id},
-            )])
+        [annotation] = self._default_session().annotate([(text, targets)])
         return annotation
-
-    def _require_tuple(self, table: str, oid: int) -> None:
-        """Raise :class:`~repro.errors.RecordNotFoundError` unless the
-        tuple exists, before an annotation on it is logged or stored.
-        O(1) for an OID never assigned and for a tuple that already
-        carries annotations; one OID-index probe for the first
-        annotation of a tuple."""
-        tbl = self.catalog.table(table)
-        if oid >= tbl.next_oid:
-            raise RecordNotFoundError(f"{tbl.name}: no tuple with OID {oid}")
-        if not self.manager.is_annotated(tbl.name, oid):
-            tbl.disk_tuple_loc(oid)
-
-    def _require_columns(self, target: AnnotationTarget) -> None:
-        """Raise :class:`~repro.errors.SchemaError` unless every column
-        ``target`` names is one of its table's (matched exactly, as the
-        binder matches names), before the annotation is logged or stored."""
-        schema = self.catalog.table(target.table).schema
-        for column in target.columns:
-            if column not in schema:
-                raise SchemaError(
-                    f"{target.table}: no column named {column!r}"
-                )
 
     def add_annotations_bulk(
         self, items: list[tuple[str, list[AnnotationTarget]]]
@@ -875,25 +819,10 @@ class Database:
         column with :class:`~repro.errors.SchemaError`, before anything
         is logged or stored.
         """
-        with self._commit_mutex:
-            for _text, targets in items:
-                for target in targets:
-                    self._require_columns(target)
-            for table, oid in dict.fromkeys(
-                (target.table, target.oid)
-                for _text, targets in items for target in targets
-            ):
-                self._require_tuple(table, oid)
-            return self.txn_manager.run_group([(
-                WALRecordType.ANN_BULK,
-                {"items": [(text, list(targets)) for text, targets in items],
-                 "first_id": self.manager.annotations.next_id},
-            )])
+        return self._default_session().annotate(items, bulk=True)
 
     def delete_annotation(self, ann_id: int) -> None:
-        self.txn_manager.run_group(
-            [(WALRecordType.ANN_DEL, {"ann_id": ann_id})]
-        )
+        self._default_session().delete_annotation(ann_id)
 
     def zoom_in(self, table: str, oid: int, instance: str,
                 selector: str | int | None = None) -> list[str]:
@@ -1272,52 +1201,6 @@ class Database:
             )
             return None
         raise QueryError(f"unsupported statement {stmt!r}")
-
-    def _matching_oids(self, table: str, alias: str | None,
-                       where) -> list[int]:
-        """OIDs satisfying a DML statement's WHERE — planned like a
-        SELECT, so data AND summary predicates (first-class summaries
-        extend to DML) both work and may use indexes."""
-        alias = alias or table
-        select = SelectStmt(
-            items=(Star(None),),
-            tables=(TableRef(table, alias),),
-            where=where,
-        )
-        physical, _logical, _cost = self.planner.plan(select)
-        self._attach_runtime(physical)
-        return [
-            t.provenance[alias][1] for t in self._plan_rows(physical)
-        ]
-
-    def _update_plan(self, stmt: UpdateStmt) -> list[tuple[int, dict]]:
-        """Evaluate an UPDATE's WHERE and assignment expressions against
-        current state: ``(oid, assigned-values)`` per matching row, what
-        the session plans the statement's UPDATE records from (they carry
-        post-evaluation values, never expressions)."""
-        from repro.query.eval import EvalContext, evaluate
-
-        alias = stmt.alias or stmt.table
-        select = SelectStmt(
-            items=(Star(None),),
-            tables=(TableRef(stmt.table, alias),),
-            where=stmt.where,
-        )
-        physical, _logical, _cost = self.planner.plan(select)
-        self._attach_runtime(physical)
-        ctx = EvalContext(manager=self.manager, udfs=self.manager.udfs)
-        schema = self.catalog.table(stmt.table).schema
-        updates: list[tuple[int, dict]] = []
-        for row in self._plan_rows(physical):
-            oid = row.provenance[alias][1]
-            assigned = {
-                column: evaluate(expr, row, ctx)
-                for column, expr in stmt.assignments
-            }
-            # A value the row cannot take fails the plan, not the apply.
-            schema.validate_values(assigned)
-            updates.append((oid, assigned))
-        return updates
 
     def _apply_update(self, table: str, oid: int, values: dict) -> None:
         """Apply one UPDATE redo record's row; a tuple the update

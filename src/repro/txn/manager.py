@@ -1,8 +1,9 @@
 """Transactions over the redo-only WAL: one write loop for every statement.
 
-Every mutating statement is planned into redo ops, ``(record_type,
-payload)`` — the exact payloads the WAL carries — before any of them
-applies (``repro.txn.session``).  Inside ``BEGIN`` … ``COMMIT``/``ABORT``
+Every mutating statement, SQL DML and the Python API's writers alike, is
+planned into redo ops, ``(record_type, payload)`` — the exact payloads the
+WAL carries — by one planner, ``repro.txn.session``, before any of them
+applies.  Inside ``BEGIN`` … ``COMMIT``/``ABORT``
 the ops are buffered on a :class:`Transaction`: nothing touches the
 heap, the indexes, the summary structures, or the buffer pool until
 commit, which is what makes abort trivial and makes the headline
@@ -10,9 +11,9 @@ durability claim structural: **an aborted transaction's pages cannot hit
 disk because an aborted transaction never has pages.**
 
 :meth:`TransactionManager.run_group` is the one loop that applies ops:
-``COMMIT`` runs it on the buffered group, every autocommit statement (SQL
-or Python API) on its own ops, inside one WAL statement scope that holds
-the engine's commit mutex::
+``COMMIT`` runs it on the buffered group, every autocommit statement on
+its own ops, inside one WAL statement scope that holds the engine's commit
+mutex::
 
     TXN_BEGIN(txn)             appended (transactions only)
     for each op:  op record    appended, then applied alone via
@@ -27,11 +28,11 @@ before the sync leaves a group without a durable ``TXN_COMMIT`` frame,
 which recovery discards wholesale: exactly the committed prefix survives.
 
 Identifier pre-assignment: a plan claims OIDs (and annotation ids) by
-offsetting from the current counter.  A transaction's claims hold because
-its exclusive table lock (resp. the annotation-resource lock) stays held
-until commit; an autocommit statement plans and applies under one hold of
-the commit mutex, which also keeps out Python-API writers, who hold no
-table locks.
+offsetting from the current counter.  Only a holder of the table's
+exclusive lock (resp. the annotation resource's) applies ops that advance
+it, and every write takes that lock before it plans: an autocommit
+statement holds it from plan to apply, a transaction until commit, so no
+other writer can claim the same ids.
 """
 
 from __future__ import annotations

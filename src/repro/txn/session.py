@@ -4,19 +4,23 @@ A :class:`Session` owns what one caller is allowed to hold at a time —
 its table locks (the session object itself is the lock owner) and at most
 one open transaction — and dispatches parsed statements against the
 shared :class:`~repro.core.database.Database`.  Every path into the
-engine funnels through one: ``Database.sql`` routes through a per-thread
-default session, and each server connection gets its own.
+engine funnels through one: ``Database.sql`` and the Python API's writers
+(``Database.insert``, ``delete_tuple``, ``add_annotation``,
+``add_annotations_bulk``, ``delete_annotation``) route through a
+per-thread default session, and each server connection gets its own.
 
 Concurrency protocol (strict two-phase locking at table granularity):
 
 * SELECT / EXPLAIN / ZOOM take **shared** locks on the tables they read
   (ZOOM also on the annotation resource); concurrent readers proceed.
-* INSERT / UPDATE / DELETE / ANNOTATE take **exclusive** locks on their
-  table (DELETE and ANNOTATE also on the annotation resource — tuple
-  deletes cascade into the shared annotation store).  Multi-resource
-  acquisitions go in sorted order to keep lock graphs shallow.
-* Every DML statement is planned into redo ops, whole, before any is
-  buffered or applied — a statement that fails leaves nothing.  Inside a
+* Every write — INSERT / UPDATE / DELETE / ANNOTATE and the Python API's
+  — enters through :meth:`Session._write`, which takes **exclusive**
+  locks on its tables (annotates, tuple deletes and annotation deletes
+  also on the annotation resource — tuple deletes cascade into the shared
+  annotation store).  Multi-resource acquisitions go in sorted order to
+  keep lock graphs shallow.
+* Every write is planned into redo ops, whole, before any is buffered or
+  applied — a statement that fails leaves nothing.  Inside a
   ``BEGIN`` … ``COMMIT``/``ABORT`` transaction the ops are *buffered*
   (:class:`~repro.txn.manager.Transaction`) and locks are held to the
   transaction boundary; reads inside the transaction see committed state
@@ -28,7 +32,8 @@ Concurrency protocol (strict two-phase locking at table granularity):
   names this session the deadlock victim: its open transaction is
   auto-aborted and all its locks released, so the other side proceeds.
 * DDL inside a transaction is rejected — DDL self-logs at statement
-  scope and cannot be buffered.
+  scope and cannot be buffered — and so is a Python-API write, which
+  returns what it wrote (an OID, an ``Annotation``).
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from repro.errors import (
     LockTimeoutError,
     ReadOnlyReplicaError,
     RecordNotFoundError,
+    SchemaError,
     TransactionError,
 )
 from repro.query.ast import (
@@ -53,9 +59,12 @@ from repro.query.ast import (
     ExplainStmt,
     InsertStmt,
     SelectStmt,
+    Star,
+    TableRef,
     UpdateStmt,
     ZoomIn,
 )
+from repro.query.eval import EvalContext, evaluate
 from repro.query.parser import parse_sql
 from repro.resilience import ExecutionContext
 from repro.txn.locks import ANNOTATION_RESOURCE
@@ -196,12 +205,7 @@ class Session:
                 )
             return db._dispatch_stmt(stmt)
         if isinstance(stmt, self._DML_STMTS):
-            resources = [stmt.table]
-            if isinstance(stmt, (DeleteStmt, AnnotateStmt)):
-                # Tuple deletes cascade into the shared annotation store.
-                resources.append(ANNOTATION_RESOURCE)
-            self._lock(resources, exclusive=True)
-            return self._write(stmt)
+            return self._write_sql(stmt)
         return db._dispatch_stmt(stmt)
 
     # -- transaction control -------------------------------------------------
@@ -230,79 +234,173 @@ class Session:
         self.db.txn_manager.abort(txn)
         return None
 
-    # -- DML: plan, then buffer or run ---------------------------------------
+    # -- DML: the one planner and write entry --------------------------------
 
-    def _write(self, stmt):
-        """Plan ``stmt`` into redo ops, then buffer them in the open
-        transaction or, in autocommit, run them through the commit loop."""
+    def _write(self, tables, plan, annotations: bool = False):
+        """The one write entry, for SQL DML and the Python API alike: lock
+        ``tables`` exclusively (and, with ``annotations``, the annotation
+        resource), then ``plan(txn)`` -> ``(ops, result)``, and buffer the
+        ops or, in autocommit, run them.  Returns ``(result, created)``.
+        The locks guard every counter a plan peeks (``next_oid``, the
+        annotation-id counter), so planning needs no commit mutex."""
+        self._lock([*tables, ANNOTATION_RESOURCE] if annotations else tables,
+                   exclusive=True)
         txn = self.txn
+        ops, result = plan(txn if txn is not None else Transaction(0))
         if txn is not None:
-            ops, result = self._plan(stmt, txn)
             txn.add_ops(ops)
-            return result
-        db = self.db
-        # Plan and apply under one hold of the commit mutex: the plan
-        # peeks the OID and annotation-id counters, which Python-API
-        # writers (who hold no table locks) advance too.
-        with db._commit_mutex:
-            ops, result = self._plan(stmt, Transaction(0))
-            db.txn_manager.run_group(ops)
-        return result
+            return result, []
+        return result, self.db.txn_manager.run_group(ops)
 
-    def _plan(self, stmt, txn):
-        """``(ops, result)`` for one DML statement: its redo ops
-        ``(rtype, payload)`` and the statement's return value.  Plans
-        against committed state plus ``txn``'s buffered inserts, deletes
-        and annotation ids, and changes neither."""
-        db = self.db
+    def _write_sql(self, stmt):
+        """SQL DML: INSERT returns None, UPDATE and DELETE the affected-row
+        count, ANNOTATE the new annotation id."""
         if isinstance(stmt, InsertStmt):
-            tbl = db.catalog.table(stmt.table)
-            first = tbl.next_oid + txn.insert_counts.get(tbl.name.lower(), 0)
-            ops = []
-            for offset, row in enumerate(stmt.rows):
-                if stmt.columns is not None:
-                    row = dict(zip(stmt.columns, row))
-                ops.append((WALRecordType.INSERT, {
-                    "table": tbl.name, "oid": first + offset,
-                    "values": tbl.canonical_row(row),
-                }))
-            return ops, None
+            rows = [row if stmt.columns is None
+                    else dict(zip(stmt.columns, row)) for row in stmt.rows]
+            self._write([stmt.table],
+                        lambda txn: self._plan_insert(stmt.table, rows, txn))
+            return None
         if isinstance(stmt, AnnotateStmt):
-            return self._plan_annotate(stmt, txn)
+            items = [(stmt.text, [AnnotationTarget(
+                stmt.table, stmt.oid, tuple(stmt.columns))])]
+            return self._write(
+                [stmt.table], lambda txn: self._plan_annotations(items, txn),
+                annotations=True,
+            )[0]
+        return self._write([stmt.table],
+                           lambda txn: self._plan_update(stmt, txn),
+                           annotations=isinstance(stmt, DeleteStmt))[0]
+
+    def _plan_insert(self, table: str, rows, txn):
+        """INSERT ops for ``rows`` (mappings or positional) and their OIDs,
+        counted on from ``next_oid`` past ``txn``'s buffered inserts."""
+        tbl = self.db.catalog.table(table)
+        first = tbl.next_oid + txn.insert_counts.get(tbl.name.lower(), 0)
+        oids = list(range(first, first + len(rows)))
+        return [
+            (WALRecordType.INSERT, {"table": tbl.name, "oid": oid,
+                                    "values": tbl.canonical_row(row)})
+            for oid, row in zip(oids, rows)
+        ], oids
+
+    def _plan_update(self, stmt, txn):
+        """UPDATE and DELETE (an UPDATE with no assignments): one op per
+        row the WHERE, planned like a SELECT, matches and ``txn`` did not
+        delete, and their count.  UPDATE ops carry evaluated values, so
+        replay never re-evaluates, and a bad value fails the plan."""
+        db = self.db
+        alias = stmt.alias or stmt.table
+        physical, _logical, _cost = db.planner.plan(SelectStmt(
+            items=(Star(None),), tables=(TableRef(stmt.table, alias),),
+            where=stmt.where,
+        ))
+        db._attach_runtime(physical)
+        ctx = EvalContext(manager=db.manager, udfs=db.manager.udfs)
+        schema = db.catalog.table(stmt.table).schema
         key = stmt.table.lower()
-        if isinstance(stmt, UpdateStmt):
-            # Post-evaluation values: replay must not re-evaluate the
-            # assignment expressions against replayed state.
-            ops = [
-                (WALRecordType.UPDATE,
-                 {"table": stmt.table, "oid": oid, "values": assigned})
-                for oid, assigned in db._update_plan(stmt)
-                if (key, oid) not in txn.deleted
-            ]
-        else:
-            ops = [
-                (WALRecordType.DELETE, {"table": stmt.table, "oid": oid})
-                for oid in db._matching_oids(
-                    stmt.table, stmt.alias, stmt.where
-                )
-                if (key, oid) not in txn.deleted
-            ]
+        update = isinstance(stmt, UpdateStmt)
+        rtype = WALRecordType.UPDATE if update else WALRecordType.DELETE
+        ops = []
+        for row in db._plan_rows(physical):
+            oid = row.provenance[alias][1]
+            payload = {"table": stmt.table, "oid": oid}
+            if update:
+                payload["values"] = {column: evaluate(expr, row, ctx)
+                                     for column, expr in stmt.assignments}
+                schema.validate_values(payload["values"])
+            if (key, oid) not in txn.deleted:
+                ops.append((rtype, payload))
         return ops, len(ops)
 
-    def _plan_annotate(self, stmt: AnnotateStmt, txn):
+    def _plan_annotations(self, items, txn, bulk: bool = False):
+        """Ops for ``items``, ``(text, targets)``: an ``ANN_ADD`` each, or
+        one ``ANN_BULK``, ids counted on past ``txn``'s adds (the first is
+        the result).  A target naming no column, or no tuple committed or
+        inserted by ``txn``, fails the plan whole."""
         db = self.db
-        tbl = db.catalog.table(stmt.table)
-        key = (tbl.name.lower(), stmt.oid)
-        if key in txn.deleted:
-            raise RecordNotFoundError(
-                f"{tbl.name}: OID {stmt.oid} was deleted in this transaction"
+        all_targets = [t for _text, targets in items for t in targets]
+        for target in all_targets:
+            schema = db.catalog.table(target.table).schema
+            for column in target.columns:
+                if column not in schema:
+                    raise SchemaError(
+                        f"{target.table}: no column named {column!r}"
+                    )
+        for table, oid in dict.fromkeys((t.table, t.oid) for t in all_targets):
+            tbl = db.catalog.table(table)
+            key = (tbl.name.lower(), oid)
+            if key in txn.deleted:
+                raise RecordNotFoundError(
+                    f"{tbl.name}: OID {oid} was deleted in this transaction"
+                )
+            # Inserted by txn, or carrying annotations: no probe needed.
+            reserved = tbl.next_oid + txn.insert_counts.get(key[0], 0)
+            if not (tbl.next_oid <= oid < reserved or db.manager.is_annotated(
+                    tbl.name, oid) or tbl.has_tuple(oid)):
+                raise RecordNotFoundError(
+                    f"{tbl.name}: no tuple with OID {oid}"
+                )
+        first = db.manager.annotations.next_id + txn.ann_adds
+        if bulk:
+            return [(WALRecordType.ANN_BULK, {
+                "items": [(text, list(targets)) for text, targets in items],
+                "first_id": first,
+            })], first
+        return [
+            (WALRecordType.ANN_ADD, {"text": text, "targets": list(targets),
+                                     "ann_id": first + offset})
+            for offset, (text, targets) in enumerate(items)
+        ], first
+
+    # -- the Python API's writes: autocommit statements ----------------------
+
+    def _api_write(self, tables, plan, annotations: bool = False):
+        if self.txn is not None:
+            # What the caller gets back (an OID, an Annotation) exists
+            # only once the write is applied.
+            raise TransactionError(
+                "Python-API writes are not allowed inside a transaction; "
+                "COMMIT or ABORT first"
             )
-        reserved = tbl.next_oid + txn.insert_counts.get(key[0], 0)
-        if not tbl.next_oid <= stmt.oid < reserved:
-            # Not a row this transaction inserted: it must be committed.
-            db._require_tuple(stmt.table, stmt.oid)
-        target = AnnotationTarget(stmt.table, stmt.oid, tuple(stmt.columns))
-        db._require_columns(target)
-        ann_id = db.manager.annotations.next_id + txn.ann_adds
-        payload = {"text": stmt.text, "targets": [target], "ann_id": ann_id}
-        return [(WALRecordType.ANN_ADD, payload)], ann_id
+        try:
+            return self._write(tables, plan, annotations)
+        finally:
+            self.db.lock_manager.release_all(self)
+
+    def insert(self, table: str, row) -> int:
+        """Insert one row; returns its OID."""
+        (oid,), _ = self._api_write(
+            [table], lambda txn: self._plan_insert(table, [row], txn)
+        )
+        return oid
+
+    def delete_tuple(self, table: str, oid: int) -> None:
+        def plan(txn):
+            tbl = self.db.catalog.table(table)
+            if not tbl.has_tuple(oid):
+                raise RecordNotFoundError(
+                    f"{tbl.name}: no tuple with OID {oid}"
+                )
+            return [(WALRecordType.DELETE, {"table": table, "oid": oid})], None
+
+        self._api_write([table], plan, annotations=True)
+
+    def annotate(self, items, bulk: bool = False) -> list:
+        """Attach annotations ``(text, targets)``; returns them."""
+        tables = {target.table for _text, targets in items
+                  for target in targets}
+        return self._api_write(
+            tables, lambda txn: self._plan_annotations(items, txn, bulk),
+            annotations=True,
+        )[1]
+
+    def delete_annotation(self, ann_id: int) -> None:
+        def plan(txn):
+            # The annotation resource, held, sorts before every table.
+            annotation = self.db.manager.annotations.get(ann_id)
+            self._lock([target.table for target in annotation.targets],
+                       exclusive=True)
+            return [(WALRecordType.ANN_DEL, {"ann_id": ann_id})], None
+
+        self._api_write([], plan, annotations=True)

@@ -600,6 +600,109 @@ class TestSessionLocking:
         assert "via-sql" in names(db)
 
 
+class TestPythonApiWritesAreSessionStatements:
+    """The Python-API writers plan and lock like SQL DML, on the calling
+    thread's default session: a writer on another thread waits for an
+    open transaction's locks and then takes fresh ids, so the ids the
+    transaction reserved are never handed out twice."""
+
+    @staticmethod
+    def linked_db() -> Database:
+        db = Database(buffer_pages=32)
+        db.attach_wal()
+        db.create_table("t", [Column("k", ValueType.INT)])
+        db.create_classifier_instance(
+            "C", ["alpha", "beta"],
+            [("apple alpha", "alpha"), ("bear beta", "beta")],
+        )
+        db.link_summary_instance("t", "C")
+        db.insert("t", {"k": 1})  # OID 1
+        return db
+
+    @staticmethod
+    def run_blocked(write) -> tuple[threading.Thread, list, bool]:
+        """Start ``write`` on a second thread; also whether it was still
+        running (waiting on a lock) 0.2 s later."""
+        out: list = []
+        writer = threading.Thread(target=lambda: out.append(write()))
+        writer.start()
+        writer.join(0.2)
+        return writer, out, writer.is_alive()
+
+    @staticmethod
+    def recovered(db: Database) -> Database:
+        recovered, report = Database.recover(
+            None, MemoryWALDevice.from_durable(db.wal.device.durable(), 0)
+        )
+        assert report.failed == 0
+        return recovered
+
+    @pytest.mark.parametrize("via", ["default", "session"])
+    def test_open_transactions_oid_is_not_reused(self, via):
+        db = self.linked_db()
+        run = db.sql if via == "default" else db.session().execute
+        run("BEGIN")
+        run("INSERT INTO t VALUES (1)")  # reserves OID 2
+        writer, out, waited = self.run_blocked(
+            lambda: db.insert("t", {"k": 2}))
+        run("COMMIT")
+        writer.join(10)
+        assert out == [3] and waited
+        rows = dict(db.catalog.table("t").scan())
+        assert rows == {1: [1], 2: [1], 3: [2]}
+        assert len(db.sql("SELECT t.k FROM t")) == 3
+        assert db.check_integrity().ok
+        assert dict(self.recovered(db).catalog.table("t").scan()) == rows
+
+    def test_open_transactions_annotation_id_is_not_reused(self):
+        db = self.linked_db()
+        db.insert("t", {"k": 2})  # OID 2
+        s = db.session()
+        s.execute("BEGIN")
+        assert s.execute("ANNOTATE t 1 'apple alpha'") == 1
+        writer, out, waited = self.run_blocked(lambda: db.add_annotation(
+            "bear beta", table="t", oid=2))
+        s.execute("COMMIT")
+        writer.join(10)
+        assert [a.ann_id for a in out] == [2] and waited
+        assert sorted(a.ann_id for a in db.manager.annotations.scan()) \
+            == [1, 2]
+        assert db.zoom_in("t", 1, "C") == ["apple alpha"]
+        assert db.zoom_in("t", 2, "C") == ["bear beta"]
+        assert db.check_integrity().ok
+        assert self.recovered(db).zoom_in("t", 2, "C") == ["bear beta"]
+
+    WRITERS = {
+        "insert": lambda db: db.insert("t", {"k": 9}),
+        "delete_tuple": lambda db: db.delete_tuple("t", 1),
+        "add_annotation": lambda db: db.add_annotation(
+            "bear beta", table="t", oid=1),
+        "add_annotations_bulk": lambda db: db.add_annotations_bulk(
+            [("bear beta", [AnnotationTarget("t", 1)])]),
+        "delete_annotation": lambda db: db.delete_annotation(1),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_refused_inside_the_default_sessions_transaction(self, writer):
+        db = self.linked_db()
+        db.add_annotation("apple alpha", table="t", oid=1)
+        db.sql("BEGIN")
+        db.sql("INSERT INTO t VALUES (5)")
+        rows = dict(db.catalog.table("t").scan())
+        notes = [a.ann_id for a in db.manager.annotations.scan()]
+        log = db.wal.device.durable()
+        with pytest.raises(TransactionError):
+            self.WRITERS[writer](db)
+        assert dict(db.catalog.table("t").scan()) == rows
+        assert [a.ann_id for a in db.manager.annotations.scan()] == notes
+        assert db.wal.device.durable() == log
+        db.sql("COMMIT")  # the transaction is still open, and commits
+        assert sorted(dict(db.catalog.table("t").scan()).values()) \
+            == [[1], [5]]
+        self.WRITERS[writer](db)  # and the writer runs once it is closed
+        assert db.check_integrity().ok
+
+
 class TestPersistenceInterop:
     def test_save_load_roundtrip_keeps_concurrency_state_fresh(self, tmp_path):
         db = make_db()

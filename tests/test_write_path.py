@@ -11,10 +11,16 @@ applied by the commit loop (``TransactionManager.run_group``).
   ``TXN_BEGIN``/``TXN_COMMIT`` framing are removed.
 * **One sync per statement** (counted): an autocommit N-row INSERT,
   UPDATE or DELETE appends N records and syncs exactly once.
-* **Concurrent Python-API writers.** Threads calling ``db.insert`` and
-  ``db.add_annotation`` hold no session locks; the commit mutex alone
-  keeps their OIDs and annotation ids distinct, and recovery over the
-  log reproduces the live state.
+* **The Python API is planned there too.** ``db.insert``,
+  ``delete_tuple``, ``add_annotation``, ``add_annotations_bulk`` and
+  ``delete_annotation`` are statements of the calling thread's default
+  session: each logs the records it always has, threads calling them
+  take the same table locks as SQL DML, which keep their OIDs and
+  annotation ids distinct, and recovery over the log reproduces the
+  live state.
+* **Stores refuse reused ids.** A forced OID already in the OID index
+  leaves no heap record behind, and a forced annotation id below the
+  store's counter is refused (replay counts such a record as failed).
 """
 
 from __future__ import annotations
@@ -24,9 +30,15 @@ import threading
 
 import pytest
 
+from repro.annotations.annotation import AnnotationTarget
 from repro.catalog.schema import Column
 from repro.core.database import Database
-from repro.errors import ReproError, SchemaError
+from repro.errors import (
+    DuplicateKeyError,
+    RecordNotFoundError,
+    ReproError,
+    SchemaError,
+)
 from repro.storage.record import ValueType
 from repro.wal.device import MemoryWALDevice
 from repro.wal.record import WALRecordType, scan_records
@@ -240,3 +252,133 @@ def test_concurrent_python_api_writers():
     )
     assert report.failed == 0
     assert db_state(recovered) == db_state(db)
+
+
+# -- the Python API's records ----------------------------------------------
+
+PYTHON_API_RECORDS = {
+    "insert": (
+        lambda db: db.insert("t", {"v": 7, "name": "x"}),
+        [(WALRecordType.INSERT, {"table": "t", "oid": 3,
+                                 "values": ["x", 7]})],
+    ),
+    "delete_tuple": (
+        lambda db: db.delete_tuple("t", 1),
+        [(WALRecordType.DELETE, {"table": "t", "oid": 1})],
+    ),
+    "add_annotation": (
+        lambda db: db.add_annotation(TEXTS[0], table="t", oid=2,
+                                     columns=("name",)),
+        [(WALRecordType.ANN_ADD, {
+            "text": TEXTS[0],
+            "targets": [AnnotationTarget("t", 2, ("name",))],
+            "ann_id": 1,
+        })],
+    ),
+    "add_annotations_bulk": (
+        lambda db: db.add_annotations_bulk([
+            (TEXTS[1], [AnnotationTarget("t", 1), AnnotationTarget("t", 2)]),
+            (TEXTS[0], [AnnotationTarget("t", 2)]),
+        ]),
+        [(WALRecordType.ANN_BULK, {
+            "items": [
+                (TEXTS[1], [AnnotationTarget("t", 1),
+                            AnnotationTarget("t", 2)]),
+                (TEXTS[0], [AnnotationTarget("t", 2)]),
+            ],
+            "first_id": 1,
+        })],
+    ),
+    "delete_annotation": (
+        lambda db: (db.add_annotation(TEXTS[1], table="t", oid=1),
+                    db.delete_annotation(1)),
+        [(WALRecordType.ANN_ADD, {"text": TEXTS[1],
+                                  "targets": [AnnotationTarget("t", 1)],
+                                  "ann_id": 1}),
+         (WALRecordType.ANN_DEL, {"ann_id": 1})],
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(PYTHON_API_RECORDS))
+def test_each_python_api_writer_logs_its_records(writer):
+    """One autocommit group each, unframed, with the payloads replay
+    needs: the same records the writers have always logged."""
+    db = make_db(rows=2)
+    write, expected = PYTHON_API_RECORDS[writer]
+    start = db.wal.next_lsn
+    write(db)
+    assert logged(db, start) == expected
+    assert db.lock_manager.held_by(db._default_session()) == set()
+    recovered, report = Database.recover(
+        None, MemoryWALDevice.from_durable(db.wal.device.durable(), 0)
+    )
+    assert report.failed == 0
+    assert db_state(recovered) == db_state(db)
+
+
+@pytest.mark.parametrize("write", [
+    lambda db: db.delete_tuple("t", 99),
+    lambda db: db.delete_annotation(99),
+], ids=["delete_tuple", "delete_annotation"])
+def test_a_delete_of_nothing_logs_nothing(write):
+    """Planned like any statement: the missing target fails the plan, so
+    no record reaches the log (not even with the next statement's sync)."""
+    db = make_db(rows=2)
+    start = db.wal.next_lsn
+    with pytest.raises(RecordNotFoundError):
+        write(db)
+    db.insert("t", ["after", 1])
+    assert [rtype for rtype, _ in logged(db, start)] == [WALRecordType.INSERT]
+
+
+# -- stores refuse reused ids ------------------------------------------------
+
+def test_insert_under_a_taken_oid_leaves_no_heap_record():
+    db = make_db(rows=2)
+    table = db.catalog.table("t")
+    rows = dict(table.scan())
+    with pytest.raises(DuplicateKeyError):
+        table.insert(["dup", 0], oid=1)
+    assert dict(table.scan()) == rows  # no record without an OID
+    assert len(table) == 2
+    assert len(db.sql("SELECT t.name FROM t")) == 2
+    assert db.check_integrity().ok
+
+
+def test_annotation_store_refuses_a_reused_id():
+    db = make_db(rows=2)
+    db.add_annotation(TEXTS[0], table="t", oid=1)
+    store = db.manager.annotations
+    with pytest.raises(DuplicateKeyError):
+        store.create(TEXTS[1], [AnnotationTarget("t", 2)], ann_id=1)
+    assert [a.ann_id for a in store.scan()] == [1]
+    assert store.next_id == 2
+
+
+def test_replay_counts_a_reused_annotation_id_as_failed():
+    db = make_db(rows=2)
+    db.add_annotation(TEXTS[0], table="t", oid=1)
+    with db._wal_statement():
+        db._wal_append(WALRecordType.ANN_ADD, {
+            "text": TEXTS[1], "targets": [AnnotationTarget("t", 2)],
+            "ann_id": 1,
+        })
+    recovered, report = Database.recover(
+        None, MemoryWALDevice.from_durable(db.wal.device.durable(), 0)
+    )
+    assert report.failed == 1
+    assert [(a.ann_id, a.text) for a in recovered.manager.annotations.scan()] \
+        == [(1, TEXTS[0])]
+    assert recovered.zoom_in("t", 2, "C") == []
+    assert recovered.check_integrity().ok
+
+
+def test_regeneration_guard_probes_the_oid_index():
+    db = make_db(rows=2)
+    db.delete_tuple("t", 2)
+    exists = db.manager.tuple_exists
+    assert exists("t", 1)
+    assert not exists("t", 2)  # deleted
+    assert not exists("t", 9)  # never assigned
+    assert exists("nope", 1)   # unknown table: unverifiable, so True
