@@ -280,39 +280,38 @@ class Table:
         self._oid_map = (version, pages)
         return pages
 
-    def _live_rows(self) -> Iterator[tuple[int, bytes]]:
-        """``(oid, record)`` for every live tuple, heap order."""
-        slot_oids = self._slot_oids()
-        for page_no, records in self.heap.scan_pages():
-            oids = slot_oids[page_no] if page_no < len(slot_oids) else []
-            for slot, record in records:
-                oid = oids[slot] if slot < len(oids) else None
-                if oid is None:
-                    raise IndexError_(
-                        f"table {self.name}: live record at "
-                        f"{RID(page_no, slot)} has no OID-index entry"
-                    )
-                yield oid, record
+    def _pages(self) -> Iterator[tuple[list[int], list[bytes]]]:
+        """``(oids, records)`` of each heap page's live tuples, heap order.
 
-    def scan(self) -> Iterator[tuple[int, list[object]]]:
-        """Yield ``(oid, values)`` for every live tuple, heap order.
-
-        OIDs come from the slot -> OID map, so the scan reads heap pages
+        OIDs come from the slot -> OID map, so a scan reads heap pages
         only (the OID index too on the first scan after a row write).
         """
+        slot_oids = self._slot_oids()
+        for page_no, slots, records in self.heap.scan_pages():
+            known = slot_oids[page_no] if page_no < len(slot_oids) else []
+            n = len(known)
+            oids = [known[slot] if slot < n else None for slot in slots]
+            if None in oids:
+                rid = RID(page_no, slots[oids.index(None)])
+                raise IndexError_(f"table {self.name}: live record at {rid} "
+                                  f"has no OID-index entry")
+            yield oids, records
+
+    def scan(self) -> Iterator[tuple[int, list[object]]]:
+        """Yield ``(oid, values)`` for every live tuple, heap order."""
         decode = self._codec.decode
-        for oid, record in self._live_rows():
-            yield oid, decode(record)
+        for oids, records in self._pages():
+            yield from zip(oids, map(decode, records))
 
     def scan_batches(
         self, batch_rows: int
     ) -> Iterator[tuple[list[int], list[LazyColumn]]]:
         """Yield ``(oids, columns)`` chunks of up to ``batch_rows`` live
-        tuples in heap order — the batch executor's scan path. Each column
-        is a :class:`LazyColumn` over the chunk's one :class:`RecordBlock`:
-        nothing is decoded until an operator actually reads that column (or
-        row), so a selective filter never pays for the columns (or rows) it
-        drops."""
+        tuples in heap order — the batch executor's scan path, filled a
+        heap page at a time. Each column is a :class:`LazyColumn` over the
+        chunk's one :class:`RecordBlock`: nothing is decoded until an
+        operator actually reads that column (or row), so a selective filter
+        never pays for the columns (or rows) it drops."""
         width = len(self.schema.names)
 
         def lazy(records: list[bytes]) -> list[LazyColumn]:
@@ -321,12 +320,12 @@ class Table:
 
         oids: list[int] = []
         records: list[bytes] = []
-        for oid, record in self._live_rows():
-            oids.append(oid)
-            records.append(record)
-            if len(records) >= batch_rows:
-                yield oids, lazy(records)
-                oids, records = [], []
+        for page_oids, page_records in self._pages():
+            oids += page_oids
+            records += page_records
+            while len(records) >= batch_rows:
+                yield oids[:batch_rows], lazy(records[:batch_rows])
+                del oids[:batch_rows], records[:batch_rows]
         if records:
             yield oids, lazy(records)
 

@@ -12,7 +12,8 @@ data join offers here.  Both run one pair loop,
 :meth:`NestedLoopJoin._joined`: the block join hands every outer row the
 inner child's batches, drained once; an index join hands each outer row
 the scan batches of its index hits, read with one heap pass and one
-summary-cache pass per batch.
+summary-cache pass per batch, and probed once per distinct key of an
+outer batch when the probe is an equality.
 """
 
 from __future__ import annotations
@@ -222,7 +223,8 @@ def _bind(conj: Comparison, outer_side: str, left_row: QTuple,
 
 class _IndexJoin(NestedLoopJoin):
     """A nested-loop join whose inner batches come from an index probe per
-    outer row instead of a child drained once.
+    outer row (per distinct key of an outer batch, for an equality probe)
+    instead of a child drained once.
 
     The key expression is evaluated on each outer row (a NULL key matches
     nothing); :meth:`_prober`'s probe turns it into the inner OIDs the
@@ -257,6 +259,9 @@ class _IndexJoin(NestedLoopJoin):
     def children(self):
         return [self.left]
 
+    #: Whether the probe admits only inner rows equal to the key.
+    equality = True
+
     def _prober(self, table) -> Callable[[object], list[int]]:
         """``key -> inner OIDs`` for one run over ``table``."""
         raise NotImplementedError
@@ -267,8 +272,26 @@ class _IndexJoin(NestedLoopJoin):
         columns = _scan_columns(ctx, self.table, self.alias)
         probe = self._prober(table)
 
+        #: An equality probe's distinct keys hit disjoint rows: probe and
+        #: read each once per outer batch, keyed by type too (True/1,
+        #: 2/2.0).  Keys equal under ``==`` (-0.0/0.0) must probe alike.
+        memo: dict = {}
+
+        def outer_rows() -> Iterator[QTuple]:
+            for batch in self.left.batches():
+                memo.clear()
+                yield from rows_from_batches((batch,))
+
         def inner_for(left_row: QTuple) -> list[Batch]:
             key = evaluate(self.key, left_row, ctx.eval_ctx)
+            if not self.equality or not isinstance(key, (int, float, str)):
+                return read(key)
+            found = memo.get((type(key), key))
+            if found is None:
+                found = memo[type(key), key] = read(key)
+            return found
+
+        def read(key) -> list[Batch]:
             oids = [] if key is None else probe(key)
             batches = []
             for start in range(0, len(oids), BATCH_ROWS):
@@ -280,9 +303,7 @@ class _IndexJoin(NestedLoopJoin):
                 ))
             return batches
 
-        return batches_from_rows(self._joined(
-            rows_from_batches(self.left.batches()), inner_for
-        ))
+        return batches_from_rows(self._joined(outer_rows(), inner_for))
 
 
 class IndexNestedLoopJoin(_IndexJoin):
@@ -308,7 +329,9 @@ class IndexNestedLoopJoin(_IndexJoin):
             if bounds is None:
                 return []
             lo, hi = bounds[0], bounds[1]
-            if lo is not None and lo == hi:
+            # A FLOAT zero probes [-0.0, 0.0]: both zeros are `=` to it.
+            if lo is not None and lo == hi and not (
+                    vtype is ValueType.FLOAT and lo == 0):
                 return table.index_lookup(self.column, lo)
             return list(table.index_range(self.column, *bounds))
 
@@ -339,6 +362,10 @@ class SummaryIndexNestedLoopJoin(_IndexJoin):
         self.instance = instance
         self.label_name = label
         self.op = op
+
+    @property
+    def equality(self) -> bool:
+        return self.op == "="
 
     @property
     def derived_keys(self) -> list[tuple[str, str, str]]:

@@ -90,6 +90,8 @@ def _domain_bound(value, vtype: ValueType, upper: bool, inclusive: bool):
     integer domain: a float bound tightens to the nearest integer inside
     the range and every bound becomes inclusive; likewise an int bound a
     FLOAT column cannot hold exactly tightens to the nearest float inside.
+    A FLOAT zero bound takes the sign that puts both zeros on the side
+    the heap path's comparison does, since the index orders -0.0 first.
     """
     if vtype is ValueType.TEXT:
         return value, inclusive
@@ -104,6 +106,8 @@ def _domain_bound(value, vtype: ValueType, upper: bool, inclusive: bool):
             if (bound > value) == upper:
                 bound = math.nextafter(bound, -math.inf if upper else math.inf)
             inclusive = True
+        if bound == 0:
+            bound = 0.0 if upper == inclusive else -0.0
         return bound, inclusive
     if isinstance(value, float):
         if math.isinf(value):

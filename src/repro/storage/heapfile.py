@@ -232,18 +232,27 @@ class HeapFile:
 
     def scan(self) -> Iterator[tuple[RID, bytes]]:
         """Yield ``(rid, record)`` for every live record, in page order."""
-        for page_no, records in self.scan_pages():
-            for slot, record in records:
+        for page_no, slots, records in self.scan_pages():
+            for slot, record in zip(slots, records):
                 yield RID(page_no, slot), record
 
-    def scan_pages(self) -> Iterator[tuple[int, list[tuple[int, bytes]]]]:
-        """Yield ``(page_no, [(slot, record), ...])`` for every heap page, in
-        page order: :meth:`scan` without a RID per record."""
+    def scan_pages(self) -> Iterator[tuple[int, list[int], list[bytes]]]:
+        """Yield ``(page_no, slots, records)`` for every heap page, in page
+        order: :meth:`scan` a page at a time, each inline record copied off
+        the page once."""
         for page_no in range(len(self.page_ids)):
-            yield page_no, [
-                (slot, self._unwrap(stored))
-                for slot, stored in self._page(page_no).records()
-            ]
+            page = self._page(page_no)
+            extents, size = page.extents(), page.page_size
+            with memoryview(page.data) as view:
+                # Anything but an in-page inline record (overflow stubs,
+                # bad framing) goes through _unwrap.
+                records = [
+                    bytes(view[offset + 1:offset + length])
+                    if length and offset < size and view[offset] == _INLINE_TAG
+                    else self._unwrap(bytes(view[offset:offset + length]))
+                    for _, offset, length in extents
+                ]
+            yield page_no, [slot for slot, _, _ in extents], records
 
     # -- repair hooks -----------------------------------------------------------
 

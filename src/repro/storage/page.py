@@ -200,15 +200,18 @@ class SlottedPage:
         with memoryview(self.data) as view:
             return list(_SLOT.iter_unpack(view[_HEADER_SIZE:dir_end]))
 
+    def extents(self) -> list[tuple[int, int, int]]:
+        """``(slot_no, offset, length)`` of every live record, unread."""
+        return [(i, offset, length)
+                for i, (offset, length) in enumerate(self._directory())
+                if offset != _TOMBSTONE]
+
     def records(self) -> list[tuple[int, bytes]]:
         """Return ``(slot_no, record)`` for every live record."""
-        directory = self._directory()
+        extents = self.extents()
         with memoryview(self.data) as view:
-            return [
-                (i, bytes(view[offset:offset + length]))
-                for i, (offset, length) in enumerate(directory)
-                if offset != _TOMBSTONE
-            ]
+            return [(i, bytes(view[offset:offset + length]))
+                    for i, offset, length in extents]
 
     def live_count(self) -> int:
         """Number of live (non-tombstoned) records."""

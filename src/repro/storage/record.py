@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from enum import Enum
+from functools import lru_cache
 
 from repro.errors import SchemaError
 
@@ -27,20 +28,77 @@ class ValueType(Enum):
     BOOL = "bool"
     BLOB = "blob"
 
+    #: Members are singletons: hash by identity (C speed), since the
+    #: decoder memo hashes a schema's types on every decode.
+    __hash__ = object.__hash__
+
     def validate(self, value: object) -> None:
         """Raise :class:`SchemaError` unless ``value`` fits this type."""
-        if value is None:
-            return
-        ok = {
-            ValueType.INT: lambda v: isinstance(v, int) and not isinstance(v, bool),
-            ValueType.FLOAT: lambda v: isinstance(v, (int, float))
-            and not isinstance(v, bool),
-            ValueType.TEXT: lambda v: isinstance(v, str),
-            ValueType.BOOL: lambda v: isinstance(v, bool),
-            ValueType.BLOB: lambda v: isinstance(v, (bytes, bytearray)),
-        }[self](value)
-        if not ok:
+        if value is not None and not _FITS[self](value):
             raise SchemaError(f"value {value!r} is not a valid {self.value}")
+
+
+_FITS = {
+    ValueType.INT: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    ValueType.FLOAT: lambda v: isinstance(v, (int, float))
+    and not isinstance(v, bool),
+    ValueType.TEXT: lambda v: isinstance(v, str),
+    ValueType.BOOL: lambda v: isinstance(v, bool),
+    ValueType.BLOB: lambda v: isinstance(v, (bytes, bytearray)),
+}
+
+#: Bounds the decoder memo; one schema needs at most ``len(types) + 1``.
+_MAX_DECODERS = 1024
+_WIDTH = {ValueType.INT: 8, ValueType.FLOAT: 8, ValueType.BOOL: 1}
+#: Source of one non-NULL field's value read at ``p``, leaving ``p`` at
+#: its end.
+_READ = {
+    ValueType.INT: "_i64(d, (p := p + 8) - 8)[0]",
+    ValueType.FLOAT: "_f64(d, (p := p + 8) - 8)[0]",
+    ValueType.BOOL: "d[(p := p + 1) - 1] == 1",
+    ValueType.TEXT: "d[(s := p + 4):(p := s + _u32(d, p)[0])].decode('utf-8')",
+    ValueType.BLOB: "bytes(d[(s := p + 4):(p := s + _u32(d, p)[0])])",
+}
+
+
+def _null(i: int) -> str:
+    """Source testing field ``i``'s null bit."""
+    return f"d[{i // 8}] & {1 << i % 8}"
+
+
+@lru_cache(maxsize=_MAX_DECODERS)
+def _decoder(types: tuple, index: int):
+    """The compiled decoder of records of ``types``: ``index`` -1 gives
+    ``row(data)``, ``j`` gives ``column(records)`` for field ``j``.
+
+    Generated once per schema and field, whatever NULLs its rows hold, so
+    a schema compiles at most ``len(types) + 1`` of them.  The row decoder
+    is one list display: per field a null-bit test, then an unpack at the
+    running position, with no type branch.  Column decoder ``j`` is one
+    comprehension: it skips each earlier field by its width (or its
+    length) unless its null bit is set, then reads field ``j``.  Both
+    test bits and read fields in the order of a field-by-field walk, so a
+    truncated record fails as the walk does.  The source holds only
+    integers and fixed names.  Module state in an LRU memo, so a pickled
+    codec carries none of it.
+    """
+    env = {"_i64": _I64.unpack_from, "_f64": _F64.unpack_from,
+           "_u32": _U32.unpack_from}
+    pos = str((len(types) + 7) // 8)
+    if index < 0:
+        fields = ", ".join(f"None if {_null(i)} else {_READ[vtype]}"
+                           for i, vtype in enumerate(types))
+        source = f"def f(d):\n    p = {pos}\n    return [{fields}]"
+    else:
+        for i, vtype in enumerate(types[:index]):
+            if vtype in _WIDTH:
+                pos = f"{pos} + (0 if {_null(i)} else {_WIDTH[vtype]})"
+            else:
+                pos = f"(q := {pos}) + (0 if {_null(i)} else 4 + _u32(d, q)[0])"
+        source = (f"def f(rs): return [None if (p := {pos}) < 0 or "
+                  f"{_null(index)} else {_READ[types[index]]} for d in rs]")
+    exec(source, env)
+    return env["f"]
 
 
 class RecordCodec:
@@ -78,90 +136,23 @@ class RecordCodec:
         return bytes(bitmap) + b"".join(parts)
 
     def decode(self, data: bytes) -> list[object]:
-        """Deserialize bytes produced by :meth:`encode` back into a row."""
-        bitmap = data[: self._bitmap_bytes]
-        pos = self._bitmap_bytes
-        values: list[object] = []
-        for i, vtype in enumerate(self.types):
-            if bitmap[i // 8] & (1 << (i % 8)):
-                values.append(None)
-                continue
-            if vtype is ValueType.INT:
-                values.append(_I64.unpack_from(data, pos)[0])
-                pos += _I64.size
-            elif vtype is ValueType.FLOAT:
-                values.append(_F64.unpack_from(data, pos)[0])
-                pos += _F64.size
-            elif vtype is ValueType.BOOL:
-                values.append(data[pos] == 1)
-                pos += 1
-            else:  # TEXT / BLOB
-                (length,) = _U32.unpack_from(data, pos)
-                pos += _U32.size
-                raw = data[pos:pos + length]
-                pos += length
-                if vtype is ValueType.TEXT:
-                    values.append(raw.decode("utf-8"))
-                else:
-                    values.append(bytes(raw))
-        return values
+        """Deserialize bytes produced by :meth:`encode` back into a row,
+        through the schema's compiled row decoder."""
+        return _decoder(tuple(self.types), -1)(data)
 
     def decode_column(self, records: list[bytes], index: int) -> list[object]:
-        """Decode one column across ``records``, skipping every other field.
-
-        Skipped fields cost a width computation (or a length unpack for
-        variable-width fields) instead of value construction — the lazy
-        scan-batch path uses this so a query only pays for the columns it
-        actually touches.
-        """
-        types = self.types
-        bitmap_bytes = self._bitmap_bytes
-        out: list[object] = []
-        for data in records:
-            view = memoryview(data)
-            pos = bitmap_bytes
-            value: object = None
-            for i, vtype in enumerate(types):
-                if view[i // 8] & (1 << (i % 8)):
-                    if i == index:
-                        break
-                    continue
-                if vtype is ValueType.INT:
-                    if i == index:
-                        value = _I64.unpack_from(view, pos)[0]
-                        break
-                    pos += _I64.size
-                elif vtype is ValueType.FLOAT:
-                    if i == index:
-                        value = _F64.unpack_from(view, pos)[0]
-                        break
-                    pos += _F64.size
-                elif vtype is ValueType.BOOL:
-                    if i == index:
-                        value = view[pos] == 1
-                        break
-                    pos += 1
-                else:  # TEXT / BLOB
-                    (length,) = _U32.unpack_from(view, pos)
-                    pos += _U32.size
-                    if i == index:
-                        raw = bytes(view[pos:pos + length])
-                        value = (
-                            raw.decode("utf-8") if vtype is ValueType.TEXT
-                            else raw
-                        )
-                        break
-                    pos += length
-            out.append(value)
-        return out
+        """Decode column ``index`` across ``records``, skipping every other
+        field: the lazy scan-batch path pays only for the columns a query
+        touches."""
+        return _decoder(tuple(self.types), index)(records)
 
 
 class RecordBlock:
     """One scan chunk's raw records, shared by every column of the chunk.
 
     ``row(i)`` decodes record *i* whole, once, and memoizes it, so a row
-    view built cell by cell off the chunk's lazy columns pays one field
-    walk per record rather than one per cell.
+    view built cell by cell off the chunk's lazy columns pays one decode
+    per record rather than one per cell.
     """
 
     __slots__ = ("codec", "records", "_rows")

@@ -75,11 +75,17 @@ class PendingSummaryWork:
         with self._lock:
             return self._entries.pop((table.lower(), oid), None) is not None
 
-    def pop_next(self) -> tuple[tuple[str, int], PendingEntry] | None:
-        """Claim the oldest pending tuple."""
+    def oldest(self) -> tuple[str, int] | None:
+        """The oldest pending tuple, left pending (None when empty)."""
         with self._lock:
-            key = next(iter(self._entries), None)
-            return None if key is None else (key, self._entries.pop(key))
+            return next(iter(self._entries), None)
+
+    def requeue(self, key: tuple[str, int]) -> None:
+        """Move a pending tuple to the back, keeping its enqueue time."""
+        with self._lock:
+            entry = self._entries.pop(key, None)
+            if entry is not None:
+                self._entries[key] = entry
 
     def __len__(self) -> int:
         with self._lock:

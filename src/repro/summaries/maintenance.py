@@ -625,23 +625,24 @@ class SummaryManager:
         engine's commit mutex when a Database owns this manager) and safe
         to call from anywhere — checkpoints, server drain, the background
         worker — because it is idempotent over an empty set.  A tuple
-        whose regeneration raises is re-marked before the error
-        propagates, so no staleness is ever lost."""
+        leaves the pending set only once its row is written, so it reads
+        ``"stale"`` until then; one whose regeneration raises stays
+        pending, moved to the back, and the error propagates."""
         pending = self.pending
         if not len(pending):
             return 0
         drained = 0
         with self.regen_lock:
             while limit is None or drained < limit:
-                item = pending.pop_next()
-                if item is None:
+                key = pending.oldest()
+                if key is None:
                     break
-                (table, oid), _entry = item
                 try:
-                    self.regenerate_tuple(table, oid)
+                    self.regenerate_tuple(*key)
                 except BaseException:
-                    pending.mark(table, oid)
+                    pending.requeue(key)
                     raise
+                pending.discard(*key)
                 drained += 1
         if drained:
             self.metrics.inc("maint.regen", drained)

@@ -263,6 +263,59 @@ class TestWorker:
         finally:
             db.stop_maintenance()
 
+    def test_tuple_reads_stale_until_its_row_is_written(self, monkeypatch):
+        """A drain keeps its tuple pending while it regenerates the row:
+        a reader in between sees ``"stale"`` and the old (here: no) row,
+        never ``"fresh"`` beside a row not yet written."""
+        import threading
+
+        db = build_db(True)
+        db.stop_maintenance()  # drain on a thread of this test instead
+        db.add_annotation(TEXTS[0], table="t", oid=1)
+        manager = db.manager
+        entered, release = threading.Event(), threading.Event()
+        regenerate = manager.regenerate_tuple
+
+        def paused(table, oid):
+            entered.set()
+            assert release.wait(10)
+            regenerate(table, oid)
+
+        monkeypatch.setattr(manager, "regenerate_tuple", paused)
+        drain = threading.Thread(target=manager.drain_pending)
+        drain.start()
+        try:
+            assert entered.wait(10)
+            assert manager.has_pending()
+            assert manager.summary_status("t", 1) == "stale"
+            sset = manager.summary_set_for("t", 1)
+            assert sset.get_summary_object("C") is None
+        finally:
+            release.set()
+            drain.join(10)
+        assert not manager.has_pending()
+        assert manager.summary_status("t", 1) == "fresh"
+        sset = manager.summary_set_for("t", 1)
+        assert sset.get_summary_object("C").get_label_value("alpha") == 1
+
+    def test_failed_regeneration_stays_pending_at_the_back(self, monkeypatch):
+        db = build_db(True)
+        db.stop_maintenance()
+        db.add_annotation(TEXTS[0], table="t", oid=1)
+        db.add_annotation(TEXTS[2], table="t", oid=2)
+        manager = db.manager
+
+        def failing(table, oid):
+            raise RuntimeError("regeneration failed")
+
+        monkeypatch.setattr(manager, "regenerate_tuple", failing)
+        with pytest.raises(RuntimeError):
+            manager.drain_pending()
+        assert list(manager.pending.snapshot()) == [("t", 2), ("t", 1)]
+        monkeypatch.undo()
+        assert manager.drain_pending() == 2
+        assert not manager.has_pending()
+
     def test_stop_maintenance_drains_inline(self):
         db = build_db(True)
         db.manager.maint_wake = None
@@ -363,8 +416,7 @@ class TestPendingSetSerialization:
         clone = PendingSummaryWork.__new__(PendingSummaryWork)
         clone.__setstate__({"entries": {("t", 2): (3, 7), ("a", 1): (0, 0)}})
         assert len(clone) == 2
-        assert clone.pop_next()[0] == ("t", 2)
-        assert clone.pop_next()[0] == ("a", 1)
+        assert list(clone.snapshot()) == [("t", 2), ("a", 1)]
 
     def test_mark_keeps_original_enqueue_time(self):
         pending = PendingSummaryWork()
@@ -374,14 +426,20 @@ class TestPendingSetSerialization:
         assert pending.snapshot()[("t", 1)].enqueued_at == first
 
     def test_fifo_pop(self):
+        """``oldest`` leaves its tuple pending until it is discarded;
+        ``requeue`` moves one to the back."""
         pending = PendingSummaryWork()
         pending.mark("a", 1)
         pending.mark("b", 2)
         pending.mark("a", 3)
-        assert pending.pop_next()[0] == ("a", 1)
-        assert pending.pop_next()[0] == ("b", 2)
-        assert pending.pop_next()[0] == ("a", 3)
-        assert pending.pop_next() is None
+        assert pending.oldest() == ("a", 1)
+        assert pending.oldest() == ("a", 1)
+        pending.requeue(("a", 1))
+        assert list(pending.snapshot()) == [("b", 2), ("a", 3), ("a", 1)]
+        for key in [("b", 2), ("a", 3), ("a", 1)]:
+            assert pending.oldest() == key
+            pending.discard(*key)
+        assert pending.oldest() is None
 
     def test_deferred_survives_save_load(self, tmp_path):
         """save() drains, so images never carry staleness — but a

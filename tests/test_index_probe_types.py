@@ -201,3 +201,31 @@ def test_index_join_matches_nested_loop(join_db, outer_column):
     assert results["index"] == results["nloop"]
     if outer_column != "s":
         assert results["nloop"]  # the numeric keys do match
+
+
+# -- signed zeros --------------------------------------------------------------
+#
+# -0.0 == 0.0 in Python, but a FLOAT key encodes the sign bit, so the index
+# orders -0.0 before 0.0. A zero bound must reach both zeros wherever the
+# heap path's comparison puts them.
+
+
+@pytest.fixture(scope="module")
+def zeros_db():
+    database = Database()
+    database.create_table("z", [Column("g", ValueType.FLOAT),
+                                Column("name", ValueType.TEXT)])
+    for n, g in enumerate([-0.0, 0.0, 0.5, -0.5, -0.0]):
+        database.insert("z", {"g": g, "name": f"z{n}"})
+    database.create_index("z", "g")
+    return database
+
+
+@pytest.mark.parametrize("key", ["0.0", "-0.0", "0"])
+@pytest.mark.parametrize("op", OPS)
+def test_a_zero_bound_reaches_both_zeros(zeros_db, op, key):
+    sql = f"Select name From z r Where r.g {op} {key}"
+    heap_plan, expected = outcome(zeros_db, sql, "heap")
+    index_plan, got = outcome(zeros_db, sql, "index")
+    assert "IndexScan" in index_plan and "IndexScan" not in heap_plan
+    assert got == expected

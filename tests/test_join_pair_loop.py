@@ -18,10 +18,12 @@ sides longer than one batch, and the identity of an inner row's summary
 set across outer rows.
 
 The two index joins run the same pair loop over inner batches probed per
-outer row. A second property checks each against per-pair evaluation
-over the same pairs with the probed conjunct included: keys of every
-type the probes restate (NULL, integral and non-integral floats, strings,
-bools, ints near 2**53), each outer row's rows (outer order preserved),
+outer row, or per distinct key of an outer batch for an equality probe
+(counted: one probe and one batch read per distinct key and outer
+batch). A second property checks each against per-pair evaluation over
+the same pairs with the probed conjunct included: keys of every type the
+probes restate (NULL, integral and non-integral floats, both zeros,
+strings, bools, ints near 2**53), each outer row's rows (outer order preserved),
 or the same error type. A counted guard pins the batch reads: no
 ``Table.read`` and at most one summary-cache pass per inner batch. A
 tuple gone from behind either index raises ``RecordNotFoundError``.
@@ -355,14 +357,15 @@ def test_inner_summary_sets_are_shared_across_outer_rows():
 # -- the index joins -----------------------------------------------------------
 
 BIG = 2 ** 53
-KEYS = [None, 0, 1, 2, 2.0, 2.5, -1.0, "a", "ab", True, False, BIG, BIG + 1,
-        float(BIG)]
+KEYS = [None, 0, 1, 2, 2.0, 2.5, -1.0, -0.0, "a", "ab", True, False, BIG,
+        BIG + 1, float(BIG)]
 PROBE_OPS = ["=", "<", "<=", ">", ">="]
 wide_rows = st.lists(
     st.tuples(
         st.one_of(st.none(), st.integers(0, 2),
                   st.sampled_from([BIG, BIG + 1, -BIG - 1])),
-        st.one_of(st.none(), st.sampled_from([0.0, 0.5, 2.0, float(BIG)])),
+        st.one_of(st.none(),
+                  st.sampled_from([0.0, -0.0, 0.5, 2.0, float(BIG)])),
         st.one_of(st.none(), st.sampled_from(["a", "ab"])),
         annotations,
     ),
@@ -535,3 +538,82 @@ def test_dangling_index_hit_raises_record_not_found(summary_join):
                                  "k", ColumnRef(OUTER, "i"))
     with pytest.raises(RecordNotFoundError):
         list(op.rows())
+
+
+def repeated_keys_db(outer: int) -> Database:
+    """``outer`` rows over two distinct keys; each key matches 30 of the
+    60 inner rows on both indexes (``k`` and the Disease count agree)."""
+    def notes(n):
+        return ["survey checklist"] + ["flu virus infection"] * n
+
+    return indexed(
+        [(i % 2, float(i), "a", notes(i % 2)) for i in range(outer)],
+        [(i % 2, 0.0, "a", notes(i % 2)) for i in range(60)],
+    )
+
+
+@pytest.mark.parametrize("summary_join, op, outer, probes", [
+    (False, "=", 8, 2), (True, "=", 8, 2), (True, ">=", 8, 8),
+    (False, "=", BATCH_ROWS + 6, 4), (True, "=", BATCH_ROWS + 6, 4),
+])
+def test_equality_index_join_probes_each_distinct_key_once(
+    monkeypatch, summary_join, op, outer, probes
+):
+    """An equality probe runs once per distinct key of an outer batch,
+    and its hits are read once; the memo ends with the batch, so two
+    outer batches over the same two keys probe four times.  A range
+    probe still runs once per outer row."""
+    db = repeated_keys_db(outer)
+    ctx = db.planner.exec_context()
+    if summary_join:
+        key = label(OUTER, "Disease")
+        join = SummaryIndexNestedLoopJoin(
+            ctx, SeqScan(ctx, "a", OUTER), "b", INNER, "C", "Disease", op,
+            key)
+        probed = Comparison(op, key, label(INNER, "Disease"))
+    else:
+        key = ColumnRef(OUTER, "i")
+        join = IndexNestedLoopJoin(ctx, SeqScan(ctx, "a", OUTER), "b",
+                                   INNER, "k", key)
+        probed = Comparison("=", key, ColumnRef(INNER, "k"))
+    expected = per_outer_row(observe(lambda: per_pair_index_join(join,
+                                                                 probed)))
+    counts = {"lookups": 0, "reads": 0}
+    real_lookup, real_read_many = Table.index_lookup, Table.read_many
+
+    def index_lookup(self, column, value):
+        counts["lookups"] += 1
+        return real_lookup(self, column, value)
+
+    def read_many(self, oids):
+        counts["reads"] += 1
+        return real_read_many(self, oids)
+
+    monkeypatch.setattr(Table, "index_lookup", index_lookup)
+    monkeypatch.setattr(Table, "read_many", read_many)
+    summary_index = ctx.derived_index("summary", "b", "C")
+    before = summary_index.probes
+    rows = observe(lambda: list(join.rows()))
+    assert per_outer_row(rows) == expected
+    assert rows and rows[0] != "error"
+    assert (summary_index.probes - before if summary_join
+            else counts["lookups"]) == probes
+    assert counts["reads"] == probes
+
+
+
+def test_both_zeros_join_a_float_zero():
+    """-0.0 == 0.0, though the FLOAT index keys them apart: each outer
+    zero joins every inner zero of either sign, whichever comes first."""
+    inner = [(0, z, "a", []) for z in (0.0, -0.0, 0.0, 0.5)]
+    for outer in ([-0.0, 0.0], [0.0, -0.0]):
+        db = indexed([(0, z, "a", []) for z in outer], inner)
+        ctx = db.planner.exec_context()
+        key = ColumnRef(OUTER, "f")
+        join = IndexNestedLoopJoin(ctx, SeqScan(ctx, "a", OUTER), "b",
+                                   INNER, "g", key)
+        probed = Comparison("=", key, ColumnRef(INNER, "g"))
+        rows = per_outer_row(observe(lambda: list(join.rows())))
+        assert rows == per_outer_row(observe(
+            lambda: per_pair_index_join(join, probed)))
+        assert [len(hits) for _, hits in rows] == [3, 3]
