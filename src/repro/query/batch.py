@@ -15,7 +15,9 @@ Vectorized summary predicates read the summary slot alone
 come from the same cached objects
 (:meth:`~repro.summaries.storage.SummaryStorage.get_many`), so a
 filtered-out row never pays a data decode, and a later conjunct or row
-view of the batch reuses the sets the first one read.
+view of the batch reuses the sets the first one read; a chain's values
+are memoized too, so a later conjunct on the same chain walks no row
+again.
 
 Batches are sized to the resilience layer's checkpoint cadence
 (:data:`~repro.resilience.context.BATCH_ROWS`): one deadline/cancellation
@@ -149,7 +151,7 @@ class Batch:
     """
 
     __slots__ = ("columns", "cols", "summaries", "provenance", "_rows",
-                 "_memo")
+                 "_memo", "_chains")
 
     def __init__(self, columns, cols, summaries, provenance, rows=None):
         self.columns = columns
@@ -158,6 +160,8 @@ class Batch:
         self.provenance = provenance
         self._rows = rows
         self._memo: dict[int, QTuple] = {}
+        #: summary chain -> row -> value (:meth:`summary_values`)
+        self._chains: dict = {}
 
     def __len__(self) -> int:
         if self._rows is not None:
@@ -222,30 +226,35 @@ class Batch:
 
     def _build(self, indices) -> None:
         """Memoize the row views of ``indices``: one batch ask for their
-        summary sets; values still decode one record per row."""
+        summary sets.  When the leading columns are one record block's
+        fields in order (a scan's, under ``Select *``), a row's values
+        are a copy of the block's decoded row, not one read per cell."""
+        block, rest = _record_prefix(self.cols)
         for i, sets in zip(indices, self.summaries.get_many(indices)):
-            self._memo[i] = QTuple(self.columns, [col[i] for col in self.cols],
-                                   sets, self.provenance.get(i))
+            values = block.row(i) + [col[i] for col in rest] \
+                if block is not None else [col[i] for col in self.cols]
+            self._memo[i] = QTuple(self.columns, values, sets,
+                                   self.provenance.get(i))
 
-    def summary_values(self, expr, eval_ctx, active: list[int]) -> list:
-        """``expr``'s value on each ``active`` row (other slots None).
+    def summary_values(self, chain, rows: list[int], walk, eval_ctx) -> list:
+        """The value of the summary chain keyed ``chain`` on each of
+        ``rows``.
 
-        A summary chain reads only its row's summary sets, so no data
-        value is decoded: the active rows' sets, read with one
-        ``summaries.get_many``, walk the chain on the memoized dict
-        ``row(i)`` would carry, so set identity is the same as on a row
-        view.  A keyword search reads the raw texts its rows' objects lack
-        with one fetch for the batch.
+        Values are memoized per batch, so each row's chain is walked once
+        however many conjuncts (or, on a join's inner batch, outer rows)
+        ask: ``walk(sets, eval_ctx)`` maps the summary-set dicts of the
+        rows not memoized yet — read with one ``summaries.get_many``, the
+        dicts ``row(i)`` would carry, so set identity is the same as on a
+        row view — to their values.  No data value is decoded.
         """
-        from repro.query.eval import evaluate_summary_exprs
-
-        out: list[object] = [None] * len(self)
-        values = evaluate_summary_exprs(
-            expr, self.summaries.get_many(active), eval_ctx
-        )
-        for i, value in zip(active, values):
-            out[i] = value
-        return out
+        known = self._chains.get(chain)
+        if known is None:
+            known = self._chains[chain] = {}
+        missing = [i for i in rows if i not in known]
+        if missing:
+            known.update(zip(missing, walk(self.summaries.get_many(missing),
+                                           eval_ctx)))
+        return [known[i] for i in rows]
 
     # -- reshaping ------------------------------------------------------------------
 
@@ -269,6 +278,24 @@ class Batch:
             if hit is not None:
                 taken._memo[new_i] = hit
         return taken
+
+
+def _record_prefix(cols) -> tuple:
+    """``(block, rest)`` when ``cols`` open with every field of one
+    :class:`RecordBlock`, in order, at least one not yet decoded as a
+    column; ``(None, cols)`` otherwise."""
+    first = cols[0] if cols else None
+    if not isinstance(first, LazyColumn):
+        return None, cols
+    block = first.block
+    width = len(block.codec.types)
+    head = cols[:width]
+    if len(head) == width and all(
+            isinstance(c, LazyColumn) and c.block is block and c.index == j
+            for j, c in enumerate(head)) \
+            and not all(c.forced for c in head):
+        return block, cols[width:]
+    return None, cols
 
 
 def batches_from_rows(

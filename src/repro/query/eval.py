@@ -14,8 +14,12 @@ the raw texts its objects still lack with one call
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
+
+import numpy as np
 
 from repro.errors import QueryError, SummaryError
 from repro.query.ast import (
@@ -75,13 +79,15 @@ class EvalContext:
         return out
 
 
+@lru_cache(maxsize=256)
 def compile_like(pattern: str) -> "re.Pattern":
     """Compiled SQL LIKE matcher with ``%`` and ``_`` wildcards (also
     accepts ``*`` as a convenience alias for ``%``, matching the paper's
     "Swan*" example).
 
     DOTALL because SQL's % and _ match any character, including newlines —
-    annotations are multi-line text.
+    annotations are multi-line text.  Memoized: a row-wise LIKE asks for
+    the same pattern on every row.
     """
     regex = "".join(
         ".*" if ch in "%*" else "." if ch == "_" else re.escape(ch)
@@ -106,7 +112,8 @@ def evaluate(expr: Expr, row: QTuple, ctx: EvalContext | None = None) -> object:
     if isinstance(expr, SummaryExpr):
         return evaluate_summary_expr(expr, row.summary_sets, ctx)
     if isinstance(expr, Comparison):
-        return _compare(expr, row, ctx)
+        return _compare(expr.op, evaluate(expr.left, row, ctx),
+                        evaluate(expr.right, row, ctx))
     if isinstance(expr, And):
         return all(bool(evaluate(i, row, ctx)) for i in expr.items)
     if isinstance(expr, Or):
@@ -125,29 +132,29 @@ def evaluate(expr: Expr, row: QTuple, ctx: EvalContext | None = None) -> object:
     raise QueryError(f"cannot evaluate expression {expr!r}")
 
 
-def _compare(expr: Comparison, row: QTuple, ctx: EvalContext) -> bool:
-    left = evaluate(expr.left, row, ctx)
-    right = evaluate(expr.right, row, ctx)
+def _compare(op: str, left: object, right: object) -> bool:
+    """``left op right`` under SQL's rules here: NULL on either side is
+    False, and an unorderable pair is a QueryError."""
     if left is None or right is None:
         return False
-    if expr.op == "LIKE":
+    if op == "LIKE":
         return like_match(str(left), str(right))
-    if expr.op == "=":
+    if op == "=":
         return left == right
-    if expr.op == "<>":
+    if op == "<>":
         return left != right
     try:
-        if expr.op == "<":
+        if op == "<":
             return left < right
-        if expr.op == "<=":
+        if op == "<=":
             return left <= right
-        if expr.op == ">":
+        if op == ">":
             return left > right
-        if expr.op == ">=":
+        if op == ">=":
             return left >= right
     except TypeError as exc:
-        raise QueryError(f"cannot compare {left!r} {expr.op} {right!r}") from exc
-    raise QueryError(f"unknown operator {expr.op!r}")
+        raise QueryError(f"cannot compare {left!r} {op} {right!r}") from exc
+    raise QueryError(f"unknown operator {op!r}")
 
 
 def evaluate_object_predicate(
@@ -156,7 +163,8 @@ def evaluate_object_predicate(
     """Evaluate a FILTER SUMMARIES predicate against one summary object.
 
     :class:`~repro.query.ast.ObjectFunc` leaves dispatch on ``obj``; the
-    boolean/comparison structure is shared with row evaluation.
+    boolean structure and the comparison rule (:func:`_compare`)
+    are row evaluation's.
     """
     ctx = ctx or EvalContext()
 
@@ -166,19 +174,7 @@ def evaluate_object_predicate(
         if isinstance(e, ObjectFunc):
             return _dispatch_object(obj, e.name, e.args, ctx)
         if isinstance(e, Comparison):
-            left, right = ev(e.left), ev(e.right)
-            if left is None or right is None:
-                return False
-            if e.op == "LIKE":
-                return like_match(str(left), str(right))
-            return {
-                "=": left == right,
-                "<>": left != right,
-                "<": left < right,
-                "<=": left <= right,
-                ">": left > right,
-                ">=": left >= right,
-            }[e.op]
+            return _compare(e.op, ev(e.left), ev(e.right))
         if isinstance(e, And):
             return all(bool(ev(i)) for i in e.items)
         if isinstance(e, Or):
@@ -361,100 +357,211 @@ def _dispatch_object(
     )
 
 
-# -- vectorized predicate evaluation ------------------------------------------------
+# -- compiled predicates ------------------------------------------------------------
 #
 # A predicate mask is built column-at-a-time where the expression shape
-# allows it (comparisons over data columns, LIKE against a constant
-# pattern, summary chains — read off the batch's summary slot, never a
-# row view) and row-at-a-time — plain :func:`evaluate` on a row view —
-# everywhere else, so a mask can never answer differently from per-row
-# evaluation. AND evaluates its conjuncts left-to-right over the
-# surviving row set, mirroring :func:`evaluate`'s short-circuit; OR only
-# evaluates later disjuncts on rows still undecided. Column-at-a-time
-# order can meet a later row's error before an earlier row's, so a batch
-# whose vectorized evaluation fails is replayed row by row: the statement
-# fails with the error per-row evaluation meets first.
+# allows it (comparisons between data columns, summary chains and
+# constants; a summary chain as a predicate) and row-at-a-time — plain
+# :func:`evaluate` on a row view — everywhere else, so a mask can never
+# answer differently from per-row evaluation.  :class:`CompiledPredicate`
+# settles the shape once per physical plan into kernels that hold no
+# per-run state, so the runs of a cached plan share them.  AND evaluates
+# its conjuncts left-to-right over the surviving rows, mirroring
+# :func:`evaluate`'s short-circuit; OR evaluates later disjuncts only on
+# rows still undecided.  Column-at-a-time order can meet a later row's
+# error before an earlier row's, so a batch whose compiled evaluation
+# fails is replayed row by row: the statement fails with the error
+# per-row evaluation meets first.
 
 
-def batch_predicate_mask(
-    expr: Expr, batch, ctx: EvalContext | None = None, active=None
-):
-    """Boolean numpy mask of the rows of ``batch`` satisfying ``expr``.
+class CompiledPredicate:
+    """``expr`` compiled into a mask kernel, once per physical plan."""
 
-    ``active`` restricts evaluation to the rows it marks (every row when
-    None); the other rows are False and ``expr`` is never evaluated on
-    them — a conjunct later in an ``And`` sees only earlier survivors.
-    """
-    import numpy as np
+    __slots__ = ("expr", "_kernel")
 
-    ctx = ctx or EvalContext()
-    if active is None:
-        active = np.ones(len(batch), dtype=bool)
-    try:
-        return _batch_mask(expr, batch, ctx, active)
-    except (QueryError, SummaryError):
-        return _rowwise_mask(expr, batch, ctx, active)
+    def __init__(self, expr: Expr):
+        self.expr = expr
+        self._kernel = _compile(expr)
+
+    def mask(self, batch, ctx: EvalContext | None = None, active=None):
+        """Boolean numpy mask of the rows of ``batch`` satisfying ``expr``.
+
+        ``active`` restricts evaluation to the rows it marks (every row
+        when None); the other rows are False and ``expr`` is never
+        evaluated on them — a conjunct later in an ``And`` sees only
+        earlier survivors.
+        """
+        ctx = ctx or EvalContext()
+        if active is None:
+            active = np.ones(len(batch), dtype=bool)
+        try:
+            return self._kernel(batch, ctx, active)
+        except (QueryError, SummaryError):
+            return _rowwise_mask(self.expr, batch, ctx, active)
 
 
-def _batch_mask(expr, batch, ctx, active):
-    import numpy as np
-
-    if isinstance(expr, And):
-        mask = active
-        for item in expr.items:
-            if not mask.any():
-                return mask
-            mask = _batch_mask(item, batch, ctx, mask)
-        return mask
-    if isinstance(expr, Or):
-        result = np.zeros(len(active), dtype=bool)
-        undecided = active.copy()
-        for item in expr.items:
-            if not undecided.any():
-                break
-            hit = _batch_mask(item, batch, ctx, undecided)
-            result |= hit
-            undecided &= ~hit
-        return result
+def _compile(expr: Expr):
+    """``kernel(batch, ctx, active) -> mask`` for ``expr``."""
+    if isinstance(expr, (And, Or)):
+        items = [_compile(item) for item in expr.items]
+        return partial(_all if isinstance(expr, And) else _any, items)
     if isinstance(expr, Not):
-        return active & ~_batch_mask(expr.item, batch, ctx, active)
+        item = _compile(expr.item)
+        return lambda batch, ctx, active: active & ~item(batch, ctx, active)
     if isinstance(expr, Comparison):
-        return _batch_compare(expr, batch, ctx, active)
+        return _compile_comparison(expr)
     if isinstance(expr, SummaryExpr):
-        values = batch.summary_values(expr, ctx, _active_rows(active))
-        return np.fromiter((bool(v) for v in values), dtype=bool,
-                           count=len(values))
-    return _rowwise_mask(expr, batch, ctx, active)
+        return _kernel(lambda values: [bool(v) for v in values],
+                       _operand(expr))
+    return partial(_rowwise_mask, expr)
 
 
-def _active_rows(active) -> list[int]:
-    import numpy as np
+def _all(items, batch, ctx, active):
+    for item in items:
+        if not active.any():
+            break
+        active = item(batch, ctx, active)
+    return active
 
-    return [int(i) for i in np.flatnonzero(active)]
+
+def _any(items, batch, ctx, active):
+    result = np.zeros(len(active), dtype=bool)
+    undecided = active.copy()
+    for item in items:
+        if not undecided.any():
+            break
+        hit = item(batch, ctx, undecided)
+        result |= hit
+        undecided &= ~hit
+    return result
 
 
 def _rowwise_mask(expr, batch, ctx, active):
     """Fallback for the shapes that read a whole row (UDFs, bare column
     truthiness, ...): plain per-row evaluation on the active rows."""
-    import numpy as np
-
     out = np.zeros(len(active), dtype=bool)
-    for i in _active_rows(active):
+    for i in np.flatnonzero(active).tolist():
         out[i] = bool(evaluate(expr, batch.row(i), ctx))
     return out
 
 
-def _batch_operand(expr, batch, ctx, active):
-    """``("scalar", v)`` / ``("col", values)`` for a vectorizable operand,
-    None when only whole-row evaluation can produce it."""
+def _kernel(test, *operands):
+    """The kernel setting the active rows to ``test`` of the operands'
+    values on them: one comprehension, no per-row dispatch."""
+    def kernel(batch, ctx, active):
+        rows = np.flatnonzero(active).tolist()
+        values = [operand(batch, ctx, rows) for operand in operands]
+        out = np.zeros(len(active), dtype=bool)
+        try:
+            out[rows] = test(*values)
+        except TypeError as exc:
+            raise QueryError(f"cannot compare: {exc}") from exc
+        return out
+    return kernel
+
+
+def _operand(expr: Expr):
+    """``values(batch, ctx, rows) -> list`` for an operand a batch answers
+    column-at-a-time, None for one only a whole row can."""
     if isinstance(expr, Literal):
-        return ("scalar", expr.value)
+        value = expr.value
+        return lambda batch, ctx, rows: [value] * len(rows)
     if isinstance(expr, ColumnRef):
-        name = f"{expr.alias}.{expr.column}" if expr.alias else expr.column
-        return ("col", batch.column_values(name))
+        name = str(expr)
+
+        def column(batch, ctx, rows):
+            values = batch.column_values(name)
+            return [values[i] for i in rows]
+        return column
     if isinstance(expr, SummaryExpr):
-        return ("col", batch.summary_values(expr, ctx, _active_rows(active)))
+        calls = expr.chain
+        label = None
+        if [c.name for c in calls] == ["getSummaryObject", "getLabelValue"] \
+                and all(len(c.args) == 1 and isinstance(c.args[0], str)
+                        for c in calls):
+            label = (calls[0].args[0], calls[1].args[0])
+        walk = partial(_chain_values, expr, label)
+        # the memo key: equal chains share it; a tuple hashes in C
+        key = (expr.alias, tuple((c.name, tuple((type(a), a) for a in c.args))
+                                 for c in calls))
+        return lambda batch, ctx, rows: batch.summary_values(key, rows, walk,
+                                                             ctx)
     return None
+
+
+def _chain_values(expr: SummaryExpr, label, summary_sets, ctx) -> list:
+    """:func:`evaluate_summary_exprs`, except that a
+    ``getSummaryObject('I').getLabelValue('L')`` chain (``label`` is
+    ``(I, L)``) reads a plain ClassifierObject holding ``L`` directly;
+    on every other row the chain's walk goes on from the object."""
+    if label is None:
+        return evaluate_summary_exprs(expr, summary_sets, ctx)
+    alias, (instance, name), rest = expr.alias, label, expr.chain[1:]
+    out = []
+    for sets in summary_sets:
+        s = sets[alias] if alias in sets else resolve_summary_set(sets, alias)
+        obj = s.get_summary_object(instance)
+        members = obj.label_elements.get(name) \
+            if type(obj) is ClassifierObject else None
+        out.append(_walk(obj, rest, ctx) if members is None
+                   else len(members))
+    return out
+
+
+_OPS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+#: ``a op b`` ⇔ ``b FLIPPED[op] a``
+_FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _compile_comparison(expr: Comparison):
+    """:func:`_compare`'s rules over the active rows: a None side gives
+    False, an unorderable pair a QueryError."""
+    op = expr.op
+    left, right = _operand(expr.left), _operand(expr.right)
+    if left is None or right is None or (op not in _OPS and op != "LIKE"):
+        return partial(_rowwise_mask, expr)
+    if isinstance(expr.right, Literal):
+        return _against(op, left, expr.left, expr.right.value)
+    if isinstance(expr.left, Literal) and op != "LIKE":
+        return _against(_FLIPPED[op], right, expr.right, expr.left.value)
+    fn = _OPS.get(op) or (lambda x, y: like_match(str(x), str(y)))
+    return _kernel(lambda a, b: [
+        x is not None and y is not None and fn(x, y) for x, y in zip(a, b)
+    ], left, right)
+
+
+def _against(op, values, side: Expr, const):
+    """``side op const``, with ``values`` the compiled ``side``; a LIKE
+    pattern is compiled here, once."""
+    if const is None:
+        return _kernel(lambda a: [False] * len(a), values)
+    if op == "LIKE":
+        match = compile_like(str(const)).fullmatch
+        return _kernel(lambda a: [
+            x is not None and match(str(x)) is not None for x in a
+        ], values)
+    fn = _OPS[op]
+    kernel = _kernel(lambda a: [x is not None and fn(x, const) for x in a],
+                     values)
+    if isinstance(side, ColumnRef) and isinstance(const, (int, float)) \
+            and not isinstance(const, bool):
+        return partial(_numpy_compare, str(side), fn, const, kernel)
+    return kernel
+
+
+def _numpy_compare(name, fn, const, kernel, batch, ctx, active):
+    """Numeric data column <op> numeric constant: one numpy comparison
+    when the column is cleanly numeric (no Nones, no objects) and the
+    pairing is exact (:func:`_numpy_exact`); ``kernel`` otherwise."""
+    values = batch.column_values(name)
+    try:
+        arr = np.asarray(values)
+    except (ValueError, TypeError, OverflowError):
+        return kernel(batch, ctx, active)
+    if not _numpy_exact(values, arr, const):
+        return kernel(batch, ctx, active)
+    return active & fn(arr, const)
 
 
 def _numpy_exact(values, arr, scalar) -> bool:
@@ -468,96 +575,3 @@ def _numpy_exact(values, arr, scalar) -> bool:
     if isinstance(scalar, int):
         return kind == "i" and -(1 << 63) <= scalar < (1 << 63)
     return kind == "f" and all(isinstance(v, float) for v in values)
-
-
-_ORDER_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-#: ``a op b`` ⇔ ``b FLIPPED[op] a``
-_FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-def _batch_compare(expr, batch, ctx, active):
-    import numpy as np
-
-    left = _batch_operand(expr.left, batch, ctx, active)
-    right = _batch_operand(expr.right, batch, ctx, active)
-    if left is None or right is None:
-        return _rowwise_mask(expr, batch, ctx, active)
-    op = expr.op
-    n = len(active)
-    out = np.zeros(n, dtype=bool)
-
-    def at(operand, i):
-        kind, payload = operand
-        return payload if kind == "scalar" else payload[i]
-
-    if op == "LIKE":
-        if right[0] == "scalar":
-            if right[1] is None:
-                return out
-            matcher = compile_like(str(right[1])).fullmatch
-            for i in np.flatnonzero(active):
-                i = int(i)
-                value = at(left, i)
-                out[i] = value is not None and \
-                    matcher(str(value)) is not None
-        else:
-            for i in np.flatnonzero(active):
-                i = int(i)
-                value, pattern = at(left, i), at(right, i)
-                out[i] = value is not None and pattern is not None and \
-                    like_match(str(value), str(pattern))
-        return out
-
-    # Numeric column <op> numeric constant (either way round): one numpy
-    # comparison when the column is cleanly numeric (no Nones, no
-    # objects) and the pairing is exact (_numpy_exact) — otherwise the
-    # elementwise loop below reproduces _compare exactly.
-    col, scalar, col_op = left, right, op
-    if left[0] == "scalar" and op in _FLIPPED:
-        col, scalar, col_op = right, left, _FLIPPED[op]
-    if col_op in _FLIPPED and col[0] == "col" and scalar[0] == "scalar" \
-            and isinstance(scalar[1], (int, float)) \
-            and not isinstance(scalar[1], bool):
-        try:
-            arr = np.asarray(col[1])
-        except (ValueError, TypeError, OverflowError):
-            arr = None
-        if arr is not None and _numpy_exact(col[1], arr, scalar[1]):
-            if col_op == "=":
-                cmp = arr == scalar[1]
-            elif col_op == "<>":
-                cmp = arr != scalar[1]
-            else:
-                cmp = _ORDER_OPS[col_op](arr, scalar[1])
-            return active & cmp
-
-    if op == "=":
-        for i in np.flatnonzero(active):
-            i = int(i)
-            a, b = at(left, i), at(right, i)
-            out[i] = a is not None and b is not None and a == b
-        return out
-    if op == "<>":
-        for i in np.flatnonzero(active):
-            i = int(i)
-            a, b = at(left, i), at(right, i)
-            out[i] = a is not None and b is not None and a != b
-        return out
-    fn = _ORDER_OPS.get(op)
-    if fn is None:
-        raise QueryError(f"unknown operator {op!r}")
-    for i in np.flatnonzero(active):
-        i = int(i)
-        a, b = at(left, i), at(right, i)
-        if a is None or b is None:
-            continue
-        try:
-            out[i] = fn(a, b)
-        except TypeError as exc:
-            raise QueryError(f"cannot compare {a!r} {op} {b!r}") from exc
-    return out

@@ -35,7 +35,7 @@ from repro.query.ast import (
     UdfCall,
 )
 from repro.query.batch import Batch, batches_from_rows, rows_from_batches
-from repro.query.eval import batch_predicate_mask, evaluate
+from repro.query.eval import CompiledPredicate, evaluate
 from repro.query.logical import split_conjuncts
 from repro.query.physical.base import ExecContext, PhysicalOperator
 from repro.query.physical.scans import (
@@ -93,7 +93,8 @@ class NestedLoopJoin(PhysicalOperator):
     left to right until a conjunct fails. Each conjunct is, per
     :meth:`_classify`:
 
-    * ``inner`` — reads inner aliases only: a batch mask;
+    * ``inner`` — reads inner aliases only: a batch mask, compiled once
+      per plan;
     * ``outer`` — reads outer aliases only: one verdict per outer row;
     * ``bound`` — ``<outer expr> op <inner expr>`` (not ``LIKE``): the outer
       side is evaluated once per outer row and substituted as a
@@ -109,7 +110,8 @@ class NestedLoopJoin(PhysicalOperator):
     those of per-pair evaluation. Inner row views (and their summary sets)
     are built only for rows a ``pair`` conjunct or the output needs, one
     batch ask at a time; they are memoized per batch, so every outer row
-    joins the same inner set.
+    joins the same inner set.  An inner batch memoizes its summary chains'
+    values too, so an inner row's chain is walked once for all outer rows.
     """
 
     def __init__(
@@ -125,6 +127,10 @@ class NestedLoopJoin(PhysicalOperator):
         self.right = right
         self.condition = condition
         self.summary_predicate = summary_predicate
+        self.conjuncts = [
+            (conj, CompiledPredicate(conj)) for conj in
+            split_conjuncts(condition) + split_conjuncts(summary_predicate)
+        ]
 
     @property
     def children(self):
@@ -139,11 +145,10 @@ class NestedLoopJoin(PhysicalOperator):
     def _classify(self, outer: set[str], inner: set[str]) -> list[tuple]:
         outer, inner = outer - inner, inner - outer
         plan = []
-        for conj in (split_conjuncts(self.condition)
-                     + split_conjuncts(self.summary_predicate)):
+        for conj, compiled in self.conjuncts:
             reads = _reads(conj)
             if reads is not None and reads <= inner:
-                plan.append(("inner", conj, None))
+                plan.append(("inner", compiled, None))
             elif reads is not None and reads <= outer:
                 plan.append(("outer", conj, None))
             elif (isinstance(conj, Comparison) and conj.op != "LIKE"
@@ -181,8 +186,7 @@ class NestedLoopJoin(PhysicalOperator):
                     if not mask.any():
                         break
                     if kind == "inner":
-                        mask = batch_predicate_mask(conj, batch, eval_ctx,
-                                                    mask)
+                        mask = conj.mask(batch, eval_ctx, mask)
                     elif kind == "outer":
                         if pos not in bound:
                             bound[pos] = bool(evaluate(conj, left_row,
@@ -191,10 +195,9 @@ class NestedLoopJoin(PhysicalOperator):
                             mask[:] = False
                     elif kind == "bound":
                         if pos not in bound:
-                            bound[pos] = _bind(conj, outer_side, left_row,
-                                               eval_ctx)
-                        mask = batch_predicate_mask(bound[pos], batch,
-                                                    eval_ctx, mask)
+                            bound[pos] = CompiledPredicate(_bind(
+                                conj, outer_side, left_row, eval_ctx))
+                        mask = bound[pos].mask(batch, eval_ctx, mask)
                     else:
                         active = np.flatnonzero(mask).tolist()
                         for i, right_row in zip(active,

@@ -9,7 +9,7 @@ from repro.errors import QueryError, SummaryError
 from repro.query.ast import AggCall, ColumnRef, Expr, Literal, SelectItem, Star
 from repro.query.batch import Batch, batches_from_rows, rows_from_batches
 from repro.query.eval import (
-    batch_predicate_mask,
+    CompiledPredicate,
     evaluate,
     evaluate_object_predicate,
 )
@@ -59,6 +59,7 @@ class FilterOp(PhysicalOperator):
         self.ctx = ctx
         self.child = child
         self.predicate = predicate
+        self.compiled = CompiledPredicate(predicate)
 
     @property
     def children(self):
@@ -66,9 +67,7 @@ class FilterOp(PhysicalOperator):
 
     def _produce_batches(self) -> Iterator[Batch]:
         for batch in self.child.batches():
-            mask = batch_predicate_mask(
-                self.predicate, batch, self.ctx.eval_ctx
-            )
+            mask = self.compiled.mask(batch, self.ctx.eval_ctx)
             if mask.all():
                 yield batch
             elif mask.any():

@@ -206,15 +206,22 @@ class LazyColumn:
             )
         return self._values
 
-    def take(self, indices, blocks: dict) -> "LazyColumn | list[object]":
-        """Subset of the given rows. Sibling columns taken with one shared
-        ``blocks`` dict (old block -> taken block) stay on one sub-block."""
-        if self._values is not None:
-            return [self._values[i] for i in indices]
+    @property
+    def forced(self) -> bool:
+        """Whether the whole column is decoded already."""
+        return self._values is not None
+
+    def take(self, indices, blocks: dict) -> "LazyColumn":
+        """Subset of the given rows (a forced column keeps its values).
+        Sibling columns taken with one shared ``blocks`` dict (old block
+        -> taken block) stay on one sub-block."""
         block = blocks.get(self.block)
         if block is None:
             block = blocks[self.block] = self.block.take(indices)
-        return LazyColumn(block, self.index)
+        taken = LazyColumn(block, self.index)
+        if self._values is not None:
+            taken._values = [self._values[i] for i in indices]
+        return taken
 
     def __len__(self) -> int:
         return len(self.block.records)

@@ -9,7 +9,7 @@ Figures 2 and 16, zoom-in, and the F/S/J/O operators.
 import pytest
 
 from repro import Column, Database, PlannerOptions, ValueType
-from repro.errors import BindError
+from repro.errors import BindError, QueryError
 
 SEED = [
     ("infection avian flu disease symptoms virus sick", "Disease"),
@@ -370,6 +370,27 @@ class TestSummaryFilter:
         )
         # Only the classifier has >= 4 representatives (4 labels).
         assert set(result.summaries(0)) == {"ClassBird1"}
+
+    @pytest.mark.parametrize("predicate", [
+        "getSummaryName() <> 5",
+        "getSize() = 'x' Or getSize() >= 0",
+        "Not (getSummaryType() = 1)",
+    ])
+    def test_mismatched_types_compare_as_in_where(self, db, predicate):
+        """``=`` / ``<>`` across types answer as in a Where (``name <> 5``
+        keeps every row); only the comparison asked is made."""
+        assert len(db.sql("Select name From birds Where name <> 5")) == 5
+        result = db.sql(f"Select name From birds FILTER SUMMARIES {predicate}")
+        assert len(result) == 5
+        assert set(result.summaries(0)) == {
+            "ClassBird1", "TextSummary1", "SimCluster"}
+
+    def test_unorderable_types_raise_a_query_error_as_in_where(self, db):
+        with pytest.raises(QueryError, match="cannot compare"):
+            db.sql("Select name From birds Where name < 5")
+        with pytest.raises(QueryError, match="cannot compare"):
+            db.sql("Select name From birds "
+                   "FILTER SUMMARIES getSummaryName() < 5")
 
 
 class TestZoomIn:

@@ -21,7 +21,7 @@ from repro import Column, Database, ValueType
 from repro.errors import QueryError
 from repro.optimizer.cost import match_indexable_data_pred
 from repro.query.ast import ColumnRef, Comparison, Literal
-from repro.query.eval import batch_predicate_mask, evaluate
+from repro.query.eval import CompiledPredicate, evaluate
 from repro.query.physical import FilterOp, IndexScan, SeqScan
 
 OPS = ["=", "<", "<=", ">", ">="]
@@ -134,7 +134,7 @@ def test_precision_boundary_parity(precision_db, column, op, scalar, swap):
     col, lit = ColumnRef("r", column), Literal(scalar)
     expr = Comparison(op, lit, col) if swap else Comparison(op, col, lit)
     [batch] = SeqScan(ctx, "p", "r").batches()
-    mask = batch_predicate_mask(expr, batch, ctx.eval_ctx)
+    mask = CompiledPredicate(expr).mask(batch, ctx.eval_ctx)
     expected = [bool(evaluate(expr, batch.row(i), ctx.eval_ctx))
                 for i in range(len(batch))]
     assert mask.tolist() == expected
