@@ -427,7 +427,10 @@ class Database:
         return self.wal
 
     def detach_wal(self) -> None:
-        """Stop logging; un-synced bytes stay pending on the device."""
+        """Stop logging and close the device; un-synced bytes stay pending
+        on it."""
+        if self.wal is not None:
+            self.wal.device.close()
         self.wal = None
         self.pool.wal = None
 

@@ -41,6 +41,15 @@ class NaiveBayesClassifier:
         self._total_tokens: dict[str, int] = defaultdict(int)
         self._doc_counts: dict[str, int] = defaultdict(int)
         self._vocabulary: set[str] = set()
+        #: ``(label, log prior, token -> log likelihood)`` per label, built
+        #: on first use after training; derived, so never pickled.
+        self._tables: list | None = None
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_tables"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _tables=None)
 
     @property
     def is_trained(self) -> bool:
@@ -56,30 +65,42 @@ class NaiveBayesClassifier:
             self._total_tokens[label] += len(tokens)
             self._doc_counts[label] += 1
             self._vocabulary.update(tokens)
+        self._tables = None
+
+    def _scores(self, tokens: list[str]) -> dict[str, float]:
+        """Per-label log posterior of in-vocabulary ``tokens``: the tables
+        hold the per-token terms, so scores and ties are bit-identical."""
+        tables = self._tables
+        if tables is None:
+            total_docs = sum(self._doc_counts.values())
+            vocab_size = len(self._vocabulary)
+            tables = []
+            for label in self.labels:
+                # Smoothed prior keeps labels with no seed docs representable.
+                prior = (self._doc_counts[label] + 1) / (total_docs + len(self.labels))
+                denom = self._total_tokens[label] + vocab_size
+                counts = self._token_counts[label]
+                tables.append((label, math.log(prior), {
+                    t: math.log((counts[t] + 1) / denom) for t in self._vocabulary
+                }))
+            self._tables = tables
+        scores: dict[str, float] = {}
+        for label, score, table in tables:
+            for token in tokens:
+                score += table[token]
+            scores[label] = score
+        return scores
 
     def log_scores(self, text: str) -> dict[str, float]:
         """Per-label log posterior (unnormalized) for ``text``."""
         if not self.is_trained:
             raise SummaryError("classifier has not been trained")
-        tokens = [t for t in tokenize(text) if t in self._vocabulary]
-        total_docs = sum(self._doc_counts.values())
-        vocab_size = len(self._vocabulary)
-        scores: dict[str, float] = {}
-        for label in self.labels:
-            # Smoothed prior keeps labels with no seed docs representable.
-            prior = (self._doc_counts[label] + 1) / (total_docs + len(self.labels))
-            score = math.log(prior)
-            denom = self._total_tokens[label] + vocab_size
-            counts = self._token_counts[label]
-            for token in tokens:
-                score += math.log((counts[token] + 1) / denom)
-            scores[label] = score
-        return scores
+        return self._scores([t for t in tokenize(text) if t in self._vocabulary])
 
     def classify(self, text: str) -> str:
         """Most likely label for ``text``."""
         tokens = [t for t in tokenize(text) if t in self._vocabulary]
         if not tokens:
             return self.fallback_label
-        scores = self.log_scores(text)
+        scores = self._scores(tokens)
         return max(self.labels, key=lambda l: scores[l])

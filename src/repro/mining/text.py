@@ -28,7 +28,7 @@ STOP_WORDS = frozenset(
 
 def tokenize(text: str, drop_stop_words: bool = True) -> list[str]:
     """Lowercase word tokens of ``text``, optionally stop-word filtered."""
-    tokens = [m.group(0).lower() for m in _WORD_RE.finditer(text)]
+    tokens = [t.lower() for t in _WORD_RE.findall(text)]
     if drop_stop_words:
         tokens = [t for t in tokens if t not in STOP_WORDS]
     return tokens

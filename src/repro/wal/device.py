@@ -192,6 +192,9 @@ class MemoryWALDevice:
         del self._durable[keep:]
         self._pending.clear()
 
+    def close(self) -> None:
+        """Nothing to release; present so every device can be closed."""
+
 
 _FILE_MAGIC = b"INSIGHTNOTES-WAL"
 _FILE_HEADER = struct.Struct(">HQ")  # version, base_lsn
@@ -202,17 +205,25 @@ FILE_HEADER_SIZE = len(_FILE_MAGIC) + _FILE_HEADER.size
 class FileWALDevice:
     """A WAL device over a real file (used by the CLI verbs).
 
-    Bytes are appended with ``write`` + ``flush`` + ``os.fsync`` on
-    :meth:`sync`, so the durable/pending split matches the OS's. The file
-    starts with a 26-byte header (``INSIGHTNOTES-WAL`` + version + base
-    LSN) so a re-opened log self-describes its logical position.
+    It holds one ``O_WRONLY|O_APPEND`` file, opened on the first
+    :meth:`sync`, which writes the pending bytes and calls ``fdatasync``:
+    for an append that also flushes the new size, so an acked record
+    survives a crash. The file starts with a 26-byte header
+    (``INSIGHTNOTES-WAL`` + version + base LSN) so a re-opened log
+    self-describes its logical position. Fail-stop: a failed ``write``
+    or ``fdatasync`` may leave a torn prefix in the file, and anything
+    appended after it would be lost behind that frame, so every later
+    :meth:`append` or :meth:`sync` raises :class:`WALError`.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._pending = bytearray()
+        self._file = None
+        self._failed: OSError | None = None
         if self.path.exists() and self.path.stat().st_size > 0:
-            header = self.path.read_bytes()[:FILE_HEADER_SIZE]
+            data = self.path.read_bytes()
+            header = data[:FILE_HEADER_SIZE]
             if (
                 len(header) < FILE_HEADER_SIZE
                 or not header.startswith(_FILE_MAGIC)
@@ -225,13 +236,14 @@ class FileWALDevice:
                 raise WALError(
                     f"{self.path}: WAL version {version} unsupported"
                 )
+            self._length = len(data) - FILE_HEADER_SIZE
         else:
             self._write_header(0, create=True)
 
     def _write_header(self, base_lsn: int, create: bool = False) -> None:
         """Start the log over at ``base_lsn``, durably: a checkpoint's
         truncation that a crash undid would leave the log ending below the
-        image's checkpoint LSN."""
+        image's checkpoint LSN. A held append file writes at the new end."""
         with open(self.path, "wb") as fh:
             fh.write(_FILE_MAGIC + _FILE_HEADER.pack(_FILE_VERSION, base_lsn))
             fh.flush()
@@ -239,30 +251,51 @@ class FileWALDevice:
         if create:
             fsync_directory(self.path.parent)
         self.base_lsn = base_lsn
+        self._length = 0
+
+    def _require_alive(self) -> None:
+        if self._failed is not None:
+            raise WALError(f"{self.path}: WAL fail-stopped: {self._failed}")
 
     @property
     def durable_len(self) -> int:
-        return self.path.stat().st_size - FILE_HEADER_SIZE
+        return self._length
 
     @property
     def total_len(self) -> int:
-        return self.durable_len + len(self._pending)
+        return self._length + len(self._pending)
 
     @property
     def pending_len(self) -> int:
         return len(self._pending)
 
     def append(self, data: bytes) -> None:
+        self._require_alive()
         self._pending.extend(data)
 
     def sync(self) -> None:
+        self._require_alive()
         if not self._pending:
             return
-        with open(self.path, "ab") as fh:
-            fh.write(self._pending)
-            fh.flush()
-            os.fsync(fh.fileno())
+        data = bytes(self._pending)
+        try:
+            if self._file is None:
+                self._file = open(self.path, "ab", buffering=0)
+            fd, view = self._file.fileno(), memoryview(data)
+            while view:  # a short write leaves the rest for the next call
+                view = view[os.write(fd, view):]
+            getattr(os, "fdatasync", os.fsync)(fd)
+        except OSError as exc:
+            self._failed = exc
+            raise WALError(f"{self.path}: WAL sync failed: {exc}") from exc
+        self._length += len(data)
         self._pending.clear()
+
+    def close(self) -> None:
+        """Close the held file (idempotent); the next sync re-opens it."""
+        if self._file is not None:
+            self._file.close()
+        self._file = None
 
     def durable(self) -> bytes:
         return self.path.read_bytes()[FILE_HEADER_SIZE:]
@@ -277,16 +310,18 @@ class FileWALDevice:
             raise WALError(
                 f"cannot truncate to LSN {new_base} below base {self.base_lsn}"
             )
+        self._require_alive()
         self._pending.clear()
         self._write_header(new_base)
 
     def discard_after(self, lsn: int) -> None:
         keep = lsn - self.base_lsn
-        if not 0 <= keep <= self.durable_len:
+        if not 0 <= keep <= self._length:
             raise WALError(
                 f"discard_after({lsn}) outside durable range "
-                f"[{self.base_lsn}, {self.base_lsn + self.durable_len}]"
+                f"[{self.base_lsn}, {self.base_lsn + self._length}]"
             )
         self._pending.clear()
         with open(self.path, "r+b") as fh:
             fh.truncate(FILE_HEADER_SIZE + keep)
+        self._length = keep

@@ -34,6 +34,8 @@ from repro.faults import FaultPlan, install_faults
 from repro.storage.record import ValueType
 from repro.wal.device import MemoryWALDevice
 
+pytestmark = pytest.mark.usefixtures("no_fd_growth")
+
 
 def make_db() -> Database:
     db = Database(buffer_pages=16)

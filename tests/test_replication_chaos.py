@@ -52,6 +52,8 @@ from tests.test_network_chaos import SEEDS, chaos_plan
 from tests.test_replication import ReplicaHarness, table_rows
 from tests.test_server import ServerHarness, wait_for
 
+pytestmark = pytest.mark.usefixtures("no_fd_growth")
+
 
 # ---------------------------------------------------------------------------
 # layer 1: the full crash matrix, replayed through the applier

@@ -10,6 +10,8 @@ and v2 (pre-WAL) image compatibility.
 
 from __future__ import annotations
 
+import errno
+import os
 import struct
 
 import pytest
@@ -30,6 +32,22 @@ from repro.wal.record import (
 )
 from repro.wal.recovery import replay
 from repro.wal.writer import WALWriter
+
+
+pytestmark = pytest.mark.usefixtures("no_fd_growth")
+
+
+def open_files_on(path) -> int:
+    """How many of this process's descriptors refer to ``path``."""
+    target = os.stat(path)
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            st = os.stat(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        count += (st.st_dev, st.st_ino) == (target.st_dev, target.st_ino)
+    return count
 
 
 def rows_of(db: Database, query: str = "Select name, n From t") -> list[str]:
@@ -137,6 +155,8 @@ class TestMemoryDevice:
 
 class TestFileDevice:
     def test_roundtrip_and_reopen(self, tmp_path):
+        """A checkpoint's truncation keeps the held append file: the next
+        sync lands after the new header."""
         path = tmp_path / "x.wal"
         dev = FileWALDevice(path)
         dev.append(b"hello")
@@ -146,22 +166,103 @@ class TestFileDevice:
         dev.truncate(77)
         dev.append(b"zz")
         dev.sync()
+        assert (dev.base_lsn, dev.durable_len) == (77, 2)
+        assert path.stat().st_size == FILE_HEADER_SIZE + 2
         again = FileWALDevice(path)
         assert again.base_lsn == 77
         assert again.durable() == b"zz"
+        dev.close()
 
     def test_discard_after(self, tmp_path):
-        dev = FileWALDevice(tmp_path / "x.wal")
+        path = tmp_path / "x.wal"
+        dev = FileWALDevice(path)
         dev.append(b"abcdef")
         dev.sync()
         dev.discard_after(2)
         assert dev.durable() == b"ab"
+        dev.append(b"xy")
+        dev.sync()
+        assert (dev.durable(), dev.durable_len) == (b"abxy", 4)
+        assert path.stat().st_size == FILE_HEADER_SIZE + 4
+        dev.close()
 
     def test_rejects_non_wal_file(self, tmp_path):
         path = tmp_path / "junk.wal"
         path.write_bytes(b"this is not a log at all....")
         with pytest.raises(WALError):
             FileWALDevice(path)
+
+    def test_reopen_sees_bytes_synced_through_an_open_file(self, tmp_path):
+        """The SIGKILL case: the writer never closed its file, and a fresh
+        device (recovery) sees every synced byte and nothing pending."""
+        path = tmp_path / "x.wal"
+        dev = FileWALDevice(path)
+        for chunk in (b"one", b"two", b"three"):
+            dev.append(chunk)
+            dev.sync()
+        dev.append(b"pending")
+        again = FileWALDevice(path)
+        assert again.durable() == b"onetwothree"
+        assert again.durable_len == dev.durable_len == 11
+        assert (again.total_len, dev.total_len) == (11, 18)
+        dev.close()
+
+    def test_close_is_idempotent_and_reopens_on_sync(self, tmp_path):
+        dev = FileWALDevice(tmp_path / "x.wal")
+        dev.close()
+        dev.append(b"a")
+        dev.sync()
+        dev.close()
+        dev.close()
+        dev.append(b"b")
+        dev.sync()
+        assert dev.durable() == b"ab"
+        dev.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_detach_wal_closes_the_log(self, tmp_path):
+        path = tmp_path / "db.wal"
+        db = build_db()
+        db.detach_wal()
+        db.attach_wal(FileWALDevice(path))
+        db.insert("t", {"name": "logged", "n": 1})
+        assert open_files_on(path) == 1
+        db.detach_wal()
+        assert open_files_on(path) == 0
+
+    def test_a_failed_write_fail_stops_the_device(self, tmp_path,
+                                                   monkeypatch):
+        """A write that lands a prefix and then raises kills the device:
+        no later statement is acknowledged, nothing is appended behind the
+        torn frame, and recovery gives exactly the synced prefix."""
+        wal_path, image = tmp_path / "db.wal", tmp_path / "img.db"
+        db = build_db()
+        db.save(image)
+        db.detach_wal()
+        db.attach_wal(FileWALDevice(wal_path))
+        db.insert("t", {"name": "acked", "n": 1})
+        acked, synced = rows_of(db), wal_path.stat().st_size
+        real_write = os.write
+
+        def torn_write(fd, data):
+            real_write(fd, data[:7])
+            raise OSError(errno.EIO, "injected I/O error")
+
+        monkeypatch.setattr(os, "write", torn_write)
+        with pytest.raises(WALError):
+            db.insert("t", {"name": "lost", "n": 2})
+        monkeypatch.setattr(os, "write", real_write)
+        with pytest.raises(WALError):
+            db.insert("t", {"name": "never acked", "n": 3})
+        with pytest.raises(WALError):
+            db.wal.device.sync()
+        assert wal_path.stat().st_size == synced + 7
+        db.detach_wal()
+        recovered, report = Database.recover(image, FileWALDevice(wal_path))
+        assert report.torn_bytes == 7
+        assert rows_of(recovered) == acked
+        recovered.detach_wal()
 
 
 class TestWriter:
@@ -409,6 +510,7 @@ class TestCheckpoint:
         last_dir = events.index(("fsync", directory))
         assert ("fsync", wal) in events[last_dir + 1:]
         assert FileWALDevice(wal_path).base_lsn == db.checkpoint_lsn
+        db.detach_wal()
 
     def test_v2_image_loads_with_zero_checkpoint(self, tmp_path):
         """Pre-WAL (v2) images stay loadable; their checkpoint LSN is 0."""

@@ -121,6 +121,7 @@ def test_file_device_ranges_match_whole_log(tmp_path_factory, shape, torn,
     write_rounds(wal, shape)
     tear_file_tail(wal, torn)
     assert_ranged(wal, spread(wal, drawn))
+    wal.device.close()
 
 
 def test_windowed_polls_rebuild_the_stream(tmp_path):
@@ -141,6 +142,7 @@ def test_windowed_polls_rebuild_the_stream(tmp_path):
     assert bytes(rebuilt) == whole
     scan = scan_records(bytes(rebuilt), 0)
     assert scan.torn_bytes == 0 and len(scan.records) == 6
+    wal.device.close()
 
 
 def test_device_read_clips_at_the_durable_end(tmp_path):
@@ -157,3 +159,4 @@ def test_device_read_clips_at_the_durable_end(tmp_path):
         assert device.read(2, 3) == b"cde"
         assert device.read(4, 100) == b"ef"  # pending bytes are not durable
         assert device.read(6, 10) == b""
+    file.close()
