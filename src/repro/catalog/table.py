@@ -187,14 +187,12 @@ class Table:
 
     def _records_for(self, oids: list[int]) -> dict[int, bytes]:
         """Raw heap records for many OIDs, their RIDs resolved by
-        :func:`rid_resolver`; missing OIDs are simply absent."""
+        :func:`rid_resolver` and each heap page read once
+        (:meth:`HeapFile.read_many`); missing OIDs are simply absent."""
         rid_of = rid_resolver(self.oid_index, oids)
-        out: dict[int, bytes] = {}
-        for oid in dict.fromkeys(oids):
-            rid = rid_of(oid)
-            if rid is not None:
-                out[oid] = self.heap.read(rid)
-        return out
+        rids = {oid: rid for oid in dict.fromkeys(oids)
+                if (rid := rid_of(oid)) is not None}
+        return dict(zip(rids, self.heap.read_many(list(rids.values()))))
 
     def read_many(self, oids: list[int]) -> list[list[object]]:
         """Positional rows for ``oids``, in order (see :meth:`_records_for`);

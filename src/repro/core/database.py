@@ -36,6 +36,7 @@ from repro.errors import (
     CatalogError,
     CorruptImageError,
     CorruptPageError,
+    DatabaseFailedError,
     IndexError_,
     IntegrityError,
     QueryError,
@@ -236,6 +237,10 @@ class _ImageUnpickler(pickle.Unpickler):
 
 class Database:
     """A complete in-process InsightNotes+ engine."""
+
+    #: The error of a failed WAL sync: every later statement raises
+    #: DatabaseFailedError (:meth:`_check_alive`).  Images load alive.
+    failure: Exception | None = None
 
     def __init__(
         self,
@@ -444,6 +449,9 @@ class Database:
         ever acknowledged after its record is durable; on failure the sync
         is skipped — the un-synced record either vanishes with the crash
         or is replayed, fails the same way, and is skipped by recovery.
+        A failed sync leaves the statement applied but unacknowledged, so
+        it fail-stops the database: every later statement raises
+        :class:`DatabaseFailedError` until :meth:`recover`.
 
         Holds the commit mutex for the whole scope: the WAL is one serial
         stream, so concurrent writers (autocommit statements on worker
@@ -452,6 +460,7 @@ class Database:
         autocommit statement planning under it recurse safely.
         """
         with self._commit_mutex:
+            self._check_alive()
             if self.read_only and not self._wal_replaying:
                 raise ReadOnlyReplicaError(
                     "replica is read-only: route writes to the primary, "
@@ -466,9 +475,21 @@ class Database:
             try:
                 yield active
                 if active:
-                    self.wal.sync()
+                    try:
+                        self.wal.sync()
+                    except Exception as exc:  # applied, never acked
+                        self.failure = exc
+                        raise
             finally:
                 self._wal_depth -= 1
+
+    def _check_alive(self) -> None:
+        """Raise :class:`DatabaseFailedError` once a WAL sync has failed."""
+        if self.failure is not None:
+            raise DatabaseFailedError(
+                f"a WAL sync failed ({self.failure}): recover the database "
+                "from its log"
+            )
 
     def _wal_append(self, rtype: int, payload: dict, txn_id: int = 0) -> int:
         self._stmt_counter += 1

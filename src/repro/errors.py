@@ -63,6 +63,12 @@ class WALError(StorageError):
     truncated region, or a writer driven against a dead log device."""
 
 
+class DatabaseFailedError(WALError):
+    """Raised by every statement once a WAL sync failed: that statement
+    is applied but unacknowledged, so the database answers nothing until
+    ``Database.recover`` rebuilds it from the acknowledged log."""
+
+
 class IndexError_(ReproError):
     """Raised for B-Tree / Summary-BTree failures.
 

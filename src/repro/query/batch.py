@@ -322,8 +322,15 @@ def batches_from_rows(
         yield Batch.from_rows(pending)
 
 
-def rows_from_batches(batches: Iterable[Batch]) -> Iterator[QTuple]:
-    """Flatten a batch stream back into tuples (row-logic operators)."""
+def rows_from_batches(
+    batches: Iterable[Batch], whole: bool = False
+) -> Iterator[QTuple]:
+    """Flatten a batch stream back into tuples (row-logic operators).
+
+    ``whole`` is for a pipeline breaker, which reads every row: each
+    batch's row views are built together, with one summary ask
+    (:meth:`Batch.to_rows`).  A streaming consumer builds them one at a
+    time, so a ``LIMIT`` above it fetches no set it never uses."""
     for batch in batches:
-        for i in range(len(batch)):
-            yield batch.row(i)
+        yield from batch.to_rows() if whole else map(batch.row,
+                                                     range(len(batch)))

@@ -18,6 +18,8 @@ outer batch when the probe is an equality.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate, groupby
 from typing import Callable, Iterator
 
 import numpy as np
@@ -35,7 +37,7 @@ from repro.query.ast import (
     UdfCall,
 )
 from repro.query.batch import Batch, batches_from_rows, rows_from_batches
-from repro.query.eval import CompiledPredicate, evaluate
+from repro.query.eval import CompiledPredicate, _numpy_exact, evaluate
 from repro.query.logical import split_conjuncts
 from repro.query.physical.base import ExecContext, PhysicalOperator
 from repro.query.physical.scans import (
@@ -104,6 +106,12 @@ class NestedLoopJoin(PhysicalOperator):
       ``LIKE``): evaluated on the pre-merge pair view of each surviving
       inner row.
 
+    In the block join, a bound ``=`` against a bare inner data column that
+    only outer-only conjuncts precede is the *key*: the inner column is
+    indexed once per run (:func:`_key_index`), and each outer row visits
+    only its key's rows; a key the index cannot compare exactly takes
+    the bound path.
+
     Each conjunct runs only on the rows every earlier conjunct kept, and
     outer-side values are computed on first need, so the (pair, conjunct)
     evaluations performed — and therefore results and raised errors — are
@@ -139,7 +147,8 @@ class NestedLoopJoin(PhysicalOperator):
     def _produce_batches(self) -> Iterator[Batch]:
         inner = [batch for batch in self.right.batches() if len(batch)]
         return batches_from_rows(self._joined(
-            rows_from_batches(self.left.batches()), lambda _row: inner
+            rows_from_batches(self.left.batches()), lambda _row: inner,
+            keyed=True,
         ))
 
     def _classify(self, outer: set[str], inner: set[str]) -> list[tuple]:
@@ -165,12 +174,13 @@ class NestedLoopJoin(PhysicalOperator):
 
     def _joined(
         self, left_rows: Iterator[QTuple],
-        inner_for: Callable[[QTuple], list[Batch]],
+        inner_for: Callable[[QTuple], list[Batch]], keyed: bool = False,
     ) -> Iterator[QTuple]:
         """The pair loop: each outer row against the non-empty inner
-        batches ``inner_for`` gives it."""
+        batches ``inner_for`` gives it.  ``keyed`` says they are the same
+        batches for every outer row, so a *key* conjunct may index them."""
         eval_ctx = self.ctx.eval_ctx
-        plan = None
+        plan = key = index = None
         for left_row in left_rows:
             inner = inner_for(left_row)
             if not inner:
@@ -178,11 +188,33 @@ class NestedLoopJoin(PhysicalOperator):
             if plan is None:
                 plan = self._classify(_aliases(left_row.columns),
                                       _aliases(inner[0].columns))
+                key = _key_of(plan, inner[0].columns) if keyed else None
             #: plan position -> outer verdict / bound comparison, on first need
             bound: dict[int, object] = {}
-            for batch in inner:
-                mask = np.ones(len(batch), dtype=bool)
-                for pos, (kind, conj, outer_side) in enumerate(plan):
+            visits, start = [(batch, None) for batch in inner], 0
+            if key is not None:
+                pos, outer, column = key
+                # Only outer-only conjuncts come first: the key's outer
+                # side is needed iff they all hold.
+                if not all(evaluate(plan[p][1], left_row, eval_ctx)
+                           for p in range(pos)):
+                    continue
+                value = evaluate(outer, left_row, eval_ctx)
+                if index is None:
+                    index = _key_index(inner, column)
+                hits = _key_hits(index, value)
+                start = pos  # the bound path, unless the array answers
+                if hits is not None:
+                    visits = [(inner[b], rows) for b, rows in hits]
+                    start = pos + 1
+            for batch, rows in visits:
+                if rows is None:
+                    mask = np.ones(len(batch), dtype=bool)
+                else:
+                    mask = np.zeros(len(batch), dtype=bool)
+                    mask[rows] = True
+                for pos, (kind, conj, outer_side) in enumerate(plan[start:],
+                                                               start):
                     if not mask.any():
                         break
                     if kind == "inner":
@@ -222,6 +254,46 @@ def _bind(conj: Comparison, outer_side: str, left_row: QTuple,
         return Comparison(conj.op, Literal(value), conj.right)
     value = evaluate(conj.right, left_row, eval_ctx)
     return Comparison(conj.op, conj.left, Literal(value))
+
+
+def _key_of(plan: list[tuple], columns: list[str]) -> tuple | None:
+    """``(position, outer expr, inner column)`` of the *key* conjunct: the
+    first conjunct after outer-only ones alone, when it is an ``=`` bound
+    against a bare inner data column."""
+    for pos, (kind, conj, outer_side) in enumerate(plan):
+        if kind == "bound" and conj.op == "=":
+            outer, inner = (conj.left, conj.right) if outer_side == "left" \
+                else (conj.right, conj.left)
+            if isinstance(inner, ColumnRef) and str(inner) in columns:
+                return pos, outer, str(inner)
+        if kind != "outer":
+            return None
+    return None
+
+
+def _key_index(inner: list[Batch], column: str) -> tuple:
+    """``(values, array, offsets)``: ``column`` over every inner batch, in
+    order, its numpy array (None when numpy cannot hold it) and each
+    batch's first position in them."""
+    values = [v for batch in inner for v in batch.column_values(column)]
+    try:
+        array = np.asarray(values)
+    except (ValueError, TypeError, OverflowError):
+        array = None
+    return values, array, list(accumulate(map(len, inner), initial=0))
+
+
+def _key_hits(index: tuple, value) -> list | None:
+    """``[(batch position, rows)]`` of the rows of a :func:`_key_index`
+    equal to ``value``, in inner order; None unless numpy compares
+    ``value`` with the column as Python does (:func:`_numpy_exact`)."""
+    values, array, offsets = index
+    if array is None or not isinstance(value, (int, float)) \
+            or not _numpy_exact(values, array, value):
+        return None
+    hits = np.flatnonzero(array == value).tolist()
+    return [(b, [g - offsets[b] for g in group]) for b, group
+            in groupby(hits, lambda g: bisect_right(offsets, g) - 1)]
 
 
 class _IndexJoin(NestedLoopJoin):

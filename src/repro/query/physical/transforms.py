@@ -235,7 +235,7 @@ class SortOp(PhysicalOperator):
         # Sorting is a full pipeline breaker: run the row comparator over
         # the child's batches and re-chunk the output.
         return batches_from_rows(
-            self._sorted(rows_from_batches(self.child.batches()))
+            self._sorted(rows_from_batches(self.child.batches(), whole=True))
         )
 
     def _sorted(self, rows: Iterator[QTuple]) -> Iterator[QTuple]:
@@ -351,7 +351,8 @@ class GroupOp(PhysicalOperator):
         # Grouping is a pipeline breaker; group over the child's batches
         # as rows and re-chunk the aggregated output.
         return batches_from_rows(
-            self._grouped(rows_from_batches(self.child.batches()))
+            self._grouped(rows_from_batches(self.child.batches(),
+                                            whole=True))
         )
 
     def _grouped(self, rows: Iterator[QTuple]) -> Iterator[QTuple]:

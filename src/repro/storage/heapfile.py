@@ -177,6 +177,19 @@ class HeapFile:
         """Return the record stored at ``rid``."""
         return self._unwrap(self._page(rid.page_no).read(rid.slot))
 
+    def read_many(self, rids: list[RID]) -> list[bytes]:
+        """:meth:`read` of each of ``rids``, in order, reading each heap
+        page once; overflow chains are read after every page."""
+        by_page: dict[int, list[int]] = {}
+        for n, rid in enumerate(rids):
+            by_page.setdefault(rid.page_no, []).append(n)
+        stored: list[bytes] = [b""] * len(rids)
+        for page_no, positions in by_page.items():
+            page = self._page(page_no)
+            for n in positions:
+                stored[n] = page.read(rids[n].slot)
+        return [self._unwrap(record) for record in stored]
+
     def delete(self, rid: RID) -> None:
         """Delete the record at ``rid`` (tombstones the slot)."""
         # Pinned: _release touches overflow-chain pages through the pool,

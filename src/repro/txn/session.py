@@ -133,6 +133,7 @@ class Session:
         buffering).  ``Database.sql`` lands here via the default session."""
         if self.closed:
             raise TransactionError("session is closed")
+        self.db._check_alive()
         try:
             return self._run_stmt(stmt)
         except LockTimeoutError:

@@ -32,6 +32,8 @@ tuple gone from behind either index raises ``RecordNotFoundError``.
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given
@@ -56,7 +58,8 @@ from repro.query.ast import (
     SummaryExpr,
     UdfCall,
 )
-from repro.query.eval import evaluate
+from repro.bench.queries import example4_query
+from repro.query.eval import CompiledPredicate, evaluate
 from repro.query.logical import conjoin
 from repro.query.parser import parse_sql
 from repro.query.physical import (
@@ -66,11 +69,23 @@ from repro.query.physical import (
     SortOp,
     SummaryIndexNestedLoopJoin,
 )
+from repro.query.physical import joins
 from repro.query.physical.joins import _pair_view
 from repro.query.tuples import QTuple
 from repro.resilience import ExecutionContext
 from repro.resilience.context import BATCH_ROWS
 from repro.summaries.storage import SummaryStorage
+from repro.workload import build_database
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from benchmarks.perf.workloads import (  # noqa: E402
+    JOIN_THRESHOLD,
+    WORKLOADS,
+    Scale,
+)
 
 SEEDS = [
     ("flu virus infection outbreak", "Disease"),
@@ -129,9 +144,16 @@ def observe(run):
 
 # -- strategies ----------------------------------------------------------------
 
-ints = st.one_of(st.none(), st.integers(0, 4))
-floats = st.one_of(st.none(), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.5]))
-texts = st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b", "flu"]))
+BIG = 2 ** 53
+#: The type edges of ``=``: ints past float64's exact range and at the
+#: int64 bounds, integral and non-integral floats, both zeros and NaN,
+#: and a numeric-looking string.
+ints = st.one_of(st.none(), st.sampled_from(
+    [0, 1, 2, 3, 4, BIG, BIG + 1, (1 << 63) - 1, -(1 << 63)]))
+floats = st.one_of(st.none(), st.sampled_from(
+    [-1.0, 0.0, -0.0, 0.5, 1.0, 2.0, 3.5, float(BIG), float("nan")]))
+texts = st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b", "flu",
+                                              "3"]))
 annotations = st.lists(st.sampled_from(TEXTS), max_size=2)
 rows = st.lists(st.tuples(ints, floats, texts, annotations), min_size=1,
                 max_size=7)
@@ -196,6 +218,21 @@ conjunct = st.one_of(
         lambda items: Or(tuple(items))
     ),
 )
+# A key conjunct: ``=`` between an outer expression and a bare inner data
+# column, after outer-only conjuncts alone (the block join indexes the
+# column), then anything.
+key_conjunct = st.builds(
+    lambda outer, column, swap: Comparison("=", ColumnRef(INNER, column),
+                                           outer) if swap
+    else Comparison("=", outer, ColumnRef(INNER, column)),
+    outer_side, st.sampled_from(INNER_COLUMNS), st.booleans(),
+)
+keyed_condition = st.builds(
+    lambda head, key, rest: head + [key] + rest,
+    st.lists(comparison(outer_side, literals.map(Literal)), max_size=2),
+    key_conjunct,
+    st.lists(conjunct, max_size=2),
+)
 
 
 def build(outer_rows, inner_rows) -> Database:
@@ -224,7 +261,7 @@ def build(outer_rows, inner_rows) -> Database:
 @given(
     outer_rows=rows,
     inner_rows=rows,
-    condition=st.lists(conjunct, max_size=3),
+    condition=st.one_of(st.lists(conjunct, max_size=3), keyed_condition),
     summary_predicate=st.lists(summary_conjunct, max_size=2),
     sorted_inner=st.booleans(),
 )
@@ -354,9 +391,104 @@ def test_inner_summary_sets_are_shared_across_outer_rows():
         assert all(s is sets[0] for s in sets)
 
 
+# -- the key index ------------------------------------------------------------
+
+EDGE_INTS = [None, 0, 2, BIG, BIG + 1, (1 << 63) - 1, -(1 << 63)]
+EDGE_FLOATS = [None, 0.0, -0.0, 2.0, 2.5, float(BIG), float("nan")]
+EDGE_TEXTS = [None, "", "2", "a"]
+
+
+def count_key_indexes(monkeypatch) -> list:
+    built: list = []
+    real = joins._key_index
+
+    def key_index(inner, name):
+        built.append(name)
+        return real(inner, name)
+
+    monkeypatch.setattr(joins, "_key_index", key_index)
+    return built
+
+
+@pytest.mark.parametrize("outer_column", ["i", "f", "t"])
+@pytest.mark.parametrize("inner_column", ["k", "g", "u"])
+@pytest.mark.parametrize("shape", ["first", "swapped", "after_outer",
+                                   "residual"])
+@pytest.mark.parametrize("inner_nulls", [False, True])
+def test_key_index_equals_per_pair_at_the_type_edges(
+    monkeypatch, outer_column, inner_column, shape, inner_nulls
+):
+    """Every pairing of an INT, FLOAT and TEXT outer column with an inner
+    one over three inner batches holding each edge value: ints past 2**53
+    and at the int64 bounds against integral floats, both zeros, NaN,
+    NULLs and numeric-looking strings.  Without NULLs the numeric inner
+    columns are int64 and float64 arrays.  The block join indexes the
+    inner column once; rows and their order are per-pair evaluation's."""
+    ints, floats = (EDGE_INTS, EDGE_FLOATS) if inner_nulls \
+        else (EDGE_INTS[1:], EDGE_FLOATS[1:])
+    db = build(
+        [(i, f, EDGE_TEXTS[n % 4], TEXTS[:n % 2])
+         for n, (i, f) in enumerate(zip(EDGE_INTS, EDGE_FLOATS))],
+        [(ints[n % len(ints)], floats[n // 7 % len(floats)],
+          EDGE_TEXTS[n % 4], TEXTS[n % 3:n % 3 + 1])
+         for n in range(2 * BATCH_ROWS + 5)],
+    )
+    outer, inner = ColumnRef(OUTER, outer_column), ColumnRef(INNER,
+                                                            inner_column)
+    key = Comparison("=", outer, inner)
+    condition = {
+        "first": key,
+        "swapped": Comparison("=", inner, outer),
+        "after_outer": And((
+            Comparison("<>", ColumnRef(OUTER, "t"), Literal("a")), key)),
+        "residual": And((key, Comparison(
+            ">=", label(INNER, "Other"), label(OUTER, "Other")))),
+    }[shape]
+    ctx = db.planner.exec_context()
+    op = NestedLoopJoin(ctx, SeqScan(ctx, "a", OUTER),
+                        SeqScan(ctx, "b", INNER), condition)
+    expected = observe(lambda: per_pair_join(op))
+    built = count_key_indexes(monkeypatch)
+    assert observe(lambda: list(op.rows())) == expected
+    assert built == [f"{INNER}.{inner_column}"]
+    if outer_column + inner_column in ("ik", "fg", "tu"):
+        assert expected and expected[0] != "error"
+
+
+def test_example4_indexes_the_inner_key_once_and_compares_nothing(
+    monkeypatch
+):
+    """Example 4 at the served benchmark's scale: its block join builds
+    one key index per run and asks the compare kernel for no mask at all
+    (per-pair binding asked for 2 outer rows x 5 inner batches), reading
+    the same pages."""
+    db = build_database(WORKLOADS["read_indexed"].config(Scale()))
+    sql = example4_query(JOIN_THRESHOLD)
+    assert "NestedLoopJoin[NLoop]" in str(db.sql(f"Explain {sql}"))
+    def answer():
+        return [tuple(row.values) for row in db.sql(sql).tuples]
+
+    expected = answer()
+    masks: list = []
+    real_mask = CompiledPredicate.mask
+
+    def mask(self, batch, ctx=None, active=None):
+        masks.append(str(self.expr))
+        return real_mask(self, batch, ctx, active)
+
+    monkeypatch.setattr(CompiledPredicate, "mask", mask)
+    built = count_key_indexes(monkeypatch)
+    pages = db.pool.hits + db.pool.misses
+    for _run in range(3):
+        assert answer() == expected
+    assert len(expected) == 6
+    assert built == ["s.bird_id"] * 3
+    assert masks == []
+    assert db.pool.hits + db.pool.misses - pages == 3 * 7
+
+
 # -- the index joins -----------------------------------------------------------
 
-BIG = 2 ** 53
 KEYS = [None, 0, 1, 2, 2.0, 2.5, -1.0, -0.0, "a", "ab", True, False, BIG,
         BIG + 1, float(BIG)]
 PROBE_OPS = ["=", "<", "<=", ">", ">="]

@@ -25,6 +25,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
@@ -33,6 +35,7 @@ from benchmarks.perf.workloads import WORKLOADS, Scale, statements  # noqa: E402
 from repro.cache.summary_cache import SummaryCache  # noqa: E402
 from repro.query.batch import Batch  # noqa: E402
 from repro.query.eval import EvalContext  # noqa: E402
+from repro.resilience.context import BATCH_ROWS  # noqa: E402
 from repro.storage.buffer import BufferPool  # noqa: E402
 from repro.summaries.objects import SearchTexts  # noqa: E402
 from repro.workload import build_database  # noqa: E402
@@ -41,7 +44,7 @@ SCALE = Scale(num_birds=40, annotations_per_tuple=6)
 #: (cache hits, cache misses, pool page accesses) over the whole list.
 #: Each tuple's summary row is read from the heap on its first miss only;
 #: the cache answers every later read of it, label predicates included.
-PINNED = (1617, 40, 477)
+PINNED = (1617, 40, 368)
 
 
 def counting(monkeypatch, cls, name: str, counts: Counter):
@@ -142,7 +145,9 @@ def test_index_scan_reads_each_batch_of_hits_at_once(monkeypatch):
     """A data-column ``IndexScan`` reads its hits with one
     ``Table.read_many`` per batch: no ``Table.read`` per hit.  Reading
     the 100 hits one OID-index descent each took 307 page accesses; the
-    batched reads take 111."""
+    batched reads took 111 while each hit read its own heap page, and
+    take 14 now that a batch reads each of the table's 2 heap pages
+    once."""
     from repro import Column, Database, ValueType
     from repro.catalog.table import Table
 
@@ -164,4 +169,64 @@ def test_index_scan_reads_each_batch_of_hits_at_once(monkeypatch):
     assert sorted(row.values[0] for row in rows) == sorted(
         f"n{i}" for i in range(2, 400, 4))
     assert counts["read"] == 0
-    assert pages < 150
+    assert pages < 30
+
+
+@pytest.mark.parametrize("oids", [
+    list(range(1, 400, 4)),          # dense: one OID-index range pass
+    [3, 390, 7, 200, 3, 391, 150],   # sparse, repeated: one descent each
+])
+def test_read_many_reads_each_heap_page_once(monkeypatch, oids):
+    """``Table.read_many`` costs the OID-index pages that resolve its
+    RIDs plus one access per distinct heap page, however many of its
+    rows share a page, and returns the rows in the order asked."""
+    from repro import Column, Database, ValueType
+    from repro.catalog.table import rid_resolver
+
+    db = Database()
+    db.create_table("t", [Column("k", ValueType.INT),
+                          Column("name", ValueType.TEXT)])
+    for i in range(400):
+        db.insert("t", [i, f"n{i}" * 20])
+    table, pool = db.catalog.table("t"), db.pool
+    assert len(table.heap.page_ids) >= 4
+
+    def accesses(fn) -> int:
+        before = pool.hits + pool.misses
+        fn()
+        return pool.hits + pool.misses - before
+
+    def resolve():
+        rid_of = rid_resolver(table.oid_index, oids)
+        return [rid_of(oid) for oid in dict.fromkeys(oids)]
+
+    index_pages = accesses(resolve)
+    heap_pages = len({rid.page_no for rid in resolve()})
+    expected = [table.read(oid) for oid in oids]
+    rows: list = []
+    assert accesses(lambda: rows.extend(table.read_many(oids))) \
+        == index_pages + heap_pages
+    assert rows == expected
+    assert heap_pages < len(set(oids))
+
+
+def test_sort_and_group_read_each_child_batch_at_once(monkeypatch):
+    """A pipeline breaker reads every row of its child, so it builds each
+    child batch's row views together: one summary-cache pass per child
+    batch, not one per row (``count(*)`` over the served database's 300
+    synonyms made 300 passes)."""
+    db = build_database(WORKLOADS["read_indexed"].config(SCALE))
+    batches = -(-len(db.catalog.table("synonyms")) // BATCH_ROWS)
+    assert batches >= 2
+    counts: Counter = Counter()
+    counting(monkeypatch, SummaryCache, "lookup_many", counts)
+    for sql, breaker in (
+        ("Select count(*) From synonyms s", "Group"),
+        ("Select s.bird_id, count(*) From synonyms s Group By s.bird_id",
+         "Group"),
+        ("Select s.synonym From synonyms s Order By s.synonym", "Sort"),
+    ):
+        assert breaker in str(db.sql(f"Explain {sql}")), sql
+        counts.clear()
+        db.sql(sql)
+        assert counts["lookup_many"] == batches, sql
