@@ -60,7 +60,7 @@ def test_join_implementations(
     db = _joined_db(preset, density)
     db.options.force_join = "nloop" if impl == "J-NLoop" else "index"
     try:
-        m = case(db, lambda: db.sql(QUERY), rounds=1)
+        m = case(db, lambda: db.sql(QUERY))
     finally:
         db.options.force_join = None
 

@@ -64,15 +64,19 @@ _RENDERED: list[str] = []
 
 
 @pytest.fixture(scope="module")
-def figure_writer(results_dir):
+def figure_writer(results_dir, preset):
     """Collects FigureTables from a bench module; when the module's
     benches finish they are written to ``bench_results/<name>.txt`` and
     queued for the terminal summary (which pytest emits uncaptured, so
-    the paper-style series appear in plain benchmark runs)."""
+    the paper-style series appear in plain benchmark runs).  Each table
+    ends with the scale it was measured at, so a rerun at another
+    ``REPRO_BENCH_SCALE`` shows in the diff."""
     tables: dict[str, FigureTable] = {}
     yield tables
+    scale = (f"  scale: REPRO_BENCH_SCALE={preset.name}, "
+             f"{preset.num_birds} birds")
     for name, table in tables.items():
-        text = table.render()
+        text = table.render() + "\n" + scale
         _RENDERED.append(text)
         (results_dir / f"{name}.txt").write_text(text + "\n")
 

@@ -238,8 +238,9 @@ class _ImageUnpickler(pickle.Unpickler):
 class Database:
     """A complete in-process InsightNotes+ engine."""
 
-    #: The error of a failed WAL sync: every later statement raises
-    #: DatabaseFailedError (:meth:`_check_alive`).  Images load alive.
+    #: The error of a failed WAL sync or commit-group apply: every later
+    #: statement raises DatabaseFailedError (:meth:`_check_alive`).
+    #: Images load alive.
     failure: Exception | None = None
 
     def __init__(
@@ -484,11 +485,12 @@ class Database:
                 self._wal_depth -= 1
 
     def _check_alive(self) -> None:
-        """Raise :class:`DatabaseFailedError` once a WAL sync has failed."""
+        """Raise :class:`DatabaseFailedError` once an unacknowledged write
+        has left the database ahead of its log."""
         if self.failure is not None:
             raise DatabaseFailedError(
-                f"a WAL sync failed ({self.failure}): recover the database "
-                "from its log"
+                f"a logged write failed ({self.failure}): recover the "
+                "database from its log"
             )
 
     def _wal_append(self, rtype: int, payload: dict, txn_id: int = 0) -> int:

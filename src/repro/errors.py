@@ -64,8 +64,9 @@ class WALError(StorageError):
 
 
 class DatabaseFailedError(WALError):
-    """Raised by every statement once a WAL sync failed: that statement
-    is applied but unacknowledged, so the database answers nothing until
+    """Raised by every statement once a WAL sync or a commit group's
+    apply failed: that write is applied (wholly or in part) but
+    unacknowledged, so the database answers nothing until
     ``Database.recover`` rebuilds it from the acknowledged log."""
 
 

@@ -102,7 +102,6 @@ class PlannerOptions:
     """Optimizer ablation knobs (see module docstring)."""
 
     enable_rules: bool = True
-    enable_summary_indexes: bool = True
     enable_data_indexes: bool = True
     force_join: str | None = None  # "nloop" | "index"
     force_sort: str | None = None  # "mem" | "disk"
@@ -677,12 +676,11 @@ class _LowerState:
         return self._wrap_residuals(base, data_preds, summary_preds)
 
     def _admits(self, kind: str) -> bool:
-        """The ``index_scheme`` filter: one classifier scheme at a time,
-        and only while summary indexes are enabled; other kinds always."""
+        """The ``index_scheme`` filter: one classifier scheme at a time
+        ("none" admits neither); other kinds always."""
         if kind not in SCHEME_KINDS.values():
             return True
-        return (self.options.enable_summary_indexes
-                and SCHEME_KINDS.get(self.options.index_scheme) == kind)
+        return SCHEME_KINDS.get(self.options.index_scheme) == kind
 
     def _probe_path(self, scan, probe, data_preds, summary_preds,
                     stats) -> Lowered | None:

@@ -11,21 +11,21 @@ touched summary row once.
 Two watermarks drive everything:
 
 * ``fetch_lsn`` — the next byte offset to request from the primary.  It
-  advances over every *parsed* frame, including records merely buffered.
-* ``ack_lsn`` — the **committed-prefix** watermark: every record below it
-  has been applied, and no record at or above it has.  This is the value
-  acked to the primary (pinning log retention) and the resume point after
-  any link failure: re-fetching from ``ack_lsn`` can only re-deliver
-  records that were never applied, so resume is idempotent by
-  construction — never a double apply.
+  advances over every *parsed* frame, including those of an open group.
+* ``ack_lsn`` — the **committed-prefix** watermark: the end of the last
+  committed record applied.  This is the value acked to the primary
+  (pinning log retention) and the resume point after any link failure:
+  re-fetching from ``ack_lsn`` can only re-deliver records that were
+  never applied, so resume is idempotent by construction — never a
+  double apply.
 
-The gap between the two is an open explicit-transaction group.  Commit
-groups are appended contiguously under the primary's commit mutex, so the
-applier buffers a group from its ``TXN_BEGIN`` and applies it atomically
-at its ``TXN_COMMIT`` — and if any *other* record interrupts the group
-(contiguity broken), the group's commit frame can never arrive: it is the
-streaming image of recovery's crash-mid-commit discard, and the buffered
-records are dropped without applying.
+The records go through :func:`~repro.wal.recovery.commit_groups`, the
+rule recovery uses: autocommit records apply as they come, a commit
+group applies whole at its ``TXN_COMMIT``, and any other record, a new
+``TXN_BEGIN`` included, abandons the open group — the streaming image of
+recovery's crash-mid-commit discard.  The group still open at the end of
+a feed is the only state carried to the next; txn ids may repeat after
+a primary restart, and the rule never needs them to be unique.
 
 Torn tails are normal: the stream is sliced by a byte budget, so a frame
 may arrive split across polls.  Unparseable bytes simply stop the scan;
@@ -40,15 +40,15 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.wal.record import WALRecordType, scan_records
-from repro.wal.recovery import RecoveryReport, apply_records
+from repro.wal.record import scan_records
+from repro.wal.recovery import RecoveryReport, apply_committed, commit_groups
 
 
 @dataclass
 class ApplyResult:
     """Outcome of one :meth:`WALApplier.feed` call."""
 
-    #: complete frames parsed (applied or buffered).
+    #: complete frames parsed (applied, held open or dropped).
     parsed_records: int
     #: bytes consumed (``fetch_lsn`` advanced by this much).
     parsed_bytes: int
@@ -67,16 +67,12 @@ class WALApplier:
         self.ack_lsn = start_lsn
         #: next byte offset to request from the primary.
         self.fetch_lsn = start_lsn
-        #: records of the currently open explicit-txn group.
-        self._group: list = []
-        self._group_txn = 0
+        #: the commit group left open by the last feed.
+        self._group = None
         self._cond = threading.Condition()
-        #: lifetime counters (also mirrored into db.metrics).
-        self.records_applied = 0
-        self.txns_applied = 0
-        self.groups_abandoned = 0
-        self.orphan_records = 0
-        self.failed_records = 0
+        #: lifetime counts over every feed, kept as recovery keeps them.
+        self.report = RecoveryReport(checkpoint_lsn=start_lsn,
+                                     start_lsn=start_lsn, end_lsn=start_lsn)
         #: monotonic timestamp of the last ack advance (lag clock).
         self.last_advance = time.monotonic()
 
@@ -97,82 +93,35 @@ class WALApplier:
         )
 
     def _process(self, records, end_lsn: int) -> int:
-        """Route records through the commit-group buffer; apply what is
-        committed. Returns the number of records applied.
+        """Apply the committed records of one feed; returns how many.
 
-        Frame boundaries come from the scan's *physical* positions (the
-        next record's LSN, or ``end_lsn`` for the last): re-encoding a
-        decoded payload is not byte-stable, so ``WALRecord.end_lsn``
-        must never feed the ack watermark.
+        The ack moves to the *physical* end of the last one (the next
+        record's LSN, or ``end_lsn``): re-encoding a decoded payload is
+        not byte-stable, so ``WALRecord.end_lsn`` must never feed it.
         """
-        batches: list[tuple[list, int]] = []  # (records, ack_after)
-        for i, rec in enumerate(records):
-            rec_end = (records[i + 1].lsn if i + 1 < len(records)
-                       else end_lsn)
-            if rec.lsn < self.ack_lsn:
-                continue  # defensive: overlap below the applied prefix
-            if self._group:
-                if rec.txn_id == self._group_txn:
-                    self._group.append(rec)
-                    if rec.type == WALRecordType.TXN_COMMIT:
-                        batches.append((self._group, rec_end))
-                        self._group = []
-                        self._group_txn = 0
-                    continue
-                # Contiguity broken: the group's commit frame can never
-                # arrive (groups append atomically under the primary's
-                # commit mutex) — the primary crashed mid-commit. Drop
-                # the buffered records, exactly like recovery does.
-                self.groups_abandoned += 1
-                self._group = []
-                self._group_txn = 0
-            if rec.txn_id == 0:
-                batches.append(([rec], rec_end))
-            elif rec.type == WALRecordType.TXN_BEGIN:
-                self._group = [rec]
-                self._group_txn = rec.txn_id
-            else:
-                # A txn record with no open group: its BEGIN sits below
-                # our start point, so the group was already folded into
-                # the bootstrap snapshot (or discarded). Never apply a
-                # partial group.
-                self.orphan_records += 1
-        if not batches:
+        report = self.report
+        # Defensive: an overlap below the applied prefix is skipped.
+        live = [rec for rec in records if rec.lsn >= self.ack_lsn]
+        report.scanned += len(records)
+        report.skipped += len(records) - len(live)
+        committed, self._group = commit_groups(live, self._group, report)
+        if not committed:
             return 0
-        return self._apply_batches(batches)
-
-    def _apply_batches(self, batches) -> int:
-        db = self.db
-        ack = batches[-1][1]
-        report = RecoveryReport(checkpoint_lsn=self.ack_lsn,
-                                start_lsn=self.ack_lsn, end_lsn=ack)
-        with db._commit_mutex:
-            db._wal_replaying = True
-            try:
-                # Records of originally-failed statements are counted and
-                # skipped, as recovery does.
-                apply_records(
-                    db, [rec for records, _ in batches for rec in records],
-                    report,
-                )
-            finally:
-                db._wal_replaying = False
-            db._applied_lsn = max(db._applied_lsn, ack)
-        applied = report.replayed + report.failed
-        self.failed_records += report.failed
-        self.txns_applied += sum(
-            records[0].txn_id != 0 for records, _ in batches
-        )
+        last = records.index(committed[-1])
+        ack = records[last + 1].lsn if last + 1 < len(records) else end_lsn
+        before = report.replayed + report.failed
+        apply_committed(self.db, committed, report, ack)
+        applied = report.replayed + report.failed - before
+        report.end_lsn = ack
         # Drain-on-apply: replayed annotation writes marked their tuples
         # stale; fold the regeneration in now so replica reads serve
         # fully maintained summaries at every ack point.
-        db.manager.drain_pending()
-        self.records_applied += applied
+        self.db.manager.drain_pending()
         with self._cond:
             self.ack_lsn = ack
             self.last_advance = time.monotonic()
             self._cond.notify_all()
-        metrics = getattr(db, "metrics", None)
+        metrics = getattr(self.db, "metrics", None)
         if metrics is not None:
             metrics.inc("repl.records_applied", applied)
             metrics.set_gauge("repl.applied_lsn", ack)
@@ -181,17 +130,15 @@ class WALApplier:
     # -- resume / re-bootstrap ----------------------------------------------
 
     def reset_to_ack(self) -> None:
-        """Link failure: drop any buffered group and rewind the fetch
-        point to the applied prefix. The re-fetched overlap contains only
+        """Link failure: drop the open group and rewind the fetch point
+        to the applied prefix. The re-fetched overlap contains only
         records that were never applied."""
-        self._group = []
-        self._group_txn = 0
+        self._group = None
         self.fetch_lsn = self.ack_lsn
 
     def reset(self, lsn: int) -> None:
         """Re-bootstrap: both watermarks jump to a fresh snapshot's LSN."""
-        self._group = []
-        self._group_txn = 0
+        self._group = None
         with self._cond:
             self.ack_lsn = lsn
             self.fetch_lsn = lsn

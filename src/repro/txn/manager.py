@@ -132,9 +132,10 @@ class TransactionManager:
             self.run_group(txn.ops, txn.txn_id)
         except BaseException:
             # A failed apply (engine bug or injected fault) leaves the
-            # live state mid-group with no durable commit frame —
-            # recovery from the WAL discards the group, which is the
-            # only consistent story. Surface it as an aborted commit.
+            # live state mid-group with no durable commit frame, so
+            # recovery from the WAL discards the group; with a WAL,
+            # run_group has stopped the database until then.  Surface it
+            # as an aborted commit.
             self._retire(txn, "aborted")
             db.metrics.inc("txn.commit_failures")
             raise
@@ -149,7 +150,9 @@ class TransactionManager:
         Runs inside one WAL statement scope, so it holds the commit mutex
         (the WAL is one serial stream and a group lands contiguously) and
         syncs once at the end.  ``txn_id`` 0 is an autocommit statement:
-        no ``TXN_BEGIN``/``TXN_COMMIT`` framing.  An empty group touches
+        no ``TXN_BEGIN``/``TXN_COMMIT`` framing, and a failed op replays
+        and fails the same way; a logged group that fails stops the
+        database (:attr:`Database.failure`).  An empty group touches
         nothing, the log included.  Returns the annotations the ops
         created.
         """
@@ -159,23 +162,29 @@ class TransactionManager:
         created = []
         with db._wal_statement() as log:
             framed = log and txn_id != 0
-            if framed:
-                db._wal_append(
-                    WALRecordType.TXN_BEGIN, {"ops": len(ops)}, txn_id=txn_id
-                )
-            for rtype, payload in ops:
-                if log:
-                    # Record first, then apply: every page the op dirties
-                    # carries an LSN at or below this record's frame, so a
-                    # forced mid-group flush still writes the log ahead of
-                    # the data.
-                    db._wal_append(rtype, payload, txn_id=txn_id)
-                created += apply_records(
-                    db, [WALRecord(0, rtype, 0, payload, txn_id)]
-                )
-            if framed:
-                db._wal_append(
-                    WALRecordType.TXN_COMMIT, {"ops": len(ops)}, txn_id=txn_id
-                )
+            try:
+                if framed:
+                    db._wal_append(WALRecordType.TXN_BEGIN,
+                                   {"ops": len(ops)}, txn_id=txn_id)
+                for rtype, payload in ops:
+                    if log:
+                        # Record first, then apply: every page the op
+                        # dirties carries an LSN at or below this record's
+                        # frame, so a forced mid-group flush still writes
+                        # the log ahead of the data.
+                        db._wal_append(rtype, payload, txn_id=txn_id)
+                    created += apply_records(
+                        db, [WALRecord(0, rtype, 0, payload, txn_id)]
+                    )
+                if framed:
+                    db._wal_append(WALRecordType.TXN_COMMIT,
+                                   {"ops": len(ops)}, txn_id=txn_id)
+            except Exception as exc:
+                if framed:
+                    # The ops applied so far stay visible, but recovery
+                    # drops the whole group: stop the database, as a
+                    # failed sync does.
+                    db.failure = exc
+                raise
             # _wal_statement's exit syncs: the commit point.
         return created

@@ -13,20 +13,21 @@ re-application raises an engine error is counted and skipped — that
 happens only for records of statements that *failed* after being framed
 (the original execution raised too, so skipping reproduces it).
 
-**Transactions.** Records with ``txn_id == 0`` are autocommit: one
-record per row op of a statement, the statement synced once at its end,
-replayed unconditionally (a torn tail cuts un-acked records; an
-autocommit statement is a group without framing, so a crash before its
-sync keeps whatever prefix a forced log flush made durable). Records with a non-zero ``txn_id`` belong
-to an explicit BEGIN…COMMIT group appended at commit time
-(buffered redo — see ``repro.txn``); they are buffered during the scan
-and applied **only when the group's ``TXN_COMMIT`` frame is durable**.
-A group the tail cut before its commit frame — the classic
-crash-mid-commit — is discarded wholesale: the client was never told the
-transaction committed, so recovery must not resurrect any prefix of it.
-Aborted transactions never log at all.
+**Transactions.** One rule, :func:`commit_groups`, decides what is
+committed, for recovery and the replica applier alike.  Autocommit
+records (``txn_id`` 0) apply as they come; a torn tail cuts un-acked
+ones, so a crash before a statement's sync keeps whatever prefix a
+forced log flush made durable.  An explicit transaction is logged at
+commit as one group (buffered redo — see ``repro.txn``), a
+``TXN_BEGIN``, its records and a ``TXN_COMMIT``, appended whole under
+the commit mutex, so groups never interleave.  A group applies only
+when its commit frame is durable; any other record, a new ``TXN_BEGIN``
+included, abandons it (the crash beat the commit sync and the client
+was never told it committed), and a transaction record with no group
+open is an orphan.  Txn ids restart in every process: the rule ties a
+record to its group by adjacency, so an id may repeat in the log.
 
-Replay applies the committed plan through :func:`apply_records`, which
+Replay applies the committed records through :func:`apply_records`, which
 writes each touched summary row once per run of annotation records.  The
 same function applies every live statement (``repro.txn.manager``'s
 commit loop) and every record a replica receives, so it is the only code
@@ -61,10 +62,11 @@ class RecoveryReport:
     torn_bytes: int = 0
     #: explicit transactions whose commit frame was durable (replayed).
     committed_txns: int = 0
-    #: records of explicit transactions missing their commit frame —
-    #: discarded, never applied (crash-mid-commit groups).
+    #: records of explicit transactions never applied: groups that lost
+    #: their commit frame (crash-mid-commit) and orphans.
     discarded_txn_records: int = 0
-    #: txn ids of the discarded (uncommitted) groups.
+    #: txn ids of the groups that lost their commit frame, in log order
+    #: (an id may repeat: ids restart in every process).
     uncommitted_txns: list = field(default_factory=list)
     #: summary storage rows the replayed records wrote (one per touched
     #: tuple per run of annotation records).
@@ -194,33 +196,54 @@ def _redo(db, record: WALRecord) -> None:
         raise ReproError(f"unknown WAL record type {rtype}")
 
 
-def _committed_plan(records: list[WALRecord], start_lsn: int,
-                    report: RecoveryReport) -> list[WALRecord]:
-    """Order the records to apply: autocommit records as they appear,
-    explicit-txn groups at their commit frame's position — and only when
-    that commit frame exists.  Handles interleaved groups (commits
-    serialize today, but the log format does not promise contiguity)."""
-    groups: dict[int, list[WALRecord]] = {}
-    plan: list[WALRecord] = []
+def commit_groups(records: list[WALRecord], group: list[WALRecord] | None,
+                  report: RecoveryReport
+                  ) -> tuple[list[WALRecord], list[WALRecord] | None]:
+    """The one rule that decides which logged records are committed (see
+    the module docstring).  ``group`` is the group the previous call left
+    open, or None; returns the committed records in log order and the
+    group open after the last record, counting into ``report``.
+    """
+    committed: list[WALRecord] = []
     for record in records:
+        if group is not None:
+            if (record.txn_id == group[0].txn_id
+                    and record.type != WALRecordType.TXN_BEGIN):
+                group.append(record)
+                if record.type == WALRecordType.TXN_COMMIT:
+                    committed += group
+                    report.committed_txns += 1
+                    group = None
+                continue
+            discard_group(group, report)
+            group = None
         if record.txn_id == 0:
-            plan.append(record)
-            continue
-        if record.type == WALRecordType.TXN_COMMIT:
-            report.committed_txns += 1
-            plan.extend(groups.pop(record.txn_id, []))
-            plan.append(record)
+            committed.append(record)
+        elif record.type == WALRecordType.TXN_BEGIN:
+            group = [record]
         else:
-            groups.setdefault(record.txn_id, []).append(record)
-    for txn_id, orphaned in sorted(groups.items()):
-        # No durable commit frame: the crash beat the commit sync. Count
-        # only records past the replay watermark — the rest were already
-        # folded into the image by an earlier checkpoint.
-        live = [r for r in orphaned if r.lsn >= start_lsn]
-        if live:
-            report.uncommitted_txns.append(txn_id)
-            report.discarded_txn_records += len(live)
-    return plan
+            report.discarded_txn_records += 1
+    return committed, group
+
+
+def discard_group(group: list[WALRecord], report: RecoveryReport) -> None:
+    """Count a group that can no longer commit."""
+    report.uncommitted_txns.append(group[0].txn_id)
+    report.discarded_txn_records += len(group)
+
+
+def apply_committed(db, records: list[WALRecord], report: RecoveryReport,
+                    applied_lsn: int) -> None:
+    """Apply committed records as redo, under the commit mutex and the
+    replay guard (nothing re-logs), then raise ``db._applied_lsn`` to
+    ``applied_lsn``."""
+    with db._commit_mutex:
+        db._wal_replaying = True
+        try:
+            apply_records(db, records, report)
+        finally:
+            db._wal_replaying = False
+        db._applied_lsn = max(db._applied_lsn, applied_lsn)
 
 
 def replay(db, device) -> RecoveryReport:
@@ -238,17 +261,14 @@ def replay(db, device) -> RecoveryReport:
         scanned=len(scan.records),
         torn_bytes=scan.torn_bytes,
     )
-    plan = _committed_plan(scan.records, start_lsn, report)
-    live = [record for record in plan if record.lsn >= start_lsn]
-    report.skipped = len(plan) - len(live)
-    db._wal_replaying = True
-    try:
-        apply_records(db, live, report)
-    finally:
-        db._wal_replaying = False
+    live = [record for record in scan.records if record.lsn >= start_lsn]
+    report.skipped = report.scanned - len(live)
+    committed, group = commit_groups(live, None, report)
+    if group is not None:  # the crash beat the commit sync
+        discard_group(group, report)
+    apply_committed(db, committed, report, scan.end_lsn)
     if scan.torn_bytes:
         device.discard_after(scan.end_lsn)
-    db._applied_lsn = max(db._applied_lsn, scan.end_lsn)
     db.metrics.inc("recovery.runs")
     db.metrics.inc("recovery.records_replayed", report.replayed)
     db.metrics.inc("recovery.records_skipped", report.skipped)

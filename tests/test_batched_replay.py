@@ -2,7 +2,7 @@
 
 Recovery applies each run of consecutive annotation records with one
 summary-row write per touched tuple (``repro.wal.recovery.apply_records``).
-The reference here applies the same committed plan one record at a time,
+The reference here applies the same committed records one at a time,
 each record a run of its own.  Hypothesis generates logs mixing DDL (linking
 and unlinking an instance), row DML, annotation runs that hit the same
 tuples again and again, bulk loads, deletes of annotations from the run
@@ -27,8 +27,9 @@ from repro.wal.device import MemoryWALDevice
 from repro.wal.record import WALRecordType, encode_record, scan_records
 from repro.wal.recovery import (
     RecoveryReport,
-    _committed_plan,
     apply_records,
+    commit_groups,
+    discard_group,
     replay,
 )
 from tests.test_crash_matrix import db_state
@@ -175,15 +176,18 @@ def batched(log: bytes, deferred: bool):
 
 
 def per_record(log: bytes, deferred: bool):
-    """The reference: the committed plan, one record at a time."""
+    """The reference: the committed records, one record at a time."""
     db = Database(summary_async=deferred)
     scan = scan_records(log, 0)
     report = RecoveryReport(checkpoint_lsn=0, start_lsn=0,
                             end_lsn=scan.end_lsn, scanned=len(scan.records),
                             torn_bytes=scan.torn_bytes)
+    committed, group = commit_groups(scan.records, None, report)
+    if group is not None:
+        discard_group(group, report)
     db._wal_replaying = True
     with db._commit_mutex:
-        for record in _committed_plan(scan.records, 0, report):
+        for record in committed:
             try:
                 apply_records(db, [record])
                 report.replayed += 1

@@ -756,7 +756,7 @@ class TestPlanSelection:
 
     def test_no_index_when_disabled(self):
         db = build_db()
-        db.options.enable_summary_indexes = False
+        db.options.index_scheme = "none"
         report = db.explain(
             "Select name From birds r Where "
             "r.$.getSummaryObject('ClassBird1').getLabelValue('Disease') = 6"
@@ -793,7 +793,7 @@ class TestPlanSelection:
     def test_forced_sort_method(self):
         db = build_db()
         db.options.force_sort = "disk"
-        db.options.enable_summary_indexes = False
+        db.options.index_scheme = "none"
         report = db.explain(
             "Select name From birds r Order By "
             "r.$.getSummaryObject('ClassBird1').getLabelValue('Disease')"
@@ -811,7 +811,7 @@ class TestPlanSelection:
         )
         optimized = db.explain(query).estimated_cost
         db.options.enable_rules = False
-        db.options.enable_summary_indexes = False
+        db.options.index_scheme = "none"
         db.options.force_join = "nloop"
         baseline = db.explain(query).estimated_cost
         assert optimized < baseline
@@ -828,7 +828,7 @@ class TestPlanSelection:
         )
         fast = db.sql(query).column("r.name")
         db.options.enable_rules = False
-        db.options.enable_summary_indexes = False
+        db.options.index_scheme = "none"
         db.options.force_join = "nloop"
         slow = db.sql(query).column("r.name")
         assert fast == slow

@@ -217,7 +217,7 @@ class TestWALApplier:
         })
         applier = WALApplier(Database(buffer_pages=32), 0)
         result = applier.feed(frame)
-        assert (result.applied, applier.failed_records) == (1, 1)
+        assert (result.applied, applier.report.failed) == (1, 1)
         assert applier.ack_lsn == len(frame)
         assert not path.exists()
 
@@ -228,12 +228,12 @@ class TestWALApplier:
         replica = Database(buffer_pages=32)
         applier = WALApplier(replica, 0)
         applier.feed(data)
-        applied = applier.records_applied
+        applied = applier.report.replayed
         # A reconnect refetches from the ack: the overlap re-delivers
         # bytes below the watermark, which must be skipped entirely.
         applier.reset_to_ack()
         applier.feed(data)
-        assert applier.records_applied == applied, "resume double-applied"
+        assert applier.report.replayed == applied, "resume double-applied"
         assert table_rows(replica) == table_rows(origin)
 
     def test_partial_feed_acks_only_frame_boundaries(self):
@@ -266,7 +266,7 @@ class TestWALApplier:
         assert table_rows(replica) != table_rows(origin)
         # The COMMIT closes the group; everything lands at once.
         applier.feed(data[applier.fetch_lsn:])
-        assert applier.txns_applied == 1
+        assert applier.report.committed_txns == 1
         assert table_rows(replica) == table_rows(origin)
 
     def test_interrupted_group_is_abandoned_like_recovery(self):
@@ -294,7 +294,7 @@ class TestWALApplier:
         replica = Database(buffer_pages=32)
         applier = WALApplier(replica, 0)
         applier.feed(spliced)
-        assert applier.groups_abandoned == 1
+        assert len(applier.report.uncommitted_txns) == 1
         assert applier.ack_lsn == len(spliced)
         names = {values[0] for _, values in table_rows(replica)}
         assert "survivor" in names and "doomed" not in names
@@ -313,8 +313,8 @@ class TestWALApplier:
         replica = Database(buffer_pages=32)
         applier = WALApplier(replica, start)
         applier.feed(data[start:])
-        assert applier.orphan_records >= 1
-        assert applier.txns_applied == 0
+        assert applier.report.discarded_txn_records >= 1
+        assert applier.report.committed_txns == 0
         assert table_rows(replica) == ()
 
 

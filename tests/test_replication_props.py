@@ -18,6 +18,10 @@ the contracts both the link and the applier rely on:
 * **Arbitrary chunking with seeded reconnects** — any partition of the
   stream, with arbitrary rewinds to the ack watermark in between,
   converges to the recovered-primary state with zero double applies.
+* **A crash and a restart** — one process's log cut at any byte, then a
+  restarted process's statements appended after its recovery (reusing
+  the crashed process's txn ids): the applier and recovery reach the
+  same state, and it is exactly the acknowledged commits.
 """
 
 from __future__ import annotations
@@ -134,15 +138,15 @@ class TestTornTailsNeverPartiallyApply:
     def test_resume_from_any_cut_converges(self, cut):
         applier = fresh_applier()
         applier.feed(STREAM[:cut])
-        applied_before = applier.records_applied
+        applied_before = applier.report.replayed
         # Reconnect: rewind to the ack, refetch the overlap + the rest.
         applier.reset_to_ack()
         applier.feed(STREAM[applier.fetch_lsn:])
         assert applier.ack_lsn == len(STREAM)
-        assert applier.records_applied >= applied_before
+        assert applier.report.replayed >= applied_before
         # exactly once overall: the rewound overlap held only records
         # that were buffered, never applied
-        assert applier.records_applied == len(SCAN.records)
+        assert applier.report.replayed == len(SCAN.records)
         assert applier_state(applier) == recovered_state(STREAM)
 
     @given(st.sampled_from(BOUNDARIES))
@@ -150,7 +154,7 @@ class TestTornTailsNeverPartiallyApply:
         applier = fresh_applier()
         applier.feed(STREAM)
         assert applier.ack_lsn == len(STREAM)
-        applied = applier.records_applied
+        applied = applier.report.replayed
         state = applier_state(applier)
         # A confused primary rewinds to an arbitrary frame boundary and
         # re-sends the whole tail: every record sits below the ack
@@ -158,7 +162,7 @@ class TestTornTailsNeverPartiallyApply:
         applier.fetch_lsn = boundary
         applier.feed(STREAM[boundary:])
         assert applier.fetch_lsn == len(STREAM)
-        assert applier.records_applied == applied
+        assert applier.report.replayed == applied
         assert applier.ack_lsn == len(STREAM)
         assert applier_state(applier) == state
 
@@ -214,4 +218,85 @@ class TestChunkedDeliveryWithReconnects:
         assert applier.ack_lsn == len(STREAM)
         assert applier_state(applier) == recovered_state(STREAM)
         # every record applied exactly once, reconnects notwithstanding
-        assert applier.records_applied == len(SCAN.records)
+        assert applier.report.replayed == len(SCAN.records)
+
+
+# ---------------------------------------------------------------------------
+# a log spanning a crash and a restart
+# ---------------------------------------------------------------------------
+
+def txn(db: Database, names: list[str]) -> None:
+    db.sql("BEGIN")
+    for name in names:
+        db.sql(f"INSERT INTO t VALUES ('{name}', 1)")
+    db.sql("COMMIT")
+
+
+def set_up(db: Database) -> None:
+    db.create_table("t", [Column("name", ValueType.TEXT),
+                          Column("v", ValueType.INT)])
+    db.insert("t", ["base", 0])
+
+
+#: the crashed process's statements, each one record or one whole group.
+A_UNITS = [
+    lambda db: txn(db, ["a1-0", "a1-1", "a1-2"]),
+    lambda db: db.insert("t", ["a", 2]),
+    lambda db: db.add_annotation("a note", table="t", oid=1),
+    lambda db: txn(db, ["a2-0", "a2-1"]),
+    lambda db: db.delete_tuple("t", 1),
+    lambda db: txn(db, ["a3-0"]),
+]
+#: the restarted process's statements: its txn ids start at 1 again.
+B_UNITS = [
+    lambda db: txn(db, ["b1-0", "b1-1"]),
+    lambda db: db.insert("t", ["b", 3]),
+    lambda db: txn(db, ["b2-0"]),
+    lambda db: txn(db, ["b3-0", "b3-1"]),
+]
+
+
+def build_crashed_log() -> tuple[bytes, list[int]]:
+    """Process A's log and the byte offset where each unit ends."""
+    db = Database(buffer_pages=32)
+    db.attach_wal(MemoryWALDevice())
+    set_up(db)
+    ends = [len(db.wal.device.durable())]
+    for unit in A_UNITS:
+        unit(db)
+        ends.append(len(db.wal.device.durable()))
+    return db.wal.device.durable(), ends
+
+
+A_LOG, A_ENDS = build_crashed_log()
+
+
+def oracle_state(units_kept: int):
+    db = Database(buffer_pages=32)
+    set_up(db)
+    for unit in A_UNITS[:units_kept] + B_UNITS:
+        unit(db)
+    return db_state(db)
+
+
+class TestCrashAndRestart:
+    @given(st.integers(min_value=A_ENDS[0], max_value=len(A_LOG)),
+           st.integers(min_value=1, max_value=400))
+    def test_applier_equals_recovery_equals_acknowledged_commits(
+            self, cut, chunk):
+        restarted, _ = Database.recover(
+            None, MemoryWALDevice.from_durable(A_LOG[:cut], 0)
+        )
+        for unit in B_UNITS:
+            unit(restarted)
+        log = restarted.wal.device.durable()
+        applier = fresh_applier()
+        while applier.fetch_lsn < len(log):
+            result = applier.feed(log[applier.fetch_lsn:
+                                      applier.fetch_lsn + chunk])
+            if not result.parsed_bytes:
+                chunk *= 2  # a frame wider than the window: grow it
+        assert applier.ack_lsn == len(log)
+        kept = sum(end <= cut for end in A_ENDS[1:])
+        assert applier_state(applier) == recovered_state(log)
+        assert recovered_state(log) == oracle_state(kept)

@@ -93,12 +93,12 @@ class TestPlanSelection:
 
     def test_disabled_with_summary_indexes_off(self):
         db = make_db()
-        db.options.enable_summary_indexes = False
+        db.options.index_scheme = "none"
         db.options.force_join = "index"
         report = db.explain(
             f"Select r.name, s.name From a r, b s Where r.{EXPR} = s.{EXPR}"
         )
-        db.options.enable_summary_indexes = True
+        db.options.index_scheme = "summary_btree"
         db.options.force_join = None
         assert "SummaryIndexNLJoin" not in report.physical
 

@@ -2,6 +2,8 @@
 
 A statement's redo ops are applied before its record is synced, so when
 the sync fails the statement is in memory but was never acknowledged.
+A commit group whose apply fails partway is in memory in part, and
+recovery drops all of it, so it stops the database the same way.
 From then on every statement — reads included — raises
 :class:`DatabaseFailedError` instead of answering from that state, and
 :meth:`Database.recover` over the log gives exactly the acknowledged
@@ -18,6 +20,7 @@ import pytest
 from repro import Column, Database, ValueType
 from repro.errors import DatabaseFailedError, InjectedFaultError, WALError
 from repro.faults.plan import FaultPlan
+from repro.txn import manager as manager_module
 from repro.wal.device import FileWALDevice, MemoryWALDevice
 
 SELECT = "Select t.name From t"
@@ -89,6 +92,40 @@ def test_failed_commit_sync_stops_the_database():
                                             base_lsn=device.base_lsn)
     recovered, _report = Database.recover(None, survivor)
     assert names(recovered) == ["acked"]
+
+
+def test_failed_commit_apply_stops_the_database(monkeypatch):
+    """A commit whose apply raises partway leaves its first ops visible,
+    while recovery drops the whole group: the database stops until then."""
+    device = MemoryWALDevice()
+    db = logged_db(device)
+    session = db.session()
+    session.execute("Begin")
+    session.execute("Insert Into t Values ('first', 2)")
+    session.execute("Insert Into t Values ('second', 3)")
+    real_apply = manager_module.apply_records
+    calls = []
+
+    def fail_second_op(db, records, report=None):
+        calls.append(records)
+        if len(calls) == 2:
+            raise InjectedFaultError("apply failed mid-group")
+        return real_apply(db, records, report)
+
+    monkeypatch.setattr(manager_module, "apply_records", fail_second_op)
+    with pytest.raises(InjectedFaultError):
+        session.execute("Commit")
+    monkeypatch.setattr(manager_module, "apply_records", real_apply)
+    assert isinstance(db.failure, InjectedFaultError)
+    with pytest.raises(DatabaseFailedError):
+        db.sql(SELECT)
+    with pytest.raises(DatabaseFailedError):
+        db.insert("t", {"name": "after", "n": 4})
+    recovered, report = Database.recover(
+        None, MemoryWALDevice.from_durable(device.durable(), device.base_lsn)
+    )
+    assert names(recovered) == ["acked"]
+    assert report.committed_txns == 0
 
 
 def test_a_failed_statement_that_never_synced_leaves_the_database_alive():
