@@ -967,7 +967,9 @@ class Database:
         rows (the WAL tail re-marks anything the image predates).  The
         header's LSN is the synced log's end; a ``checkpoint`` also makes
         it this database's checkpoint LSN.  Registered UDFs are left out.
+        A failed database makes no image: its state is ahead of its log.
         """
+        self._check_alive()
         self.manager.drain_pending()
         self.pool.flush_all()
         if self.wal is not None:

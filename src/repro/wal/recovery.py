@@ -55,6 +55,8 @@ class RecoveryReport:
     end_lsn: int        #: log offset one past the last valid frame
     scanned: int = 0
     replayed: int = 0
+    #: scanned records below ``start_lsn`` (already in the image), counted
+    #: before the commit rule runs: committed or not.
     skipped: int = 0
     #: records whose re-application raised (originally-failed statements).
     failed: int = 0

@@ -94,7 +94,7 @@ def test_failed_commit_sync_stops_the_database():
     assert names(recovered) == ["acked"]
 
 
-def test_failed_commit_apply_stops_the_database(monkeypatch):
+def test_failed_commit_apply_stops_the_database(tmp_path, monkeypatch):
     """A commit whose apply raises partway leaves its first ops visible,
     while recovery drops the whole group: the database stops until then."""
     device = MemoryWALDevice()
@@ -121,6 +121,12 @@ def test_failed_commit_apply_stops_the_database(monkeypatch):
         db.sql(SELECT)
     with pytest.raises(DatabaseFailedError):
         db.insert("t", {"name": "after", "n": 4})
+    # No image may carry the group's first op either.
+    with pytest.raises(DatabaseFailedError):
+        db.snapshot_bytes()
+    with pytest.raises(DatabaseFailedError):
+        db.save(tmp_path / "db.img")
+    assert not list(tmp_path.iterdir())
     recovered, report = Database.recover(
         None, MemoryWALDevice.from_durable(device.durable(), device.base_lsn)
     )
