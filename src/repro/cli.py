@@ -292,7 +292,7 @@ def recover_image(image: str, wal_path: str, out: str | None = None) -> int:
 
     Exit status: 0 on a clean recovery, 1 when the post-replay audit
     still reports violations (``repair`` is the next step), 2 when the
-    image or WAL file cannot be read at all.
+    image or WAL cannot be read, or a record raises on replay.
     """
     from repro.errors import CorruptImageError, WALError
     from repro.wal.device import FileWALDevice

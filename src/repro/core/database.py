@@ -238,9 +238,8 @@ class _ImageUnpickler(pickle.Unpickler):
 class Database:
     """A complete in-process InsightNotes+ engine."""
 
-    #: The error of a failed WAL sync or commit-group apply: every later
-    #: statement raises DatabaseFailedError (:meth:`_check_alive`).
-    #: Images load alive.
+    #: The error of a write that failed part-way: every later statement
+    #: raises DatabaseFailedError (:meth:`_check_alive`). Images load alive.
     failure: Exception | None = None
 
     def __init__(
@@ -447,12 +446,11 @@ class Database:
         Yields True when this frame should emit a WAL record (logging is
         on, not replaying, and no outer statement is already logging). On
         successful completion the log is synced, so a statement is only
-        ever acknowledged after its record is durable; on failure the sync
-        is skipped — the un-synced record either vanishes with the crash
-        or is replayed, fails the same way, and is skipped by recovery.
-        A failed sync leaves the statement applied but unacknowledged, so
-        it fail-stops the database: every later statement raises
-        :class:`DatabaseFailedError` until :meth:`recover`.
+        ever acknowledged after its record is durable. On failure the log
+        is cut back to where the statement began, forced-flushed bytes
+        included, so it holds only completed writes. A failed sync (the
+        statement applied, never acked) or a refused cut fail-stops the
+        database: every later statement raises :class:`DatabaseFailedError`.
 
         Holds the commit mutex for the whole scope: the WAL is one serial
         stream, so concurrent writers (autocommit statements on worker
@@ -472,6 +470,7 @@ class Database:
                 and not self._wal_replaying
                 and self._wal_depth == 0
             )
+            start = self.wal.next_lsn if active else None
             self._wal_depth += 1
             try:
                 yield active
@@ -481,16 +480,23 @@ class Database:
                     except Exception as exc:  # applied, never acked
                         self.failure = exc
                         raise
+            except BaseException:
+                if active:
+                    try:
+                        self.wal.discard_after(start)
+                    except Exception as refused:  # its records stay logged
+                        self.failure = self.failure or refused
+                raise
             finally:
                 self._wal_depth -= 1
 
     def _check_alive(self) -> None:
-        """Raise :class:`DatabaseFailedError` once an unacknowledged write
-        has left the database ahead of its log."""
+        """Raise :class:`DatabaseFailedError` once a write that failed
+        part-way has left live state no log or image holds."""
         if self.failure is not None:
             raise DatabaseFailedError(
-                f"a logged write failed ({self.failure}): recover the "
-                "database from its log"
+                f"a write failed part-way ({self.failure}): reload the "
+                "database from its image, and its log if it has one"
             )
 
     def _wal_append(self, rtype: int, payload: dict, txn_id: int = 0) -> int:
@@ -505,11 +511,12 @@ class Database:
         a database that never checkpointed) and replay ``device``'s durable
         WAL tail onto it.
 
-        Torn tails are truncated from the device, never replayed. Returns
-        ``(db, report)``; the recovered database has the device re-attached
-        so it continues logging from the recovered position.
-        ``verify=True`` additionally runs :meth:`check_integrity` and
-        raises on any violation.
+        Torn tails and a trailing open commit group are cut from the
+        device, never replayed; a record that raises raises
+        :class:`~repro.errors.WALError`. Returns ``(db, report)``; the
+        recovered database has the device re-attached so it continues
+        logging from the recovered position. ``verify=True`` additionally
+        runs :meth:`check_integrity` and raises on any violation.
         """
         from repro.wal.recovery import replay
 
@@ -690,6 +697,9 @@ class Database:
         """``ALTER TABLE <table> ADD [INDEXABLE] <instance>`` (§4)."""
         if not self.catalog.has_table(table):
             raise CatalogError(f"no table named {table!r}")
+        key = (SummaryBTreeIndex.kind, table.lower(), instance)
+        if indexable and key in self.derived:  # refuse before linking
+            raise SummaryError(f"summary index on {key[1:]} already exists")
         self.manager.link(table, instance)
         if indexable:
             self.create_summary_index(table, instance)
@@ -704,17 +714,23 @@ class Database:
             if (name, linked) == (table.lower(), instance):
                 self._drop_derived(kind, table, instance)
 
-    def _add_derived(self, kind: str, table: str, instance: str, make):
-        """Register the structure ``make()`` builds: bulk-build it from the
-        summary storage, then subscribe it to the table's row events."""
+    def _build_derived(self, kind: str, table: str, instance: str, make):
+        """Bulk-build ``make()`` from the summary storage, unregistered."""
         key = (kind, table.lower(), instance)
         if key in self.derived:
             raise SummaryError(f"{kind} index on {key[1:]} already exists")
         index = make()
         index.bulk_build(self.manager.storage_for(table))
-        self.manager.add_observer(table, index)
+        return key, index
+
+    def _register_derived(self, key, index):
+        self.manager.add_observer(key[1], index)
         self.derived[key] = index
         return index
+
+    def _add_derived(self, kind: str, table: str, instance: str, make):
+        return self._register_derived(
+            *self._build_derived(kind, table, instance, make))
 
     def _drop_derived(self, kind: str, table: str, instance: str) -> None:
         index = self.derived.pop((kind, table.lower(), instance), None)
@@ -772,16 +788,18 @@ class Database:
         from repro.summaries.instances import SnippetInstance
 
         kind = NormalizedSnippetReplica.kind
-        built = []
-        for instance in self.manager.instances_for(table):
-            name = instance.name
-            if isinstance(instance, SnippetInstance) and \
-                    (kind, table.lower(), name) not in self.derived:
-                built.append(self._add_derived(
-                    kind, table, name,
-                    lambda: NormalizedSnippetReplica(table, name, self.pool),
-                ))
-        return built
+        # Build every replica before registering any.
+        built = [
+            self._build_derived(
+                kind, table, instance.name,
+                lambda name=instance.name: NormalizedSnippetReplica(
+                    table, name, self.pool),
+            )
+            for instance in self.manager.instances_for(table)
+            if isinstance(instance, SnippetInstance)
+            and (kind, table.lower(), instance.name) not in self.derived
+        ]
+        return [self._register_derived(*pair) for pair in built]
 
     @_logged_ddl
     def drop_summary_index(self, table: str, instance: str) -> None:

@@ -52,8 +52,6 @@ class ApplyResult:
     parsed_records: int
     #: bytes consumed (``fetch_lsn`` advanced by this much).
     parsed_bytes: int
-    #: records actually applied to the database this feed.
-    applied: int
     #: trailing bytes that did not form a valid frame.
     torn_bytes: int
 
@@ -83,21 +81,22 @@ class WALApplier:
         ``fetch_lsn``; returns what happened."""
         start = self.fetch_lsn
         scan = scan_records(data, start)
-        applied = self._process(scan.records, scan.end_lsn)
+        self._process(scan.records, scan.end_lsn)
         self.fetch_lsn = scan.end_lsn
         return ApplyResult(
             parsed_records=len(scan.records),
             parsed_bytes=scan.end_lsn - start,
-            applied=applied,
             torn_bytes=scan.torn_bytes,
         )
 
-    def _process(self, records, end_lsn: int) -> int:
-        """Apply the committed records of one feed; returns how many.
+    def _process(self, records, end_lsn: int) -> None:
+        """Apply the committed records of one feed.
 
-        The ack moves to the *physical* end of the last one (the next
-        record's LSN, or ``end_lsn``): re-encoding a decoded payload is
-        not byte-stable, so ``WALRecord.end_lsn`` must never feed it.
+        A record that raises is divergence: the :class:`WALError` goes out
+        with neither watermark moved, and the link re-bootstraps.  The ack
+        moves to the *physical* end of the last one (the next record's
+        LSN, or ``end_lsn``): re-encoding a decoded payload is not
+        byte-stable, so ``WALRecord.end_lsn`` must never feed it.
         """
         report = self.report
         # Defensive: an overlap below the applied prefix is skipped.
@@ -106,12 +105,10 @@ class WALApplier:
         report.skipped += len(records) - len(live)
         committed, self._group = commit_groups(live, self._group, report)
         if not committed:
-            return 0
+            return
         last = records.index(committed[-1])
         ack = records[last + 1].lsn if last + 1 < len(records) else end_lsn
-        before = report.replayed + report.failed
         apply_committed(self.db, committed, report, ack)
-        applied = report.replayed + report.failed - before
         report.end_lsn = ack
         # Drain-on-apply: replayed annotation writes marked their tuples
         # stale; fold the regeneration in now so replica reads serve
@@ -123,9 +120,8 @@ class WALApplier:
             self._cond.notify_all()
         metrics = getattr(self.db, "metrics", None)
         if metrics is not None:
-            metrics.inc("repl.records_applied", applied)
+            metrics.inc("repl.records_applied", len(committed))
             metrics.set_gauge("repl.applied_lsn", ack)
-        return applied
 
     # -- resume / re-bootstrap ----------------------------------------------
 

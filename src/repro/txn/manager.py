@@ -2,13 +2,11 @@
 
 Every mutating statement, SQL DML and the Python API's writers alike, is
 planned into redo ops, ``(record_type, payload)`` — the exact payloads the
-WAL carries — by one planner, ``repro.txn.session``, before any of them
-applies.  Inside ``BEGIN`` … ``COMMIT``/``ABORT``
-the ops are buffered on a :class:`Transaction`: nothing touches the
-heap, the indexes, the summary structures, or the buffer pool until
-commit, which is what makes abort trivial and makes the headline
-durability claim structural: **an aborted transaction's pages cannot hit
-disk because an aborted transaction never has pages.**
+WAL carries — by one planner, ``repro.txn.session``, before any applies.
+Inside ``BEGIN`` … ``COMMIT``/``ABORT`` the ops are buffered on a
+:class:`Transaction` and touch nothing until commit, so abort is trivial:
+**an aborted transaction's pages cannot hit disk because an aborted
+transaction never has pages.**
 
 :meth:`TransactionManager.run_group` is the one loop that applies ops:
 ``COMMIT`` runs it on the buffered group, every autocommit statement on
@@ -22,17 +20,19 @@ mutex::
     sync                       once: the durability point
 
 Autocommit is a group without framing (``txn_id`` 0).  Applying through
-the interpreter crash recovery and the replica applier use makes every
-statement's live effect and its replayed effect the same code.  A crash
-before the sync leaves a group without a durable ``TXN_COMMIT`` frame,
-which recovery discards wholesale: exactly the committed prefix survives.
+the interpreter recovery and the replica applier use makes a statement's
+live and replayed effects the same code.  A crash before the sync leaves
+a group without a durable ``TXN_COMMIT``, which recovery discards whole.
+A group that raises, framed or not, logged or not, may be in the live
+state in part, so it stops the database (:attr:`Database.failure`), and
+the statement scope cuts its records from the log: the log holds only
+groups that applied cleanly.
 
 Identifier pre-assignment: a plan claims OIDs (and annotation ids) by
-offsetting from the current counter.  Only a holder of the table's
-exclusive lock (resp. the annotation resource's) applies ops that advance
-it, and every write takes that lock before it plans: an autocommit
-statement holds it from plan to apply, a transaction until commit, so no
-other writer can claim the same ids.
+offsetting from the current counter.  Every write takes the table's
+exclusive lock (resp. the annotation resource's) before it plans and
+holds it through apply (a transaction until commit), so no other writer
+can claim the same ids.
 """
 
 from __future__ import annotations
@@ -83,9 +83,6 @@ class Transaction:
                 self.ann_adds += 1
         self.ops += ops
 
-    def __len__(self) -> int:
-        return len(self.ops)
-
 
 class TransactionManager:
     """Allocates transaction ids, runs the commit/abort protocol and the
@@ -131,11 +128,7 @@ class TransactionManager:
         try:
             self.run_group(txn.ops, txn.txn_id)
         except BaseException:
-            # A failed apply (engine bug or injected fault) leaves the
-            # live state mid-group with no durable commit frame, so
-            # recovery from the WAL discards the group; with a WAL,
-            # run_group has stopped the database until then.  Surface it
-            # as an aborted commit.
+            # run_group stopped the database: an aborted commit.
             self._retire(txn, "aborted")
             db.metrics.inc("txn.commit_failures")
             raise
@@ -150,9 +143,9 @@ class TransactionManager:
         Runs inside one WAL statement scope, so it holds the commit mutex
         (the WAL is one serial stream and a group lands contiguously) and
         syncs once at the end.  ``txn_id`` 0 is an autocommit statement:
-        no ``TXN_BEGIN``/``TXN_COMMIT`` framing, and a failed op replays
-        and fails the same way; a logged group that fails stops the
-        database (:attr:`Database.failure`).  An empty group touches
+        no ``TXN_BEGIN``/``TXN_COMMIT`` framing.  A failed append or apply
+        stops the database (:attr:`Database.failure`) and the scope cuts
+        the group's records from the log.  An empty group touches
         nothing, the log included.  Returns the annotations the ops
         created.
         """
@@ -179,12 +172,9 @@ class TransactionManager:
                 if framed:
                     db._wal_append(WALRecordType.TXN_COMMIT,
                                    {"ops": len(ops)}, txn_id=txn_id)
-            except Exception as exc:
-                if framed:
-                    # The ops applied so far stay visible, but recovery
-                    # drops the whole group: stop the database, as a
-                    # failed sync does.
-                    db.failure = exc
+            except BaseException as exc:
+                # Applied in part, cut from the log: stop, as a failed sync.
+                db.failure = exc
                 raise
             # _wal_statement's exit syncs: the commit point.
         return created

@@ -49,7 +49,50 @@ def fsync_directory(path: str | Path) -> None:
         os.close(fd)
 
 
-class MemoryWALDevice:
+class _LogDevice:
+    """A pending buffer over durable bytes: what both devices share."""
+
+    base_lsn: int
+    _pending: bytearray
+
+    @property
+    def total_len(self) -> int:
+        """Durable plus pending bytes (the writer's append position)."""
+        return self.durable_len + len(self._pending)
+
+    @property
+    def pending_len(self) -> int:
+        return len(self._pending)
+
+    def discard_after(self, lsn: int) -> None:
+        """Drop every byte past ``lsn``, durable or pending: recovery cuts
+        a torn tail or a dead commit group, the writer a failed statement.
+        A fail-stopped device refuses, since its tail is unknown."""
+        self._require_alive()
+        keep = lsn - self.base_lsn
+        if not 0 <= keep <= self.total_len:
+            raise WALError(
+                f"discard_after({lsn}) outside the log "
+                f"[{self.base_lsn}, {self.base_lsn + self.total_len}]"
+            )
+        if keep >= self.durable_len:
+            del self._pending[keep - self.durable_len:]
+        else:
+            self._pending.clear()
+            self._cut_durable(keep)
+
+    def truncate(self, new_base: int) -> None:
+        """Discard the whole log and re-base at ``new_base`` (checkpoint)."""
+        if new_base < self.base_lsn:
+            raise WALError(
+                f"cannot truncate to LSN {new_base} below base {self.base_lsn}"
+            )
+        self._require_alive()
+        self._pending.clear()
+        self._restart(new_base)
+
+
+class MemoryWALDevice(_LogDevice):
     """An in-memory append-only log with explicit durability and faults."""
 
     def __init__(
@@ -80,83 +123,62 @@ class MemoryWALDevice:
 
     # -- bookkeeping --------------------------------------------------------
 
-    def _record(self, fault: Fault, op: str, index: int) -> None:
+    def _fault(self, op: str) -> Fault | None:
+        """Count one ``op`` and fire the fault scheduled for it: fail-stop
+        and transient raise here, any other kind is returned."""
+        self._require_alive()
+        index = getattr(self, f"{op}_ops")
+        setattr(self, f"{op}_ops", index + 1)
+        fault = self.plan.match(op, index)
+        if fault is None:
+            return None
         self.injected.append((fault.kind, op, index))
         if self.metrics is not None:
             self.metrics.inc("faults.injected")
             self.metrics.inc(f"faults.injected.{fault.kind}")
+        if fault.kind == FaultKind.FAIL_STOP:
+            self.dead = True
+            raise InjectedFaultError(
+                f"injected fail-stop on WAL {op} #{index}"
+            )
+        if fault.kind == FaultKind.TRANSIENT:
+            raise TransientIOError(
+                f"injected transient error on WAL {op} #{index}"
+            )
+        return fault
 
     def _require_alive(self) -> None:
         if self.dead:
             raise InjectedFaultError("WAL device has fail-stopped")
 
-    # -- sizes --------------------------------------------------------------
-
     @property
     def durable_len(self) -> int:
         return len(self._durable)
-
-    @property
-    def total_len(self) -> int:
-        """Durable plus pending bytes (the writer's append position)."""
-        return len(self._durable) + len(self._pending)
-
-    @property
-    def pending_len(self) -> int:
-        return len(self._pending)
 
     # -- operations ---------------------------------------------------------
 
     def append(self, data: bytes) -> None:
         """Buffer ``data`` at the log tail (not durable until :meth:`sync`)."""
-        self._require_alive()
-        index = self.append_ops
-        self.append_ops += 1
-        fault = self.plan.match("append", index)
-        if fault is not None:
-            self._record(fault, "append", index)
-            if fault.kind == FaultKind.FAIL_STOP:
-                self.dead = True
-                raise InjectedFaultError(
-                    f"injected fail-stop on WAL append #{index}"
-                )
-            if fault.kind == FaultKind.TRANSIENT:
-                raise TransientIOError(
-                    f"injected transient error on WAL append #{index}"
-                )
+        self._fault("append")
         self._pending.extend(data)
 
     def sync(self) -> None:
         """Make every pending byte durable (fsync)."""
-        self._require_alive()
-        index = self.sync_ops
-        self.sync_ops += 1
-        fault = self.plan.match("sync", index)
-        if fault is not None:
-            self._record(fault, "sync", index)
-            if fault.kind == FaultKind.FAIL_STOP:
-                self.dead = True
-                raise InjectedFaultError(
-                    f"injected fail-stop on WAL sync #{index}"
+        fault = self._fault("sync")
+        if fault is not None and fault.kind == FaultKind.TORN_WRITE:
+            torn_at = fault.torn_bytes
+            if torn_at is None:
+                torn_at = self.plan.rng.randrange(
+                    0, max(1, len(self._pending))
                 )
-            if fault.kind == FaultKind.TRANSIENT:
-                raise TransientIOError(
-                    f"injected transient error on WAL sync #{index}"
-                )
-            if fault.kind == FaultKind.TORN_WRITE:
-                torn_at = fault.torn_bytes
-                if torn_at is None:
-                    torn_at = self.plan.rng.randrange(
-                        0, max(1, len(self._pending))
-                    )
-                torn_at = min(torn_at, len(self._pending))
-                self._durable.extend(self._pending[:torn_at])
-                self._pending.clear()
-                self.dead = True
-                raise InjectedFaultError(
-                    f"injected torn WAL sync #{index} "
-                    f"({torn_at} pending bytes landed)"
-                )
+            torn_at = min(torn_at, len(self._pending))
+            self._durable.extend(self._pending[:torn_at])
+            self._pending.clear()
+            self.dead = True
+            raise InjectedFaultError(
+                f"injected torn WAL sync #{self.sync_ops - 1} "
+                f"({torn_at} pending bytes landed)"
+            )
         self._durable.extend(self._pending)
         self._pending.clear()
 
@@ -169,28 +191,12 @@ class MemoryWALDevice:
         ``base_lsn``)."""
         return bytes(self._durable[offset:offset + length])
 
-    def truncate(self, new_base: int) -> None:
-        """Discard the whole log and re-base at ``new_base`` (checkpoint)."""
-        if new_base < self.base_lsn:
-            raise WALError(
-                f"cannot truncate to LSN {new_base} below base {self.base_lsn}"
-            )
-        self._require_alive()
+    def _restart(self, new_base: int) -> None:
         self.base_lsn = new_base
         self._durable.clear()
-        self._pending.clear()
 
-    def discard_after(self, lsn: int) -> None:
-        """Drop durable bytes past ``lsn`` (recovery cuts the torn tail so
-        future appends extend a clean log)."""
-        keep = lsn - self.base_lsn
-        if not 0 <= keep <= len(self._durable):
-            raise WALError(
-                f"discard_after({lsn}) outside durable range "
-                f"[{self.base_lsn}, {self.base_lsn + len(self._durable)}]"
-            )
+    def _cut_durable(self, keep: int) -> None:
         del self._durable[keep:]
-        self._pending.clear()
 
     def close(self) -> None:
         """Nothing to release; present so every device can be closed."""
@@ -202,7 +208,7 @@ _FILE_VERSION = 1
 FILE_HEADER_SIZE = len(_FILE_MAGIC) + _FILE_HEADER.size
 
 
-class FileWALDevice:
+class FileWALDevice(_LogDevice):
     """A WAL device over a real file (used by the CLI verbs).
 
     It holds one ``O_WRONLY|O_APPEND`` file, opened on the first
@@ -238,9 +244,9 @@ class FileWALDevice:
                 )
             self._length = len(data) - FILE_HEADER_SIZE
         else:
-            self._write_header(0, create=True)
+            self._restart(0, create=True)
 
-    def _write_header(self, base_lsn: int, create: bool = False) -> None:
+    def _restart(self, base_lsn: int, create: bool = False) -> None:
         """Start the log over at ``base_lsn``, durably: a checkpoint's
         truncation that a crash undid would leave the log ending below the
         image's checkpoint LSN. A held append file writes at the new end."""
@@ -260,14 +266,6 @@ class FileWALDevice:
     @property
     def durable_len(self) -> int:
         return self._length
-
-    @property
-    def total_len(self) -> int:
-        return self._length + len(self._pending)
-
-    @property
-    def pending_len(self) -> int:
-        return len(self._pending)
 
     def append(self, data: bytes) -> None:
         self._require_alive()
@@ -305,23 +303,8 @@ class FileWALDevice:
             fh.seek(FILE_HEADER_SIZE + offset)
             return fh.read(length)
 
-    def truncate(self, new_base: int) -> None:
-        if new_base < self.base_lsn:
-            raise WALError(
-                f"cannot truncate to LSN {new_base} below base {self.base_lsn}"
-            )
-        self._require_alive()
-        self._pending.clear()
-        self._write_header(new_base)
-
-    def discard_after(self, lsn: int) -> None:
-        keep = lsn - self.base_lsn
-        if not 0 <= keep <= self._length:
-            raise WALError(
-                f"discard_after({lsn}) outside durable range "
-                f"[{self.base_lsn}, {self.base_lsn + self._length}]"
-            )
-        self._pending.clear()
+    def _cut_durable(self, keep: int) -> None:
         with open(self.path, "r+b") as fh:
             fh.truncate(FILE_HEADER_SIZE + keep)
+            os.fsync(fh.fileno())
         self._length = keep

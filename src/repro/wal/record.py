@@ -93,7 +93,7 @@ class WALRecord:
     def _encoded_payload(self) -> bytes:
         return pickle.dumps(self.payload)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return (
             f"WALRecord(lsn={self.lsn}, "
             f"type={WALRecordType.NAMES.get(self.type, self.type)}, "

@@ -1,17 +1,18 @@
 """Crash recovery: replay the WAL tail onto a checkpoint image.
 
-Recovery is redo-only and logical: each record re-invokes the same engine
+Recovery is redo-only and logical: each record re-invokes the engine
 operation that produced it, with the identifiers the original execution
-assigned (OIDs, annotation ids) forced so the replayed state is
-byte-for-byte the state the crashed engine had acknowledged.
+assigned (OIDs, annotation ids) forced, so the replayed state is the
+state the crashed engine had acknowledged.  Records below
+``max(checkpoint_lsn, applied_lsn)`` are already in the image and are
+skipped, so replaying twice is a no-op.
 
-The idempotency rule is LSN-based: records below
-``max(checkpoint_lsn, applied_lsn)`` were already folded into the image
-(or into a previous replay of this same process) and are skipped, so
-running recovery twice over the same log is a no-op. A record whose
-re-application raises an engine error is counted and skipped — that
-happens only for records of statements that *failed* after being framed
-(the original execution raised too, so skipping reproduces it).
+Replay applies every record or raises a :class:`WALError` naming it.  A
+statement that raises is cut from the log (``Database._wal_statement``),
+so every logged record applied cleanly when it was live, and one that
+raises on replay means log and image diverge.  A log written before
+that rule may hold a failed statement's record: checkpoint it with the
+build that wrote it.
 
 **Transactions.** One rule, :func:`commit_groups`, decides what is
 committed, for recovery and the replica applier alike.  Autocommit
@@ -33,9 +34,9 @@ same function applies every live statement (``repro.txn.manager``'s
 commit loop) and every record a replica receives, so it is the only code
 that applies DML to tables, annotations and summaries.
 
-The torn tail — trailing bytes that do not form a CRC-valid,
-correctly-positioned frame — is truncated from the device, never
-replayed: a partially synced frame is the clean end of the log.
+Recovery cuts from the device, never replays, the torn tail (trailing
+bytes that do not form a CRC-valid, correctly-positioned frame) and a
+group left open at the end, so no log written since holds a dead group.
 """
 
 from __future__ import annotations
@@ -52,14 +53,12 @@ class RecoveryReport:
 
     checkpoint_lsn: int
     start_lsn: int      #: records below this were skipped as already applied
-    end_lsn: int        #: log offset one past the last valid frame
+    end_lsn: int        #: end of the log once its tail is cut (see replay)
     scanned: int = 0
     replayed: int = 0
     #: scanned records below ``start_lsn`` (already in the image), counted
     #: before the commit rule runs: committed or not.
     skipped: int = 0
-    #: records whose re-application raised (originally-failed statements).
-    failed: int = 0
     #: torn-tail bytes truncated from the device.
     torn_bytes: int = 0
     #: explicit transactions whose commit frame was durable (replayed).
@@ -76,8 +75,8 @@ class RecoveryReport:
 
     def __str__(self) -> str:
         return (
-            f"recovery: {self.replayed} replayed, {self.skipped} skipped, "
-            f"{self.failed} failed of {self.scanned} scanned; "
+            f"recovery: {self.replayed} replayed, {self.skipped} skipped "
+            f"of {self.scanned} scanned; "
             f"{self.summary_rows_written} summary rows written; "
             f"{self.committed_txns} txns committed, "
             f"{self.discarded_txn_records} uncommitted-txn records discarded "
@@ -102,9 +101,8 @@ def apply_records(db, records: list[WALRecord],
     framing carries no state and does not end one.  A run creates its raw
     annotations record by record, then writes each touched summary row
     once, in ``ann_id`` order.  Any other record flushes the run and
-    applies alone.  With a ``report``, a record whose re-application
-    raises a :class:`~repro.errors.ReproError` is counted failed and
-    skipped (left out of its run); without one, the error propagates.
+    applies alone.  An engine error propagates, carrying the record it
+    blames as ``wal_record`` (a run's last, for its summary writes).
     Returns the annotations the runs created.
     """
     rows_before = db.manager.metrics.get("maint.on_objects_write")
@@ -119,13 +117,11 @@ def apply_records(db, records: list[WALRecord],
             run = []
         try:
             _redo(db, record)
-        except ReproError:
-            if report is None:
-                raise
-            report.failed += 1
-        else:
-            if report is not None:
-                report.replayed += 1
+        except ReproError as exc:
+            exc.wal_record = record
+            raise
+        if report is not None:
+            report.replayed += 1
     created += _apply_run(db, run, report)
     if report is not None:
         report.summary_rows_written += (
@@ -140,31 +136,22 @@ def _apply_run(db, run: list[WALRecord],
         return []
     manager = db.manager
     created = []
-    applied = 0
-    for record in run:
-        p = record.payload
-        if record.type == WALRecordType.ANN_ADD:
-            items = [(p["text"], p["targets"], p["ann_id"])]
-        else:
-            items = [(text, targets, p["first_id"] + offset)
-                     for offset, (text, targets) in enumerate(p["items"])]
-        try:
-            created += manager.create_annotations(items)
-        except ReproError:
-            if report is None:
-                raise
-            report.failed += 1
-        else:
-            applied += 1
     try:
+        for record in run:
+            p = record.payload
+            if record.type == WALRecordType.ANN_ADD:
+                items = [(p["text"], p["targets"], p["ann_id"])]
+            else:
+                items = [(text, targets, p["first_id"] + offset)
+                         for offset, (text, targets)
+                         in enumerate(p["items"])]
+            created += manager.create_annotations(items)
         manager.attach_annotations(created)
-    except ReproError:
-        if report is None:
-            raise
-        report.failed += applied
-    else:
-        if report is not None:
-            report.replayed += applied
+    except ReproError as exc:
+        exc.wal_record = record
+        raise
+    if report is not None:
+        report.replayed += len(run)
     return created
 
 
@@ -238,11 +225,17 @@ def apply_committed(db, records: list[WALRecord], report: RecoveryReport,
                     applied_lsn: int) -> None:
     """Apply committed records as redo, under the commit mutex and the
     replay guard (nothing re-logs), then raise ``db._applied_lsn`` to
-    ``applied_lsn``."""
+    ``applied_lsn``.
+
+    A record that raises is divergence: raises a :class:`WALError` naming
+    it, ``db`` left part-applied."""
     with db._commit_mutex:
         db._wal_replaying = True
         try:
             apply_records(db, records, report)
+        except ReproError as exc:
+            raise WALError(f"{exc.wal_record} raised on replay: {exc}") \
+                from exc
         finally:
             db._wal_replaying = False
         db._applied_lsn = max(db._applied_lsn, applied_lsn)
@@ -251,8 +244,9 @@ def apply_committed(db, records: list[WALRecord], report: RecoveryReport,
 def replay(db, device) -> RecoveryReport:
     """Replay the durable tail of ``device`` onto ``db``.
 
-    Truncates any torn tail from the device so future appends extend a
-    clean log, and advances ``db._applied_lsn`` past everything replayed.
+    Cuts any torn tail and trailing open group from the device, so future
+    appends extend a clean log, and advances ``db._applied_lsn`` past
+    everything replayed.  Raises :class:`WALError` if a record raises.
     """
     start_lsn = max(db.checkpoint_lsn, db._applied_lsn, device.base_lsn)
     scan = scan_records(device.durable(), device.base_lsn)
@@ -268,13 +262,13 @@ def replay(db, device) -> RecoveryReport:
     committed, group = commit_groups(live, None, report)
     if group is not None:  # the crash beat the commit sync
         discard_group(group, report)
-    apply_committed(db, committed, report, scan.end_lsn)
-    if scan.torn_bytes:
-        device.discard_after(scan.end_lsn)
+        report.end_lsn = group[0].lsn
+    apply_committed(db, committed, report, report.end_lsn)
+    if scan.torn_bytes or group is not None:
+        device.discard_after(report.end_lsn)
     db.metrics.inc("recovery.runs")
     db.metrics.inc("recovery.records_replayed", report.replayed)
     db.metrics.inc("recovery.records_skipped", report.skipped)
-    db.metrics.inc("recovery.records_failed", report.failed)
     db.metrics.inc("recovery.summary_rows_written", report.summary_rows_written)
     db.metrics.inc("recovery.torn_bytes", report.torn_bytes)
     db.metrics.inc("recovery.committed_txns", report.committed_txns)

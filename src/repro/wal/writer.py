@@ -6,6 +6,9 @@ logical log stream), frames records, and tracks the *flushed* LSN — the
 boundary the buffer pool's log-before-data rule compares page LSNs
 against: a dirty page whose ``page_lsn`` exceeds ``flushed_lsn`` must not
 be written back until the log has been flushed past it.
+A statement that raises is cut back out (:meth:`discard_after`), bytes
+a forced flush made durable included, so replicas read only through the
+last statement-boundary :meth:`sync`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ class WALWriter:
         self._next_lsn = device.base_lsn + device.total_len
         #: LSN up to which the log is durable (device sync position).
         self._flushed_lsn = device.base_lsn + device.durable_len
+        #: LSN of the last statement-boundary sync (what replicas may read).
+        self._synced_lsn = self._flushed_lsn
         #: Attached replication streams: stream id -> cumulatively acked
         #: LSN. A registered stream pins log retention (see
         #: :meth:`truncate`) until it acks past the checkpoint or
@@ -70,7 +75,7 @@ class WALWriter:
     def sync(self) -> None:
         """fsync the log: every appended record becomes durable."""
         self.device.sync()
-        self._flushed_lsn = self._next_lsn
+        self._flushed_lsn = self._synced_lsn = self._next_lsn
         self._inc("wal.syncs")
 
     def flush(self, upto_lsn: int | None = None) -> None:
@@ -89,6 +94,13 @@ class WALWriter:
         self.device.sync()
         self._flushed_lsn = self._next_lsn
         self._inc("wal.forced_flushes")
+
+    def discard_after(self, lsn: int) -> None:
+        """Cut the log back to ``lsn``, the start of a statement that
+        raised: every byte appended since goes, durable or not."""
+        self.device.discard_after(lsn)
+        self._next_lsn = lsn
+        self._flushed_lsn = min(self._flushed_lsn, lsn)
 
     def truncate(self, new_base: int) -> None:
         """Discard the log through ``new_base`` (checkpoint protocol).
@@ -114,7 +126,7 @@ class WALWriter:
             if data:
                 self._segments.append((self.device.base_lsn, data))
         self.device.truncate(new_base)
-        self._flushed_lsn = new_base
+        self._flushed_lsn = self._synced_lsn = new_base
         self._inc("wal.truncations")
         self._gc_segments()
 
@@ -185,15 +197,16 @@ class WALWriter:
 
         Returns ``(data, status)`` where status is ``"ok"`` or
         ``"too_old"`` (the requested range predates everything retained —
-        the reader must re-bootstrap from a fresh snapshot). Only durable
-        bytes are served; the slice may end mid-frame, which readers
-        handle via the torn-tail scan contract.
+        the reader must re-bootstrap from a fresh snapshot). Only bytes
+        through the last statement-boundary sync are served, never a forced
+        flush's, which a cut may remove; the slice may end mid-frame, which
+        readers handle via the torn-tail scan contract.
         """
         if from_lsn < self.retained_base:
             return b"", "too_old"
-        if from_lsn >= self._flushed_lsn:
+        if from_lsn >= self._synced_lsn:
             return b"", "ok"
-        end = min(from_lsn + max_bytes, self._flushed_lsn)
+        end = min(from_lsn + max_bytes, self._synced_lsn)
         out = bytearray()
         for base, data in self._segments:
             lo = max(from_lsn + len(out), base)

@@ -301,7 +301,7 @@ class TestCrashDuringDML:
         assert state in allowed, (
             f"recovered state diverges from oracle after {acked} acked "
             f"statements ({report.replayed} replayed, "
-            f"{report.failed} failed, {report.torn_bytes} torn bytes)"
+            f"{report.torn_bytes} torn bytes)"
         )
 
     def test_crash_at_every_append(self):

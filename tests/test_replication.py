@@ -27,6 +27,7 @@ from repro.errors import (
     ReadOnlyReplicaError,
     ReplicationError,
     ServerError,
+    WALError,
 )
 from repro.replication import ReplicationEndpoint, ReplicaServer, WALApplier
 from repro.resilience import RetryPolicy
@@ -210,15 +211,16 @@ class TestWALApplier:
         assert table_rows(replica) == table_rows(origin)
 
     def test_ddl_record_naming_an_unlogged_method_fails(self, tmp_path):
-        """The replica's redo runs only vetted DDL methods too."""
+        """The replica's redo runs only vetted DDL methods too: the feed
+        raises, naming the record, and neither watermark moves."""
         path = tmp_path / "written_by_redo.img"
         frame = encode_record(0, WALRecordType.DDL, 1, {
             "method": "save", "args": [str(path)], "kwargs": {},
         })
         applier = WALApplier(Database(buffer_pages=32), 0)
-        result = applier.feed(frame)
-        assert (result.applied, applier.report.failed) == (1, 1)
-        assert applier.ack_lsn == len(frame)
+        with pytest.raises(WALError, match="lsn=0, type=ddl"):
+            applier.feed(frame)
+        assert (applier.ack_lsn, applier.fetch_lsn) == (0, 0)
         assert not path.exists()
 
     def test_refeed_is_idempotent(self):
@@ -228,13 +230,12 @@ class TestWALApplier:
         replica = Database(buffer_pages=32)
         applier = WALApplier(replica, 0)
         applier.feed(data)
-        applied = applier.report.replayed + applier.report.failed
+        applied = applier.report.replayed
         # A reconnect refetches from the ack: the overlap re-delivers
         # bytes below the watermark, which must be skipped entirely.
         applier.reset_to_ack()
         applier.feed(data)
-        assert (applier.report.replayed + applier.report.failed
-                == applied), "resume double-applied"
+        assert applier.report.replayed == applied, "resume double-applied"
         assert table_rows(replica) == table_rows(origin)
 
     def test_partial_feed_acks_only_frame_boundaries(self):
@@ -467,6 +468,28 @@ class TestEndToEnd:
             assert table_rows(rh.replica.db) == table_rows(primary.db)
         finally:
             rh.stop()
+
+    def test_a_record_that_raises_rebootstraps_the_replica_once(
+            self, pair, tmp_path):
+        """Replay applies every record or raises: a record that raises on
+        the replica is divergence, healed by one counted re-bootstrap."""
+        primary, rh = pair
+        link = rh.replica.link
+        bootstraps = link.bootstraps
+        path = tmp_path / "written_by_redo.img"
+        with primary.db._commit_mutex:
+            primary.db.wal.append(WALRecordType.DDL, {
+                "method": "save", "args": [str(path)], "kwargs": {},
+            })
+            primary.db.wal.sync()
+        assert wait_for(lambda: link.bootstraps > bootstraps, 10), \
+            "a record that raised did not trigger a re-bootstrap"
+        primary.db.insert("t", ["after", 9])
+        assert link.wait_caught_up(10)
+        assert (link.divergences, link.bootstraps) == (1, bootstraps + 1)
+        assert isinstance(link.last_error.__cause__, WALError)
+        assert table_rows(rh.replica.db) == table_rows(primary.db)
+        assert not path.exists()
 
 
 class TestPromoteAndFailover:

