@@ -43,8 +43,6 @@ Commands:
   \\cache                   summary-cache statistics (hits, misses, bytes)
   \\cache clear             drop every cached summary set
   \\cache resize <bytes>    set the cache capacity (0 disables it)
-  \\maint                   background-maintenance state (mode, backlog, lag)
-  \\maint drain             regenerate every stale summary now
   \\check                   run the full integrity audit (checksums, heap
                            accounting, B-Tree invariants, cross-structure)
   \\repair                  self-heal: quarantine corrupt pages, rebuild
@@ -177,21 +175,6 @@ def _execute_command(db: Database, command: str) -> str:
             f"  stores={s['stores']} evictions={s['evictions']} "
             f"invalidations={s['invalidations']} "
             f"rejections={s['rejections']}"
-        )
-    if name == "maint":
-        if args and args[0] == "drain":
-            drained = db.drain_summaries()
-            return f"drained {drained} stale summaries"
-        if args:
-            return "usage: \\maint [drain]"
-        mode = "deferred" if db.summary_async else "off"
-        worker = getattr(db, "_maint_worker", None)
-        running = worker is not None and worker.running
-        return (
-            f"summary maintenance: mode={mode}, "
-            f"backlog={db.manager.pending_count()}, "
-            f"lag={db.manager.pending_lag_seconds():.3f}s, "
-            f"worker={'running' if running else 'stopped'}"
         )
     if name == "check":
         return str(db.check_integrity())

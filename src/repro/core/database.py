@@ -62,7 +62,7 @@ from repro.query.ast import (
     ZoomIn,
 )
 from repro.query.parser import parse_memo_counts, parse_sql
-from repro.query.result import ResultSet, ZoomResult
+from repro.query.result import ResultSet
 from repro.resilience import (
     AccessPathHealth,
     CircuitBreaker,
@@ -227,6 +227,10 @@ class _ImageUnpickler(pickle.Unpickler):
         # and StatisticsCatalog.resubscribe() re-homes it.
         ("repro.optimizer.statistics", "_StalenessObserver"):
             ("repro.optimizer.statistics", "_TableObserver"),
+        # The removed deferred maintenance pickled its staleness set;
+        # Database.__setstate__ regenerates the tuples it lists.
+        ("repro.summaries.background", "PendingSummaryWork"):
+            ("repro.summaries.maintenance", "LegacyPendingKeys"),
     }
 
     def find_class(self, module: str, name: str):
@@ -248,7 +252,6 @@ class Database:
         options: PlannerOptions | None = None,
         disk: DiskManager | None = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        summary_async: bool = False,
     ):
         # Metrics first: the resilience layer and (under REPRO_FAULT_INJECT)
         # the fault-injecting disk both count through the registry.
@@ -293,14 +296,6 @@ class Database:
         #: seeded from REPRO_STATEMENT_TIMEOUT, overridable per call and
         #: from the REPL's ``\timeout`` command.
         self.statement_timeout = _env_timeout()
-        #: summary-maintenance mode: False is sync incremental, True is
-        #: deferred (background worker + summary_status).
-        if not isinstance(summary_async, bool):
-            raise TypeError(
-                f"summary_async must be a bool, got {summary_async!r}"
-            )
-        self.summary_async = summary_async
-        self.manager.deferred = self.summary_async
         #: replicas set this: every mutating statement raises
         #: ReadOnlyReplicaError unless it arrives via the replication
         #: stream's replay path.
@@ -321,20 +316,16 @@ class Database:
         self._session_local = threading.local()
         self.lock_manager = StripedLockManager(metrics=self.metrics)
         self.txn_manager = TransactionManager(self)
-        # Background maintenance plumbing: regenerations serialize against
-        # writers on the commit mutex, deletions are checked against the
-        # catalog, and deferred-mode writes wake the worker thread.
-        self.manager.regen_lock = self._commit_mutex
+        self.statistics.write_lock = self._commit_mutex
+        # Regeneration is checked against the catalog.
         self.manager.tuple_exists = self._summary_tuple_exists
-        self.manager.maint_wake = self._maint_wake
-        self._maint_worker = None
         #: the statement cache's plan level (parse_sql memoizes the other).
         self._plan_cache = PlanCache()
         #: parse-memo counts at the last reset_metrics (the memo is
         #: process-wide; this database reports counts since then).
         self._parse_counts_base = parse_memo_counts()
 
-    # -- background summary maintenance ----------------------------------------------
+    # -- summary regeneration --------------------------------------------------------
 
     def _summary_tuple_exists(self, table: str, oid: int) -> bool:
         """Regeneration guard: never resurrect a deleted data tuple's
@@ -344,44 +335,6 @@ class Database:
         if not self.catalog.has_table(table):
             return True
         return self.catalog.table(table).has_tuple(oid)
-
-    def _maint_wake(self) -> None:
-        """Write-path hook: in deferred mode, make sure the worker thread
-        exists and nudge it."""
-        if not self.summary_async:
-            return
-        worker = self._maint_worker
-        if worker is None or not worker.running:
-            worker = self._ensure_maint_worker()
-        worker.wake()
-
-    def _ensure_maint_worker(self):
-        from repro.summaries.background import MaintenanceWorker
-
-        worker = self._maint_worker
-        if worker is None:
-            worker = MaintenanceWorker(self)
-            self._maint_worker = worker
-        if not worker.running:
-            worker.start()
-        return worker
-
-    def stop_maintenance(self, drain: bool = True) -> None:
-        """Stop the background worker (if any); with ``drain`` (default)
-        finish all pending regeneration inline first-and-after, so the
-        engine shuts down with zero staleness."""
-        worker = self._maint_worker
-        if worker is not None:
-            worker.stop()
-        if drain:
-            self.manager.drain_pending()
-
-    def drain_summaries(self) -> int:
-        """Regenerate every stale summary now; returns how many tuples
-        were refreshed.  The 'converge async to sync equality' primitive —
-        after this, reads are exactly what synchronous maintenance would
-        have produced."""
-        return self.manager.drain_pending()
 
     # -- sessions --------------------------------------------------------------------
 
@@ -538,10 +491,6 @@ class Database:
         """
         from repro.core.repair import RepairManager
 
-        # Repair rebuilds derived structures from the heaps; fold any
-        # pending regeneration in first so the rebuilt structures reflect
-        # every acknowledged annotation.
-        self.manager.drain_pending()
         try:
             return RepairManager(self).run()
         finally:
@@ -565,7 +514,7 @@ class Database:
         # The concurrency runtime (locks, sessions, transactions, running
         # statements) belongs to the running process, not the image.
         for key in ("_commit_mutex", "_exec_local", "_session_local",
-                    "lock_manager", "txn_manager", "_maint_worker",
+                    "lock_manager", "txn_manager",
                     "_plan_cache", "_parse_counts_base"):
             state.pop(key, None)
         return state
@@ -580,12 +529,10 @@ class Database:
         state.setdefault("_stmt_counter", 0)
         # … and images before the resilience era lack these.
         state.setdefault("statement_timeout", None)
-        # Images from before PR 24 carry a mode string ("coherent" drained
-        # at every statement, which is what sync observes) or no mode.
-        mode = state.get("summary_async", "off")
-        legacy = not isinstance(mode, bool)
-        if legacy:
-            state["summary_async"] = mode == "deferred"
+        # Older images record the removed maintenance mode: the oldest
+        # as a string ("coherent" drained at every statement, which is
+        # what sync maintenance observes), later ones as a bool.
+        legacy = isinstance(state.pop("summary_async", None), str)
         state.setdefault("read_only", False)
         # Pre-concurrency images pickled a _exec_ctx slot; the attribute
         # is a property over thread-local state now. Images from the
@@ -600,7 +547,6 @@ class Database:
                 derived[index.key] = index
         self.__dict__.update(state)
         self._init_concurrency()
-        self.manager.deferred = self.summary_async
         # Subscriptions are process state: rebuild them from the owners.
         self.statistics.resubscribe()
         for index in self.derived.values():
@@ -618,9 +564,10 @@ class Database:
             # Those images recorded capacity 0 for every database whose
             # creator set no size: it said nothing about this one.
             self.manager.cache.resize(DEFAULT_CACHE_BYTES)
-        if not self.summary_async:
-            # Sync maintenance carries no staleness across a load.
-            self.manager.drain_pending()
+        # A tuple the removed deferred mode left stale gets its summary
+        # row from its annotations once, with every observer subscribed.
+        for key in vars(self.manager).pop("legacy_pending", ()):
+            self.manager.regenerate_tuple(*key)
 
     # -- planner --------------------------------------------------------------------
 
@@ -870,20 +817,8 @@ class Database:
 
     def zoom_in(self, table: str, oid: int, instance: str,
                 selector: str | int | None = None) -> list[str]:
-        """Zoom-in: raw annotation texts behind a summary object.
-
-        In deferred mode the returned list is a :class:`ZoomResult` whose
-        ``summary_status`` reports whether the tuple's summary objects are
-        behind its raw annotations (the texts themselves always come from
-        the last-generated objects, less annotations deleted since —
-        graceful degradation, not blocking).
-        """
-        texts = self.manager.zoom_in(table, oid, instance, selector)
-        if self.summary_async:
-            return ZoomResult(
-                texts, summary_status=self.manager.summary_status(table, oid)
-            )
-        return texts
+        """Zoom-in: raw annotation texts behind a summary object."""
+        return self.manager.zoom_in(table, oid, instance, selector)
 
     # -- integrity -----------------------------------------------------------------------------
 
@@ -897,9 +832,6 @@ class Database:
         With ``raise_on_error`` a non-empty report raises
         :class:`~repro.errors.IntegrityError` instead of being returned.
         """
-        # Staleness is a deliberate, bounded inconsistency; don't let the
-        # auditor report it as corruption.
-        self.manager.drain_pending()
         report = IntegrityChecker(self).run()
         # Feed degraded-mode planning: every derived access path a
         # violation names is quarantined until a converged repair
@@ -980,15 +912,12 @@ class Database:
         """Header + pickled state, the one image builder of :meth:`save`
         and :meth:`snapshot_bytes`; the caller holds the commit mutex.
 
-        Images are always fully maintained: pending regeneration folds in
-        before the pages flush, so a load never starts from stale summary
-        rows (the WAL tail re-marks anything the image predates).  The
-        header's LSN is the synced log's end; a ``checkpoint`` also makes
-        it this database's checkpoint LSN.  Registered UDFs are left out.
-        A failed database makes no image: its state is ahead of its log.
+        The header's LSN is the synced log's end; a ``checkpoint`` also
+        makes it this database's checkpoint LSN.  Registered UDFs are left
+        out.  A failed database makes no image: its state is ahead of its
+        log.
         """
         self._check_alive()
-        self.manager.drain_pending()
         self.pool.flush_all()
         if self.wal is not None:
             self.wal.sync()
@@ -1116,11 +1045,6 @@ class Database:
         snap["cache.capacity_bytes"] = cache.capacity_bytes
         snap["cache.used_bytes"] = cache.used_bytes
         snap["cache.entries"] = len(cache)
-        if self.summary_async:
-            # Live staleness gauges (the set_gauge values only move on
-            # mark/drain; these report the instantaneous truth).
-            snap["maint.backlog"] = self.manager.pending_count()
-            snap["maint.lag_seconds"] = self.manager.pending_lag_seconds()
         if self.guard.breaker is not None:
             # Gauge (0=closed, 1=half-open, 2=open), not a counter.
             snap["resilience.breaker_state"] = self.guard.breaker.state_code
@@ -1391,21 +1315,7 @@ class Database:
             stats["metrics"] = MetricsRegistry.delta(
                 self.metrics_snapshot(), metrics_before or {}
             )
-        summary_status = None
-        if self.summary_async and self.manager.has_pending():
-            # Per-row freshness: a row is stale when any tuple it was
-            # built from has queued maintenance work (its summary objects
-            # answer from the last generation).
-            pending = self.manager.pending
-            summary_status = [
-                "stale" if any(
-                    key in pending for key in t.provenance.values()
-                ) else "fresh"
-                for t in tuples
-            ]
-        return ResultSet(
-            columns, tuples, stats=stats, summary_status=summary_status
-        )
+        return ResultSet(columns, tuples, stats=stats)
 
     @staticmethod
     def _expected_columns(stmt: SelectStmt) -> list[str]:

@@ -15,7 +15,10 @@ Naming convention used by the engine::
     maint.on_objects_write / maint.on_objects_delete
                                  storage-row events, one per summary-row
                                  write or delete (§4.1.2)
-    maint.annotation_add         raw annotation mutations
+    maint.annotation_add / maint.annotation_delete
+                                 raw annotation mutations (maintenance of
+                                 the summaries they touch runs inside the
+                                 same write)
     index.<kind>.<tbl>.<inst>.probes / .rebuilds
                                  per derived structure (kind: summary /
                                  baseline / keyword / replica): probes
@@ -83,15 +86,6 @@ Naming convention used by the engine::
                                  injected network faults (repro.faults
                                  NetworkFaultPlan): reset / stall /
                                  partial_frame / garble
-    maint.deferred               annotation writes that marked staleness
-                                 instead of maintaining inline
-    maint.regen                  stale tuples regenerated by drain_pending
-    maint.worker_batches         non-empty batches the background
-                                 maintenance worker drained
-    maint.worker_errors          regeneration batches that raised in the
-                                 worker (tuple stays pending)
-    maint.backlog                gauge: stale tuples awaiting regeneration
-    maint.lag_seconds            gauge: age of the oldest stale tuple
 """
 
 from __future__ import annotations

@@ -327,9 +327,11 @@ class StatisticsCatalog:
         #: attached tables only: a table nobody delivers storage events
         #: for cannot be kept current, so it is analyzed on every use.
         self._tables: dict[str, _TableState] = {}
-        # Storage events arrive from writers and from the background
-        # maintenance thread while planners read.
+        # Storage events arrive from writers while planners read.
         self._mutex = threading.RLock()
+        #: held by writers while they move rows and emit the matching
+        #: events; the owning Database installs its commit mutex.
+        self.write_lock = threading.RLock()
         self._init_publication()
 
     def _init_publication(self) -> None:
@@ -345,8 +347,8 @@ class StatisticsCatalog:
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        for key in ("_mutex", "_events", "_published", "_versions",
-                    "publishes"):
+        for key in ("_mutex", "write_lock", "_events", "_published",
+                    "_versions", "publishes"):
             del state[key]
         return state
 
@@ -358,6 +360,7 @@ class StatisticsCatalog:
         self.manager = state["manager"]
         self._tables = state.get("_tables", {})
         self._mutex = threading.RLock()
+        self.write_lock = threading.RLock()
         self._init_publication()
 
     # -- subscription -------------------------------------------------------------
@@ -411,9 +414,8 @@ class StatisticsCatalog:
         table = self.catalog.table(table_name)
         key = table_name.lower()
         self.manager.metrics.inc("stats.full_analyze")
-        # Writers and regeneration hold this lock while they move rows and
-        # emit the matching events; the fold must see neither half-done.
-        with self.manager.regen_lock:
+        # The fold must see no write half-done.
+        with self.write_lock:
             storage = self.manager.storage_for(key)
             state = _TableState()
             state.columns_version = table.data_version

@@ -20,10 +20,6 @@ class ResultSet:
     tuples: list[QTuple]
     #: Optional execution metadata filled in by the executor.
     stats: dict = field(default_factory=dict)
-    #: Per-row summary freshness ("fresh" | "stale"), parallel to
-    #: ``tuples``; only populated by deferred-maintenance databases (None
-    #: everywhere else — sync maintenance never serves staleness).
-    summary_status: list[str] | None = None
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -69,17 +65,3 @@ class ResultSet:
             lines.append(f"... ({len(self.tuples)} rows total)")
         return "\n".join(lines)
 
-
-class ZoomResult(list):
-    """Zoom-in output: the raw annotation texts, plus the freshness of the
-    summary objects they were selected through.
-
-    A plain ``list`` subclass so every existing caller (and the wire
-    protocol, which renders lists) keeps working; deferred-maintenance
-    databases attach ``summary_status`` so callers can tell whether the
-    selection reflects all raw annotations (``"fresh"``) or the
-    last-generated objects (``"stale"``)."""
-
-    def __init__(self, texts=(), summary_status: str = "fresh"):
-        super().__init__(texts)
-        self.summary_status = summary_status

@@ -110,10 +110,6 @@ class WALApplier:
         ack = records[last + 1].lsn if last + 1 < len(records) else end_lsn
         apply_committed(self.db, committed, report, ack)
         report.end_lsn = ack
-        # Drain-on-apply: replayed annotation writes marked their tuples
-        # stale; fold the regeneration in now so replica reads serve
-        # fully maintained summaries at every ack point.
-        self.db.manager.drain_pending()
         with self._cond:
             self.ack_lsn = ack
             self.last_advance = time.monotonic()

@@ -140,10 +140,9 @@ class ReplicaServer:
         lsn = max(new_db.checkpoint_lsn, new_db._applied_lsn)
         db = self.db
         with db._commit_mutex:
-            db.stop_maintenance(drain=False)
             db.__dict__.clear()
             db.__dict__.update(new_db.__dict__)
-            # The loaded runtime (transaction manager, maintenance hooks)
+            # The loaded runtime (transaction manager, regeneration hook)
             # points back at new_db; every write and commit runs through
             # it, so rebuild it around this object.
             db._init_concurrency()

@@ -157,18 +157,13 @@ def jsonable_result(result: object) -> object:
     if result is None or isinstance(result, (bool, int, float, str)):
         return result
     if isinstance(result, ResultSet):
-        payload = {
+        return {
             "columns": list(result.columns),
             "rows": [
                 [_jsonable_value(v) for v in t.values] for t in result.tuples
             ],
             "row_count": len(result),
         }
-        if result.summary_status is not None:
-            # Deferred maintenance only; absent otherwise so the wire
-            # shape (and every pre-async client) is unchanged.
-            payload["summary_status"] = list(result.summary_status)
-        return payload
     if isinstance(result, QueryReport):
         return str(result)
     if isinstance(result, (list, tuple)):

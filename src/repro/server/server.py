@@ -311,10 +311,6 @@ class QueryServer:
         with self._lock:
             self._connections.clear()
         self.db.metrics.set_gauge("server.active_connections", 0)
-        # Quiesce background summary maintenance: stop the worker thread
-        # and fold any remaining staleness in inline, so a drained server
-        # leaves fully maintained summaries behind.
-        self.db.stop_maintenance()
 
     def _live(self) -> list[_Conn]:
         with self._lock:
@@ -373,9 +369,6 @@ class QueryServer:
             "shed": db.metrics.get("server.shed"),
             "degraded_paths": [] if path_health is None else [
                 list(key) for key in path_health.unhealthy()],
-            "summary_async": "deferred" if db.summary_async else "off",
-            "maint_backlog": db.manager.pending_count(),
-            "maint_lag_seconds": db.manager.pending_lag_seconds(),
             # A full_analyze that keeps climbing under annotation traffic
             # means statistics fell back to rescans.
             "stats_full_analyze": db.metrics.get("stats.full_analyze"),

@@ -18,24 +18,20 @@ Summary-BTree reads old counts from the footprint and new ones from the
 written objects, so it re-keys only the modified labels.  Subscriptions
 are process state: the owners re-subscribe after an image load.
 
-**Maintenance modes.**  With ``deferred`` False (a bare manager, or
-``Database(summary_async=False)``) maintenance runs inside the write.
-With True, a write only appends the raw annotation and marks the tuple
-stale in :class:`~repro.summaries.background.PendingSummaryWork`; a
-background :class:`~repro.summaries.background.MaintenanceWorker`
-regenerates stale tuples in batches, and reads serve the last-generated
-objects with ``summary_status: fresh|stale`` instead of blocking.
+Maintenance runs inside the write that changes an annotation, so a
+read always sees every acknowledged annotation.
 
-Regeneration recomputes a tuple's summary objects from its raw
-annotations in ``ann_id`` order, which reproduces the incremental
-classifier/snippet results byte-for-byte; cluster objects are rebuilt
-from scratch (canonical form — CluStream's incremental *remove* is
-path-dependent, so regeneration defines the converged grouping).
+:meth:`SummaryManager.regenerate_tuple` recomputes a tuple's summary
+objects from its raw annotations in ``ann_id`` order, which reproduces
+the incremental classifier/snippet results byte-for-byte; cluster
+objects are rebuilt from scratch (canonical form — CluStream's
+incremental *remove* is path-dependent).  It serves older images that
+still list tuples whose rows lag their annotations, and is the
+from-scratch reference the tests compare incremental maintenance with.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
 from typing import Protocol
 
@@ -43,7 +39,6 @@ from repro.annotations.annotation import Annotation, AnnotationTarget
 from repro.annotations.store import AnnotationStore
 from repro.cache import DEFAULT_CACHE_BYTES, SummaryCache
 from repro.errors import SummaryError, UnknownInstanceError
-from repro.summaries.background import PendingSummaryWork
 from repro.mining.clustream import CluStream
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.buffer import BufferPool
@@ -101,14 +96,22 @@ def row_footprint(objects: dict[str, SummaryObject]) -> RowFootprint:
     }
 
 
+class LegacyPendingKeys:
+    """What an older image's deferred-maintenance staleness set unpickles
+    into: the ``(table, oid)`` keys whose summary rows lag their
+    annotations."""
+
+    def __setstate__(self, state: dict) -> None:
+        # A list of keys, or a dict keyed by them in the oldest images.
+        self.keys = list(state["entries"])
+
+
 class SummaryManager:
     """The summary subsystem's single entry point."""
 
     #: callback the owning Database installs so regeneration never
     #: resurrects a summary row for a deleted data tuple.
     tuple_exists = None
-    #: callback that nudges the background worker when work goes pending.
-    maint_wake = None
 
     def __init__(
         self,
@@ -127,30 +130,22 @@ class SummaryManager:
         self.pool = pool
         self.annotations = AnnotationStore(pool)
         self._instances: dict[str, SummaryInstance] = {}
-        self._links: dict[str, list[str]] = defaultdict(list)  # table -> names
+        self._links: dict[str, list[str]] = {}  # table -> names
         self._storages: dict[str, SummaryStorage] = {}
         self._clusterers: dict[tuple[str, int, str], CluStream] = {}
         #: table -> storage-row observers (process state, not image state)
         self._observers: dict[str, list[StorageRowObserver]] = defaultdict(list)
-        #: True defers summary work off the write path; only ever set by
-        #: the owning Database — a bare manager maintains synchronously.
-        self.deferred = False
-        #: staleness set of deferred maintenance.
-        self.pending = PendingSummaryWork()
         #: (table, oid) -> live annotation ids attached there; None =
         #: rebuilt from the annotation store on first use.
         self._targets_index: dict[tuple[str, int], set[int]] | None = {}
-        #: serializes regeneration against foreground writers; the owning
-        #: Database replaces it with its commit mutex.
-        self.regen_lock = threading.RLock()
 
     # -- pickling ------------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        # Locks, thread-locals, subscriptions and the Database-installed
-        # callbacks are process state, never image state.
+        # Subscriptions and the Database-installed callback are process
+        # state, never image state.
         state = self.__dict__.copy()
-        for key in ("regen_lock", "tuple_exists", "maint_wake", "_observers"):
+        for key in ("tuple_exists", "_observers"):
             state.pop(key, None)
         return state
 
@@ -160,9 +155,13 @@ class SummaryManager:
         state.pop("async_mode", None)
         # Older images pickled the subscriptions; their owners re-subscribe.
         state.pop("_observers", None)
+        # Older images carry the removed deferred mode's switch and
+        # staleness set; the owning Database regenerates the set's tuples.
+        state.pop("deferred", None)
+        pending = state.pop("pending", None)
+        if pending is not None and pending.keys:
+            state["legacy_pending"] = pending.keys
         self.__dict__.update(state)
-        self.__dict__.setdefault("deferred", False)
-        self.__dict__.setdefault("pending", PendingSummaryWork())
         # None → rebuilt lazily from the annotation store on first use.
         self.__dict__.setdefault("_targets_index", None)
         if "cache" not in state:
@@ -171,9 +170,7 @@ class SummaryManager:
             for storage in self._storages.values():
                 storage.cache = self.cache
         self._observers = defaultdict(list)
-        self.regen_lock = threading.RLock()
         self.tuple_exists = None
-        self.maint_wake = None
 
     # -- instance registry ---------------------------------------------------------
 
@@ -246,24 +243,25 @@ class SummaryManager:
         """Link a summary instance to a relation (§2.1)."""
         self.instance(instance_name)  # validate
         table = table.lower()
-        if instance_name in self._links[table]:
+        names = self._links.setdefault(table, [])
+        if instance_name in names:
             raise SummaryError(
                 f"instance {instance_name!r} already linked to {table!r}"
             )
-        self._links[table].append(instance_name)
+        names.append(instance_name)
 
     def unlink(self, table: str, instance_name: str) -> None:
         """Drop the link (Alter Table ... Drop <InstanceName>)."""
         table = table.lower()
-        if instance_name not in self._links[table]:
+        if instance_name not in self._links.get(table, ()):
             raise SummaryError(f"instance {instance_name!r} not linked to {table!r}")
         self._links[table].remove(instance_name)
 
     def instances_for(self, table: str) -> list[SummaryInstance]:
-        return [self._instances[n] for n in self._links[table.lower()]]
+        return [self._instances[n] for n in self._links.get(table.lower(), ())]
 
     def is_linked(self, table: str, instance_name: str) -> bool:
-        return instance_name in self._links[table.lower()]
+        return instance_name in self._links.get(table.lower(), ())
 
     def tables_with_instance(self, instance_name: str) -> list[str]:
         return [t for t, names in self._links.items() if instance_name in names]
@@ -343,8 +341,7 @@ class SummaryManager:
     ) -> list[Annotation]:
         """The summary half: attach created annotations and apply them,
         in order, once per affected tuple (the initial-upload mode of §6),
-        so observers see one consolidated event per tuple.  In deferred
-        mode each affected tuple is marked stale once instead."""
+        so observers see one consolidated event per tuple."""
         grouped: dict[tuple[str, int], list[Annotation]] = {}
         for annotation in annotations:
             keys = self._affected_tuples(annotation)
@@ -352,10 +349,7 @@ class SummaryManager:
             for key in keys:
                 grouped.setdefault(key, []).append(annotation)
         for (table, oid), batch in grouped.items():
-            if self.deferred:
-                self._mark_stale(table, oid)
-            else:
-                self._apply_batch_to_tuple(batch, table, oid)
+            self._apply_batch_to_tuple(batch, table, oid)
         return annotations
 
     def _apply_batch_to_tuple(
@@ -411,20 +405,14 @@ class SummaryManager:
         affected = self._affected_tuples(annotation)
         self._detach_targets(ann_id, affected)
         for table, oid in affected:
-            if self.deferred:
-                self._mark_stale(table, oid)
-            else:
-                self._remove_from_tuple(annotation, table, oid)
+            self._remove_from_tuple(annotation, table, oid)
 
     def on_tuple_delete(self, table: str, oid: int) -> None:
         """The data tuple is gone: drop its summary row and index entries."""
         table = table.lower()
-        # Sever the tuple's annotation attachments and cancel any queued
-        # regeneration — a dropped row must never be resurrected by the
-        # background worker.
+        # Sever the tuple's annotation attachments.
         if self._targets_index is not None:
             self._targets_index.pop((table, oid), None)
-        self.pending.discard(table, oid)
         objects = self.storage_for(table).get(oid)
         if objects is not None:
             self._write_row(table, oid, {}, row_footprint(objects))
@@ -500,8 +488,6 @@ class SummaryManager:
 
         ``selector`` is a class label for Classifier objects, a Rep[]
         position for Snippet/Cluster objects, or None for everything.
-        Only ids still attached to the tuple are read: a deferred row may
-        list an annotation deleted since it was generated.
         """
         objects = self.storage_for(table).get(oid)
         if not objects or instance_name not in objects:
@@ -531,8 +517,7 @@ class SummaryManager:
             ann_ids = element_lists[selector]
         else:
             raise SummaryError(f"bad zoom selector {selector!r}")
-        attached = self._ensure_targets_index().get((table.lower(), oid), ())
-        return self.annotations.texts([i for i in ann_ids if i in attached])
+        return self.annotations.texts(ann_ids)
 
     # -- internals -----------------------------------------------------------------------
 
@@ -545,13 +530,11 @@ class SummaryManager:
                 seen.append(key)
         return seen
 
-    # -- async maintenance ---------------------------------------------------------------
-
     def _ensure_targets_index(self) -> dict[tuple[str, int], set[int]]:
         """The live attachment reverse-map: (table, oid) -> annotation ids.
 
         Maintained on every create/delete; rebuilt from the annotation
-        store for managers unpickled from pre-async images and after
+        store for managers unpickled from older images and after
         :meth:`repair_rows`.  Entries for deleted data tuples are pruned by
         :meth:`on_tuple_delete` (the live map) or left out by
         ``tuple_exists`` (the rebuilt one)."""
@@ -588,67 +571,6 @@ class SummaryManager:
             members.discard(ann_id)
             if not members:
                 index.pop(key, None)
-
-    def _mark_stale(self, table: str, oid: int) -> None:
-        """Async write path: record staleness instead of doing the work,
-        publish the backlog gauge, and nudge the background worker.  The
-        stored row is unchanged, so its cache entry stays valid: reads
-        serve the last-generated objects until regeneration rewrites it."""
-        if not self._links.get(table):
-            return  # no linked instances: nothing will ever regenerate
-        if self.pending.mark(table, oid):
-            self.metrics.inc("maint.deferred")
-        self.metrics.set_gauge("maint.backlog", len(self.pending))
-        wake = self.maint_wake
-        if wake is not None:
-            wake()
-
-    def summary_status(self, table: str, oid: int) -> str:
-        """``"stale"`` while the tuple has queued maintenance work, else
-        ``"fresh"`` — what deferred-mode query results surface per row."""
-        return "stale" if (table.lower(), oid) in self.pending else "fresh"
-
-    def has_pending(self) -> bool:
-        return len(self.pending) > 0
-
-    def pending_count(self) -> int:
-        return len(self.pending)
-
-    def pending_lag_seconds(self) -> float:
-        return self.pending.oldest_age()
-
-    def drain_pending(self, limit: int | None = None) -> int:
-        """Regenerate stale tuples (up to ``limit``); returns how many
-        were regenerated.
-
-        Serialized against foreground writers by ``regen_lock`` (the
-        engine's commit mutex when a Database owns this manager) and safe
-        to call from anywhere — checkpoints, server drain, the background
-        worker — because it is idempotent over an empty set.  A tuple
-        leaves the pending set only once its row is written, so it reads
-        ``"stale"`` until then; one whose regeneration raises stays
-        pending, moved to the back, and the error propagates."""
-        pending = self.pending
-        if not len(pending):
-            return 0
-        drained = 0
-        with self.regen_lock:
-            while limit is None or drained < limit:
-                key = pending.oldest()
-                if key is None:
-                    break
-                try:
-                    self.regenerate_tuple(*key)
-                except BaseException:
-                    pending.requeue(key)
-                    raise
-                pending.discard(*key)
-                drained += 1
-        if drained:
-            self.metrics.inc("maint.regen", drained)
-        self.metrics.set_gauge("maint.backlog", len(pending))
-        self.metrics.set_gauge("maint.lag_seconds", pending.oldest_age())
-        return drained
 
     def regenerate_tuple(self, table: str, oid: int) -> None:
         """Recompute one tuple's summary objects from its raw annotations.

@@ -9,8 +9,7 @@ tuples again and again, bulk loads, deletes of annotations from the run
 just flushed, committed and uncommitted transaction groups, and a failing
 record spliced into a run.  Both replays must reach the same logical state
 and the same report counts, with integrity clean — with one or three
-summary instances linked, and in deferred mode once drained — or both
-raise at the same record.
+summary instances linked — or both raise at the same record.
 """
 
 from __future__ import annotations
@@ -170,16 +169,16 @@ def build_log(script, linked: bool, fail_at: int | None,
     return bytes(out)
 
 
-def batched(log: bytes, deferred: bool):
-    db = Database(summary_async=deferred)
+def batched(log: bytes):
+    db = Database()
     with db._commit_mutex:
         report = replay(db, MemoryWALDevice.from_durable(log, 0))
     return db, report
 
 
-def per_record(log: bytes, deferred: bool):
+def per_record(log: bytes):
     """The reference: the committed records, one record at a time."""
-    db = Database(summary_async=deferred)
+    db = Database()
     scan = scan_records(log, 0)
     report = RecoveryReport(checkpoint_lsn=0, start_lsn=0,
                             end_lsn=scan.end_lsn, scanned=len(scan.records),
@@ -201,10 +200,10 @@ def per_record(log: bytes, deferred: bool):
     return db, report
 
 
-def replayed(replay_fn, log: bytes, deferred: bool):
+def replayed(replay_fn, log: bytes):
     """``(db, report)``, or the LSN of the record the replay raised at."""
     try:
-        return replay_fn(log, deferred)
+        return replay_fn(log)
     except WALError as exc:
         return int(re.search(r"lsn=(\d+)", str(exc)).group(1))
 
@@ -218,28 +217,23 @@ def counts(report: RecoveryReport) -> dict:
 @given(
     script=st.lists(ops, max_size=18),
     linked=st.booleans(),
-    deferred=st.booleans(),
     fail_at=st.one_of(st.none(), st.integers(0, 50)),
     crash_mid_commit=st.booleans(),
 )
 def test_batched_replay_matches_per_record_reference(
-        script, linked, deferred, fail_at, crash_mid_commit):
+        script, linked, fail_at, crash_mid_commit):
     log = build_log(script, linked, fail_at, crash_mid_commit)
-    got, want = replayed(batched, log, deferred), \
-        replayed(per_record, log, deferred)
+    got, want = replayed(batched, log), replayed(per_record, log)
     if isinstance(got, int) or isinstance(want, int):
         assert got == want  # both raise at the spliced record
         return
     (got, report), (want, reference) = got, want
-    for db in (got, want):
-        db.stop_maintenance(drain=True)
     assert counts(report) == counts(reference)
     assert db_state(got) == db_state(want)
     assert got.check_integrity().ok, got.check_integrity()
     assert want.check_integrity().ok
-    if not deferred:
-        # Never more summary-row writes than the reference made.
-        assert report.summary_rows_written <= reference.summary_rows_written
+    # Never more summary-row writes than the reference made.
+    assert report.summary_rows_written <= reference.summary_rows_written
 
 
 def test_run_writes_each_touched_tuple_once():
@@ -251,8 +245,8 @@ def test_run_writes_each_touched_tuple_once():
               ("annotate", 1, TEXTS[4], True)]
     log = build_log(script, linked=True, fail_at=None,
                     crash_mid_commit=False)
-    got, report = batched(log, deferred=False)
-    want, reference = per_record(log, deferred=False)
+    got, report = batched(log)
+    want, reference = per_record(log)
     assert report.summary_rows_written == 2
     assert reference.summary_rows_written == 5
     assert db_state(got) == db_state(want)

@@ -195,7 +195,7 @@ def ddl_state(db: Database):
         for name in db.catalog.table_names()
     }
     links = {table: list(instances)
-             for table, instances in db.manager._links.items() if instances}
+             for table, instances in db.manager._links.items()}
     return (catalog, sorted(db.manager._instances), links,
             sorted(db.derived), db_state(db))
 
@@ -227,6 +227,7 @@ FAILING_DDL = [
     ("link_summary_instance", ("t", "C"), {}, None),
     ("link_summary_instance", ("t", "D"), {"indexable": True}, None),
     ("unlink_summary_instance", ("t", "D"), {}, None),
+    ("unlink_summary_instance", ("nope", "C"), {}, None),
     ("create_summary_index", ("t", "C"), {}, None),
     ("create_baseline_index", ("t", "C"), {}, None),
     ("create_baseline_index", ("t", "nope"), {}, None),

@@ -213,25 +213,12 @@ class TestMultiLevelZoom:
         assert len(everything) == 2
         assert ecology == habitat
 
-    def test_zoom_inner_node_after_a_deferred_delete(self):
-        deferred = Database(summary_async=True)
-        try:
-            deferred.manager.maint_wake = None
-            deferred.create_table("t", [Column("name", ValueType.TEXT)])
-            deferred.create_hierarchical_classifier_instance("H", SPEC, SEEDS)
-            deferred.manager.link("t", "H")
-            oid = deferred.insert("t", {"name": "a"})
-            first = deferred.add_annotation(TEXTS["Disease"], table="t",
-                                            oid=oid)
-            deferred.add_annotation(TEXTS["Injury"], table="t", oid=oid)
-            deferred.drain_summaries()
-            deferred.delete_annotation(first.ann_id)
-            # The stale row still lists the deleted Disease note.
-            health = deferred.zoom_in("t", oid, "H", "Health")
-            assert health.summary_status == "stale"
-            assert list(health) == [TEXTS["Injury"]]
-        finally:
-            deferred.stop_maintenance()
+    def test_zoom_inner_node_after_a_delete(self, db):
+        oid = db.insert("t", {"name": "a"})
+        first = db.add_annotation(TEXTS["Disease"], table="t", oid=oid)
+        db.add_annotation(TEXTS["Injury"], table="t", oid=oid)
+        db.delete_annotation(first.ann_id)
+        assert db.zoom_in("t", oid, "H", "Health") == [TEXTS["Injury"]]
 
     def test_zoom_unknown_selector_still_raises(self, db):
         oid = db.insert("t", {"name": "a"})

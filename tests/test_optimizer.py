@@ -148,8 +148,8 @@ def assert_exact(db):
         assert db.statistics.table_stats(table) == fresh_analyze(db, table), table
 
 
-def small_db(**kwargs):
-    db = Database(**kwargs)
+def small_db():
+    db = Database()
     db.create_table("t", [Column("id", ValueType.INT)])
     db.create_classifier_instance(
         "C", ["Disease", "Anatomy", "Behavior", "Other"], SEED
@@ -314,13 +314,14 @@ class TestIncrementalStatistics:
         db.statistics.table_stats("side")
         assert db.metrics.get("stats.full_analyze") == before + 2
 
-    def test_reads_race_background_regeneration(self):
-        """Deltas arrive from the maintenance thread while planners derive:
-        a lost accumulator update would break exactness after the drain."""
+    def test_reads_race_annotation_writes(self):
+        """Deltas arrive from a writer's annotations while planners on
+        other threads derive: a lost accumulator update would break
+        exactness."""
         import sys
         import threading
 
-        db = small_db(summary_async=True)
+        db = small_db()
         db.statistics.table_stats("t")
         stop = threading.Event()
         errors = []
@@ -351,7 +352,6 @@ class TestIncrementalStatistics:
                 thread.join(timeout=30)
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        db.stop_maintenance(drain=True)
         assert errors == []
         assert_exact(db)
 
@@ -456,11 +456,10 @@ class _OracleRun:
     TREE = {"Health": {"Disease": {}, "Anatomy": {}},
             "Life": {"Behavior": {}, "Other": {}}}
 
-    def __init__(self, mode, tmp_path):
-        self.mode = mode
+    def __init__(self, tmp_path):
         self.path = tmp_path / "oracle.img"
         self.image = None  # path once a checkpoint exists
-        db = Database(buffer_pages=64, summary_async=mode == "deferred")
+        db = Database(buffer_pages=64)
         db.attach_wal()
         db.create_table("t", [Column("id", ValueType.INT),
                               Column("name", ValueType.TEXT)])
@@ -546,7 +545,6 @@ class _OracleRun:
             from repro.wal.device import MemoryWALDevice
 
             device = db.wal.device
-            db.stop_maintenance(drain=False)
             self.db, _report = Database.recover(
                 self.image,
                 MemoryWALDevice.from_durable(device.durable(),
@@ -554,8 +552,6 @@ class _OracleRun:
             )
 
     def check(self):
-        if self.mode == "deferred":
-            self.db.drain_summaries()
         assert_exact(self.db)
         assert_plans_exact(self.db)
 
@@ -582,20 +578,16 @@ def assert_plans_exact(db):
         assert_cached_equals_fresh(db, query)
 
 
-@pytest.mark.parametrize("mode", ["off", "deferred"])
-def test_statistics_equal_fresh_analyze_after_every_op(mode, tmp_path_factory):
+def test_statistics_equal_fresh_analyze_after_every_op(tmp_path_factory):
     hypothesis = pytest.importorskip("hypothesis")
 
     @hypothesis.given(ops=_op_lists(hypothesis.strategies))
     def run_ops(ops):
-        run = _OracleRun(mode, tmp_path_factory.mktemp("oracle"))
-        try:
-            run.db.statistics.table_stats("t")  # warm: ops below are deltas
-            for op in ops:
-                run.apply(op)
-                run.check()
-        finally:
-            run.db.stop_maintenance(drain=False)
+        run = _OracleRun(tmp_path_factory.mktemp("oracle"))
+        run.db.statistics.table_stats("t")  # warm: ops below are deltas
+        for op in ops:
+            run.apply(op)
+            run.check()
 
     run_ops()
 

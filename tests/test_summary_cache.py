@@ -18,20 +18,25 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import io
 import pickle
+import sys
 import threading
+import types
 
 import pytest
 
+from repro.annotations.annotation import AnnotationTarget
 from repro.cache import DEFAULT_CACHE_BYTES, SummaryCache
 from repro.catalog.schema import Column
 from repro.cli import execute_line
-from repro.core.database import Database
+from repro.core.database import Database, _ImageUnpickler
 from repro.errors import BufferPoolError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.heapfile import HeapFile
 from repro.storage.record import ValueType
+from repro.summaries.maintenance import LegacyPendingKeys
 from repro.summaries.objects import SnippetObject
 from repro.summaries.storage import SummaryStorage
 from repro.wal.device import MemoryWALDevice
@@ -281,15 +286,12 @@ class TestReadThrough:
         db.delete_tuple("t", 2)
         assert db.manager.storage_for("t").get(2) is None
 
-    @pytest.mark.parametrize("summary_async", [False, True])
     def test_annotate_invalidates_only_through_the_row_write(
-        self, monkeypatch, summary_async
+        self, monkeypatch
     ):
         """``SummaryStorage.put``/``delete`` is the one invalidation point:
-        a sync annotate drops its row's entry exactly once, and a deferred
-        one, which leaves the stored row as it is, not at all."""
-        db = Database(summary_async=summary_async)
-        db.manager.maint_wake = None
+        an annotate drops its row's entry exactly once."""
+        db = Database()
         db.create_table("t", [Column("name", ValueType.TEXT)])
         db.create_classifier_instance(
             "C", ["alpha", "beta"],
@@ -298,9 +300,8 @@ class TestReadThrough:
         db.manager.link("t", "C")
         oid = db.insert("t", ["r"])
         db.add_annotation(TEXTS["alpha"], table="t", oid=oid)
-        db.drain_summaries()
         storage = db.manager.storage_for("t")
-        primed = storage.get(oid)
+        storage.get(oid)
         calls = []
         invalidate = SummaryCache.invalidate
         monkeypatch.setattr(
@@ -308,11 +309,7 @@ class TestReadThrough:
             lambda self, *key: calls.append(key) or invalidate(self, *key),
         )
         ann = db.add_annotation(TEXTS["beta"], table="t", oid=oid)
-        assert calls == ([] if summary_async else [("t", oid)])
-        if summary_async:
-            assert storage.get(oid) is primed  # the last-generated row
-            db.drain_summaries()
-            assert calls == [("t", oid)]
+        assert calls == [("t", oid)]
         assert ann.ann_id in storage.get(oid)["C"].all_annotation_ids()
 
     def test_get_many_shares_and_invalidates_set_entries(self):
@@ -379,18 +376,14 @@ class TestFillsRacingWrites:
     writer changes that row must not leave the pre-write row (or a "no
     row" negative entry) cached.  Every statement locks its tables, so
     the fills that race writes are those of lockless reads (the
-    integrity audit's, the drain's) and any read racing the deferred
-    drain, which takes no table lock.  The reader here is a lockless
-    ``get_many``, so it overlaps both writers."""
+    integrity audit's).  The reader here is a lockless ``get_many``."""
 
     @pytest.mark.parametrize("negative", [False, True],
                              ids=["row", "no-row"])
-    @pytest.mark.parametrize("writer", ["annotate", "drain"])
     def test_fill_that_read_before_a_write_is_not_served(
-        self, monkeypatch, writer, negative
+        self, monkeypatch, negative
     ):
-        db = Database(summary_async=writer == "drain")
-        db.manager.maint_wake = None  # drains run here, on this thread
+        db = Database()
         db.create_table("t", [Column("name", ValueType.TEXT)])
         db.create_classifier_instance(
             "C", ["alpha", "beta"],
@@ -399,10 +392,6 @@ class TestFillsRacingWrites:
         db.manager.link("t", "C")
         oid = db.insert("t", ["r"])
         if not negative:
-            db.add_annotation(TEXTS["alpha"], table="t", oid=oid)
-            db.drain_summaries()
-        if writer == "drain":
-            # Deferred: the stored row stays as it is until the drain.
             db.add_annotation(TEXTS["alpha"], table="t", oid=oid)
         paused, resume = threading.Event(), threading.Event()
         store = SummaryCache.store
@@ -420,10 +409,7 @@ class TestFillsRacingWrites:
         reader.start()
         try:
             assert paused.wait(10), "the reader never filled the cache"
-            if writer == "annotate":
-                db.add_annotation(TEXTS["alpha"], table="t", oid=oid)
-            else:
-                db.drain_summaries()
+            db.add_annotation(TEXTS["alpha"], table="t", oid=oid)
         finally:
             resume.set()
             reader.join(10)
@@ -545,46 +531,88 @@ class TestEpochBumps:
         assert label_count(db, 2, "alpha") == 1
 
 
-def load_state(state: dict) -> Database:
+def load_image(payload: bytes) -> Database:
+    """A pickled state, loaded the way an image is."""
     clone = object.__new__(Database)
-    clone.__setstate__(pickle.loads(pickle.dumps(state)))
+    clone.__setstate__(_ImageUnpickler(io.BytesIO(payload)).load())
     return clone
+
+
+def load_state(state: dict) -> Database:
+    return load_image(pickle.dumps(state))
+
+
+def legacy_pending(monkeypatch, keys):
+    """The staleness set of the removed deferred maintenance, pickled the
+    way its ``repro.summaries.background.PendingSummaryWork`` pickled."""
+    module = types.ModuleType("repro.summaries.background")
+
+    class PendingSummaryWork:
+        def __getstate__(self):
+            return {"entries": list(keys)}
+
+    PendingSummaryWork.__module__ = module.__name__
+    PendingSummaryWork.__qualname__ = "PendingSummaryWork"
+    module.PendingSummaryWork = PendingSummaryWork
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    return PendingSummaryWork()
 
 
 class TestOlderImages:
     """States shaped like the images earlier engines wrote load into the
-    one configuration: sync or deferred, cache on."""
+    one configuration: sync maintenance, cache on."""
 
-    def test_coherent_image_with_backlog_loads_sync_and_drained(self):
+    def test_coherent_image_with_backlog_loads_sync_and_drained(
+        self, monkeypatch
+    ):
+        """An older "coherent" state whose one tuple lags an
+        annotation: the load regenerates that tuple's row."""
         db = build_db(cache_bytes=0)  # what an unset env var recorded
-        db.manager.deferred = True
-        db.add_annotation(TEXTS["alpha"], table="t", oid=1)
-        assert db.manager.pending_count() == 1
-        del db.manager.deferred
-        db.manager.async_mode = "coherent"
+        manager = db.manager
+        # The deferred write: the raw annotation, no summary maintenance.
+        [ann] = manager.create_annotations(
+            [(TEXTS["alpha"], [AnnotationTarget("t", 1)], None)])
+        manager._attach_targets(ann.ann_id, [("t", 1)])
+        assert label_count(db, 1, "alpha") == 0
+        manager.async_mode = "coherent"
+        manager.pending = legacy_pending(monkeypatch, [("t", 1)])
         state = db.__getstate__()
         state["summary_async"] = "coherent"
-        loaded = load_state(state)
-        assert loaded.summary_async is False
-        assert loaded.manager.deferred is False
-        assert "async_mode" not in vars(loaded.manager)
-        assert not loaded.manager.has_pending()
-        assert label_count(loaded, 1, "alpha") == 1
-        cache = loaded.manager.cache
+        payload = pickle.dumps(state)
+        monkeypatch.undo()  # the old class is gone when the image loads
+        clone = load_image(payload)
+        assert "summary_async" not in vars(clone)
+        for name in ("async_mode", "pending", "legacy_pending"):
+            assert name not in vars(clone.manager)
+        cache = clone.manager.cache
         assert cache.capacity_bytes == DEFAULT_CACHE_BYTES
         assert cache.hits == 0  # cold
-        assert loaded.check_integrity().ok
+        assert label_count(clone, 1, "alpha") == 1
+        assert label_count(clone, 1, "beta") == 1
+        assert clone.check_integrity().ok
 
-    def test_old_image_keeps_an_explicit_capacity_and_deferred_mode(self):
+    def test_older_pending_set_loads_its_keys(self):
+        """The oldest staleness sets pickled ``{key: (generation,
+        epoch)}``, later ones a list of keys: both load as their keys,
+        in order."""
+        for entries in ({("t", 2): (3, 7), ("a", 1): (0, 0)},
+                        [("t", 2), ("a", 1)]):
+            keys = object.__new__(LegacyPendingKeys)
+            keys.__setstate__({"entries": entries})
+            assert keys.keys == [("t", 2), ("a", 1)]
+
+    @pytest.mark.parametrize("mode", [True, "deferred"])
+    def test_deferred_image_loads_in_the_one_mode(self, mode):
         db = build_db(cache_bytes=4096)
+        db.manager.deferred = True
         state = db.__getstate__()
-        state["summary_async"] = "deferred"
+        state["summary_async"] = mode
         loaded = load_state(state)
-        try:
-            assert loaded.summary_async is True
-            assert loaded.manager.cache.capacity_bytes == 4096
-        finally:
-            loaded.stop_maintenance()
+        assert "summary_async" not in vars(loaded)
+        assert "deferred" not in vars(loaded.manager)
+        assert loaded.manager.cache.capacity_bytes == 4096
+        loaded.add_annotation(TEXTS["alpha"], table="t", oid=1)
+        assert label_count(loaded, 1, "alpha") == 1
 
     def test_new_image_keeps_capacity_zero(self):
         loaded = load_state(build_db(cache_bytes=0).__getstate__())

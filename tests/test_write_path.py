@@ -371,6 +371,41 @@ def test_replay_raises_on_a_reused_annotation_id():
         )
 
 
+class TestBulkLoadReplay:
+    """``add_annotations_bulk`` logs its batch: recovery reproduces each
+    annotation under its id, and later ids continue the sequence."""
+
+    @staticmethod
+    def recovered(db: Database) -> Database:
+        device = MemoryWALDevice.from_durable(db.wal.device.durable(), 0)
+        return Database.recover(None, device)[0]
+
+    def test_bulk_load_is_durable(self):
+        db = make_db(rows=2)
+        annotations = db.add_annotations_bulk([
+            (TEXTS[0], [AnnotationTarget("t", 1)]),
+            (TEXTS[1], [AnnotationTarget("t", 2)]),
+        ])
+        recovered = self.recovered(db)
+        for ann in annotations:
+            assert recovered.manager.annotations.get(ann.ann_id).text == \
+                ann.text
+        sset = recovered.manager.summary_set_for("t", 1)
+        assert sset.get_summary_object("C").get_label_value("alpha") == 1
+
+    def test_bulk_ids_sequential_across_replay(self):
+        db = make_db(rows=3)
+        db.add_annotation(TEXTS[0], table="t", oid=1)
+        batch = db.add_annotations_bulk([
+            (TEXTS[1], [AnnotationTarget("t", 1)]),
+            (TEXTS[2], [AnnotationTarget("t", 2)]),
+        ])
+        after = db.add_annotation(TEXTS[3], table="t", oid=3)
+        assert [a.ann_id for a in batch] == [2, 3]
+        assert after.ann_id == 4
+        assert self.recovered(db).manager.annotations.next_id == 5
+
+
 def test_regeneration_guard_probes_the_oid_index():
     db = make_db(rows=2)
     db.delete_tuple("t", 2)
@@ -379,3 +414,12 @@ def test_regeneration_guard_probes_the_oid_index():
     assert not exists("t", 2)  # deleted
     assert not exists("t", 9)  # never assigned
     assert exists("nope", 1)   # unknown table: unverifiable, so True
+
+
+def test_regeneration_never_resurrects_a_deleted_tuple():
+    db = make_db(rows=2)
+    db.add_annotation(TEXTS[0], table="t", oid=1)
+    db.delete_tuple("t", 1)
+    db.manager._targets_index = None  # rebuilt from the store, as on load
+    db.manager.regenerate_tuple("t", 1)
+    assert db.manager.storage_for("t").get(1) is None
